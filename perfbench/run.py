@@ -41,12 +41,10 @@ BENCHMARK_JSON = os.path.join(ROOT, "BENCHMARK.json")
 #: checkout the benchmark runs from).
 WORKDIR = ".perfbench"
 DEFAULT_SEED = 0
-#: Fresh-process set-ups per run; ``setup_s`` is their median.
-SETUP_SAMPLES = 3
 
 sys.path.insert(0, HERE)
 from tracing import Tracer, format_self_time_table  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import SIZES, WORKLOADS  # noqa: E402
 
 
 def _direct(name, fn, *args, **kwargs):
@@ -101,13 +99,13 @@ def setup_probe(workload: str, size: str) -> None:
     print(json.dumps({"setup_s": time.perf_counter() - t0}))
 
 
-def measure_setup(workload: str, size: str, samples: int) -> list:
+def measure_setup(workload: str, size: str) -> list:
     """Cold set-up seconds, one fresh interpreter per sample."""
     out = []
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    for _ in range(samples):
+    for _ in range(SIZES[size]["setup_samples"]):
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--setup-probe",
              "--workload", workload, "--size", size],
@@ -244,14 +242,16 @@ def _metric(value, unit) -> dict:
     return {"value": float(value), "unit": unit}
 
 
-def end_to_end(wl, loop, setup_samples) -> dict:
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def end_to_end(wl, loop, setup_samples, peak_rss) -> dict:
     med = loop.medians("untraced")
     complete = len(med) == len(loop.ops)
     metrics = {
         "setup_s": _metric(statistics.median(setup_samples), "s"),
-        "peak_rss_mb": _metric(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "MiB"),
+        "peak_rss_mb": _metric(peak_rss, "MiB"),
     }
     if complete:
         metrics["wall_s"] = _metric(sum(med.values()), "s")
@@ -352,7 +352,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=("full", "smoke"), default="full",
                         help="input size (smoke: the self-test's)")
-    parser.add_argument("--setup-samples", type=int, default=SETUP_SAMPLES)
     parser.add_argument("--force-mismatch", action="store_true",
                         help="corrupt one expected digest (self-test)")
     parser.add_argument("--pin", action="store_true",
@@ -374,8 +373,8 @@ def main(argv=None) -> int:
         parser.error("--pin records default-seed digests only")
 
     load_start = os.getloadavg()
-    setup_samples = [] if args.trace else measure_setup(
-        args.workload, args.size, args.setup_samples)
+    setup_samples = [] if args.trace else measure_setup(args.workload,
+                                                        args.size)
     wl = WORKLOADS[args.workload](args.size, WORKDIR)
     t0 = time.perf_counter()
     wl.setup()
@@ -399,6 +398,8 @@ def main(argv=None) -> int:
             loop.run_alternating(args.seconds, tracer)
         else:
             loop.run_for(args.seconds)
+        # The workload's own peak, before the references' extra work.
+        peak_rss = peak_rss_mb()
         _check_references(wl, loop, args.seed)
         if args.trace:
             try:
@@ -409,7 +410,7 @@ def main(argv=None) -> int:
                 loop.errors.append(f"probe: {traceback.format_exc()}")
             metrics = per_layer(wl, loop, tracer, probes)
         else:
-            metrics = end_to_end(wl, loop, setup_samples)
+            metrics = end_to_end(wl, loop, setup_samples, peak_rss)
     finally:
         wl.close()
     if args.pin:

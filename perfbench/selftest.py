@@ -32,7 +32,7 @@ RUN = os.path.join(HERE, "run.py")
 def run(workload, *extra, cwd=ROOT):
     proc = subprocess.run(
         [sys.executable, RUN, "--workload", workload, "--size", "smoke",
-         "--seconds", "0.5", "--setup-samples", "1", *extra],
+         "--seconds", "0.5", *extra],
         capture_output=True, text=True, cwd=cwd, timeout=600,
     )
     lines = proc.stdout.strip().splitlines()

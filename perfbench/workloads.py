@@ -100,14 +100,15 @@ SEARCH_TILE_SIZES = {"K": (8, 16, 256, 1024)}
 SEARCH_PRUNE_TO = 4
 WORKERS = 2
 
-#: Per-size input parameters.  "smoke" keeps the self-test fast.
+#: Per-size input parameters and fresh-process set-up samples per run
+#: (``setup_s`` is their median).  "smoke" keeps the self-test fast.
 SIZES = {
     "full": {"pv_datasets": ("wi",), "pv_shrink": 1,
              "search_shape": (96, 48, 40), "ls_nnz": 100_000,
-             "ls_pairs": 3, "graph_shrink": 4},
+             "ls_pairs": 3, "graph_shrink": 4, "setup_samples": 7},
     "smoke": {"pv_datasets": ("wi",), "pv_shrink": 4,
               "search_shape": (48, 24, 20), "ls_nnz": 4_000,
-              "ls_pairs": 3, "graph_shrink": 8},
+              "ls_pairs": 3, "graph_shrink": 8, "setup_samples": 1},
 }
 
 
@@ -492,16 +493,28 @@ class MappingSearch(Workload):
         )).encode()).hexdigest()
 
     def reference_failures(self, results) -> List[str]:
+        """Phase 2 re-prices the survivors with the traced engine; the
+        reference is the exact vector engine (``metrics="auto"``), which
+        re-prices the best, and in the exact modes also priced every
+        survivor's phase-1 score."""
         from repro.model import evaluate
-        from repro.search import apply_candidate, metrics_fingerprint
+        from repro.search import (
+            apply_candidate,
+            metric_value,
+            metrics_fingerprint,
+        )
 
         einsum = self.spec.einsum.cascade.produced[0]
         bad = []
         for key, result in results.items():
             cand, res = result.best()
             ref = evaluate(apply_candidate(self.spec, einsum, cand),
-                           dict(self.tensors), metrics="trace")
-            if metrics_fingerprint(ref) != metrics_fingerprint(res):
+                           dict(self.tensors), metrics="auto")
+            scores = dict(result.scores)
+            if metrics_fingerprint(ref) != metrics_fingerprint(res) or (
+                    key != "analytical"
+                    and any(scores[c] != metric_value(r, result.metric)
+                            for c, r in result.candidates)):
                 bad.append(key)
         return bad
 
