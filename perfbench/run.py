@@ -12,8 +12,12 @@ passes wrap each layer's entry points, see ``tracing.py``).  Either way
 every operation's simulated result is checked (pinned digests at the
 default seed, determinism plus an independent reference elsewhere), and
 the last line of standard output is one JSON object:
-``{"correct", "attempted", "failed", "metrics"}``.  A fuller record
-(machine fingerprint, samples, spans) is written under ``.perfbench/``.
+``{"correct", "attempted", "failed", "metrics"}``.  Times are reported
+in seconds of a nominal host: each timed sample is paired with a sample
+of a fixed reference kernel (see ``reference_sample``), which cancels
+the shared host's changing speed.  A fuller record (machine
+fingerprint, raw samples, reference samples, spans) is written under
+``.perfbench/``.
 
 See ``perfbench/README.md`` for the metrics, layers and workloads.
 """
@@ -49,6 +53,40 @@ from workloads import SIZES, WORKLOADS  # noqa: E402
 
 def _direct(name, fn, *args, **kwargs):
     return fn(*args, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Host speed
+# ----------------------------------------------------------------------
+#: The reference kernel's time on the nominal host: its typical time in
+#: the fast phases of a shared 2-vCPU Intel Xeon host (Python 3.11,
+#: numpy 2).  Reported times are in seconds of that host.
+REFERENCE_S = 0.0058
+
+
+def reference_sample() -> float:
+    """Seconds for a fixed mix of interpreter work (dict updates) and
+    numpy work (sorts), the two kinds the workloads spend their time on.
+
+    The host alternates between fast and slow phases, up to 1.8x apart
+    and from a few seconds to minutes long, so a time measured on it
+    depends on when it was measured.  Each timed operation is followed
+    by one reference sample; the ratio of the two cancels the phase."""
+    import numpy as np
+
+    t0 = time.perf_counter()
+    counts = {}
+    for i in range(20000):
+        counts[i % 997] = counts.get(i % 997, 0) + i * 3
+    a = np.arange(20000.0)
+    for _ in range(20):
+        a = np.sort(a[::-1]) + 1.0
+    return time.perf_counter() - t0
+
+
+def normalized(pairs) -> float:
+    """Median of (seconds ÷ reference seconds), in nominal-host seconds."""
+    return REFERENCE_S * statistics.median(t / r for t, r in pairs)
 
 
 # ----------------------------------------------------------------------
@@ -92,15 +130,19 @@ def machine_fingerprint(load_start) -> dict:
 # Set-up
 # ----------------------------------------------------------------------
 def setup_probe(workload: str, size: str) -> None:
-    """Child-process entry: time one cold set-up and print it."""
+    """Child-process entry: time one cold set-up, then the reference
+    kernel, and print both."""
     t0 = time.perf_counter()
     wl = WORKLOADS[workload](size)
     wl.setup()
-    print(json.dumps({"setup_s": time.perf_counter() - t0}))
+    setup_s = time.perf_counter() - t0
+    ref = statistics.median(reference_sample() for _ in range(3))
+    print(json.dumps({"setup_s": setup_s, "reference_s": ref}))
 
 
 def measure_setup(workload: str, size: str) -> list:
-    """Cold set-up seconds, one fresh interpreter per sample."""
+    """(cold set-up seconds, reference seconds) pairs, one fresh
+    interpreter per pair."""
     out = []
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -113,8 +155,8 @@ def measure_setup(workload: str, size: str) -> list:
         )
         if proc.returncode != 0:
             raise RuntimeError(f"set-up probe failed:\n{proc.stderr}")
-        out.append(json.loads(proc.stdout.strip().splitlines()[-1])
-                   ["setup_s"])
+        probe = json.loads(proc.stdout.strip().splitlines()[-1])
+        out.append((probe["setup_s"], probe["reference_s"]))
     return out
 
 
@@ -133,6 +175,9 @@ class Loop:
             self.expected[self.ops[0][0]] = "forced-mismatch"
         self.samples = {"untraced": {k: [] for k, _ in self.ops},
                         "traced": {k: [] for k, _ in self.ops}}
+        #: The reference sample taken right after each sample.
+        self.refs = {"untraced": {k: [] for k, _ in self.ops},
+                     "traced": {k: [] for k, _ in self.ops}}
         self.first = {}
         self.failed_keys = {k: 0 for k, _ in self.ops}
         self.attempted = 0
@@ -165,7 +210,9 @@ class Loop:
             self.errors.append(f"{key}: digest {digest[:16]} != "
                                f"expected {str(want)[:16]}")
             return
-        self.samples["traced" if tracer else "untraced"][key].append(dt)
+        kind = "traced" if tracer else "untraced"
+        self.samples[kind][key].append(dt)
+        self.refs[kind][key].append(reference_sample())
         self.first.setdefault(key, result)
         if tracer is not None and self.wl.keeps_traced_results:
             self.traced_results.append((key, result))
@@ -206,7 +253,14 @@ class Loop:
             if traced and time.perf_counter() >= t_end:
                 return
 
-    def medians(self, kind: str) -> dict:
+    def per_op(self, kind: str) -> dict:
+        """Each operation's time in nominal-host seconds (see
+        :func:`normalized`)."""
+        return {k: normalized(zip(v, self.refs[kind][k]))
+                for k, v in self.samples[kind].items() if v}
+
+    def raw_per_op(self, kind: str) -> dict:
+        """Each operation's median host seconds, as measured."""
         return {k: statistics.median(v)
                 for k, v in self.samples[kind].items() if v}
 
@@ -231,8 +285,9 @@ def _check_references(wl, loop, seed) -> None:
         n = len(loop.samples["untraced"][key]) \
             + len(loop.samples["traced"][key])
         loop.failed_keys[key] += n
-        loop.samples["untraced"][key].clear()
-        loop.samples["traced"][key].clear()
+        for kind in ("untraced", "traced"):
+            loop.samples[kind][key].clear()
+            loop.refs[kind][key].clear()
 
 
 # ----------------------------------------------------------------------
@@ -247,15 +302,16 @@ def peak_rss_mb() -> float:
 
 
 def end_to_end(wl, loop, setup_samples, peak_rss) -> dict:
-    med = loop.medians("untraced")
-    complete = len(med) == len(loop.ops)
+    times = loop.per_op("untraced")
+    complete = len(times) == len(loop.ops)
     metrics = {
-        "setup_s": _metric(statistics.median(setup_samples), "s"),
+        "setup_s": _metric(normalized(setup_samples), "s"),
         "peak_rss_mb": _metric(peak_rss, "MiB"),
     }
     if complete:
-        metrics["wall_s"] = _metric(sum(med.values()), "s")
-        metrics["op_p50_s"] = _metric(statistics.median(med.values()), "s")
+        metrics["wall_s"] = _metric(sum(times.values()), "s")
+        metrics["op_p50_s"] = _metric(statistics.median(times.values()),
+                                      "s")
         try:
             metrics["model_err_pct"] = _metric(
                 wl.model_err_pct(loop.first), "%")
@@ -266,7 +322,7 @@ def end_to_end(wl, loop, setup_samples, peak_rss) -> dict:
 
 
 def per_layer(wl, loop, tracer, probes) -> dict:
-    med_u, med_t = loop.medians("untraced"), loop.medians("traced")
+    times_u, times_t = loop.per_op("untraced"), loop.per_op("traced")
     n_ops = max(loop.n_samples("traced"), 1)
 
     def per_op(name) -> float:
@@ -291,14 +347,14 @@ def per_layer(wl, loop, tracer, probes) -> dict:
         "store.get_s": per_call("store.get"),
         "store.put_s": per_call("store.put"),
         "workloads.gen_s": wl.gen_s,
-        "trace.overhead_frac": sum(med_t.values()) / sum(med_u.values()) - 1
-        if len(med_t) == len(med_u) == len(loop.ops) else 0.0,
+        "trace.overhead_frac": sum(times_t.values()) / sum(times_u.values())
+        - 1 if len(times_t) == len(times_u) == len(loop.ops) else 0.0,
         **probes,
     }
     if len(loop.first) == len(loop.ops):
         values.update(wl.sim_counts(loop.first))
         values.update(wl.layer_metrics(loop.first, loop.traced_results,
-                                       med_u))
+                                       times_u))
     # Layers a workload does not exercise report 0.
     units = _units("per_layer")
     return {name: _metric(values.get(name, 0.0), unit)
@@ -427,6 +483,13 @@ def main(argv=None) -> int:
           f"{loop.n_samples('traced')} traced; "
           f"fail_frac {failed / attempted:.4f} ({failed}/{attempted}); "
           f"in-process set-up {setup_in_process:.3f} s")
+    raw = loop.raw_per_op("untraced")
+    refs = [r for v in loop.refs["untraced"].values() for r in v]
+    if raw and refs:
+        print(f"as measured: wall {sum(raw.values()):.4f} host s "
+              f"(sum of per-operation medians), reference kernel median "
+              f"{statistics.median(refs) * 1e3:.2f} ms "
+              f"(nominal {REFERENCE_S * 1e3:.2f} ms)")
     if args.trace:
         print(format_self_time_table(args.workload, tracer,
                                      loop.n_samples("traced")))
@@ -439,7 +502,8 @@ def main(argv=None) -> int:
         "machine": fingerprint, "inputs_digest": wl.inputs_digest,
         "setup_samples_s": setup_samples,
         "setup_parts_s": wl.setup_parts,
-        "samples_s": loop.samples, "metrics": metrics,
+        "samples_s": loop.samples, "reference_s": loop.refs,
+        "metrics": metrics,
         "attempted": attempted, "failed": failed, "errors": loop.errors,
     }
     if args.trace:

@@ -5,8 +5,7 @@ by one client.  The spec text and input recipes are copies (the ratio
 harness under ``benchmarks/`` may change without moving this
 benchmark).  Every input tensor is a fixed recipe's tensor relabeled by
 a seeded permutation of each rank's coordinates: seed 0 is the identity
-(the recipe exactly, the Table-4 stand-ins as the library generates
-them), and any other seed gives an isomorphic input — different
+(the recipe exactly), and any other seed gives an isomorphic input — different
 coordinates, fibertree layouts and tile occupancy, the same number of
 effectual products — so the work per operation stays steady across
 seeds while the inputs change.
@@ -98,17 +97,25 @@ binding:
 #: 12 pruned).
 SEARCH_TILE_SIZES = {"K": (8, 16, 256, 1024)}
 SEARCH_PRUNE_TO = 4
-WORKERS = 2
+#: Timed operations run on one thread.  On a shared 2-vCPU host, two
+#: pool threads ran long-span and mapping-search slower than one, and
+#: their time followed the sibling vCPU's load (run-to-run spread
+#: 0.2-0.35 against 0.05-0.1 on one thread).  The fan-out itself is
+#: measured by the traced run's ``model.fanout_efficiency`` probe on
+#: FANOUT_WORKERS.
+WORKERS = 1
+FANOUT_WORKERS = 2
 
 #: Per-size input parameters and fresh-process set-up samples per run
-#: (``setup_s`` is their median).  "smoke" keeps the self-test fast.
+#: (``setup_s`` is their median).  The full sizes give each operation
+#: 10-50 samples in a 20 s run.  "smoke" keeps the self-test fast.
 SIZES = {
-    "full": {"pv_datasets": ("wi",), "pv_shrink": 1,
-             "search_shape": (96, 48, 40), "ls_nnz": 100_000,
-             "ls_pairs": 3, "graph_shrink": 4, "setup_samples": 7},
+    "full": {"pv_datasets": ("wi",), "pv_shrink": 2,
+             "search_shape": (96, 24, 20), "ls_nnz": 50_000,
+             "ls_pairs": 3, "graph_shrink": 8, "setup_samples": 7},
     "smoke": {"pv_datasets": ("wi",), "pv_shrink": 4,
               "search_shape": (48, 24, 20), "ls_nnz": 4_000,
-              "ls_pairs": 3, "graph_shrink": 8, "setup_samples": 1},
+              "ls_pairs": 3, "graph_shrink": 16, "setup_samples": 1},
 }
 
 
@@ -258,9 +265,10 @@ class Workload:
             "sim.total_ops": sum(r.total_ops() for r in results.values()),
         }
 
-    def layer_metrics(self, results, traced, op_medians
+    def layer_metrics(self, results, traced, op_best
                       ) -> Dict[str, float]:
-        """Workload-specific per-layer numbers from results."""
+        """Workload-specific per-layer numbers from results and each
+        operation's untraced time."""
         return {}
 
     def probe(self) -> Dict[str, float]:
@@ -329,13 +337,17 @@ class PaperValidation(Workload):
         self.seed = seed
         self.pairs, self.canonical = {}, {}
         for ds in self.params["pv_datasets"]:
+            # The timed operations run a shrunk stand-in, so that a run
+            # holds many samples of each; the model error is priced on
+            # the library's stand-in itself.
             d = TABLE4[ds]
+            self.canonical[ds] = square(d.matrix(name="A",
+                                                 rank_ids=("K", "M")))
             d = dataclasses.replace(d, scale=d.scale
                                     / self.params["pv_shrink"])
             a = d.matrix(name="A", rank_ids=("K", "M"))
             perms = {"K": permutation(seed, f"{ds}/K", d.shape[0]),
                      "M": permutation(seed, f"{ds}/M", d.shape[1])}
-            self.canonical[ds] = square(a)
             self.pairs[ds] = square(relabel(a, perms))
         self.gen_s = time.perf_counter() - t0
         self.inputs_digest = inputs_fingerprint(
@@ -375,22 +387,21 @@ class PaperValidation(Workload):
         published = {"extensor": FIG9A_EXTENSOR_TRAFFIC,
                      "gamma": FIG9B_GAMMA_TRAFFIC,
                      "outerspace": FIG9C_OUTERSPACE_TRAFFIC}
-        if self.seed:
-            results = {f"{accel}/{ds}": evaluate(self.specs[accel],
-                                                 {"A": a, "B": b})
-                       for ds, (a, b) in self.canonical.items()
-                       for accel in published}
+        results = {f"{accel}/{ds}": evaluate(self.specs[accel],
+                                             {"A": a, "B": b})
+                   for ds, (a, b) in self.canonical.items()
+                   for accel in published}
         errs = [abs(results[f"{accel}/{ds}"].normalized_traffic()
                     / table[ds] - 1)
                 for accel, table in published.items()
                 for ds in self.pairs]
         return 100 * statistics.fmean(errs)
 
-    def layer_metrics(self, results, traced, op_medians):
+    def layer_metrics(self, results, traced, op_best):
         out = {}
         for accel in SCALED_PARAMS:
-            times = [op_medians[f"{accel}/{ds}"] for ds in self.pairs
-                     if f"{accel}/{ds}" in op_medians]
+            times = [op_best[f"{accel}/{ds}"] for ds in self.pairs
+                     if f"{accel}/{ds}" in op_best]
             out[f"model.eval_s.{accel}"] = statistics.fmean(times) \
                 if times else 0.0
         return out
@@ -537,7 +548,7 @@ class MappingSearch(Workload):
         return super().sim_counts(
             {k: r.best()[1] for k, r in results.items()})
 
-    def layer_metrics(self, results, traced, op_medians):
+    def layer_metrics(self, results, traced, op_best):
         from repro.search import metric_value
 
         if not traced:
@@ -576,7 +587,7 @@ class MappingSearch(Workload):
 # long-span
 # ----------------------------------------------------------------------
 class LongSpan(Workload):
-    """Deep contraction spans, unbuffered, fanned out on threads."""
+    """Deep contraction spans, unbuffered, in evaluate_many batches."""
 
     name = "long-span"
 
@@ -636,8 +647,8 @@ class LongSpan(Workload):
                               .encode()).hexdigest()
 
     def reference_failures(self, results) -> List[str]:
-        # The traced engine takes ~20 s per input here; the counter-fused
-        # engine is the independent exact reference instead.
+        # The traced engine took ~20 s per 1e5-nonzero input; the
+        # counter-fused engine is the independent exact reference instead.
         from repro.model import evaluate
 
         ref = evaluate(self.spec, dict(self.pairs[0]), metrics="counters")
@@ -668,9 +679,10 @@ class LongSpan(Workload):
                      for w in batch)
         fanned, _ = _timed(evaluate_many, self.spec,
                            [dict(w) for w in batch], metrics="auto",
-                           workers=WORKERS, executor="thread")
+                           workers=FANOUT_WORKERS, executor="thread")
         k, p = self._kernel_price_probe(self.spec, batch[0])
-        return {"model.fanout_efficiency": serial / (fanned * WORKERS),
+        return {"model.fanout_efficiency":
+                serial / (fanned * FANOUT_WORKERS),
                 "model.kernel_s": k, "model.price_s": p}
 
 
@@ -787,10 +799,10 @@ class GraphVCP(Workload):
                                        for it in its)),
         }
 
-    def layer_metrics(self, results, traced, op_medians):
+    def layer_metrics(self, results, traced, op_best):
         n_iter = sum(len(r.iterations) for r in results.values())
         return {"graph.n_iterations": float(n_iter),
-                "graph.iter_s": sum(op_medians.values()) / max(n_iter, 1)}
+                "graph.iter_s": sum(op_best.values()) / max(n_iter, 1)}
 
 
 WORKLOADS = {w.name: w for w in (PaperValidation, MappingSearch, LongSpan,
