@@ -8,26 +8,24 @@ target):
    interpreter evaluation while replaying the interpreter's exact trace
    stream.
 2. **Untraced**: the arena-native *flat* kernels (structure-of-arrays
-   fibertree storage, inlined galloping intersection) beat the boxed
-   object-cursor kernels by a wide margin — this is the pure-computation
-   path used when no metrics are requested.
+   fibertree storage, inlined galloping intersection) beat the
+   interpreter's untraced walk by a wide margin — this is the
+   pure-computation path used when no metrics are requested.
 3. **Counters**: counter-fused metrics (``metrics="counters"``) price
    component models from aggregate tallies and land between the two.
 4. **Fused**: on a *buffered* spec (buffet + LRU cache + output buffet —
-   the accelerators TeAAL exists to model), model-fused metrics inline
-   the component state machines into the arena kernels and must beat the
-   per-event traced path by a wide margin with bit-identical results;
-   the vector kernels must at least match them there (tiny spans all
-   take the scalar fallback).
+   the accelerators TeAAL exists to model), the vector kernels inline
+   the component state machines into the arena loops and must beat the
+   per-event traced path by a wide margin with bit-identical results.
 5. **Vector**: on the long-span sweep (a contraction rank thousands of
    coordinates deep — the regime real large-nnz tensors live in), the
    rank-batched vector kernels (``metrics="vector"``, what
    ``metrics="auto"`` now picks) must beat the counter-fused scalar
    loops by >=3x, bit-identically.
 6. **Search**: on a buffered spec's full candidate space (every loop
-   order x K-tile choice), the parallel two-phase-pruned mapping search
-   (``repro.search.search`` — vector scoring for everyone, traced
-   re-pricing for the top-k) must beat the serial exhaustive sweep at
+   order x K-tile choice), the parallel pruned mapping search
+   (``repro.search.search`` — trace-exact vector scoring for everyone,
+   the top-k kept as scored) must beat the serial exhaustive sweep at
    full traced fidelity by >=2x while choosing the *identical* best
    candidate with bit-identical metrics.
 7. **Analytical**: on the same candidate space, the statistics-based
@@ -292,12 +290,12 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
 
     * ``interpreter`` / ``compiled`` / ``counters`` — traced and
       counter-fused metric evaluations on the historical sweep;
-    * ``untraced_interpreter`` / ``untraced_object`` / ``untraced_flat``
-      — outputs only, no sink (the pure-computation path);
+    * ``untraced_interpreter`` / ``untraced_flat`` — outputs only, no
+      sink (the pure-computation path);
     * ``vspan_counters`` / ``vspan_vector`` — the long-span vector
       sweep through the counted and vector kernels (the >=3x claim);
-    * ``buffered_*`` — the buffered spec through the traced, fused, and
-      vector engines;
+    * ``buffered_*`` — the buffered spec through the interpreter, the
+      traced kernels, and the vector kernels;
     * ``executor_thread`` / ``executor_process`` — the long-span sweep
       through both ``evaluate_many`` pool types (the measurement behind
       the thread default);
@@ -315,7 +313,7 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
     for unit in compiled.compile(spec).units:
         _ = unit.traced
         _ = unit.counted
-        unit.flat_or_none()
+        _ = unit.flat
 
     interp_results = compiled_results = counter_results = None
 
@@ -358,11 +356,6 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
     gc.collect()
 
     if "untraced" in flavors:
-        object_backend = CompiledBackend(cache=compiled.cache,
-                                         kernel_flavor="object")
-        flat_backend = CompiledBackend(cache=compiled.cache,
-                                       kernel_flavor="flat")
-
         t0 = time.perf_counter()
         untraced_interp = [
             interp.run_cascade(spec, dict(w)) for w in workloads
@@ -370,21 +363,14 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
         timings["untraced_interpreter"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        untraced_object = [
-            object_backend.run_cascade(spec, dict(w)) for w in workloads
-        ]
-        timings["untraced_object"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
         untraced_flat = [
-            flat_backend.run_cascade(spec, dict(w)) for w in workloads
+            compiled.run_cascade(spec, dict(w)) for w in workloads
         ]
         timings["untraced_flat"] = time.perf_counter() - t0
 
-        for ei, eo, ef in zip(untraced_interp, untraced_object,
-                              untraced_flat):
-            assert ei["Z"].points() == eo["Z"].points() == ef["Z"].points()
-        del untraced_interp, untraced_object, untraced_flat
+        for ei, ef in zip(untraced_interp, untraced_flat):
+            assert ei["Z"].points() == ef["Z"].points()
+        del untraced_interp, untraced_flat
         gc.collect()
 
     if "vector" in flavors or "executor" in flavors:
@@ -472,21 +458,18 @@ def _timed_sweep(spec, workloads, metrics, engine):
 
 
 def _run_buffered(n: int, interp) -> dict:
-    """The buffered spec: model fusion (and vector parity) vs. the
+    """The buffered spec: model fusion (the vector kernels) vs. the
     traced path."""
     buf_spec = load_spec(SPEC_BUFFERED, name="buffered-sweep")
     buf_workloads = _buffered_workloads(_n_buffered(n))
     buf_backend = CompiledBackend(cache=CompileCache())
     for unit in buf_backend.compile(buf_spec).units:
-        _ = unit.traced
-        _ = unit.fused
         _ = unit.vector
 
     # Interleaved best-of-3: noisy shared hosts drift between sweeps,
     # so each round measures the engines back to back and every engine
     # keeps its best round.
-    rows = (("buffered_fused", "fused", buf_backend),
-            ("buffered_vector", "vector", buf_backend),
+    rows = (("buffered_vector", "vector", buf_backend),
             ("buffered_traced", "trace", buf_backend),
             ("buffered_interpreter", "trace", interp))
     times = {key: [] for key, _, _ in rows}
@@ -499,26 +482,22 @@ def _run_buffered(n: int, interp) -> dict:
     timings = {key: min(values) for key, values in times.items()}
 
     # The buffered engines must agree before their times are comparable.
-    for a, b, c, d in zip(results["buffered_interpreter"],
-                          results["buffered_traced"],
-                          results["buffered_fused"],
-                          results["buffered_vector"]):
-        assert a.env["Z"].points() == c.env["Z"].points() \
-            == d.env["Z"].points()
-        assert a.traffic_bytes() == b.traffic_bytes() \
-            == c.traffic_bytes() == d.traffic_bytes()
-        assert a.exec_seconds == b.exec_seconds == c.exec_seconds \
-            == d.exec_seconds
-        assert a.energy_pj == b.energy_pj == c.energy_pj == d.energy_pj
+    for a, b, c in zip(results["buffered_interpreter"],
+                       results["buffered_traced"],
+                       results["buffered_vector"]):
+        assert a.env["Z"].points() == c.env["Z"].points()
+        assert a.traffic_bytes() == b.traffic_bytes() == c.traffic_bytes()
+        assert a.exec_seconds == b.exec_seconds == c.exec_seconds
+        assert a.energy_pj == b.energy_pj == c.energy_pj
         assert a.action_counts() == b.action_counts() \
-            == c.action_counts() == d.action_counts()
+            == c.action_counts()
     return timings
 
 
 def _run_search() -> dict:
     """The mapping-search sweep: serial exhaustive at full traced
-    fidelity vs. the parallel two-phase-pruned search, same candidate
-    space, identical best candidate required (the >=2x claim)."""
+    fidelity vs. the parallel pruned search, same candidate space,
+    identical best candidate required (the >=2x claim)."""
     from repro.search import search
 
     spec = load_spec(SPEC_SEARCH, name="search-sweep")
@@ -527,7 +506,7 @@ def _run_search() -> dict:
         "B": uniform_random("B", ["K", "N"], (96, 40), 0.15, seed=7),
     }
     # Warm the compile cache for *both* kernel flavors the timed runs
-    # use (traced for the serial sweep, vector for the pruned phase 1 —
+    # use (traced for the serial sweep, vector for the pruned search —
     # kernels compile lazily per flavor), so neither timed region pays
     # lowering and the comparison measures evaluation only.
     search(spec, tensors, tile_sizes=SEARCH_TILE_SIZES, workers=1,
@@ -660,7 +639,7 @@ def _run_analytical_accuracy() -> dict:
 def _run_supervised() -> dict:
     """The resumable-sweep contract at bench scale: a journaled sweep
     vs. the identical unjournaled one (journal overhead), then the
-    journal torn mid-phase-2 as a kill would and resumed — the resumed
+    journal torn at its tail as a kill would and resumed — the resumed
     sweep must adopt the surviving records and still land on the
     bit-identical best candidate and metrics fingerprint."""
     import shutil
@@ -692,7 +671,7 @@ def _run_supervised() -> dict:
         assert journaled.best()[0] == plain.best()[0]
 
         # Tear the journal the way a mid-append kill would: drop the
-        # final record and rip the last phase-2 record in half.
+        # final record and rip the last candidate record in half.
         journal_file = os.path.join(path, JOURNAL_NAME)
         lines = open(journal_file).readlines()
         keep = len(lines) - 3
@@ -921,16 +900,12 @@ def record_trajectory(timings: dict, n: int, path: str = TRAJECTORY,
         "compiled_vs_interpreter": ratio("interpreter", "compiled"),
         "counters_vs_interpreter": ratio("interpreter", "counters"),
         "vector_vs_counters": ratio("vspan_counters", "vspan_vector"),
-        "flat_vs_object_untraced": ratio("untraced_object",
-                                         "untraced_flat"),
         "flat_vs_interpreter_untraced": ratio("untraced_interpreter",
                                               "untraced_flat"),
-        "fused_vs_traced_buffered": ratio("buffered_traced",
-                                          "buffered_fused"),
-        "fused_vs_interpreter_buffered": ratio("buffered_interpreter",
-                                               "buffered_fused"),
         "vector_vs_traced_buffered": ratio("buffered_traced",
                                            "buffered_vector"),
+        "vector_vs_interpreter_buffered": ratio("buffered_interpreter",
+                                                "buffered_vector"),
         "pruned_search_vs_serial_exhaustive": ratio(
             "search_serial_exhaustive", "search_parallel_pruned"),
         "analytical_vs_counters": ratio("acand_counters",
@@ -1067,9 +1042,9 @@ def _print_report(timings: dict, n: int) -> None:
         ["interpreter", "compiled", "counters"], "interpreter",
     )
     series(
-        f"Untraced sweeps, speedup vs object kernels ({n} workloads)",
-        ["untraced_interpreter", "untraced_object", "untraced_flat"],
-        "untraced_object", strip="untraced_",
+        f"Untraced sweeps, speedup vs interpreter ({n} workloads)",
+        ["untraced_interpreter", "untraced_flat"],
+        "untraced_interpreter", strip="untraced_",
     )
     series(
         f"Long-span sweep (K={VEC_K}, d={VEC_DENSITY}), speedup vs "
@@ -1081,8 +1056,8 @@ def _print_report(timings: dict, n: int) -> None:
     series(
         f"Buffered spec (buffet+cache+output buffet), full metrics, "
         f"speedup vs traced kernels ({nb} workloads)",
-        ["buffered_interpreter", "buffered_traced", "buffered_fused",
-         "buffered_vector"], "buffered_traced", strip="buffered_",
+        ["buffered_interpreter", "buffered_traced", "buffered_vector"],
+        "buffered_traced", strip="buffered_",
     )
     series(
         f"evaluate_many pool types, long-span sweep ({n} workloads)",
@@ -1148,12 +1123,13 @@ def test_backend_sweep_speedup(benchmark):
         f"warm compiled sweep ({timings['compiled']:.3f}s) should beat "
         f"the interpreter ({timings['interpreter']:.3f}s)"
     )
-    # The flat kernels land >5x over the object kernels on an idle
-    # machine; 1.5x leaves room for CI noise while still catching any
-    # real regression of the arena fast path.
-    assert timings["untraced_flat"] * 1.5 < timings["untraced_object"], (
+    # 1.5x leaves room for CI noise while still catching any real
+    # regression of the arena fast path.
+    assert timings["untraced_flat"] * 1.5 \
+        < timings["untraced_interpreter"], (
         f"flat untraced sweep ({timings['untraced_flat']:.3f}s) should "
-        f"beat object kernels ({timings['untraced_object']:.3f}s) clearly"
+        f"beat the interpreter ({timings['untraced_interpreter']:.3f}s) "
+        "clearly"
     )
     # The vector kernels land >3x over the counter-fused scalar loops on
     # the long-span sweep on an idle machine; 2x leaves room for noise.
@@ -1164,17 +1140,10 @@ def test_backend_sweep_speedup(benchmark):
     # Model fusion lands ~5x over the traced kernels on buffered specs
     # on an idle machine; 2x leaves room for CI noise while catching a
     # real regression of the fused fast path.
-    assert timings["buffered_fused"] * 2.0 < timings["buffered_traced"], (
-        f"fused buffered sweep ({timings['buffered_fused']:.3f}s) should "
-        f"beat the traced path ({timings['buffered_traced']:.3f}s) clearly"
-    )
-    # Tiny spans all take the vector kernels' scalar fallback, so
-    # vector must stay in the same league as fused on the buffered
-    # sweep (no numpy overhead without a win to pay for it).
-    assert timings["buffered_vector"] < timings["buffered_fused"] * 1.5, (
+    assert timings["buffered_vector"] * 2.0 < timings["buffered_traced"], (
         f"vector buffered sweep ({timings['buffered_vector']:.3f}s) "
-        f"should track the fused path "
-        f"({timings['buffered_fused']:.3f}s)"
+        f"should beat the traced path ({timings['buffered_traced']:.3f}s) "
+        "clearly"
     )
     # The parallel pruned search lands >=2x over the serial exhaustive
     # traced sweep on an idle machine (identical best candidate asserted

@@ -8,8 +8,9 @@ generated-Python backend is the default execution engine.  This example:
 1. prints the actual Python source generated for an occupancy-follower
    SpMSpM mapping (Gamma-style leader/follower partitioning — virtual
    levels and runtime windows compile like everything else);
-2. executes the generated kernel and checks it against the interpreting
-   executor and numpy;
+2. executes the generated traced kernel — it streams the same trace
+   events the interpreter emits to a sink — and checks it against the
+   interpreting executor and numpy;
 3. shows backend selection (``evaluate(..., backend=...)``) and the
    batched ``evaluate_many`` API, which compiles a spec once and fans it
    out across a sweep of workloads through the compile cache.
@@ -27,6 +28,7 @@ from repro.ir import build_ir
 from repro.ir.codegen import compile_ir
 from repro.model import evaluate, evaluate_many, execute_cascade
 from repro.model.executor import prepare_tensor
+from repro.model.traces import CountingSink
 from repro.spec import load_spec
 
 SPEC = """
@@ -49,7 +51,7 @@ mapping:
 def main():
     spec = load_spec(SPEC, name="generated-demo")
     ir = build_ir(spec, "Z")
-    kernel, source = compile_ir(ir)
+    kernel, source = compile_ir(ir, "traced")
 
     print("=" * 70)
     print("Generated simulator source (occupancy follower: B adopts A's")
@@ -77,7 +79,9 @@ def main():
         for plan in ir.accesses
     }
     shapes = {"K": 24, "M": 16, "N": 12}
-    generated = kernel(prepared, ARITHMETIC, shapes).prune_empty()
+    sink = CountingSink()
+    sink.einsum_begin("Z", ir)
+    generated = kernel(prepared, ARITHMETIC, shapes, sink).prune_empty()
 
     interpreted = execute_cascade(spec, tensors)["Z"]
     expected = a.astype(float).T @ b.astype(float)
@@ -88,7 +92,8 @@ def main():
     )
     print("=" * 70)
     print(f"generated simulator == interpreter == numpy "
-          f"(Z nnz={generated.nnz})")
+          f"(Z nnz={generated.nnz}; {sink.total_reads('A')} reads of A, "
+          f"{sink.total_computes('mul')} multiplies traced)")
 
     # ------------------------------------------------------------------
     # Backend selection: the full evaluation (traffic/time/energy) runs

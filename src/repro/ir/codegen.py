@@ -17,14 +17,15 @@ supports also compiles; the one remaining restriction is an Einsum that
 reads the same tensor twice with *different* preprocessing (the generated
 kernel receives one prepared tensor per name).
 
-Two flavors of kernel are generated from the same IR:
-
-* the **fast** kernel ``kernel(tensors, opset, shapes)`` — pure
-  computation, no instrumentation; and
-* the **traced** kernel ``kernel(tensors, opset, shapes, sink)`` — emits
-  the exact trace-event stream (reads, writes, intersections, computes,
-  in the same order) as the interpreter, so the component models price
-  both backends identically.
+The kernel this module generates is the **traced** object-cursor kernel
+``kernel(tensors, opset, shapes, sink)``: it emits the exact trace-event
+stream (reads, writes, intersections, computes, in the same order) as
+the interpreter, so the component models price both backends
+identically.  Run with a no-op :class:`~repro.model.traces.TraceSink`,
+it is also the untraced fallback for the rare Einsum the arena
+generator (:mod:`repro.ir.codegen_flat`) rejects.  The arena flavors
+(``flat``, ``counted``, ``vector``) reuse this module's helpers and
+:func:`compile_ir` entry point.
 
 Backend selection lives in :mod:`repro.model.backend`: ``evaluate(...,
 backend="compiled"|"interpreter"|"auto")`` and ``evaluate_many(spec,
@@ -121,16 +122,14 @@ def _existential_ranks(ir: LoopNestIR) -> Set[str]:
 
 
 class _Generator:
-    """Emits one kernel (fast or traced) for one lowered Einsum."""
+    """Emits the traced kernel for one lowered Einsum."""
 
-    def __init__(self, ir: LoopNestIR, func_name: str, traced: bool):
+    def __init__(self, ir: LoopNestIR, func_name: str):
         self.ir = ir
         self.func_name = func_name
-        self.traced = traced
         self.em = _Emitter()
         self.existential = _existential_ranks(ir)
-        self.stamp_ranks = (set(ir.time_ranks) | set(ir.space_ranks)) \
-            if traced else set()
+        self.stamp_ranks = set(ir.time_ranks) | set(ir.space_ranks)
         self.n_ranks = len(ir.loop_ranks)
         self._tmp_count = 0
 
@@ -146,22 +145,17 @@ class _Generator:
                     "preprocessing; use the interpreter"
                 )
 
-        args = "tensors, opset, shapes, sink" if self.traced \
-            else "tensors, opset, shapes"
-        em.emit(f"def {self.func_name}({args}):")
+        em.emit(f"def {self.func_name}(tensors, opset, shapes, sink):")
         em.indent += 1
-        flavor = "traced" if self.traced else "fast"
-        em.emit(f'"""Generated ({flavor}) from: {ir.einsum}"""')
+        em.emit(f'"""Generated (traced) from: {ir.einsum}"""')
         # Cursor roots, one per access (duplicate tensors share a root).
         for i, plan in enumerate(ir.accesses):
             em.emit(f"n{i}_0 = tensors[{plan.tensor!r}].root")
-            if self.traced:
-                em.emit(f"h{i}_0 = ()")
+            em.emit(f"h{i}_0 = ()")
         em.emit("out = Fiber()")
-        if self.traced:
-            em.emit("ctx = []")
-            for rank in sorted(self.stamp_ranks):
-                em.emit(f"st_{rank} = 0")
+        em.emit("ctx = []")
+        for rank in sorted(self.stamp_ranks):
+            em.emit(f"st_{rank} = 0")
         if self.existential:
             em.emit("wr_0 = False")
         depths = {i: 0 for i in range(len(ir.accesses))}
@@ -254,22 +248,20 @@ class _Generator:
             new_depths[i] = depths[i] + 1
 
         mode = ir.modes.get(rank, "single")
-        trace_arg = ""
-        if self.traced:
-            if len(drivers) == 1:
-                i, lvl = drivers[0]
-                of = lvl.of or lvl.rank
-                trace_arg = (
-                    f", trace=(sink, {ir.accesses[i].tensor!r}, {of!r}, "
-                    f"h{i}_{depths[i]}, ctx)"
-                )
-            else:
-                infos = ", ".join(
-                    f"({ir.accesses[i].tensor!r}, {(lvl.of or lvl.rank)!r}, "
-                    f"h{i}_{depths[i]})"
-                    for i, lvl in drivers
-                )
-                trace_arg = f", trace=(sink, {rank!r}, [{infos}], ctx)"
+        if len(drivers) == 1:
+            i, lvl = drivers[0]
+            of = lvl.of or lvl.rank
+            trace_arg = (
+                f", trace=(sink, {ir.accesses[i].tensor!r}, {of!r}, "
+                f"h{i}_{depths[i]}, ctx)"
+            )
+        else:
+            infos = ", ".join(
+                f"({ir.accesses[i].tensor!r}, {(lvl.of or lvl.rank)!r}, "
+                f"h{i}_{depths[i]})"
+                for i, lvl in drivers
+            )
+            trace_arg = f", trace=(sink, {rank!r}, [{infos}], ctx)"
         if len(drivers) == 1:
             call = f"rt.iterate({fiber_exprs[0]}{trace_arg})"
         elif mode == "union":
@@ -296,18 +288,16 @@ class _Generator:
         wins2 = dict(wins)
         for i, lvl in drivers:
             d = depths[i]
-            if self.traced:
-                of = lvl.of or lvl.rank
-                em.emit(f"if p{i} is not None:")
-                em.indent += 1
-                em.emit(
-                    f"sink.read({ir.accesses[i].tensor!r}, {of!r}, "
-                    f"'payload', h{i}_{d} + (c_{rank},), ctx)"
-                )
-                em.indent -= 1
+            of = lvl.of or lvl.rank
+            em.emit(f"if p{i} is not None:")
+            em.indent += 1
+            em.emit(
+                f"sink.read({ir.accesses[i].tensor!r}, {of!r}, "
+                f"'payload', h{i}_{d} + (c_{rank},), ctx)"
+            )
+            em.indent -= 1
             em.emit(f"n{i}_{d + 1} = p{i}")
-            if self.traced:
-                em.emit(f"h{i}_{d + 1} = h{i}_{d} + (c_{rank},)")
+            em.emit(f"h{i}_{d + 1} = h{i}_{d} + (c_{rank},)")
             if lvl.kind in (UPPER, FLAT_UPPER):
                 prev = wins2.get(lvl.of, "None")
                 em.emit(f"w_{lvl.of} = rt.window_of(p{i}, {prev})")
@@ -315,18 +305,15 @@ class _Generator:
         for i in virtual:
             d = depths[i]
             em.emit(f"n{i}_{d + 1} = n{i}_{d}")
-            if self.traced:
-                em.emit(f"h{i}_{d + 1} = h{i}_{d}")
+            em.emit(f"h{i}_{d + 1} = h{i}_{d}")
         if rank in self.stamp_ranks:
             style = ir.time_styles.get(rank, "pos")
             src = f"c_{rank}" if style == "coord" else f"po_{rank}"
             em.emit(f"st_{rank} = {src}")
-        if self.traced:
-            em.emit(f"ctx.append(({rank!r}, c_{rank}))")
+        em.emit(f"ctx.append(({rank!r}, c_{rank}))")
         self._lookups(level, new_depths)
         self._rank(level + 1, new_depths, wins2, guarded)
-        if self.traced:
-            em.emit("ctx.pop()")
+        em.emit("ctx.pop()")
         self._propagate_wrote(level, rank)
         em.indent -= 1
         em.indent -= close
@@ -357,12 +344,10 @@ class _Generator:
             em.emit(f"wr_{level + 1} = False")
         if rank in self.stamp_ranks:
             em.emit(f"st_{rank} = v_{var}")
-        if self.traced:
-            em.emit(f"ctx.append(({rank!r}, v_{var}))")
+        em.emit(f"ctx.append(({rank!r}, v_{var}))")
         self._lookups(level, depths)
         self._rank(level + 1, depths, wins, guarded)
-        if self.traced:
-            em.emit("ctx.pop()")
+        em.emit("ctx.pop()")
         self._propagate_wrote(level, rank)
         em.indent -= 1
 
@@ -389,18 +374,11 @@ class _Generator:
                         lvl, ir.binds.get(lvl.rank, ())
                     ):
                         break
-                    target = _coord_code(below)
-                    if self.traced:
-                        em.emit(
-                            f"n{i}_{d + 1}, h{i}_{d + 1} = rt.lookup_chunk_t("
-                            f"n{i}_{d}, {target}, h{i}_{d}, sink, "
-                            f"{plan.tensor!r}, {of!r}, ctx)"
-                        )
-                    else:
-                        em.emit(
-                            f"n{i}_{d + 1} = rt.lookup_chunk(n{i}_{d}, "
-                            f"{target})"
-                        )
+                    em.emit(
+                        f"n{i}_{d + 1}, h{i}_{d + 1} = rt.lookup_chunk_t("
+                        f"n{i}_{d}, {_coord_code(below)}, h{i}_{d}, sink, "
+                        f"{plan.tensor!r}, {of!r}, ctx)"
+                    )
                     d += 1
                     depths[i] = d
                     continue
@@ -409,42 +387,16 @@ class _Generator:
                     break
                 if later_rank and _drivable(lvl, ir.binds.get(lvl.rank, ())):
                     break  # it will drive its own loop
-                if self.traced:
-                    em.emit(
-                        f"n{i}_{d + 1}, h{i}_{d + 1} = rt.lookup_t("
-                        f"n{i}_{d}, {_coord_code(lvl)}, h{i}_{d}, sink, "
-                        f"{plan.tensor!r}, {of!r}, ctx)"
-                    )
-                else:
-                    em.emit(
-                        f"n{i}_{d + 1} = rt.lookup(n{i}_{d}, "
-                        f"{_coord_code(lvl)})"
-                    )
+                em.emit(
+                    f"n{i}_{d + 1}, h{i}_{d + 1} = rt.lookup_t("
+                    f"n{i}_{d}, {_coord_code(lvl)}, h{i}_{d}, sink, "
+                    f"{plan.tensor!r}, {of!r}, ctx)"
+                )
                 d += 1
                 depths[i] = d
 
     # ------------------------------------------------------------------
     def _leaf(self, depths: Dict[int, int]) -> None:
-        if self.traced:
-            self._leaf_traced(depths)
-        else:
-            self._leaf_fast(depths)
-
-    def _leaf_fast(self, depths: Dict[int, int]) -> None:
-        ir, em = self.ir, self.em
-        counter = [0]
-        value = _fast_expr(ir.einsum.expr, depths, counter)
-        point = _point_code(ir.output.indices)
-        overwrite = "True" if ir.einsum.is_take else "False"
-        em.emit(f"value = {value}")
-        em.emit("if value is not None:")
-        em.indent += 1
-        em.emit(f"rt.reduce_into(out, {point}, value, opset, {overwrite})")
-        if self.existential:
-            em.emit(f"wr_{self.n_ranks} = True")
-        em.indent -= 1
-
-    def _leaf_traced(self, depths: Dict[int, int]) -> None:
         ir, em = self.ir, self.em
         em.emit("mu = 0")
         em.emit("ad = 0")
@@ -563,44 +515,17 @@ class _Generator:
         raise CodegenError(f"cannot generate code for {expr!r}")
 
 
-def _fast_expr(expr: Expr, depths, counter) -> str:
-    """Python expression computing the leaf value (None = ineffectual)."""
-    if isinstance(expr, Access):
-        i = counter[0]
-        counter[0] += 1
-        return f"rt.scalar(n{i}_{depths[i]})"
-    if isinstance(expr, Mul):
-        parts = [_fast_expr(f, depths, counter) for f in expr.factors]
-        inner = parts[0]
-        for p in parts[1:]:
-            inner = f"_mul(opset, {inner}, {p})"
-        return inner
-    if isinstance(expr, Add):
-        left = _fast_expr(expr.left, depths, counter)
-        right = _fast_expr(expr.right, depths, counter)
-        op = "_sub" if expr.negate else "_add"
-        return f"{op}(opset, {left}, {right})"
-    if isinstance(expr, Take):
-        args = []
-        for _ in expr.args:
-            i = counter[0]
-            counter[0] += 1
-            args.append(f"rt.scalar(n{i}_{depths[i]})")
-        return f"_take([{', '.join(args)}], {expr.which})"
-    raise CodegenError(f"cannot generate code for {expr!r}")
-
-
-def generate_source(ir: LoopNestIR, func_name: str = "kernel",
-                    traced: bool = False) -> str:
-    """Generate Python source for one lowered Einsum.
+def generate_source(ir: LoopNestIR, func_name: str = "kernel") -> str:
+    """Generate the traced kernel's Python source for one lowered Einsum.
 
     The generated function has the signature ``kernel(tensors, opset,
-    shapes)`` (or ``..., sink`` when ``traced``) where ``tensors`` maps
-    names to *prepared* tensors (rank-order swizzle and prep steps already
-    applied, e.g. via :func:`repro.model.executor.prepare_tensor`) and
-    returns the output :class:`~repro.fibertree.tensor.Tensor`.
+    shapes, sink)`` where ``tensors`` maps names to *prepared* tensors
+    (rank-order swizzle and prep steps already applied, e.g. via
+    :func:`repro.model.executor.prepare_tensor`) and ``sink`` is a
+    :class:`~repro.model.traces.TraceSink`; it returns the output
+    :class:`~repro.fibertree.tensor.Tensor`.
     """
-    return _Generator(ir, func_name, traced).generate()
+    return _Generator(ir, func_name).generate()
 
 
 _PRELUDE = '''"""TeAAL-generated simulator module."""
@@ -643,54 +568,23 @@ def _take(args, which):
 '''
 
 
-def generate_module(irs, name: str = "generated") -> str:
-    """Full module source: prelude + one function per Einsum + a driver."""
-    parts = [_PRELUDE]
-    names = []
-    for ir in irs:
-        fname = f"compute_{ir.name.lower()}"
-        names.append((fname, ir.name))
-        parts.append(generate_source(ir, fname))
-        parts.append("\n")
-    parts.append("def run_cascade(tensors, opset, shapes, prepare):\n")
-    parts.append('    """Run every Einsum in cascade order.\n\n'
-                 "    ``prepare(name, env)`` returns the prepared tensors "
-                 'for one Einsum.\n    """\n')
-    parts.append("    env = dict(tensors)\n")
-    for fname, out in names:
-        parts.append(
-            f"    env[{out!r}] = {fname}(prepare({out!r}, env), opset, "
-            "shapes).prune_empty()\n"
-        )
-    parts.append("    return env\n")
-    return "".join(parts)
-
-
-#: Kernel flavors: object-cursor kernels ("fast"/"traced") walk boxed
-#: fibers; arena-native kernels ("flat"/"counted"/"fused") walk FlatArena
-#: spans (see :mod:`repro.ir.codegen_flat`).  "fused" inlines the
+#: Kernel flavors: the object-cursor "traced" kernel walks boxed fibers;
+#: the arena-native kernels ("flat"/"counted"/"vector") walk FlatArena
+#: spans (see :mod:`repro.ir.codegen_flat`).  "vector" inlines the
 #: buffet/cache component state machines into the arena loops.
-KERNEL_FLAVORS = ("fast", "traced", "flat", "counted", "fused", "vector")
+KERNEL_FLAVORS = ("traced", "flat", "counted", "vector")
 
 
-def compile_ir(ir: LoopNestIR, func_name: str = "kernel",
-               traced: bool = False, flavor: str = None):
-    """Compile one Einsum's generated source and return the function.
-
-    ``flavor`` selects the kernel variant (see :data:`KERNEL_FLAVORS`);
-    when omitted, ``traced`` picks between the two object-cursor flavors
-    for backward compatibility.
-    """
-    if flavor is None:
-        flavor = "traced" if traced else "fast"
-    if flavor in ("fast", "traced"):
-        body = generate_source(ir, func_name, traced=(flavor == "traced"))
-    elif flavor in ("flat", "counted", "fused", "vector"):
+def compile_ir(ir: LoopNestIR, flavor: str, func_name: str = "kernel"):
+    """Compile one Einsum's generated source for one kernel flavor (see
+    :data:`KERNEL_FLAVORS`); returns ``(function, source)``."""
+    if flavor == "traced":
+        body = generate_source(ir, func_name)
+    elif flavor in ("flat", "counted", "vector"):
         from .codegen_flat import generate_flat_source
 
         body = generate_flat_source(ir, func_name,
                                     counted=(flavor == "counted"),
-                                    fused=(flavor == "fused"),
                                     vector=(flavor == "vector"))
     else:
         raise ValueError(

@@ -24,26 +24,29 @@ Three flavors share one generator:
   read, abandoned co-iterations (existential ``take()`` short-circuits)
   keep their partial visit counts but drop the final ``isect`` event,
   and ineffectual leaves price nothing.
-* **fused** ``kernel(arenas, opset, shapes, kc, fm)`` — model fusion:
-  everything the counted flavor does, plus the buffet/cache component
-  state machines inlined into the loops.  The kernel tracks coordinate
-  paths (``h`` vars) and loop-context prefixes (``cx`` vars) exactly as
-  the traced object kernels do, and at every touch site consults a
-  *port* bound once at entry from ``fm`` (a
+* **vector** ``kernel(arenas, opset, shapes, kc, fm)`` — model fusion
+  plus span batching: everything the counted flavor does, plus the
+  buffet/cache component state machines inlined into the loops.  The
+  kernel tracks coordinate paths (``h`` vars) and loop-context prefixes
+  (``cx`` vars) exactly as the traced kernel does, and at every touch
+  site consults a *port* bound once at entry from ``fm`` (a
   :class:`repro.model.evaluate.FusedMachines` routing plan built from
   the binding spec at run time — the generated code itself stays
-  binding-independent, so fused kernels share the same compile-cache
+  binding-independent, so vector kernels share the same compile-cache
   entry across binding variations).  A ``None`` port means the touch
   falls through to DRAM and bumps the fused counter; a live port is a
   :class:`~repro.ir.codegen_runtime.FusedBuffet` /
   :class:`~repro.ir.codegen_runtime.FusedCache` state machine receiving
   the same (key, evict-window) sequence the traced
-  :class:`~repro.model.evaluate.ModelSink` would deliver.
+  :class:`~repro.model.evaluate.ModelSink` would deliver.  Eligible
+  innermost-rank spans are priced through batched numpy primitives;
+  per-span runtime guards fall back to the inline scalar loop, so
+  results never depend on which path ran.
 
 The walk order, the guard structure, and every membership decision are
 copied from :class:`repro.ir.codegen._Generator` so the differential
-suite can hold all engines (interpreter, object kernels, flat kernels,
-fused kernels) to identical outputs and metrics.
+suite can hold all engines (interpreter, traced kernels, flat kernels,
+counted and vector kernels) to identical outputs and metrics.
 """
 
 from __future__ import annotations
@@ -66,18 +69,15 @@ from .codegen import (
 
 
 class _FlatGenerator:
-    """Emits one arena-native kernel (flat, counted, fused, or vector)
+    """Emits one arena-native kernel (flat, counted, or vector)
     for one Einsum."""
 
     def __init__(self, ir: LoopNestIR, func_name: str, counted: bool,
-                 fused: bool = False, vector: bool = False):
+                 vector: bool):
         self.ir = ir
         self.func_name = func_name
         self.vector = vector
-        fused = fused or vector
-        self.counted = counted or fused
-        self.fused = fused
-        counted = self.counted
+        self.counted = counted = counted or vector
         self.em = _Emitter()  # body emitter (swapped in during generate)
         self.existential = _existential_ranks(ir)
         self.stamp_ranks = (set(ir.time_ranks) | set(ir.space_ranks)) \
@@ -95,11 +95,11 @@ class _FlatGenerator:
                 at.append(at[-1] + (1 if lvl.is_physical else 0))
             self.level_at.append(at)
             self.n_phys.append(at[-1])
-        # Counter bookkeeping (counted/fused flavors only).
+        # Counter bookkeeping (counted/vector flavors only).
         self.read_ctrs: Dict[Tuple[str, str, str], str] = {}
         self.write_ctrs: Dict[Tuple[str, str, str], str] = {}
         self.isect_ranks: List[str] = []
-        # Component-machine ports (fused flavor): one per touched
+        # Component-machine ports (vector flavor): one per touched
         # (tensor, rank, kind) triple, bound from ``fm`` at kernel entry.
         self.ports: Dict[Tuple[str, str, str], str] = {}
         # Pair dispatchers: the bound ``read2`` of a machine that claims
@@ -133,7 +133,7 @@ class _FlatGenerator:
         else:
             self.em.emit(f"n{i}_{d}a = None")
             self.em.emit(f"n{i}_{d}b = None")
-        if self.fused:
+        if self.vector:
             # Keep the path var defined along absent branches; no event
             # below an absent cursor ever reads it, so the value is moot.
             self.em.emit(f"h{i}_{d} = ()")
@@ -154,11 +154,11 @@ class _FlatGenerator:
         else:
             self.em.emit(f"n{i}_{d + 1}a = n{i}_{d}a")
             self.em.emit(f"n{i}_{d + 1}b = n{i}_{d}b")
-        if self.fused:
+        if self.vector:
             self.em.emit(f"h{i}_{d + 1} = h{i}_{d}")
 
     # ------------------------------------------------------------------
-    # Counter/port helpers (counted+fused flavors; no-ops for flat)
+    # Counter/port helpers (counted+vector flavors; no-ops for flat)
     # ------------------------------------------------------------------
     def _rctr(self, tensor: str, of: str, kind: str) -> str:
         key = (tensor, of, kind)
@@ -255,7 +255,7 @@ class _FlatGenerator:
     def _bump_read(self, i: int, of: str, kind: str, amount: str = "1") -> None:
         """Tally one (or ``amount``) DRAM-routed read events.
 
-        Only used where the fused flavor routes the site separately (or
+        Only used where the vector flavor routes the site separately (or
         not at all); sites a component machine may claim go through
         :meth:`_emit_read` instead.
         """
@@ -276,7 +276,7 @@ class _FlatGenerator:
         em = self.em
         tensor = self.ir.accesses[i].tensor
         ctr = self._rctr(tensor, of, kind)
-        if not self.fused:
+        if not self.vector:
             em.emit(f"{ctr} += 1")
             return
         port = self._port(tensor, of, kind)
@@ -315,7 +315,7 @@ class _FlatGenerator:
         self._rank(0, depths, wins={}, guarded=set())
 
         head = _Emitter()
-        if self.fused:
+        if self.vector:
             args = "arenas, opset, shapes, kc, fm"
         elif self.counted:
             args = "arenas, opset, shapes, kc"
@@ -324,8 +324,7 @@ class _FlatGenerator:
         head.emit(f"def {self.func_name}({args}):")
         head.indent += 1
         flavor = "vector" if self.vector else (
-            "fused" if self.fused else (
-                "counted" if self.counted else "flat"))
+            "counted" if self.counted else "flat")
         head.emit(f'"""Generated ({flavor}, arena-native) from: {ir.einsum}"""')
         for i, plan in enumerate(ir.accesses):
             n = self.n_phys[i]
@@ -350,14 +349,14 @@ class _FlatGenerator:
                 head.emit(f"t{i}_vn = _a{i}.np_vals()")
             head.emit(f"n{i}_0a = 0")
             head.emit(f"n{i}_0b = len(t{i}_c0)")
-            if self.fused:
+            if self.vector:
                 head.emit(f"h{i}_0 = ()")
         if self.vector:
             head.emit("_vk = rt.vec_ok(opset)")
         head.emit("out = Fiber()")
         head.emit("_on = out")
         head.emit("_op = None")
-        if self.fused:
+        if self.vector:
             head.emit("cx0 = ()")
             for (tensor, of, kind), var in self.ports.items():
                 head.emit(f"{var} = fm.port({tensor!r}, {of!r}, {kind!r})")
@@ -526,7 +525,7 @@ class _FlatGenerator:
         for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
             of = lvl.of or lvl.rank
             pos = f"p{i}_{d}"
-            if self.fused:
+            if self.vector:
                 # The traced kernels extend the path unconditionally (the
                 # absent k-way branch included); only present cursors
                 # ever read it, so the value below absent cursors is
@@ -536,7 +535,7 @@ class _FlatGenerator:
                 em.emit(f"{pos} = ps_{rank}[{j}]")
                 em.emit(f"if {pos} >= 0:")
                 em.indent += 1
-            if self.fused and not opened["kway"] and self._deferrable(i):
+            if self.vector and not opened["kway"] and self._deferrable(i):
                 # The opener deferred this driver's machine coord read
                 # to here; fire the coord+payload pair together.
                 self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
@@ -570,7 +569,7 @@ class _FlatGenerator:
             style = ir.time_styles.get(rank, "pos")
             src = f"c_{rank}" if style == "coord" else f"po_{rank}"
             em.emit(f"st_{rank} = {src}")
-        if self.fused:
+        if self.vector:
             # The loop-context prefix: what the traced kernel's live
             # ``ctx`` list holds after ``ctx.append((rank, c))``.
             em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, c_{rank}),)")
@@ -603,7 +602,7 @@ class _FlatGenerator:
         if off:
             coord = f"{coord} + {off}"
         em.emit(f"c_{rank} = {coord}")
-        if self.fused and self._deferrable(i):
+        if self.vector and self._deferrable(i):
             self._emit_coord_counter(i, (lvl.of or lvl.rank))
         else:
             self._emit_read(i, (lvl.of or lvl.rank), "coord",
@@ -636,7 +635,7 @@ class _FlatGenerator:
             em.emit(f"_im_{rank} += 1")
             for i_, lvl_, d_ in ((i0, lvl0, d0), (i1, lvl1, d1)):
                 of_ = lvl_.of or lvl_.rank
-                if self.fused and self._deferrable(i_):
+                if self.vector and self._deferrable(i_):
                     self._emit_coord_counter(i_, of_)
                 else:
                     self._emit_read(i_, of_, "coord",
@@ -655,7 +654,7 @@ class _FlatGenerator:
         size = k if union else k + 2
         em.emit(f"sx_{rank} = [0] * {size}")
         touches = ""
-        if self.fused:
+        if self.vector:
             # Per-input touch callbacks: coord read events for inputs
             # routed to a component machine fire from inside the helper,
             # in the traced co-iterator's exact order.
@@ -691,7 +690,7 @@ class _FlatGenerator:
         em = self.em
         of = lvl.of or lvl.rank
         amount = f"nx_{rank} - {p}"
-        if not self.fused:
+        if not self.vector:
             self._bump_read(i, of, "coord", amount)
             return
         tensor = self.ir.accesses[i].tensor
@@ -765,7 +764,7 @@ class _FlatGenerator:
                 for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
                     of = lvl.of or lvl.rank
                     tensor = self.ir.accesses[i].tensor
-                    if self.fused:
+                    if self.vector:
                         port = self._port(tensor, of, "coord")
                         em.emit(f"if {port}r is None:")
                         em.indent += 1
@@ -1187,7 +1186,7 @@ class _FlatGenerator:
             em.emit(f"wr_{level + 1} = False")
         if rank in self.stamp_ranks:
             em.emit(f"st_{rank} = v_{var}")
-        if self.fused:
+        if self.vector:
             em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, v_{var}),)")
         self._lookups(level, depths)
         self._rank(level + 1, depths, wins, guarded)
@@ -1240,7 +1239,7 @@ class _FlatGenerator:
                     em.indent -= 1
                     em.emit("else:")
                     em.indent += 1
-                    if self.fused:
+                    if self.vector:
                         em.emit(
                             f"h{i}_{d + 1} = h{i}_{d} + (t{i}_c{L}[{pos}],)"
                         )
@@ -1262,7 +1261,7 @@ class _FlatGenerator:
                 em.indent -= 1
                 em.emit("else:")
                 em.indent += 1
-                if self.fused:
+                if self.vector:
                     # Lookups are straight-line: the machine coord read
                     # can always defer past span_find, pairing with the
                     # payload read on hits (counter half bumps now —
@@ -1280,7 +1279,7 @@ class _FlatGenerator:
                 )
                 em.emit(f"if {pos} < 0:")
                 em.indent += 1
-                if self.fused:
+                if self.vector:
                     pc = self._port(self.ir.accesses[i].tensor, of, "coord")
                     em.emit(f"if {pc}r is not None:")
                     em.indent += 1
@@ -1290,7 +1289,7 @@ class _FlatGenerator:
                 em.indent -= 1
                 em.emit("else:")
                 em.indent += 1
-                if self.fused:
+                if self.vector:
                     self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
                                          cx=f"cx{level + 1}")
                 else:
@@ -1413,7 +1412,7 @@ class _FlatGenerator:
         out_rank = (ir.output.storage_ranks[-1]
                     if ir.output.storage_ranks else "root")
         wctr = self._wctr(ir.output.tensor, out_rank, "elem")
-        if self.fused:
+        if self.vector:
             port = self._port(ir.output.tensor, out_rank, "elem")
             em.emit(f"if {port}w is None:")
             em.indent += 1
@@ -1503,15 +1502,13 @@ class _FlatGenerator:
 
 
 def generate_flat_source(ir: LoopNestIR, func_name: str = "kernel",
-                         counted: bool = False, fused: bool = False,
-                         vector: bool = False) -> str:
+                         counted: bool = False, vector: bool = False) -> str:
     """Generate arena-native Python source for one lowered Einsum.
 
-    ``counted`` adds fused counters; ``fused`` additionally inlines the
-    buffet/cache component state machines (implies counters); ``vector``
-    additionally batches eligible innermost-rank spans through numpy
-    primitives (implies fused — with a null routing plan the machines
-    degrade to counters, so one vector kernel serves both sink-less and
-    buffered specs).
+    ``counted`` adds fused counters; ``vector`` additionally inlines the
+    buffet/cache component state machines and batches eligible
+    innermost-rank spans through numpy primitives (implies counters —
+    with a null routing plan the machines degrade to counters, so one
+    vector kernel serves both sink-less and buffered specs).
     """
-    return _FlatGenerator(ir, func_name, counted, fused, vector).generate()
+    return _FlatGenerator(ir, func_name, counted, vector).generate()

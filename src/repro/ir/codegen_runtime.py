@@ -6,10 +6,9 @@ and union co-iterators, chunk lookup for split (upper) levels, affine
 projection and occupancy-follower windows, and reduction into the output
 fibertree.
 
-Every co-iterator and lookup has an optional *trace* argument.  When a
-generated kernel runs in traced mode it passes the live
+Every co-iterator and lookup takes the live
 :class:`~repro.model.traces.TraceSink` (plus the cursor paths and loop
-context) through these arguments, and the helpers emit exactly the same
+context) from the generated traced kernel, and emits exactly the same
 event stream — same events, same order — as the interpreting executor.
 The differential test suite (``tests/ir/test_codegen_differential.py``)
 enforces that equivalence.
@@ -44,7 +43,7 @@ def _payload_row(n: int, live_items) -> List[Any]:
     return row
 
 
-def coiterate_intersect(*fibers, trace=None) -> Iterator[Tuple[Any, List[Any]]]:
+def coiterate_intersect(*fibers, trace) -> Iterator[Tuple[Any, List[Any]]]:
     """Yield (coord, [payload-or-None...]) present in every live fiber.
 
     Payloads are aligned with the inputs; positions whose input was not a
@@ -57,17 +56,13 @@ def coiterate_intersect(*fibers, trace=None) -> Iterator[Tuple[Any, List[Any]]]:
     live = _live(fibers)
     if not live:
         return
+    sink, rank, infos, ctx = trace
     if len(live) == 1:
         j, fiber = live[0]
-        if trace is not None:
-            sink, _rank, infos, ctx = trace
-            tensor, of, path = infos[j]
-            for c, p in fiber:
-                sink.read(tensor, of, "coord", path + (c,), ctx)
-                yield c, _payload_row(n, [(j, p)])
-        else:
-            for c, p in fiber:
-                yield c, _payload_row(n, [(j, p)])
+        tensor, of, path = infos[j]
+        for c, p in fiber:
+            sink.read(tensor, of, "coord", path + (c,), ctx)
+            yield c, _payload_row(n, [(j, p)])
         return
 
     idx = [j for j, _ in live]
@@ -76,19 +71,15 @@ def coiterate_intersect(*fibers, trace=None) -> Iterator[Tuple[Any, List[Any]]]:
     lengths = [len(f) for f in fs]
     visited = 0
     matched = 0
-    sink = None
-    if trace is not None:
-        sink, rank, infos, ctx = trace
     while all(p < m for p, m in zip(positions, lengths)):
         heads = [f.coords[p] for f, p in zip(fs, positions)]
         top = max(heads)
         if all(h == top for h in heads):
             matched += 1
             visited += len(fs)
-            if sink is not None:
-                for j in idx:
-                    tensor, of, path = infos[j]
-                    sink.read(tensor, of, "coord", path + (top,), ctx)
+            for j in idx:
+                tensor, of, path = infos[j]
+                sink.read(tensor, of, "coord", path + (top,), ctx)
             yield top, _payload_row(
                 n, [(j, f.payloads[p]) for j, f, p in zip(idx, fs, positions)]
             )
@@ -99,58 +90,42 @@ def coiterate_intersect(*fibers, trace=None) -> Iterator[Tuple[Any, List[Any]]]:
                 if f.coords[p] < top:
                     nxt = bisect.bisect_left(f.coords, top, p)
                     visited += nxt - p
-                    if sink is not None:
-                        tensor, of, path = infos[idx[k]]
-                        for q in range(p, nxt):
-                            sink.read(tensor, of, "coord",
-                                      path + (f.coords[q],), ctx)
+                    tensor, of, path = infos[idx[k]]
+                    for q in range(p, nxt):
+                        sink.read(tensor, of, "coord",
+                                  path + (f.coords[q],), ctx)
                     positions[k] = nxt
-    if sink is not None:
-        sink.isect(rank, visited, matched)
+    sink.isect(rank, visited, matched)
 
 
-def coiterate_union(*fibers, trace=None) -> Iterator[Tuple[Any, List[Any]]]:
+def coiterate_union(*fibers, trace) -> Iterator[Tuple[Any, List[Any]]]:
     """Yield (coord, [payload-or-None...]) present in any live fiber."""
     n = len(fibers)
     live = _live(fibers)
     if not live:
         return
     coords = sorted(set().union(*(set(f.coords) for _, f in live)))
-    sink = None
-    if trace is not None:
-        sink, _rank, infos, ctx = trace
+    sink, _rank, infos, ctx = trace
     for c in coords:
         row: List[Any] = [None] * n
         for j, f in live:
-            if sink is not None:
-                tensor, of, path = infos[j]
-                sink.read(tensor, of, "coord", path + (c,), ctx)
+            tensor, of, path = infos[j]
+            sink.read(tensor, of, "coord", path + (c,), ctx)
             row[j] = f.get_payload(c)
         yield c, row
 
 
-def iterate(fiber: Optional[Fiber], trace=None) -> Iterator[Tuple[Any, List[Any]]]:
+def iterate(fiber: Optional[Fiber], trace) -> Iterator[Tuple[Any, List[Any]]]:
     """Single-fiber iteration in the co-iterator calling convention.
 
     ``trace`` is ``(sink, tensor, of, path, ctx)``.
     """
     if not isinstance(fiber, Fiber):
         return
-    if trace is not None:
-        sink, tensor, of, path, ctx = trace
-        for c, p in fiber:
-            sink.read(tensor, of, "coord", path + (c,), ctx)
-            yield c, [p]
-    else:
-        for c, p in fiber:
-            yield c, [p]
-
-
-def lookup(node: Any, coord: Any) -> Any:
-    """Payload lookup; None when the node is absent or not a fiber."""
-    if not isinstance(node, Fiber):
-        return None
-    return node.get_payload(coord)
+    sink, tensor, of, path, ctx = trace
+    for c, p in fiber:
+        sink.read(tensor, of, "coord", path + (c,), ctx)
+        yield c, [p]
 
 
 def lookup_t(node: Any, coord: Any, path: tuple, sink, tensor: str,
@@ -164,16 +139,6 @@ def lookup_t(node: Any, coord: Any, path: tuple, sink, tensor: str,
     if payload is not None:
         sink.read(tensor, of, "payload", key, ctx)
     return payload, key
-
-
-def lookup_chunk(node: Any, coord: Any) -> Any:
-    """Find the split-level chunk containing an original coordinate."""
-    if not isinstance(node, Fiber) or not node.coords:
-        return None
-    pos = bisect.bisect_right(node.coords, coord) - 1
-    if pos < 0:
-        return None
-    return node.payloads[pos]
 
 
 def lookup_chunk_t(node: Any, coord: Any, path: tuple, sink, tensor: str,
@@ -285,7 +250,7 @@ def flat_isect(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
     and skips, never on completion, so they line up with the traced
     ``isect`` accounting.
 
-    ``touches`` (fused kernels) is a per-input tuple of callables or
+    ``touches`` (vector kernels) is a per-input tuple of callables or
     ``None``: ``touches[j](c)`` fires once per coordinate input ``j``
     visits, in exactly the order the traced co-iterator emits its coord
     read events, so buffer/cache state machines see the same stream.
@@ -352,7 +317,7 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
     Every participating input counts one visited coordinate per union
     coordinate (present or not), matching :func:`coiterate_union`'s traced
     read stream.  ``stats[j]`` tallies input ``j``'s visits eagerly.
-    ``touches[j]`` (fused kernels) fires per visited coordinate, in the
+    ``touches[j]`` (vector kernels) fires per visited coordinate, in the
     traced event order.
     """
     n = len(specs)
@@ -396,7 +361,7 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
 # The vector kernels price an entire innermost-rank span with batched
 # numpy ops instead of one Python iteration per element.  Exactness is
 # the contract: every helper here reproduces, bit for bit, what the
-# scalar counted/fused loop over the same span would have produced —
+# scalar loop over the same span would have produced —
 # including float accumulation order (``np.add.accumulate`` is a
 # sequential left fold, unlike ``np.sum``'s pairwise reduction) and the
 # galloping co-iterator's partial visit counts.
@@ -504,7 +469,7 @@ def vreduce(existing, values) -> float:
 
 
 # ----------------------------------------------------------------------
-# Fused component state machines (used by the "fused" kernel flavor)
+# Fused component state machines (inlined by the "vector" kernel flavor)
 # ----------------------------------------------------------------------
 # These inline the buffet/cache models of repro.model.components into the
 # generated arena loops: instead of routing one TraceSink event per touched

@@ -11,8 +11,8 @@ sweeps and interactive what-if queries affordable.
 
 Accuracy contract
 -----------------
-Every other metrics mode of :func:`repro.model.evaluate.evaluate` except
-``"counters-only"`` is *exact* (bit-identical to the traced reference).
+Every other metrics mode of :func:`repro.model.evaluate.evaluate` is
+*exact* (bit-identical to the traced reference).
 ``"analytical"`` is deliberately **approximate**: it prices expectations
 under an independence model of coordinate occupancy, so per-metric
 relative error is non-zero and grows with correlation (power-law inputs,

@@ -7,14 +7,16 @@ module provides:
 * :func:`spec_cache_key` — a canonical, dict-order-insensitive key for the
   parts of a spec that determine lowering (einsum + mapping + params);
 * :class:`CompileCache` — a process-wide memo from canonical spec keys to
-  lowered IR plus compiled kernel objects (fast and traced flavors), so
-  repeated evaluations — sweeps, batched workloads, figure benchmarks —
-  lower and compile exactly once;
+  lowered IR plus compiled kernel objects (the traced kernel and the
+  arena-native flat, counted, and vector flavors), so repeated
+  evaluations — sweeps, batched workloads, figure benchmarks — lower and
+  compile exactly once;
 * :class:`InterpreterBackend` / :class:`CompiledBackend` — interchangeable
   engines behind :func:`repro.model.evaluate.evaluate`.  The compiled
   backend replays the interpreter's exact trace-event stream through
-  generated kernels; with ``fallback=True`` (the default engine) any
-  mapping the generator cannot express transparently falls back to the
+  generated kernels, and runs untraced cascades through the arena-native
+  flat kernels; with ``fallback=True`` (the default engine) any mapping
+  the generator cannot express transparently falls back to the
   interpreter.
 
 Select an engine with ``evaluate(..., backend="compiled")`` (or
@@ -112,19 +114,20 @@ def spec_fingerprint(spec: AcceleratorSpec) -> str:
 class CompiledEinsum:
     """Lowered IR plus compiled kernels for one Einsum of a cascade.
 
-    Four flavors share the lowered IR: the object-cursor ``fast`` and
-    ``traced`` kernels (walking boxed fibers), and the arena-native
-    ``flat`` and ``counted`` kernels (walking
-    :class:`~repro.fibertree.arena.FlatArena` spans).  ``fast`` compiles
-    eagerly — its success defines "this spec compiles" — the rest on
-    first use.
+    Four flavors share the lowered IR: the object-cursor ``traced``
+    kernel (walking boxed fibers), and the arena-native ``flat``,
+    ``counted`` and ``vector`` kernels (walking
+    :class:`~repro.fibertree.arena.FlatArena` spans).  ``traced``
+    compiles eagerly — its success defines "this spec compiles" — the
+    rest on first use.
     """
 
     def __init__(self, ir: LoopNestIR):
         self.ir = ir
-        self.fast, self.fast_source = compile_ir(ir, flavor="fast")
-        self._kernels: Dict[str, tuple] = {"fast": (self.fast,
-                                                    self.fast_source)}
+        traced = compile_ir(ir, "traced")
+        #: The traced object-cursor kernel.
+        self.traced: Callable = traced[0]
+        self._kernels: Dict[str, tuple] = {"traced": traced}
         self._errors: Dict[str, CodegenError] = {}
         self._lock = threading.Lock()
 
@@ -143,7 +146,7 @@ class CompiledEinsum:
             if err is not None:
                 raise err
             try:
-                fn, src = compile_ir(self.ir, flavor=flavor)
+                fn, src = compile_ir(self.ir, flavor)
             except CodegenError as exc:
                 self._errors[flavor] = exc
                 raise
@@ -155,9 +158,10 @@ class CompiledEinsum:
         return self._kernels[flavor][1]
 
     @property
-    def traced(self) -> Callable:
-        """The traced object-cursor kernel, compiled on first use."""
-        return self._get("traced")
+    def flat(self) -> Callable:
+        """The untraced arena kernel (raises CodegenError if the flat
+        generator cannot express this Einsum)."""
+        return self._get("flat")
 
     @property
     def counted(self) -> Callable:
@@ -166,29 +170,16 @@ class CompiledEinsum:
         return self._get("counted")
 
     @property
-    def fused(self) -> Callable:
-        """The model-fused arena kernel: counters plus inlined
-        buffet/cache state machines (raises CodegenError if the flat
-        generator cannot express this Einsum).  Binding-independent:
-        the machine routing arrives at call time via the ``fm``
-        argument, so one compiled kernel serves every binding."""
-        return self._get("fused")
-
-    @property
     def vector(self) -> Callable:
-        """The vector arena kernel: the fused kernel with eligible
-        innermost-rank spans priced through batched numpy primitives
-        (same signature, same binding independence; per-span runtime
-        guards fall back to the inline scalar loop, so results never
-        depend on which path ran)."""
+        """The model-fused arena kernel: counters plus inlined
+        buffet/cache state machines, with eligible innermost-rank spans
+        priced through batched numpy primitives (raises CodegenError if
+        the flat generator cannot express this Einsum).
+        Binding-independent: the machine routing arrives at call time
+        via the ``fm`` argument, so one compiled kernel serves every
+        binding; per-span runtime guards fall back to the inline scalar
+        loop, so results never depend on which path ran."""
         return self._get("vector")
-
-    def flat_or_none(self) -> Optional[Callable]:
-        """The arena-native fast kernel, or None when unsupported."""
-        try:
-            return self._get("flat")
-        except CodegenError:
-            return None
 
 
 class CompiledCascade:
@@ -338,7 +329,7 @@ class InterpreterBackend(Backend):
 
 
 class _NullRoutingPlan:
-    """Routing plan that sends every touch to DRAM: a fused kernel run
+    """Routing plan that sends every touch to DRAM: a vector kernel run
     with it behaves exactly like the counted flavor."""
 
     @staticmethod
@@ -347,6 +338,9 @@ class _NullRoutingPlan:
 
 
 _NULL_ROUTING = _NullRoutingPlan()
+
+#: The sink an untraced run hands a traced kernel: every event dropped.
+_NULL_SINK = TraceSink()
 
 
 class PrepCache:
@@ -463,25 +457,18 @@ class CompiledBackend(Backend):
     Untraced runs (``sink=None``) execute the arena-native *flat*
     kernels: inputs are converted to
     :class:`~repro.fibertree.arena.FlatArena` structure-of-arrays
-    buffers and the generated loops stream over raw index spans.  Pass
-    ``kernel_flavor="object"`` to force the boxed-fiber fast kernels
-    instead (the pre-flat behavior, kept for benchmarking).  Any Einsum
-    the flat generator cannot express silently drops back to its object
-    fast kernel, so outputs never depend on the flavor.
+    buffers and the generated loops stream over raw index spans.  Any
+    Einsum the flat generator cannot express runs its traced kernel
+    against a no-op :class:`~repro.model.traces.TraceSink` instead, so
+    outputs never depend on the flavor.
     """
 
     name = "compiled"
 
     def __init__(self, cache: Optional[CompileCache] = None,
-                 fallback: bool = False, kernel_flavor: str = "flat"):
-        if kernel_flavor not in ("flat", "object"):
-            raise ValueError(
-                f"kernel_flavor must be 'flat' or 'object', "
-                f"got {kernel_flavor!r}"
-            )
+                 fallback: bool = False):
         self.cache = cache if cache is not None else GLOBAL_COMPILE_CACHE
         self.fallback = fallback
-        self.kernel_flavor = kernel_flavor
         self._interpreter = InterpreterBackend()
 
     def compile(self, spec: AcceleratorSpec) -> CompiledCascade:
@@ -495,7 +482,7 @@ class CompiledBackend(Backend):
         ``run_unit(unit, prepared, ops, shapes)`` executes one Einsum's
         kernel and returns ``(out, extra)``; ``after(name, extra)``
         fires between the producer-swizzle event and ``einsum_end``
-        (the pricing hook of the counted/fused paths).
+        (the pricing hook of the counted/vector paths).
         """
         env, all_shapes, rank_orders = cascade_context(spec, tensors,
                                                        shapes, env)
@@ -529,14 +516,16 @@ class CompiledBackend(Backend):
             raise
 
         def run_unit(unit, prepared, ops, all_shapes):
-            if sink:
-                return unit.traced(prepared, ops, all_shapes, sink), None
-            flat = unit.flat_or_none() \
-                if self.kernel_flavor == "flat" else None
-            if flat is not None:
-                return flat(_arenas_of(prepared, prep_cache), ops,
-                            all_shapes), None
-            return unit.fast(prepared, ops, all_shapes), None
+            if not sink:
+                try:
+                    flat = unit.flat
+                except CodegenError:
+                    pass  # the traced kernel below, with a no-op sink
+                else:
+                    return flat(_arenas_of(prepared, prep_cache), ops,
+                                all_shapes), None
+            return unit.traced(prepared, ops, all_shapes,
+                               sink or _NULL_SINK), None
 
         return self._walk_cascade(spec, compiled, tensors, opset, opsets,
                                   sink, shapes, env, run_unit,
@@ -577,8 +566,8 @@ class CompiledBackend(Backend):
     def run_cascade_fused(self, spec, tensors, opset=ARITHMETIC,
                           opsets=None, sink=None, shapes=None, env=None,
                           make_machines=None, on_fused=None,
-                          flavor: str = "fused", prep_cache=None):
-        """Run the cascade through model-fused arena kernels.
+                          prep_cache=None):
+        """Run the cascade through the model-fused vector kernels.
 
         Like :meth:`run_cascade_counted`, but each Einsum's kernel also
         drives the buffet/cache state machines supplied by
@@ -591,28 +580,19 @@ class CompiledBackend(Backend):
         aggregate counters and the machine tallies; ``sink`` still
         receives the per-Einsum brackets and swizzle events.
 
-        ``flavor`` selects between the scalar ``"fused"`` kernels and
-        the ``"vector"`` kernels (identical semantics; eligible leaf
-        spans priced with batched numpy primitives).
-
         Raises :class:`CodegenError` — before any Einsum runs — when the
         flat generator cannot express some Einsum of the cascade.
         """
-        if flavor not in ("fused", "vector"):
-            raise ValueError(
-                f"flavor must be 'fused' or 'vector', got {flavor!r}"
-            )
         compiled = self.cache.get(spec)
         for unit in compiled.units:
-            unit.vector if flavor == "vector" else unit.fused  # compile now
+            unit.vector  # force-compile everything up front
 
         def run_unit(unit, prepared, ops, all_shapes):
             counters = KernelCounters()
             machines = make_machines(unit.ir.name, unit.ir) \
                 if make_machines else _NULL_ROUTING
-            kern = unit.vector if flavor == "vector" else unit.fused
-            out = kern(_arenas_of(prepared, prep_cache), ops, all_shapes,
-                       counters, machines)
+            out = unit.vector(_arenas_of(prepared, prep_cache), ops,
+                              all_shapes, counters, machines)
             return out, (counters, machines)
 
         def after(name, extra):

@@ -522,7 +522,7 @@ def counters_priceable(spec: AcceleratorSpec) -> bool:
 
     Exactly when no Einsum binds data to a buffer or cache: buffets and
     caches derive fills and drains from per-element keys and evict
-    windows, which aggregates cannot reconstruct (the *fused* metrics
+    windows, which aggregates cannot reconstruct (the *vector* metrics
     path inlines those state machines instead — see
     :class:`FusedMachines`).  Everything else — DRAM traffic,
     intersection units, functional units, sequencers, mergers — is a
@@ -574,21 +574,12 @@ def _price_counters(sink: ModelSink, counters: KernelCounters) -> None:
 
 
 def _evaluate_counters(spec, tensors, opset, opsets, shapes, energy_model,
-                       engine, prep_cache=None,
-                       check_priceable: bool = True
-                       ) -> Optional[EvaluationResult]:
-    """The counter-fused evaluation path; None when it does not apply.
-
-    With ``check_priceable=False`` the priceability gate is skipped: every
-    event is priced as DRAM traffic even when the spec binds buffers or
-    caches.  That is *approximate* for buffered specs (buffet fills and
-    cache hits are not modeled) — it exists as the cheap phase-1 surrogate
-    of the search subsystem's two-phase pruning
-    (``metrics="counters-only"``), never as an exact mode.
-    """
+                       engine, prep_cache=None) -> Optional[EvaluationResult]:
+    """The counter-fused evaluation path; None when it does not apply
+    (see :func:`counters_priceable`)."""
     if not isinstance(engine, CompiledBackend):
         return None
-    if check_priceable and not counters_priceable(spec):
+    if not counters_priceable(spec):
         return None
     env: Dict[str, Tensor] = {}
     sink = ModelSink(spec, env)
@@ -616,18 +607,18 @@ def _evaluate_counters(spec, tensors, opset, opsets, shapes, energy_model,
 
 
 # ----------------------------------------------------------------------
-# Model-fused pricing (metrics="fused")
+# Model-fused pricing (metrics="vector")
 # ----------------------------------------------------------------------
 class FusedMachines:
     """Routing plan + component state machines for one fused Einsum run.
 
-    The fused kernels are compiled *binding-independent* (they share the
+    The vector kernels are compiled *binding-independent* (they share the
     lowering cache key with the other flavors); the binding arrives here
     instead.  At kernel entry each touched ``(tensor, rank, kind)``
     triple asks :meth:`port` for its destination: ``None`` routes to
     DRAM (the kernel bumps its fused counter), a machine routes to the
     inlined buffet/cache model.  Routing reuses
-    :meth:`ModelSink._route` verbatim, so the fused path can never
+    :meth:`ModelSink._route` verbatim, so the vector path can never
     disagree with the traced path about where an event lands.
 
     One machine is built per :class:`~repro.model.components.BuffetModel`
@@ -678,14 +669,12 @@ class FusedMachines:
 
 
 def _evaluate_fused(spec, tensors, opset, opsets, shapes, energy_model,
-                    engine, flavor: str = "fused",
-                    prep_cache=None) -> Optional[EvaluationResult]:
-    """The model-fused evaluation path; None when it does not apply.
+                    engine, prep_cache=None) -> Optional[EvaluationResult]:
+    """The model-fused (vector-kernel) evaluation path; None when it does
+    not apply.
 
     Applies to *every* spec the flat generator can express — buffered or
     not — since unrouted events degrade to plain counter fusion.
-    ``flavor`` picks the scalar ``"fused"`` kernels or the numpy-span
-    ``"vector"`` kernels (identical results either way).
     """
     if not isinstance(engine, CompiledBackend):
         return None
@@ -704,7 +693,7 @@ def _evaluate_fused(spec, tensors, opset, opsets, shapes, energy_model,
         engine.run_cascade_fused(
             spec, tensors, opset=opset, opsets=opsets, sink=sink,
             shapes=shapes, env=env, make_machines=make_machines,
-            on_fused=on_fused, flavor=flavor, prep_cache=prep_cache,
+            on_fused=on_fused, prep_cache=prep_cache,
         )
     except CodegenError:
         return None
@@ -788,42 +777,32 @@ def evaluate(
     with interpreter fallback — the default), or a
     :class:`~repro.model.backend.Backend` instance.
 
-    ``metrics`` selects how component models are fed.  Every mode is
-    exact — the differential conformance suite holds them bit-equal —
-    so the choice is purely about speed:
+    ``metrics`` (one of :data:`METRICS_MODES`) selects how component
+    models are fed.  Every mode but ``"analytical"`` is exact — the
+    differential conformance suite holds them bit-equal — so among them
+    the choice is purely about speed:
 
-    * ``"auto"`` (default) — the vector kernels for every spec the flat
-      generator can express, sink-less and buffered alike (unrouted
-      events degrade to counter fusion, so nothing is lost on specs
-      without buffers); per-event tracing only as a last-resort
-      fallback for mappings the flat generator cannot express.
+    * ``"auto"`` (default) — the fastest exact path, which today is
+      ``"vector"``.
     * ``"trace"`` — one event per touched element streams to a
       :class:`ModelSink`; the reference path, works on every backend.
     * ``"counters"`` — counter fusion: arena-native kernels accumulate
       per-rank read/write/intersection/compute tallies and the models
       price them in one pass per Einsum.  Used when the spec binds no
       buffers/caches; otherwise silently falls back to ``"trace"``.
-    * ``"counters-only"`` — the counter-fused kernels with the
-      priceability gate *skipped*: every data event is priced as DRAM
-      traffic even when the spec binds buffers or caches.  The one
-      exception to "every mode is exact": on buffered specs this is a
-      cheap, deliberately approximate surrogate (the phase-1 score of
-      :mod:`repro.search`'s two-phase pruning); on sink-less specs it
-      coincides with ``"counters"``.
-    * ``"fused"`` — model fusion: counter fusion plus the buffet/cache
+    * ``"vector"`` — model fusion: counter fusion plus the buffet/cache
       state machines inlined into the generated loops
-      (:class:`FusedMachines`); applies to buffered and unbuffered
-      specs alike, falling back to ``"trace"`` only when the flat
+      (:class:`FusedMachines`), with eligible innermost-rank spans
+      priced through batched numpy primitives (``np.searchsorted``-style
+      intersection, bulk tallies, sequential ``np.add.accumulate``
+      reductions); per-span runtime guards fall back to the scalar
+      loop, so results are bit-identical by construction.  Applies to
+      buffered and unbuffered specs alike (unrouted events degrade to
+      counter fusion), falling back to ``"trace"`` only when the flat
       generator cannot express the mapping.
-    * ``"vector"`` — the fused kernels with eligible innermost-rank
-      spans priced through batched numpy primitives
-      (``np.searchsorted``-style intersection, bulk tallies, sequential
-      ``np.add.accumulate`` reductions); per-span runtime guards fall
-      back to the scalar loop, so results are bit-identical by
-      construction.
-    * ``"analytical"`` — the second deliberately *approximate* tier
-      (alongside ``"counters-only"``): expected metrics computed from
-      sparsity statistics alone, never walking a tensor.  ``stats``
+    * ``"analytical"`` — the deliberately *approximate* tier: expected
+      metrics computed from sparsity statistics alone, never walking a
+      tensor.  ``stats``
       (a :class:`~repro.model.analytical.WorkloadStats`) supplies the
       statistics; when omitted they are measured from ``tensors``.
       Microseconds per candidate — the phase-0 scorer of the search
@@ -854,6 +833,7 @@ def evaluate(
     :class:`~repro.analysis.SpecVerificationError` on any
     error-severity finding before a single kernel runs.
     """
+    check_metrics_mode(metrics)
     lint_gate(spec, tensors=tensors, shapes=shapes, stats=stats,
               validate=validate)
     if metrics == "analytical":
@@ -894,35 +874,37 @@ def evaluate(
     return result
 
 
+#: Every ``metrics=`` mode :func:`evaluate` accepts.
+METRICS_MODES = ("auto", "trace", "counters", "vector", "analytical")
+
+
+def check_metrics_mode(metrics: str, what: str = "metrics mode") -> None:
+    """Raise ``ValueError`` naming the known modes unless ``metrics`` is
+    one of :data:`METRICS_MODES`."""
+    if metrics not in METRICS_MODES:
+        raise ValueError(
+            f"unknown {what} {metrics!r}; known: "
+            + ", ".join(repr(m) for m in METRICS_MODES)
+        )
+
+
 def _evaluate_uncached(spec, tensors, opset, opsets, shapes, energy_model,
                        engine, metrics, prep_cache) -> EvaluationResult:
     """The metrics-mode dispatch of :func:`evaluate`, after the
-    analytical branch and the persistent-store consult."""
+    analytical branch and the persistent-store consult.  Every fast mode
+    that does not apply falls through to the per-event trace."""
     if metrics in ("auto", "vector"):
         result = _evaluate_fused(spec, tensors, opset, opsets, shapes,
-                                 energy_model, engine, flavor="vector",
-                                 prep_cache=prep_cache)
+                                 energy_model, engine, prep_cache=prep_cache)
         if result is not None:
             return result
-    elif metrics in ("counters", "counters-only"):
-        result = _evaluate_counters(
-            spec, tensors, opset, opsets, shapes, energy_model, engine,
-            prep_cache=prep_cache,
-            check_priceable=(metrics == "counters"),
-        )
+    elif metrics == "counters":
+        result = _evaluate_counters(spec, tensors, opset, opsets, shapes,
+                                    energy_model, engine,
+                                    prep_cache=prep_cache)
         if result is not None:
             return result
-    elif metrics == "fused":
-        result = _evaluate_fused(spec, tensors, opset, opsets, shapes,
-                                 energy_model, engine,
-                                 prep_cache=prep_cache)
-        if result is not None:
-            return result
-    elif metrics != "trace":
-        raise ValueError(
-            f"unknown metrics mode {metrics!r}; known: 'auto', 'trace', "
-            "'counters', 'counters-only', 'fused', 'vector', 'analytical'"
-        )
+
     env: Dict[str, Tensor] = {}
     sink = ModelSink(spec, env)
     engine.run_cascade(spec, tensors, opset=opset, opsets=opsets, sink=sink,

@@ -126,7 +126,7 @@ class KernelCounters:
     * ``reads`` / ``writes`` — ``(tensor, rank, kind) -> count``;
     * ``isects`` — ``rank -> [visited, matched]``;
     * ``computes`` — ``op -> [n, time-stamp set, space-stamp set]``;
-    * ``actions`` — per-component action tallies from the *fused* kernel
+    * ``actions`` — per-component action tallies from the *vector* kernel
       flavor: ``[(component, tensor, {action: count}), ...]``, one entry
       per buffet/cache state machine that received events.  Recorded by
       :meth:`repro.model.evaluate.FusedMachines.settle` after the models

@@ -10,8 +10,8 @@ It splits the problem into three orthogonal pieces:
 * :mod:`repro.search.strategies` — pluggable candidate generators behind
   :class:`SearchStrategy`: exhaustive, seeded random, greedy beam;
 * :mod:`repro.search.runner` — parallel candidate evaluation (threads or
-  processes, shared compile + prep caches), two-phase counters-then-exact
-  pruning, and the entry points :func:`search`, :func:`explore`, and
+  processes, shared compile + prep caches), top-k pruning (with an
+  exact re-pricing phase after the analytical surrogate), and the entry points :func:`search`, :func:`explore`, and
   :func:`explore_cascade`;
 * :mod:`repro.search.supervisor` / :mod:`repro.search.journal` — the
   fault-tolerance layer: per-candidate timeouts, bounded retry with
@@ -54,8 +54,6 @@ from .results import (
     metrics_fingerprint,
 )
 from .runner import (
-    CHEAP_METRICS,
-    FULL_METRICS,
     SearchRunner,
     explore,
     explore_cascade,
@@ -84,13 +82,11 @@ from .strategies import (
 
 __all__ = [
     "BeamSearch",
-    "CHEAP_METRICS",
     "Candidate",
     "CandidateTimeoutError",
     "CascadeSearchResult",
     "ExhaustiveSearch",
     "ExplorationResult",
-    "FULL_METRICS",
     "FailureRecord",
     "JobError",
     "JobStatus",

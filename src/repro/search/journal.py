@@ -7,7 +7,7 @@ two files inside one journal directory:
 ``manifest.json``
     Everything that *identifies* the sweep — the canonical spec
     fingerprint (:func:`~repro.model.backend.spec_fingerprint`), a
-    structural fingerprint per workload tensor, the Einsum, metric and
+    content fingerprint per workload tensor, the Einsum, metric and
     metrics modes, the pruning configuration, and the strategy signature
     (name + public scalar parameters, seeds included).  Written once,
     via write-to-temp + :func:`os.replace`, so a reader never observes a
@@ -45,7 +45,7 @@ import os
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..store.persistent import PayloadVersionError
+from ..store.persistent import PayloadVersionError, tensor_digest
 from .space import Candidate
 
 #: Journal/manifest schema version; bump on incompatible layout changes.
@@ -116,16 +116,17 @@ def candidate_key(cand: Candidate) -> str:
 
 
 def tensor_fingerprint(tensor) -> Dict[str, Any]:
-    """A cheap structural fingerprint of one workload tensor.
-
-    Rank ids, shape, and nonzero count — enough to catch resuming a
-    sweep against the wrong workload (the overwhelmingly common
-    mistake) without paying a full content hash per resume.
+    """The identity of one workload tensor: its content digest
+    (:func:`~repro.store.persistent.tensor_digest`, the key the result
+    store uses), plus rank ids, shape, and nonzero count for the audit
+    trail.  The digest makes a resume against same-shape, same-nnz
+    data with different values a mismatch instead of a silent adopt.
     """
     return {
         "rank_ids": list(tensor.rank_ids),
         "shape": [None if s is None else int(s) for s in tensor.shape],
         "nnz": int(tensor.nnz),
+        "digest": tensor_digest(tensor),
     }
 
 

@@ -31,32 +31,22 @@ The runner composes three independent pieces:
   journaled result bit-identically, so a killed sweep finishes from
   where it stopped (see :mod:`repro.search.journal`).
 * **Two-phase pruning** (``prune_to=k``): every proposed candidate is
-  scored first with a cheap fast path, then only the top-k survivors are
-  re-priced with the full per-event traced metrics (``metrics="trace"``,
-  the reference path) — and only when the spec binds buffers or caches;
-  on sink-less specs the cheap phase is already exact
-  (:func:`~repro.model.evaluate.counters_priceable`) and phase 2 is
-  skipped entirely.  Two surrogates are available via ``prune_metrics``:
+  scored first with the ``prune_metrics`` surrogate and only the top-k
+  survive.  Two surrogates are available:
 
-  - ``"auto"`` (the default) — the vector/fused kernels.  These are
-    *bit-identical* to the traced reference (the conformance suite
-    enforces it), so pruning with any ``k >= 1`` provably preserves the
-    best candidate; the speedup comes from pricing the non-survivors
-    without ever paying the per-event trace.
-  - ``"counters-only"`` — the counter-only kernels, which price every
-    event as DRAM traffic.  Cheaper still, but *approximate* on
-    buffered specs: buffering can reorder candidates, so the true best
-    is only guaranteed to survive when ``k`` absorbs the surrogate's
-    ranking error.  Use for very large spaces where even the vector
-    pass is too slow.
+  - ``"auto"`` (the default; or any other exact mode) — the vector
+    kernels.  These are *bit-identical* to the traced reference (the
+    conformance suite enforces it), so the survivors' phase-1 results
+    are already exact: there is no phase 2, and pruning with any
+    ``k >= 1`` provably preserves the best candidate.
   - ``"analytical"`` — the statistics-based pricing tier
     (:func:`~repro.model.analytical.evaluate_analytical`): no tensor is
     walked at all, candidates are priced from sparsity statistics
     extracted once per sweep.  Orders of magnitude faster than any
-    executing surrogate, but approximate *everywhere* (sink-less specs
-    included), so phase 2 always re-prices the survivors and the
-    exact-survivor guarantee is relaxed to top-k recall: the true best
-    survives whenever ``k`` absorbs the documented error bounds (the
+    executing surrogate, but approximate, so phase 2 re-prices the
+    survivors with the runner's ``metrics`` and the exact-survivor
+    guarantee is relaxed to top-k recall: the true best survives
+    whenever ``k`` absorbs the documented error bounds (the
     cross-validation suite in ``tests/model/test_analytical.py`` pins
     them).  Scored serially — each candidate prices in well under a
     millisecond, so pool dispatch would cost more than it saves.
@@ -83,7 +73,7 @@ from ..model.evaluate import (
     _opset_token,
     _process_one,
     cache_incompatibilities,
-    counters_priceable,
+    check_metrics_mode,
     default_workers,
     evaluate,
     resolve_pool_mode,
@@ -104,12 +94,6 @@ from .results import (
 from .space import Candidate, MappingSpace, apply_candidate
 from .strategies import SearchStrategy, resolve_strategy
 from .supervisor import DETERMINISTIC, FailureRecord, SweepSupervisor
-
-#: The approximate (all-DRAM) surrogate for ``prune_metrics``.
-CHEAP_METRICS = "counters-only"
-
-#: The metrics mode survivors are re-priced with (the reference path).
-FULL_METRICS = "trace"
 
 #: How many consecutive all-duplicate proposal rounds the runner
 #: tolerates before concluding a strategy is stuck (its contract allows
@@ -170,6 +154,8 @@ class SearchRunner:
                 f"unknown validate mode {validate!r}; known: 'off', "
                 "'warn', 'strict'"
             )
+        check_metrics_mode(metrics)
+        check_metrics_mode(prune_metrics, "prune_metrics mode")
         if prune_to is not None and prune_to < 1:
             raise ValueError("prune_to must be >= 1")
         if journal is not None and resume is not None and journal != resume:
@@ -492,16 +478,12 @@ class SearchRunner:
                 by_score = sorted(range(len(scored)),
                                   key=lambda i: (scores[i][1], i))
                 keep = {scores[i][0] for i in by_score[:k]}
-                survivors = [c for c, _ in scored if c in keep]
-                if (counters_priceable(self.spec)
-                        and phase1_metrics != "analytical"):
-                    # No buffers bound: the cheap phase was exact already.
-                    # (The analytical surrogate is approximate even then,
-                    # so its survivors always get re-priced.)
-                    candidates = [(c, r) for c, r in scored if c in keep]
-                else:
-                    candidates = self._evaluate_batch(survivors,
-                                                      FULL_METRICS, phase=2)
+                candidates = [(c, r) for c, r in scored if c in keep]
+                if phase1_metrics == "analytical":
+                    # Only the approximate surrogate needs re-pricing;
+                    # every exact mode already priced the survivors.
+                    candidates = self._evaluate_batch(
+                        [c for c, _ in candidates], self.metrics, phase=2)
                     n_repriced = len(candidates)
             else:
                 candidates = scored
@@ -603,14 +585,14 @@ def search(
     the serial sweep.  Parallel and serial runs produce bit-identical
     candidate lists and rankings.
 
-    ``prune_to=k`` enables two-phase pruning: every candidate is scored
-    with the cheap ``prune_metrics`` fast path (``"auto"`` — the vector
-    kernels, bit-identical to the trace so the best provably survives —
-    ``"counters-only"``, cheaper but approximate on buffered specs, or
-    ``"analytical"``, which prices candidates from sparsity statistics
-    alone and needs ``k`` large enough to absorb its documented error
-    bounds) and only the best ``k`` are re-priced with the full
-    per-event traced metrics; see the module docstring for the contract.
+    ``prune_to=k`` keeps only the best ``k`` candidates as scored by
+    ``prune_metrics``: an exact mode (``"auto"``, the vector kernels —
+    bit-identical to the trace, so the best provably survives and
+    nothing is re-priced) or ``"analytical"``, which prices candidates
+    from sparsity statistics alone, needs ``k`` large enough to absorb
+    its documented error bounds, and re-prices the ``k`` survivors with
+    ``metrics``; see the module docstring for the contract.  Unknown
+    ``metrics``/``prune_metrics`` modes raise ``ValueError``.
     ``metric`` picks the ranking scalar: ``"exec_seconds"``,
     ``"cycles"``, ``"traffic"``, or ``"energy"``.
 

@@ -78,6 +78,17 @@ ENTRY_MAGIC = b"RPSTORE1"
 #: ``pickle.HIGHEST_PROTOCOL`` and stamp it in their header).
 FINGERPRINT_PICKLE_PROTOCOL = 4
 
+
+def tensor_digest(tensor) -> str:
+    """The content digest of one workload tensor: SHA-256 of its pickle
+    at :data:`FINGERPRINT_PICKLE_PROTOCOL`.  The one tensor identity
+    every durable artifact keys on — result-store entries, sweep-journal
+    and job manifests — so equal digests mean equal contents."""
+    return hashlib.sha256(
+        pickle.dumps(tensor, protocol=FINGERPRINT_PICKLE_PROTOCOL)
+    ).hexdigest()
+
+
 #: Sentinel distinguishing "no entry" from a stored ``None``.
 MISS = object()
 
@@ -456,9 +467,7 @@ class PersistentStore:
             entry = self._tensor_fps.get(ident)
             if entry is not None:
                 return entry[1]
-        digest = hashlib.sha256(
-            pickle.dumps(tensor, protocol=FINGERPRINT_PICKLE_PROTOCOL)
-        ).hexdigest()
+        digest = tensor_digest(tensor)
         with self._lock:
             self._tensor_fps.setdefault(ident, (tensor, digest))
         return digest
@@ -471,9 +480,9 @@ class PersistentStore:
         Covers everything that can change the result: the spec's full
         fingerprint (every layer, via
         :func:`~repro.model.backend.spec_fingerprint`), each input
-        tensor's *content* digest, the metrics mode (``counters-only``
-        is approximate, so modes never share entries), the opset, and
-        explicit shape overrides.  Hits are therefore bit-identical to
+        tensor's *content* digest, the metrics mode (modes never share
+        entries, so an approximate mode can never serve an exact one),
+        the opset, and explicit shape overrides.  Hits are therefore bit-identical to
         a cold run by construction.
         """
         from ..model.backend import spec_fingerprint

@@ -1,21 +1,31 @@
-"""Code-generation backend: generated Python must match the interpreter."""
+"""Code-generation backend: generated Python must match the interpreter.
+
+Each mapping runs through the traced object-cursor kernel (against a
+no-op sink) and the untraced arena-native flat kernel; both must
+reproduce the interpreter's output.
+"""
 
 import numpy as np
 
 from repro.fibertree import tensor_from_dense, tensor_to_dense
 from repro.ir import build_cascade_ir, build_ir
-from repro.ir.codegen import compile_ir, generate_module, generate_source
-from repro.model import execute_cascade
+from repro.fibertree.arena import arena_from_tensor
+from repro.ir.codegen import compile_ir, generate_source
+from repro.ir.codegen_flat import generate_flat_source
+from repro.model import CompileCache, CompiledBackend, execute_cascade
 from repro.model.executor import prepare_tensor
+from repro.model.traces import TraceSink
 from repro.spec import load_spec
 
 
 def compile_and_run(spec_text, tensors_dense, shapes=None):
-    """Run a single-Einsum spec both ways; return (generated, interpreted)."""
+    """Run a single-Einsum spec through the traced and flat kernels and
+    the interpreter; return (generated, interpreted, traced source)."""
     spec = load_spec(spec_text)
     name = spec.einsum.cascade.produced[-1]
     ir = build_ir(spec, name)
-    fn, source = compile_ir(ir)
+    fn, source = compile_ir(ir, "traced")
+    flat, _ = compile_ir(ir, "flat")
 
     tensors = {
         t: tensor_from_dense(t, spec.einsum.ranks_of(t), arr)
@@ -38,7 +48,11 @@ def compile_and_run(spec_text, tensors_dense, shapes=None):
         )
     from repro.einsum import ARITHMETIC
 
-    generated = fn(prepared, ARITHMETIC, all_shapes).prune_empty()
+    generated = fn(prepared, ARITHMETIC, all_shapes,
+                   TraceSink()).prune_empty()
+    arenas = {t: arena_from_tensor(p) for t, p in prepared.items()}
+    assert flat(arenas, ARITHMETIC, all_shapes).prune_empty().points() \
+        == generated.points()
     env = execute_cascade(spec, tensors)
     return generated, env[name], source
 
@@ -73,7 +87,7 @@ class TestGeneratedMatmul:
     def test_source_is_plain_python(self):
         spec = load_spec(MATMUL)
         src = generate_source(build_ir(spec, "Z"))
-        assert "def kernel(tensors, opset, shapes):" in src
+        assert "def kernel(tensors, opset, shapes, sink):" in src
         assert "coiterate_intersect" in src
         assert "reduce_into" in src
 
@@ -172,7 +186,7 @@ einsum:
 
 
 class TestModuleGeneration:
-    def test_cascade_module_runs(self):
+    def test_cascade_runs_generated_kernels(self):
         spec = load_spec("""
 einsum:
   declaration:
@@ -184,37 +198,20 @@ einsum:
     - T[k, m, n] = A[k, m] * B[k, n]
     - Z[m, n] = T[k, m, n]
 """)
-        irs = build_cascade_ir(spec)
-        source = generate_module(irs)
-        namespace = {}
-        exec(compile(source, "<module>", "exec"), namespace)
-
         a = random_dense((9, 7), 0.4, 15)
         b = random_dense((9, 6), 0.4, 16)
         tensors = {
             "A": tensor_from_dense("A", ["K", "M"], a),
             "B": tensor_from_dense("B", ["K", "N"], b),
         }
-        shapes = {"K": 9, "M": 7, "N": 6}
-        plans = {ir.name: ir for ir in irs}
-
-        def prepare(name, env):
-            ir = plans[name]
-            out = {}
-            for plan in ir.accesses:
-                order = spec.mapping.rank_order_of(
-                    plan.tensor, spec.einsum.ranks_of(plan.tensor)
-                )
-                out[plan.tensor] = prepare_tensor(env[plan.tensor], order,
-                                                  plan.prep)
-            return out
-
-        from repro.einsum import ARITHMETIC
-
-        env = namespace["run_cascade"](tensors, ARITHMETIC, shapes, prepare)
+        backend = CompiledBackend(cache=CompileCache())
+        untraced = backend.run_cascade(spec, dict(tensors))
+        traced = backend.run_cascade(spec, dict(tensors), sink=TraceSink())
         np.testing.assert_allclose(
-            tensor_to_dense(env["Z"], shape=[7, 6]), a.T @ b
+            tensor_to_dense(untraced["Z"], shape=[7, 6]), a.T @ b
         )
+        assert traced["T"].points() == untraced["T"].points()
+        assert traced["Z"].points() == untraced["Z"].points()
 
     def test_followers_compile(self):
         from repro.accelerators import accelerator
@@ -231,7 +228,9 @@ einsum:
             spec = accelerator(name)
             for ir in build_cascade_ir(spec):
                 generate_source(ir)
-                generate_source(ir, traced=True)
+                generate_flat_source(ir)
+                generate_flat_source(ir, counted=True)
+                generate_flat_source(ir, vector=True)
 
 
 class TestGeneratedOccupancyFollower:

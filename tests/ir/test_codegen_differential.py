@@ -7,25 +7,25 @@ and for the tricky mapping features (occupancy followers, runtime
 windows, flattening, multi-level splits, affine projection, take/union
 leaves).
 
-Three execution paths are held together here:
+The execution paths held together here:
 
-* **interpreter vs. object-compiled (traced)** — compared at the
+* **interpreter vs. compiled traced kernels** — compared at the
   strongest level available: the full ordered trace-event stream.
   Equal streams imply equal traffic counts, equal intersection
   statistics, and equal spacetime stamps, for any component model
   downstream.
-* **flat-compiled (arena-native, untraced)** — outputs must equal both
-  engines above, and the specs under test must *actually* flat-compile
-  (no silent fallback to object kernels).
+* **flat-compiled (arena-native, untraced)** — outputs must equal the
+  interpreter's untraced run, and the specs under test must *actually*
+  flat-compile (no silent fallback to the traced kernels).
 * **counted (counter-fused)** — the per-Einsum aggregate tallies must
   equal the aggregates of the interpreter's ordered event stream,
   read for read, intersection for intersection, stamp set for stamp
   set.
-* **fused (model-fused) and vector** — full
+* **vector (model-fused)** — full
   :func:`repro.model.evaluate.evaluate` metrics (traffic, cycles,
   energy, action counts, per-component times, outputs) must be
   *bit-identical* across the traced interpreter, the traced compiled
-  kernels, the fused kernels, the vector kernels (with
+  kernels, the counted kernels, the vector kernels (with
   ``VLEAF_MIN`` pinned to 0 so the batched numpy spans engage even on
   these small hypothesis inputs), and the ``metrics="auto"``
   dispatcher, for every spec — buffered accelerators included.
@@ -189,16 +189,15 @@ def metrics_fingerprint(result):
 
 
 def assert_metrics_paths_agree(spec, tensors):
-    """Traced-interpreter, traced-compiled, counter-fused, model-fused,
-    vector, and auto metrics must be bit-identical (the 4-way kernel
-    conformance check: interpreter / counted / fused / vector, plus the
-    dispatcher)."""
+    """Traced-interpreter, traced-compiled, counter-fused, vector, and
+    auto metrics must be bit-identical (the kernel conformance check:
+    interpreter / traced / counted / vector, plus the dispatcher)."""
     backend = CompiledBackend(cache=_CACHE)
     reference = metrics_fingerprint(evaluate(
         spec, {k: t.copy() for k, t in tensors.items()},
         backend=InterpreterBackend(), metrics="trace",
     ))
-    for metrics in ("trace", "counters", "fused", "vector", "auto"):
+    for metrics in ("trace", "counters", "vector", "auto"):
         got = metrics_fingerprint(evaluate(
             spec, {k: t.copy() for k, t in tensors.items()},
             backend=backend, metrics=metrics,
@@ -225,21 +224,20 @@ def assert_backends_agree(spec, tensors):
             assert a == b, f"event {k}: interpreter {a} != compiled {b}"
         assert len(interp_sink.events) == len(compiled_sink.events)
 
-    # Untraced paths: object kernels and arena-native flat kernels must
-    # reproduce the same outputs — and the flat kernels must really
+    # Untraced paths: the interpreter and the arena-native flat kernels
+    # must reproduce the same outputs — and the flat kernels must really
     # exist for these specs (no silent fallback).
     for unit in _CACHE.get(spec).units:
-        assert unit.flat_or_none() is not None, \
-            f"{unit.ir.name}: flat kernel failed to compile"
-    env_o = CompiledBackend(cache=_CACHE, kernel_flavor="object").run_cascade(
+        assert unit.flat is not None  # raises CodegenError if rejected
+    env_u = InterpreterBackend().run_cascade(
         spec, {k: t.copy() for k, t in tensors.items()}
     )
-    env_f = CompiledBackend(cache=_CACHE, kernel_flavor="flat").run_cascade(
+    env_f = CompiledBackend(cache=_CACHE).run_cascade(
         spec, {k: t.copy() for k, t in tensors.items()}
     )
     for name in spec.einsum.cascade.produced:
-        assert env_i[name].points() == env_o[name].points(), name
-        assert env_i[name].points() == env_f[name].points(), name
+        assert env_i[name].points() == env_u[name].points(), name
+        assert env_u[name].points() == env_f[name].points(), name
 
     assert_counters_match_stream(spec, tensors, interp_sink.events)
     assert_metrics_paths_agree(spec, tensors)

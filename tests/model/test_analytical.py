@@ -446,8 +446,8 @@ class TestAnalyticalSearch:
     def test_phase2_always_reprices_for_analytical(self):
         from repro.search import search
 
-        # A sink-less spec: counters-priceable, so "auto"/"counters-only"
-        # phase 1 skips re-pricing — the analytical surrogate must not.
+        # An exact phase 1 ("auto") skips re-pricing — the analytical
+        # surrogate must not.
         spec = load_spec(SPEC_PLAIN, name="anl-plain-search")
         tensors = {
             "A": uniform_random("A", ["K", "M"], (48, 40), 0.25, seed=1),

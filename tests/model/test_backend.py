@@ -51,7 +51,7 @@ class TestCacheHits:
         second = cache.get(spec)
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
-        assert second.units[0].fast is first.units[0].fast
+        assert second.units[0].traced is first.units[0].traced
 
     def test_equal_specs_from_separate_loads_share_kernels(self):
         cache = CompileCache()
@@ -214,6 +214,27 @@ class TestBackendSelection:
                        backend="interpreter")
         assert a.env["Z"].points() == ref.env["Z"].points()
         assert a.traffic_bytes() == ref.traffic_bytes()
+
+    def test_untraced_run_falls_back_to_traced_kernel(self, monkeypatch):
+        """An Einsum the flat generator rejects runs untraced through its
+        traced kernel with a no-op sink; outputs equal the interpreter's."""
+        import repro.ir.codegen_flat as flat_mod
+
+        def refuse(*args, **kwargs):
+            raise CodegenError("forced for the test")
+
+        monkeypatch.setattr(flat_mod, "generate_flat_source", refuse)
+        spec = load_spec(MATMUL)
+        ts = tensors(seed=3)
+        cache = CompileCache()
+        env = CompiledBackend(cache=cache).run_cascade(
+            spec, {k: t.copy() for k, t in ts.items()})
+        ref = InterpreterBackend().run_cascade(
+            spec, {k: t.copy() for k, t in ts.items()})
+        assert env["Z"].points() == ref["Z"].points()
+        assert env["Z"].nnz > 0
+        with pytest.raises(CodegenError):
+            cache.get(spec).units[0].flat  # the flat kernel was rejected
 
 
 class TestEvaluateMany:

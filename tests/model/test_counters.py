@@ -14,6 +14,7 @@ from repro.fibertree import tensor_from_dense
 from repro.model import (
     CompileCache,
     CompiledBackend,
+    InterpreterBackend,
     counters_priceable,
     default_workers,
     evaluate,
@@ -231,19 +232,13 @@ def test_default_workers_rejects_zero_and_negative_env(monkeypatch):
             default_workers()
 
 
-def test_flat_and_object_flavors_agree_untraced():
+def test_flat_untraced_matches_interpreter():
     spec = load_spec(SPLIT, name="flavors")
     cache = CompileCache()
     work = tensors(seed=9)
-    env_o = CompiledBackend(cache=cache, kernel_flavor="object") \
-        .run_cascade(spec, dict(work))
-    env_f = CompiledBackend(cache=cache, kernel_flavor="flat") \
-        .run_cascade(spec, dict(work))
-    assert env_o["Z"].points() == env_f["Z"].points()
-    # The flat kernel genuinely compiled (not a silent object fallback).
-    assert cache.get(spec).units[0].flat_or_none() is not None
-
-
-def test_bad_kernel_flavor_rejected():
-    with pytest.raises(ValueError, match="kernel_flavor"):
-        CompiledBackend(kernel_flavor="turbo")
+    env_i = InterpreterBackend().run_cascade(spec, dict(work))
+    env_f = CompiledBackend(cache=cache).run_cascade(spec, dict(work))
+    assert env_i["Z"].points() == env_f["Z"].points()
+    # The flat kernel genuinely compiles (raises CodegenError if not),
+    # so the untraced run took it rather than the traced fallback.
+    assert cache.get(spec).units[0].flat is not None

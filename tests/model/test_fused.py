@@ -1,7 +1,7 @@
-"""Model-fused metrics (``evaluate(metrics="fused")``): the fast path for
+"""Model-fused metrics (``evaluate(metrics="vector")``): the fast path for
 buffered/cached specs.
 
-The fused kernels inline :class:`~repro.model.components.BuffetModel` /
+The vector kernels inline :class:`~repro.model.components.BuffetModel` /
 :class:`~repro.model.components.CacheModel` state machines into the
 generated arena loops, so — unlike counter fusion — they price specs that
 bind buffers exactly.  Every assertion here is strict equality against
@@ -121,7 +121,7 @@ def assert_fused_exact(spec, work):
     traced = evaluate(spec, {k: t.copy() for k, t in work.items()},
                       backend=backend, metrics="trace")
     fused = evaluate(spec, {k: t.copy() for k, t in work.items()},
-                     backend=backend, metrics="fused")
+                     backend=backend, metrics="vector")
     assert fingerprint(fused) == fingerprint(traced)
     return traced, fused
 
@@ -153,9 +153,9 @@ def test_fused_falls_back_on_interpreter_backend():
     work = tensors(seed=3)
     compiled = evaluate(spec, dict(work),
                         backend=CompiledBackend(cache=_CACHE),
-                        metrics="fused")
+                        metrics="vector")
     interp = evaluate(spec, dict(work), backend=InterpreterBackend(),
-                      metrics="fused")
+                      metrics="vector")
     assert fingerprint(interp) == fingerprint(compiled)
 
 
@@ -166,7 +166,7 @@ def test_fused_evaluate_many_threads():
     sequential = evaluate_many(spec, [dict(w) for w in workloads],
                                backend=backend, workers=1, metrics="trace")
     threaded = evaluate_many(spec, [dict(w) for w in workloads],
-                             backend=backend, workers=4, metrics="fused")
+                             backend=backend, workers=4, metrics="vector")
     for a, b in zip(sequential, threaded):
         assert fingerprint(a) == fingerprint(b)
 
@@ -584,7 +584,7 @@ def test_fused_golden_metrics(name):
     spec = accelerator(name)
     backend = CompiledBackend(cache=_CACHE)
     result = evaluate(spec, golden_workload(), backend=backend,
-                      metrics="fused")
+                      metrics="vector")
     golden = GOLDEN[name]
     assert result.traffic_bytes() == golden["traffic_bytes"]
     assert result.exec_cycles == golden["exec_cycles"]

@@ -1,8 +1,8 @@
 """Conformance tests for the vector kernel flavor.
 
 The vector kernels price whole innermost-rank spans with batched numpy
-primitives.  Their contract is *bit-identity* with the scalar
-counted/fused kernels (and therefore with the traced interpreter): same
+primitives.  Their contract is *bit-identity* with their own per-span
+scalar fallback, the counted kernels, and the traced interpreter: same
 outputs, same counters, same component-machine tallies, same metrics —
 whichever per-span path (batched or scalar fallback) ran.  These tests
 pin ``VLEAF_MIN`` to 0 so the batched path engages on small inputs, and
@@ -143,7 +143,7 @@ def assert_vector_matches_reference(spec, tensors):
         spec, {k: t.copy() for k, t in tensors.items()},
         backend=InterpreterBackend(), metrics="trace",
     ))
-    for metrics in ("fused", "vector", "auto"):
+    for metrics in ("counters", "vector", "auto"):
         got = fingerprint(evaluate(
             spec, {k: t.copy() for k, t in tensors.items()},
             backend=backend, metrics=metrics,

@@ -6,10 +6,10 @@ import pytest
 from repro.model import PrepCache, ProcessExecutorError
 from repro.search import (
     BeamSearch,
-    CHEAP_METRICS,
     SearchResult,
     explore,
     explore_cascade,
+    metrics_fingerprint,
     search,
 )
 from repro.spec import load_spec
@@ -132,13 +132,30 @@ class TestTwoPhasePruning:
         assert best_pruned[1].energy_pj == best_exh[1].energy_pj
 
     def test_pruning_reprices_only_topk_on_buffered_specs(self, tensors):
+        """The analytical surrogate is approximate, so exactly the k
+        survivors are re-priced."""
         spec = load_spec(BUFFERED)
         result = search(spec, tensors, tile_sizes={"K": [8]}, prune_to=3,
-                        workers=1)
+                        prune_metrics="analytical", workers=1)
         assert result.n_scored == 12
         assert result.n_priced == 3
         assert result.stats["n_repriced"] == 3
         assert result.pruned_to == 3
+
+    def test_exact_phase1_reprices_nothing_on_buffered_specs(self, tensors):
+        """An exact phase 1 already priced the survivors trace-exactly:
+        nothing is re-priced, and the best candidate and its metrics
+        fingerprint equal the exhaustive traced sweep's."""
+        spec = load_spec(BUFFERED)
+        result = search(spec, tensors, tile_sizes={"K": [8]}, prune_to=3,
+                        workers=1)
+        assert result.stats["n_repriced"] == 0
+        assert result.n_priced == 3
+        exhaustive = search(spec, tensors, tile_sizes={"K": [8]},
+                            workers=1, metrics="trace")
+        assert result.best()[0] == exhaustive.best()[0]
+        assert metrics_fingerprint(result.best()[1]) \
+            == metrics_fingerprint(exhaustive.best()[1])
 
     def test_pruning_skips_phase2_without_buffers(self, tensors):
         """On sink-less specs the cheap pass is exact, so nothing is
@@ -150,12 +167,12 @@ class TestTwoPhasePruning:
         full = search(spec, tensors, workers=1)
         assert result.best()[0] == full.best()[0]
 
-    def test_counters_only_surrogate_runs_and_prices_exactly(self, tensors):
+    def test_analytical_surrogate_runs_and_prices_exactly(self, tensors):
         """The approximate surrogate still yields exact survivor metrics
-        (phase 2 re-prices with the traced reference)."""
+        (phase 2 re-prices them with an exact mode)."""
         spec = load_spec(BUFFERED)
         result = search(spec, tensors, prune_to=6,
-                        prune_metrics=CHEAP_METRICS, workers=1)
+                        prune_metrics="analytical", workers=1)
         reference = search(spec, tensors, workers=1, metrics="trace")
         exact = {c: r for c, r in reference.candidates}
         for cand, res in result.candidates:
@@ -172,6 +189,16 @@ class TestTwoPhasePruning:
     def test_prune_to_must_be_positive(self, tensors):
         with pytest.raises(ValueError):
             search(load_spec(BASE), tensors, prune_to=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"prune_to": 2, "prune_metrics": "counterz"},
+        {"metrics": "fused"},
+    ])
+    def test_unknown_search_modes_rejected(self, tensors, kwargs):
+        """An unknown mode fails the call up front, naming the known
+        modes, instead of failing every candidate into an empty sweep."""
+        with pytest.raises(ValueError, match="known: 'auto', 'trace'"):
+            search(load_spec(BASE), tensors, workers=1, **kwargs)
 
 
 class TestExecutorStrictness:

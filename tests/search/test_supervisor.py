@@ -31,6 +31,7 @@ from repro.search import (
     search,
 )
 from repro.search.journal import JOURNAL_NAME
+from repro.fibertree import Tensor
 from repro.spec import load_spec
 from repro.workloads import uniform_random
 
@@ -310,16 +311,17 @@ class TestKillAndResume:
     def test_pruned_sweep_resumes_phase2_bit_identically(self, plan,
                                                          tensors, tmp_path):
         spec = load_spec(BUFFERED)
-        baseline = search(spec, tensors, workers=1, prune_to=2)
+        pruned = dict(workers=1, prune_to=2, prune_metrics="analytical")
+        baseline = search(spec, tensors, **pruned)
         path = str(tmp_path / "sweep")
-        full = search(spec, tensors, workers=1, prune_to=2, journal=path)
+        full = search(spec, tensors, journal=path, **pruned)
         assert len(full.candidates) == 2
         # Tear mid-way through phase 2: all 6 phase-1 records survive,
         # the phase-2 records are lost.
         self._truncate(path, keep_lines=6)
 
         rule = plan.add("accelerator", "count")
-        resumed = search(spec, tensors, workers=1, prune_to=2, resume=path)
+        resumed = search(spec, tensors, resume=path, **pruned)
         assert resumed.stats["n_adopted"] == 6  # all of phase 1 adopted
         assert plan.fired(rule) == 2            # only phase 2 re-priced
         assert _fingerprints(resumed) == _fingerprints(baseline)
@@ -336,6 +338,24 @@ class TestKillAndResume:
         }
         with pytest.raises(ResumeMismatchError, match="workloads"):
             search(spec, other, workers=1, resume=path)
+
+    def test_resume_against_same_shape_different_values_raises(
+            self, tensors, tmp_path):
+        """Same rank ids, shape, and nnz but different values is a
+        different workload: the content digest must refuse the resume
+        rather than adopt the old results."""
+        spec = load_spec(BASE)
+        path = str(tmp_path / "sweep")
+        search(spec, tensors, workers=1, journal=path)
+        orig = tensors["A"]
+        a = Tensor.from_coo("A", orig.rank_ids,
+                            [(p, v + 1.0) for p, v in orig.points().items()],
+                            shape=orig.shape)
+        assert a.nnz == tensors["A"].nnz and a.shape == tensors["A"].shape
+        assert a.points() != tensors["A"].points()
+        with pytest.raises(ResumeMismatchError, match="workloads"):
+            search(spec, {"A": a, "B": tensors["B"]}, workers=1,
+                   resume=path)
 
 
 class TestEvaluateManySupervision:

@@ -297,7 +297,7 @@ einsum:
 
         a = uniform_random("A", ["K", "M"], (8, 8), 0.5, seed=1)
         base = store.result_key(spec, {"A": a}, "auto", "arithmetic", None)
-        assert store.result_key(spec, {"A": a}, "counters-only",
+        assert store.result_key(spec, {"A": a}, "analytical",
                                 "arithmetic", None) != base
         assert store.result_key(spec, {"A": a}, "auto", "arithmetic",
                                 {"K": 32}) != base
