@@ -21,9 +21,8 @@ coverage:
 	$(PYTHON) -m pytest tests -q --cov=repro --cov-report=term \
 	    --cov-fail-under=80
 
-# Every engine (interpreter / traced / counters / vector / object /
-# flat / fused) on 24-workload sweeps; appends to
-# benchmarks/BENCH_backend.json.
+# Every engine (interpreter / traced / flat / counters / vector) on
+# 24-workload sweeps; appends to benchmarks/BENCH_backend.json.
 bench-backend:
 	$(PYTHON) benchmarks/bench_backend.py
 

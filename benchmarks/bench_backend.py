@@ -639,14 +639,15 @@ def _run_analytical_accuracy() -> dict:
 def _run_supervised() -> dict:
     """The resumable-sweep contract at bench scale: a journaled sweep
     vs. the identical unjournaled one (journal overhead), then the
-    journal torn at its tail as a kill would and resumed — the resumed
-    sweep must adopt the surviving records and still land on the
-    bit-identical best candidate and metrics fingerprint."""
+    kill simulated by deleting committed result entries from the
+    journal's store and the sweep resumed — the resumed sweep must
+    adopt the surviving entries, re-evaluate the rest, and still land
+    on the bit-identical best candidate and metrics fingerprint."""
     import shutil
     import tempfile
 
-    from repro.search import SweepJournal, metrics_fingerprint, search
-    from repro.search.journal import JOURNAL_NAME
+    from repro.search import metrics_fingerprint, search
+    from repro.search.journal import read_status
 
     spec = load_spec(SPEC_SEARCH, name="supervised-sweep")
     tensors = {
@@ -670,25 +671,26 @@ def _run_supervised() -> dict:
         t_journaled = time.perf_counter() - t0
         assert journaled.best()[0] == plain.best()[0]
 
-        # Tear the journal the way a mid-append kill would: drop the
-        # final record and rip the last candidate record in half.
-        journal_file = os.path.join(path, JOURNAL_NAME)
-        lines = open(journal_file).readlines()
-        keep = len(lines) - 3
-        torn = lines[keep][: len(lines[keep]) // 2]
-        open(journal_file, "w").write("".join(lines[:keep]) + torn)
+        # Lose the last committed results the way a kill would: delete
+        # the three most recently written entries of the journal's store.
+        results = os.path.join(path, "store", "objects", "results")
+        entries = sorted((os.path.join(d, f)
+                          for d, _, files in os.walk(results)
+                          for f in files), key=os.path.getmtime)
+        for entry in entries[-3:]:
+            os.remove(entry)
 
         resumed = search(spec, tensors, resume=path, **kwargs)
-        assert resumed.stats["n_adopted"] > 0
+        assert resumed.stats["n_adopted"] == len(entries) - 3
         (cand_p, res_p), (cand_r, res_r) = plain.best(), resumed.best()
         assert cand_r == cand_p, (
             f"resumed best {cand_r.describe()} diverged from the "
             f"uninterrupted best {cand_p.describe()}"
         )
         assert metrics_fingerprint(res_r) == metrics_fingerprint(res_p)
-        final = SweepJournal.resume(path)
-        assert final.final["status"] == "complete"
-        final.close()
+        status = read_status(path)
+        assert status["status"] == "complete"
+        assert status["fingerprint"] == metrics_fingerprint(res_p)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return {"search_unjournaled": t_plain,

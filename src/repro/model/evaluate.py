@@ -1110,20 +1110,20 @@ def _process_one(payload) -> EvaluationResult:
 
     The child's compile cache is cold on the first workload and warm for
     the rest of that worker's share; specs, tensors, and results cross
-    the process boundary by pickle.  A six-field payload carries a
-    persistent-cache directory: the worker then consults/publishes the
-    shared store directly — result hits skip evaluation, kernel hits
-    skip lowering — which is what makes cold worker pools cheap.
+    the process boundary by pickle.  The payload is ``(spec, tensors,
+    opset name, shapes, metrics, cache_dir, kernels)``.  A
+    ``cache_dir`` names a persistent store: the worker then
+    consults/publishes the shared store directly — result hits skip
+    evaluation — and with ``kernels`` its compile cache is store-backed
+    too, so kernel hits skip lowering, which is what makes cold worker
+    pools cheap.
     """
-    cache_dir = None
-    if len(payload) == 5:
-        spec, tensors, opset_name, shapes, metrics = payload
-    else:
-        spec, tensors, opset_name, shapes, metrics, cache_dir = payload
-    if cache_dir is None:
-        return evaluate(spec, tensors, opset=NAMED_OPSETS[opset_name],
-                        shapes=shapes, metrics=metrics)
-    store, engine = _worker_store(cache_dir)
+    spec, tensors, opset_name, shapes, metrics, cache_dir, kernels = payload
+    store = engine = None
+    if cache_dir is not None:
+        store, engine = _worker_store(cache_dir)
+        if not kernels:
+            engine = None
     return evaluate(spec, tensors, opset=NAMED_OPSETS[opset_name],
                     shapes=shapes, metrics=metrics, backend=engine,
                     cache=store)
@@ -1264,9 +1264,8 @@ def evaluate_many(
             range(len(workloads)),
             lambda i: one(workloads[i]),
             payload=lambda i: (
-                (spec, workloads[i], token, shapes, metrics)
-                if store is None else
-                (spec, workloads[i], token, shapes, metrics, store.path)
+                spec, workloads[i], token, shapes, metrics,
+                None if store is None else store.path, True,
             ),
             process_worker=_process_one,
         )

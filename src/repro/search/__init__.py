@@ -15,16 +15,20 @@ It splits the problem into three orthogonal pieces:
   :func:`explore_cascade`;
 * :mod:`repro.search.supervisor` / :mod:`repro.search.journal` — the
   fault-tolerance layer: per-candidate timeouts, bounded retry with
-  failure classification, broken-pool recovery, and crash-safe
-  journal/manifest artifacts behind ``search(..., journal=...)`` and
-  bit-identical resumption behind ``search(..., resume=...)``;
+  failure classification, broken-pool recovery, and the manifest +
+  status files behind ``search(..., journal=...)`` and bit-identical
+  resumption behind ``search(..., resume=...)``;
 * :mod:`repro.search.jobs` — the same sweep as an on-disk batch job:
   :func:`submit` shards the space into a job directory, any number of
   independent worker processes :func:`claim` leased shards (abandoned
   leases expire and are re-claimed), and :func:`gather` assembles a
-  result bit-identical to an in-process ``search()``.  Pairs with the
-  cross-process persistent cache (:mod:`repro.store`, exposed as
-  ``search(..., cache=dir)``).
+  result bit-identical to an in-process ``search()``.
+
+Every per-candidate outcome — of a cached or journaled sweep and of a
+job — is written to one place, the cross-process persistent store
+(:mod:`repro.store`, exposed as ``search(..., cache=dir)``): results
+and deterministic failures under content keys, which is what resume
+and gather read back.
 
 ``repro.explore`` remains as a thin compatibility shim over this package.
 """
@@ -43,13 +47,13 @@ from .jobs import (
 from .journal import (
     JournalError,
     ResumeMismatchError,
-    SweepJournal,
     candidate_key,
 )
 from .results import (
     CascadeSearchResult,
     ExplorationResult,
     SearchResult,
+    check_metric,
     metric_value,
     metrics_fingerprint,
 )
@@ -100,10 +104,10 @@ __all__ = [
     "SearchStrategy",
     "ShardClaim",
     "SweepDegradationWarning",
-    "SweepJournal",
     "SweepSupervisor",
     "apply_candidate",
     "candidate_key",
+    "check_metric",
     "claim",
     "classify_failure",
     "enumerate_candidates",

@@ -5,80 +5,96 @@ turns a sweep into an on-disk **job directory** that any number of
 unrelated worker processes — different shells, different machines on a
 shared filesystem — chew through cooperatively and crash-safely:
 
-* :func:`submit` enumerates the mapping space deterministically, splits
-  the candidates round-robin into ``shards`` shard files, and writes the
-  job manifest plus a checksummed pickled payload (spec + tensors +
-  evaluation parameters).  Everything is committed write-temp →
-  ``fsync`` → ``os.replace``, so a job directory is never observed
-  half-submitted.
+* :func:`submit` checks the metric and metrics mode, enumerates the
+  mapping space deterministically, splits the candidates round-robin
+  into ``shards`` shard files, and writes the job manifest plus a
+  checksummed pickled payload (spec + tensors).  Everything is committed
+  write-temp → ``fsync`` → ``os.replace``, so a job directory is never
+  observed half-submitted.
 * :func:`claim` hands a worker the next available shard under an
   advisory ``flock`` on ``claim.lock``: done shards are skipped, live
   leases are respected, and a lease whose heartbeat is older than
   ``lease_ttl`` is **expired and re-claimed** — a worker that died
   mid-shard (kill -9, OOM, lost machine) never strands its shard.
-* :class:`ShardClaim` is the worker's side of the lease: it heartbeats
-  between candidates, appends one checksummed JSONL record per priced
-  candidate (the journal record schema, plus a per-line digest), and
-  commits an atomic done marker when the shard is exhausted.  Records
-  already on disk — its own from a previous life, or a presumed-dead
-  predecessor's — are adopted, not recomputed.
-* :func:`poll` summarizes progress; :func:`gather` assembles the
-  finished job into a :class:`~repro.search.results.SearchResult`
-  **bit-identical** to what a serial in-process ``search()`` over the
-  same space would return (results travel as pickled payloads, exactly
-  like journal resume adoption).
+* :func:`run_worker` evaluates each claimed shard's pending candidates
+  into the job's :class:`~repro.store.PersistentStore` — the manifest's
+  ``cache``, else ``store/`` inside the job directory — heartbeating
+  between candidates, and commits an atomic done marker when the shard
+  is exhausted.  Results and deterministic failures are store entries
+  under the same content keys ``search(cache=...)`` uses, so a job and
+  a cached search over one store share them.  A candidate already in
+  the store — from this worker's previous life, a presumed-dead
+  predecessor, or another sweep — is adopted, not recomputed.  A
+  transient error propagates: the lease then expires and another
+  worker retries the shard.
+* :func:`poll` summarizes progress; :func:`gather` reads every stored
+  result back in enumeration order into a
+  :class:`~repro.search.results.SearchResult` **bit-identical** to what
+  a serial in-process ``search()`` over the same space would return.
 
 Two workers can transiently hold one shard — lease takeover is by
 timeout, and the presumed-dead worker may still be running.  That is
 safe by construction rather than prevented: every evaluation is
-deterministic (both writers compute bit-identical results), every
-result line carries its own checksum (a torn or interleaved line is
-detected and dropped, then recomputed or supplied by the other
-writer's copy), and the loader deduplicates by candidate key.  The
-``cache=`` store (shared with :func:`search`; see :mod:`repro.store`)
-plugs in underneath so duplicated work degrades to a cache hit.
+deterministic (both writers compute bit-identical results), and the
+store's ``put`` adopts an already-committed entry instead of replacing
+it, so both writers converge on one entry per candidate.  A torn or
+corrupt entry is quarantined when read, which makes its candidate
+pending again for the next claimant.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pickle
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..einsum.operators import NAMED_OPSETS
 from ..model.backend import spec_fingerprint
-from ..model.evaluate import evaluate
-from ..model.executor import fault_point
+from ..model.evaluate import (
+    _opset_token,
+    _worker_store,
+    check_metrics_mode,
+    evaluate,
+)
 from ..spec.loader import AcceleratorSpec
 from ..store.persistent import (
+    MISS,
     PayloadVersionError,
+    PersistentStore,
     _FileLock,
-    read_entry,
     entry_meta,
+    read_entry,
     write_entry,
 )
 from .journal import (
-    FORMAT_VERSION,
-    PICKLE_PROTOCOL,
     JournalError,
-    _pack_result,
-    _unpack_result,
+    atomic_json,
     candidate_from_json,
     candidate_key,
     candidate_to_json,
+    read_json,
     workloads_fingerprint,
 )
-from .results import SearchResult, metric_value, metrics_fingerprint
+from .results import SearchResult, check_metric, metric_value
 from .runner import _einsum_ranks, _resolve_einsum
 from .space import Candidate, MappingSpace, apply_candidate
+from .supervisor import DETERMINISTIC, FailureRecord, classify_failure
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.bin"
+#: The job's own result store (used when the manifest names no cache).
+STORE_NAME = "store"
+
+#: Job directory layout version; bump on incompatible layout changes.
+FORMAT_VERSION = 2
+
+#: The protocol the job payload is pickled with, stamped into the
+#: manifest so a worker on an older Python fails with a named
+#: :class:`~repro.store.PayloadVersionError`.
+PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Default seconds without a heartbeat before a lease counts as
 #: abandoned and the shard becomes claimable again.
@@ -89,56 +105,12 @@ class JobError(JournalError):
     """A job directory is missing, malformed, or used inconsistently."""
 
 
-def _atomic_json(path: str, obj: Any, fsync: bool = True) -> None:
-    """Commit a JSON file atomically (write-temp + fsync + replace)."""
-    tmp = path + f".tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    fault_point(f"jobs-commit:{os.path.basename(path)}")
-    os.replace(tmp, path)
-
-
-def _read_json(path: str) -> Optional[Any]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        return None
-    except json.JSONDecodeError:
-        # Atomically committed files are never half-written; treat any
-        # unparsable file as absent (a stamped-on lease mid-replace on
-        # a non-POSIX filesystem, at worst) rather than crashing.
-        return None
-
-
-def _record_line(record: Dict[str, Any]) -> str:
-    """One self-verifying JSONL line: the record plus its own digest."""
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return json.dumps({"r": record, "sha": digest},
-                      sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _parse_line(line: bytes) -> Optional[Dict[str, Any]]:
-    """The verified record of one line, or None (torn / interleaved)."""
-    try:
-        wrapper = json.loads(line.decode("utf-8"))
-        record = wrapper["r"]
-        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
-        return None
-    if digest != wrapper.get("sha"):
-        return None
-    return record
-
-
 def default_worker_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
+
+
+def _shard_file(path: str, kind: str, sid: int, suffix: str = "") -> str:
+    return os.path.join(path, kind, f"shard-{sid:04d}{suffix}")
 
 
 # ----------------------------------------------------------------------
@@ -168,16 +140,25 @@ def submit(
     ``opset`` must be a *named* opset (or None for arithmetic): workers
     rebuild it by name, exactly like the process-pool payloads.
     ``cache`` (a directory path) is recorded in the manifest; every
-    worker then routes its evaluations through that shared
-    :class:`~repro.store.PersistentStore`.
+    worker then publishes into that shared
+    :class:`~repro.store.PersistentStore` instead of the job's own.
+    An unknown ``metric`` or ``metrics`` mode raises ``ValueError``
+    before anything is written, and so does ``metrics="analytical"``:
+    the store never holds the approximate tier.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    from ..model.evaluate import _opset_token
+    check_metric(metric)
+    check_metrics_mode(metrics)
+    if metrics == "analytical":
+        raise ValueError(
+            "a job publishes its results to a result store, which never "
+            "holds the approximate analytical tier; run "
+            "search(metrics='analytical') instead"
+        )
     from ..einsum.operators import ARITHMETIC
 
-    ops = ARITHMETIC if opset is None else opset
-    token = _opset_token(ops)
+    token = _opset_token(ARITHMETIC if opset is None else opset)
     if token is None:
         raise JobError(
             "submit() requires a named opset (repro.einsum.operators."
@@ -190,8 +171,7 @@ def submit(
     if not candidates:
         raise JobError("the mapping space is empty; nothing to submit")
 
-    os.makedirs(path, exist_ok=True)
-    for sub in ("shards", "leases", "results", "done"):
+    for sub in ("shards", "leases", "done"):
         os.makedirs(os.path.join(path, sub), exist_ok=True)
 
     shard_lists: List[List[Candidate]] = [[] for _ in range(shards)]
@@ -202,8 +182,8 @@ def submit(
         if not cands:
             continue  # more shards than candidates
         shard_ids.append(sid)
-        _atomic_json(
-            os.path.join(path, "shards", f"shard-{sid:04d}.json"),
+        atomic_json(
+            _shard_file(path, "shards", sid, ".json"),
             {"shard": sid,
              "candidates": [candidate_to_json(c) for c in cands]},
         )
@@ -233,7 +213,7 @@ def submit(
         "shards": shard_ids,
         "n_candidates": len(candidates),
     }
-    _atomic_json(os.path.join(path, MANIFEST_NAME), manifest)
+    atomic_json(os.path.join(path, MANIFEST_NAME), manifest)
     # Touch the claim lock file so claimants need no create race.
     with open(os.path.join(path, "claim.lock"), "ab"):
         pass
@@ -241,7 +221,7 @@ def submit(
 
 
 def _load_manifest(path: str) -> Dict[str, Any]:
-    manifest = _read_json(os.path.join(path, MANIFEST_NAME))
+    manifest = read_json(os.path.join(path, MANIFEST_NAME))
     if manifest is None:
         raise JobError(
             f"no job manifest at {os.path.join(path, MANIFEST_NAME)!r}; "
@@ -255,7 +235,61 @@ def _load_manifest(path: str) -> Dict[str, Any]:
             f"{pickle.HIGHEST_PROTOCOL}; run workers on the Python "
             "version that submitted the job"
         )
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise JobError(
+            f"the job at {path!r} has layout version "
+            f"{manifest.get('format_version')!r}, but this library reads "
+            f"version {FORMAT_VERSION}; submit the job again"
+        )
     return manifest
+
+
+class _Job:
+    """One job directory opened for work: its manifest, the submitted
+    spec and tensors, and the store its results live in."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.manifest = _load_manifest(path)
+        _meta, blob = read_entry(os.path.join(path, PAYLOAD_NAME))
+        payload = pickle.loads(blob)
+        self.spec, self.tensors = payload["spec"], payload["tensors"]
+        self.engine = None
+        cache = self.manifest["cache"]
+        if cache is not None:
+            self.store, self.engine = _worker_store(cache)
+        else:
+            # The job's own store holds results only: no kernels.
+            self.store = PersistentStore(os.path.join(path, STORE_NAME))
+
+    def shard(self, sid: int) -> List[Candidate]:
+        shard = read_json(_shard_file(self.path, "shards", sid, ".json"))
+        if shard is None:
+            raise JobError(f"shard file for shard {sid} is missing or "
+                           f"corrupt in {self.path!r}")
+        return [candidate_from_json(c) for c in shard["candidates"]]
+
+    def done(self, sid: int) -> bool:
+        return os.path.exists(_shard_file(self.path, "done", sid))
+
+    def key(self, cand: Candidate) -> str:
+        m = self.manifest
+        return self.store.result_key(
+            apply_candidate(self.spec, m["einsum"], cand), self.tensors,
+            m["metrics"], m["opset"], m["shapes"])
+
+    def outcome(self, cand: Candidate) -> Any:
+        """The stored result of ``cand``, its stored
+        :class:`~repro.search.supervisor.FailureRecord`, or
+        :data:`~repro.store.MISS`."""
+        key = self.key(cand)
+        result = self.store.get_result(key)
+        if result is not MISS:
+            return result
+        failure = self.store.get_failure(key)
+        if failure is MISS:
+            return MISS
+        return FailureRecord(item=cand, key=candidate_key(cand), **failure)
 
 
 # ----------------------------------------------------------------------
@@ -279,52 +313,31 @@ class JobStatus:
 
 def poll(path: str, lease_ttl: float = DEFAULT_LEASE_TTL,
          clock=time.time) -> JobStatus:
-    """Summarize a job's progress (done / live-leased / open shards).
+    """Summarize a job's progress (done / live-leased / open shards, and
+    candidates with a stored outcome).
 
     ``clock`` is the wall-clock source leases are judged against —
     injectable so tests expire leases without sleeping.
     """
-    manifest = _load_manifest(path)
+    job = _Job(path)
     now = clock()
     done = leased = candidates_done = 0
-    for sid in manifest["shards"]:
-        if os.path.exists(os.path.join(path, "done", f"shard-{sid:04d}")):
+    for sid in job.manifest["shards"]:
+        if job.done(sid):
             done += 1
         else:
-            lease = _read_json(
-                os.path.join(path, "leases", f"shard-{sid:04d}.lease"))
+            lease = read_json(_shard_file(path, "leases", sid, ".lease"))
             if lease is not None and now - lease["heartbeat"] < lease_ttl:
                 leased += 1
-        candidates_done += len(_shard_results(path, sid))
-    total = len(manifest["shards"])
+        candidates_done += sum(job.outcome(c) is not MISS
+                               for c in job.shard(sid))
+    total = len(job.manifest["shards"])
     return JobStatus(
         shards_total=total, shards_done=done, shards_leased=leased,
         shards_open=total - done - leased,
-        candidates_total=manifest["n_candidates"],
+        candidates_total=job.manifest["n_candidates"],
         candidates_done=candidates_done,
     )
-
-
-def _shard_results(path: str, sid: int) -> Dict[str, Dict[str, Any]]:
-    """Verified records of one shard, deduplicated by candidate key.
-
-    First record wins on duplicates — a takeover race appends the same
-    deterministic result twice at worst.  Torn or interleaved lines
-    fail their checksum and are dropped (the surviving writer, or the
-    next claimant, re-supplies them).
-    """
-    out: Dict[str, Dict[str, Any]] = {}
-    try:
-        fh = open(os.path.join(path, "results", f"shard-{sid:04d}.jsonl"),
-                  "rb")
-    except FileNotFoundError:
-        return out
-    with fh:
-        for line in fh:
-            record = _parse_line(line)
-            if record is not None and record["key"] not in out:
-                out[record["key"]] = record
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -332,79 +345,39 @@ def _shard_results(path: str, sid: int) -> Dict[str, Dict[str, Any]]:
 # ----------------------------------------------------------------------
 @dataclass
 class ShardClaim:
-    """A worker's lease on one shard: heartbeat, record, complete."""
+    """A worker's lease on one shard: heartbeat, pending work, complete."""
 
-    path: str
+    job: _Job
     shard: int
     worker: str
     epoch: int
     candidates: List[Candidate]
-    done_keys: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     clock: Any = time.time
 
     @property
+    def store(self) -> PersistentStore:
+        """The store this shard's outcomes are published to."""
+        return self.job.store
+
+    @property
     def pending(self) -> List[Candidate]:
-        """Candidates of this shard not yet recorded on disk."""
-        return [c for c in self.candidates
-                if candidate_key(c) not in self.done_keys]
+        """Candidates of this shard with neither a stored result nor a
+        stored failure."""
+        return [c for c in self.candidates if self.job.outcome(c) is MISS]
 
     def heartbeat(self) -> None:
         """Re-stamp the lease so it stays live past ``lease_ttl``."""
-        _atomic_json(
-            os.path.join(self.path, "leases",
-                         f"shard-{self.shard:04d}.lease"),
+        atomic_json(
+            _shard_file(self.job.path, "leases", self.shard, ".lease"),
             {"worker": self.worker, "epoch": self.epoch,
              "heartbeat": self.clock()},
             fsync=False,  # a lost heartbeat only risks a takeover
         )
 
-    def record(self, cand: Candidate, result, score: float) -> None:
-        """Append one priced candidate (checksummed, flushed whole)."""
-        record = {
-            "type": "result",
-            "phase": 1,
-            "key": candidate_key(cand),
-            "candidate": candidate_to_json(cand),
-            "score": score,
-            "fingerprint": metrics_fingerprint(result),
-            "payload": _pack_result(result),
-            "worker": self.worker,
-            "epoch": self.epoch,
-        }
-        fault_point(f"jobs-record:shard-{self.shard:04d}")
-        with open(os.path.join(self.path, "results",
-                               f"shard-{self.shard:04d}.jsonl"),
-                  "ab") as fh:
-            fh.write(_record_line(record).encode("utf-8"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.done_keys[record["key"]] = record
-
-    def record_failure(self, cand: Candidate, error: str) -> None:
-        record = {
-            "type": "failure",
-            "phase": 1,
-            "key": candidate_key(cand),
-            "candidate": candidate_to_json(cand),
-            "error": error,
-            "worker": self.worker,
-            "epoch": self.epoch,
-        }
-        with open(os.path.join(self.path, "results",
-                               f"shard-{self.shard:04d}.jsonl"),
-                  "ab") as fh:
-            fh.write(_record_line(record).encode("utf-8"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.done_keys[record["key"]] = record
-
     def complete(self) -> None:
         """Commit the shard's done marker (idempotent)."""
-        _atomic_json(
-            os.path.join(self.path, "done", f"shard-{self.shard:04d}"),
-            {"worker": self.worker, "epoch": self.epoch,
-             "n": len(self.done_keys)},
-        )
+        atomic_json(_shard_file(self.job.path, "done", self.shard),
+                    {"worker": self.worker, "epoch": self.epoch})
 
 
 def claim(path: str, worker: Optional[str] = None,
@@ -417,48 +390,34 @@ def claim(path: str, worker: Optional[str] = None,
     *simultaneously*.  A shard is claimable when it has no done marker
     and either no lease or a lease whose last heartbeat is older than
     ``lease_ttl`` seconds by ``clock`` — the stale lease is overwritten
-    with a fresh one at the next epoch (the takeover is visible in the
-    shard's records).  The dead worker is *presumed* dead, not fenced:
-    should it wake up and keep appending, checksummed dup-tolerant
-    records keep the shard consistent (see the module docstring).
+    with a fresh one at the next epoch.  The dead worker is *presumed*
+    dead, not fenced: should it wake up and keep publishing, the
+    store's adopt-the-winner ``put`` keeps the shard consistent (see
+    the module docstring).
     """
-    manifest = _load_manifest(path)
+    return _claim(_Job(path), worker, lease_ttl, clock)
+
+
+def _claim(job: _Job, worker: Optional[str], lease_ttl: float,
+           clock) -> Optional[ShardClaim]:
     if worker is None:
         worker = default_worker_id()
-    with _FileLock(os.path.join(path, "claim.lock")):
+    with _FileLock(os.path.join(job.path, "claim.lock")):
         now = clock()
-        for sid in manifest["shards"]:
-            if os.path.exists(os.path.join(path, "done",
-                                           f"shard-{sid:04d}")):
+        for sid in job.manifest["shards"]:
+            if job.done(sid):
                 continue
-            lease_path = os.path.join(path, "leases",
-                                      f"shard-{sid:04d}.lease")
-            lease = _read_json(lease_path)
+            lease_path = _shard_file(job.path, "leases", sid, ".lease")
+            lease = read_json(lease_path)
             if lease is not None and now - lease["heartbeat"] < lease_ttl:
                 continue  # live lease held by someone else
             epoch = (lease["epoch"] + 1) if lease else 1
-            _atomic_json(lease_path, {"worker": worker, "epoch": epoch,
-                                      "heartbeat": now})
-            shard = _read_json(os.path.join(path, "shards",
-                                            f"shard-{sid:04d}.json"))
-            if shard is None:
-                raise JobError(
-                    f"shard file for shard {sid} is missing or corrupt "
-                    f"in {path!r}"
-                )
-            return ShardClaim(
-                path=path, shard=sid, worker=worker, epoch=epoch,
-                candidates=[candidate_from_json(c)
-                            for c in shard["candidates"]],
-                done_keys=_shard_results(path, sid),
-                clock=clock,
-            )
+            atomic_json(lease_path, {"worker": worker, "epoch": epoch,
+                                     "heartbeat": now})
+            return ShardClaim(job=job, shard=sid, worker=worker,
+                              epoch=epoch, candidates=job.shard(sid),
+                              clock=clock)
     return None
-
-
-def _job_payload(path: str):
-    _meta, blob = read_entry(os.path.join(path, PAYLOAD_NAME))
-    return pickle.loads(blob)
 
 
 def run_worker(path: str, worker: Optional[str] = None,
@@ -467,47 +426,37 @@ def run_worker(path: str, worker: Optional[str] = None,
     """Claim and complete shards until the job has none left to give.
 
     The drain loop of one worker process: claim a shard, evaluate its
-    pending candidates (heartbeating after every candidate, so a live
-    worker on a slow candidate is never mistaken for a dead one between
-    candidates), append each result, commit the done marker, repeat.
-    Already-recorded candidates — from this worker's previous life or a
-    predecessor whose lease expired — are adopted, never recomputed.
-    Returns the number of shards this call completed.  ``max_shards``
-    bounds the loop (tests claim one shard at a time with it).
+    pending candidates into the job's store (heartbeating after every
+    candidate, so a live worker on a slow candidate is never mistaken
+    for a dead one between candidates), commit the done marker, repeat.
+    A deterministic failure is stored as the candidate's outcome; any
+    other error propagates and leaves the lease to expire, so another
+    worker retries the shard.  Returns the number of shards this call
+    completed.  ``max_shards`` bounds the loop (tests claim one shard
+    at a time with it).
     """
-    manifest = _load_manifest(path)
-    payload = _job_payload(path)
-    spec, tensors = payload["spec"], payload["tensors"]
-    einsum = manifest["einsum"]
-    opset = NAMED_OPSETS[manifest["opset"]]
-    shapes = manifest["shapes"]
-    metrics = manifest["metrics"]
-    metric = manifest["metric"]
-    cache = manifest.get("cache")
-    if cache is not None:
-        from ..model.evaluate import _worker_store
-
-        store, engine = _worker_store(cache)
-    else:
-        store = engine = None
+    job = _Job(path)
+    m = job.manifest
+    opset = NAMED_OPSETS[m["opset"]]
     completed = 0
     while max_shards is None or completed < max_shards:
-        shard_claim = claim(path, worker, lease_ttl=lease_ttl, clock=clock)
+        shard_claim = _claim(job, worker, lease_ttl, clock)
         if shard_claim is None:
             break
         for cand in shard_claim.pending:
-            cand_spec = apply_candidate(spec, einsum, cand)
             try:
-                result = evaluate(
-                    cand_spec, dict(tensors), opset=opset, shapes=shapes,
-                    metrics=metrics, backend=engine, cache=store,
-                )
-            except Exception as exc:  # recorded, not fatal to the shard
-                shard_claim.record_failure(cand, f"{type(exc).__name__}: "
-                                                 f"{exc}")
-            else:
-                shard_claim.record(cand, result,
-                                   metric_value(result, metric))
+                evaluate(apply_candidate(job.spec, m["einsum"], cand),
+                         dict(job.tensors), opset=opset, shapes=m["shapes"],
+                         metrics=m["metrics"], backend=job.engine,
+                         cache=job.store)
+            except Exception as exc:
+                if classify_failure(exc) != DETERMINISTIC:
+                    raise
+                job.store.put_failure(job.key(cand), FailureRecord(
+                    item=cand, key=candidate_key(cand), kind="error",
+                    classification=DETERMINISTIC, error=repr(exc),
+                    attempts=1,
+                ).entry())
             shard_claim.heartbeat()
         shard_claim.complete()
         completed += 1
@@ -521,63 +470,50 @@ def gather(path: str, strict: bool = True) -> SearchResult:
     """Assemble a finished job into a ranked
     :class:`~repro.search.results.SearchResult`.
 
-    Results are re-interleaved into the original enumeration order
-    (candidate ``i`` came from position ``i // shards`` of shard
-    ``i % shards``), and every evaluation payload is unpickled exactly
-    as journal resume adoption does — so the gathered result is
-    bit-identical (metrics fingerprints included) to a serial
+    Every candidate's stored outcome is read back in the original
+    enumeration order (candidate ``i`` sits at position ``i // shards``
+    of shard ``i % shards``) and scored with
+    :func:`~repro.search.results.metric_value` — so the gathered result
+    is bit-identical (metrics fingerprints included) to a serial
     in-process ``search()`` over the same space.  With ``strict=True``
     (the default) an unfinished job raises :class:`JobError`; pass
     ``strict=False`` to gather a partial snapshot mid-flight.
     """
-    manifest = _load_manifest(path)
-    status = poll(path)
-    if strict and not status.done:
+    job = _Job(path)
+    m = job.manifest
+    shard_ids = m["shards"]
+    n_done = sum(job.done(sid) for sid in shard_ids)
+    if strict and n_done < len(shard_ids):
         raise JobError(
-            f"job at {path!r} is not finished ({status.shards_done}/"
-            f"{status.shards_total} shards done); run more workers or "
-            "gather(strict=False) for a partial snapshot"
+            f"job at {path!r} is not finished ({n_done}/{len(shard_ids)} "
+            "shards done); run more workers or gather(strict=False) for a "
+            "partial snapshot"
         )
-    # Round-robin inverse: candidate i of the original enumeration sits
-    # at position i // n_shards of shard i % n_shards (the non-empty
-    # shard ids are dense by construction, whatever shard count was
-    # requested at submit time).
-    n_shards = len(manifest["shards"])
-    shard_cands: Dict[int, List[Candidate]] = {}
-    shard_records: Dict[int, Dict[str, Dict[str, Any]]] = {}
-    for sid in manifest["shards"]:
-        shard = _read_json(os.path.join(path, "shards",
-                                        f"shard-{sid:04d}.json"))
-        if shard is None:
-            raise JobError(f"shard file for shard {sid} is missing or "
-                           f"corrupt in {path!r}")
-        shard_cands[sid] = [candidate_from_json(c)
-                            for c in shard["candidates"]]
-        shard_records[sid] = _shard_results(path, sid)
-
+    # The non-empty shard ids are dense by construction, whatever shard
+    # count was requested at submit time.
+    shard_cands = {sid: job.shard(sid) for sid in shard_ids}
     candidates = []
     scores = []
-    failures: List[Dict[str, Any]] = []
-    for i in range(manifest["n_candidates"]):
-        sid = manifest["shards"][i % n_shards]
-        cand = shard_cands[sid][i // n_shards]
-        record = shard_records[sid].get(candidate_key(cand))
-        if record is None:
-            continue  # unfinished (strict=False) or torn tail
-        if record["type"] == "failure":
-            failures.append(record)
+    failures: List[FailureRecord] = []
+    for i in range(m["n_candidates"]):
+        cand = shard_cands[shard_ids[i % len(shard_ids)]][
+            i // len(shard_ids)]
+        outcome = job.outcome(cand)
+        if outcome is MISS:
+            continue  # unfinished (strict=False) or a quarantined entry
+        if isinstance(outcome, FailureRecord):
+            failures.append(outcome)
             continue
-        result = _unpack_result(record["payload"])
-        candidates.append((cand, result))
-        scores.append((cand, record["score"]))
+        candidates.append((cand, outcome))
+        scores.append((cand, metric_value(outcome, m["metric"])))
     return SearchResult(
         candidates=candidates,
         scores=scores,
         strategy="jobs",
-        metric=manifest["metric"],
+        metric=m["metric"],
         pruned_to=None,
         stats={
-            "shards": status.shards_total,
+            "shards": len(shard_ids),
             "n_scored": len(candidates),
             "n_failed": len(failures),
         },

@@ -1,72 +1,71 @@
-"""Crash-safe sweep artifacts: the result journal and the run manifest.
+"""Sweep checkpoints: a manifest, a status file, and the result store.
 
-A supervised sweep (:class:`~repro.search.supervisor.SweepSupervisor`
-driving :func:`~repro.search.runner.search`) persists its progress as
-two files inside one journal directory:
+A journaled sweep (``search(..., journal=path)``) keeps two small JSON
+files in its directory and writes every per-candidate outcome to a
+:class:`~repro.store.PersistentStore`:
 
 ``manifest.json``
     Everything that *identifies* the sweep — the canonical spec
     fingerprint (:func:`~repro.model.backend.spec_fingerprint`), a
     content fingerprint per workload tensor, the Einsum, metric and
     metrics modes, the pruning configuration, and the strategy signature
-    (name + public scalar parameters, seeds included).  Written once,
-    via write-to-temp + :func:`os.replace`, so a reader never observes a
-    half-written manifest.  Fields that cannot change the result —
-    worker counts, executor kind, timeouts — are recorded for the audit
-    trail but excluded from the resume identity check.
+    (name + public scalar parameters, seeds included) — plus ``store``,
+    the directory of the store holding the sweep's results: the
+    ``cache=`` store when one was given, else ``store/`` inside the
+    journal directory.  Committed atomically (write-temp + ``fsync`` +
+    :func:`os.replace`) at the start of every run.  Fields that cannot
+    change the result — worker counts, executor kind, timeouts — are
+    recorded for the audit trail but excluded from the resume identity
+    check.
 
-``journal.jsonl``
-    An append-only record stream, one JSON object per line, flushed per
-    record: phase-1 scores and phase-2 exact metrics per candidate
-    (with an optional pickled :class:`~repro.model.evaluate.EvaluationResult`
-    payload so resumed sweeps adopt results bit-identically), failure
-    records, and a ``final`` marker.  Because the file only ever grows
-    by whole lines, a crash can corrupt at most the tail; the resume
-    loader tolerates a truncated last line and replays everything
-    before it.
+``status.json``
+    Committed atomically when a run ends: ``status`` (``"complete"`` or
+    ``"interrupted"``) and, for a complete run that priced anything, the
+    best candidate's key and metrics fingerprint.  Every run removes it
+    when it starts, so a missing status means the last run is still
+    going or was killed.
 
-Resume (``search(..., resume=path)``) re-runs the (deterministic)
-strategy from scratch and *adopts* every journaled completion instead of
-re-evaluating it, so a killed sweep continues exactly where it stopped
-and finishes with a :class:`~repro.search.results.SearchResult`
-bit-identical to an uninterrupted run.  A manifest that does not match
-the resuming call raises :class:`ResumeMismatchError` naming each
-differing field — resuming a sweep under a different spec, workload, or
-strategy would silently mix incompatible results otherwise.
+Results live in the store under the content key every cached evaluation
+uses (:meth:`~repro.store.PersistentStore.result_key`); deterministic
+failures live under the store's ``failures`` namespace with the same
+key.  Each entry is committed atomically and checksummed on its own, so
+a kill loses at most the candidate being written, and a torn or corrupt
+entry is quarantined and re-evaluated.  The journal's own store holds
+results only — no compiled kernels — so checkpointing costs one entry
+write per candidate.
+
+Resume (``search(..., resume=path)``) checks the manifest against the
+resuming call, then re-runs the (deterministic) strategy from scratch.
+Like every store-backed sweep, the runner adopts each stored result and
+stored deterministic failure before dispatch, so a killed sweep
+evaluates only what is missing and finishes with a
+:class:`~repro.search.results.SearchResult` bit-identical to an
+uninterrupted run.  A manifest that does not match the resuming call
+raises :class:`ResumeMismatchError` naming each differing field —
+resuming a sweep under a different spec, workload, or strategy would
+silently mix incompatible results otherwise.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import io
 import json
 import os
-import pickle
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..store.persistent import PayloadVersionError, tensor_digest
+from ..model.executor import fault_point
+from ..store.persistent import tensor_digest
 from .space import Candidate
 
-#: Journal/manifest schema version; bump on incompatible layout changes.
-FORMAT_VERSION = 1
-
-#: The protocol result payloads are pickled with.  Stamped into every
-#: manifest so a reader on an older Python — whose
-#: ``pickle.HIGHEST_PROTOCOL`` is lower — fails with a named
-#: :class:`~repro.store.PayloadVersionError` at resume time instead of
-#: an opaque ``ValueError`` deep inside the first ``unpack``.
-PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
 MANIFEST_NAME = "manifest.json"
-JOURNAL_NAME = "journal.jsonl"
+STATUS_NAME = "status.json"
+#: The journal's own result store, relative to the journal directory.
+STORE_NAME = "store"
 
 #: Manifest fields that must match for a resume to be sound.  Everything
-#: else (workers, executor, timeouts, library version, timestamps) can
-#: differ between the original run and the resume without changing the
-#: result.
+#: else (workers, executor, timeouts, library version, the store path)
+#: can differ between the original run and the resume without changing
+#: the result.
 IDENTITY_FIELDS = (
-    "format_version",
     "spec_fingerprint",
     "workloads",
     "einsum",
@@ -110,7 +109,7 @@ def candidate_from_json(data: Dict[str, Any]) -> Candidate:
 
 
 def candidate_key(cand: Candidate) -> str:
-    """The canonical string key a candidate journals under."""
+    """The canonical string key naming a candidate in sweep artifacts."""
     return json.dumps(candidate_to_json(cand), sort_keys=True,
                       separators=(",", ":"))
 
@@ -151,246 +150,94 @@ def strategy_signature(strategy) -> Dict[str, Any]:
     return sig
 
 
-def _pack_result(result) -> str:
-    return base64.b64encode(
-        pickle.dumps(result, protocol=PICKLE_PROTOCOL)
-    ).decode("ascii")
-
-
-def _unpack_result(blob: str):
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
-
-
-def manifest_fingerprint(manifest: Dict[str, Any]) -> str:
-    """A digest over the manifest's identity fields (audit convenience)."""
-    payload = json.dumps(
-        {k: manifest.get(k) for k in IDENTITY_FIELDS},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 # ----------------------------------------------------------------------
-# The journal
+# Atomic JSON files
 # ----------------------------------------------------------------------
-class SweepJournal:
-    """One sweep's crash-safe artifact directory.
-
-    Construct through :meth:`create` (fresh sweep; writes the manifest
-    atomically and truncates any previous journal at ``path``) or
-    :meth:`resume` (validates the manifest against the resuming call
-    and loads every intact record).
-
-    **Durability policy** (``fsync_every=N``, default 1): every append
-    flushes to the OS — so another *process* observes whole records
-    immediately, and a killed process loses at most the record being
-    written — and every ``N``-th record additionally ``fsync``\\ s to
-    stable storage.  The default, ``fsync_every=1``, makes each record
-    power-loss durable before the evaluation of the next candidate
-    begins: a machine crash (not just a killed process) loses at most
-    one record.  Raising ``N`` amortizes the sync cost over ``N``
-    records for sweeps where per-candidate evaluation is cheaper than a
-    disk flush, weakening the guarantee to "at most ``N`` records lost
-    on power failure" (a killed process still loses at most one —
-    flushes are unconditional).  :meth:`finalize` always syncs.
-    """
-
-    def __init__(self, path: str, manifest: Dict[str, Any],
-                 entries: Optional[Dict[Tuple[int, str], dict]] = None,
-                 resumed: bool = False, fsync_every: int = 1):
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
-        self.path = path
-        self.manifest = manifest
-        #: (phase, candidate key) -> journal entry adopted from disk.
-        self.entries: Dict[Tuple[int, str], dict] = dict(entries or {})
-        self.resumed = resumed
-        self.final: Optional[dict] = None
-        self.fsync_every = fsync_every
-        self._appends_since_sync = 0
-        self._fh: Optional[io.TextIOWrapper] = None
-
-    # ---- construction -------------------------------------------------
-    @classmethod
-    def create(cls, path: str, manifest: Dict[str, Any],
-               fsync_every: int = 1) -> "SweepJournal":
-        """Start a fresh journal at ``path`` (a directory; created if
-        missing, previous journal contents replaced)."""
-        os.makedirs(path, exist_ok=True)
-        manifest = dict(manifest)
-        manifest["format_version"] = FORMAT_VERSION
-        manifest["pickle_protocol"] = PICKLE_PROTOCOL
-        tmp = os.path.join(path, MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
+def atomic_json(path: str, obj: Any, fsync: bool = True) -> None:
+    """Commit a JSON file atomically (write-temp + fsync + replace)."""
+    tmp = path + f".tmp-{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+        fh.flush()
+        if fsync:
             os.fsync(fh.fileno())
-        os.replace(tmp, os.path.join(path, MANIFEST_NAME))
-        journal = cls(path, manifest, fsync_every=fsync_every)
-        journal._fh = open(os.path.join(path, JOURNAL_NAME), "w",
-                           encoding="utf-8")
-        return journal
+    fault_point(f"json-commit:{os.path.basename(path)}")
+    os.replace(tmp, path)
 
-    @classmethod
-    def resume(cls, path: str,
-               manifest: Optional[Dict[str, Any]] = None,
-               fsync_every: int = 1) -> "SweepJournal":
-        """Open an existing journal, validating it against ``manifest``
-        (the identity the resuming call would have written) and loading
-        every intact record; appends continue on the same file."""
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise JournalError(
-                f"no sweep manifest at {manifest_path!r}; resume needs a "
-                "journal directory written by search(..., journal=path)"
-            )
+
+def read_json(path: str) -> Optional[Any]:
+    """A committed JSON file, or None when it is absent or unparsable
+    (atomically committed files are never half-written, so an
+    unparsable one is treated as absent rather than crashing)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, json.JSONDecodeError):
+        return None
+
+
+# ----------------------------------------------------------------------
+# The journal directory
+# ----------------------------------------------------------------------
+def check_manifest(path: str, manifest: Dict[str, Any]) -> Dict[str, Any]:
+    """Validate the journal at ``path`` against ``manifest`` (the
+    identity the resuming call would write) and return the manifest on
+    disk.  Raises :class:`JournalError` when there is no valid manifest
+    and :class:`ResumeMismatchError` naming every differing identity
+    field."""
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    try:
         with open(manifest_path, encoding="utf-8") as fh:
-            try:
-                on_disk = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise JournalError(
-                    f"sweep manifest {manifest_path!r} is not valid JSON "
-                    f"({exc}); the file is written atomically, so this is "
-                    "not a crash artifact — the journal directory is "
-                    "corrupt"
-                ) from None
-        stamped = on_disk.get("pickle_protocol")
-        if stamped is not None and stamped > pickle.HIGHEST_PROTOCOL:
-            raise PayloadVersionError(
-                f"the journal at {path!r} pickled its result payloads "
-                f"with protocol {stamped}, but this Python supports at "
-                f"most protocol {pickle.HIGHEST_PROTOCOL}; resume on the "
-                "Python version that wrote the journal (or re-run the "
-                "sweep here)"
-            )
-        if manifest is not None:
-            mismatches = []
-            expect = dict(manifest)
-            expect["format_version"] = FORMAT_VERSION
-            for field in IDENTITY_FIELDS:
-                if on_disk.get(field) != expect.get(field):
-                    mismatches.append(
-                        f"{field}: journal has {on_disk.get(field)!r}, "
-                        f"this call would write {expect.get(field)!r}"
-                    )
-            if mismatches:
-                raise ResumeMismatchError(
-                    "the journal at %r was written by a different sweep; "
-                    "mismatched fields: %s" % (path, "; ".join(mismatches))
-                )
-        journal = cls(path, on_disk, entries={}, resumed=True,
-                      fsync_every=fsync_every)
-        journal._load_records()
-        journal._fh = open(os.path.join(path, JOURNAL_NAME), "a",
-                           encoding="utf-8")
-        return journal
+            on_disk = json.load(fh)
+    except FileNotFoundError:
+        raise JournalError(
+            f"no sweep manifest at {manifest_path!r}; resume needs a "
+            "journal directory written by search(..., journal=path)"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise JournalError(
+            f"sweep manifest {manifest_path!r} is not valid JSON ({exc}); "
+            "the file is written atomically, so this is not a crash "
+            "artifact — the journal directory is corrupt"
+        ) from None
+    mismatches = [
+        f"{field}: journal has {on_disk.get(field)!r}, this call would "
+        f"write {manifest.get(field)!r}"
+        for field in IDENTITY_FIELDS
+        if on_disk.get(field) != manifest.get(field)
+    ]
+    if mismatches:
+        raise ResumeMismatchError(
+            "the journal at %r was written by a different sweep; "
+            "mismatched fields: %s" % (path, "; ".join(mismatches))
+        )
+    return on_disk
 
-    def _load_records(self) -> None:
-        journal_path = os.path.join(self.path, JOURNAL_NAME)
-        if not os.path.exists(journal_path):
-            return
-        valid = 0  # bytes up to the end of the last parsable record
-        with open(journal_path, "rb") as fh:
-            for line in fh:
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    # A crash mid-append corrupts at most the tail; the
-                    # first unparsable line marks it.  Everything after
-                    # is untrusted too, so stop rather than skip.
-                    break
-                valid += len(line)
-                kind = record.get("type")
-                if kind in ("result", "failure"):
-                    self.entries[(record["phase"], record["key"])] = record
-                elif kind == "final":
-                    self.final = record
-        if valid < os.path.getsize(journal_path):
-            # Cut the torn tail off so records appended after this
-            # resume start on their own line instead of gluing onto
-            # the half-written one (which would corrupt them too).
-            with open(journal_path, "rb+") as fh:
-                fh.truncate(valid)
 
-    # ---- appends ------------------------------------------------------
-    def _append(self, record: dict) -> None:
-        if self._fh is None:
-            raise JournalError("journal is closed")
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-        self._fh.flush()
-        self._appends_since_sync += 1
-        if self._appends_since_sync >= self.fsync_every:
-            os.fsync(self._fh.fileno())
-            self._appends_since_sync = 0
+def start_run(path: str, manifest: Dict[str, Any]) -> None:
+    """Commit ``manifest`` and clear the previous run's status."""
+    os.makedirs(path, exist_ok=True)
+    atomic_json(os.path.join(path, MANIFEST_NAME), manifest)
+    try:
+        os.remove(os.path.join(path, STATUS_NAME))
+    except FileNotFoundError:
+        pass
 
-    def record_result(self, phase: int, cand: Candidate, score: float,
-                      fingerprint: str, result=None) -> None:
-        """Append one completed candidate (optionally with its pickled
-        evaluation result so a resume adopts it bit-identically)."""
-        record = {
-            "type": "result",
-            "phase": phase,
-            "key": candidate_key(cand),
-            "candidate": candidate_to_json(cand),
-            "score": score,
-            "fingerprint": fingerprint,
-        }
-        if result is not None:
-            record["payload"] = _pack_result(result)
-        self.entries[(phase, record["key"])] = record
-        self._append(record)
 
-    def record_failure(self, phase: int, cand: Candidate, kind: str,
-                       classification: str, error: str,
-                       attempts: int) -> None:
-        record = {
-            "type": "failure",
-            "phase": phase,
-            "key": candidate_key(cand),
-            "candidate": candidate_to_json(cand),
-            "kind": kind,
-            "classification": classification,
-            "error": error,
-            "attempts": attempts,
-        }
-        self.entries[(phase, record["key"])] = record
-        self._append(record)
+def finish_run(path: str, status: str, best_key: Optional[str] = None,
+               fingerprint: Optional[str] = None) -> None:
+    """Commit ``status.json`` (``status`` is ``"complete"`` or
+    ``"interrupted"``)."""
+    record: Dict[str, Any] = {"status": status}
+    if best_key is not None:
+        record["best_key"] = best_key
+    if fingerprint is not None:
+        record["fingerprint"] = fingerprint
+    atomic_json(os.path.join(path, STATUS_NAME), record)
 
-    def finalize(self, status: str, best_key: Optional[str] = None,
-                 fingerprint: Optional[str] = None) -> None:
-        """Append the terminal record (``status`` is ``"complete"`` or
-        ``"interrupted"``) and force the journal to stable storage."""
-        if self._fh is None:
-            return
-        record: dict = {"type": "final", "status": status}
-        if best_key is not None:
-            record["best_key"] = best_key
-        if fingerprint is not None:
-            record["fingerprint"] = fingerprint
-        self.final = record
-        self._append(record)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    # ---- lookups ------------------------------------------------------
-    def lookup(self, phase: int, cand: Candidate) -> Optional[dict]:
-        """The journaled record for a candidate in a phase, or None."""
-        return self.entries.get((phase, candidate_key(cand)))
-
-    @staticmethod
-    def unpack(record: dict):
-        """The pickled evaluation result of a ``result`` record, or
-        None when the journal was written without payloads."""
-        blob = record.get("payload")
-        return None if blob is None else _unpack_result(blob)
-
-    def results_for(self, phase: int) -> List[dict]:
-        return [r for (p, _), r in self.entries.items()
-                if p == phase and r["type"] == "result"]
+def read_status(path: str) -> Optional[Dict[str, Any]]:
+    """The last finished run's status record, or None (never finished,
+    still running, or killed)."""
+    return read_json(os.path.join(path, STATUS_NAME))

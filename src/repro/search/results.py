@@ -18,17 +18,27 @@ from ..model.evaluate import EvaluationResult
 from .space import Candidate
 
 
+#: Every ranking scalar a search can sort on, by name.
+_METRICS = {
+    "exec_seconds": lambda res: res.exec_seconds,
+    "cycles": lambda res: res.exec_cycles,
+    "traffic": lambda res: res.traffic_bytes(),
+    "energy": lambda res: res.energy_pj,
+}
+
+
+def check_metric(metric: str) -> None:
+    """Raise ``ValueError`` naming the known metrics unless ``metric``
+    is one :func:`metric_value` can extract."""
+    if metric not in _METRICS:
+        raise ValueError(f"unknown metric {metric!r}; known: "
+                         + ", ".join(repr(m) for m in _METRICS))
+
+
 def metric_value(res: EvaluationResult, metric: str) -> float:
     """Extract one scalar search metric from an evaluation result."""
-    if metric == "exec_seconds":
-        return res.exec_seconds
-    if metric == "cycles":
-        return res.exec_cycles
-    if metric == "traffic":
-        return res.traffic_bytes()
-    if metric == "energy":
-        return res.energy_pj
-    raise ValueError(f"unknown metric {metric!r}")
+    check_metric(metric)
+    return _METRICS[metric](res)
 
 
 def metrics_fingerprint(res: EvaluationResult) -> str:

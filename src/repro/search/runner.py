@@ -25,11 +25,16 @@ The runner composes three independent pieces:
   (``max_retries``/``retry_backoff``), broken process pools rebuilt
   once then downgraded to threads, and deterministic spec errors
   recorded on ``SearchResult.failures`` instead of killing the sweep.
-  ``journal=path`` checkpoints every priced candidate to a crash-safe
-  JSONL journal (plus an atomic ``manifest.json``);
-  ``resume=path`` replays the deterministic strategy and adopts every
-  journaled result bit-identically, so a killed sweep finishes from
-  where it stopped (see :mod:`repro.search.journal`).
+* **One result store** (:class:`~repro.store.PersistentStore`) is the
+  only place per-candidate outcomes are written: the ``cache=`` store,
+  or for ``journal=path`` without one, a results-only store inside the
+  journal directory.  Before dispatch, a store-backed sweep adopts every
+  stored result and stored deterministic failure (counted in
+  ``stats["n_adopted"]``); whatever it prices, it publishes.
+  ``journal=path`` adds an atomic ``manifest.json`` and ``status.json``,
+  and ``resume=path`` checks the manifest and replays the deterministic
+  strategy, so a killed sweep finishes bit-identically from where it
+  stopped (see :mod:`repro.search.journal`).
 * **Two-phase pruning** (``prune_to=k``): every proposed candidate is
   scored first with the ``prune_metrics`` surrogate and only the top-k
   survive.  Two surrogates are available:
@@ -54,6 +59,7 @@ The runner composes three independent pieces:
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -79,15 +85,13 @@ from ..model.evaluate import (
     resolve_pool_mode,
 )
 from ..spec.loader import AcceleratorSpec
-from .journal import (
-    SweepJournal,
-    candidate_key,
-    strategy_signature,
-    workloads_fingerprint,
-)
+from ..store.persistent import MISS, PersistentStore, resolve_store
+from . import journal as sweep_journal
+from .journal import candidate_key, strategy_signature, workloads_fingerprint
 from .results import (
     CascadeSearchResult,
     SearchResult,
+    check_metric,
     metric_value,
     metrics_fingerprint,
 )
@@ -154,6 +158,7 @@ class SearchRunner:
                 f"unknown validate mode {validate!r}; known: 'off', "
                 "'warn', 'strict'"
             )
+        check_metric(metric)
         check_metrics_mode(metrics)
         check_metrics_mode(prune_metrics, "prune_metrics mode")
         if prune_to is not None and prune_to < 1:
@@ -172,10 +177,22 @@ class SearchRunner:
         self.shapes = shapes
         self.energy_model = energy_model
         self._backend_arg = backend
-        self.store = None
+        self.journal_path = resume if resume is not None else journal
+        self.resuming = resume is not None
+        #: The store results are published to: the ``cache=`` store, or
+        #: (set by :meth:`run`) a journal's own results-only store.
+        self.store: Optional[PersistentStore] = None
+        self._cache_store: Optional[PersistentStore] = None
+        self.engine = resolve_backend(backend)
+        if self.journal_path is not None:
+            reasons = cache_incompatibilities(opset, opsets, energy_model,
+                                              self.engine)
+            if reasons:
+                raise ValueError(
+                    "journal=/resume= needs arguments the result store "
+                    "can key durably, but: " + "; ".join(reasons)
+                )
         if cache is not None:
-            from ..store import resolve_store
-
             store = resolve_store(cache)
             if backend in (None, "auto"):
                 # Store-backed compile cache: a warm sweep (or a cold
@@ -184,7 +201,7 @@ class SearchRunner:
                     cache=CompileCache(persistent=store), fallback=True,
                 )
             else:
-                engine = resolve_backend(backend)
+                engine = self.engine
             reasons = cache_incompatibilities(opset, opsets, energy_model,
                                               engine)
             if reasons:
@@ -194,12 +211,9 @@ class SearchRunner:
                     + "; ".join(reasons),
                     StoreBypassWarning, stacklevel=2,
                 )
-                self.engine = resolve_backend(backend)
             else:
-                self.store = store
+                self.store = self._cache_store = store
                 self.engine = engine
-        else:
-            self.engine = resolve_backend(backend)
         self.metrics = metrics
         self.metric = metric
         self.workers = workers if workers is not None else default_workers()
@@ -210,8 +224,6 @@ class SearchRunner:
         self.timeout = timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.journal_path = resume if resume is not None else journal
-        self.resuming = resume is not None
         self.validate = validate
         self._lint_shapes: Optional[Dict[str, int]] = None
         if validate != "off":
@@ -226,7 +238,6 @@ class SearchRunner:
         # would otherwise pay pool spin-up, worker-process imports
         # included, per round.
         self._supervisor: Optional[SweepSupervisor] = None
-        self._journal: Optional[SweepJournal] = None
         self._n_adopted = 0
         # Sweep-wide sparsity statistics for the analytical surrogate,
         # extracted lazily (and only once — they are mapping-independent,
@@ -267,58 +278,60 @@ class SearchRunner:
         return bool(feasibility_findings(cand_spec,
                                          shapes=self._shape_hints()))
 
-    def _evaluate_one(self, candidate: Candidate,
-                      metrics: str) -> EvaluationResult:
+    def _evaluate_one(self, candidate: Candidate, metrics: str,
+                      key: Optional[str] = None) -> EvaluationResult:
         cand_spec = apply_candidate(self.spec, self.einsum, candidate)
         if metrics == "analytical":
             return evaluate(cand_spec, None, shapes=self.shapes,
                             energy_model=self.energy_model,
                             metrics="analytical", stats=self._stats())
-        return evaluate(cand_spec, dict(self.tensors), opset=self.opset,
-                        opsets=self.opsets, shapes=self.shapes,
-                        energy_model=self.energy_model, backend=self.engine,
-                        metrics=metrics, prep_cache=self.prep_cache,
-                        cache=self.store)
+        result = evaluate(cand_spec, dict(self.tensors), opset=self.opset,
+                          opsets=self.opsets, shapes=self.shapes,
+                          energy_model=self.energy_model,
+                          backend=self.engine, metrics=metrics,
+                          prep_cache=self.prep_cache)
+        if key is not None:
+            # Publish, adopting a racing writer's committed winner (the
+            # store's setdefault rule; both computed the same result).
+            result = self.store.put_result(key, result)
+        return result
 
-    def _adopt_journaled(self, candidates: Sequence[Candidate],
-                         phase: int) -> Tuple[Dict[Candidate,
-                                                   EvaluationResult],
-                                              List[Candidate]]:
-        """Split a batch into journal-adopted results and work to run.
+    def _adopt_stored(self, candidates: Sequence[Candidate], metrics: str,
+                      phase: int
+                      ) -> Tuple[Dict[Candidate, EvaluationResult],
+                                 Dict[Candidate, Optional[str]]]:
+        """Split a batch into store-adopted results and work to run.
 
-        A resumed sweep adopts every journaled completion (unpickling
-        the stored result, so metrics are bit-identical to the original
-        run) and every journaled *deterministic* failure (re-running a
-        poison candidate would fail identically; the failure is
-        re-surfaced on this run's ``failures`` instead).  Journaled
-        transient failures — timeouts, worker deaths — get a fresh
-        chance and land back in the to-run list.
+        A store-backed sweep adopts every stored result (the store's key
+        covers everything that can change a result, so the hit is
+        bit-identical to a cold run) and every stored *deterministic*
+        failure (re-running a poison candidate would fail identically;
+        the failure is re-surfaced on this run's ``failures`` instead),
+        counting both in ``n_adopted``.  Returns the adopted results and
+        the candidates left to run, each with its result key (None when
+        the batch is not store-backed: no store, or the analytical tier,
+        which is never stored).
         """
+        if self.store is None or metrics == "analytical":
+            return {}, {cand: None for cand in candidates}
         adopted: Dict[Candidate, EvaluationResult] = {}
-        to_run: List[Candidate] = []
-        journal = self._journal
-        if journal is None or not journal.resumed:
-            return adopted, list(candidates)
+        to_run: Dict[Candidate, Optional[str]] = {}
+        token = _opset_token(self.opset)
         for cand in candidates:
-            record = journal.lookup(phase, cand)
-            if record is None:
-                to_run.append(cand)
-            elif record["type"] == "result":
-                result = journal.unpack(record)
-                if result is None:
-                    to_run.append(cand)  # journaled without a payload
-                else:
-                    adopted[cand] = result
-            elif record["classification"] == DETERMINISTIC:
-                self._supervisor.failures.append(FailureRecord(
-                    item=cand, key=candidate_key(cand),
-                    kind=record["kind"],
-                    classification=record["classification"],
-                    error=record["error"], attempts=record["attempts"],
-                    phase=phase,
-                ))
-            else:
-                to_run.append(cand)
+            key = self.store.result_key(
+                apply_candidate(self.spec, self.einsum, cand),
+                self.tensors, metrics, token, self.shapes)
+            result = self.store.get_result(key)
+            if result is not MISS:
+                adopted[cand] = result
+                continue
+            failure = self.store.get_failure(key)
+            if failure is MISS:
+                to_run[cand] = key
+                continue
+            self._supervisor.failures.append(FailureRecord(
+                item=cand, key=candidate_key(cand), phase=phase, **failure))
+        self._n_adopted += len(candidates) - len(to_run)
         return adopted, to_run
 
     def _evaluate_batch(self, candidates: Sequence[Candidate],
@@ -328,47 +341,39 @@ class SearchRunner:
         order (so parallel and serial sweeps yield bit-identical result
         lists).  Returns completions only — ``(candidate, result)``
         pairs; candidates whose evaluation failed terminally land on the
-        supervisor's ``failures`` (and in the journal) instead."""
+        supervisor's ``failures`` (and, when deterministic, in the
+        store) instead."""
         supervisor = self._supervisor
-        adopted, to_run = self._adopt_journaled(candidates, phase)
-        self._n_adopted += len(adopted)
-
-        def on_result(cand, result, attempts) -> None:
-            if self._journal is not None:
-                self._journal.record_result(
-                    phase, cand, metric_value(result, self.metric),
-                    metrics_fingerprint(result), result=result,
-                )
+        adopted, keys = self._adopt_stored(candidates, metrics, phase)
+        to_run = list(keys)
 
         def on_failure(record: FailureRecord) -> None:
             record.phase = phase
-            if self._journal is not None:
-                self._journal.record_failure(
-                    phase, record.item, record.kind,
-                    record.classification, record.error, record.attempts,
-                )
+            key = keys[record.item]
+            if key is not None and record.classification == DETERMINISTIC:
+                self.store.put_failure(key, record.entry())
 
         if metrics == "analytical":
             # Statistics pricing is ~1000x cheaper than an executing
             # surrogate; pool dispatch would dominate the work.
             completed = supervisor.run_serial(
                 to_run, lambda c: self._evaluate_one(c, metrics),
-                phase=phase, on_result=on_result, on_failure=on_failure,
+                phase=phase, on_failure=on_failure,
             )
         else:
             token = _opset_token(self.opset)
+            store = self.store
+            # Process workers publish straight into the store; only the
+            # cache= store backs their compile caches too.
+            shipped = ((None, False) if store is None else
+                       (store.path, store is self._cache_store))
             completed = supervisor.run_batch(
-                to_run, lambda c: self._evaluate_one(c, metrics),
+                to_run, lambda c: self._evaluate_one(c, metrics, keys[c]),
                 payload=lambda c: (
-                    (apply_candidate(self.spec, self.einsum, c),
-                     self.tensors, token, self.shapes, metrics)
-                    if self.store is None else
-                    (apply_candidate(self.spec, self.einsum, c),
-                     self.tensors, token, self.shapes, metrics,
-                     self.store.path)
-                ),
+                    apply_candidate(self.spec, self.einsum, c),
+                    self.tensors, token, self.shapes, metrics) + shipped,
                 process_worker=_process_one,
-                phase=phase, on_result=on_result, on_failure=on_failure,
+                phase=phase, on_failure=on_failure,
             )
         if not adopted:
             return completed
@@ -377,6 +382,21 @@ class SearchRunner:
         return [(c, done[c]) for c in candidates if c in done]
 
     # ---- the search loop ----------------------------------------------
+    def _open_journal(self, strategy: SearchStrategy, mode: str,
+                      pruning: bool) -> PersistentStore:
+        """Check (on resume) and commit the journal's manifest; returns
+        the store the sweep's results go to: the ``cache=`` store, else
+        the one the resumed manifest names, else the journal's own."""
+        path = self.journal_path
+        manifest = self._manifest(strategy, mode, pruning)
+        on_disk = (sweep_journal.check_manifest(path, manifest)
+                   if self.resuming else {})
+        store = self._cache_store or PersistentStore(os.path.join(
+            path, on_disk.get("store", sweep_journal.STORE_NAME)))
+        manifest["store"] = os.path.relpath(store.path, path)
+        sweep_journal.start_run(path, manifest)
+        return store
+
     def _manifest(self, strategy: SearchStrategy, mode: str,
                   pruning: bool) -> Dict:
         """The sweep's identity (plus audit fields) for the journal."""
@@ -419,13 +439,7 @@ class SearchRunner:
         )
         self._n_adopted = 0
         if self.journal_path is not None:
-            manifest = self._manifest(strategy, mode, pruning)
-            if self.resuming:
-                self._journal = SweepJournal.resume(self.journal_path,
-                                                    manifest)
-            else:
-                self._journal = SweepJournal.create(self.journal_path,
-                                                    manifest)
+            self.store = self._open_journal(strategy, mode, pruning)
 
         scored: List[Tuple[Candidate, EvaluationResult]] = []
         scores: List[Tuple[Candidate, float]] = []
@@ -488,34 +502,32 @@ class SearchRunner:
             else:
                 candidates = scored
 
-            if self._journal is not None:
+            if self.journal_path is not None:
                 if candidates:
                     best_cand, best_res = min(
                         enumerate(candidates),
                         key=lambda ic: (metric_value(ic[1][1], self.metric),
                                         ic[0]),
                     )[1]
-                    self._journal.finalize(
-                        "complete", best_key=candidate_key(best_cand),
+                    sweep_journal.finish_run(
+                        self.journal_path, "complete",
+                        best_key=candidate_key(best_cand),
                         fingerprint=metrics_fingerprint(best_res),
                     )
                 else:
-                    self._journal.finalize("complete")
+                    sweep_journal.finish_run(self.journal_path, "complete")
         except KeyboardInterrupt:
             # The supervisor already drained in-flight futures (their
-            # results hit the journal via on_result); mark the journal
-            # interrupted so the artifact is self-describing, then let
-            # the interrupt propagate.
-            if self._journal is not None:
-                self._journal.finalize("interrupted")
+            # results are in the store); mark the run interrupted so the
+            # journal is self-describing, then let the interrupt
+            # propagate.
+            if self.journal_path is not None:
+                sweep_journal.finish_run(self.journal_path, "interrupted")
             raise
         finally:
             supervisor = self._supervisor
             supervisor.close()
             self._supervisor = None
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
         t_end = time.perf_counter()
 
         return SearchResult(
@@ -602,27 +614,31 @@ def search(
     ``max_retries`` times with ``retry_backoff``-seconded exponential
     backoff, and deterministic spec errors are recorded on
     ``result.failures`` (never retried) instead of killing the sweep.
-    ``journal=path`` writes a crash-safe artifact directory —
-    ``manifest.json`` (atomic) plus an append-only ``journal.jsonl``
-    checkpointing every priced candidate — and ``resume=path`` picks a
-    killed sweep back up, adopting every journaled result bit-identically
-    and re-evaluating only what is missing.  See
-    :mod:`repro.search.journal` for the layout and the resume-identity
-    contract (:class:`~repro.search.journal.ResumeMismatchError`).
 
     ``cache=dir`` (a directory path or a
     :class:`~repro.store.PersistentStore`) makes the sweep read-through
     and write-through a disk-backed cross-process store: every priced
     candidate is published under its durable key (spec fingerprint +
-    tensor content digests + metrics mode + opset + shapes), and a
-    re-run of the same sweep — in this process or any other — adopts
-    the stored results bit-identically instead of re-evaluating.  With
-    the default backend the compile cache is store-backed too, so warm
-    sweeps skip lowering.  The journal checkpoints *one sweep's*
-    progress; the store is shared across sweeps and processes — they
-    compose (a resumed journal run with ``cache=`` fills gaps from the
-    store first).  Arguments without a durable key bypass the store
-    with a :class:`~repro.model.evaluate.StoreBypassWarning`.
+    tensor content digests + metrics mode + opset + shapes), and so is
+    every deterministic failure.  Before dispatch, a re-run of the same
+    sweep — in this process or any other — adopts the stored results
+    and failures bit-identically instead of re-evaluating, counting them
+    in ``result.stats["n_adopted"]``.  With the default backend the
+    compile cache is store-backed too, so warm sweeps skip lowering.
+    Arguments without a durable key bypass the store with a
+    :class:`~repro.model.evaluate.StoreBypassWarning`.
+
+    ``journal=path`` makes the sweep resumable: it commits
+    ``manifest.json`` (the sweep's identity, and which store holds its
+    results) and, when the run ends, ``status.json``; results go to the
+    ``cache=`` store, or without one to a results-only store inside
+    ``path``.  ``resume=path`` checks the manifest against this call and
+    re-runs the sweep, adopting everything already stored and
+    evaluating only what is missing, bit-identically to an
+    uninterrupted run.  Both raise ``ValueError`` up front for
+    arguments the store cannot key.  See :mod:`repro.search.journal`
+    for the layout and the resume-identity contract
+    (:class:`~repro.search.journal.ResumeMismatchError`).
 
     ``validate`` engages static verification (see
     :func:`~repro.model.evaluate.lint_gate` and

@@ -34,14 +34,15 @@ discipline a day-long DSE run needs:
 * **Interrupt drains.**  ``KeyboardInterrupt`` (a real Ctrl-C, or one
   propagated out of a worker) cancels everything not yet running, drains
   in-flight tasks for a bounded grace period, delivers their results to
-  the caller's ``on_result`` hook (so the journal captures them), and
-  re-raises — partial results are always usable.
+  the caller's ``on_result`` hook, and re-raises — partial results are
+  always usable.
 
 The supervisor is deliberately generic: items are opaque hashables, the
 work arrives as callables per batch, and completion/failure hooks let
-the caller journal progress as it happens.  The search runner
-(:mod:`repro.search.runner`) wires it to candidates and
-:class:`~repro.search.journal.SweepJournal`;
+the caller record progress as it happens.  The search runner
+(:mod:`repro.search.runner`) wires it to candidates, publishing every
+result and deterministic failure to the sweep's result store (which is
+also what a journaled sweep resumes from);
 :func:`~repro.model.evaluate.evaluate_many` wires it to workload
 indices.
 """
@@ -126,6 +127,13 @@ class FailureRecord:
     attempts: int
     phase: int = 1
     exception: Optional[BaseException] = field(default=None, repr=False)
+
+    def entry(self) -> Dict[str, Any]:
+        """The durable fields of this record: what a result store keeps
+        for a deterministic failure (see
+        :meth:`~repro.store.PersistentStore.put_failure`)."""
+        return {"kind": self.kind, "classification": self.classification,
+                "error": self.error, "attempts": self.attempts}
 
 
 @dataclass
@@ -370,8 +378,7 @@ class SweepSupervisor:
         Results come back as ``(item, result)`` pairs *in the order of
         ``items``* — completions only; terminal failures land in
         :attr:`failures` (and ``on_failure``).  ``on_result`` fires as
-        each item completes, including during an interrupt drain, so
-        journals stay crash-consistent.
+        each item completes, including during an interrupt drain.
         """
         items = list(items)
         if self.workers <= 1 or len(items) <= 1 or (

@@ -44,11 +44,15 @@ layer, with the durability discipline stated up front:
   protocol this interpreter cannot read raises the named
   :class:`PayloadVersionError` instead of an opaque unpickle crash.
 
-The two concrete uses are **kernels** (lowered
+The concrete uses are **kernels** (lowered
 :class:`~repro.ir.nodes.LoopNestIR` per canonical spec key — a hit
-skips lowering, the dominant cost of a cold compile) and **results**
+skips lowering, the dominant cost of a cold compile), **results**
 (pickled evaluation results keyed on the full semantic fingerprint of
-``(spec, workload contents, metrics mode, opset, shapes)``).  The
+``(spec, workload contents, metrics mode, opset, shapes)``), and
+**failures** (the deterministic failure of a candidate that cannot be
+priced, under the same key).  Results and failures are the one place
+sweep journals and batch jobs (:mod:`repro.search.journal`,
+:mod:`repro.search.jobs`) checkpoint per-candidate outcomes.  The
 result key hashes tensor *contents*, not just shapes, so a hit is
 guaranteed to reproduce the exact result a cold run would compute —
 the bit-identity-on-hit contract the differential suite enforces.
@@ -254,8 +258,7 @@ class PersistentStore:
     Handles are cheap and independent; every durability property holds
     across handles, threads, and processes (see the module docstring).
     ``fsync=False`` trades the power-failure guarantee for speed —
-    process-crash safety is unaffected (the kernel still has the bytes)
-    — mirroring the journal's ``fsync_every`` policy.
+    process-crash safety is unaffected (the kernel still has the bytes).
     """
 
     def __init__(self, path: str, fsync: bool = True):
@@ -502,6 +505,15 @@ class PersistentStore:
 
     def put_result(self, key: str, result) -> Any:
         return self.put("results", key, result)
+
+    def get_failure(self, key: str) -> Any:
+        """The deterministic failure stored under a result key (a dict
+        of :class:`~repro.search.supervisor.FailureRecord` fields), or
+        :data:`MISS`."""
+        return self.get("failures", key)
+
+    def put_failure(self, key: str, failure: Dict[str, Any]) -> Any:
+        return self.put("failures", key, failure)
 
 
 class _FileLock:

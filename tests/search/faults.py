@@ -14,19 +14,19 @@ with a ``.name``, so the substring matching below applies unchanged):
 
 ``store-put:<namespace>/<key>``
     Entering :meth:`repro.store.PersistentStore.put`, before the entry
-    is written — kill here and nothing of the write exists.
+    is written — kill here and nothing of the write exists.  Every
+    per-candidate outcome of a sweep or a job goes through this site
+    (``store-put:results`` / ``store-put:failures``): exit here
+    (``after=k`` to let ``k`` entries commit first) to simulate a sweep
+    or a job worker dying mid-run.
 ``store-commit:<final-basename>``
     Inside :func:`repro.store.write_entry`, after the temp file is
     written and fsynced but *before* the atomic ``os.replace`` — kill
     here and the store must be left fully readable (temp garbage only),
     the entry absent, and a retry able to commit.
-``jobs-record:shard-NNNN``
-    Before a job worker appends one result record to its shard — exit
-    here (``times=k`` after ``k`` clean records) to simulate a worker
-    dying mid-shard with a live lease behind it.
-``jobs-commit:<json-basename>``
-    Before any of the job runner's atomic JSON commits (lease stamps,
-    done markers, manifests) replaces into place.
+``json-commit:<json-basename>``
+    Before any atomic JSON commit (sweep manifests and status files,
+    job manifests, lease stamps, done markers) replaces into place.
 
 Actions:
 
@@ -80,6 +80,7 @@ class FaultRule:
     action: str      # poison | crash | exit | hang | interrupt | count
     times: int       # firings before the rule goes quiet (count: ignored)
     index: int       # position in the plan (names the counter file)
+    after: int = 0   # matches passed over before the first firing
 
 
 class FaultPlan:
@@ -91,11 +92,12 @@ class FaultPlan:
         self._release = threading.Event()
 
     # ---- rule management ----------------------------------------------
-    def add(self, match: str, action: str, times: int = 1) -> FaultRule:
+    def add(self, match: str, action: str, times: int = 1,
+            after: int = 0) -> FaultRule:
         if action not in ("poison", "crash", "exit", "hang", "interrupt",
                           "count"):
             raise ValueError(f"unknown fault action {action!r}")
-        rule = FaultRule(match, action, times, len(self.rules))
+        rule = FaultRule(match, action, times, len(self.rules), after)
         self.rules.append(rule)
         return rule
 
@@ -135,8 +137,8 @@ class FaultPlan:
         for rule in self.rules:
             if rule.match not in name:
                 continue
-            n = self._bump(rule)
-            if rule.action == "count" or n > rule.times:
+            n = self._bump(rule) - rule.after
+            if rule.action == "count" or not 0 < n <= rule.times:
                 continue
             if rule.action == "poison":
                 raise ValueError(

@@ -2,8 +2,10 @@
 
 Lifecycle (submit / poll / claim / drain / gather), bit-identity of a
 gathered job against an in-process ``search()``, lease expiry and
-takeover with an injected clock, a worker process killed mid-shard,
-dup-tolerant result loading, and the named version error on a
+takeover with an injected clock (past a corrupt store entry too), a
+worker process killed mid-shard, transient errors left to a takeover
+rather than recorded, up-front mode checks, tolerance of garbage and
+duplicate store writes, and the named version error on a
 foreign-protocol manifest.
 """
 
@@ -14,7 +16,7 @@ import time
 
 import pytest
 
-from faults import FaultPlan
+from faults import FaultPlan, WorkerCrash
 from repro.einsum.operators import OpSet
 from repro.search import (
     JobError,
@@ -72,6 +74,13 @@ def _fingerprints(result):
             for cand, res in result.candidates]
 
 
+def _entries(path, namespace="results"):
+    """The committed entry files of a job's own store."""
+    root = os.path.join(path, "store", "objects", namespace)
+    return sorted(os.path.join(d, f) for d, _, files in os.walk(root)
+                  for f in files)
+
+
 class TestSubmit:
     def test_submit_shards_round_robin(self, tensors, tmp_path):
         path = str(tmp_path / "job")
@@ -101,6 +110,18 @@ class TestSubmit:
     def test_missing_manifest_is_a_job_error(self, tmp_path):
         with pytest.raises(JobError, match="manifest"):
             poll(str(tmp_path / "nowhere"))
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"metric": "bogus"}, "unknown metric 'bogus'"),
+        ({"metrics": "counterz"}, "unknown metrics mode 'counterz'"),
+        ({"metrics": "analytical"}, "analytical"),
+    ])
+    def test_bad_modes_are_rejected_before_writing(self, tensors, tmp_path,
+                                                   bad, match):
+        path = tmp_path / "job"
+        with pytest.raises(ValueError, match=match):
+            submit(str(path), load_spec(BASE), tensors, **bad)
+        assert not path.exists()
 
 
 class TestLifecycle:
@@ -158,6 +179,23 @@ class TestLifecycle:
         warm = search(spec, tensors, workers=1, cache=store)
         assert _fingerprints(warm) == _fingerprints(ref)
         assert store.stats.hits == len(ref.candidates)
+        assert warm.stats["n_adopted"] == len(ref.candidates)
+        assert not os.path.exists(os.path.join(path, "store"))
+
+    def test_job_adopts_a_cached_search(self, tensors, tmp_path):
+        spec = load_spec(BASE)
+        cache = str(tmp_path / "cache")
+        ref = search(spec, tensors, workers=1, cache=cache)
+        path = str(tmp_path / "job")
+        submit(path, spec, tensors, shards=2, cache=cache)
+        # Every candidate is already in the shared store: nothing is
+        # pending, and gather reads the search's entries back.
+        assert poll(path).candidates_done == 6
+        first = claim(path, worker="w1")
+        assert first.pending == []
+        first.complete()
+        assert run_worker(path) == 1
+        assert _fingerprints(gather(path)) == _fingerprints(ref)
 
 
 class TestLeaseExpiry:
@@ -167,28 +205,43 @@ class TestLeaseExpiry:
         submit(path, load_spec(BASE), tensors, shards=2)
         now = [1000.0]
         clock = lambda: now[0]
-        # w1 claims shard 0, records one candidate, then goes silent.
+        # w1 claims shard 0, publishes one candidate, then goes silent.
         c1 = claim(path, worker="w1", lease_ttl=30.0, clock=clock)
         assert c1.shard == 0 and c1.epoch == 1
-        cand = c1.pending[0]
-        from repro.model.evaluate import evaluate
-        from repro.search.runner import apply_candidate
-
-        spec = load_spec(BASE)
-        result = evaluate(apply_candidate(spec, "Z", cand), dict(tensors))
-        c1.record(cand, result, result.exec_seconds)
+        _publish(c1, c1.pending[0], tensors)
         # Within the TTL the lease repels claimants (w1 gets shard 1).
         c2 = claim(path, worker="w2", lease_ttl=30.0, clock=clock)
         assert c2.shard == 1
         assert claim(path, worker="w3", lease_ttl=30.0, clock=clock) is None
         # Past the TTL the lease is stale: w3 takes shard 0 over at the
-        # next epoch, adopting the dead worker's one record.
+        # next epoch, adopting the dead worker's one result.
         now[0] += 31.0
         c3 = claim(path, worker="w3", lease_ttl=30.0, clock=clock)
         assert c3.shard == 0
         assert c3.epoch == 2
-        assert len(c3.done_keys) == 1
         assert len(c3.pending) == len(c3.candidates) - 1
+
+    def test_takeover_recomputes_a_corrupt_entry(self, tensors, tmp_path):
+        spec = load_spec(BASE)
+        ref = search(spec, tensors, workers=1)
+        path = str(tmp_path / "job")
+        submit(path, spec, tensors, shards=2)
+        now = [1000.0]
+        clock = lambda: now[0]
+        c1 = claim(path, worker="w1", lease_ttl=30.0, clock=clock)
+        _publish(c1, c1.pending[0], tensors)
+        # The dead worker's one committed entry rots on disk.
+        (entry,) = _entries(path)
+        blob = open(entry, "rb").read()
+        open(entry, "wb").write(blob[: len(blob) // 2])
+        now[0] += 31.0
+        assert run_worker(path, worker="w2", lease_ttl=30.0,
+                          clock=clock) == 2
+        # The torn entry was quarantined, its candidate re-evaluated.
+        assert len(os.listdir(os.path.join(path, "store",
+                                           "quarantine"))) == 2
+        job = gather(path)
+        assert _fingerprints(job) == _fingerprints(ref)
 
     def test_heartbeat_keeps_a_slow_worker_alive(self, tensors, tmp_path):
         path = str(tmp_path / "job")
@@ -200,6 +253,15 @@ class TestLeaseExpiry:
         c1.heartbeat()
         now[0] += 29.0  # 58s since claim, 29s since heartbeat: still live
         assert claim(path, worker="w2", lease_ttl=30.0, clock=clock) is None
+
+
+def _publish(shard_claim, cand, tensors):
+    """Evaluate one candidate into a claim's store, as its worker would."""
+    from repro.model.evaluate import evaluate
+    from repro.search.runner import apply_candidate
+
+    evaluate(apply_candidate(load_spec(BASE), "Z", cand), dict(tensors),
+             cache=shard_claim.store)
 
 
 def _doomed_worker(path):
@@ -214,23 +276,27 @@ class TestKilledWorkerProcess:
         ref = search(spec, tensors, workers=1)
         path = str(tmp_path / "job")
         submit(path, spec, tensors, shards=2)
-        # The worker process dies (os._exit) at its first append to
-        # shard 0 — after claiming it, before recording anything.
-        rule = plan.add("jobs-record:shard-0000", "exit", times=1)
+        # The worker process dies (os._exit) entering its second result
+        # put: shard 0 is claimed and one candidate committed.
+        rule = plan.add("store-put:results", "exit", after=1)
         proc = multiprocessing.Process(target=_doomed_worker, args=(path,))
         proc.start()
         proc.join(120)
         assert proc.exitcode == 13
-        assert plan.fired(rule) == 1
+        assert plan.fired(rule) == 2
         # The dead worker left a live-looking lease behind...
         status = poll(path, lease_ttl=30.0)
         assert status.shards_done == 0
         assert status.shards_leased == 1
+        assert status.candidates_done == 1
         # ...which a survivor takes over once it expires (injected
-        # clock: no sleeping through a real TTL).
+        # clock: no sleeping through a real TTL), evaluating exactly the
+        # five candidates the dead worker never committed.
+        count = plan.add("accelerator", "count")
         clock = lambda: time.time() + 1000.0
         assert run_worker(path, worker="survivor", lease_ttl=30.0,
                           clock=clock) == 2
+        assert plan.fired(count) == 5
         done = json.load(open(os.path.join(path, "done", "shard-0000")))
         assert done["worker"] == "survivor"
         assert done["epoch"] == 2
@@ -247,14 +313,30 @@ class TestDupTolerance:
         path = str(tmp_path / "job")
         submit(path, spec, tensors, shards=2)
         run_worker(path)
-        results_file = os.path.join(path, "results", "shard-0000.jsonl")
-        lines = open(results_file, "rb").readlines()
-        with open(results_file, "ab") as fh:
-            fh.write(b"torn half of a rec")           # no newline, no sha
-            fh.write(b"\n{\"r\": {\"key\": \"x\"}}\n")  # sha missing
-            fh.write(lines[0])                        # duplicate (wakes up)
+        store = PersistentStore(os.path.join(path, "store"))
+        entries = {e: open(e, "rb").read() for e in _entries(path)}
+        # Garbage: a foreign file beside the entries and an abandoned
+        # temp of a dead writer.
+        first = next(iter(entries))
+        open(os.path.join(os.path.dirname(first), "junk.bin"),
+             "wb").write(b"torn half of a rec")
+        open(os.path.join(store.path, "tmp", "4999999-1.tmp"),
+             "wb").write(b"x")
+        # A duplicate: a presumed-dead worker wakes up and re-publishes
+        # a candidate; the committed entry wins and stays on disk.
+        from repro.search.runner import apply_candidate
+
+        cand, res = ref.candidates[0]
+        key = store.result_key(apply_candidate(spec, "Z", cand), tensors,
+                               "auto", "arithmetic", None)
+        winner = store.put_result(key, "late copy")
+        assert winner != "late copy"
+        assert all(open(e, "rb").read() == blob
+                   for e, blob in entries.items())
         job = gather(path)
         assert _fingerprints(job) == _fingerprints(ref)
+        assert job.candidates[0][1].exec_seconds == winner.exec_seconds
+        assert winner.exec_seconds == res.exec_seconds
 
     def test_foreign_pickle_protocol_raises_named_error(
             self, tensors, tmp_path):
@@ -280,8 +362,30 @@ class TestFailures:
         assert poll(path).done
         job = gather(path)
         assert job.stats["n_failed"] == 1
-        assert "poison" in job.failures[0]["error"]
+        assert "poison" in job.failures[0].error
+        assert job.failures[0].classification == "deterministic"
         assert len(job.candidates) == 5  # the other five priced normally
+        assert len(_entries(path, "failures")) == 1
         ref = search(spec, tensors, workers=1)
         ref_fps = dict(_fingerprints(ref))
         assert all(fp == ref_fps[c] for c, fp in _fingerprints(job))
+
+    def test_transient_error_is_retried_by_a_takeover(
+            self, tensors, plan, tmp_path):
+        spec = load_spec(BASE)
+        ref = search(spec, tensors, workers=1)
+        path = str(tmp_path / "job")
+        submit(path, spec, tensors, shards=2)
+        plan.add(TARGET, "crash", times=1)
+        # The worker propagates the transient error and records nothing
+        # for the candidate: its lease stays behind to expire.
+        with pytest.raises(WorkerCrash):
+            run_worker(path, worker="w1", lease_ttl=30.0)
+        assert _entries(path, "failures") == []
+        assert not poll(path, lease_ttl=30.0).done
+        clock = lambda: time.time() + 1000.0
+        run_worker(path, worker="w2", lease_ttl=30.0, clock=clock)
+        job = gather(path)
+        assert job.stats["n_scored"] == 6
+        assert job.stats["n_failed"] == 0
+        assert _fingerprints(job) == _fingerprints(ref)

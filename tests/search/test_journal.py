@@ -1,25 +1,32 @@
-"""Sweep-journal unit behavior: atomic manifests, truncation-tolerant
-record loading, candidate round-trips, and resume identity checks."""
+"""Sweep-journal behavior: atomic manifests and status files, resume
+identity checks, candidate round-trips, and per-candidate results
+checkpointed in (and resumed from) the journal's result store."""
 
 import json
 import os
 
 import pytest
 
+from faults import FaultPlan
+from repro.search import metrics_fingerprint, search
 from repro.search.journal import (
-    FORMAT_VERSION,
-    JOURNAL_NAME,
     MANIFEST_NAME,
     JournalError,
     ResumeMismatchError,
-    SweepJournal,
     candidate_from_json,
     candidate_key,
     candidate_to_json,
+    check_manifest,
+    finish_run,
+    read_status,
+    start_run,
     strategy_signature,
 )
-from repro.search.space import Candidate
+from repro.search.space import Candidate, apply_candidate
 from repro.search.strategies import RandomSearch
+from repro.spec import load_spec
+from repro.store import PayloadVersionError, PersistentStore
+from repro.workloads import uniform_random
 
 CAND = Candidate(("K", "M", "N"), (("K", 8),))
 OTHER = Candidate(("M", "N", "K"), ())
@@ -33,7 +40,56 @@ MANIFEST = {
     "prune_metrics": None,
     "prune_to": None,
     "strategy": {"name": "exhaustive"},
+    "store": "store",
 }
+
+BASE = """
+einsum:
+  declaration:
+    A: [K, M]
+    B: [K, N]
+    Z: [M, N]
+  expressions:
+    - Z[m, n] = A[k, m] * B[k, n]
+"""
+
+#: One candidate of BASE's 6-candidate untiled space (see
+#: test_supervisor.py for the naming convention the fault hook matches).
+TARGET = "loop=[K, N, M]"
+
+
+@pytest.fixture(scope="module")
+def tensors():
+    return {
+        "A": uniform_random("A", ["K", "M"], (24, 20), 0.25, seed=1),
+        "B": uniform_random("B", ["K", "N"], (24, 16), 0.25, seed=2),
+    }
+
+
+@pytest.fixture
+def plan(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_FAULT_INJECTION", "1")
+    p = FaultPlan(str(tmp_path / "faults"))
+    os.makedirs(p.root, exist_ok=True)
+    p.install()
+    yield p
+    p.uninstall()
+
+
+def _fingerprints(result):
+    return [(cand, metrics_fingerprint(res))
+            for cand, res in result.candidates]
+
+
+def _entries(path, namespace="results"):
+    root = os.path.join(path, "store", "objects", namespace)
+    return sorted(os.path.join(d, f) for d, _, files in os.walk(root)
+                  for f in files)
+
+
+def _result_key(store, tensors, cand):
+    return store.result_key(apply_candidate(load_spec(BASE), "Z", cand),
+                            tensors, "auto", "arithmetic", None)
 
 
 class TestCandidateSerialization:
@@ -61,207 +117,190 @@ class TestCandidateSerialization:
 class TestCreate:
     def test_manifest_written_atomically_no_tmp_left(self, tmp_path):
         path = str(tmp_path / "sweep")
-        journal = SweepJournal.create(path, MANIFEST)
-        journal.close()
-        assert os.path.exists(os.path.join(path, MANIFEST_NAME))
-        assert not os.path.exists(os.path.join(path, MANIFEST_NAME + ".tmp"))
+        start_run(path, MANIFEST)
+        assert os.listdir(path) == [MANIFEST_NAME]
         on_disk = json.load(open(os.path.join(path, MANIFEST_NAME)))
-        assert on_disk["spec_fingerprint"] == "abc123"
-        assert on_disk["format_version"] == FORMAT_VERSION
+        assert on_disk == MANIFEST
 
     def test_create_truncates_previous_journal(self, tmp_path):
+        # A new run replaces the manifest and clears the previous run's
+        # status, so a stale "complete" never describes a live run.
         path = str(tmp_path / "sweep")
-        j1 = SweepJournal.create(path, MANIFEST)
-        j1.record_result(1, CAND, 1.0, "fp")
-        j1.close()
-        j2 = SweepJournal.create(path, MANIFEST)
-        j2.close()
-        assert open(os.path.join(path, JOURNAL_NAME)).read() == ""
+        start_run(path, MANIFEST)
+        finish_run(path, "complete")
+        changed = dict(MANIFEST, metric="energy")
+        start_run(path, changed)
+        assert read_status(path) is None
+        assert check_manifest(path, changed)["metric"] == "energy"
 
-    def test_appends_flush_per_record(self, tmp_path):
+    def test_appends_flush_per_record(self, plan, tensors, tmp_path):
+        # Every result is committed as its candidate is priced: a run
+        # stopped mid-sweep leaves each finished candidate readable by
+        # any other handle (or process).
         path = str(tmp_path / "sweep")
-        journal = SweepJournal.create(path, MANIFEST)
-        journal.record_result(1, CAND, 1.5, "fp1")
-        # Readable *before* close: flushed per append, crash-safe.
-        lines = open(os.path.join(path, JOURNAL_NAME)).readlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["score"] == 1.5
-        journal.close()
+        plan.add(TARGET, "interrupt", times=1)
+        with pytest.raises(KeyboardInterrupt):
+            search(load_spec(BASE), tensors, workers=1, journal=path)
+        committed = _entries(path)
+        assert 1 <= len(committed) < 6
+        store = PersistentStore(os.path.join(path, "store"))
+        for entry in committed:
+            key = os.path.basename(entry)[:-len(".bin")]
+            assert store.get_result(key).exec_seconds > 0
 
 
 class TestResume:
-    def _written(self, tmp_path, records=True):
-        path = str(tmp_path / "sweep")
-        journal = SweepJournal.create(path, MANIFEST)
-        if records:
-            journal.record_result(1, CAND, 1.5, "fp1")
-            journal.record_failure(1, OTHER, "error", "deterministic",
-                                   "ValueError('bad')", 1)
-        journal.close()
-        return path
-
-    def test_resume_requires_manifest(self, tmp_path):
+    def test_resume_requires_manifest(self, tensors, tmp_path):
         with pytest.raises(JournalError, match="no sweep manifest"):
-            SweepJournal.resume(str(tmp_path / "nowhere"))
+            check_manifest(str(tmp_path / "nowhere"), MANIFEST)
+        with pytest.raises(JournalError, match="no sweep manifest"):
+            search(load_spec(BASE), tensors, workers=1,
+                   resume=str(tmp_path / "nowhere"))
 
-    def test_resume_loads_records(self, tmp_path):
-        path = self._written(tmp_path)
-        journal = SweepJournal.resume(path, MANIFEST)
-        assert journal.resumed
-        result = journal.lookup(1, CAND)
-        assert result["type"] == "result" and result["score"] == 1.5
-        failure = journal.lookup(1, OTHER)
-        assert failure["type"] == "failure"
-        assert failure["classification"] == "deterministic"
-        journal.close()
+    def test_resume_loads_records(self, plan, tensors, tmp_path):
+        # Stored results *and* stored deterministic failures are adopted.
+        spec = load_spec(BASE)
+        path = str(tmp_path / "sweep")
+        plan.add(TARGET, "poison", times=1)
+        first = search(spec, tensors, workers=1, journal=path)
+        assert len(first.failures) == 1
+        assert len(_entries(path)) == 5
+        assert len(_entries(path, "failures")) == 1
+        # The poison rule is spent, so a re-run would price the
+        # candidate; resume re-surfaces the stored failure instead.
+        count = plan.add("accelerator", "count")
+        resumed = search(spec, tensors, workers=1, resume=path)
+        assert plan.fired(count) == 0
+        assert resumed.stats["n_adopted"] == 6
+        assert [f.key for f in resumed.failures] \
+            == [f.key for f in first.failures]
+        assert "poison" in resumed.failures[0].error
+        assert resumed.failures[0].classification == "deterministic"
+        assert _fingerprints(resumed) == _fingerprints(first)
 
-    def test_resume_tolerates_truncated_tail(self, tmp_path):
-        path = self._written(tmp_path)
-        journal_file = os.path.join(path, JOURNAL_NAME)
-        blob = open(journal_file).read()
-        # Chop mid-way through the last record, as a crash would.
-        open(journal_file, "w").write(blob[: len(blob) - 17])
-        journal = SweepJournal.resume(path, MANIFEST)
-        assert journal.lookup(1, CAND) is not None  # intact line kept
-        assert journal.lookup(1, OTHER) is None     # truncated line dropped
-        journal.close()
+    def test_resume_tolerates_truncated_tail(self, tensors, tmp_path):
+        # A torn entry is quarantined and its candidate re-evaluated.
+        spec = load_spec(BASE)
+        baseline = search(spec, tensors, workers=1)
+        path = str(tmp_path / "sweep")
+        search(spec, tensors, workers=1, journal=path)
+        entry = _entries(path)[0]
+        blob = open(entry, "rb").read()
+        open(entry, "wb").write(blob[: len(blob) - 17])
+        resumed = search(spec, tensors, workers=1, resume=path)
+        assert resumed.stats["n_adopted"] == 5
+        assert _fingerprints(resumed) == _fingerprints(baseline)
+        quarantine = os.listdir(os.path.join(path, "store", "quarantine"))
+        assert len(quarantine) == 2  # the torn bytes plus a .reason
+        assert len(_entries(path)) == 6  # healed by the re-evaluation
 
-    def test_resume_appends_after_adopted_records(self, tmp_path):
-        path = self._written(tmp_path)
-        journal = SweepJournal.resume(path, MANIFEST)
-        journal.record_result(1, Candidate(("N", "K", "M"), ()), 0.5, "fp2")
-        journal.close()
-        again = SweepJournal.resume(path, MANIFEST)
-        assert len(again.results_for(1)) == 2
-        again.close()
+    def test_resume_appends_after_adopted_records(self, tensors, tmp_path):
+        spec = load_spec(BASE)
+        path = str(tmp_path / "sweep")
+        search(spec, tensors, workers=1, journal=path)
+        for entry in _entries(path)[:2]:
+            os.remove(entry)
+        resumed = search(spec, tensors, workers=1, resume=path)
+        assert resumed.stats["n_adopted"] == 4
+        # The re-evaluated candidates were published to the same store,
+        # so the next resume adopts everything.
+        assert len(_entries(path)) == 6
+        again = search(spec, tensors, workers=1, resume=path)
+        assert again.stats["n_adopted"] == 6
 
     def test_mismatched_identity_raises_naming_fields(self, tmp_path):
-        path = self._written(tmp_path)
+        path = str(tmp_path / "sweep")
+        start_run(path, MANIFEST)
         changed = dict(MANIFEST, metric="energy",
                        spec_fingerprint="different")
         with pytest.raises(ResumeMismatchError) as err:
-            SweepJournal.resume(path, changed)
+            check_manifest(path, changed)
         message = str(err.value)
         assert "metric" in message and "spec_fingerprint" in message
 
     def test_audit_fields_may_differ(self, tmp_path):
-        path = self._written(tmp_path)
+        path = str(tmp_path / "sweep")
+        start_run(path, MANIFEST)
         changed = dict(MANIFEST, workers=64, timeout=1.0,
-                       library_version="0.0.0")
-        journal = SweepJournal.resume(path, changed)  # no raise
-        journal.close()
+                       library_version="0.0.0", store="/elsewhere")
+        check_manifest(path, changed)  # no raise
 
     def test_corrupt_manifest_raises(self, tmp_path):
-        path = self._written(tmp_path)
+        path = str(tmp_path / "sweep")
+        start_run(path, MANIFEST)
         open(os.path.join(path, MANIFEST_NAME), "w").write("{not json")
         with pytest.raises(JournalError, match="not valid JSON"):
-            SweepJournal.resume(path, MANIFEST)
+            check_manifest(path, MANIFEST)
 
 
 class TestFinalize:
     def test_finalize_appends_terminal_record(self, tmp_path):
         path = str(tmp_path / "sweep")
-        journal = SweepJournal.create(path, MANIFEST)
-        journal.record_result(1, CAND, 1.0, "fp")
-        journal.finalize("complete", best_key=candidate_key(CAND),
-                         fingerprint="fp")
-        journal.close()
-        resumed = SweepJournal.resume(path, MANIFEST)
-        assert resumed.final["status"] == "complete"
-        assert resumed.final["best_key"] == candidate_key(CAND)
-        resumed.close()
+        start_run(path, MANIFEST)
+        finish_run(path, "complete", best_key=candidate_key(CAND),
+                   fingerprint="fp")
+        assert read_status(path) == {"status": "complete",
+                                     "best_key": candidate_key(CAND),
+                                     "fingerprint": "fp"}
 
     def test_interrupted_status_round_trips(self, tmp_path):
         path = str(tmp_path / "sweep")
-        journal = SweepJournal.create(path, MANIFEST)
-        journal.finalize("interrupted")
-        journal.close()
-        resumed = SweepJournal.resume(path, MANIFEST)
-        assert resumed.final["status"] == "interrupted"
-        resumed.close()
+        start_run(path, MANIFEST)
+        finish_run(path, "interrupted")
+        assert read_status(path) == {"status": "interrupted"}
 
-    def test_payload_round_trips_objects(self, tmp_path):
+    def test_payload_round_trips_objects(self, tensors, tmp_path):
+        # Each stored result reads back bit-identical through a fresh
+        # store handle.
+        spec = load_spec(BASE)
         path = str(tmp_path / "sweep")
-        journal = SweepJournal.create(path, MANIFEST)
-        payload = {"metrics": [1.25, 2.5], "name": "Z"}
-        journal.record_result(1, CAND, 1.0, "fp", result=payload)
-        journal.close()
-        resumed = SweepJournal.resume(path, MANIFEST)
-        assert SweepJournal.unpack(resumed.lookup(1, CAND)) == payload
-        assert SweepJournal.unpack({"type": "result"}) is None
-        resumed.close()
+        result = search(spec, tensors, workers=1, journal=path)
+        store = PersistentStore(os.path.join(path, "store"))
+        for cand, res in result.candidates:
+            stored = store.get_result(_result_key(store, tensors, cand))
+            assert metrics_fingerprint(stored) == metrics_fingerprint(res)
 
 
 class TestDurabilityPolicy:
-    def test_fsync_every_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="fsync_every"):
-            SweepJournal.create(str(tmp_path / "sweep"), MANIFEST,
-                                fsync_every=0)
+    def test_default_syncs_every_append(self, tensors, tmp_path,
+                                        monkeypatch):
+        import repro.store.persistent as persistent
 
-    def _count_syncs(self, tmp_path, monkeypatch, fsync_every, appends):
-        import repro.search.journal as journal_mod
-
-        journal = SweepJournal.create(str(tmp_path / "sweep"), MANIFEST,
-                                      fsync_every=fsync_every)
         syncs = []
-        monkeypatch.setattr(journal_mod.os, "fsync",
-                            lambda fd: syncs.append(fd))
-        for i in range(appends):
-            journal.record_result(1, CAND, float(i), f"fp{i}")
-        n = len(syncs)
-        monkeypatch.undo()
-        journal.close()
-        return n
-
-    def test_default_syncs_every_append(self, tmp_path, monkeypatch):
-        assert self._count_syncs(tmp_path, monkeypatch,
-                                 fsync_every=1, appends=3) == 3
-
-    def test_batched_policy_syncs_every_nth(self, tmp_path, monkeypatch):
-        assert self._count_syncs(tmp_path, monkeypatch,
-                                 fsync_every=3, appends=7) == 2
-
-    def test_batched_appends_still_flush(self, tmp_path):
-        path = str(tmp_path / "sweep")
-        journal = SweepJournal.create(path, MANIFEST, fsync_every=100)
-        journal.record_result(1, CAND, 1.5, "fp1")
-        # Unsynced is not unflushed: the record is already readable by
-        # another process (a killed process loses nothing).
-        lines = open(os.path.join(path, JOURNAL_NAME)).readlines()
-        assert len(lines) == 1
-        journal.close()
+        real_fsync = persistent.os.fsync
+        monkeypatch.setattr(persistent.os, "fsync",
+                            lambda fd: syncs.append(real_fsync(fd)))
+        search(load_spec(BASE), tensors, workers=1,
+               journal=str(tmp_path / "sweep"))
+        # One per result entry, plus the manifest and the status file.
+        assert len(syncs) == 6 + 2
 
 
 class TestPayloadVersionStamp:
-    def test_manifest_stamps_the_pickle_protocol(self, tmp_path):
-        import pickle
+    def test_resume_names_a_foreign_protocol(self, tensors, tmp_path):
+        # Each store entry stamps its own pickle protocol; a payload
+        # this interpreter cannot unpickle raises the named error.
+        from repro.store.persistent import ENTRY_MAGIC
 
+        spec = load_spec(BASE)
         path = str(tmp_path / "sweep")
-        SweepJournal.create(path, MANIFEST).close()
-        on_disk = json.load(open(os.path.join(path, MANIFEST_NAME)))
-        assert on_disk["pickle_protocol"] == pickle.HIGHEST_PROTOCOL
-
-    def test_resume_names_a_foreign_protocol(self, tmp_path):
-        from repro.store import PayloadVersionError
-
-        path = str(tmp_path / "sweep")
-        SweepJournal.create(path, MANIFEST).close()
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        on_disk = json.load(open(manifest_path))
-        on_disk["pickle_protocol"] = 99
-        json.dump(on_disk, open(manifest_path, "w"))
+        search(spec, tensors, workers=1, journal=path)
+        entry = _entries(path)[0]
+        blob = open(entry, "rb").read()
+        start = len(ENTRY_MAGIC) + 8
+        size = int.from_bytes(blob[len(ENTRY_MAGIC):start], "big")
+        meta = json.loads(blob[start:start + size])
+        meta["pickle_protocol"] = 99
+        header = json.dumps(meta).encode()
+        open(entry, "wb").write(ENTRY_MAGIC + len(header).to_bytes(8, "big")
+                                + header + blob[start + size:])
         with pytest.raises(PayloadVersionError, match="protocol 99"):
-            SweepJournal.resume(path, MANIFEST)
+            search(spec, tensors, workers=1, resume=path)
 
     def test_protocol_is_not_an_identity_field(self, tmp_path):
-        # An *older* (still readable) protocol resumes cleanly: the
-        # stamp gates readability, it does not fingerprint the sweep.
+        # Stamps an older library wrote into its manifest (format and
+        # pickle protocol) are audit data, not identity: resume accepts
+        # them.
         path = str(tmp_path / "sweep")
-        SweepJournal.create(path, MANIFEST).close()
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        on_disk = json.load(open(manifest_path))
-        on_disk["pickle_protocol"] = 2
-        json.dump(on_disk, open(manifest_path, "w"))
-        resumed = SweepJournal.resume(path, MANIFEST)
-        assert resumed.resumed
-        resumed.close()
+        start_run(path, dict(MANIFEST, format_version=1, pickle_protocol=2))
+        assert check_manifest(path, MANIFEST)["pickle_protocol"] == 2

@@ -6,10 +6,10 @@ is driven deterministically through the env-gated hook in
 candidates recorded without retry, transient crashes retried to
 bit-identical success, hangs timed out and written off, broken process
 pools rebuilt once then degraded to threads, ``KeyboardInterrupt``
-drained into a finalized journal, and killed sweeps resumed
-bit-identically from a truncated journal.  No test sleeps to
-synchronize: hangs block on an event the harness releases at teardown,
-and counters are exact across pool worker processes.
+drained into an ``interrupted`` journal status, and killed sweeps
+resumed bit-identically from the results their store kept.  No test
+sleeps to synchronize: hangs block on an event the harness releases at
+teardown, and counters are exact across pool worker processes.
 """
 
 import json
@@ -21,16 +21,16 @@ import pytest
 
 from faults import FaultPlan, WorkerCrash
 from repro.model import evaluate_many
+from repro.model import EnergyModel
 from repro.search import (
     CandidateTimeoutError,
     ResumeMismatchError,
     SweepDegradationWarning,
-    SweepJournal,
     classify_failure,
     metrics_fingerprint,
     search,
 )
-from repro.search.journal import JOURNAL_NAME
+from repro.search.journal import read_status
 from repro.fibertree import Tensor
 from repro.spec import load_spec
 from repro.workloads import uniform_random
@@ -103,6 +103,19 @@ def plan(tmp_path, monkeypatch):
 def _fingerprints(result):
     return [(cand, metrics_fingerprint(res))
             for cand, res in result.candidates]
+
+
+def _entries(path, namespace="results"):
+    """The committed entry files of a journal's own store."""
+    root = os.path.join(path, "store", "objects", namespace)
+    return sorted(os.path.join(d, f) for d, _, files in os.walk(root)
+                  for f in files)
+
+
+def _journaled_sweep(path, tensors):
+    """Child: a serial journaled sweep, killed by the armed fault rule."""
+    search(load_spec(BASE), tensors, workers=1, max_retries=0,
+           journal=path)
 
 
 class TestSeam:
@@ -247,19 +260,18 @@ class TestInterrupt:
         with pytest.raises(KeyboardInterrupt):
             search(spec, tensors, workers=2, executor="thread",
                    journal=path, retry_backoff=0)
-        # The journal was finalized as interrupted, with every drained
-        # in-flight result checkpointed before the interrupt propagated.
-        journal = SweepJournal.resume(path)
-        assert journal.final["status"] == "interrupted"
-        drained = len(journal.results_for(1))
+        # The run was marked interrupted, with every drained in-flight
+        # result committed to the store before the interrupt propagated.
+        assert read_status(path) == {"status": "interrupted"}
+        drained = len(_entries(path))
         assert drained >= 1
-        journal.close()
         # Resume completes the sweep bit-identically (the interrupt rule
         # is spent, so the re-evaluated candidate now prices cleanly).
         resumed = search(spec, tensors, workers=1, resume=path)
         assert resumed.stats["n_adopted"] == drained
         assert _fingerprints(resumed) == _fingerprints(baseline)
         assert resumed.best()[0] == baseline.best()[0]
+        assert read_status(path)["status"] == "complete"
 
     def test_serial_interrupt_finalizes_journal(self, plan, tensors,
                                                 tmp_path):
@@ -268,20 +280,17 @@ class TestInterrupt:
         plan.add(TARGET, "interrupt", times=1)
         with pytest.raises(KeyboardInterrupt):
             search(spec, tensors, workers=1, journal=path)
-        journal = SweepJournal.resume(path)
-        assert journal.final["status"] == "interrupted"
-        journal.close()
+        assert read_status(path)["status"] == "interrupted"
 
 
 class TestKillAndResume:
-    def _truncate(self, path, keep_lines):
-        """Replay a mid-run kill: keep the first ``keep_lines`` journal
-        records and a torn half of the next one."""
-        journal_file = os.path.join(path, JOURNAL_NAME)
-        lines = open(journal_file).readlines()
-        assert len(lines) > keep_lines + 1
-        torn = lines[keep_lines][: len(lines[keep_lines]) // 2].rstrip("\n")
-        open(journal_file, "w").write("".join(lines[:keep_lines]) + torn)
+    def _drop_entries(self, path, keep):
+        """Replay a mid-run kill by hand: delete every committed result
+        entry of the journal's store but ``keep``."""
+        entries = _entries(path)
+        assert len(entries) > keep
+        for entry in entries[keep:]:
+            os.remove(entry)
 
     def test_truncated_journal_resumes_bit_identically(self, plan, tensors,
                                                        tmp_path):
@@ -290,23 +299,48 @@ class TestKillAndResume:
         path = str(tmp_path / "sweep")
         full = search(spec, tensors, workers=1, journal=path)
         assert len(full.candidates) == 6
-        self._truncate(path, keep_lines=3)
+        self._drop_entries(path, keep=3)
 
         rule = plan.add("accelerator", "count")  # counts every evaluation
         resumed = search(spec, tensors, workers=1, resume=path)
-        # Only the candidates lost to the truncation were re-evaluated.
+        # Only the candidates whose entries were lost were re-evaluated.
         assert resumed.stats["n_adopted"] == 3
         assert plan.fired(rule) == 3
         assert _fingerprints(resumed) == _fingerprints(baseline)
         assert resumed.best()[0] == baseline.best()[0]
         assert metrics_fingerprint(resumed.best()[1]) \
             == metrics_fingerprint(baseline.best()[1])
-        # And the resumed journal is finalized with the same best.
-        journal = SweepJournal.resume(path)
-        assert journal.final["status"] == "complete"
-        assert journal.final["fingerprint"] \
+        # And the resumed run is finalized with the same best.
+        status = read_status(path)
+        assert status["status"] == "complete"
+        assert status["fingerprint"] \
             == metrics_fingerprint(baseline.best()[1])
-        journal.close()
+
+    @pytest.mark.skipif(not FORK, reason="needs fork start method")
+    def test_killed_sweep_resumes_bit_identically(self, plan, tensors,
+                                                  tmp_path):
+        spec = load_spec(BASE)
+        baseline = search(spec, tensors, workers=1)
+        path = str(tmp_path / "sweep")
+        # The sweep process dies (os._exit) entering its fourth result
+        # put: three candidates are committed, the fourth never is.
+        kill = plan.add("store-put:results", "exit", after=3)
+        proc = multiprocessing.Process(target=_journaled_sweep,
+                                       args=(path, tensors))
+        proc.start()
+        proc.join(120)
+        assert proc.exitcode == 13
+        assert plan.fired(kill) == 4
+        assert read_status(path) is None  # the run never finished
+        assert len(_entries(path)) == 3
+
+        rule = plan.add("accelerator", "count")
+        resumed = search(spec, tensors, workers=1, resume=path)
+        assert resumed.stats["n_adopted"] == 3
+        assert plan.fired(rule) == 3  # exactly the missing candidates
+        assert _fingerprints(resumed) == _fingerprints(baseline)
+        assert read_status(path)["fingerprint"] \
+            == metrics_fingerprint(baseline.best()[1])
 
     def test_pruned_sweep_resumes_phase2_bit_identically(self, plan,
                                                          tensors, tmp_path):
@@ -316,14 +350,17 @@ class TestKillAndResume:
         path = str(tmp_path / "sweep")
         full = search(spec, tensors, journal=path, **pruned)
         assert len(full.candidates) == 2
-        # Tear mid-way through phase 2: all 6 phase-1 records survive,
-        # the phase-2 records are lost.
-        self._truncate(path, keep_lines=6)
+        # The store holds only the two exact phase-2 results (analytical
+        # scores are never stored); lose one of them.
+        self._drop_entries(path, keep=1)
 
         rule = plan.add("accelerator", "count")
         resumed = search(spec, tensors, resume=path, **pruned)
-        assert resumed.stats["n_adopted"] == 6  # all of phase 1 adopted
-        assert plan.fired(rule) == 2            # only phase 2 re-priced
+        # Phase 1 is re-priced analytically (it executes nothing), one
+        # survivor is adopted, and only the lost one is re-evaluated.
+        assert resumed.stats["n_adopted"] == 1
+        assert plan.fired(rule) == 1
+        assert resumed.scores == baseline.scores
         assert _fingerprints(resumed) == _fingerprints(baseline)
 
     def test_resume_under_different_sweep_raises(self, tensors, tmp_path):
@@ -407,12 +444,46 @@ class TestJournalArtifacts:
         assert manifest["strategy"]["samples"] == 4
         assert len(manifest["spec_fingerprint"]) == 64
         assert manifest["workloads"]["A"]["rank_ids"] == ["K", "M"]
+        assert manifest["store"] == "store"  # the journal's own store
 
     def test_journal_and_resume_paths_must_agree(self, tensors, tmp_path):
         spec = load_spec(BASE)
         with pytest.raises(ValueError, match="different paths"):
             search(spec, tensors, journal=str(tmp_path / "a"),
                    resume=str(tmp_path / "b"))
+
+    @pytest.mark.parametrize("pool", [
+        dict(workers=1), dict(workers=2, executor="process")])
+    def test_journal_store_holds_results_only(self, tensors, tmp_path,
+                                              pool):
+        # No store-backed compile cache: in-process or in pool workers,
+        # the journal's own store never receives kernels.
+        spec = load_spec(BASE)
+        path = str(tmp_path / "sweep")
+        result = search(spec, tensors, journal=path, **pool)
+        assert result.stats["executor"] == pool.get("executor", "thread")
+        assert os.listdir(os.path.join(path, "store", "objects")) \
+            == ["results"]
+        assert len(_entries(path)) == 6
+
+    @pytest.mark.parametrize("kind", ["journal", "resume"])
+    def test_unkeyable_arguments_raise_up_front(self, plan, tensors,
+                                                tmp_path, kind):
+        """With a journal, a bypassed store would checkpoint nothing, so
+        arguments the store cannot key raise instead of warning."""
+        rule = plan.add("accelerator", "count")
+        with pytest.raises(ValueError, match="energy_model"):
+            search(load_spec(BASE), tensors, workers=1,
+                   energy_model=EnergyModel(),
+                   **{kind: str(tmp_path / "sweep")})
+        assert plan.fired(rule) == 0
+        assert not os.path.exists(tmp_path / "sweep")
+
+    def test_unknown_metric_raises_before_evaluating(self, plan, tensors):
+        rule = plan.add("accelerator", "count")
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            search(load_spec(BASE), tensors, workers=1, metric="bogus")
+        assert plan.fired(rule) == 0
 
 
 class TestDecorrelatedJitter:

@@ -3,8 +3,8 @@
 The contract under test: a cache *hit* is bit-identical to a cold run
 (same fingerprint, same action counts), incompatible arguments bypass
 the store loudly instead of mis-keying, the analytical tier never
-touches disk, and the store composes with the sweep journal — resume
-adopts from the journal, re-evaluation hits the store.
+touches disk, and a journaled sweep with ``cache=`` checkpoints into
+that store — resume reads it back, with or without ``cache=``.
 """
 
 import os
@@ -211,25 +211,29 @@ class TestSearchThroughCache:
 
 class TestJournalComposesWithCache:
     def test_resume_adopts_then_hits(self, tensors, tmp_path, cache_dir):
-        from repro.search.journal import JOURNAL_NAME
+        import json
 
         spec = load_spec(BASE)
         baseline = search(spec, tensors, workers=1)
         path = str(tmp_path / "sweep")
         search(spec, tensors, workers=1, journal=path, cache=cache_dir)
+        # The journal keeps no store of its own: its manifest names the
+        # cache= store, which holds every result.
+        assert not os.path.exists(os.path.join(path, "store"))
+        manifest = json.load(open(os.path.join(path, "manifest.json")))
+        assert os.path.normpath(os.path.join(path, manifest["store"])) \
+            == os.path.normpath(cache_dir)
 
-        journal_file = os.path.join(path, JOURNAL_NAME)
-        lines = open(journal_file).readlines()
-        open(journal_file, "w").write("".join(lines[:3]))
-
+        fp = lambda r: [(c, metrics_fingerprint(res))
+                        for c, res in r.candidates]
         store = PersistentStore(cache_dir)
         resumed = search(spec, tensors, workers=1, resume=path,
                          cache=store)
-        fp = lambda r: [(c, metrics_fingerprint(res))
-                        for c, res in r.candidates]
         assert fp(resumed) == fp(baseline)
-        # Journal checkpoints cover the truncated prefix; the store
-        # serves the re-evaluated tail without recomputing it.
-        assert resumed.stats["n_adopted"] == 3
-        assert store.stats.hits > 0
+        assert resumed.stats["n_adopted"] == 6
+        assert store.stats.hits == 6
         assert store.stats.puts == 0
+        # Without cache=, resume reads the store the manifest names.
+        again = search(spec, tensors, workers=1, resume=path)
+        assert fp(again) == fp(baseline)
+        assert again.stats["n_adopted"] == 6
