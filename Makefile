@@ -14,6 +14,7 @@ test:
 test-differential:
 	$(PYTHON) -m pytest tests/ir/test_codegen_differential.py \
 	    tests/model/test_fused.py \
+	    tests/fibertree/test_prepare_arena.py \
 	    tests/integration/test_published_metrics.py -q
 
 # Tier-1 with the CI coverage floor (needs pytest-cov).

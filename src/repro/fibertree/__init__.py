@@ -18,6 +18,7 @@ from .convert import (
     tensor_to_dense,
     tensor_to_scipy,
 )
+from .prepare import prepare_arena
 
 __all__ = [
     "Fiber",
@@ -30,6 +31,7 @@ __all__ = [
     "arena_to_scipy",
     "flatten_name",
     "index_var",
+    "prepare_arena",
     "rank_of_var",
     "split_names",
     "tensor_from_arena",

@@ -30,12 +30,19 @@ plain Python lists, which CPython indexes faster than any array type —
 so arena storage being numpy never slows the element-at-a-time loops.
 :class:`FlatFiberView` offers a cheap, read-only fiber-shaped view over an
 arena span for inspection and interop.
+
+The kernels receive their operands already prepared:
+:func:`repro.fibertree.prepare.prepare_arena` flattens a source tensor
+once and applies the rank-order swizzle and every prep step (swizzle,
+splits, flatten) as column operations on these buffers, so no prepared
+fibertree is ever built on the arena path.
 """
 
 from __future__ import annotations
 
 import bisect
 from array import array
+from itertools import repeat
 from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -53,7 +60,7 @@ def _coord_buffer(coords: List[Any]):
     """Pack a level's coordinates: ``int64`` ndarray for plain ints
     (bools excluded — they are ints to ``isinstance`` but not to the
     fibertree), a Python list otherwise (tuples, floats, big ints)."""
-    if all(type(c) is int for c in coords):
+    if not coords or set(map(type, coords)) == {int}:
         try:
             return np.array(coords, dtype=COORD_DTYPE)
         except OverflowError:
@@ -66,7 +73,7 @@ def _value_buffer(vals: List[Any]):
     float (``np.float64`` included — it subclasses ``float``), a Python
     list otherwise.  Ints keep the list form on purpose: int64 numpy
     arithmetic wraps silently where Python ints are unbounded."""
-    if all(isinstance(v, float) for v in vals):
+    if all(map(isinstance, vals, repeat(float))):
         return np.array(vals, dtype=VALUE_DTYPE) if vals else \
             np.empty(0, dtype=VALUE_DTYPE)
     return list(vals)

@@ -9,7 +9,7 @@ leaves the receiver unchanged.
 
 from __future__ import annotations
 
-import itertools
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fiber import Fiber
@@ -69,8 +69,24 @@ class Tensor:
                     f"point {point} does not match rank count {len(rank_ids)}"
                 )
             dedup[tuple(point)] = value
-        items = sorted((p, v) for p, v in dedup.items() if v != 0)
-        root = _build_from_sorted(items, len(rank_ids))
+        return cls.from_points(name, rank_ids, dedup, shape)
+
+    @classmethod
+    def from_points(
+        cls,
+        name: str,
+        rank_ids: Sequence[str],
+        points: Dict[tuple, Any],
+        shape: Optional[Sequence[Optional[int]]] = None,
+    ) -> "Tensor":
+        """Build a tensor from a ``{point: value}`` mapping in one pass.
+
+        The points are sorted once and zero values dropped; each point
+        must have one coordinate per rank.
+        """
+        if 0 in points.values():  # rare: filter only when a zero is present
+            points = {p: v for p, v in points.items() if v != 0}
+        root = _build_from_sorted(sorted(points.items()), len(rank_ids))
         return cls(name, rank_ids, root, shape)
 
     @classmethod
@@ -165,8 +181,11 @@ class Tensor:
         if new_rank_ids == self.rank_ids:
             return self.copy()
         perm = [self.rank_index(r) for r in new_rank_ids]
+        # Two or more ranks here (a one-rank swizzle is the identity), so
+        # the itemgetter returns a tuple.
+        permute = itemgetter(*perm)
         items = sorted(
-            (tuple(point[i] for i in perm), value) for point, value in self.leaves()
+            (permute(point), value) for point, value in self.leaves()
         )
         root = _build_from_sorted(items, len(new_rank_ids))
         new_shape = [self.shape[i] for i in perm]
@@ -278,18 +297,34 @@ class Tensor:
 # Internal helpers
 # ----------------------------------------------------------------------
 def _build_from_sorted(items: List[Tuple[tuple, Any]], num_ranks: int) -> Fiber:
-    """Build a fibertree from sorted, de-duplicated (point, value) pairs."""
+    """Build a fibertree from sorted, de-duplicated (point, value) pairs.
+
+    One pass: ``path[d]`` is the open fiber of level ``d``; a point opens
+    fresh fibers below the first level where it departs from its
+    predecessor, then appends its leaf.
+    """
     if num_ranks == 0:
         raise ValueError("cannot build a fibertree with zero ranks")
-    fiber = Fiber()
-    if num_ranks == 1:
-        for point, value in items:
-            fiber.append(point[0], value)
-        return fiber
-    for coord, group in itertools.groupby(items, key=lambda item: item[0][0]):
-        sub = [(point[1:], value) for point, value in group]
-        fiber.append(coord, _build_from_sorted(sub, num_ranks - 1))
-    return fiber
+    root = Fiber()
+    path = [root] * num_ranks
+    last = num_ranks - 1
+    prev: Optional[tuple] = None
+    for point, value in items:
+        d = 0
+        if prev is not None:
+            while d < last and point[d] == prev[d]:
+                d += 1
+        for level in range(d, last):
+            child = Fiber()
+            node = path[level]
+            node.coords.append(point[level])
+            node.payloads.append(child)
+            path[level + 1] = child
+        leaf = path[last]
+        leaf.coords.append(point[last])
+        leaf.payloads.append(value)
+        prev = point
+    return root
 
 
 def _split_at_depth(root: Fiber, depth: int, op) -> Fiber:

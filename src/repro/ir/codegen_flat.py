@@ -8,7 +8,13 @@ half-open position span ``[lo, hi)`` into one level's flat coordinate
 array, iteration is ``for p in range(lo, hi)``, descent is two segment
 loads, and two-way intersection is an inlined galloping merge on the raw
 coordinate buffers — no generators, no per-element payload lists, no
-``Fiber`` allocation for windows, slices, or projections.
+``Fiber`` allocation for windows, slices, or projections.  Outputs skip
+boxed fibers too: every leaf reduces into ``_acc``, a dict keyed by the
+output point, and the kernel returns one
+:class:`~repro.fibertree.tensor.Tensor` built from its sorted points with
+zero sums dropped (:meth:`~repro.fibertree.tensor.Tensor.from_points`).
+The counted and vector flavors record the point count, zeros included,
+as ``kc.out_points`` — what a producer-side swizzle sorts.
 
 Three flavors share one generator:
 
@@ -61,7 +67,6 @@ from .codegen import (
     _drivable,
     _Emitter,
     _existential_ranks,
-    _expr_code,
     _physical_below,
     _point_code,
     _statically_driven,
@@ -353,9 +358,7 @@ class _FlatGenerator:
                 head.emit(f"h{i}_0 = ()")
         if self.vector:
             head.emit("_vk = rt.vec_ok(opset)")
-        head.emit("out = Fiber()")
-        head.emit("_on = out")
-        head.emit("_op = None")
+        head.emit("_acc = {}")
         if self.vector:
             head.emit("cx0 = ()")
             for (tensor, of, kind), var in self.ports.items():
@@ -401,9 +404,10 @@ class _FlatGenerator:
                 tail.emit(f"kc.add_isect({rank!r}, iv_{rank}, im_{rank})")
             for op in ("mul", "add", "copy"):
                 tail.emit(f"kc.add_compute({op!r}, cn_{op}, cs_{op}, cl_{op})")
+            tail.emit("kc.out_points = len(_acc)")
         tail.emit(
-            "return Tensor("
-            f"{ir.output.tensor!r}, {ir.output.storage_ranks!r}, out, "
+            "return Tensor.from_points("
+            f"{ir.output.tensor!r}, {ir.output.storage_ranks!r}, _acc, "
             f"[shapes.get(r) for r in {ir.output.storage_ranks!r}])"
         )
         return "\n".join(head.lines + body.lines + tail.lines) + "\n"
@@ -931,8 +935,6 @@ class _FlatGenerator:
             "value": value_code,
             "scalars": list(dict.fromkeys(scalars)),
             "k_mul": k_mul,
-            "prefix": _point_code(out_idx[:-1]),
-            "leaf": _expr_code(out_idx[-1]) if out_idx else "0",
             "point": _point_code(out_idx),
             "out_tensor": ir.output.tensor,
             "out_rank": (ir.output.storage_ranks[-1]
@@ -1060,7 +1062,8 @@ class _FlatGenerator:
         """Batched compute counting, stamp sets, reduction, and output
         writes of a span — bit-equal to the scalar leaf run ``vc_m``
         times (the first element of a freshly absent output point is the
-        copy/no-add element, exactly as ``reduce_leaf`` prices it)."""
+        copy/no-add element, exactly as :meth:`_emit_reduce` prices
+        it)."""
         em = self.em
         drivers = vec["drivers"]
         merge = vec["merge"]
@@ -1116,15 +1119,9 @@ class _FlatGenerator:
             em.emit(f"cn_mul += {k_mul} * vc_m")
             em.emit(ts_code("mul", "all"))
             em.emit(ss_code("mul", "all"))
-        em.emit(f"_pp = {vec['prefix']}")
-        em.emit("if _pp != _op:")
-        em.indent += 1
-        em.emit("_on = rt.out_ref(out, _pp)")
-        em.emit("_op = _pp")
-        em.indent -= 1
-        em.emit(f"vc_old = _on.get_payload({vec['leaf']})")
-        em.emit(f"_on.set_payload({vec['leaf']}, "
-                f"rt.vreduce(vc_old, vc_val))")
+        em.emit(f"_k = {vec['point']}")
+        em.emit("vc_old = _acc.get(_k)")
+        em.emit("_acc[_k] = rt.vreduce(vc_old, vc_val)")
         em.emit("if vc_old is None:")
         em.indent += 1
         if not k_mul:
@@ -1316,28 +1313,29 @@ class _FlatGenerator:
         else:
             self._leaf_flat(depths)
 
-    def _emit_reduce(self, target: str, value: str) -> None:
-        """Reduce ``value`` into the output at the current point.
-
-        The output subtree at the point's prefix is memoized in
-        ``_on``/``_op`` (it changes only when an outer loop advances), so
-        consecutive leaves skip the root-to-leaf descent.
-        """
+    def _emit_reduce(self, value: str) -> None:
+        """Reduce ``value`` into the output point buffer ``_acc`` (a dict
+        keyed by the full output point; the kernel builds its output
+        tensor from it once, at the end).  The first value at a point is
+        stored as is; later ones reduce with ``opset.add`` and count one
+        add (counted/vector), or overwrite for take() Einsums."""
         ir, em = self.ir, self.em
-        indices = ir.output.indices
-        prefix = _point_code(indices[:-1])
-        leaf = _expr_code(indices[-1]) if indices else "0"
-        overwrite = "True" if ir.einsum.is_take else "False"
-        em.emit(f"_pp = {prefix}")
-        em.emit("if _pp != _op:")
+        point = _point_code(ir.output.indices)
+        if ir.einsum.is_take:
+            em.emit(f"_acc[{point}] = {value}")
+            return
+        em.emit(f"_k = {point}")
+        em.emit("_o = _acc.get(_k)")
+        em.emit("if _o is None:")
         em.indent += 1
-        em.emit("_on = rt.out_ref(out, _pp)")
-        em.emit("_op = _pp")
+        em.emit(f"_acc[_k] = {value}")
         em.indent -= 1
-        em.emit(
-            f"{target}rt.reduce_leaf(_on, {leaf}, {value}, opset, "
-            f"{overwrite})"
-        )
+        em.emit("else:")
+        em.indent += 1
+        em.emit(f"_acc[_k] = opset.add(_o, {value})")
+        if self.counted:
+            em.emit("ad += 1")
+        em.indent -= 1
 
     def _leaf_flat(self, depths: Dict[int, int]) -> None:
         ir, em = self.ir, self.em
@@ -1346,7 +1344,7 @@ class _FlatGenerator:
         em.emit(f"value = {value}")
         em.emit("if value is not None:")
         em.indent += 1
-        self._emit_reduce("", "value")
+        self._emit_reduce("value")
         if self.existential:
             em.emit(f"wr_{self.n_ranks} = True")
         em.indent -= 1
@@ -1386,7 +1384,7 @@ class _FlatGenerator:
         point = _point_code(ir.output.indices)
         em.emit(f"if {value} is not None:")
         em.indent += 1
-        self._emit_reduce("ad += ", value)
+        self._emit_reduce(value)
         ts = "(" + "".join(f"st_{r}, " for r in ir.time_ranks) + ")"
         ss = "(" + "".join(f"st_{r}, " for r in ir.space_ranks) + ")"
         em.emit(f"_ts = {ts}")

@@ -837,27 +837,3 @@ def reduce_into(root: Fiber, point: tuple, value: Any, opset,
         return 0
     node.set_payload(leaf, opset.add(existing, value))
     return 1
-
-
-def out_ref(root: Fiber, prefix: tuple) -> Fiber:
-    """The output subtree fiber at ``prefix``, created on demand.
-
-    The flat kernels memoize this across consecutive leaves (the output
-    point's prefix usually only changes when an outer loop advances), so
-    reductions skip the per-leaf descent :func:`reduce_into` pays.
-    """
-    node = root
-    for coord in prefix:
-        node = node.get_payload_ref(coord, make=Fiber)
-    return node
-
-
-def reduce_leaf(node: Fiber, leaf, value: Any, opset,
-                overwrite: bool) -> int:
-    """The leaf half of :func:`reduce_into` against a memoized subtree."""
-    existing = node.get_payload(leaf)
-    if existing is None or overwrite:
-        node.set_payload(leaf, value)
-        return 0
-    node.set_payload(leaf, opset.add(existing, value))
-    return 1

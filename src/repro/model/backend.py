@@ -33,7 +33,10 @@ from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..einsum.operators import ARITHMETIC, OpSet
+# ``arena_from_tensor`` is unused here but stays importable from this
+# module: profiling tools wrap the boxed route's entry points by name.
 from ..fibertree.arena import FlatArena, arena_from_tensor
+from ..fibertree.prepare import prepare_arena
 from ..fibertree.tensor import Tensor
 from ..ir.builder import build_cascade_ir
 from ..ir.codegen import CodegenError, compile_ir
@@ -344,17 +347,19 @@ _NULL_SINK = TraceSink()
 
 
 class PrepCache:
-    """Memoizes tensor preparation and arena conversion across
-    evaluations that share input tensor objects.
+    """Memoizes input preparation across evaluations that share input
+    tensor objects.
 
     A mapping sweep (:func:`repro.explore.explore`) evaluates many
     candidate specs over the *same* input tensors; without a shared
     cache every candidate re-swizzles, re-partitions, and re-flattens
-    each input from scratch.  One ``PrepCache`` per sweep memoizes both
-    the prepared tensor (keyed by source-object identity, rank order,
-    and the exact prep-step sequence — candidates that share a storage
-    order share the work) and its :class:`~repro.fibertree.arena.FlatArena`
-    conversion (keyed by prepared-object identity).
+    each input from scratch.  One ``PrepCache`` per sweep memoizes each
+    prepared form — the boxed tensor the traced kernels walk, or the
+    :class:`~repro.fibertree.arena.FlatArena` the arena kernels walk —
+    under one key: source-object identity, rank order, and the exact
+    prep-step sequence (candidates that share a storage order share the
+    work).  Callers pass only cascade inputs; per-run intermediates are
+    never offered, so nothing an evaluation produces is pinned.
 
     Entries pin their source objects so ``id()`` keys can never be
     recycled.  The cache is thread-safe: a parallel mapping search
@@ -362,88 +367,44 @@ class PrepCache:
     of a sweep, so lookups and inserts synchronize on an internal lock.
     Builds run *outside* the lock (preparation can be slow); when two
     threads race to prepare the same form, one build is discarded and
-    both threads share the first-inserted object — keeping the
-    ``id()``-keyed arena memo coherent.
+    both threads share the first-inserted object.
     """
 
-    __slots__ = ("_prepared", "_arenas", "_owned", "_lock", "hits",
-                 "misses")
+    __slots__ = ("_prepared", "_lock", "hits", "misses")
 
     def __init__(self):
-        # (id(src), rank_order, prep) -> (src pin, prepared tensor)
+        # (form, id(src), rank_order, prep) -> (src pin, prepared form)
         self._prepared: Dict[tuple, tuple] = {}
-        # id(prepared) -> (prepared pin, arena)
-        self._arenas: Dict[int, tuple] = {}
-        # ids of tensors this cache produced (the only ones worth — and
-        # safe — memoizing arenas for: per-run intermediates would pin
-        # every evaluation's outputs for the life of the sweep).
-        self._owned: set = set()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def prepared(self, src: Tensor, rank_order, prep, build) -> Tensor:
-        key = (id(src), tuple(rank_order), tuple(prep))
+        """The prepared tensor of ``src`` (built by ``build()`` on a miss)."""
+        return self._get("tensor", src, rank_order, prep, build)
+
+    def arena(self, src: Tensor, rank_order, prep, build) -> FlatArena:
+        """The prepared arena of ``src`` (built by ``build()`` on a miss)."""
+        return self._get("arena", src, rank_order, prep, build)
+
+    def _get(self, form, src, rank_order, prep, build):
+        key = (form, id(src), tuple(rank_order), tuple(prep))
         with self._lock:
             entry = self._prepared.get(key)
             if entry is not None:
                 self.hits += 1
                 return entry[1]
-        t = build()
+        built = build()
         with self._lock:
             entry = self._prepared.get(key)
             if entry is not None:
-                # Lost a build race: adopt the winner so the id()-keyed
-                # arena memo sees one object per form.
+                # Lost a build race: adopt the winner so every caller
+                # shares one object per form.
                 self.hits += 1
                 return entry[1]
             self.misses += 1
-            self._prepared[key] = (src, t)
-            self._owned.add(id(t))
-            return t
-
-    def arena(self, prepared: Tensor) -> FlatArena:
-        key = id(prepared)
-        with self._lock:
-            entry = self._arenas.get(key)
-            if entry is not None:
-                self.hits += 1
-                return entry[1]
-            owned = key in self._owned
-        if not owned:
-            # A tensor this cache never prepared (an intermediate, or a
-            # caller mixing tensors in): convert without memoizing —
-            # the id can never recur meaningfully, and pinning it would
-            # leak one tensor + arena per evaluation.
-            return arena_from_tensor(prepared)
-        arena = arena_from_tensor(prepared)
-        with self._lock:
-            entry = self._arenas.get(key)
-            if entry is not None:
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-            self._arenas[key] = (prepared, arena)
-            return arena
-
-
-def _arenas_of(prepared: Dict[str, Tensor],
-               prep_cache: Optional[PrepCache] = None
-               ) -> Dict[str, FlatArena]:
-    """Convert prepared tensors to flat arenas, deduping shared objects."""
-    converted: Dict[int, FlatArena] = {}
-    out: Dict[str, FlatArena] = {}
-    for name, t in prepared.items():
-        key = id(t)
-        arena = converted.get(key)
-        if arena is None:
-            if prep_cache is not None:
-                arena = prep_cache.arena(t)
-            else:
-                arena = arena_from_tensor(t)
-            converted[key] = arena
-        out[name] = arena
-    return out
+            self._prepared[key] = (src, built)
+            return built
 
 
 class CompiledBackend(Backend):
@@ -455,9 +416,11 @@ class CompiledBackend(Backend):
     that spec instead of raising :class:`CodegenError`.
 
     Untraced runs (``sink=None``) execute the arena-native *flat*
-    kernels: inputs are converted to
+    kernels: inputs are prepared straight into
     :class:`~repro.fibertree.arena.FlatArena` structure-of-arrays
-    buffers and the generated loops stream over raw index spans.  Any
+    buffers (:func:`~repro.fibertree.prepare.prepare_arena`, no
+    prepared fibertree in between) and the generated loops stream over
+    raw index spans.  Any
     Einsum the flat generator cannot express runs its traced kernel
     against a no-op :class:`~repro.model.traces.TraceSink` instead, so
     outputs never depend on the flavor.
@@ -479,10 +442,15 @@ class CompiledBackend(Backend):
                       shapes, env, run_unit, after=None, prep_cache=None):
         """The per-Einsum cascade walk every kernel path shares.
 
-        ``run_unit(unit, prepared, ops, shapes)`` executes one Einsum's
-        kernel and returns ``(out, extra)``; ``after(name, extra)``
-        fires between the producer-swizzle event and ``einsum_end``
-        (the pricing hook of the counted/vector paths).
+        ``run_unit(unit, prepare, ops, shapes)`` executes one Einsum's
+        kernel on ``prepare(arenas)`` — its inputs as arenas or as
+        boxed tensors — and returns ``(out, written, extra)``: the
+        output tensor with zero leaves pruned, the number of points the
+        kernel wrote (zeros included; what a producer-side swizzle
+        sorts, only read under a sink), and the path's pricing payload.
+        ``after(name, extra)`` fires between the producer-swizzle event
+        and ``einsum_end`` (the pricing hook of the counted/vector
+        paths).
         """
         env, all_shapes, rank_orders = cascade_context(spec, tensors,
                                                        shapes, env)
@@ -491,14 +459,17 @@ class CompiledBackend(Backend):
             ops = (opsets or {}).get(ir.name, opset)
             if sink:
                 sink.einsum_begin(ir.name, ir)
-            prepared = self._prepare(ir, env, rank_orders, sink,
-                                     prep_cache)
-            out, extra = run_unit(unit, prepared, ops, all_shapes)
+
+            def prepare(arenas, ir=ir):
+                return self._prepare(ir, env, rank_orders, sink,
+                                     prep_cache, arenas)
+
+            out, written, extra = run_unit(unit, prepare, ops, all_shapes)
             if sink and ir.output.needs_producer_swizzle:
-                sink.swizzle(out.name, out.nnz, side="producer")
+                sink.swizzle(out.name, written, side="producer")
             if after:
                 after(ir.name, extra)
-            env[ir.name] = out.prune_empty()
+            env[ir.name] = out
             if sink:
                 sink.einsum_end(ir.name)
         return env
@@ -515,17 +486,17 @@ class CompiledBackend(Backend):
                 )
             raise
 
-        def run_unit(unit, prepared, ops, all_shapes):
+        def run_unit(unit, prepare, ops, all_shapes):
             if not sink:
                 try:
                     flat = unit.flat
                 except CodegenError:
                     pass  # the traced kernel below, with a no-op sink
                 else:
-                    return flat(_arenas_of(prepared, prep_cache), ops,
-                                all_shapes), None
-            return unit.traced(prepared, ops, all_shapes,
-                               sink or _NULL_SINK), None
+                    return flat(prepare(True), ops, all_shapes), 0, None
+            out = unit.traced(prepare(False), ops, all_shapes,
+                              sink or _NULL_SINK)
+            return out.prune_empty(), out.nnz if sink else 0, None
 
         return self._walk_cascade(spec, compiled, tensors, opset, opsets,
                                   sink, shapes, env, run_unit,
@@ -549,11 +520,10 @@ class CompiledBackend(Backend):
         for unit in compiled.units:
             unit.counted  # force-compile everything up front
 
-        def run_unit(unit, prepared, ops, all_shapes):
+        def run_unit(unit, prepare, ops, all_shapes):
             counters = KernelCounters()
-            out = unit.counted(_arenas_of(prepared, prep_cache), ops,
-                               all_shapes, counters)
-            return out, counters
+            out = unit.counted(prepare(True), ops, all_shapes, counters)
+            return out, counters.out_points, counters
 
         def after(name, counters):
             if on_counters:
@@ -587,13 +557,13 @@ class CompiledBackend(Backend):
         for unit in compiled.units:
             unit.vector  # force-compile everything up front
 
-        def run_unit(unit, prepared, ops, all_shapes):
+        def run_unit(unit, prepare, ops, all_shapes):
             counters = KernelCounters()
             machines = make_machines(unit.ir.name, unit.ir) \
                 if make_machines else _NULL_ROUTING
-            out = unit.vector(_arenas_of(prepared, prep_cache), ops,
-                              all_shapes, counters, machines)
-            return out, (counters, machines)
+            out = unit.vector(prepare(True), ops, all_shapes, counters,
+                              machines)
+            return out, counters.out_points, (counters, machines)
 
         def after(name, extra):
             if on_fused:
@@ -605,9 +575,12 @@ class CompiledBackend(Backend):
 
     @staticmethod
     def _prepare(ir, env, rank_orders, sink,
-                 prep_cache: Optional[PrepCache] = None
-                 ) -> Dict[str, Tensor]:
-        """Prepared inputs for one Einsum, with consumer-swizzle events.
+                 prep_cache: Optional[PrepCache] = None,
+                 arenas: bool = False) -> Dict[str, Any]:
+        """Prepared inputs for one Einsum, with consumer-swizzle events:
+        :class:`~repro.fibertree.arena.FlatArena` buffers when
+        ``arenas`` (the arena kernels), boxed tensors otherwise (the
+        traced kernel, via the interpreter's own ``prepare_tensor``).
 
         Mirrors the interpreter's per-(tensor, prep) dedup so swizzle
         events on intermediates are emitted exactly once.  With a
@@ -616,8 +589,9 @@ class CompiledBackend(Backend):
         are per-run and never cached — caching them would pin every
         candidate's outputs for the life of a sweep).
         """
-        prepared: Dict[str, Tensor] = {}
-        seen: Dict[tuple, Tensor] = {}
+        build = prepare_arena if arenas else prepare_tensor
+        prepared: Dict[str, Any] = {}
+        seen: Dict[tuple, Any] = {}
         for plan in ir.accesses:
             key = (plan.tensor, tuple(plan.prep))
             if key not in seen:
@@ -629,12 +603,12 @@ class CompiledBackend(Backend):
                 src = env[plan.tensor]
                 order = rank_orders[plan.tensor]
                 if prep_cache is not None and not plan.is_intermediate:
-                    seen[key] = prep_cache.prepared(
-                        src, order, plan.prep,
-                        lambda: prepare_tensor(src, order, plan.prep),
-                    )
+                    memo = prep_cache.arena if arenas else \
+                        prep_cache.prepared
+                    seen[key] = memo(src, order, plan.prep,
+                                     lambda: build(src, order, plan.prep))
                 else:
-                    seen[key] = prepare_tensor(src, order, plan.prep)
+                    seen[key] = build(src, order, plan.prep)
                 if sink and plan.is_intermediate:
                     for step in plan.prep:
                         if step.kind == "swizzle":

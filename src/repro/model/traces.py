@@ -131,10 +131,15 @@ class KernelCounters:
       per buffet/cache state machine that received events.  Recorded by
       :meth:`repro.model.evaluate.FusedMachines.settle` after the models
       were priced, so tests and studies can inspect exactly which
-      fills/drains/hits/evictions the fused path accounted.
+      fills/drains/hits/evictions the fused path accounted;
+    * ``out_points`` — the distinct output points the kernel wrote, a
+      sum that cancelled to zero included: the element count a
+      producer-side swizzle sorts (the interpreter prices its output
+      before pruning zeros, while arena kernels return it pruned).
     """
 
-    __slots__ = ("reads", "writes", "isects", "computes", "actions")
+    __slots__ = ("reads", "writes", "isects", "computes", "actions",
+                 "out_points")
 
     def __init__(self):
         self.reads = Counter()
@@ -142,6 +147,7 @@ class KernelCounters:
         self.isects = {}
         self.computes = {}
         self.actions = []
+        self.out_points = 0
 
     def add_read(self, tensor: str, rank: str, kind: str, n: int) -> None:
         if n:

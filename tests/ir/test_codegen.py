@@ -306,3 +306,90 @@ einsum:
             },
         )
         assert gen.points() == interp.points()
+
+
+class TestCancellingSums:
+    """Arena kernels reduce into a point buffer and build their output
+    once: a sum that cancels to exactly 0.0 leaves no zero leaf, yet its
+    add is still counted, and a producer-side swizzle still sorts the
+    point the kernel wrote (as the interpreter, which prunes later)."""
+
+    REDUCE = """
+einsum:
+  declaration:
+    A: [M, K]
+    Z: [M]
+  expressions:
+    - Z[m] = A[m, k]
+mapping:
+  loop-order:
+    Z: [M, K]
+"""
+
+    SWIZZLED = MATMUL + """
+mapping:
+  rank-order:
+    Z: [M, N]
+  loop-order:
+    Z: [N, M, K]
+"""
+
+    @staticmethod
+    def _dense_cancelling():
+        # Row 2 sums to 1.5 - 1.5 == 0.0; the other rows do not cancel.
+        dense = np.zeros((4, 200))
+        dense[0, :3] = [1.0, 2.0, 3.0]
+        dense[2, [0, 150]] = [1.5, -1.5]
+        dense[3, ::2] = 0.25
+        return dense
+
+    def test_zero_sum_leaves_no_leaf_and_counts_its_add(self, monkeypatch):
+        import repro.ir.codegen_runtime as rt
+        from repro.einsum import ARITHMETIC
+        from repro.fibertree import prepare_arena
+        from repro.model.backend import _NULL_ROUTING
+        from repro.model.traces import CountingSink, KernelCounters
+
+        spec = load_spec(self.REDUCE)
+        ir = build_ir(spec, "Z")
+        a = tensor_from_dense("A", ["M", "K"], self._dense_cancelling())
+        arenas = {"A": prepare_arena(a, ["M", "K"], ir.accesses[0].prep)}
+        shapes = {"M": 4, "K": 200}
+        sink = CountingSink()
+        ref = execute_cascade(spec, {"A": a}, sink=sink)["Z"]
+        assert (2,) not in ref.points()
+        for vleaf_min in (rt.VLEAF_MIN, 0):  # scalar and batched leaves
+            monkeypatch.setattr(rt, "VLEAF_MIN", vleaf_min)
+            flat, _ = compile_ir(ir, "flat")
+            assert flat(arenas, ARITHMETIC, shapes).points() == ref.points()
+            for flavor in ("counted", "vector"):
+                kernel, _ = compile_ir(ir, flavor)
+                kc = KernelCounters()
+                args = (arenas, ARITHMETIC, shapes, kc)
+                if flavor == "vector":
+                    args += (_NULL_ROUTING,)
+                out = kernel(*args)
+                assert out.points() == ref.points()
+                assert 0.0 not in out.points().values()
+                assert kc.computes["add"][0] == sink.computes[("Z", "add")]
+                assert kc.out_points == len(ref.points()) + 1
+
+    def test_producer_swizzle_counts_cancelled_points(self):
+        from repro.model.traces import CountingSink
+
+        spec = load_spec(self.SWIZZLED)
+        assert build_ir(spec, "Z").output.needs_producer_swizzle
+        a = np.array([[1.0, 2.0], [1.0, 0.0]])   # A[k, m]
+        b = np.array([[1.0, 3.0], [-1.0, 0.0]])  # B[k, n]: Z[0, 0] == 0
+        tensors = {"A": tensor_from_dense("A", ["K", "M"], a),
+                   "B": tensor_from_dense("B", ["K", "N"], b)}
+        ref_sink = CountingSink()
+        ref = execute_cascade(spec, dict(tensors), sink=ref_sink)["Z"]
+        assert (0, 0) not in ref.points()
+        backend = CompiledBackend(CompileCache())
+        for run in (backend.run_cascade_counted, backend.run_cascade_fused):
+            sink = CountingSink()
+            env = run(spec, dict(tensors), sink=sink)
+            assert env["Z"].points() == ref.points()
+            assert sink.swizzles == ref_sink.swizzles
+            assert sink.swizzles[("Z", "Z", "producer")] == 4

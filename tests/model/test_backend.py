@@ -320,17 +320,18 @@ mapping:
         tensors = self._tensors()
         cache = PrepCache()
         first = evaluate(spec, dict(tensors), prep_cache=cache)
-        prepared_after_one = len(cache._prepared)
-        arenas_after_one = len(cache._arenas)
+        entries_after_one = len(cache._prepared)
+        assert entries_after_one > 0
         for _ in range(3):
             again = evaluate(spec, dict(tensors), prep_cache=cache)
             assert again.env["Z"].points() == first.env["Z"].points()
-        # Inputs: no new preparations or arenas beyond the first run.
-        assert len(cache._prepared) == prepared_after_one
-        assert len(cache._arenas) == arenas_after_one
-        # The per-run T intermediates were converted but never pinned.
-        assert all(id(entry[1]) in cache._owned
-                   for entry in cache._prepared.values())
+        # Inputs: no new prepared forms beyond the first run.
+        assert len(cache._prepared) == entries_after_one
+        # The per-run T intermediates were prepared but never pinned:
+        # every entry's source is a caller-supplied input.
+        inputs = {id(t) for t in tensors.values()}
+        assert all(id(src) in inputs
+                   for src, _ in cache._prepared.values())
         assert cache.hits > 0
 
     def test_cached_results_match_uncached(self):
@@ -420,7 +421,7 @@ mapping:
         # Prepared once: the contended cache holds exactly what one
         # serial evaluation would have created, nothing accumulated.
         assert len(cache._prepared) == entries_for_one
-        assert len(cache._arenas) == len(reference_cache._arenas)
+        assert cache.misses == reference_cache.misses
         for res in results:
             assert res.env["Z"].points() == reference.env["Z"].points()
             assert res.traffic_bytes() == reference.traffic_bytes()
