@@ -9,7 +9,12 @@ from .designs import (
     Design,
     GraphicionadoConfig,
 )
-from .driver import IterationStats, RunResult, run_vertex_centric
+from .driver import (
+    ConvergenceError,
+    IterationStats,
+    RunResult,
+    run_vertex_centric,
+)
 from .vcp import (
     ALGORITHM_OPSETS,
     graphdyns_cascade,
@@ -19,6 +24,7 @@ from .vcp import (
 
 __all__ = [
     "ALGORITHM_OPSETS",
+    "ConvergenceError",
     "DESIGNS",
     "Design",
     "GRAPHDYNS",

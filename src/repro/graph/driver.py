@@ -1,19 +1,25 @@
 """Iterative driver for vertex-centric algorithms (paper section 8).
 
 Runs one cascade evaluation per iteration until the active set empties,
-executing the real Einsum cascades on fibertrees through the TeAAL
-executor, and pricing each iteration with the shared Graphicionado
-parameterization: per-stream processing/apply throughput against memory
-bandwidth, bottleneck-style.
+executing the real Einsum cascades on fibertrees through an execution
+backend (by default the compiled arena kernels, with the interpreter as
+the reference engine via ``backend="interpreter"``), and pricing each
+iteration with the shared Graphicionado parameterization: per-stream
+processing/apply throughput against memory bandwidth, bottleneck-style.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..fibertree import Fiber, Tensor
+from ..model import PrepCache, resolve_backend
+# ``execute_cascade`` is unused here but stays importable from this
+# module: profiling tools wrap the interpreter's entry point by name.
 from ..model import execute_cascade
+from ..spec import AcceleratorSpec
 from .designs import Design, GraphicionadoConfig
 from .vcp import graphdyns_cascade, graphicionado_cascade, opset_for
 
@@ -57,10 +63,9 @@ class RunResult:
         return len(self.iterations)
 
 
-def _vector(name: str, values: Dict[int, float], shape: int) -> Tensor:
-    coords = sorted(values)
-    return Tensor(name, [name if name in ("S",) else "V"],
-                  Fiber(coords, [values[c] for c in coords]), [shape])
+class ConvergenceError(RuntimeError):
+    """A vertex-centric run hit ``max_iterations`` with vertices still
+    active, so its properties and costs would be a truncated answer."""
 
 
 def _vector_named(name: str, rank: str, values: Dict[int, float],
@@ -77,6 +82,14 @@ def _vector_named(name: str, rank: str, values: Dict[int, float],
 _ENCODE = 1.0
 
 
+@functools.lru_cache(maxsize=None)
+def _cascade(name: str) -> AcceleratorSpec:
+    """The parsed cascade of a design, shared by every run (read-only)."""
+    if name == "graphicionado":
+        return graphicionado_cascade()
+    return graphdyns_cascade()
+
+
 def run_vertex_centric(
     design: Design,
     graph: Tensor,
@@ -84,18 +97,25 @@ def run_vertex_centric(
     algorithm: str = "bfs",
     config: GraphicionadoConfig = GraphicionadoConfig(),
     max_iterations: int = 100,
+    backend: Any = None,
 ) -> RunResult:
-    """Run BFS/SSSP on ``graph`` (adjacency G[d, s]) under one design."""
+    """Run BFS/SSSP/CC on ``graph`` (adjacency G[d, s]) under one design.
+
+    ``backend`` selects the engine each iteration's cascade runs on, as
+    in :func:`repro.model.evaluate`: None/``"auto"`` for the compiled
+    arena kernels (falling back to the interpreter on a
+    :class:`~repro.ir.codegen.CodegenError`), ``"interpreter"`` for the
+    reference engine, or a :class:`~repro.model.backend.Backend`.
+    Raises :class:`ConvergenceError` if vertices are still active after
+    ``max_iterations`` iterations.
+    """
     opset = opset_for(algorithm)
+    engine = resolve_backend(backend)
     uses_weight = algorithm != "bfs"
     n = graph.shape[0] or (
         max(c for point, _ in graph.leaves() for c in point) + 1
     )
-    spec = (
-        graphicionado_cascade()
-        if design.cascade == "graphicionado"
-        else graphdyns_cascade()
-    )
+    spec = _cascade(design.cascade)
     g = graph.copy(name="G")
     g.rank_ids = ["V", "S"]  # destination rank aligned to the property space
 
@@ -109,6 +129,10 @@ def run_vertex_centric(
         active = {source: _ENCODE}
     result = RunResult(design=design.name, algorithm=algorithm,
                        properties={})
+    # ``g`` is the same object every iteration, so its prepared arena is
+    # built once per run.  The cache dies with the run: sharing it across
+    # runs would pin every graph copy.
+    prep_cache = PrepCache()
 
     for _ in range(max_iterations):
         if not active:
@@ -118,8 +142,9 @@ def run_vertex_centric(
             "A0": _vector_named("A0", "S", active, n),
             "P0": _vector_named("P0", "V", properties, n),
         }
-        env = execute_cascade(spec, tensors, opset=opset,
-                              shapes={"V": n, "S": n})
+        env = engine.run_cascade(spec, tensors, opset=opset,
+                                 shapes={"V": n, "S": n},
+                                 prep_cache=prep_cache)
         messages = env["R"].points()
         if design.cascade == "graphicionado":
             new_props = {p[0]: v for p, v in env["P1"].leaves()}
@@ -144,6 +169,12 @@ def run_vertex_centric(
         properties = new_props
         active = new_active
 
+    if active:
+        raise ConvergenceError(
+            f"{design.name}/{algorithm} did not converge in "
+            f"{max_iterations} iterations: {len(active)} vertices still "
+            f"active"
+        )
     result.properties = {v: d - _ENCODE for v, d in properties.items()}
     return result
 

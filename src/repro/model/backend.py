@@ -316,17 +316,21 @@ class Backend:
         sink: Optional[TraceSink] = None,
         shapes: Optional[Dict[str, int]] = None,
         env: Optional[Dict[str, Tensor]] = None,
+        prep_cache: Optional[PrepCache] = None,
     ) -> Dict[str, Tensor]:
         raise NotImplementedError
 
 
 class InterpreterBackend(Backend):
-    """The reference engine: interprets loop-nest IR over fibertrees."""
+    """The reference engine: interprets loop-nest IR over fibertrees.
+
+    ``prep_cache`` is accepted for signature parity and ignored: the
+    reference prepares every input afresh."""
 
     name = "interpreter"
 
     def run_cascade(self, spec, tensors, opset=ARITHMETIC, opsets=None,
-                    sink=None, shapes=None, env=None):
+                    sink=None, shapes=None, env=None, prep_cache=None):
         return execute_cascade(spec, tensors, opset=opset, opsets=opsets,
                                sink=sink, shapes=shapes, env=env)
 
