@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 export HYPOTHESIS_PROFILE ?= repro
 
-.PHONY: test test-differential coverage bench-backend bench-nnz bench-smoke benchmarks example
+.PHONY: test test-differential coverage benchmarks example
 
 # Tier-1: unit + integration + the codegen differential suite, with the
 # fixed hypothesis profile for reproducibility.
@@ -22,23 +22,10 @@ coverage:
 	$(PYTHON) -m pytest tests -q --cov=repro --cov-report=term \
 	    --cov-fail-under=80
 
-# Every engine (interpreter / traced / flat / counters / vector) on
-# 24-workload sweeps; appends to benchmarks/BENCH_backend.json.
-bench-backend:
-	$(PYTHON) benchmarks/bench_backend.py
-
-# Counted-vs-vector scaling curve, 1e4 -> 1e6 nonzeros; appends the
-# nnz_sweep series to benchmarks/BENCH_backend.json.
-bench-nnz:
-	$(PYTHON) benchmarks/bench_backend.py --nnz-sweep
-
-# Tiny sweep, no trajectory write: the CI smoke gate.
-bench-smoke:
-	$(PYTHON) benchmarks/bench_backend.py --workloads 3 --no-json
-
-# Full figure-reproduction benchmarks (slow).
+# Figure-reproduction benchmarks and the speed gates (slow).  The files
+# are named bench_*.py, which pytest collects only when passed by name.
 benchmarks:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest benchmarks/bench_*.py -q
 
 example:
 	$(PYTHON) examples/generated_simulator.py

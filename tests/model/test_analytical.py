@@ -89,8 +89,6 @@ binding:
         - op: mul
 """
 
-SPEC_SEARCH = SPEC_BUFFERED.replace("evict-on: K1", "evict-on: M")
-
 SCALED = {
     "gamma": dict(pe_rows=16, merge_way=16),
     "outerspace": dict(mult_outer=64, mult_inner=8, merge_outer=32,
@@ -422,27 +420,6 @@ mapping:
 # The pruning contract and the no-tensor path
 # ----------------------------------------------------------------------
 class TestAnalyticalSearch:
-    def test_pruned_search_recalls_exhaustive_best(self):
-        from repro.search import search
-
-        spec = load_spec(SPEC_SEARCH, name="anl-search")
-        tensors = {
-            "A": uniform_random("A", ["K", "M"], (96, 48), 0.15, seed=5),
-            "B": uniform_random("B", ["K", "N"], (96, 40), 0.15, seed=7),
-        }
-        exhaustive = search(spec, tensors, tile_sizes={"K": (8, 16)},
-                            workers=1, metrics="trace")
-        pruned = search(spec, tensors, tile_sizes={"K": (8, 16)},
-                        prune_to=4, prune_metrics="analytical")
-        (cand_s, res_s), (cand_p, res_p) = exhaustive.best(), pruned.best()
-        assert cand_s == cand_p
-        # Survivors were re-priced with the traced reference, so the
-        # winning metrics are bit-identical, not just close.
-        assert res_s.exec_seconds == res_p.exec_seconds
-        assert res_s.traffic_bytes() == res_p.traffic_bytes()
-        assert pruned.n_priced == 4
-        assert pruned.n_scored == exhaustive.n_scored
-
     def test_phase2_always_reprices_for_analytical(self):
         from repro.search import search
 

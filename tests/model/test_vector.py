@@ -5,8 +5,9 @@ primitives.  Their contract is *bit-identity* with their own per-span
 scalar fallback, the counted kernels, and the traced interpreter: same
 outputs, same counters, same component-machine tallies, same metrics —
 whichever per-span path (batched or scalar fallback) ran.  These tests
-pin ``VLEAF_MIN`` to 0 so the batched path engages on small inputs, and
-separately confirm that the batched path *actually* runs (a silent
+pin ``VLEAF_MIN`` to 0 so the batched path engages on small inputs
+(except the long-span test, whose spans clear the production value),
+and separately confirm that the batched path *actually* runs (a silent
 always-fallback would make every other assertion vacuous).
 """
 
@@ -304,6 +305,38 @@ def test_span_threshold_keeps_small_leaves_scalar(monkeypatch):
     ref = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
                    backend=InterpreterBackend(), metrics="trace")
     assert fingerprint(got) == fingerprint(ref)
+
+
+def _nnz_workload(nnz):
+    """One SpMSpM with a 32x32 output and ~``nnz`` nonzeros per input.
+    Density falls with size (``d ~ nnz^-1/4``) while the contraction
+    depth grows super-linearly, so K-fibers hold hundreds to thousands
+    of coordinates."""
+    m = n = 32
+    density = 0.1 * (10_000 / max(nnz, 1)) ** 0.25
+    k = max(32, int(round(nnz / (m * density))))
+    return {
+        "A": uniform_random("A", ["M", "K"], (m, k), density, seed=11),
+        "B": uniform_random("B", ["N", "K"], (n, k), density, seed=13),
+    }
+
+
+@pytest.mark.parametrize("nnz", [20_000, 80_000])
+def test_long_span_counters_match_vector(monkeypatch, nnz):
+    """Past the production ``VLEAF_MIN`` the vector kernels take their
+    batched spans; the counted kernels must still price bit-identically."""
+    monkeypatch.undo()  # the real threshold: these spans clear it
+    assert rt.VLEAF_MIN > 0
+    spec = load_spec(SPMSPM, name="vec-nnz")
+    backend = CompiledBackend(cache=_CACHE)
+    work = _nnz_workload(nnz)
+    prints = {metrics: fingerprint(evaluate(spec, dict(work),
+                                            backend=backend,
+                                            metrics=metrics))
+              for metrics in ("counters", "vector")}
+    assert prints["counters"] == prints["vector"], (
+        f"nnz={nnz}: vector metrics diverge from counted"
+    )
 
 
 def test_non_elementwise_opsets_stay_scalar_and_exact():
