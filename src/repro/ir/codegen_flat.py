@@ -23,8 +23,9 @@ Three flavors share one generator:
   instead of one :class:`~repro.model.traces.TraceSink` method call per
   touched element, the kernel bumps local integer tallies (per
   (tensor, rank, kind) reads/writes, per-rank intersection statistics,
-  per-op compute counts with their spacetime stamp sets) and flushes them
-  into a :class:`~repro.model.traces.KernelCounters` once at the end.
+  per-op compute counts with the set of their time stamp tuples) and
+  flushes them into a :class:`~repro.model.traces.KernelCounters` once at
+  the end.
   The tallies equal, exactly, the aggregates of the traced event stream —
   including the subtle cases: lookup misses still count a coordinate
   read, abandoned co-iterations (existential ``take()`` short-circuits)
@@ -45,7 +46,9 @@ Three flavors share one generator:
   :class:`~repro.ir.codegen_runtime.FusedCache` state machine receiving
   the same (key, evict-window) sequence the traced
   :class:`~repro.model.evaluate.ModelSink` would deliver.  Eligible
-  innermost-rank spans are priced through batched numpy primitives;
+  innermost-rank spans are priced through batched numpy primitives and
+  record their time stamps as one span entry — the fixed part plus a
+  numpy column of the innermost slot (see :mod:`repro.model.stamps`);
   per-span runtime guards fall back to the inline scalar loop, so
   results never depend on which path ran.
 
@@ -85,8 +88,7 @@ class _FlatGenerator:
         self.counted = counted = counted or vector
         self.em = _Emitter()  # body emitter (swapped in during generate)
         self.existential = _existential_ranks(ir)
-        self.stamp_ranks = (set(ir.time_ranks) | set(ir.space_ranks)) \
-            if counted else set()
+        self.stamp_ranks = set(ir.time_ranks) if counted else set()
         self.n_ranks = len(ir.loop_ranks)
         self._tmp_count = 0
         # Arena geometry per access: number of physical levels, and the
@@ -383,7 +385,8 @@ class _FlatGenerator:
             for op in ("mul", "add", "copy"):
                 head.emit(f"cn_{op} = 0")
                 head.emit(f"cs_{op} = set()")
-                head.emit(f"cl_{op} = set()")
+                if self.vector:
+                    head.emit(f"cv_{op} = []")
             for rank in sorted(self.stamp_ranks):
                 head.emit(f"st_{rank} = 0")
         if self.existential:
@@ -403,7 +406,10 @@ class _FlatGenerator:
             for rank in self.isect_ranks:
                 tail.emit(f"kc.add_isect({rank!r}, iv_{rank}, im_{rank})")
             for op in ("mul", "add", "copy"):
-                tail.emit(f"kc.add_compute({op!r}, cn_{op}, cs_{op}, cl_{op})")
+                spans = f"cv_{op}" if self.vector else "[]"
+                tail.emit(
+                    f"kc.add_compute({op!r}, cn_{op}, cs_{op}, {spans})"
+                )
             tail.emit("kc.out_points = len(_acc)")
         tail.emit(
             "return Tensor.from_points("
@@ -863,16 +869,18 @@ class _FlatGenerator:
             return None  # a driver's values never reach the product
         return code, scalars, muls[0]
 
-    def _stamp_desc(self, rank: str, ranks: List[str]) -> dict:
-        """How one stamp tuple set behaves across an innermost span:
-        constant (the rank is absent) or varying in exactly one slot."""
+    def _stamp_desc(self, rank: str) -> dict:
+        """How the time stamp behaves across an innermost span: constant
+        (the rank is absent from it) or varying in exactly one slot,
+        around the fixed part ``(pre, post)``."""
+        ranks = list(self.ir.time_ranks)
         if rank in ranks:
             k = ranks.index(rank)
             pre = "(" + "".join(f"st_{r}, " for r in ranks[:k]) + ")"
             post = "(" + "".join(f"st_{r}, " for r in ranks[k + 1:]) + ")"
-            return {"varies": True, "pre": pre, "post": post, "const": None}
+            return {"varies": True, "fixed": f"({pre}, {post})"}
         const = "(" + "".join(f"st_{r}, " for r in ranks) + ")"
-        return {"varies": False, "pre": None, "post": None, "const": const}
+        return {"varies": False, "const": const}
 
     def _vector_leaf_plan(self, rank: str, level: int, mode: str, specs,
                           virtual, binds, new_depths: Dict[int, int]):
@@ -939,8 +947,7 @@ class _FlatGenerator:
             "out_tensor": ir.output.tensor,
             "out_rank": (ir.output.storage_ranks[-1]
                          if ir.output.storage_ranks else "root"),
-            "ts": self._stamp_desc(rank, list(ir.time_ranks)),
-            "ss": self._stamp_desc(rank, list(ir.space_ranks)),
+            "ts": self._stamp_desc(rank),
             "style": ir.time_styles.get(rank, "pos"),
         }
 
@@ -983,11 +990,26 @@ class _FlatGenerator:
         # The loop coordinates of the span's effectual elements (the
         # shifted matched coordinates — identical through either merge
         # driver), materialized at most once per span on first need:
-        # stamp tuples, payload-port reads, and output writes share it.
+        # ``vc_a`` as a numpy column (``coord``-style stamps), ``vc_c``
+        # as Python ints (payload-port reads and output writes).
+        em.emit("vc_a = None")
         em.emit("vc_c = None")
         for drv in drivers:
             self._emit_vector_reads(level, drv, merge, d0)
         self._emit_vector_effectual(rank, level, vec)
+        em.indent -= 1
+
+    def _emit_vc_array(self, d0: dict, merge: bool) -> None:
+        """Lazily bind ``vc_a`` (see :meth:`_emit_vector_leaf`)."""
+        em = self.em
+        em.emit("if vc_a is None:")
+        em.indent += 1
+        if merge:
+            em.emit(f"vc_a = rt.vtake(t{d0['i']}_cn{d0['L']}, vc_q0, "
+                    f"{d0['off']})")
+        else:
+            em.emit(f"vc_a = rt.vslice(t{d0['i']}_cn{d0['L']}, {d0['a']}, "
+                    f"{d0['b']}, {d0['off']})")
         em.indent -= 1
 
     def _emit_vc_coords(self, d0: dict, merge: bool) -> None:
@@ -995,12 +1017,8 @@ class _FlatGenerator:
         em = self.em
         em.emit("if vc_c is None:")
         em.indent += 1
-        if merge:
-            em.emit(f"vc_c = rt.vtake(t{d0['i']}_cn{d0['L']}, vc_q0, "
-                    f"{d0['off']})")
-        else:
-            em.emit(f"vc_c = rt.vslice(t{d0['i']}_cn{d0['L']}, {d0['a']}, "
-                    f"{d0['b']}, {d0['off']})")
+        self._emit_vc_array(d0, merge)
+        em.emit("vc_c = vc_a.tolist()")
         em.indent -= 1
 
     def _emit_vector_reads(self, level: int, drv: dict,
@@ -1059,11 +1077,14 @@ class _FlatGenerator:
 
     def _emit_vector_effectual(self, rank: str, level: int,
                                vec: dict) -> None:
-        """Batched compute counting, stamp sets, reduction, and output
+        """Batched compute counting, time stamps, reduction, and output
         writes of a span — bit-equal to the scalar leaf run ``vc_m``
         times (the first element of a freshly absent output point is the
         copy/no-add element, exactly as :meth:`_emit_reduce` prices
-        it)."""
+        it).  A varying stamp is recorded as one span entry: the fixed
+        part ``vc_fx`` and a column of the varying slot (loop positions
+        ``vc_sc`` or coordinates ``vc_a``), with the first/rest
+        selections as slices of that column."""
         em = self.em
         drivers = vec["drivers"]
         merge = vec["merge"]
@@ -1083,42 +1104,28 @@ class _FlatGenerator:
                 em.emit(f"vc_w{drv['j']} = "
                         f"t{drv['i']}_vn[{drv['a']}:{drv['b']}]")
         em.emit(f"vc_val = {vec['value']}")
-        ts, ss = vec["ts"], vec["ss"]
-        if vec["style"] == "coord" and (ts["varies"] or ss["varies"]):
-            self._emit_vc_coords(d0, merge)
-            inner = "vc_c"
-        else:
-            inner = "range(vc_m)"
+        ts = vec["ts"]
         if ts["varies"]:
-            em.emit(f"vc_ts = rt.vstamps({ts['pre']}, {ts['post']}, "
-                    f"{inner})")
+            if vec["style"] == "coord":
+                self._emit_vc_array(d0, merge)
+                col = "vc_a"
+            else:
+                em.emit("vc_sc = rt.vpositions(vc_m)")
+                col = "vc_sc"
+            em.emit(f"vc_fx = {ts['fixed']}")
         else:
             em.emit(f"vc_t = {ts['const']}")
-        if ss["varies"]:
-            em.emit(f"vc_ss = rt.vstamps({ss['pre']}, {ss['post']}, "
-                    f"{inner})")
-        else:
-            em.emit(f"vc_s = {ss['const']}")
 
         def ts_code(op, sel):
             if ts["varies"]:
-                return {"all": f"cs_{op}.update(vc_ts)",
-                        "first": f"cs_{op}.add(vc_ts[0])",
-                        "rest": f"cs_{op}.update(vc_ts[1:])"}[sel]
+                part = {"all": "", "first": "[:1]", "rest": "[1:]"}[sel]
+                return f"cv_{op}.append((vc_fx, {col}{part}))"
             return f"cs_{op}.add(vc_t)"
-
-        def ss_code(op, sel):
-            if ss["varies"]:
-                return {"all": f"cl_{op}.update(vc_ss)",
-                        "first": f"cl_{op}.add(vc_ss[0])",
-                        "rest": f"cl_{op}.update(vc_ss[1:])"}[sel]
-            return f"cl_{op}.add(vc_s)"
 
         k_mul = vec["k_mul"]
         if k_mul:
             em.emit(f"cn_mul += {k_mul} * vc_m")
             em.emit(ts_code("mul", "all"))
-            em.emit(ss_code("mul", "all"))
         em.emit(f"_k = {vec['point']}")
         em.emit("vc_old = _acc.get(_k)")
         em.emit("_acc[_k] = rt.vreduce(vc_old, vc_val)")
@@ -1127,19 +1134,16 @@ class _FlatGenerator:
         if not k_mul:
             em.emit("cn_copy += 1")
             em.emit(ts_code("copy", "first"))
-            em.emit(ss_code("copy", "first"))
         em.emit("cn_add += vc_m - 1")
         em.emit("if vc_m > 1:")
         em.indent += 1
         em.emit(ts_code("add", "rest"))
-        em.emit(ss_code("add", "rest"))
         em.indent -= 1
         em.indent -= 1
         em.emit("else:")
         em.indent += 1
         em.emit("cn_add += vc_m")
         em.emit(ts_code("add", "all"))
-        em.emit(ss_code("add", "all"))
         em.indent -= 1
         out_t, out_r = vec["out_tensor"], vec["out_rank"]
         pw = self._port(out_t, out_r, "elem")
@@ -1386,26 +1390,21 @@ class _FlatGenerator:
         em.indent += 1
         self._emit_reduce(value)
         ts = "(" + "".join(f"st_{r}, " for r in ir.time_ranks) + ")"
-        ss = "(" + "".join(f"st_{r}, " for r in ir.space_ranks) + ")"
         em.emit(f"_ts = {ts}")
-        em.emit(f"_ss = {ss}")
         em.emit("if mu:")
         em.indent += 1
         em.emit("cn_mul += mu")
         em.emit("cs_mul.add(_ts)")
-        em.emit("cl_mul.add(_ss)")
         em.indent -= 1
         em.emit("if ad:")
         em.indent += 1
         em.emit("cn_add += ad")
         em.emit("cs_add.add(_ts)")
-        em.emit("cl_add.add(_ss)")
         em.indent -= 1
         em.emit("if not mu and not ad:")
         em.indent += 1
         em.emit("cn_copy += 1")
         em.emit("cs_copy.add(_ts)")
-        em.emit("cl_copy.add(_ss)")
         em.indent -= 1
         out_rank = (ir.output.storage_ranks[-1]
                     if ir.output.storage_ranks else "root")

@@ -424,30 +424,26 @@ def visect2(c0, a0: int, b0: int, off0: int,
     return q0 + a0, q1 + a1, v0, v1
 
 
-def vtake(coords, positions, off: int) -> list:
-    """Coordinates at ``positions`` (+``off``), as Python ints."""
+def vtake(coords, positions, off: int) -> np.ndarray:
+    """Coordinates at ``positions`` (+``off``), as an ``int64`` column."""
     sel = coords[positions]
     if off:
         sel = sel + off
-    return sel.tolist()
+    return sel
 
 
-def vslice(coords, lo: int, hi: int, off: int) -> list:
-    """Coordinates of ``[lo, hi)`` (+``off``), as Python ints."""
+def vslice(coords, lo: int, hi: int, off: int) -> np.ndarray:
+    """Coordinates of ``[lo, hi)`` (+``off``), as an ``int64`` column."""
     sel = coords[lo:hi]
     if off:
         sel = sel + off
-    return sel.tolist()
+    return sel
 
 
-def vstamps(pre: tuple, post: tuple, inner) -> list:
-    """Per-element spacetime stamp tuples: the innermost slot varies
-    over ``inner`` (loop positions or coordinates), the rest is fixed.
-    The innermost loop rank is usually last in stamp order, so the
-    empty-``post`` form skips one tuple concatenation per element."""
-    if post:
-        return [pre + (s,) + post for s in inner]
-    return [pre + (s,) for s in inner]
+def vpositions(m: int) -> np.ndarray:
+    """Loop positions ``0 .. m-1`` of a span, as an ``int64`` column: a
+    span's ``pos``-style stamp slot (see :mod:`repro.model.stamps`)."""
+    return np.arange(m, dtype=np.int64)
 
 
 def vreduce(existing, values) -> float:

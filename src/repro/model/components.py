@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from ..spec.architecture import Component
+from .stamps import StampSet
 
 
 @dataclass
@@ -444,21 +445,27 @@ class ComputeModel:
     def __init__(self, component: Component):
         self.component = component
         self.ops = 0
-        self.steps: Set = set()
-        self.lanes: Set = set()
+        self.steps = StampSet()  # distinct time stamps
         self._extra_steps = 0.0  # analytical (expected) serial steps
 
-    def compute(self, n: int, time_stamp, space_stamp) -> None:
+    def compute(self, n: int, time_stamp) -> None:
         self.ops += n
         self.steps.add(time_stamp)
-        self.lanes.add(space_stamp)
 
-    def compute_bulk(self, n: int, time_stamps, space_stamps) -> None:
+    def compute_bulk(self, n: int, time_stamps: StampSet) -> None:
         """Aggregate form used by counter-fused pricing: ``n`` total ops
-        whose compute events carried exactly these stamp sets."""
+        whose compute events carried exactly these time stamps (scalar
+        tuples plus vector span entries, see
+        :class:`~repro.model.stamps.StampSet`).  Stamps routed to one
+        model from several ops form a union."""
         self.ops += n
         self.steps.update(time_stamps)
-        self.lanes.update(space_stamps)
+
+    def finish(self) -> None:
+        """Count the Einsum's distinct time stamps at its end, so the one
+        sort runs inside the evaluation that produced them (the count is
+        memoized for every later :meth:`serial_steps`)."""
+        len(self.steps)
 
     def compute_estimate(self, n: float, steps: float, lanes: float) -> None:
         """Expectation form used by analytical pricing: ``n`` total ops

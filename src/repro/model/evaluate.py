@@ -235,6 +235,8 @@ class ModelSink(TraceSink):
         em = self.einsums[name]
         for model in em.buffers:
             model.finish()
+        for model in em.computes.values():
+            model.finish()
         self.current = None
 
     # ------------------------------------------------------------------
@@ -293,7 +295,7 @@ class ModelSink(TraceSink):
         model = em.computes.get(op)
         if model is None:
             model = next(iter(em.computes.values()))
-        model.compute(n, time_stamp, space_stamp)
+        model.compute(n, time_stamp)
         for seq in em.sequencers.values():
             seq.compute(n)
 
@@ -564,11 +566,11 @@ def _price_counters(sink: ModelSink, counters: KernelCounters) -> None:
         model = next(iter(em.intersects.values()))
         for visited, matched in counters.isects.values():
             model.isect(visited, matched)
-    for op, (n, steps, lanes) in counters.computes.items():
+    for op, (n, steps) in counters.computes.items():
         model = em.computes.get(op)
         if model is None:
             model = next(iter(em.computes.values()))
-        model.compute_bulk(n, steps, lanes)
+        model.compute_bulk(n, steps)
         for seq in em.sequencers.values():
             seq.compute(n)
 

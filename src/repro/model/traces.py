@@ -26,6 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, List, Optional, Tuple
 
+from .stamps import StampSet
+
 
 class TraceSink:
     """Base sink: ignores everything.  Subclass and override what you need."""
@@ -125,7 +127,9 @@ class KernelCounters:
 
     * ``reads`` / ``writes`` — ``(tensor, rank, kind) -> count``;
     * ``isects`` — ``rank -> [visited, matched]``;
-    * ``computes`` — ``op -> [n, time-stamp set, space-stamp set]``;
+    * ``computes`` — ``op -> [n, time stamps]``, the stamps a
+      :class:`~repro.model.stamps.StampSet`: the scalar leaves' stamp
+      tuples plus one ``((pre, post), column)`` entry per vector span;
     * ``actions`` — per-component action tallies from the *vector* kernel
       flavor: ``[(component, tensor, {action: count}), ...]``, one entry
       per buffet/cache state machine that received events.  Recorded by
@@ -163,12 +167,19 @@ class KernelCounters:
             entry[0] += visited
             entry[1] += matched
 
-    def add_compute(self, op: str, n: int, time_stamps, space_stamps) -> None:
+    def add_compute(self, op: str, n: int, scalars: set,
+                    spans: list) -> None:
+        """Record ``n`` ops of ``op`` and their time stamps.  The kernel
+        hands over its own stamp set and list of span entries, adopted
+        rather than copied."""
         if n:
-            entry = self.computes.setdefault(op, [0, set(), set()])
-            entry[0] += n
-            entry[1].update(time_stamps)
-            entry[2].update(space_stamps)
+            stamps = StampSet(scalars, spans)
+            entry = self.computes.get(op)
+            if entry is None:
+                self.computes[op] = [n, stamps]
+            else:
+                entry[0] += n
+                entry[1].update(stamps)
 
     def add_actions(self, component: str, tensor: str, tallies) -> None:
         """Record one fused component machine's per-action tallies."""

@@ -283,8 +283,8 @@ mapping:
         out = unit.counted({"A": arena}, ARITHMETIC, shapes, kc)
         results.append((out.points(),
                         dict(kc.reads), dict(kc.writes), kc.isects,
-                        {k: [n, ts, ss]
-                         for k, (n, ts, ss) in kc.computes.items()}))
+                        {k: [n, ts.tuples()]
+                         for k, (n, ts) in kc.computes.items()}))
     assert results[0] == results[1]
 
 

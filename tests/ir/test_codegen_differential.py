@@ -113,8 +113,7 @@ def stream_aggregates(events):
     the shape :class:`~repro.model.traces.KernelCounters` accumulates:
     reads/writes keyed ``(tensor, rank, kind)``, isects keyed rank with
     ``[visited, matched]`` (zero events dropped, as counters never
-    record them), computes keyed op with ``[n, time-stamp set,
-    space-stamp set]``.
+    record them), computes keyed op with ``[n, time-stamp set]``.
     """
     out = {}
     current = None
@@ -136,11 +135,10 @@ def stream_aggregates(events):
                 entry[0] += visited
                 entry[1] += matched
         elif ev[0] == "compute":
-            _, op, n, ts, ss = ev
-            entry = current[3].setdefault(op, [0, set(), set()])
+            _, op, n, ts, _ss = ev
+            entry = current[3].setdefault(op, [0, set()])
             entry[0] += n
             entry[1].add(ts)
-            entry[2].add(ss)
     return out
 
 
@@ -159,7 +157,7 @@ def assert_counters_match_stream(spec, tensors, events):
         assert dict(kc.reads) == reads, f"{name}: read tallies diverge"
         assert dict(kc.writes) == writes, f"{name}: write tallies diverge"
         assert kc.isects == isects, f"{name}: isect tallies diverge"
-        assert {op: [n, ts, ss] for op, (n, ts, ss) in kc.computes.items()} \
+        assert {op: [n, ts.tuples()] for op, (n, ts) in kc.computes.items()} \
             == computes, f"{name}: compute tallies diverge"
 
 

@@ -181,23 +181,23 @@ class TestCompute:
     def test_serial_steps_counts_distinct_time_stamps(self):
         c = ComputeModel(Component("ALU", "Compute", {"type": "mul"},
                                    count=4))
-        c.compute(1, (0, 0), (0,))
-        c.compute(1, (0, 0), (1,))  # same time, different lane
-        c.compute(1, (0, 1), (0,))
+        c.compute(1, (0, 0))
+        c.compute(1, (0, 0))  # same time (another lane)
+        c.compute(1, (0, 1))
         assert c.serial_steps() == 2
 
     def test_utilization(self):
         c = ComputeModel(Component("ALU", "Compute", {"type": "mul"},
                                    count=2))
-        c.compute(1, (0,), (0,))
-        c.compute(1, (0,), (1,))
-        c.compute(1, (1,), (0,))
+        c.compute(1, (0,))
+        c.compute(1, (0,))
+        c.compute(1, (1,))
         assert c.utilization() == pytest.approx(3 / 4)
 
     def test_time(self):
         c = ComputeModel(Component("ALU", "Compute", {"type": "mul"}))
-        c.compute(1, (0,), ())
-        c.compute(1, (1,), ())
+        c.compute(1, (0,))
+        c.compute(1, (1,))
         assert c.time_seconds(1e9) == pytest.approx(2e-9)
 
 

@@ -28,6 +28,7 @@ from repro.model import (
     evaluate,
     evaluate_many,
 )
+from repro.search import metrics_fingerprint
 from repro.spec import load_spec
 from repro.workloads import uniform_random
 
@@ -337,6 +338,58 @@ def test_long_span_counters_match_vector(monkeypatch, nnz):
     assert prints["counters"] == prints["vector"], (
         f"nnz={nnz}: vector metrics diverge from counted"
     )
+
+
+#: A spatial rank (N) absent from the time stamp: every (m, n) span of
+#: one ``m`` stamps into the same ``(m, k)`` time steps.
+SPMSPM_SPATIAL_N = SPMSPM + """  spacetime:
+    Z: {{space: [N], time: [M, {k}]}}
+"""
+
+
+@pytest.mark.parametrize("k_stamp", ["K", "K.coord"])
+def test_shared_prefix_mixes_scalar_and_vector_spans(monkeypatch, k_stamp):
+    """At the production ``VLEAF_MIN``, spans of one ``m`` split between
+    the batched branch (long B rows) and the scalar loop (short B rows);
+    their time stamps share the ``(m,)`` prefix and must union exactly."""
+    monkeypatch.undo()  # the real threshold
+    rng = np.random.default_rng(5)
+    k = 400
+
+    def rows(lengths):
+        dense = np.zeros((len(lengths), k))
+        for r, n in enumerate(lengths):
+            dense[r, rng.choice(k, n, replace=False)] = \
+                rng.integers(1, 9, n)
+        return dense
+
+    a_len, b_len = [60, 60, 60], [10, 80, 10, 80, 10, 80]
+    assert all(a + b < rt.VLEAF_MIN for a in a_len for b in b_len[::2])
+    assert all(a + b >= rt.VLEAF_MIN for a in a_len for b in b_len[1::2])
+    tensors = {"A": tensor_from_dense("A", ["M", "K"], rows(a_len)),
+               "B": tensor_from_dense("B", ["N", "K"], rows(b_len))}
+    spec = load_spec(SPMSPM_SPATIAL_N.format(k=k_stamp),
+                     name=f"vec-spatial-{k_stamp}")
+    calls = {"n": 0}
+    real = rt.visect2
+
+    def counting(*args):
+        calls["n"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rt, "visect2", counting)
+    results = {metrics: evaluate(spec, {k: t.copy()
+                                        for k, t in tensors.items()},
+                                 backend=CompiledBackend(cache=_CACHE),
+                                 metrics=metrics)
+               for metrics in ("trace", "vector")}
+    assert calls["n"] == 9  # the long-row spans took the batched branch
+    steps = {metrics: res.einsums["Z"].computes["mul"].serial_steps()
+             for metrics, res in results.items()}
+    assert steps["vector"] == steps["trace"] > 0
+    assert metrics_fingerprint(results["vector"]) == \
+        metrics_fingerprint(results["trace"])
+    assert fingerprint(results["vector"]) == fingerprint(results["trace"])
 
 
 def test_non_elementwise_opsets_stay_scalar_and_exact():
