@@ -8,9 +8,9 @@ generated-Python backend is the default execution engine.  This example:
 1. prints the actual Python source generated for an occupancy-follower
    SpMSpM mapping (Gamma-style leader/follower partitioning — virtual
    levels and runtime windows compile like everything else);
-2. executes the generated traced kernel — it streams the same trace
-   events the interpreter emits to a sink — and checks it against the
-   interpreting executor and numpy;
+2. executes the generated flat kernel — it walks the inputs' flat arena
+   buffers span by span — and checks it against the interpreting
+   executor and numpy;
 3. shows backend selection (``evaluate(..., backend=...)``) and the
    batched ``evaluate_many`` API, which compiles a spec once and fans it
    out across a sweep of workloads through the compile cache.
@@ -23,12 +23,10 @@ import time
 import numpy as np
 
 from repro.einsum import ARITHMETIC
-from repro.fibertree import tensor_from_dense, tensor_to_dense
+from repro.fibertree import prepare_arena, tensor_from_dense, tensor_to_dense
 from repro.ir import build_ir
 from repro.ir.codegen import compile_ir
 from repro.model import evaluate, evaluate_many, execute_cascade
-from repro.model.executor import prepare_tensor
-from repro.model.traces import CountingSink
 from repro.spec import load_spec
 
 SPEC = """
@@ -51,11 +49,11 @@ mapping:
 def main():
     spec = load_spec(SPEC, name="generated-demo")
     ir = build_ir(spec, "Z")
-    kernel, source = compile_ir(ir, "traced")
+    kernel, source = compile_ir(ir, "flat")
 
     print("=" * 70)
     print("Generated simulator source (occupancy follower: B adopts A's")
-    print("partition windows at runtime — note rt.window/rt.window_of):")
+    print("partition windows at runtime — note rt.window_span):")
     print("=" * 70)
     # Show the kernel function itself (skip the shared prelude).
     print(source[source.index("def kernel") :])
@@ -68,8 +66,8 @@ def main():
         "B": tensor_from_dense("B", ["K", "N"], b.astype(float)),
     }
 
-    prepared = {
-        plan.tensor: prepare_tensor(
+    arenas = {
+        plan.tensor: prepare_arena(
             tensors[plan.tensor],
             spec.mapping.rank_order_of(
                 plan.tensor, spec.einsum.ranks_of(plan.tensor)
@@ -79,9 +77,7 @@ def main():
         for plan in ir.accesses
     }
     shapes = {"K": 24, "M": 16, "N": 12}
-    sink = CountingSink()
-    sink.einsum_begin("Z", ir)
-    generated = kernel(prepared, ARITHMETIC, shapes, sink).prune_empty()
+    generated = kernel(arenas, ARITHMETIC, shapes)
 
     interpreted = execute_cascade(spec, tensors)["Z"]
     expected = a.astype(float).T @ b.astype(float)
@@ -92,8 +88,7 @@ def main():
     )
     print("=" * 70)
     print(f"generated simulator == interpreter == numpy "
-          f"(Z nnz={generated.nnz}; {sink.total_reads('A')} reads of A, "
-          f"{sink.total_computes('mul')} multiplies traced)")
+          f"(Z nnz={generated.nnz})")
 
     # ------------------------------------------------------------------
     # Backend selection: the full evaluation (traffic/time/energy) runs

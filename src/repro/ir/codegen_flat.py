@@ -1,8 +1,8 @@
 """Flat code generation: loop nests over arena spans instead of fibers.
 
-:mod:`repro.ir.codegen` lowers an Einsum to kernels that walk boxed
+The interpreter (:mod:`repro.model.executor`) walks boxed
 :class:`~repro.fibertree.fiber.Fiber` objects.  This module lowers the
-*same* IR to kernels that operate natively on
+*same* IR to generated kernels that operate natively on
 :class:`~repro.fibertree.arena.FlatArena` buffers: every cursor is a
 half-open position span ``[lo, hi)`` into one level's flat coordinate
 array, iteration is ``for p in range(lo, hi)``, descent is two segment
@@ -26,7 +26,8 @@ Three flavors share one generator:
   per-op compute counts with the set of their time stamp tuples) and
   flushes them into a :class:`~repro.model.traces.KernelCounters` once at
   the end.
-  The tallies equal, exactly, the aggregates of the traced event stream —
+  The tallies equal, exactly, the aggregates of the interpreter's
+  event stream —
   including the subtle cases: lookup misses still count a coordinate
   read, abandoned co-iterations (existential ``take()`` short-circuits)
   keep their partial visit counts but drop the final ``isect`` event,
@@ -35,7 +36,7 @@ Three flavors share one generator:
   plus span batching: everything the counted flavor does, plus the
   buffet/cache component state machines inlined into the loops.  The
   kernel tracks coordinate paths (``h`` vars) and loop-context prefixes
-  (``cx`` vars) exactly as the traced kernel does, and at every touch
+  (``cx`` vars) exactly as the interpreter does, and at every touch
   site consults a *port* bound once at entry from ``fm`` (a
   :class:`repro.model.evaluate.FusedMachines` routing plan built from
   the binding spec at run time — the generated code itself stays
@@ -44,7 +45,7 @@ Three flavors share one generator:
   falls through to DRAM and bumps the fused counter; a live port is a
   :class:`~repro.ir.codegen_runtime.FusedBuffet` /
   :class:`~repro.ir.codegen_runtime.FusedCache` state machine receiving
-  the same (key, evict-window) sequence the traced
+  the same (key, evict-window) sequence the interpreter's
   :class:`~repro.model.evaluate.ModelSink` would deliver.  Eligible
   innermost-rank spans are priced through batched numpy primitives and
   record their time stamps as one span entry — the fixed part plus a
@@ -52,10 +53,10 @@ Three flavors share one generator:
   per-span runtime guards fall back to the inline scalar loop, so
   results never depend on which path ran.
 
-The walk order, the guard structure, and every membership decision are
-copied from :class:`repro.ir.codegen._Generator` so the differential
-suite can hold all engines (interpreter, traced kernels, flat kernels,
-counted and vector kernels) to identical outputs and metrics.
+The walk order, the guard structure, and every membership decision
+follow the interpreter's, so the differential suite can hold every
+engine (interpreter, flat, counted and vector kernels) to identical
+outputs and metrics.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ class _FlatGenerator:
         """One read event: counter bump, or machine dispatch when fused.
 
         ``key`` is the Python expression of the event's coordinate path
-        (the traced kernel's ``h`` + coord), ``cx`` the loop-context
+        (the interpreter's cursor path + coord), ``cx`` the loop-context
         prefix var; both are only evaluated on the machine branch.
         """
         if not self.counted:
@@ -338,7 +339,7 @@ class _FlatGenerator:
             head.emit(f"_a{i} = arenas[{plan.tensor!r}]")
             # Scalar loops bind the memoized Python-list views: CPython
             # indexes lists faster than any array type, and list items
-            # are exactly the Python ints/floats the traced path sees.
+            # are exactly the Python ints/floats the interpreter sees.
             head.emit(f"_ac{i}, _as{i}, _av{i} = _a{i}.scalar_buffers()")
             for L in range(n):
                 head.emit(f"t{i}_c{L} = _ac{i}[{L}]")
@@ -536,10 +537,10 @@ class _FlatGenerator:
             of = lvl.of or lvl.rank
             pos = f"p{i}_{d}"
             if self.vector:
-                # The traced kernels extend the path unconditionally (the
-                # absent k-way branch included); only present cursors
-                # ever read it, so the value below absent cursors is
-                # irrelevant — but it must be defined.
+                # The path extends unconditionally (the absent k-way
+                # branch included); only present cursors ever read it,
+                # so the value below absent cursors is irrelevant — but
+                # it must be defined.
                 em.emit(f"h{i}_{d + 1} = h{i}_{d} + (c_{rank},)")
             if opened["kway"]:
                 em.emit(f"{pos} = ps_{rank}[{j}]")
@@ -580,8 +581,8 @@ class _FlatGenerator:
             src = f"c_{rank}" if style == "coord" else f"po_{rank}"
             em.emit(f"st_{rank} = {src}")
         if self.vector:
-            # The loop-context prefix: what the traced kernel's live
-            # ``ctx`` list holds after ``ctx.append((rank, c))``.
+            # The loop-context prefix: what the interpreter's live
+            # loop context holds once this rank binds ``c``.
             em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, c_{rank}),)")
         self._lookups(level, new_depths)
         self._rank(level + 1, new_depths, wins2, guarded)
@@ -667,7 +668,7 @@ class _FlatGenerator:
         if self.vector:
             # Per-input touch callbacks: coord read events for inputs
             # routed to a component machine fire from inside the helper,
-            # in the traced co-iterator's exact order.
+            # in the interpreter's exact event order.
             names = []
             for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
                 of = lvl.of or lvl.rank
@@ -751,7 +752,7 @@ class _FlatGenerator:
             em.indent -= 1  # close the while body
             if self.counted:
                 # Runs only on normal exit: an abandoned co-iteration
-                # drops its isect event, exactly like the traced stream.
+                # drops its isect event, exactly like the interpreter.
                 em.emit("else:")
                 em.indent += 1
                 em.emit(f"iv_{rank} += _iv_{rank}")
@@ -1025,7 +1026,7 @@ class _FlatGenerator:
                            merge: bool, d0: dict) -> None:
         """One driver's coord+payload event accounting for a whole span.
 
-        Per machine, the traced order within the span is: one coord read
+        Per machine, the event order within the span is: one coord read
         per *visited* coordinate ascending (matched and galloped-over
         alike), plus one payload read per *matched* coordinate — so a
         machine owning both ports batches as ``read_span`` over the
@@ -1306,7 +1307,7 @@ class _FlatGenerator:
     # ------------------------------------------------------------------
     def _scalar_ref(self, i: int, d: int) -> str:
         """The leaf scalar of access ``i`` at depth ``d`` (None if absent
-        or not fully descended — mirroring ``rt.scalar`` on a fiber)."""
+        or not fully descended, as the interpreter reads a fiber cursor)."""
         if self._is_scalar(i, d):
             return f"n{i}_{d}"
         return "None"
@@ -1430,8 +1431,10 @@ class _FlatGenerator:
         return f"t{self._tmp_count}"
 
     def _counted_expr(self, expr: Expr, depths, counter) -> str:
-        """Counted analog of the traced expression emitter: exact op
-        counts, scalars read straight from the arena cursors."""
+        """The leaf value with exact op counts, mirroring the
+        interpreter's ``_evaluate``: sub-expressions always evaluate,
+        but a combining operation counts only when it executes; scalars
+        read straight from the arena cursors."""
         em = self.em
         if isinstance(expr, Access):
             i = counter[0]

@@ -1,17 +1,17 @@
 """Runtime helpers imported by TeAAL-generated loop-nest code.
 
-The code generator (:mod:`repro.ir.codegen`) emits plain Python whose only
-dependencies are the fibertree API and these helpers: k-way intersection
-and union co-iterators, chunk lookup for split (upper) levels, affine
-projection and occupancy-follower windows, and reduction into the output
-fibertree.
+The arena generator (:mod:`repro.ir.codegen_flat`) emits plain Python
+whose only dependencies are the fibertree API and these helpers: span
+lookups, chunk search, affine projection and occupancy-follower windows
+over :class:`~repro.fibertree.arena.FlatArena` coordinate buffers; k-way
+intersection and union over flat spans; the batched numpy primitives of
+the vector flavor; and the buffet/cache state machines that flavor
+inlines into its loops.
 
-Every co-iterator and lookup takes the live
-:class:`~repro.model.traces.TraceSink` (plus the cursor paths and loop
-context) from the generated traced kernel, and emits exactly the same
-event stream — same events, same order — as the interpreting executor.
-The differential test suite (``tests/ir/test_codegen_differential.py``)
-enforces that equivalence.
+Every helper keeps the interpreting executor's membership decisions and
+visit counts, so kernel outputs and tallies equal the aggregates of its
+trace-event stream.  The differential test suite
+(``tests/ir/test_codegen_differential.py``) enforces that equivalence.
 """
 
 from __future__ import annotations
@@ -22,183 +22,15 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..fibertree.fiber import Fiber
-
-
-def _live(fibers) -> List[Tuple[int, Fiber]]:
-    """Indices and values of the inputs that are actual fibers.
-
-    Mirrors the interpreter's participant selection: a cursor that is
-    ``None`` (empty) or a scalar simply does not participate at this rank
-    (conjunctive-empty subtrees are pruned by the generated code *before*
-    the co-iteration call, so by this point absence only means "skip").
-    """
-    return [(j, f) for j, f in enumerate(fibers) if isinstance(f, Fiber)]
-
-
-def _payload_row(n: int, live_items) -> List[Any]:
-    row: List[Any] = [None] * n
-    for j, p in live_items:
-        row[j] = p
-    return row
-
-
-def coiterate_intersect(*fibers, trace) -> Iterator[Tuple[Any, List[Any]]]:
-    """Yield (coord, [payload-or-None...]) present in every live fiber.
-
-    Payloads are aligned with the inputs; positions whose input was not a
-    fiber receive ``None``.  With a single live input this degrades to
-    plain iteration (matching the interpreter, which prices no
-    intersection there).  ``trace`` is ``(sink, rank, infos, ctx)`` with
-    ``infos[j] = (tensor, of, path)`` aligned to the inputs.
-    """
-    n = len(fibers)
-    live = _live(fibers)
-    if not live:
-        return
-    sink, rank, infos, ctx = trace
-    if len(live) == 1:
-        j, fiber = live[0]
-        tensor, of, path = infos[j]
-        for c, p in fiber:
-            sink.read(tensor, of, "coord", path + (c,), ctx)
-            yield c, _payload_row(n, [(j, p)])
-        return
-
-    idx = [j for j, _ in live]
-    fs = [f for _, f in live]
-    positions = [0] * len(fs)
-    lengths = [len(f) for f in fs]
-    visited = 0
-    matched = 0
-    while all(p < m for p, m in zip(positions, lengths)):
-        heads = [f.coords[p] for f, p in zip(fs, positions)]
-        top = max(heads)
-        if all(h == top for h in heads):
-            matched += 1
-            visited += len(fs)
-            for j in idx:
-                tensor, of, path = infos[j]
-                sink.read(tensor, of, "coord", path + (top,), ctx)
-            yield top, _payload_row(
-                n, [(j, f.payloads[p]) for j, f, p in zip(idx, fs, positions)]
-            )
-            positions = [p + 1 for p in positions]
-        else:
-            for k in range(len(fs)):
-                f, p = fs[k], positions[k]
-                if f.coords[p] < top:
-                    nxt = bisect.bisect_left(f.coords, top, p)
-                    visited += nxt - p
-                    tensor, of, path = infos[idx[k]]
-                    for q in range(p, nxt):
-                        sink.read(tensor, of, "coord",
-                                  path + (f.coords[q],), ctx)
-                    positions[k] = nxt
-    sink.isect(rank, visited, matched)
-
-
-def coiterate_union(*fibers, trace) -> Iterator[Tuple[Any, List[Any]]]:
-    """Yield (coord, [payload-or-None...]) present in any live fiber."""
-    n = len(fibers)
-    live = _live(fibers)
-    if not live:
-        return
-    coords = sorted(set().union(*(set(f.coords) for _, f in live)))
-    sink, _rank, infos, ctx = trace
-    for c in coords:
-        row: List[Any] = [None] * n
-        for j, f in live:
-            tensor, of, path = infos[j]
-            sink.read(tensor, of, "coord", path + (c,), ctx)
-            row[j] = f.get_payload(c)
-        yield c, row
-
-
-def iterate(fiber: Optional[Fiber], trace) -> Iterator[Tuple[Any, List[Any]]]:
-    """Single-fiber iteration in the co-iterator calling convention.
-
-    ``trace`` is ``(sink, tensor, of, path, ctx)``.
-    """
-    if not isinstance(fiber, Fiber):
-        return
-    sink, tensor, of, path, ctx = trace
-    for c, p in fiber:
-        sink.read(tensor, of, "coord", path + (c,), ctx)
-        yield c, [p]
-
-
-def lookup_t(node: Any, coord: Any, path: tuple, sink, tensor: str,
-             of: str, ctx) -> Tuple[Any, tuple]:
-    """Traced payload lookup: returns (payload, extended path)."""
-    if not isinstance(node, Fiber):
-        return None, path
-    key = path + (coord,)
-    sink.read(tensor, of, "coord", key, ctx)
-    payload = node.get_payload(coord)
-    if payload is not None:
-        sink.read(tensor, of, "payload", key, ctx)
-    return payload, key
-
-
-def lookup_chunk_t(node: Any, coord: Any, path: tuple, sink, tensor: str,
-                   of: str, ctx) -> Tuple[Any, tuple]:
-    """Traced chunk lookup: returns (chunk, path extended by chunk coord)."""
-    if not isinstance(node, Fiber) or not node.coords:
-        return None, path
-    pos = bisect.bisect_right(node.coords, coord) - 1
-    if pos < 0:
-        return None, path
-    key = path + (node.coords[pos],)
-    sink.read(tensor, of, "coord", key, ctx)
-    return node.payloads[pos], key
-
-
-def project(node: Any, offset: int, shape: int) -> Optional[Fiber]:
-    """Affine projection: shift coordinates by ``offset`` into [0, shape)."""
-    if not isinstance(node, Fiber):
-        return None
-    return node.project(offset, lo=0, hi=shape)
-
-
-def window_of(payload: Any, outer) -> Optional[tuple]:
-    """Partition window carried by a chunk payload (leader side).
-
-    A chunk descended from a split-upper level records the half-open
-    coordinate interval it covers; occupancy followers slice their own
-    (unsplit) fibers to that window.  A non-fiber payload keeps whatever
-    window the enclosing scope established.
-    """
-    if isinstance(payload, Fiber):
-        return payload.coord_range
-    return outer
-
-
-def window(node: Any, rng: Optional[tuple]) -> Any:
-    """Restrict a follower fiber to the leader's partition window."""
-    if not isinstance(node, Fiber) or rng is None or not node.coords:
-        return node
-    lo, hi = rng
-    if hi is None:
-        hi = node.coords[-1] + 1
-    return node.slice(lo, hi)
-
-
-def scalar(node: Any) -> Optional[float]:
-    """Leaf value of a cursor; None when absent or still a fiber."""
-    if node is None or isinstance(node, Fiber):
-        return None
-    return node
-
 
 # ----------------------------------------------------------------------
 # Flat-span helpers (used by the arena-native kernels of codegen_flat)
 # ----------------------------------------------------------------------
 # A flat cursor is a half-open position span [lo, hi) into one level's
 # coordinate buffer of a FlatArena; ``lo is None`` marks an absent cursor.
-# These helpers mirror the Fiber-based helpers above exactly — same
+# These helpers mirror the interpreter's fiber walks exactly — same
 # membership, same visit counting — so the flat kernels stay differentially
-# equal to the interpreter.
+# equal to it.
 
 def span_find(coords, lo: Optional[int], hi: int, coord) -> int:
     """Position of ``coord`` in the span, or -1 when absent."""
@@ -215,7 +47,9 @@ def span_chunk(coords, lo: Optional[int], hi: int, coord) -> int:
 
 
 def window_span(coords, lo, hi, rng):
-    """Narrow a span to a leader's partition window (cf. :func:`window`)."""
+    """Narrow a span to a leader's partition window: the half-open
+    coordinate interval ``rng`` of the leader's chunk (an open upper end
+    runs to the span's last coordinate)."""
     if lo is None or rng is None or lo == hi:
         return lo, hi
     wlo, whi = rng
@@ -241,19 +75,20 @@ def flat_isect(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
     """K-way intersection over flat spans; yields (coord, positions).
 
     ``specs[j] = (coords, lo, hi, off)``; ``lo is None`` means input ``j``
-    does not participate (mirroring :func:`coiterate_intersect`'s liveness
-    rule).  The positions row holds -1 for non-participants.  ``stats`` is
+    does not participate (mirroring the interpreter's participant
+    rule: an absent or scalar cursor does not co-iterate).  The
+    positions row holds -1 for non-participants.  ``stats`` is
     a list of ``len(specs) + 2`` counters updated *eagerly* (so an
     abandoned generator leaves partial-but-accurate tallies, exactly like
-    the traced event stream): per-input coordinates visited, then total
-    visited, then total matched — the totals are only written on matches
-    and skips, never on completion, so they line up with the traced
-    ``isect`` accounting.
+    the interpreter's event stream): per-input coordinates visited, then
+    total visited, then total matched — the totals are only written on
+    matches and skips, never on completion, so they line up with the
+    interpreter's ``isect`` accounting.
 
     ``touches`` (vector kernels) is a per-input tuple of callables or
     ``None``: ``touches[j](c)`` fires once per coordinate input ``j``
-    visits, in exactly the order the traced co-iterator emits its coord
-    read events, so buffer/cache state machines see the same stream.
+    visits, in exactly the order the interpreter emits its coord read
+    events, so buffer/cache state machines see the same stream.
     """
     n = len(specs)
     live = [j for j in range(n) if specs[j][1] is not None]
@@ -315,10 +150,10 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
     """K-way merge union over flat spans; yields (coord, positions).
 
     Every participating input counts one visited coordinate per union
-    coordinate (present or not), matching :func:`coiterate_union`'s traced
-    read stream.  ``stats[j]`` tallies input ``j``'s visits eagerly.
+    coordinate (present or not), matching the interpreter's union read
+    stream.  ``stats[j]`` tallies input ``j``'s visits eagerly.
     ``touches[j]`` (vector kernels) fires per visited coordinate, in the
-    traced event order.
+    interpreter's event order.
     """
     n = len(specs)
     live = [j for j in range(n) if specs[j][1] is not None]
@@ -477,9 +312,9 @@ def vreduce(existing, values) -> float:
 # ``BuffetModel.price_actions`` / ``CacheModel.price_actions`` absorb in
 # one pass per Einsum.  The differential conformance suite
 # (``tests/model/test_fused.py``) holds the resulting metrics bit-equal
-# to the traced interpreter.
+# to the interpreter's per-event trace.
 
-#: Sentinel evict-window cut for "the whole loop context" (the traced
+#: Sentinel evict-window cut for "the whole loop context" (the
 #: ``BuffetModel._window_of`` scan falls off the end of ``ctx`` without
 #: meeting ``evict_on``).
 WHOLE_CTX = 1 << 30
@@ -567,7 +402,7 @@ class FusedBuffet:
                   off: int, cx: tuple) -> None:
         """Coord reads for every position in ``[lo, hi)`` of a span.
 
-        Equivalent to calling :meth:`read` per coordinate (the traced
+        Equivalent to calling :meth:`read` per coordinate (the event
         stream of a galloped-over intersection skip), with the window
         roll hoisted — ``cx`` is constant across the span — and the
         per-element state inlined.  An empty span is a strict no-op: no
@@ -652,7 +487,7 @@ class FusedCache:
     Mirrors :class:`repro.model.components.CacheModel` exactly, including
     the float-accumulated ``occupied`` bits (repeated ``+=``/``-=`` in the
     same sequence, so capacity-edge eviction decisions are bit-identical
-    to the traced model).
+    to the per-event model).
     """
 
     __slots__ = ("key_depth", "capacity_bits", "fill_bits", "lru",
@@ -815,21 +650,3 @@ def make_touch(read, of: str, base: tuple, cx: tuple):
     def touch(c, _read=read, _of=of, _base=base, _cx=cx):
         _read(_of, _base + (c,), _cx)
     return touch
-
-
-def reduce_into(root: Fiber, point: tuple, value: Any, opset,
-                overwrite: bool) -> int:
-    """Insert ``value`` at ``point``, reducing with ``opset.add`` on
-    collision (or overwriting, for take() Einsums).  Returns the number
-    of reduction adds performed (0 or 1) so traced kernels can count
-    them exactly like the interpreter."""
-    node = root
-    for coord in point[:-1]:
-        node = node.get_payload_ref(coord, make=Fiber)
-    leaf = point[-1] if point else 0
-    existing = node.get_payload(leaf)
-    if existing is None or overwrite:
-        node.set_payload(leaf, value)
-        return 0
-    node.set_payload(leaf, opset.add(existing, value))
-    return 1

@@ -7,17 +7,17 @@ module provides:
 * :func:`spec_cache_key` — a canonical, dict-order-insensitive key for the
   parts of a spec that determine lowering (einsum + mapping + params);
 * :class:`CompileCache` — a process-wide memo from canonical spec keys to
-  lowered IR plus compiled kernel objects (the traced kernel and the
-  arena-native flat, counted, and vector flavors), so repeated
+  lowered IR plus compiled kernel objects (the arena-native flat,
+  counted, and vector flavors, each compiled on first use), so repeated
   evaluations — sweeps, batched workloads, figure benchmarks — lower and
   compile exactly once;
 * :class:`InterpreterBackend` / :class:`CompiledBackend` — interchangeable
-  engines behind :func:`repro.model.evaluate.evaluate`.  The compiled
-  backend replays the interpreter's exact trace-event stream through
-  generated kernels, and runs untraced cascades through the arena-native
-  flat kernels; with ``fallback=True`` (the default engine) any mapping
-  the generator cannot express transparently falls back to the
-  interpreter.
+  engines behind :func:`repro.model.evaluate.evaluate`.  The interpreter
+  is the reference oracle and the only engine that emits per-event trace
+  streams: a compiled run with a sink delegates to it.  Untraced compiled
+  runs use the arena-native flat kernels; with ``fallback=True`` (the
+  default engine) a mapping the generator cannot express runs on the
+  interpreter instead.
 
 Select an engine with ``evaluate(..., backend="compiled")`` (or
 ``"interpreter"`` / ``"auto"`` / a :class:`Backend` instance), and batch
@@ -27,14 +27,16 @@ fans out across workloads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..einsum.operators import ARITHMETIC, OpSet
-# ``arena_from_tensor`` is unused here but stays importable from this
-# module: profiling tools wrap the boxed route's entry points by name.
+# ``arena_from_tensor`` and ``prepare_tensor`` (below) are unused here but
+# stay importable from this module: profiling tools wrap the boxed
+# route's entry points by name.
 from ..fibertree.arena import FlatArena, arena_from_tensor
 from ..fibertree.prepare import prepare_arena
 from ..fibertree.tensor import Tensor
@@ -46,6 +48,7 @@ from .executor import (
     ExecutionError,
     cascade_context,
     execute_cascade,
+    execute_einsum,
     prepare_tensor,
 )
 from .traces import KernelCounters, TraceSink
@@ -117,20 +120,15 @@ def spec_fingerprint(spec: AcceleratorSpec) -> str:
 class CompiledEinsum:
     """Lowered IR plus compiled kernels for one Einsum of a cascade.
 
-    Four flavors share the lowered IR: the object-cursor ``traced``
-    kernel (walking boxed fibers), and the arena-native ``flat``,
-    ``counted`` and ``vector`` kernels (walking
-    :class:`~repro.fibertree.arena.FlatArena` spans).  ``traced``
-    compiles eagerly — its success defines "this spec compiles" — the
-    rest on first use.
+    Three arena-native flavors share the lowered IR — ``flat``,
+    ``counted`` and ``vector``, all walking
+    :class:`~repro.fibertree.arena.FlatArena` spans.  Each compiles on
+    first use; a :class:`CodegenError` is memoized like a kernel.
     """
 
     def __init__(self, ir: LoopNestIR):
         self.ir = ir
-        traced = compile_ir(ir, "traced")
-        #: The traced object-cursor kernel.
-        self.traced: Callable = traced[0]
-        self._kernels: Dict[str, tuple] = {"traced": traced}
+        self._kernels: Dict[str, tuple] = {}
         self._errors: Dict[str, CodegenError] = {}
         self._lock = threading.Lock()
 
@@ -159,6 +157,13 @@ class CompiledEinsum:
     def source_for(self, flavor: str) -> str:
         self._get(flavor)
         return self._kernels[flavor][1]
+
+    @property
+    def traced(self) -> Callable:
+        """The interpreter on this Einsum (``execute_einsum`` bound to
+        the IR).  Kept only because the benchmark's set-up forces this
+        attribute; it goes once that set-up stops naming it."""
+        return functools.partial(execute_einsum, self.ir)
 
     @property
     def flat(self) -> Callable:
@@ -346,9 +351,6 @@ class _NullRoutingPlan:
 
 _NULL_ROUTING = _NullRoutingPlan()
 
-#: The sink an untraced run hands a traced kernel: every event dropped.
-_NULL_SINK = TraceSink()
-
 
 class PrepCache:
     """Memoizes input preparation across evaluations that share input
@@ -358,41 +360,34 @@ class PrepCache:
     candidate specs over the *same* input tensors; without a shared
     cache every candidate re-swizzles, re-partitions, and re-flattens
     each input from scratch.  One ``PrepCache`` per sweep memoizes each
-    prepared form — the boxed tensor the traced kernels walk, or the
-    :class:`~repro.fibertree.arena.FlatArena` the arena kernels walk —
-    under one key: source-object identity, rank order, and the exact
-    prep-step sequence (candidates that share a storage order share the
-    work).  Callers pass only cascade inputs; per-run intermediates are
-    never offered, so nothing an evaluation produces is pinned.
+    prepared :class:`~repro.fibertree.arena.FlatArena` the arena kernels
+    walk under one key: source-object identity, rank order, and the
+    exact prep-step sequence (candidates that share a storage order
+    share the work).  Callers pass only cascade inputs; per-run
+    intermediates are never offered, so nothing an evaluation produces
+    is pinned.
 
     Entries pin their source objects so ``id()`` keys can never be
     recycled.  The cache is thread-safe: a parallel mapping search
     (:mod:`repro.search`) shares one instance across every worker thread
     of a sweep, so lookups and inserts synchronize on an internal lock.
     Builds run *outside* the lock (preparation can be slow); when two
-    threads race to prepare the same form, one build is discarded and
-    both threads share the first-inserted object.
+    threads race to prepare the same arena, one build is discarded and
+    both threads share the first-inserted arena.
     """
 
     __slots__ = ("_prepared", "_lock", "hits", "misses")
 
     def __init__(self):
-        # (form, id(src), rank_order, prep) -> (src pin, prepared form)
+        # (id(src), rank_order, prep) -> (src pin, prepared arena)
         self._prepared: Dict[tuple, tuple] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def prepared(self, src: Tensor, rank_order, prep, build) -> Tensor:
-        """The prepared tensor of ``src`` (built by ``build()`` on a miss)."""
-        return self._get("tensor", src, rank_order, prep, build)
-
     def arena(self, src: Tensor, rank_order, prep, build) -> FlatArena:
         """The prepared arena of ``src`` (built by ``build()`` on a miss)."""
-        return self._get("arena", src, rank_order, prep, build)
-
-    def _get(self, form, src, rank_order, prep, build):
-        key = (form, id(src), tuple(rank_order), tuple(prep))
+        key = (id(src), tuple(rank_order), tuple(prep))
         with self._lock:
             entry = self._prepared.get(key)
             if entry is not None:
@@ -403,7 +398,7 @@ class PrepCache:
             entry = self._prepared.get(key)
             if entry is not None:
                 # Lost a build race: adopt the winner so every caller
-                # shares one object per form.
+                # shares one arena.
                 self.hits += 1
                 return entry[1]
             self.misses += 1
@@ -414,20 +409,20 @@ class PrepCache:
 class CompiledBackend(Backend):
     """Runs generated-Python kernels out of a compile cache.
 
-    Functionally and trace-exactly equivalent to the interpreter (the
-    differential suite enforces both).  With ``fallback=True`` a mapping
-    the code generator cannot express silently uses the interpreter for
-    that spec instead of raising :class:`CodegenError`.
+    Functionally equivalent to the interpreter, and its counted/vector
+    runs price exactly what the interpreter's trace would (the
+    differential suite enforces both).
 
     Untraced runs (``sink=None``) execute the arena-native *flat*
     kernels: inputs are prepared straight into
     :class:`~repro.fibertree.arena.FlatArena` structure-of-arrays
     buffers (:func:`~repro.fibertree.prepare.prepare_arena`, no
     prepared fibertree in between) and the generated loops stream over
-    raw index spans.  Any
-    Einsum the flat generator cannot express runs its traced kernel
-    against a no-op :class:`~repro.model.traces.TraceSink` instead, so
-    outputs never depend on the flavor.
+    raw index spans.  A traced run (a ``sink``) delegates to the
+    interpreter, the one engine that emits per-event streams.  When the
+    spec does not lower or some Einsum's flat kernel is rejected,
+    ``fallback=True`` runs the interpreter instead of raising
+    :class:`CodegenError`.
     """
 
     name = "compiled"
@@ -439,7 +434,8 @@ class CompiledBackend(Backend):
         self._interpreter = InterpreterBackend()
 
     def compile(self, spec: AcceleratorSpec) -> CompiledCascade:
-        """Warm the cache for a spec (raises CodegenError if unsupported)."""
+        """Lower a spec into the cache (raises CodegenError if it does not
+        lower); its kernels compile on first use."""
         return self.cache.get(spec)
 
     def _walk_cascade(self, spec, compiled, tensors, opset, opsets, sink,
@@ -447,11 +443,11 @@ class CompiledBackend(Backend):
         """The per-Einsum cascade walk every kernel path shares.
 
         ``run_unit(unit, prepare, ops, shapes)`` executes one Einsum's
-        kernel on ``prepare(arenas)`` — its inputs as arenas or as
-        boxed tensors — and returns ``(out, written, extra)``: the
-        output tensor with zero leaves pruned, the number of points the
-        kernel wrote (zeros included; what a producer-side swizzle
-        sorts, only read under a sink), and the path's pricing payload.
+        kernel on ``prepare()`` — its inputs as arenas — and returns
+        ``(out, written, extra)``: the output tensor with zero leaves
+        pruned, the number of points the kernel wrote (zeros included;
+        what a producer-side swizzle sorts, only read under a sink), and
+        the path's pricing payload.
         ``after(name, extra)`` fires between the producer-swizzle event
         and ``einsum_end`` (the pricing hook of the counted/vector
         paths).
@@ -464,9 +460,9 @@ class CompiledBackend(Backend):
             if sink:
                 sink.einsum_begin(ir.name, ir)
 
-            def prepare(arenas, ir=ir):
+            def prepare(ir=ir):
                 return self._prepare(ir, env, rank_orders, sink,
-                                     prep_cache, arenas)
+                                     prep_cache)
 
             out, written, extra = run_unit(unit, prepare, ops, all_shapes)
             if sink and ir.output.needs_producer_swizzle:
@@ -482,25 +478,21 @@ class CompiledBackend(Backend):
                     sink=None, shapes=None, env=None, prep_cache=None):
         try:
             compiled = self.cache.get(spec)
+            if not sink:
+                for unit in compiled.units:
+                    unit.flat  # force-compile everything up front
         except CodegenError:
-            if self.fallback:
-                return self._interpreter.run_cascade(
-                    spec, tensors, opset=opset, opsets=opsets, sink=sink,
-                    shapes=shapes, env=env,
-                )
-            raise
+            if not self.fallback:
+                raise
+            compiled = None
+        if sink or compiled is None:
+            return self._interpreter.run_cascade(
+                spec, tensors, opset=opset, opsets=opsets, sink=sink,
+                shapes=shapes, env=env,
+            )
 
         def run_unit(unit, prepare, ops, all_shapes):
-            if not sink:
-                try:
-                    flat = unit.flat
-                except CodegenError:
-                    pass  # the traced kernel below, with a no-op sink
-                else:
-                    return flat(prepare(True), ops, all_shapes), 0, None
-            out = unit.traced(prepare(False), ops, all_shapes,
-                              sink or _NULL_SINK)
-            return out.prune_empty(), out.nnz if sink else 0, None
+            return unit.flat(prepare(), ops, all_shapes), 0, None
 
         return self._walk_cascade(spec, compiled, tensors, opset, opsets,
                                   sink, shapes, env, run_unit,
@@ -526,7 +518,7 @@ class CompiledBackend(Backend):
 
         def run_unit(unit, prepare, ops, all_shapes):
             counters = KernelCounters()
-            out = unit.counted(prepare(True), ops, all_shapes, counters)
+            out = unit.counted(prepare(), ops, all_shapes, counters)
             return out, counters.out_points, counters
 
         def after(name, counters):
@@ -565,7 +557,7 @@ class CompiledBackend(Backend):
             counters = KernelCounters()
             machines = make_machines(unit.ir.name, unit.ir) \
                 if make_machines else _NULL_ROUTING
-            out = unit.vector(prepare(True), ops, all_shapes, counters,
+            out = unit.vector(prepare(), ops, all_shapes, counters,
                               machines)
             return out, counters.out_points, (counters, machines)
 
@@ -579,12 +571,10 @@ class CompiledBackend(Backend):
 
     @staticmethod
     def _prepare(ir, env, rank_orders, sink,
-                 prep_cache: Optional[PrepCache] = None,
-                 arenas: bool = False) -> Dict[str, Any]:
-        """Prepared inputs for one Einsum, with consumer-swizzle events:
-        :class:`~repro.fibertree.arena.FlatArena` buffers when
-        ``arenas`` (the arena kernels), boxed tensors otherwise (the
-        traced kernel, via the interpreter's own ``prepare_tensor``).
+                 prep_cache: Optional[PrepCache] = None
+                 ) -> Dict[str, FlatArena]:
+        """Prepared :class:`~repro.fibertree.arena.FlatArena` inputs for
+        one Einsum, with consumer-swizzle events.
 
         Mirrors the interpreter's per-(tensor, prep) dedup so swizzle
         events on intermediates are emitted exactly once.  With a
@@ -593,9 +583,8 @@ class CompiledBackend(Backend):
         are per-run and never cached — caching them would pin every
         candidate's outputs for the life of a sweep).
         """
-        build = prepare_arena if arenas else prepare_tensor
-        prepared: Dict[str, Any] = {}
-        seen: Dict[tuple, Any] = {}
+        prepared: Dict[str, FlatArena] = {}
+        seen: Dict[tuple, FlatArena] = {}
         for plan in ir.accesses:
             key = (plan.tensor, tuple(plan.prep))
             if key not in seen:
@@ -607,12 +596,11 @@ class CompiledBackend(Backend):
                 src = env[plan.tensor]
                 order = rank_orders[plan.tensor]
                 if prep_cache is not None and not plan.is_intermediate:
-                    memo = prep_cache.arena if arenas else \
-                        prep_cache.prepared
-                    seen[key] = memo(src, order, plan.prep,
-                                     lambda: build(src, order, plan.prep))
+                    seen[key] = prep_cache.arena(
+                        src, order, plan.prep,
+                        lambda: prepare_arena(src, order, plan.prep))
                 else:
-                    seen[key] = build(src, order, plan.prep)
+                    seen[key] = prepare_arena(src, order, plan.prep)
                 if sink and plan.is_intermediate:
                     for step in plan.prep:
                         if step.kind == "swizzle":

@@ -224,7 +224,7 @@ class BuffetModel:
         integer counts of the very same decisions :meth:`access_read` /
         :meth:`access_write` / :meth:`drain` would have taken per event,
         so pricing them in bulk is exact.  The event-driven API stays
-        intact for the interpreter and the traced kernels.
+        intact for the interpreter's per-event trace.
         """
         self.reads += tallies["reads"]
         self.writes += tallies["writes"]

@@ -786,8 +786,9 @@ def evaluate(
 
     * ``"auto"`` (default) — the fastest exact path, which today is
       ``"vector"``.
-    * ``"trace"`` — one event per touched element streams to a
-      :class:`ModelSink`; the reference path, works on every backend.
+    * ``"trace"`` — the interpreter streams one event per touched
+      element to a :class:`ModelSink`; the reference path, on every
+      backend.
     * ``"counters"`` — counter fusion: arena-native kernels accumulate
       per-rank read/write/intersection/compute tallies and the models
       price them in one pass per Einsum.  Used when the spec binds no
@@ -1150,8 +1151,9 @@ def evaluate_many(
 ) -> List[EvaluationResult]:
     """Evaluate one spec over many workloads, compiling once.
 
-    The spec is lowered and compiled a single time (warming the backend's
-    compile cache), then every workload — a ``{tensor: Tensor}`` dict —
+    The spec is lowered a single time (warming the backend's compile
+    cache; each kernel flavor compiles once, on first use), then every
+    workload — a ``{tensor: Tensor}`` dict —
     is evaluated against the cached kernels.  ``workers`` fans the
     evaluations out over a pool (kernels and component models are
     independent per workload); it defaults to :func:`default_workers`
@@ -1200,6 +1202,7 @@ def evaluate_many(
 
     Returns one :class:`EvaluationResult` per workload, in order.
     """
+    check_metrics_mode(metrics)
     if executor is not None and executor not in ("thread", "process"):
         raise ValueError(
             f"unknown executor {executor!r}; known: 'thread', 'process'"
@@ -1238,9 +1241,9 @@ def evaluate_many(
             engine = resolve_backend(backend)
     else:
         engine = resolve_backend(backend)
-    if isinstance(engine, CompiledBackend):
+    if isinstance(engine, CompiledBackend) and metrics != "analytical":
         try:
-            engine.compile(spec)  # warm the cache once, up front
+            engine.compile(spec)  # lower once, up front
         except CodegenError:
             if not engine.fallback:
                 raise

@@ -1,8 +1,7 @@
 """Code-generation backend: generated Python must match the interpreter.
 
-Each mapping runs through the traced object-cursor kernel (against a
-no-op sink) and the untraced arena-native flat kernel; both must
-reproduce the interpreter's output.
+Each mapping runs through the untraced arena-native flat kernel, which
+must reproduce the interpreter's output.
 """
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from repro.fibertree import tensor_from_dense, tensor_to_dense
 from repro.ir import build_cascade_ir, build_ir
 from repro.fibertree.arena import arena_from_tensor
-from repro.ir.codegen import compile_ir, generate_source
+from repro.ir.codegen import compile_ir
 from repro.ir.codegen_flat import generate_flat_source
 from repro.model import CompileCache, CompiledBackend, execute_cascade
 from repro.model.executor import prepare_tensor
@@ -19,13 +18,12 @@ from repro.spec import load_spec
 
 
 def compile_and_run(spec_text, tensors_dense, shapes=None):
-    """Run a single-Einsum spec through the traced and flat kernels and
-    the interpreter; return (generated, interpreted, traced source)."""
+    """Run a single-Einsum spec through the flat kernel and the
+    interpreter; return (generated, interpreted, flat source)."""
     spec = load_spec(spec_text)
     name = spec.einsum.cascade.produced[-1]
     ir = build_ir(spec, name)
-    fn, source = compile_ir(ir, "traced")
-    flat, _ = compile_ir(ir, "flat")
+    flat, source = compile_ir(ir, "flat")
 
     tensors = {
         t: tensor_from_dense(t, spec.einsum.ranks_of(t), arr)
@@ -48,11 +46,8 @@ def compile_and_run(spec_text, tensors_dense, shapes=None):
         )
     from repro.einsum import ARITHMETIC
 
-    generated = fn(prepared, ARITHMETIC, all_shapes,
-                   TraceSink()).prune_empty()
     arenas = {t: arena_from_tensor(p) for t, p in prepared.items()}
-    assert flat(arenas, ARITHMETIC, all_shapes).prune_empty().points() \
-        == generated.points()
+    generated = flat(arenas, ARITHMETIC, all_shapes)
     env = execute_cascade(spec, tensors)
     return generated, env[name], source
 
@@ -86,10 +81,10 @@ class TestGeneratedMatmul:
 
     def test_source_is_plain_python(self):
         spec = load_spec(MATMUL)
-        src = generate_source(build_ir(spec, "Z"))
-        assert "def kernel(tensors, opset, shapes, sink):" in src
-        assert "coiterate_intersect" in src
-        assert "reduce_into" in src
+        src = generate_flat_source(build_ir(spec, "Z"))
+        assert "def kernel(arenas, opset, shapes):" in src
+        assert "_bl(" in src  # the inlined galloping two-way merge
+        assert "Tensor.from_points(" in src
 
     def test_tiled_mapping(self):
         gen, interp, _ = compile_and_run(
@@ -218,8 +213,9 @@ einsum:
 
         spec = accelerator("gamma")
         ir = build_ir(spec, "T")  # B is an occupancy follower
-        src = generate_source(ir)
-        assert "rt.window(" in src  # follower adopts the leader's window
+        src = generate_flat_source(ir)
+        # follower adopts the leader's window
+        assert "rt.window_span(" in src
 
     def test_every_registered_spec_compiles(self):
         from repro.accelerators import FACTORIES, accelerator
@@ -227,7 +223,6 @@ einsum:
         for name in FACTORIES:
             spec = accelerator(name)
             for ir in build_cascade_ir(spec):
-                generate_source(ir)
                 generate_flat_source(ir)
                 generate_flat_source(ir, counted=True)
                 generate_flat_source(ir, vector=True)

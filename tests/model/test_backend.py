@@ -51,7 +51,7 @@ class TestCacheHits:
         second = cache.get(spec)
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
-        assert second.units[0].traced is first.units[0].traced
+        assert second.units[0].flat is first.units[0].flat
 
     def test_equal_specs_from_separate_loads_share_kernels(self):
         cache = CompileCache()
@@ -215,26 +215,65 @@ class TestBackendSelection:
         assert a.env["Z"].points() == ref.env["Z"].points()
         assert a.traffic_bytes() == ref.traffic_bytes()
 
-    def test_untraced_run_falls_back_to_traced_kernel(self, monkeypatch):
-        """An Einsum the flat generator rejects runs untraced through its
-        traced kernel with a no-op sink; outputs equal the interpreter's."""
+    def test_rejected_flat_kernels_run_on_interpreter(self, monkeypatch):
+        """When the arena generator rejects an Einsum, the default backend
+        prices every metrics mode on the interpreter (outputs and metrics
+        equal its own), while the strict backend refuses an untraced run."""
         import repro.ir.codegen_flat as flat_mod
+        import repro.model.backend as backend_mod
 
         def refuse(*args, **kwargs):
             raise CodegenError("forced for the test")
 
         monkeypatch.setattr(flat_mod, "generate_flat_source", refuse)
+        # A fresh default engine: the process-wide cache may already
+        # hold kernels compiled before the generator was patched.
+        monkeypatch.setattr(backend_mod, "DEFAULT_BACKEND",
+                            CompiledBackend(cache=CompileCache(),
+                                            fallback=True))
         spec = load_spec(MATMUL)
         ts = tensors(seed=3)
-        cache = CompileCache()
-        env = CompiledBackend(cache=cache).run_cascade(
+        ref = evaluate(spec, {k: t.copy() for k, t in ts.items()},
+                       backend="interpreter")
+        assert ref.env["Z"].nnz > 0
+        for metrics in ("auto", "vector", "counters", "trace"):
+            got = evaluate(spec, {k: t.copy() for k, t in ts.items()},
+                           metrics=metrics)
+            assert got.env["Z"].points() == ref.env["Z"].points(), metrics
+            assert got.traffic_bytes() == ref.traffic_bytes(), metrics
+            assert got.exec_seconds == ref.exec_seconds, metrics
+            assert got.energy_pj == ref.energy_pj, metrics
+            assert got.action_counts() == ref.action_counts(), metrics
+        env = resolve_backend(None).run_cascade(
             spec, {k: t.copy() for k, t in ts.items()})
-        ref = InterpreterBackend().run_cascade(
-            spec, {k: t.copy() for k, t in ts.items()})
-        assert env["Z"].points() == ref["Z"].points()
-        assert env["Z"].nnz > 0
+        assert env["Z"].points() == ref.env["Z"].points()
+        strict = CompiledBackend(cache=CompileCache())
         with pytest.raises(CodegenError):
-            cache.get(spec).units[0].flat  # the flat kernel was rejected
+            strict.run_cascade(spec, {k: t.copy() for k, t in ts.items()})
+
+    def test_traced_run_delegates_to_interpreter(self, monkeypatch):
+        """A compiled run with a sink is the interpreter's run: the same
+        event stream, and no kernel is compiled for it."""
+        from repro.model.traces import TraceSink
+
+        class Recorder(TraceSink):
+            def __init__(self):
+                self.events = []
+
+            def read(self, tensor, rank, kind, key, ctx):
+                self.events.append((tensor, rank, kind, key, tuple(ctx)))
+
+        spec = load_spec(MATMUL)
+        ts = tensors(seed=4)
+        cache = CompileCache()
+        got, ref = Recorder(), Recorder()
+        env = CompiledBackend(cache=cache).run_cascade(
+            spec, {k: t.copy() for k, t in ts.items()}, sink=got)
+        ref_env = InterpreterBackend().run_cascade(
+            spec, {k: t.copy() for k, t in ts.items()}, sink=ref)
+        assert env["Z"].points() == ref_env["Z"].points()
+        assert got.events == ref.events and got.events
+        assert cache.get(spec).units[0]._kernels == {}
 
 
 class TestEvaluateMany:
@@ -256,6 +295,35 @@ class TestEvaluateMany:
                       backend=backend)
         assert cache.misses == 1
         assert cache.hits >= 5
+
+    def test_unknown_metrics_mode_is_rejected_up_front(self):
+        cache = CompileCache()
+        backend = CompiledBackend(cache=cache)
+        spec = load_spec(MATMUL)
+        with pytest.raises(ValueError, match="unknown metrics mode"):
+            evaluate_many(spec, [], metrics="bogus")
+        with pytest.raises(ValueError, match="unknown metrics mode"):
+            evaluate_many(spec, [tensors()], backend=backend,
+                          metrics="bogus")
+        assert cache.misses == 0 and len(cache) == 0  # nothing lowered
+
+    def test_analytical_sweep_skips_the_compile_warmup(self):
+        """The analytical tier never runs a kernel, so a spec the strict
+        backend cannot compile still prices, exactly as per call."""
+        class RefusingCache(CompileCache):
+            def get(self, spec):
+                raise CodegenError("forced for the test")
+
+        spec = load_spec(MATMUL)
+        strict = CompiledBackend(cache=RefusingCache())
+        work = tensors(seed=2)
+        [many] = evaluate_many(spec, [dict(work)], backend=strict,
+                               metrics="analytical")
+        one = evaluate(spec, dict(work), backend=strict,
+                       metrics="analytical")
+        assert many.traffic_bytes() == one.traffic_bytes()
+        assert many.exec_seconds == one.exec_seconds
+        assert many.energy_pj == one.energy_pj
 
     def test_failed_compiles_are_negative_cached(self, monkeypatch):
         import repro.model.backend as backend_mod
@@ -367,8 +435,8 @@ mapping:
 
         def contend():
             barrier.wait()  # maximize the build race
-            winners.append(cache.prepared(src, ["M", "K"], ("swizzle",),
-                                          build))
+            winners.append(cache.arena(src, ["M", "K"], ("swizzle",),
+                                       build))
 
         threads = [threading.Thread(target=contend)
                    for _ in range(n_threads)]
