@@ -5,13 +5,12 @@ and requires the fast one to win by a margin that leaves room for a
 noisy shared CI runner while still catching a real regression:
 
 1. arena-native flat kernels vs. the interpreter, outputs only (1.5x);
-2. vector vs. counter-fused kernels on K-spans ~490 deep (2x);
-3. vector (model-fused) kernels vs. the interpreter's per-event trace
+2. the priced vector kernels vs. the interpreter's per-event trace
    path (``metrics="trace"``) on a buffered spec (2x);
-4. parallel pruned search vs. the serial exhaustive sweep on the
+3. parallel pruned search vs. the serial exhaustive sweep on the
    interpreter's trace path (1.5x);
-5. statistics pricing (``metrics="analytical"``) vs. the counter-fused
-   kernels, per candidate (20x).
+4. statistics pricing (``metrics="analytical"``) vs. the exact priced
+   kernels (``metrics="auto"``), per candidate (20x).
 
 The correctness contracts of the same sweeps (identical best mappings,
 bit-identical metrics) live in the tier-1 suite; ``perfbench/`` is the
@@ -31,7 +30,6 @@ from repro.model import (
     CompiledBackend,
     InterpreterBackend,
     evaluate,
-    evaluate_many,
 )
 from repro.model.analytical import WorkloadStats
 from repro.search import MappingSpace, search
@@ -100,21 +98,6 @@ binding:
 """
 
 
-#: Storage orders match the loop order and the contraction rank is
-#: innermost and long.
-SPEC_VECTOR = """
-einsum:
-  declaration:
-    A: [M, K]
-    B: [N, K]
-    Z: [M, N]
-  expressions:
-    - Z[m, n] = A[m, k] * B[n, k]
-mapping:
-  loop-order:
-    Z: [M, N, K]
-"""
-
 N_WORKLOADS = 24
 N_BUFFERED_WORKLOADS = 8
 SEARCH_TILE_SIZES = {"K": (8, 16)}
@@ -175,25 +158,6 @@ def test_flat_beats_interpreter_untraced():
     )
 
 
-def test_vector_beats_counters_on_long_spans():
-    spec = load_spec(SPEC_VECTOR, name="vector-sweep")
-    # ~12k nonzeros per tensor, K-spans of ~490 coordinates.
-    work = workloads(N_WORKLOADS, (24, 8192), (24, 8192), 0.06,
-                     ranks_a=("M", "K"), ranks_b=("N", "K"))
-    backend = CompiledBackend(cache=CompileCache())
-    for metrics in ("counters", "vector"):  # warm
-        evaluate(spec, dict(work[0]), backend=backend, metrics=metrics)
-    t_counters, ref = timed(lambda: evaluate_many(
-        spec, [dict(w) for w in work], backend=backend, metrics="counters"))
-    t_vector, got = timed(lambda: evaluate_many(
-        spec, [dict(w) for w in work], backend=backend, metrics="vector"))
-    assert_same_metrics(ref, got)
-    assert t_vector * 2.0 < t_counters, (
-        f"vector sweep ({t_vector:.3f}s) should beat the counter-fused "
-        f"path ({t_counters:.3f}s) clearly"
-    )
-
-
 def test_fused_beats_interpreter_trace_on_buffered_spec():
     spec = load_spec(buffered(SPEC, a_evict_on="K1"), name="buffered-sweep")
     work = workloads(N_BUFFERED_WORKLOADS, (96, 48), (96, 40), 0.15)
@@ -248,23 +212,22 @@ def test_pruned_search_beats_exhaustive_sweep():
     )
 
 
-def test_analytical_pricing_beats_counters():
+def test_analytical_pricing_beats_auto():
     spec, tensors = search_inputs()
     einsum = spec.einsum.cascade.produced[0]
     space = MappingSpace.of(("M", "N", "K"), SEARCH_TILE_SIZES)
     cand_specs = [apply_candidate(spec, einsum, c) for c in space.all()]
     stats = WorkloadStats.from_tensors(tensors)
     backend = CompiledBackend(cache=CompileCache())
-    evaluate(cand_specs[0], dict(tensors), backend=backend,
-             metrics="counters")  # warm
+    evaluate(cand_specs[0], dict(tensors), backend=backend)  # warm
     evaluate(cand_specs[0], None, metrics="analytical", stats=stats)
-    t_counters, _ = timed(lambda: [
-        evaluate(cs, dict(tensors), backend=backend, metrics="counters")
+    t_auto, _ = timed(lambda: [
+        evaluate(cs, dict(tensors), backend=backend, metrics="auto")
         for cs in cand_specs])
     t_analytical, _ = timed(lambda: [
         evaluate(cs, None, metrics="analytical", stats=stats)
         for cs in cand_specs])
-    assert t_analytical * 20.0 < t_counters, (
+    assert t_analytical * 20.0 < t_auto, (
         f"analytical pricing ({t_analytical:.4f}s) should beat the "
-        f"counter-fused sweep ({t_counters:.3f}s) by orders of magnitude"
+        f"exact priced sweep ({t_auto:.3f}s) by orders of magnitude"
     )

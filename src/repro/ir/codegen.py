@@ -24,7 +24,10 @@ interpreter.
 
 Backend selection lives in :mod:`repro.model.backend`: ``evaluate(...,
 backend="compiled"|"interpreter"|"auto")`` and ``evaluate_many(spec,
-workloads, ...)`` pick kernels out of a process-wide compile cache.
+workloads, ...)`` pick kernels out of a process-wide compile cache.  A
+priced run picks, per Einsum, the port-free ``counted`` kernel when the
+binding routes nothing to a buffer or cache and the ported ``vector``
+kernel otherwise (see :data:`KERNEL_FLAVORS`).
 """
 
 from __future__ import annotations
@@ -152,9 +155,11 @@ def _take(args, which):
 
 
 #: Kernel flavors, all generated by :mod:`repro.ir.codegen_flat` over
-#: FlatArena spans: "flat" computes outputs only, "counted" adds fused
-#: event counters, and "vector" also inlines the buffet/cache component
-#: state machines into the arena loops.
+#: FlatArena spans: "flat" computes outputs only; "counted" is the priced
+#: kernel (fused event counters plus batched numpy spans) without machine
+#: ports, for an Einsum whose binding routes nothing to a buffer or
+#: cache; "vector" is the same priced kernel with the buffet/cache
+#: component state machines inlined behind per-touch ports.
 KERNEL_FLAVORS = ("flat", "counted", "vector")
 
 
@@ -168,8 +173,8 @@ def compile_ir(ir: LoopNestIR, flavor: str, func_name: str = "kernel"):
     from .codegen_flat import generate_flat_source
 
     body = generate_flat_source(ir, func_name,
-                                counted=(flavor == "counted"),
-                                vector=(flavor == "vector"))
+                                priced=(flavor != "flat"),
+                                ports=(flavor == "vector"))
     source = _PRELUDE + body
     namespace: Dict[str, object] = {}
     exec(compile(source, f"<teaal:{ir.name}:{flavor}>", "exec"), namespace)

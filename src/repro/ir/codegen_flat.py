@@ -13,50 +13,51 @@ boxed fibers too: every leaf reduces into ``_acc``, a dict keyed by the
 output point, and the kernel returns one
 :class:`~repro.fibertree.tensor.Tensor` built from its sorted points with
 zero sums dropped (:meth:`~repro.fibertree.tensor.Tensor.from_points`).
-The counted and vector flavors record the point count, zeros included,
-as ``kc.out_points`` — what a producer-side swizzle sorts.
+The priced flavors record the point count, zeros included, as
+``kc.out_points`` — what a producer-side swizzle sorts.
 
-Three flavors share one generator:
+One generator emits three flavors, specialized at generation time on two
+facts — is the kernel priced, and does it carry machine ports:
 
 * **flat** ``kernel(arenas, opset, shapes)`` — the untraced fast path;
-* **counted** ``kernel(arenas, opset, shapes, kc)`` — counter fusion:
-  instead of one :class:`~repro.model.traces.TraceSink` method call per
-  touched element, the kernel bumps local integer tallies (per
-  (tensor, rank, kind) reads/writes, per-rank intersection statistics,
-  per-op compute counts with the set of their time stamp tuples) and
-  flushes them into a :class:`~repro.model.traces.KernelCounters` once at
-  the end.
-  The tallies equal, exactly, the aggregates of the interpreter's
-  event stream —
-  including the subtle cases: lookup misses still count a coordinate
-  read, abandoned co-iterations (existential ``take()`` short-circuits)
-  keep their partial visit counts but drop the final ``isect`` event,
-  and ineffectual leaves price nothing.
-* **vector** ``kernel(arenas, opset, shapes, kc, fm)`` — model fusion
-  plus span batching: everything the counted flavor does, plus the
-  buffet/cache component state machines inlined into the loops.  The
-  kernel tracks coordinate paths (``h`` vars) and loop-context prefixes
-  (``cx`` vars) exactly as the interpreter does, and at every touch
-  site consults a *port* bound once at entry from ``fm`` (a
-  :class:`repro.model.evaluate.FusedMachines` routing plan built from
-  the binding spec at run time — the generated code itself stays
-  binding-independent, so vector kernels share the same compile-cache
-  entry across binding variations).  A ``None`` port means the touch
-  falls through to DRAM and bumps the fused counter; a live port is a
-  :class:`~repro.ir.codegen_runtime.FusedBuffet` /
-  :class:`~repro.ir.codegen_runtime.FusedCache` state machine receiving
-  the same (key, evict-window) sequence the interpreter's
-  :class:`~repro.model.evaluate.ModelSink` would deliver.  Eligible
+* **counted** ``kernel(arenas, opset, shapes, kc)`` — the priced kernel
+  without machine ports, for an Einsum whose binding routes nothing to a
+  buffer or cache.  Instead of one
+  :class:`~repro.model.traces.TraceSink` method call per touched
+  element, the kernel bumps local integer tallies (per (tensor, rank,
+  kind) reads/writes, per-rank intersection statistics, per-op compute
+  counts with their time stamps) and flushes them into a
+  :class:`~repro.model.traces.KernelCounters` once at the end.  The
+  tallies equal, exactly, the aggregates of the interpreter's event
+  stream — including the subtle cases: lookup misses still count a
+  coordinate read, abandoned co-iterations (existential ``take()``
+  short-circuits) keep their partial visit counts but drop the final
+  ``isect`` event, and ineffectual leaves price nothing.  Eligible
   innermost-rank spans are priced through batched numpy primitives and
   record their time stamps as one span entry — the fixed part plus a
   numpy column of the innermost slot (see :mod:`repro.model.stamps`);
   per-span runtime guards fall back to the inline scalar loop, so
   results never depend on which path ran.
+* **vector** ``kernel(arenas, opset, shapes, kc, fm)`` — the same priced
+  kernel plus machine ports: the buffet/cache component state machines
+  inlined into the loops.  The kernel tracks coordinate paths (``h``
+  vars) and loop-context prefixes (``cx`` vars) exactly as the
+  interpreter does, and at every touch site consults a *port* bound once
+  at entry from ``fm`` (a :class:`repro.model.evaluate.FusedMachines`
+  routing plan built from the binding spec at run time — the generated
+  code itself stays binding-independent, so vector kernels share the
+  same compile-cache entry across binding variations).  A ``None`` port
+  means the touch falls through to DRAM and bumps the counter; a live
+  port is a :class:`~repro.ir.codegen_runtime.FusedBuffet` /
+  :class:`~repro.ir.codegen_runtime.FusedCache` state machine receiving
+  the same (key, evict-window) sequence the interpreter's
+  :class:`~repro.model.evaluate.ModelSink` would deliver.  Only this
+  flavor pays for the port checks, path and context tuples.
 
 The walk order, the guard structure, and every membership decision
 follow the interpreter's, so the differential suite can hold every
-engine (interpreter, flat, counted and vector kernels) to identical
-outputs and metrics.
+kernel (flat, counted and vector) to the interpreter's outputs and
+metrics.
 """
 
 from __future__ import annotations
@@ -81,15 +82,15 @@ class _FlatGenerator:
     """Emits one arena-native kernel (flat, counted, or vector)
     for one Einsum."""
 
-    def __init__(self, ir: LoopNestIR, func_name: str, counted: bool,
-                 vector: bool):
+    def __init__(self, ir: LoopNestIR, func_name: str, priced: bool,
+                 ports: bool):
         self.ir = ir
         self.func_name = func_name
-        self.vector = vector
-        self.counted = counted = counted or vector
+        self.ported = ports
+        self.priced = priced = priced or ports
         self.em = _Emitter()  # body emitter (swapped in during generate)
         self.existential = _existential_ranks(ir)
-        self.stamp_ranks = set(ir.time_ranks) if counted else set()
+        self.stamp_ranks = set(ir.time_ranks) if priced else set()
         self.n_ranks = len(ir.loop_ranks)
         self._tmp_count = 0
         # Arena geometry per access: number of physical levels, and the
@@ -103,11 +104,11 @@ class _FlatGenerator:
                 at.append(at[-1] + (1 if lvl.is_physical else 0))
             self.level_at.append(at)
             self.n_phys.append(at[-1])
-        # Counter bookkeeping (counted/vector flavors only).
+        # Counter bookkeeping (priced kernels only).
         self.read_ctrs: Dict[Tuple[str, str, str], str] = {}
         self.write_ctrs: Dict[Tuple[str, str, str], str] = {}
         self.isect_ranks: List[str] = []
-        # Component-machine ports (vector flavor): one per touched
+        # Component-machine ports (ported kernels): one per touched
         # (tensor, rank, kind) triple, bound from ``fm`` at kernel entry.
         self.ports: Dict[Tuple[str, str, str], str] = {}
         # Pair dispatchers: the bound ``read2`` of a machine that claims
@@ -118,6 +119,9 @@ class _FlatGenerator:
         # during body generation; the head binds them afterwards).
         self.vec_coords: Set[Tuple[int, int]] = set()
         self.vec_vals: Set[int] = set()
+        # Loop-invariant halves of the vector-leaf guards, evaluated
+        # once at kernel entry: (var, condition).
+        self.vec_guards: List[Tuple[str, str]] = []
 
     # ------------------------------------------------------------------
     # Cursor helpers
@@ -141,7 +145,7 @@ class _FlatGenerator:
         else:
             self.em.emit(f"n{i}_{d}a = None")
             self.em.emit(f"n{i}_{d}b = None")
-        if self.vector:
+        if self.ported:
             # Keep the path var defined along absent branches; no event
             # below an absent cursor ever reads it, so the value is moot.
             self.em.emit(f"h{i}_{d} = ()")
@@ -162,11 +166,11 @@ class _FlatGenerator:
         else:
             self.em.emit(f"n{i}_{d + 1}a = n{i}_{d}a")
             self.em.emit(f"n{i}_{d + 1}b = n{i}_{d}b")
-        if self.vector:
+        if self.ported:
             self.em.emit(f"h{i}_{d + 1} = h{i}_{d}")
 
     # ------------------------------------------------------------------
-    # Counter/port helpers (counted+vector flavors; no-ops for flat)
+    # Counter/port helpers (priced kernels; no-ops for flat)
     # ------------------------------------------------------------------
     def _rctr(self, tensor: str, of: str, kind: str) -> str:
         key = (tensor, of, kind)
@@ -221,13 +225,15 @@ class _FlatGenerator:
         exact two-dispatch sequence otherwise.  The coord *counter* case
         is handled at the original coord site (counters are
         order-insensitive), so here a ``None`` coord port means no-op.
+        The port-free kernel bumps the payload counter alone.
         """
+        if not self.ported:
+            self._bump_read(i, of, "payload")
+            return
         em = self.em
         tensor = self.ir.accesses[i].tensor
         pc = self._port(tensor, of, "coord")
-        pp = self._port(tensor, of, "payload")
         pair = self._pair(tensor, of)
-        pctr = self._rctr(tensor, of, "payload")
         em.emit(f"if {pair} is not None:")
         em.indent += 1
         em.emit(f"{pair}({of!r}, {key}, {cx})")
@@ -238,64 +244,48 @@ class _FlatGenerator:
         em.indent += 1
         em.emit(f"{pc}r({of!r}, {key}, {cx})")
         em.indent -= 1
-        em.emit(f"if {pp}r is None:")
-        em.indent += 1
-        em.emit(f"{pctr} += 1")
+        self._emit_read(i, of, "payload", key, cx)
         em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        em.emit(f"{pp}r({of!r}, {key}, {cx})")
-        em.indent -= 2
 
-    def _emit_coord_counter(self, i: int, of: str) -> None:
-        """The counter half of a deferred coord read: bump only when the
-        event routes to DRAM (machine dispatch happens at the pair
-        site; counters are order-insensitive, so bumping here is
-        exact)."""
+    def _routed(self, key: Tuple[str, str, str], bump: str,
+                dispatch=None) -> None:
+        """One touch site: the counter ``bump`` when the touch routes to
+        DRAM, else ``dispatch(port)`` emits the machine call (nothing
+        when ``dispatch`` is None — the machine side fires elsewhere).
+        The port-free kernel emits the bump alone."""
         em = self.em
-        tensor = self.ir.accesses[i].tensor
-        port = self._port(tensor, of, "coord")
-        em.emit(f"if {port}r is None:")
+        if not self.ported:
+            em.emit(bump)
+            return
+        port = self._port(*key)
+        em.emit(f"if {port} is None:")
         em.indent += 1
-        em.emit(f"{self._rctr(tensor, of, 'coord')} += 1")
+        em.emit(bump)
         em.indent -= 1
+        if dispatch is not None:
+            em.emit("else:")
+            em.indent += 1
+            dispatch(port)
+            em.indent -= 1
 
-    def _bump_read(self, i: int, of: str, kind: str, amount: str = "1") -> None:
-        """Tally one (or ``amount``) DRAM-routed read events.
-
-        Only used where the vector flavor routes the site separately (or
-        not at all); sites a component machine may claim go through
-        :meth:`_emit_read` instead.
-        """
-        if self.counted:
-            tensor = self.ir.accesses[i].tensor
-            self.em.emit(f"{self._rctr(tensor, of, kind)} += {amount}")
+    def _bump_read(self, i: int, of: str, kind: str, amount: str = "1",
+                   dispatch=None) -> None:
+        """Tally ``amount`` DRAM-routed read events of access ``i``; see
+        :meth:`_routed` for ``dispatch``."""
+        if self.priced:
+            key = (self.ir.accesses[i].tensor, of, kind)
+            self._routed(key, f"{self._rctr(*key)} += {amount}", dispatch)
 
     def _emit_read(self, i: int, of: str, kind: str, key: str = None,
                    cx: str = None) -> None:
-        """One read event: counter bump, or machine dispatch when fused.
+        """One read event: counter bump, or machine dispatch when ported.
 
         ``key`` is the Python expression of the event's coordinate path
         (the interpreter's cursor path + coord), ``cx`` the loop-context
         prefix var; both are only evaluated on the machine branch.
         """
-        if not self.counted:
-            return
-        em = self.em
-        tensor = self.ir.accesses[i].tensor
-        ctr = self._rctr(tensor, of, kind)
-        if not self.vector:
-            em.emit(f"{ctr} += 1")
-            return
-        port = self._port(tensor, of, kind)
-        em.emit(f"if {port}r is None:")
-        em.indent += 1
-        em.emit(f"{ctr} += 1")
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        em.emit(f"{port}r({of!r}, {key}, {cx})")
-        em.indent -= 1
+        self._bump_read(i, of, kind, dispatch=lambda port: self.em.emit(
+            f"{port}r({of!r}, {key}, {cx})"))
 
     # ------------------------------------------------------------------
     def generate(self) -> str:
@@ -323,16 +313,16 @@ class _FlatGenerator:
         self._rank(0, depths, wins={}, guarded=set())
 
         head = _Emitter()
-        if self.vector:
-            args = "arenas, opset, shapes, kc, fm"
-        elif self.counted:
-            args = "arenas, opset, shapes, kc"
-        else:
-            args = "arenas, opset, shapes"
+        args = "arenas, opset, shapes"
+        flavor = "flat"
+        if self.priced:
+            args += ", kc"
+            flavor = "counted"
+        if self.ported:
+            args += ", fm"
+            flavor = "vector"
         head.emit(f"def {self.func_name}({args}):")
         head.indent += 1
-        flavor = "vector" if self.vector else (
-            "counted" if self.counted else "flat")
         head.emit(f'"""Generated ({flavor}, arena-native) from: {ir.einsum}"""')
         for i, plan in enumerate(ir.accesses):
             n = self.n_phys[i]
@@ -357,12 +347,15 @@ class _FlatGenerator:
                 head.emit(f"t{i}_vn = _a{i}.np_vals()")
             head.emit(f"n{i}_0a = 0")
             head.emit(f"n{i}_0b = len(t{i}_c0)")
-            if self.vector:
+            if self.ported:
                 head.emit(f"h{i}_0 = ()")
-        if self.vector:
+        if self.vec_guards:
             head.emit("_vk = rt.vec_ok(opset)")
+            head.emit("_vmin = rt.VLEAF_MIN")
+            for var, cond in self.vec_guards:
+                head.emit(f"{var} = {cond}")
         head.emit("_acc = {}")
-        if self.vector:
+        if self.ported:
             head.emit("cx0 = ()")
             for (tensor, of, kind), var in self.ports.items():
                 head.emit(f"{var} = fm.port({tensor!r}, {of!r}, {kind!r})")
@@ -375,7 +368,7 @@ class _FlatGenerator:
                     f"{var} = {pc}.read2 if ({pc} is not None and "
                     f"{pc} is {pp}) else None"
                 )
-        if self.counted:
+        if self.priced:
             for var in self.read_ctrs.values():
                 head.emit(f"{var} = 0")
             for var in self.write_ctrs.values():
@@ -386,8 +379,7 @@ class _FlatGenerator:
             for op in ("mul", "add", "copy"):
                 head.emit(f"cn_{op} = 0")
                 head.emit(f"cs_{op} = set()")
-                if self.vector:
-                    head.emit(f"cv_{op} = []")
+                head.emit(f"cv_{op} = []")
             for rank in sorted(self.stamp_ranks):
                 head.emit(f"st_{rank} = 0")
         if self.existential:
@@ -395,7 +387,7 @@ class _FlatGenerator:
 
         tail = _Emitter()
         tail.indent = 1
-        if self.counted:
+        if self.priced:
             for (tensor, of, kind), var in self.read_ctrs.items():
                 tail.emit(
                     f"kc.add_read({tensor!r}, {of!r}, {kind!r}, {var})"
@@ -407,9 +399,8 @@ class _FlatGenerator:
             for rank in self.isect_ranks:
                 tail.emit(f"kc.add_isect({rank!r}, iv_{rank}, im_{rank})")
             for op in ("mul", "add", "copy"):
-                spans = f"cv_{op}" if self.vector else "[]"
                 tail.emit(
-                    f"kc.add_compute({op!r}, cn_{op}, cs_{op}, {spans})"
+                    f"kc.add_compute({op!r}, cn_{op}, cs_{op}, cv_{op})"
                 )
             tail.emit("kc.out_points = len(_acc)")
         tail.emit(
@@ -536,7 +527,7 @@ class _FlatGenerator:
         for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
             of = lvl.of or lvl.rank
             pos = f"p{i}_{d}"
-            if self.vector:
+            if self.ported:
                 # The path extends unconditionally (the absent k-way
                 # branch included); only present cursors ever read it,
                 # so the value below absent cursors is irrelevant — but
@@ -546,7 +537,7 @@ class _FlatGenerator:
                 em.emit(f"{pos} = ps_{rank}[{j}]")
                 em.emit(f"if {pos} >= 0:")
                 em.indent += 1
-            if self.vector and not opened["kway"] and self._deferrable(i):
+            if not opened["kway"] and self._deferrable(i):
                 # The opener deferred this driver's machine coord read
                 # to here; fire the coord+payload pair together.
                 self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
@@ -580,7 +571,7 @@ class _FlatGenerator:
             style = ir.time_styles.get(rank, "pos")
             src = f"c_{rank}" if style == "coord" else f"po_{rank}"
             em.emit(f"st_{rank} = {src}")
-        if self.vector:
+        if self.ported:
             # The loop-context prefix: what the interpreter's live
             # loop context holds once this rank binds ``c``.
             em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, c_{rank}),)")
@@ -613,8 +604,8 @@ class _FlatGenerator:
         if off:
             coord = f"{coord} + {off}"
         em.emit(f"c_{rank} = {coord}")
-        if self.vector and self._deferrable(i):
-            self._emit_coord_counter(i, (lvl.of or lvl.rank))
+        if self._deferrable(i):
+            self._bump_read(i, (lvl.of or lvl.rank), "coord")
         else:
             self._emit_read(i, (lvl.of or lvl.rank), "coord",
                             key=f"h{i}_{d} + (c_{rank},)", cx=f"cx{level}")
@@ -627,7 +618,7 @@ class _FlatGenerator:
         p0, p1 = f"p{i0}_{d0}", f"p{i1}_{d1}"
         em.emit(f"{p0} = {a0}")
         em.emit(f"{p1} = {a1}")
-        if self.counted:
+        if self.priced:
             em.emit(f"_iv_{rank} = 0")
             em.emit(f"_im_{rank} = 0")
             if rank not in self.isect_ranks:
@@ -641,13 +632,13 @@ class _FlatGenerator:
         em.emit(f"if h0_{rank} == h1_{rank}:")
         em.indent += 1
         em.emit(f"c_{rank} = h0_{rank}")
-        if self.counted:
+        if self.priced:
             em.emit(f"_iv_{rank} += 2")
             em.emit(f"_im_{rank} += 1")
             for i_, lvl_, d_ in ((i0, lvl0, d0), (i1, lvl1, d1)):
                 of_ = lvl_.of or lvl_.rank
-                if self.vector and self._deferrable(i_):
-                    self._emit_coord_counter(i_, of_)
+                if self._deferrable(i_):
+                    self._bump_read(i_, of_, "coord")
                 else:
                     self._emit_read(i_, of_, "coord",
                                     key=f"h{i_}_{d_} + (c_{rank},)",
@@ -665,7 +656,7 @@ class _FlatGenerator:
         size = k if union else k + 2
         em.emit(f"sx_{rank} = [0] * {size}")
         touches = ""
-        if self.vector:
+        if self.ported:
             # Per-input touch callbacks: coord read events for inputs
             # routed to a component machine fire from inside the helper,
             # in the interpreter's exact event order.
@@ -685,7 +676,7 @@ class _FlatGenerator:
             f"sx_{rank}{touches}):"
         )
         em.indent += 1
-        if self.counted and not union and rank not in self.isect_ranks:
+        if self.priced and not union and rank not in self.isect_ranks:
             self.isect_ranks.append(rank)
         return {"kind": "kway", "kway": True, "union": union, "guard": 0}
 
@@ -693,30 +684,16 @@ class _FlatGenerator:
                     d: int, off, p: str) -> None:
         """Tally the coordinates a merge2 skip jumped over.
 
-        Counted: one bulk counter bump.  Fused with a live port: the
+        DRAM-routed: one bulk counter bump.  With a live port the
         machine needs per-element keys, so the galloped-over positions
-        replay one at a time (only for machine-routed inputs — DRAM
-        routes keep the O(1) bump).
+        replay through its ``read_span``.
         """
-        em = self.em
         of = lvl.of or lvl.rank
-        amount = f"nx_{rank} - {p}"
-        if not self.vector:
-            self._bump_read(i, of, "coord", amount)
-            return
-        tensor = self.ir.accesses[i].tensor
-        port = self._port(tensor, of, "coord")
-        em.emit(f"if {port}r is None:")
-        em.indent += 1
-        em.emit(f"{self._rctr(tensor, of, 'coord')} += {amount}")
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        em.emit(
-            f"{port}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, {p}, "
-            f"nx_{rank}, {off or 0}, cx{level})"
-        )
-        em.indent -= 1
+        self._bump_read(
+            i, of, "coord", f"nx_{rank} - {p}",
+            dispatch=lambda port: self.em.emit(
+                f"{port}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, {p}, "
+                f"nx_{rank}, {off or 0}, cx{level})"))
 
     def _close_loop(self, rank: str, level: int, opened: dict,
                     specs) -> None:
@@ -735,7 +712,7 @@ class _FlatGenerator:
             em.indent += 1
             t0 = f"h1_{rank} - {off0}" if off0 else f"h1_{rank}"
             em.emit(f"nx_{rank} = _bl(t{i0}_c{L0}, {t0}, {p0}, {b0})")
-            if self.counted:
+            if self.priced:
                 em.emit(f"_iv_{rank} += nx_{rank} - {p0}")
                 self._skip_reads(rank, level, i0, lvl0, L0, d0, off0, p0)
             em.emit(f"{p0} = nx_{rank}")
@@ -744,13 +721,13 @@ class _FlatGenerator:
             em.indent += 1
             t1 = f"h0_{rank} - {off1}" if off1 else f"h0_{rank}"
             em.emit(f"nx_{rank} = _bl(t{i1}_c{L1}, {t1}, {p1}, {b1})")
-            if self.counted:
+            if self.priced:
                 em.emit(f"_iv_{rank} += nx_{rank} - {p1}")
                 self._skip_reads(rank, level, i1, lvl1, L1, d1, off1, p1)
             em.emit(f"{p1} = nx_{rank}")
             em.indent -= 1
             em.indent -= 1  # close the while body
-            if self.counted:
+            if self.priced:
                 # Runs only on normal exit: an abandoned co-iteration
                 # drops its isect event, exactly like the interpreter.
                 em.emit("else:")
@@ -760,35 +737,23 @@ class _FlatGenerator:
                 em.indent -= 1
         else:  # kway
             em.indent -= 1  # close the for body
-            if self.counted and not opened["union"]:
+            if self.priced and not opened["union"]:
                 k = len(specs)
                 em.emit("else:")
                 em.indent += 1
                 em.emit(f"iv_{rank} += sx_{rank}[{k}]")
                 em.emit(f"im_{rank} += sx_{rank}[{k + 1}]")
                 em.indent -= 1
-            if self.counted:
-                # Visit tallies are eager in the helper, so they stay
-                # correct even when the loop breaks early.  Machine-routed
-                # inputs (fused) already fired their per-element touches
-                # inside the helper.
-                for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
-                    of = lvl.of or lvl.rank
-                    tensor = self.ir.accesses[i].tensor
-                    if self.vector:
-                        port = self._port(tensor, of, "coord")
-                        em.emit(f"if {port}r is None:")
-                        em.indent += 1
-                        em.emit(
-                            f"{self._rctr(tensor, of, 'coord')} += "
-                            f"sx_{rank}[{j}]"
-                        )
-                        em.indent -= 1
-                    else:
-                        self._bump_read(i, of, "coord", f"sx_{rank}[{j}]")
+            # Visit tallies are eager in the helper, so they stay
+            # correct even when the loop breaks early.  Machine-routed
+            # inputs already fired their per-element touches inside the
+            # helper.
+            for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
+                self._bump_read(i, lvl.of or lvl.rank, "coord",
+                                f"sx_{rank}[{j}]")
 
     # ------------------------------------------------------------------
-    # Vector leaves (the "vector" flavor): price an entire innermost-rank
+    # Vector leaves (every priced kernel): price an entire innermost-rank
     # span with batched numpy ops.  Eligibility is decided statically per
     # loop; the generated branch still guards on runtime facts (numpy
     # buffers present, elementwise opset, span large enough) and falls
@@ -894,7 +859,7 @@ class _FlatGenerator:
         short-circuits, no per-element lookups, and no tensor whose
         component machine would see interleaved per-element event orders
         (self-intersections, read-modify-write outputs)."""
-        if not self.vector or level != self.n_ranks - 1:
+        if not self.priced or level != self.n_ranks - 1:
             return None
         ir = self.ir
         if self.existential or virtual or len(binds) > 1:
@@ -958,7 +923,9 @@ class _FlatGenerator:
         em = self.em
         drivers = vec["drivers"]
         merge = vec["merge"]
-        conds = ["_vk"]
+        fixed = ["_vk"]
+        guard = f"_vl{len(self.vec_guards)}"
+        conds = [guard]
         sizes = []
         for drv in drivers:
             if not drv["conj"]:
@@ -966,9 +933,10 @@ class _FlatGenerator:
             sizes.append(f"({drv['b']} - {drv['a']})")
             self.vec_coords.add((drv["i"], drv["L"]))
             self.vec_vals.add(drv["i"])
-            conds.append(f"t{drv['i']}_cn{drv['L']} is not None")
-            conds.append(f"t{drv['i']}_vn is not None")
-        conds.append(f"{' + '.join(sizes)} >= rt.VLEAF_MIN")
+            fixed.append(f"t{drv['i']}_cn{drv['L']} is not None")
+            fixed.append(f"t{drv['i']}_vn is not None")
+        self.vec_guards.append((guard, " and ".join(fixed)))
+        conds.append(f"{' + '.join(sizes)} >= _vmin")
         em.emit(f"if {' and '.join(conds)}:")
         em.indent += 1
         if merge:
@@ -994,7 +962,8 @@ class _FlatGenerator:
         # ``vc_a`` as a numpy column (``coord``-style stamps), ``vc_c``
         # as Python ints (payload-port reads and output writes).
         em.emit("vc_a = None")
-        em.emit("vc_c = None")
+        if self.ported:
+            em.emit("vc_c = None")
         for drv in drivers:
             self._emit_vector_reads(level, drv, merge, d0)
         self._emit_vector_effectual(rank, level, vec)
@@ -1036,45 +1005,38 @@ class _FlatGenerator:
         """
         em = self.em
         i, j, L, d = drv["i"], drv["j"], drv["L"], drv["d"]
-        of, tensor, off = drv["of"], drv["tensor"], drv["off"]
+        of, off = drv["of"], drv["off"]
         a, b = drv["a"], drv["b"]
-        pc = self._port(tensor, of, "coord")
-        pp = self._port(tensor, of, "payload")
-        crc = self._rctr(tensor, of, "coord")
-        crp = self._rctr(tensor, of, "payload")
         vis = f"vc_n{j}" if merge else "vc_m"
         hi = f"{a} + vc_n{j}" if merge else b
-        span = (f"{pc}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, {a}, {hi}, "
-                f"{off}, cx{level})")
-        em.emit(f"if {pc} is not None and {pc} is {pp}:")
-        em.indent += 1
-        em.emit(span)
-        em.emit(f"{pc}.pair_extra(vc_m)")
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        em.emit(f"if {pc} is None:")
-        em.indent += 1
-        em.emit(f"{crc} += {vis}")
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        em.emit(span)
-        em.indent -= 1
-        em.emit(f"if {pp} is None:")
-        em.indent += 1
-        em.emit(f"{crp} += vc_m")
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        if merge:
-            self._emit_vc_coords(d0, merge)
-            em.emit(f"{pp}.read_span({of!r}, h{i}_{d}, vc_c, 0, vc_m, 0, "
-                    f"cx{level})")
-        else:
-            em.emit(f"{pp}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, {a}, "
-                    f"{b}, {off}, cx{level})")
-        em.indent -= 2
+
+        def span(port):
+            em.emit(f"{port}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, {a}, "
+                    f"{hi}, {off}, cx{level})")
+
+        def payload_span(port):
+            if merge:
+                self._emit_vc_coords(d0, merge)
+                em.emit(f"{port}.read_span({of!r}, h{i}_{d}, vc_c, 0, vc_m, "
+                        f"0, cx{level})")
+            else:
+                em.emit(f"{port}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, "
+                        f"{a}, {b}, {off}, cx{level})")
+
+        if self.ported:
+            pc = self._port(drv["tensor"], of, "coord")
+            pp = self._port(drv["tensor"], of, "payload")
+            em.emit(f"if {pc} is not None and {pc} is {pp}:")
+            em.indent += 1
+            span(pc)
+            em.emit(f"{pc}.pair_extra(vc_m)")
+            em.indent -= 1
+            em.emit("else:")
+            em.indent += 1
+        self._bump_read(i, of, "coord", vis, dispatch=span)
+        self._bump_read(i, of, "payload", "vc_m", dispatch=payload_span)
+        if self.ported:
+            em.indent -= 1
 
     def _emit_vector_effectual(self, rank: str, level: int,
                                vec: dict) -> None:
@@ -1146,19 +1108,15 @@ class _FlatGenerator:
         em.emit("cn_add += vc_m")
         em.emit(ts_code("add", "all"))
         em.indent -= 1
-        out_t, out_r = vec["out_tensor"], vec["out_rank"]
-        pw = self._port(out_t, out_r, "elem")
-        wctr = self._wctr(out_t, out_r, "elem")
-        em.emit(f"if {pw} is None:")
-        em.indent += 1
-        em.emit(f"{wctr} += vc_m")
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        self._emit_vc_coords(d0, merge)
-        em.emit(f"{pw}.write_seq({out_r!r}, {vec['point']}, {rank!r}, "
-                f"vc_c, cx{level})")
-        em.indent -= 1
+        out_r = vec["out_rank"]
+        key = (vec["out_tensor"], out_r, "elem")
+
+        def write_seq(port):
+            self._emit_vc_coords(d0, merge)
+            em.emit(f"{port}.write_seq({out_r!r}, {vec['point']}, {rank!r}, "
+                    f"vc_c, cx{level})")
+
+        self._routed(key, f"{self._wctr(*key)} += vc_m", write_seq)
         em.indent -= guard
         em.indent -= 1
 
@@ -1188,7 +1146,7 @@ class _FlatGenerator:
             em.emit(f"wr_{level + 1} = False")
         if rank in self.stamp_ranks:
             em.emit(f"st_{rank} = v_{var}")
-        if self.vector:
+        if self.ported:
             em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, v_{var}),)")
         self._lookups(level, depths)
         self._rank(level + 1, depths, wins, guarded)
@@ -1241,7 +1199,7 @@ class _FlatGenerator:
                     em.indent -= 1
                     em.emit("else:")
                     em.indent += 1
-                    if self.vector:
+                    if self.ported:
                         em.emit(
                             f"h{i}_{d + 1} = h{i}_{d} + (t{i}_c{L}[{pos}],)"
                         )
@@ -1263,25 +1221,22 @@ class _FlatGenerator:
                 em.indent -= 1
                 em.emit("else:")
                 em.indent += 1
-                if self.vector:
-                    # Lookups are straight-line: the machine coord read
-                    # can always defer past span_find, pairing with the
-                    # payload read on hits (counter half bumps now —
-                    # counters are order-insensitive).
+                # Lookups are straight-line: the machine coord read can
+                # always defer past span_find, pairing with the payload
+                # read on hits (the counter half bumps now — counters are
+                # order-insensitive).
+                if self.ported:
                     em.emit(
                         f"h{i}_{d + 1} = h{i}_{d} + ({_coord_code(lvl)},)"
                     )
-                    self._emit_coord_counter(i, of)
-                else:
-                    self._emit_read(i, of, "coord", key=f"h{i}_{d + 1}",
-                                    cx=f"cx{level + 1}")
+                self._bump_read(i, of, "coord")
                 em.emit(
                     f"{pos} = rt.span_find(t{i}_c{L}, n{i}_{d}a, "
                     f"n{i}_{d}b, {_coord_code(lvl)})"
                 )
                 em.emit(f"if {pos} < 0:")
                 em.indent += 1
-                if self.vector:
+                if self.ported:
                     pc = self._port(self.ir.accesses[i].tensor, of, "coord")
                     em.emit(f"if {pc}r is not None:")
                     em.indent += 1
@@ -1291,12 +1246,8 @@ class _FlatGenerator:
                 em.indent -= 1
                 em.emit("else:")
                 em.indent += 1
-                if self.vector:
-                    self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
-                                         cx=f"cx{level + 1}")
-                else:
-                    self._emit_read(i, of, "payload", key=f"h{i}_{d + 1}",
-                                    cx=f"cx{level + 1}")
+                self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
+                                     cx=f"cx{level + 1}")
                 self._descend(i, d, pos)
                 em.indent -= 2
                 d += 1
@@ -1313,7 +1264,7 @@ class _FlatGenerator:
         return "None"
 
     def _leaf(self, depths: Dict[int, int]) -> None:
-        if self.counted:
+        if self.priced:
             self._leaf_counted(depths)
         else:
             self._leaf_flat(depths)
@@ -1323,7 +1274,7 @@ class _FlatGenerator:
         keyed by the full output point; the kernel builds its output
         tensor from it once, at the end).  The first value at a point is
         stored as is; later ones reduce with ``opset.add`` and count one
-        add (counted/vector), or overwrite for take() Einsums."""
+        add (priced kernels), or overwrite for take() Einsums."""
         ir, em = self.ir, self.em
         point = _point_code(ir.output.indices)
         if ir.einsum.is_take:
@@ -1338,7 +1289,7 @@ class _FlatGenerator:
         em.emit("else:")
         em.indent += 1
         em.emit(f"_acc[_k] = opset.add(_o, {value})")
-        if self.counted:
+        if self.priced:
             em.emit("ad += 1")
         em.indent -= 1
 
@@ -1409,19 +1360,9 @@ class _FlatGenerator:
         em.indent -= 1
         out_rank = (ir.output.storage_ranks[-1]
                     if ir.output.storage_ranks else "root")
-        wctr = self._wctr(ir.output.tensor, out_rank, "elem")
-        if self.vector:
-            port = self._port(ir.output.tensor, out_rank, "elem")
-            em.emit(f"if {port}w is None:")
-            em.indent += 1
-            em.emit(f"{wctr} += 1")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            em.emit(f"{port}w({out_rank!r}, {point}, cx{self.n_ranks})")
-            em.indent -= 1
-        else:
-            em.emit(f"{wctr} += 1")
+        key = (ir.output.tensor, out_rank, "elem")
+        self._routed(key, f"{self._wctr(*key)} += 1", lambda port: em.emit(
+            f"{port}w({out_rank!r}, {point}, cx{self.n_ranks})"))
         if self.existential:
             em.emit(f"wr_{self.n_ranks} = True")
         em.indent -= 1
@@ -1502,13 +1443,12 @@ class _FlatGenerator:
 
 
 def generate_flat_source(ir: LoopNestIR, func_name: str = "kernel",
-                         counted: bool = False, vector: bool = False) -> str:
+                         priced: bool = False, ports: bool = False) -> str:
     """Generate arena-native Python source for one lowered Einsum.
 
-    ``counted`` adds fused counters; ``vector`` additionally inlines the
-    buffet/cache component state machines and batches eligible
-    innermost-rank spans through numpy primitives (implies counters —
-    with a null routing plan the machines degrade to counters, so one
-    vector kernel serves both sink-less and buffered specs).
+    ``priced`` adds fused counters and the batched numpy span branches
+    (the counted flavor); ``ports`` additionally inlines the buffet/cache
+    component state machines behind per-touch ports (the vector flavor;
+    implies ``priced``).
     """
-    return _FlatGenerator(ir, func_name, counted, vector).generate()
+    return _FlatGenerator(ir, func_name, priced, ports).generate()

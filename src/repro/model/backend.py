@@ -17,7 +17,10 @@ module provides:
   streams: a compiled run with a sink delegates to it.  Untraced compiled
   runs use the arena-native flat kernels; with ``fallback=True`` (the
   default engine) a mapping the generator cannot express runs on the
-  interpreter instead.
+  interpreter instead.  Priced runs
+  (:meth:`CompiledBackend.run_cascade_fused`) pick a kernel per Einsum
+  from its binding: the port-free ``counted`` kernel when nothing routes
+  to a buffer or cache, the ported ``vector`` kernel otherwise.
 
 Select an engine with ``evaluate(..., backend="compiled")`` (or
 ``"interpreter"`` / ``"auto"`` / a :class:`Backend` instance), and batch
@@ -173,20 +176,23 @@ class CompiledEinsum:
 
     @property
     def counted(self) -> Callable:
-        """The counter-fused arena kernel (raises CodegenError if
-        the flat generator cannot express this Einsum)."""
+        """The priced arena kernel without machine ports: fused counters,
+        with eligible innermost-rank spans priced through batched numpy
+        primitives; per-span runtime guards fall back to the inline
+        scalar loop, so results never depend on which path ran.  Runs an
+        Einsum whose binding routes nothing to a buffer or cache (raises
+        CodegenError if the flat generator cannot express this
+        Einsum)."""
         return self._get("counted")
 
     @property
     def vector(self) -> Callable:
-        """The model-fused arena kernel: counters plus inlined
-        buffet/cache state machines, with eligible innermost-rank spans
-        priced through batched numpy primitives (raises CodegenError if
-        the flat generator cannot express this Einsum).
-        Binding-independent: the machine routing arrives at call time
-        via the ``fm`` argument, so one compiled kernel serves every
-        binding; per-span runtime guards fall back to the inline scalar
-        loop, so results never depend on which path ran."""
+        """The priced arena kernel with machine ports: :attr:`counted`
+        plus the buffet/cache state machines inlined behind per-touch
+        ports (raises CodegenError if the flat generator cannot express
+        this Einsum).  Binding-independent: the machine routing arrives
+        at call time via the ``fm`` argument, so one compiled kernel
+        serves every binding."""
         return self._get("vector")
 
 
@@ -340,18 +346,6 @@ class InterpreterBackend(Backend):
                                sink=sink, shapes=shapes, env=env)
 
 
-class _NullRoutingPlan:
-    """Routing plan that sends every touch to DRAM: a vector kernel run
-    with it behaves exactly like the counted flavor."""
-
-    @staticmethod
-    def port(tensor: str, rank: str, kind: str):
-        return None
-
-
-_NULL_ROUTING = _NullRoutingPlan()
-
-
 class PrepCache:
     """Memoizes input preparation across evaluations that share input
     tensor objects.
@@ -409,9 +403,9 @@ class PrepCache:
 class CompiledBackend(Backend):
     """Runs generated-Python kernels out of a compile cache.
 
-    Functionally equivalent to the interpreter, and its counted/vector
-    runs price exactly what the interpreter's trace would (the
-    differential suite enforces both).
+    Functionally equivalent to the interpreter, and its priced runs
+    (:meth:`run_cascade_fused`) price exactly what the interpreter's
+    trace would (the differential suite enforces both).
 
     Untraced runs (``sink=None``) execute the arena-native *flat*
     kernels: inputs are prepared straight into
@@ -449,8 +443,7 @@ class CompiledBackend(Backend):
         what a producer-side swizzle sorts, only read under a sink), and
         the path's pricing payload.
         ``after(name, extra)`` fires between the producer-swizzle event
-        and ``einsum_end`` (the pricing hook of the counted/vector
-        paths).
+        and ``einsum_end`` (the pricing hook of the priced path).
         """
         env, all_shapes, rank_orders = cascade_context(spec, tensors,
                                                        shapes, env)
@@ -498,67 +491,39 @@ class CompiledBackend(Backend):
                                   sink, shapes, env, run_unit,
                                   prep_cache=prep_cache)
 
-    def run_cascade_counted(self, spec, tensors, opset=ARITHMETIC,
-                            opsets=None, sink=None, shapes=None, env=None,
-                            on_counters=None, prep_cache=None):
-        """Run the cascade through counter-fused arena kernels.
-
-        No per-element trace events are emitted; instead each Einsum's
-        aggregate :class:`~repro.model.traces.KernelCounters` is handed
-        to ``on_counters(name, counters)`` right before ``einsum_end``.
-        ``sink``, when given, still receives the per-Einsum brackets and
-        the swizzle events (those originate outside the kernels).
-
-        Raises :class:`CodegenError` — before any Einsum runs — when the
-        flat generator cannot express some Einsum of the cascade.
-        """
-        compiled = self.cache.get(spec)
-        for unit in compiled.units:
-            unit.counted  # force-compile everything up front
-
-        def run_unit(unit, prepare, ops, all_shapes):
-            counters = KernelCounters()
-            out = unit.counted(prepare(), ops, all_shapes, counters)
-            return out, counters.out_points, counters
-
-        def after(name, counters):
-            if on_counters:
-                on_counters(name, counters)
-
-        return self._walk_cascade(spec, compiled, tensors, opset, opsets,
-                                  sink, shapes, env, run_unit, after,
-                                  prep_cache=prep_cache)
-
     def run_cascade_fused(self, spec, tensors, opset=ARITHMETIC,
                           opsets=None, sink=None, shapes=None, env=None,
                           make_machines=None, on_fused=None,
                           prep_cache=None):
-        """Run the cascade through the model-fused vector kernels.
+        """Run the cascade through the priced arena kernels.
 
-        Like :meth:`run_cascade_counted`, but each Einsum's kernel also
-        drives the buffet/cache state machines supplied by
-        ``make_machines(name, ir)`` (a routing plan with a
-        ``port(tensor, rank, kind)`` method — see
-        :class:`repro.model.evaluate.FusedMachines`).  Without
-        ``make_machines``, every touch routes to DRAM and the run
-        degrades to plain counter fusion.  After the kernel returns,
-        ``on_fused(name, counters, machines)`` prices both the
-        aggregate counters and the machine tallies; ``sink`` still
-        receives the per-Einsum brackets and swizzle events.
+        No per-element trace events are emitted.  For each Einsum,
+        ``make_machines(name, ir)`` returns the buffet/cache routing plan
+        (a ``port(tensor, rank, kind)`` method — see
+        :class:`repro.model.evaluate.FusedMachines`), or None when the
+        binding routes nothing to a machine.  A plan runs the ported
+        ``vector`` kernel; None (or no ``make_machines``) runs the
+        port-free ``counted`` kernel, every touch priced as DRAM traffic
+        from the counters.  After the kernel returns,
+        ``on_fused(name, counters, machines)`` prices the aggregate
+        :class:`~repro.model.traces.KernelCounters` and the machine
+        tallies (``machines`` may be None); ``sink`` still receives the
+        per-Einsum brackets and swizzle events.
 
-        Raises :class:`CodegenError` — before any Einsum runs — when the
-        flat generator cannot express some Einsum of the cascade.
+        Raises :class:`CodegenError` when the flat generator cannot
+        express some Einsum of the cascade.
         """
         compiled = self.cache.get(spec)
-        for unit in compiled.units:
-            unit.vector  # force-compile everything up front
 
         def run_unit(unit, prepare, ops, all_shapes):
             counters = KernelCounters()
             machines = make_machines(unit.ir.name, unit.ir) \
-                if make_machines else _NULL_ROUTING
-            out = unit.vector(prepare(), ops, all_shapes, counters,
-                              machines)
+                if make_machines else None
+            if machines is None:
+                out = unit.counted(prepare(), ops, all_shapes, counters)
+            else:
+                out = unit.vector(prepare(), ops, all_shapes, counters,
+                                  machines)
             return out, counters.out_points, (counters, machines)
 
         def after(name, extra):
@@ -568,6 +533,11 @@ class CompiledBackend(Backend):
         return self._walk_cascade(spec, compiled, tensors, opset, opsets,
                                   sink, shapes, env, run_unit, after,
                                   prep_cache=prep_cache)
+
+    #: The benchmark's traced run wraps this name through the class
+    #: ``__dict__``, so it stays until that set-up stops naming it
+    #: (ROADMAP item 1).
+    run_cascade_counted = run_cascade_fused
 
     @staticmethod
     def _prepare(ir, env, rank_orders, sink,

@@ -25,7 +25,6 @@ from .backend import (
     CompileCache,
     CompiledBackend,
     InterpreterBackend,
-    canonical_key,
     resolve_backend,
 )
 from .components import (
@@ -491,70 +490,17 @@ class EvaluationResult:
 
 
 # ----------------------------------------------------------------------
-# Counter-fused pricing (metrics="counters")
+# Priced kernels (metrics="auto" / "vector")
 # ----------------------------------------------------------------------
-#: Memo for :func:`counters_priceable`: the answer depends only on the
-#: spec content the probe consults, so sweeps over many workloads pay
-#: the ModelSink probe exactly once per distinct routing.
-_PRICEABLE_CACHE: Dict[object, bool] = {}
-
-
-def _priceable_key(spec: AcceleratorSpec):
-    """Memo key over exactly the spec *content* the priceability probe
-    consults: the cascade's Einsum names, each Einsum's data bindings
-    and config, and the architecture (component classes resolve which
-    bindings become buffer models).
-
-    Content-derived on purpose — never object identity — so mutating a
-    spec's bindings or architecture in place re-keys instead of serving
-    a stale answer.  Mapping, shapes, expressions, and format are
-    excluded: they never influence whether a binding lands on a buffer,
-    so shape/mapping variants of one accelerator share the memo entry.
-    """
-    parts = []
-    for einsum in spec.einsum.cascade:
-        binding = spec.binding.for_einsum(einsum.name)
-        parts.append((einsum.name, binding.config,
-                      canonical_key(binding.data)))
-    return (tuple(parts), canonical_key(spec.architecture))
-
-
-def counters_priceable(spec: AcceleratorSpec) -> bool:
-    """Can this spec's metrics be priced from aggregate counters alone?
-
-    Exactly when no Einsum binds data to a buffer or cache: buffets and
-    caches derive fills and drains from per-element keys and evict
-    windows, which aggregates cannot reconstruct (the *vector* metrics
-    path inlines those state machines instead — see
-    :class:`FusedMachines`).  Everything else — DRAM traffic,
-    intersection units, functional units, sequencers, mergers — is a
-    pure function of the tallies, so counter pricing is *exact* (equal
-    to the traced result), not an approximation.
-    """
-    key = _priceable_key(spec)
-    cached = _PRICEABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    probe = ModelSink(spec, {})
-    result = True
-    for einsum in spec.einsum.cascade:
-        probe.einsum_begin(einsum.name, None)
-        buffered = bool(probe.current.buffers)
-        probe.einsum_end(einsum.name)
-        if buffered:
-            result = False
-            break
-    _PRICEABLE_CACHE[key] = result
-    return result
-
-
 def _price_counters(sink: ModelSink, counters: KernelCounters) -> None:
     """Price one Einsum's fused counters into the active component models.
 
     Mirrors :class:`ModelSink`'s per-event routing, applied to the
     aggregates in one pass (the ``einsum_end``-time pricing of the
-    counter-fused path).  Only valid when :func:`counters_priceable`
-    held — i.e. every data route lands on DRAM.
+    priced path).  The kernel counts only the touches routed to DRAM;
+    buffer and cache touches are priced by :meth:`FusedMachines.settle`.
+    DRAM traffic, intersection units, functional units, sequencers and
+    mergers are pure functions of the tallies, so this is exact.
     """
     em = sink.current
     oracle = sink.oracle
@@ -575,44 +521,8 @@ def _price_counters(sink: ModelSink, counters: KernelCounters) -> None:
             seq.compute(n)
 
 
-def _evaluate_counters(spec, tensors, opset, opsets, shapes, energy_model,
-                       engine, prep_cache=None) -> Optional[EvaluationResult]:
-    """The counter-fused evaluation path; None when it does not apply
-    (see :func:`counters_priceable`)."""
-    if not isinstance(engine, CompiledBackend):
-        return None
-    if not counters_priceable(spec):
-        return None
-    env: Dict[str, Tensor] = {}
-    sink = ModelSink(spec, env)
-
-    def on_counters(name: str, counters: KernelCounters) -> None:
-        _price_counters(sink, counters)
-
-    try:
-        engine.run_cascade_counted(
-            spec, tensors, opset=opset, opsets=opsets, sink=sink,
-            shapes=shapes, env=env, on_counters=on_counters,
-            prep_cache=prep_cache,
-        )
-    except CodegenError:
-        return None
-    blocks = fuse_blocks(spec, sink)
-    return EvaluationResult(
-        spec=spec,
-        einsums=sink.einsums,
-        blocks=blocks,
-        env=env,
-        oracle=sink.oracle,
-        energy_model=energy_model or EnergyModel(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Model-fused pricing (metrics="vector")
-# ----------------------------------------------------------------------
 class FusedMachines:
-    """Routing plan + component state machines for one fused Einsum run.
+    """Routing plan + component state machines for one ported Einsum run.
 
     The vector kernels are compiled *binding-independent* (they share the
     lowering cache key with the other flavors); the binding arrives here
@@ -672,24 +582,29 @@ class FusedMachines:
 
 def _evaluate_fused(spec, tensors, opset, opsets, shapes, energy_model,
                     engine, prep_cache=None) -> Optional[EvaluationResult]:
-    """The model-fused (vector-kernel) evaluation path; None when it does
-    not apply.
+    """The priced-kernel evaluation path; None when it does not apply
+    (an interpreter engine, or a mapping the flat generator cannot
+    express).
 
-    Applies to *every* spec the flat generator can express — buffered or
-    not — since unrouted events degrade to plain counter fusion.
+    Each Einsum picks its kernel from the live binding: the port-free
+    ``counted`` kernel when it binds no buffer or cache, the ported
+    ``vector`` kernel otherwise.  Without buffers :meth:`ModelSink._route`
+    has no model to return, so every touch prices as DRAM traffic from
+    the counters alone.
     """
     if not isinstance(engine, CompiledBackend):
         return None
     env: Dict[str, Tensor] = {}
     sink = ModelSink(spec, env)
 
-    def make_machines(name: str, ir) -> FusedMachines:
-        return FusedMachines(sink, ir)
+    def make_machines(name: str, ir) -> Optional[FusedMachines]:
+        return FusedMachines(sink, ir) if sink.current.buffers else None
 
     def on_fused(name: str, counters: KernelCounters,
-                 fm: FusedMachines) -> None:
+                 fm: Optional[FusedMachines]) -> None:
         _price_counters(sink, counters)
-        fm.settle(counters)
+        if fm is not None:
+            fm.settle(counters)
 
     try:
         engine.run_cascade_fused(
@@ -789,20 +704,18 @@ def evaluate(
     * ``"trace"`` — the interpreter streams one event per touched
       element to a :class:`ModelSink`; the reference path, on every
       backend.
-    * ``"counters"`` — counter fusion: arena-native kernels accumulate
-      per-rank read/write/intersection/compute tallies and the models
-      price them in one pass per Einsum.  Used when the spec binds no
-      buffers/caches; otherwise silently falls back to ``"trace"``.
-    * ``"vector"`` — model fusion: counter fusion plus the buffet/cache
-      state machines inlined into the generated loops
-      (:class:`FusedMachines`), with eligible innermost-rank spans
-      priced through batched numpy primitives (``np.searchsorted``-style
-      intersection, bulk tallies, sequential ``np.add.accumulate``
-      reductions); per-span runtime guards fall back to the scalar
-      loop, so results are bit-identical by construction.  Applies to
-      buffered and unbuffered specs alike (unrouted events degrade to
-      counter fusion), falling back to ``"trace"`` only when the flat
-      generator cannot express the mapping.
+    * ``"vector"`` — the priced arena kernels: per-rank
+      read/write/intersection/compute tallies priced in one pass per
+      Einsum, with eligible innermost-rank spans priced through batched
+      numpy primitives (``np.searchsorted``-style intersection, bulk
+      tallies, sequential ``np.add.accumulate`` reductions); per-span
+      runtime guards fall back to the scalar loop, so results are
+      bit-identical by construction.  The binding picks the kernel per
+      Einsum: one that binds no buffer or cache runs the port-free
+      ``counted`` kernel; one that does runs the ported ``vector``
+      kernel, with the buffet/cache state machines inlined into the
+      loops (:class:`FusedMachines`).  Falls back to ``"trace"`` only
+      when the flat generator cannot express the mapping.
     * ``"analytical"`` — the deliberately *approximate* tier: expected
       metrics computed from sparsity statistics alone, never walking a
       tensor.  ``stats``
@@ -835,7 +748,19 @@ def evaluate(
     ``"strict"`` raises
     :class:`~repro.analysis.SpecVerificationError` on any
     error-severity finding before a single kernel runs.
+
+    The retired ``"counters"`` mode still runs here, as ``"trace"``
+    with a :class:`DeprecationWarning`: it stays the independent
+    interpreter reference, never an alias of the engine ``"auto"`` runs.
     """
+    if metrics == "counters":
+        warnings.warn(
+            'metrics="counters" is retired: metrics="auto" now picks the '
+            "port-free priced kernel for every Einsum that binds no buffer; "
+            'this call runs metrics="trace"',
+            DeprecationWarning, stacklevel=2,
+        )
+        metrics = "trace"
     check_metrics_mode(metrics)
     lint_gate(spec, tensors=tensors, shapes=shapes, stats=stats,
               validate=validate)
@@ -878,7 +803,7 @@ def evaluate(
 
 
 #: Every ``metrics=`` mode :func:`evaluate` accepts.
-METRICS_MODES = ("auto", "trace", "counters", "vector", "analytical")
+METRICS_MODES = ("auto", "trace", "vector", "analytical")
 
 
 def check_metrics_mode(metrics: str, what: str = "metrics mode") -> None:
@@ -899,12 +824,6 @@ def _evaluate_uncached(spec, tensors, opset, opsets, shapes, energy_model,
     if metrics in ("auto", "vector"):
         result = _evaluate_fused(spec, tensors, opset, opsets, shapes,
                                  energy_model, engine, prep_cache=prep_cache)
-        if result is not None:
-            return result
-    elif metrics == "counters":
-        result = _evaluate_counters(spec, tensors, opset, opsets, shapes,
-                                    energy_model, engine,
-                                    prep_cache=prep_cache)
         if result is not None:
             return result
 

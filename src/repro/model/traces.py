@@ -117,7 +117,7 @@ class CountingSink(TraceSink):
 class KernelCounters:
     """Counter-fused trace aggregates for one Einsum execution.
 
-    Filled by the "counted" arena-native kernels
+    Filled by the priced arena-native kernels, ``counted`` and ``vector``
     (:mod:`repro.ir.codegen_flat`): instead of one sink method call per
     touched element, the kernel bumps local integers and flushes them
     here once.  The tallies equal the aggregates of the per-element

@@ -186,15 +186,15 @@ class TestToTable:
 
 class TestExploreMetricsModes:
     def test_metrics_modes_agree(self, tensors):
-        """auto (vector), counters, and trace sweeps rank identically
-        with identical numbers."""
+        """auto, vector, and trace sweeps rank identically with
+        identical numbers."""
         base = load_spec(BASE)
         results = {
             m: explore(base, tensors, max_loop_orders=2, metrics=m)
-            for m in ("auto", "counters", "trace")
+            for m in ("auto", "vector", "trace")
         }
         ref = results["trace"]
-        for mode in ("auto", "counters"):
+        for mode in ("auto", "vector"):
             got = results[mode]
             for (c1, r1), (c2, r2) in zip(ref.candidates, got.candidates):
                 assert c1 == c2

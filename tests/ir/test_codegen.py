@@ -224,8 +224,8 @@ einsum:
             spec = accelerator(name)
             for ir in build_cascade_ir(spec):
                 generate_flat_source(ir)
-                generate_flat_source(ir, counted=True)
-                generate_flat_source(ir, vector=True)
+                generate_flat_source(ir, priced=True)
+                generate_flat_source(ir, ports=True)
 
 
 class TestGeneratedOccupancyFollower:
@@ -303,6 +303,15 @@ einsum:
         assert gen.points() == interp.points()
 
 
+class AllDram:
+    """A routing plan with no machines: a vector kernel run with it
+    routes every touch to DRAM, like the counted kernel."""
+
+    @staticmethod
+    def port(tensor, rank, kind):
+        return None
+
+
 class TestCancellingSums:
     """Arena kernels reduce into a point buffer and build their output
     once: a sum that cancels to exactly 0.0 leaves no zero leaf, yet its
@@ -342,7 +351,6 @@ mapping:
         import repro.ir.codegen_runtime as rt
         from repro.einsum import ARITHMETIC
         from repro.fibertree import prepare_arena
-        from repro.model.backend import _NULL_ROUTING
         from repro.model.traces import CountingSink, KernelCounters
 
         spec = load_spec(self.REDUCE)
@@ -362,7 +370,7 @@ mapping:
                 kc = KernelCounters()
                 args = (arenas, ARITHMETIC, shapes, kc)
                 if flavor == "vector":
-                    args += (_NULL_ROUTING,)
+                    args += (AllDram(),)
                 out = kernel(*args)
                 assert out.points() == ref.points()
                 assert 0.0 not in out.points().values()
@@ -382,9 +390,10 @@ mapping:
         ref = execute_cascade(spec, dict(tensors), sink=ref_sink)["Z"]
         assert (0, 0) not in ref.points()
         backend = CompiledBackend(CompileCache())
-        for run in (backend.run_cascade_counted, backend.run_cascade_fused):
-            sink = CountingSink()
-            env = run(spec, dict(tensors), sink=sink)
+        for make_machines in (None, lambda name, ir: AllDram()):
+            sink = CountingSink()  # counted, then vector kernels
+            env = backend.run_cascade_fused(spec, dict(tensors), sink=sink,
+                                            make_machines=make_machines)
             assert env["Z"].points() == ref.points()
             assert sink.swizzles == ref_sink.swizzles
             assert sink.swizzles[("Z", "Z", "producer")] == 4

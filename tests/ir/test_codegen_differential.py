@@ -13,18 +13,18 @@ The execution paths held together here:
 * **flat-compiled (arena-native, untraced)** — outputs must equal the
   interpreter's untraced and traced runs, and the specs under test must
   *actually* flat-compile (no silent fallback to the interpreter).
-* **counted (counter-fused)** — the per-Einsum aggregate tallies must
-  equal the aggregates of the interpreter's ordered event stream,
-  read for read, intersection for intersection, stamp set for stamp
-  set.
-* **vector (model-fused)** — full
+* **counted (the port-free priced kernel)** — the per-Einsum aggregate
+  tallies must equal the aggregates of the interpreter's ordered event
+  stream, read for read, intersection for intersection, stamp set for
+  stamp set, with ``VLEAF_MIN`` pinned to 0 so the batched numpy spans
+  engage even on these small hypothesis inputs.
+* **vector (the ported priced kernel)** — full
   :func:`repro.model.evaluate.evaluate` metrics (traffic, cycles,
   energy, action counts, per-component times, outputs) must be
-  *bit-identical* across the traced interpreter, the counted kernels,
-  the vector kernels (with
-  ``VLEAF_MIN`` pinned to 0 so the batched numpy spans engage even on
-  these small hypothesis inputs), and the ``metrics="auto"``
-  dispatcher, for every spec — buffered accelerators included.
+  *bit-identical* between the traced interpreter and the
+  ``metrics="vector"`` and ``metrics="auto"`` paths (which pick the
+  counted or vector kernel per Einsum from the binding), for every
+  spec — buffered accelerators included.
 
 Inputs are hypothesis-generated, with a fixed profile (see
 ``tests/conftest.py``) so CI failures replay exactly.
@@ -126,12 +126,13 @@ def stream_aggregates(events):
 
 
 def assert_counters_match_stream(spec, tensors, events):
-    """Counter-fused kernels must aggregate the traced stream exactly."""
+    """The port-free priced kernels (no machines: every touch counts as
+    DRAM traffic) must aggregate the traced stream exactly."""
     counters = {}
     backend = CompiledBackend(cache=_CACHE)
-    backend.run_cascade_counted(
+    backend.run_cascade_fused(
         spec, {k: t.copy() for k, t in tensors.items()},
-        on_counters=lambda name, kc: counters.setdefault(name, kc),
+        on_fused=lambda name, kc, fm: counters.setdefault(name, kc),
     )
     expected = stream_aggregates(events)
     assert set(counters) == set(expected)
@@ -170,15 +171,15 @@ def metrics_fingerprint(result):
 
 
 def assert_metrics_paths_agree(spec, tensors):
-    """Traced-interpreter, counter-fused, vector, and auto metrics must
-    be bit-identical (the kernel conformance check: interpreter /
-    counted / vector, plus the dispatcher)."""
+    """Traced-interpreter, vector, and auto metrics must be
+    bit-identical (the kernel conformance check: the interpreter against
+    the per-Einsum counted/vector selection)."""
     backend = CompiledBackend(cache=_CACHE)
     reference = metrics_fingerprint(evaluate(
         spec, {k: t.copy() for k, t in tensors.items()},
         backend=InterpreterBackend(), metrics="trace",
     ))
-    for metrics in ("counters", "vector", "auto"):
+    for metrics in ("vector", "auto"):
         got = metrics_fingerprint(evaluate(
             spec, {k: t.copy() for k, t in tensors.items()},
             backend=backend, metrics=metrics,

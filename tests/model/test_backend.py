@@ -236,7 +236,7 @@ class TestBackendSelection:
         ref = evaluate(spec, {k: t.copy() for k, t in ts.items()},
                        backend="interpreter")
         assert ref.env["Z"].nnz > 0
-        for metrics in ("auto", "vector", "counters", "trace"):
+        for metrics in ("auto", "vector", "trace"):
             got = evaluate(spec, {k: t.copy() for k, t in ts.items()},
                            metrics=metrics)
             assert got.env["Z"].points() == ref.env["Z"].points(), metrics

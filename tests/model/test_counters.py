@@ -1,10 +1,13 @@
-"""Counter-fused metrics (``evaluate(metrics="counters")``) and the flat
-untraced backend path.
+"""Per-Einsum kernel selection on the priced path, and the flat untraced
+backend path.
 
-Counter pricing is only offered where it is *exact* — specs that bind no
-buffers/caches — so every assertion here is strict equality against the
-traced evaluation, not a tolerance band.
+``metrics="auto"`` runs the port-free ``counted`` kernel for an Einsum
+whose binding routes nothing to a buffer or cache, and the ported
+``vector`` kernel otherwise.  Every assertion here is strict equality
+against the interpreter's traced evaluation, not a tolerance band.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -15,13 +18,16 @@ from repro.model import (
     CompileCache,
     CompiledBackend,
     InterpreterBackend,
-    counters_priceable,
     default_workers,
     evaluate,
     evaluate_many,
 )
 from repro.model.evaluate import MAX_DEFAULT_WORKERS
+from repro.search import metrics_fingerprint, search, submit
 from repro.spec import load_spec
+
+# ``repro.model.evaluate`` the attribute is the function; this is the module.
+evaluate_mod = importlib.import_module("repro.model.evaluate")
 
 MATMUL = """
 einsum:
@@ -91,28 +97,70 @@ def assert_results_equal(a, b):
         assert a.env[name].points() == b.env[name].points()
 
 
+@pytest.fixture
+def machines_built(monkeypatch):
+    """The Einsum names a buffet/cache routing plan was built for."""
+    built = []
+
+    class Recording(evaluate_mod.FusedMachines):
+        def __init__(self, sink, ir):
+            super().__init__(sink, ir)
+            built.append(ir.name)
+
+    monkeypatch.setattr(evaluate_mod, "FusedMachines", Recording)
+    return built
+
+
+def compiled_flavors(backend, spec):
+    """Per Einsum, the kernel flavors compiled so far (each compiles on
+    first use, so on a fresh cache these are the kernels that ran)."""
+    return {unit.ir.name: sorted(unit._kernels)
+            for unit in backend.cache.get(spec).units}
+
+
+def traced(spec, work):
+    return evaluate(spec, dict(work), backend=InterpreterBackend(),
+                    metrics="trace")
+
+
 @pytest.mark.parametrize("spec_yaml", [MATMUL, SPLIT, ISECT_BOUND])
-def test_counter_pricing_equals_traced(spec_yaml):
+def test_counter_pricing_equals_traced(spec_yaml, machines_built):
+    """An unbuffered Einsum runs the port-free kernel, builds no
+    machine, and prices exactly what the interpreter's trace does."""
     spec = load_spec(spec_yaml, name="ctr")
-    assert counters_priceable(spec)
     backend = CompiledBackend(cache=CompileCache())
     work = tensors()
-    traced = evaluate(spec, dict(work), backend=backend)
-    counted = evaluate(spec, dict(work), backend=backend,
-                       metrics="counters")
-    assert_results_equal(traced, counted)
+    got = evaluate(spec, dict(work), backend=backend)
+    assert compiled_flavors(backend, spec) == {"Z": ["counted"]}
+    assert machines_built == []
+    assert_results_equal(got, traced(spec, work))
 
 
-def test_buffered_specs_fall_back_to_trace():
+def test_counters_alias_warns_and_equals_trace():
+    """The retired ``"counters"`` mode runs the interpreter's trace, so
+    it stays independent of the kernels ``"auto"`` runs."""
     spec = accelerator("gamma")
-    assert not counters_priceable(spec)
     backend = CompiledBackend(cache=CompileCache())
     work = tensors(seed=3)
-    traced = evaluate(spec, dict(work), backend=backend)
-    counted = evaluate(spec, dict(work), backend=backend,
+    with pytest.warns(DeprecationWarning, match="auto"):
+        got = evaluate(spec, dict(work), backend=backend,
                        metrics="counters")
-    # Fallback must be silent and results identical to the traced path.
-    assert_results_equal(traced, counted)
+    assert all(not unit._kernels
+               for unit in backend.cache.get(spec).units)
+    assert_results_equal(got, traced(spec, work))
+
+
+@pytest.mark.parametrize("call", ["evaluate_many", "search", "submit"])
+def test_batch_apis_reject_counters(call, tmp_path):
+    spec = load_spec(SPLIT, name="reject")
+    with pytest.raises(ValueError, match="auto"):
+        if call == "evaluate_many":
+            evaluate_many(spec, [tensors()], metrics="counters", workers=1)
+        elif call == "search":
+            search(spec, tensors(), metrics="counters", workers=1)
+        else:
+            submit(str(tmp_path / "job"), spec, tensors(),
+                   metrics="counters")
 
 
 def test_unknown_metrics_mode_rejected():
@@ -143,48 +191,97 @@ binding:
 """
 
 
-def test_priceability_rekeys_after_binding_mutation():
-    """The memo must never serve a stale answer for a spec whose
-    bindings were mutated in place after a first evaluation."""
+def test_buffered_einsum_runs_ported_kernel(machines_built):
+    spec = load_spec(ONE_BUFFER, name="buffered")
+    backend = CompiledBackend(cache=CompileCache())
+    work = tensors(seed=2)
+    got = evaluate(spec, dict(work), backend=backend)
+    assert compiled_flavors(backend, spec) == {"Z": ["vector"]}
+    assert machines_built == ["Z"]
+    assert_results_equal(got, traced(spec, work))
+
+
+#: Two Einsums, only the first bound to a buffet.
+CASCADE = """
+einsum:
+  declaration:
+    A: [K, M]
+    B: [K, N]
+    T: [M, N]
+    Z: [M]
+  expressions:
+    - T[m, n] = A[k, m] * B[k, n]
+    - Z[m] = T[m, n]
+mapping:
+  loop-order:
+    T: [K, M, N]
+    Z: [M, N]
+architecture:
+  Main:
+    clock: 1.0e9
+    subtree:
+      - name: System
+        local:
+          - name: DRAM
+            class: DRAM
+            attributes: {bandwidth: 64}
+          - name: BBuf
+            class: Buffer
+            attributes: {type: buffet, width: 64, depth: 16}
+binding:
+  T:
+    config: Main
+    components:
+      BBuf:
+        - {tensor: B, rank: N, type: elem, style: lazy, evict-on: K}
+  Z:
+    config: Main
+    components: {}
+"""
+
+
+def test_kernel_selection_is_per_einsum(machines_built):
+    spec = load_spec(CASCADE, name="per-einsum")
+    backend = CompiledBackend(cache=CompileCache())
+    work = tensors(seed=4)
+    got = evaluate(spec, dict(work), backend=backend)
+    assert compiled_flavors(backend, spec) == {"T": ["vector"],
+                                               "Z": ["counted"]}
+    assert machines_built == ["T"]
+    ref = traced(spec, work)
+    assert metrics_fingerprint(got) == metrics_fingerprint(ref)
+    assert_results_equal(got, ref)
+
+
+def test_kernel_selection_follows_binding_content(machines_built):
+    """Selection reads the live binding on every evaluation: clearing the
+    data bindings in place after a first evaluation switches the next
+    one to the port-free kernel."""
     spec = load_spec(ONE_BUFFER, name="mutate-binding")
     backend = CompiledBackend(cache=CompileCache())
-    assert not counters_priceable(spec)
-    before = evaluate(spec, tensors(seed=1), backend=backend,
-                      metrics="counters")  # exercises the memo + fallback
-    # Strip every data binding: the spec is now unbuffered.
+    before = evaluate(spec, tensors(seed=1), backend=backend)
+    assert machines_built == ["Z"]
     for eb in spec.binding.einsums.values():
         eb.data.clear()
-    assert counters_priceable(spec)
-    after = evaluate(spec, tensors(seed=1), backend=backend,
-                     metrics="counters")
-    traced_after = evaluate(spec, tensors(seed=1), backend=backend)
-    assert_results_equal(after, traced_after)
-    # The buffered evaluation really was different (the buffet changed
-    # DRAM traffic), so the two memo answers describe different specs.
+    after = evaluate(spec, tensors(seed=1), backend=backend)
+    assert machines_built == ["Z"]  # none built for the second run
+    assert compiled_flavors(backend, spec) == {"Z": ["counted", "vector"]}
+    assert_results_equal(after, traced(spec, tensors(seed=1)))
+    # The buffet really changed DRAM traffic, so the two runs priced
+    # different specs.
     assert before.traffic_bytes() != after.traffic_bytes()
 
 
-def test_priceability_rekeys_after_architecture_mutation():
-    """Mutating the architecture in place (Buffer -> DRAM class) flips
-    priceability; the memo must follow the content, not the object."""
+def test_kernel_selection_follows_architecture_content(machines_built):
+    """Rebinding the buffer's component class to DRAM in place leaves
+    nothing to route to a machine: the port-free kernel runs."""
     spec = load_spec(ONE_BUFFER, name="mutate-arch")
-    assert not counters_priceable(spec)
     spec.architecture.topologies["Main"].components["ABuf"].klass = "DRAM"
-    assert counters_priceable(spec)
-
-
-def test_priceability_key_ignores_mapping_and_shapes():
-    """Shape/mapping variants of one accelerator share the memo entry
-    (they cannot change whether a binding lands on a buffer)."""
-    from repro.model.evaluate import _priceable_key
-
-    a = load_spec(ONE_BUFFER, name="k1")
-    b = load_spec(ONE_BUFFER.replace(
-        "uniform_occupancy(A.6)", "uniform_occupancy(A.3)"), name="k2")
-    assert _priceable_key(a) == _priceable_key(b)
-    c = load_spec(ONE_BUFFER.replace("evict-on: K1", "evict-on: M"),
-                  name="k3")
-    assert _priceable_key(a) != _priceable_key(c)
+    backend = CompiledBackend(cache=CompileCache())
+    got = evaluate(spec, tensors(seed=1), backend=backend)
+    assert compiled_flavors(backend, spec) == {"Z": ["counted"]}
+    assert machines_built == []
+    assert_results_equal(got, traced(spec, tensors(seed=1)))
 
 
 def test_evaluate_many_counters_and_workers():
@@ -192,10 +289,9 @@ def test_evaluate_many_counters_and_workers():
     backend = CompiledBackend(cache=CompileCache())
     workloads = [tensors(seed=i) for i in range(5)]
     sequential = evaluate_many(spec, [dict(w) for w in workloads],
-                               backend=backend, workers=1)
+                               backend=backend, workers=1, metrics="trace")
     threaded = evaluate_many(spec, [dict(w) for w in workloads],
-                             backend=backend, workers=4,
-                             metrics="counters")
+                             backend=backend, workers=4)
     for a, b in zip(sequential, threaded):
         assert_results_equal(a, b)
 

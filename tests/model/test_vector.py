@@ -1,10 +1,11 @@
-"""Conformance tests for the vector kernel flavor.
+"""Conformance tests for the priced kernels' batched spans.
 
-The vector kernels price whole innermost-rank spans with batched numpy
-primitives.  Their contract is *bit-identity* with their own per-span
-scalar fallback, the counted kernels, and the traced interpreter: same
-outputs, same counters, same component-machine tallies, same metrics —
-whichever per-span path (batched or scalar fallback) ran.  These tests
+The priced kernels (port-free ``counted`` and ported ``vector``) price
+whole innermost-rank spans with batched numpy primitives.  Their
+contract is *bit-identity* with their own per-span scalar fallback and
+the traced interpreter: same outputs, same counters, same
+component-machine tallies, same metrics — whichever per-span path
+(batched or scalar fallback) ran.  These tests
 pin ``VLEAF_MIN`` to 0 so the batched path engages on small inputs
 (except the long-span test, whose spans clear the production value),
 and separately confirm that the batched path *actually* runs (a silent
@@ -24,6 +25,7 @@ from repro.fibertree import tensor_from_dense
 from repro.model import (
     CompileCache,
     CompiledBackend,
+    EnergyModel,
     InterpreterBackend,
     evaluate,
     evaluate_many,
@@ -145,7 +147,7 @@ def assert_vector_matches_reference(spec, tensors):
         spec, {k: t.copy() for k, t in tensors.items()},
         backend=InterpreterBackend(), metrics="trace",
     ))
-    for metrics in ("counters", "vector", "auto"):
+    for metrics in ("vector", "auto"):
         got = fingerprint(evaluate(
             spec, {k: t.copy() for k, t in tensors.items()},
             backend=backend, metrics=metrics,
@@ -263,8 +265,9 @@ def test_float_accumulation_is_bitwise_sequential():
 # ----------------------------------------------------------------------
 # Engagement and gating
 # ----------------------------------------------------------------------
-def test_batched_path_actually_runs(monkeypatch):
-    """Guard against a silently always-scalar vector flavor."""
+def count_visect2(monkeypatch):
+    """Count batched-intersection calls: one per span that took the
+    batched branch."""
     calls = {"n": 0}
     real = rt.visect2
 
@@ -273,6 +276,12 @@ def test_batched_path_actually_runs(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rt, "visect2", counting)
+    return calls
+
+
+def test_batched_path_actually_runs(monkeypatch):
+    """Guard against a silently always-scalar vector flavor."""
+    calls = count_visect2(monkeypatch)
     rng = np.random.default_rng(1)
     tensors = {
         "A": tensor_from_dense("A", ["M", "K"], matrix(rng, 4, 30, 0.5)),
@@ -285,14 +294,7 @@ def test_batched_path_actually_runs(monkeypatch):
 
 def test_span_threshold_keeps_small_leaves_scalar(monkeypatch):
     monkeypatch.setattr(rt, "VLEAF_MIN", 10**9)
-    calls = {"n": 0}
-    real = rt.visect2
-
-    def counting(*args):
-        calls["n"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(rt, "visect2", counting)
+    calls = count_visect2(monkeypatch)
     rng = np.random.default_rng(2)
     tensors = {
         "A": tensor_from_dense("A", ["M", "K"], matrix(rng, 4, 30, 0.5)),
@@ -322,22 +324,72 @@ def _nnz_workload(nnz):
     }
 
 
+def _priced_result(spec, tensors, ported):
+    """Evaluate through one priced kernel: the port-free ``counted``
+    kernel, or (``ported``) the ``vector`` kernel with a routing plan —
+    the same pricing :func:`evaluate` applies, with the kernel forced."""
+    from repro.model.evaluate import (
+        EvaluationResult, FusedMachines, ModelSink, _price_counters,
+        fuse_blocks,
+    )
+
+    env = {}
+    sink = ModelSink(spec, env)
+
+    def on_fused(name, counters, fm):
+        _price_counters(sink, counters)
+        if fm is not None:
+            fm.settle(counters)
+
+    CompiledBackend(cache=_CACHE).run_cascade_fused(
+        spec, dict(tensors), sink=sink, env=env,
+        make_machines=(lambda name, ir: FusedMachines(sink, ir))
+        if ported else None,
+        on_fused=on_fused,
+    )
+    return EvaluationResult(spec=spec, einsums=sink.einsums,
+                            blocks=fuse_blocks(spec, sink), env=env,
+                            oracle=sink.oracle, energy_model=EnergyModel())
+
+
 @pytest.mark.parametrize("nnz", [20_000, 80_000])
 def test_long_span_counters_match_vector(monkeypatch, nnz):
-    """Past the production ``VLEAF_MIN`` the vector kernels take their
-    batched spans; the counted kernels must still price bit-identically."""
+    """Past the production ``VLEAF_MIN`` the priced kernels take their
+    batched spans; the port-free counted kernel and the ported vector
+    kernel must price bit-identically."""
     monkeypatch.undo()  # the real threshold: these spans clear it
     assert rt.VLEAF_MIN > 0
     spec = load_spec(SPMSPM, name="vec-nnz")
-    backend = CompiledBackend(cache=_CACHE)
     work = _nnz_workload(nnz)
-    prints = {metrics: fingerprint(evaluate(spec, dict(work),
-                                            backend=backend,
-                                            metrics=metrics))
-              for metrics in ("counters", "vector")}
-    assert prints["counters"] == prints["vector"], (
+    prints = {}
+    for ported in (False, True):
+        calls = count_visect2(monkeypatch)
+        prints[ported] = fingerprint(_priced_result(spec, work, ported))
+        assert calls["n"] > 0  # the batched spans ran
+    assert prints[False] == prints[True], (
         f"nnz={nnz}: vector metrics diverge from counted"
     )
+
+
+def test_long_span_auto_matches_interpreter(monkeypatch):
+    """The long-span regime, cut down: K-fibers deep enough to clear the
+    production ``VLEAF_MIN``, on an unbuffered spec, so ``auto`` runs the
+    port-free kernel's batched spans.  It must price bit-identically to
+    the interpreter."""
+    monkeypatch.undo()  # the real threshold: these spans clear it
+    assert rt.VLEAF_MIN > 0
+    calls = count_visect2(monkeypatch)
+    spec = load_spec(SPMSPM, name="vec-long-span")
+    work = {
+        "A": uniform_random("A", ["M", "K"], (8, 4096), 0.05, seed=11),
+        "B": uniform_random("B", ["N", "K"], (8, 4096), 0.05, seed=13),
+    }
+    got = evaluate(spec, dict(work), backend=CompiledBackend(cache=_CACHE),
+                   metrics="auto")
+    assert calls["n"] == 8 * 8  # every (m, n) span ran batched
+    ref = evaluate(spec, dict(work), backend=InterpreterBackend(),
+                   metrics="trace")
+    assert fingerprint(got) == fingerprint(ref)
 
 
 #: A spatial rank (N) absent from the time stamp: every (m, n) span of
@@ -370,14 +422,7 @@ def test_shared_prefix_mixes_scalar_and_vector_spans(monkeypatch, k_stamp):
                "B": tensor_from_dense("B", ["N", "K"], rows(b_len))}
     spec = load_spec(SPMSPM_SPATIAL_N.format(k=k_stamp),
                      name=f"vec-spatial-{k_stamp}")
-    calls = {"n": 0}
-    real = rt.visect2
-
-    def counting(*args):
-        calls["n"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(rt, "visect2", counting)
+    calls = count_visect2(monkeypatch)
     results = {metrics: evaluate(spec, {k: t.copy()
                                         for k, t in tensors.items()},
                                  backend=CompiledBackend(cache=_CACHE),

@@ -94,7 +94,7 @@ class TestEvaluateThroughCache:
         spec = load_spec(BASE)
         store = PersistentStore(cache_dir)
         evaluate(spec, tensors, cache=store)
-        evaluate(spec, tensors, metrics="counters", cache=store)
+        evaluate(spec, tensors, metrics="trace", cache=store)
         assert store.stats.hits == 0
         assert store.stats.puts == 2
 
