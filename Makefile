@@ -14,6 +14,7 @@ test:
 test-differential:
 	$(PYTHON) -m pytest tests/ir/test_codegen_differential.py \
 	    tests/model/test_fused.py \
+	    tests/model/test_backend.py \
 	    tests/fibertree/test_prepare_arena.py \
 	    tests/integration/test_published_metrics.py -q
 

@@ -5,8 +5,8 @@ and requires the fast one to win by a margin that leaves room for a
 noisy shared CI runner while still catching a real regression:
 
 1. arena-native flat kernels vs. the interpreter, outputs only (1.5x);
-2. the priced vector kernels vs. the interpreter's per-event trace
-   path (``metrics="trace"``) on a buffered spec (2x);
+2. the priced arena kernels (``metrics="auto"``) vs. the interpreter's
+   per-event trace path (``metrics="trace"``) on a buffered spec (2x);
 3. parallel pruned search vs. the serial exhaustive sweep on the
    interpreter's trace path (1.5x);
 4. statistics pricing (``metrics="analytical"``) vs. the exact priced
@@ -165,17 +165,17 @@ def test_fused_beats_interpreter_trace_on_buffered_spec():
     # Interleaved best-of-3: noisy shared hosts drift between sweeps, so
     # each round measures both engines back to back and each keeps its
     # best round.
-    times = {"vector": [], "trace": []}
+    times = {"auto": [], "trace": []}
     results = {}
     for _ in range(3):
         for metrics, samples in times.items():
             dt, results[metrics] = timed(
                 partial(sweep, spec, work, backend, metrics))
             samples.append(dt)
-    assert_same_metrics(results["trace"], results["vector"])
-    t_vector, t_trace = min(times["vector"]), min(times["trace"])
-    assert t_vector * 2.0 < t_trace, (
-        f"vector buffered sweep ({t_vector:.3f}s) should beat the "
+    assert_same_metrics(results["trace"], results["auto"])
+    t_auto, t_trace = min(times["auto"]), min(times["trace"])
+    assert t_auto * 2.0 < t_trace, (
+        f"auto buffered sweep ({t_auto:.3f}s) should beat the "
         f"interpreter's trace path ({t_trace:.3f}s) clearly"
     )
 

@@ -22,12 +22,14 @@ Machine streams fastest):
   (split chunks record their partition windows here so occupancy followers
   can adopt a leader's boundaries).
 
-The numpy buffers are what the *vector* kernel flavor
-(:mod:`repro.ir.codegen_flat`) consumes: whole leaf spans price through
-``searchsorted``-style batched ops.  The scalar kernel flavors (flat /
-counted / fused) instead bind the memoized :meth:`scalar_buffers` views —
-plain Python lists, which CPython indexes faster than any array type —
-so arena storage being numpy never slows the element-at-a-time loops.
+The numpy buffers are what the priced kernel flavors (``counted`` and
+``vector``, :mod:`repro.ir.codegen_flat`) consume on their batched
+branches: whole leaf spans price through ``searchsorted``-style ops.
+Every element-at-a-time loop (the whole ``flat`` kernel, and the priced
+kernels' scalar fallback) instead binds the memoized
+:meth:`scalar_buffers` views — plain Python lists, which CPython indexes
+faster than any array type — so arena storage being numpy never slows
+those loops.
 :class:`FlatFiberView` offers a cheap, read-only fiber-shaped view over an
 arena span for inspection and interop.
 

@@ -60,7 +60,7 @@ def prepare_arena(tensor: Tensor, rank_order: Sequence[str],
     return levels.arena()
 
 
-def _take(buf, idx: np.ndarray):
+def _gather(buf, idx: np.ndarray):
     """``buf`` gathered at positions ``idx`` (ndarray or list, kept)."""
     if isinstance(buf, np.ndarray):
         return buf[idx]
@@ -119,7 +119,7 @@ class _Levels:
         for level in range(bottom, top, -1):
             owners = self._owners(level)
             anc = owners if anc is None else owners[anc]
-            cols.append(_take(self.coords[level - 1], anc))
+            cols.append(_gather(self.coords[level - 1], anc))
         cols.reverse()
         return cols
 
@@ -142,8 +142,8 @@ class _Levels:
             rows = list(zip(*map(_as_list, keys)))
             order = np.array(sorted(range(len(rows)), key=rows.__getitem__),
                              dtype=np.intp)
-        self._from_sorted([_take(k, order) for k in keys],
-                          _take(self.vals, order))
+        self._from_sorted([_gather(k, order) for k in keys],
+                          _gather(self.vals, order))
         self.rank_ids = new
         self.shape = [self.shape[i] for i in perm]
 
@@ -163,7 +163,7 @@ class _Levels:
                 seg = _seg_array(np.searchsorted(below, np.append(
                     starts, len(col))))
             self.ranges.append([None] * (len(seg) - 1))
-            self.coords.append(_take(col, below))
+            self.coords.append(_gather(col, below))
             self.segs.append(seg)
             starts = below
         self.vals = vals
@@ -212,7 +212,7 @@ class _Levels:
         else:
             base = [c // step * step for c in cs]
         starts = np.flatnonzero(self._fiber_starts(level) | _changes(base))
-        upper = _take(base, starts)
+        upper = _gather(base, starts)
         self._insert_upper(
             level, starts, upper, None if shape is None else (0, shape),
             [(b, b + step) for b in _as_list(upper)],
@@ -229,12 +229,12 @@ class _Levels:
         lens = np.diff(seg)
         rel = np.arange(len(cs)) - np.repeat(seg[:-1], lens)
         starts = np.flatnonzero(rel % size == 0)
-        upper = _take(cs, starts)
+        upper = _gather(cs, starts)
         nxt = starts + size
         inside = nxt < np.repeat(seg[1:], lens)[starts]
         his: List[Any] = [None] * len(starts)
         for k, hi in zip(np.flatnonzero(inside).tolist(),
-                         _as_list(_take(cs, nxt[inside]))):
+                         _as_list(_gather(cs, nxt[inside]))):
             his[k] = hi
         self._insert_upper(level, starts, upper, None,
                            list(zip(_as_list(upper), his)))

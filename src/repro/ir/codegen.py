@@ -123,34 +123,6 @@ from repro.fibertree.tensor import Tensor
 import repro.ir.codegen_runtime as rt
 
 
-def _mul(opset, a, b):
-    if a is None or b is None:
-        return None
-    return opset.mul(a, b)
-
-
-def _add(opset, a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return opset.add(a, b)
-
-
-def _sub(opset, a, b):
-    if a is None:
-        return None
-    if b is None:
-        return a
-    return opset.sub(a, b)
-
-
-def _take(args, which):
-    if any(a is None for a in args):
-        return None
-    return args[which]
-
-
 '''
 
 

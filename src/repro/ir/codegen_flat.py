@@ -57,7 +57,10 @@ facts — is the kernel priced, and does it carry machine ports:
 The walk order, the guard structure, and every membership decision
 follow the interpreter's, so the differential suite can hold every
 kernel (flat, counted and vector) to the interpreter's outputs and
-metrics.
+metrics.  All three flavors share one leaf emitter: the leaf value
+inlines the interpreter's None-semantics (an absent operand makes a
+product absent; a sum keeps the present side), and only priced kernels
+add the op tallies and the output-write counter around it.
 """
 
 from __future__ import annotations
@@ -1263,12 +1266,6 @@ class _FlatGenerator:
             return f"n{i}_{d}"
         return "None"
 
-    def _leaf(self, depths: Dict[int, int]) -> None:
-        if self.priced:
-            self._leaf_counted(depths)
-        else:
-            self._leaf_flat(depths)
-
     def _emit_reduce(self, value: str) -> None:
         """Reduce ``value`` into the output point buffer ``_acc`` (a dict
         keyed by the full output point; the kernel builds its output
@@ -1293,76 +1290,45 @@ class _FlatGenerator:
             em.emit("ad += 1")
         em.indent -= 1
 
-    def _leaf_flat(self, depths: Dict[int, int]) -> None:
+    def _leaf(self, depths: Dict[int, int]) -> None:
+        """The innermost body: evaluate the leaf value and reduce it into
+        ``_acc``; priced kernels also tally its ops under the current
+        time stamp and count (or route) the output write."""
         ir, em = self.ir, self.em
+        if self.priced:
+            em.emit("mu = 0")
+            em.emit("ad = 0")
         counter = [0]
-        value = self._fast_expr(ir.einsum.expr, depths, counter)
-        em.emit(f"value = {value}")
-        em.emit("if value is not None:")
-        em.indent += 1
-        self._emit_reduce("value")
-        if self.existential:
-            em.emit(f"wr_{self.n_ranks} = True")
-        em.indent -= 1
-
-    def _fast_expr(self, expr: Expr, depths, counter) -> str:
-        if isinstance(expr, Access):
-            i = counter[0]
-            counter[0] += 1
-            return self._scalar_ref(i, depths[i])
-        if isinstance(expr, Mul):
-            parts = [self._fast_expr(f, depths, counter)
-                     for f in expr.factors]
-            inner = parts[0]
-            for p in parts[1:]:
-                inner = f"_mul(opset, {inner}, {p})"
-            return inner
-        if isinstance(expr, Add):
-            left = self._fast_expr(expr.left, depths, counter)
-            right = self._fast_expr(expr.right, depths, counter)
-            op = "_sub" if expr.negate else "_add"
-            return f"{op}(opset, {left}, {right})"
-        if isinstance(expr, Take):
-            args = []
-            for _ in expr.args:
-                i = counter[0]
-                counter[0] += 1
-                args.append(self._scalar_ref(i, depths[i]))
-            return f"_take([{', '.join(args)}], {expr.which})"
-        raise CodegenError(f"cannot generate flat code for {expr!r}")
-
-    def _leaf_counted(self, depths: Dict[int, int]) -> None:
-        ir, em = self.ir, self.em
-        em.emit("mu = 0")
-        em.emit("ad = 0")
-        counter = [0]
-        value = self._counted_expr(ir.einsum.expr, depths, counter)
-        point = _point_code(ir.output.indices)
+        value = self._leaf_expr(ir.einsum.expr, depths, counter)
         em.emit(f"if {value} is not None:")
         em.indent += 1
         self._emit_reduce(value)
-        ts = "(" + "".join(f"st_{r}, " for r in ir.time_ranks) + ")"
-        em.emit(f"_ts = {ts}")
-        em.emit("if mu:")
-        em.indent += 1
-        em.emit("cn_mul += mu")
-        em.emit("cs_mul.add(_ts)")
-        em.indent -= 1
-        em.emit("if ad:")
-        em.indent += 1
-        em.emit("cn_add += ad")
-        em.emit("cs_add.add(_ts)")
-        em.indent -= 1
-        em.emit("if not mu and not ad:")
-        em.indent += 1
-        em.emit("cn_copy += 1")
-        em.emit("cs_copy.add(_ts)")
-        em.indent -= 1
-        out_rank = (ir.output.storage_ranks[-1]
-                    if ir.output.storage_ranks else "root")
-        key = (ir.output.tensor, out_rank, "elem")
-        self._routed(key, f"{self._wctr(*key)} += 1", lambda port: em.emit(
-            f"{port}w({out_rank!r}, {point}, cx{self.n_ranks})"))
+        if self.priced:
+            ts = "(" + "".join(f"st_{r}, " for r in ir.time_ranks) + ")"
+            em.emit(f"_ts = {ts}")
+            em.emit("if mu:")
+            em.indent += 1
+            em.emit("cn_mul += mu")
+            em.emit("cs_mul.add(_ts)")
+            em.indent -= 1
+            em.emit("if ad:")
+            em.indent += 1
+            em.emit("cn_add += ad")
+            em.emit("cs_add.add(_ts)")
+            em.indent -= 1
+            em.emit("if not mu and not ad:")
+            em.indent += 1
+            em.emit("cn_copy += 1")
+            em.emit("cs_copy.add(_ts)")
+            em.indent -= 1
+            out_rank = (ir.output.storage_ranks[-1]
+                        if ir.output.storage_ranks else "root")
+            key = (ir.output.tensor, out_rank, "elem")
+            point = _point_code(ir.output.indices)
+            self._routed(key, f"{self._wctr(*key)} += 1",
+                         lambda port: em.emit(
+                             f"{port}w({out_rank!r}, {point}, "
+                             f"cx{self.n_ranks})"))
         if self.existential:
             em.emit(f"wr_{self.n_ranks} = True")
         em.indent -= 1
@@ -1371,18 +1337,18 @@ class _FlatGenerator:
         self._tmp_count += 1
         return f"t{self._tmp_count}"
 
-    def _counted_expr(self, expr: Expr, depths, counter) -> str:
-        """The leaf value with exact op counts, mirroring the
-        interpreter's ``_evaluate``: sub-expressions always evaluate,
-        but a combining operation counts only when it executes; scalars
-        read straight from the arena cursors."""
+    def _leaf_expr(self, expr: Expr, depths, counter) -> str:
+        """The leaf value, mirroring the interpreter's ``_evaluate``:
+        sub-expressions always evaluate, but a combining operation
+        executes (and, in priced kernels, counts) only when its operands
+        are present; scalars read straight from the arena cursors."""
         em = self.em
         if isinstance(expr, Access):
             i = counter[0]
             counter[0] += 1
             return self._scalar_ref(i, depths[i])
         if isinstance(expr, Mul):
-            parts = [self._counted_expr(f, depths, counter)
+            parts = [self._leaf_expr(f, depths, counter)
                      for f in expr.factors]
             v = self._tmp()
             cond = " or ".join(f"{p} is None" for p in parts)
@@ -1396,12 +1362,13 @@ class _FlatGenerator:
             for p in parts[1:]:
                 folded = f"opset.mul({folded}, {p})"
             em.emit(f"{v} = {folded}")
-            em.emit(f"mu += {len(parts) - 1}")
+            if self.priced:
+                em.emit(f"mu += {len(parts) - 1}")
             em.indent -= 1
             return v
         if isinstance(expr, Add):
-            left = self._counted_expr(expr.left, depths, counter)
-            right = self._counted_expr(expr.right, depths, counter)
+            left = self._leaf_expr(expr.left, depths, counter)
+            right = self._leaf_expr(expr.right, depths, counter)
             v = self._tmp()
             em.emit(f"if {left} is None and {right} is None:")
             em.indent += 1
@@ -1419,7 +1386,8 @@ class _FlatGenerator:
             em.indent += 1
             op = "sub" if expr.negate else "add"
             em.emit(f"{v} = opset.{op}({left}, {right})")
-            em.emit("ad += 1")
+            if self.priced:
+                em.emit("ad += 1")
             em.indent -= 1
             return v
         if isinstance(expr, Take):

@@ -191,7 +191,7 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
 
 
 # ----------------------------------------------------------------------
-# Vector-span primitives (used by the "vector" kernel flavor)
+# Vector-span primitives (used by the priced kernel flavors)
 # ----------------------------------------------------------------------
 # The vector kernels price an entire innermost-rank span with batched
 # numpy ops instead of one Python iteration per element.  Exactness is

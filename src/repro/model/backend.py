@@ -416,7 +416,8 @@ class CompiledBackend(Backend):
     interpreter, the one engine that emits per-event streams.  When the
     spec does not lower or some Einsum's flat kernel is rejected,
     ``fallback=True`` runs the interpreter instead of raising
-    :class:`CodegenError`.
+    :class:`CodegenError`; a priced
+    :func:`~repro.model.evaluate.evaluate` follows the same rule.
     """
 
     name = "compiled"

@@ -490,7 +490,7 @@ class EvaluationResult:
 
 
 # ----------------------------------------------------------------------
-# Priced kernels (metrics="auto" / "vector")
+# Priced kernels (metrics="auto")
 # ----------------------------------------------------------------------
 def _price_counters(sink: ModelSink, counters: KernelCounters) -> None:
     """Price one Einsum's fused counters into the active component models.
@@ -580,49 +580,37 @@ class FusedMachines:
                                      model.binding.tensor, tallies)
 
 
-def _evaluate_fused(spec, tensors, opset, opsets, shapes, energy_model,
-                    engine, prep_cache=None) -> Optional[EvaluationResult]:
-    """The priced-kernel evaluation path; None when it does not apply
-    (an interpreter engine, or a mapping the flat generator cannot
-    express).
-
-    Each Einsum picks its kernel from the live binding: the port-free
-    ``counted`` kernel when it binds no buffer or cache, the ported
-    ``vector`` kernel otherwise.  Without buffers :meth:`ModelSink._route`
-    has no model to return, so every touch prices as DRAM traffic from
-    the counters alone.
-    """
-    if not isinstance(engine, CompiledBackend):
-        return None
-    env: Dict[str, Tensor] = {}
-    sink = ModelSink(spec, env)
-
-    def make_machines(name: str, ir) -> Optional[FusedMachines]:
-        return FusedMachines(sink, ir) if sink.current.buffers else None
-
-    def on_fused(name: str, counters: KernelCounters,
-                 fm: Optional[FusedMachines]) -> None:
-        _price_counters(sink, counters)
-        if fm is not None:
-            fm.settle(counters)
-
-    try:
-        engine.run_cascade_fused(
-            spec, tensors, opset=opset, opsets=opsets, sink=sink,
-            shapes=shapes, env=env, make_machines=make_machines,
-            on_fused=on_fused, prep_cache=prep_cache,
+def check_validate_mode(validate: str) -> None:
+    """Raise ``ValueError`` unless ``validate`` is a known
+    ``validate=`` mode (see :func:`lint_gate`)."""
+    if validate not in ("off", "warn", "strict"):
+        raise ValueError(
+            f"unknown validate mode {validate!r}; known: 'off', 'warn', "
+            "'strict'"
         )
-    except CodegenError:
-        return None
-    blocks = fuse_blocks(spec, sink)
-    return EvaluationResult(
-        spec=spec,
-        einsums=sink.einsums,
-        blocks=blocks,
-        env=env,
-        oracle=sink.oracle,
-        energy_model=energy_model or EnergyModel(),
-    )
+
+
+def check_executor(executor: Optional[str]) -> None:
+    """Raise ``ValueError`` unless ``executor`` is None, ``"thread"`` or
+    ``"process"``."""
+    if executor is not None and executor not in ("thread", "process"):
+        raise ValueError(
+            f"unknown executor {executor!r}; known: 'thread', 'process'"
+        )
+
+
+def lint_shapes(tensors, shapes) -> Dict[str, int]:
+    """Rank shapes for the lint rules: the workload tensors' shapes
+    under any explicit ``shapes`` overrides."""
+    merged: Dict[str, int] = {}
+    for t in (tensors or {}).values():
+        for rank, span in zip(getattr(t, "rank_ids", ()) or (),
+                              getattr(t, "shape", ()) or ()):
+            if isinstance(span, int) and span > 0:
+                merged.setdefault(str(rank), span)
+    if shapes:
+        merged.update(shapes)
+    return merged
 
 
 def lint_gate(spec: AcceleratorSpec, tensors=None, shapes=None,
@@ -643,25 +631,14 @@ def lint_gate(spec: AcceleratorSpec, tensors=None, shapes=None,
     tile divisibility rules) and ``stats`` feeds the analytical buffer
     capacity check.
     """
+    check_validate_mode(validate)
     if validate == "off":
         return
-    if validate not in ("warn", "strict"):
-        raise ValueError(
-            f"unknown validate mode {validate!r}; known: 'off', 'warn', "
-            "'strict'"
-        )
     from ..analysis import (SpecLintWarning, SpecVerificationError,
                             errors_of, verify_spec)
 
-    merged: Dict[str, int] = {}
-    for t in (tensors or {}).values():
-        for rank, span in zip(getattr(t, "rank_ids", ()) or (),
-                              getattr(t, "shape", ()) or ()):
-            if isinstance(span, int) and span > 0:
-                merged.setdefault(str(rank), span)
-    if shapes:
-        merged.update(shapes)
-    findings = verify_spec(spec, shapes=merged, stats=stats)
+    findings = verify_spec(spec, shapes=lint_shapes(tensors, shapes),
+                           stats=stats)
     if not findings:
         return
     if validate == "strict" and errors_of(findings):
@@ -690,21 +667,17 @@ def evaluate(
     """Run a full TeAAL evaluation: execute + model + reduce.
 
     ``backend`` selects the execution engine: ``"compiled"`` (generated
-    Python kernels), ``"interpreter"``, ``"auto"``/``None`` (compiled
-    with interpreter fallback — the default), or a
-    :class:`~repro.model.backend.Backend` instance.
+    Python kernels; raises :class:`~repro.ir.codegen.CodegenError` when
+    the generator rejects the mapping), ``"interpreter"``,
+    ``"auto"``/``None`` (compiled with interpreter fallback — the
+    default), or a :class:`~repro.model.backend.Backend` instance.
 
     ``metrics`` (one of :data:`METRICS_MODES`) selects how component
-    models are fed.  Every mode but ``"analytical"`` is exact — the
-    differential conformance suite holds them bit-equal — so among them
-    the choice is purely about speed:
+    models are fed.  ``"auto"`` and ``"trace"`` are exact — the
+    differential conformance suite holds them bit-equal — so between
+    them the choice is purely about speed:
 
-    * ``"auto"`` (default) — the fastest exact path, which today is
-      ``"vector"``.
-    * ``"trace"`` — the interpreter streams one event per touched
-      element to a :class:`ModelSink`; the reference path, on every
-      backend.
-    * ``"vector"`` — the priced arena kernels: per-rank
+    * ``"auto"`` (default) — the priced arena kernels: per-rank
       read/write/intersection/compute tallies priced in one pass per
       Einsum, with eligible innermost-rank spans priced through batched
       numpy primitives (``np.searchsorted``-style intersection, bulk
@@ -714,8 +687,13 @@ def evaluate(
       Einsum: one that binds no buffer or cache runs the port-free
       ``counted`` kernel; one that does runs the ported ``vector``
       kernel, with the buffet/cache state machines inlined into the
-      loops (:class:`FusedMachines`).  Falls back to ``"trace"`` only
-      when the flat generator cannot express the mapping.
+      loops (:class:`FusedMachines`).  When the generator rejects the
+      mapping, the default backend reruns the cascade as ``"trace"``
+      and a strict ``"compiled"`` backend raises ``CodegenError``.  On
+      an interpreter backend ``"auto"`` runs as ``"trace"``.
+    * ``"trace"`` — the interpreter streams one event per touched
+      element to a :class:`ModelSink`; the reference path, on every
+      backend.
     * ``"analytical"`` — the deliberately *approximate* tier: expected
       metrics computed from sparsity statistics alone, never walking a
       tensor.  ``stats``
@@ -792,8 +770,8 @@ def evaluate(
             hit = store.get_result(store_key)
             if hit is not MISS:
                 return hit
-    result = _evaluate_uncached(spec, tensors, opset, opsets, shapes,
-                                energy_model, engine, metrics, prep_cache)
+    result = _evaluate_exact(spec, tensors, opset, opsets, shapes,
+                             energy_model, engine, metrics, prep_cache)
     if store is not None:
         # Adopt the committed winner: racing writers computed
         # bit-identical results, and converging on the stored object
@@ -803,7 +781,7 @@ def evaluate(
 
 
 #: Every ``metrics=`` mode :func:`evaluate` accepts.
-METRICS_MODES = ("auto", "trace", "vector", "analytical")
+METRICS_MODES = ("auto", "trace", "analytical")
 
 
 def check_metrics_mode(metrics: str, what: str = "metrics mode") -> None:
@@ -816,26 +794,57 @@ def check_metrics_mode(metrics: str, what: str = "metrics mode") -> None:
         )
 
 
-def _evaluate_uncached(spec, tensors, opset, opsets, shapes, energy_model,
-                       engine, metrics, prep_cache) -> EvaluationResult:
-    """The metrics-mode dispatch of :func:`evaluate`, after the
-    analytical branch and the persistent-store consult.  Every fast mode
-    that does not apply falls through to the per-event trace."""
-    if metrics in ("auto", "vector"):
-        result = _evaluate_fused(spec, tensors, opset, opsets, shapes,
-                                 energy_model, engine, prep_cache=prep_cache)
-        if result is not None:
-            return result
+def _evaluate_exact(spec, tensors, opset, opsets, shapes, energy_model,
+                    engine, metrics, prep_cache) -> EvaluationResult:
+    """The exact modes of :func:`evaluate`, after the analytical branch
+    and the persistent-store consult: one sink, one result.
 
+    ``"auto"`` on a :class:`CompiledBackend` runs the priced arena
+    kernels.  Each Einsum picks its kernel from the live binding: the
+    port-free ``counted`` kernel when it binds no buffer or cache, the
+    ported ``vector`` kernel otherwise.  Without buffers
+    :meth:`ModelSink._route` has no model to return, so every touch
+    prices as DRAM traffic from the counters alone.  Every other case
+    (``"trace"``, or an interpreter engine) streams the interpreter's
+    per-event trace into the sink.
+
+    A :class:`CodegenError` from the priced kernels propagates unless
+    the engine has ``fallback`` set; then the cascade reruns on the
+    interpreter with a fresh sink and environment, since the rejected
+    run may already have priced a prefix of the cascade.
+    """
     env: Dict[str, Tensor] = {}
     sink = ModelSink(spec, env)
-    engine.run_cascade(spec, tensors, opset=opset, opsets=opsets, sink=sink,
-                       shapes=shapes, env=env)
-    blocks = fuse_blocks(spec, sink)
+    priced = metrics == "auto" and isinstance(engine, CompiledBackend)
+    if priced:
+        def make_machines(name: str, ir) -> Optional[FusedMachines]:
+            return FusedMachines(sink, ir) if sink.current.buffers else None
+
+        def on_fused(name: str, counters: KernelCounters,
+                     fm: Optional[FusedMachines]) -> None:
+            _price_counters(sink, counters)
+            if fm is not None:
+                fm.settle(counters)
+
+        try:
+            engine.run_cascade_fused(
+                spec, tensors, opset=opset, opsets=opsets, sink=sink,
+                shapes=shapes, env=env, make_machines=make_machines,
+                on_fused=on_fused, prep_cache=prep_cache,
+            )
+        except CodegenError:
+            if not engine.fallback:
+                raise
+            priced = False
+            env = {}
+            sink = ModelSink(spec, env)
+    if not priced:
+        engine.run_cascade(spec, tensors, opset=opset, opsets=opsets,
+                           sink=sink, shapes=shapes, env=env)
     return EvaluationResult(
         spec=spec,
         einsums=sink.einsums,
-        blocks=blocks,
+        blocks=fuse_blocks(spec, sink),
         env=env,
         oracle=sink.oracle,
         energy_model=energy_model or EnergyModel(),
@@ -912,29 +921,35 @@ def _opset_token(ops: OpSet):
     return None
 
 
+def _unnamed_arguments(opset, opsets, energy_model) -> List[str]:
+    """A reason per argument that has no durable name: an ad-hoc opset,
+    per-Einsum opset overrides, a custom energy model.  Neither a
+    process pool (which ships work by name) nor the result store (which
+    keys it by name) can carry them."""
+    reasons = []
+    if _opset_token(opset) is None:
+        reasons.append("opset is not one of the named opsets (repro."
+                       "einsum.operators.NAMED_OPSETS), so it has no name")
+    if opsets:
+        reasons.append("per-Einsum opset overrides (opsets=...) have no "
+                       "name")
+    if energy_model is not None:
+        reasons.append("a custom energy_model changes the result but has "
+                       "no name")
+    return reasons
+
+
 def process_incompatibilities(opset, opsets, energy_model, backend) -> List[str]:
     """Why these ``evaluate_many`` arguments cannot cross a process pool.
 
     Returns a human-readable reason per offending argument (empty when
     the process executor can engage).  The pool ships
     ``(spec, tensors, opset_name, shapes, metrics)`` payloads by pickle
-    and rebuilds the default engine in each worker, so anything that
-    cannot be named — an ad-hoc opset, per-Einsum opset overrides, a
-    custom energy model, a caller-supplied backend instance — has no
-    picklable representation.
+    and rebuilds the default engine in each worker, so an unnamed
+    argument (see :func:`_unnamed_arguments`) or a caller-supplied
+    backend has no picklable representation.
     """
-    reasons = []
-    if _opset_token(opset) is None:
-        reasons.append(
-            "opset is not one of the named opsets (repro.einsum."
-            "operators.NAMED_OPSETS), so it cannot be shipped by name"
-        )
-    if opsets:
-        reasons.append("per-Einsum opset overrides (opsets=...) cannot "
-                       "be shipped by name")
-    if energy_model is not None:
-        reasons.append("a custom energy_model cannot be rebuilt in the "
-                       "worker processes")
+    reasons = _unnamed_arguments(opset, opsets, energy_model)
     if backend not in (None, "auto"):
         reasons.append("a non-default backend cannot be rebuilt in the "
                        "worker processes")
@@ -948,24 +963,13 @@ def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
     Returns a human-readable reason per offending argument (empty when
     caching can engage).  The store keys an evaluation by name-able
     content — spec fingerprint, tensor content digests, metrics mode,
-    *named* opset, shapes — so anything unnameable (an ad-hoc opset,
-    per-Einsum overrides, a custom energy model) or of unknown
-    semantics (a third-party backend; the built-in engines are
-    bit-identical to each other by the differential contract, so they
-    share entries) has no sound key.
+    *named* opset, shapes — so an unnamed argument (see
+    :func:`_unnamed_arguments`) or a backend of unknown semantics (a
+    third-party one; the built-in engines are bit-identical to each
+    other by the differential contract, so they share entries) has no
+    sound key.
     """
-    reasons = []
-    if _opset_token(opset) is None:
-        reasons.append(
-            "opset is not one of the named opsets (repro.einsum."
-            "operators.NAMED_OPSETS), so it has no durable cache key"
-        )
-    if opsets:
-        reasons.append("per-Einsum opset overrides (opsets=...) are not "
-                       "part of the result key")
-    if energy_model is not None:
-        reasons.append("a custom energy_model changes the result but has "
-                       "no durable cache key")
+    reasons = _unnamed_arguments(opset, opsets, energy_model)
     if not isinstance(engine, (CompiledBackend, InterpreterBackend)):
         reasons.append(
             f"backend {type(engine).__name__} is not one of the built-in "
@@ -973,6 +977,17 @@ def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
             "cached ones"
         )
     return reasons
+
+
+def _store_engine(backend, store):
+    """The engine a store-backed run uses.  The default backend becomes
+    a fallback engine over a *fresh* compile cache layered on ``store``
+    (the caller's object, kept as is), so a warm run skips lowering, not
+    just pricing; any other backend resolves as usual."""
+    if backend in (None, "auto"):
+        return CompiledBackend(cache=CompileCache(persistent=store),
+                               fallback=True)
+    return resolve_backend(backend)
 
 
 def resolve_pool_mode(executor, opset, opsets=None, energy_model=None,
@@ -1020,9 +1035,7 @@ def _worker_store(cache_dir: str) -> tuple:
         from ..store import PersistentStore
 
         store = PersistentStore(cache_dir)
-        engine = CompiledBackend(cache=CompileCache(persistent=store),
-                                 fallback=True)
-        entry = (store, engine)
+        entry = (store, _store_engine(None, store))
         _WORKER_STORES[cache_dir] = entry
     return entry
 
@@ -1122,10 +1135,7 @@ def evaluate_many(
     Returns one :class:`EvaluationResult` per workload, in order.
     """
     check_metrics_mode(metrics)
-    if executor is not None and executor not in ("thread", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r}; known: 'thread', 'process'"
-        )
+    check_executor(executor)
     workloads = list(workloads)
     # One lint pass covers the whole sweep: the spec does not change
     # per workload (tile-shape rules see the first workload's shapes).
@@ -1136,20 +1146,14 @@ def evaluate_many(
     from ..search.supervisor import SweepSupervisor
 
     store = None
+    engine = resolve_backend(backend)
     if cache is not None and metrics != "analytical":
         from ..store import resolve_store
 
         store = resolve_store(cache)
-        if backend in (None, "auto"):
-            # Back the compile cache with the store too: a warm worker
-            # pool skips lowering, not just pricing.
-            engine = CompiledBackend(
-                cache=CompileCache(persistent=store), fallback=True,
-            )
-        else:
-            engine = resolve_backend(backend)
+        cached = _store_engine(backend, store)
         reasons = cache_incompatibilities(opset, opsets, energy_model,
-                                          engine)
+                                          cached)
         if reasons:
             warnings.warn(
                 "cache= was bypassed for this sweep because the "
@@ -1157,9 +1161,8 @@ def evaluate_many(
                 StoreBypassWarning, stacklevel=2,
             )
             store = None
-            engine = resolve_backend(backend)
-    else:
-        engine = resolve_backend(backend)
+        else:
+            engine = cached
     if isinstance(engine, CompiledBackend) and metrics != "analytical":
         try:
             engine.compile(spec)  # lower once, up front

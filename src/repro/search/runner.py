@@ -39,11 +39,12 @@ The runner composes three independent pieces:
   scored first with the ``prune_metrics`` surrogate and only the top-k
   survive.  Two surrogates are available:
 
-  - ``"auto"`` (the default; or any other exact mode) — the vector
-    kernels.  These are *bit-identical* to the traced reference (the
-    conformance suite enforces it), so the survivors' phase-1 results
-    are already exact: there is no phase 2, and pruning with any
-    ``k >= 1`` provably preserves the best candidate.
+  - ``"auto"`` (the default) or ``"trace"`` — an exact mode: the
+    priced arena kernels, or the interpreter's trace.  Both are
+    *bit-identical* to each other (the conformance suite enforces it),
+    so the survivors' phase-1 results are already exact: there is no
+    phase 2, and pruning with any ``k >= 1`` provably preserves the
+    best candidate.
   - ``"analytical"`` — the statistics-based pricing tier
     (:func:`~repro.model.analytical.evaluate_analytical`): no tensor is
     walked at all, candidates are priced from sparsity statistics
@@ -66,22 +67,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..einsum.operators import ARITHMETIC, OpSet
 from ..fibertree.rankid import rank_of_var
-from ..model.backend import (
-    CompileCache,
-    CompiledBackend,
-    PrepCache,
-    resolve_backend,
-    spec_fingerprint,
-)
+from ..model.backend import PrepCache, resolve_backend, spec_fingerprint
 from ..model.evaluate import (
     EvaluationResult,
     StoreBypassWarning,
     _opset_token,
     _process_one,
+    _store_engine,
     cache_incompatibilities,
+    check_executor,
     check_metrics_mode,
+    check_validate_mode,
     default_workers,
     evaluate,
+    lint_shapes,
     resolve_pool_mode,
 )
 from ..spec.loader import AcceleratorSpec
@@ -149,15 +148,8 @@ class SearchRunner:
         cache=None,
         validate: str = "off",
     ):
-        if executor is not None and executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; known: 'thread', 'process'"
-            )
-        if validate not in ("off", "warn", "strict"):
-            raise ValueError(
-                f"unknown validate mode {validate!r}; known: 'off', "
-                "'warn', 'strict'"
-            )
+        check_executor(executor)
+        check_validate_mode(validate)
         check_metric(metric)
         check_metrics_mode(metrics)
         check_metrics_mode(prune_metrics, "prune_metrics mode")
@@ -194,14 +186,7 @@ class SearchRunner:
                 )
         if cache is not None:
             store = resolve_store(cache)
-            if backend in (None, "auto"):
-                # Store-backed compile cache: a warm sweep (or a cold
-                # worker process) skips lowering, not just pricing.
-                engine = CompiledBackend(
-                    cache=CompileCache(persistent=store), fallback=True,
-                )
-            else:
-                engine = self.engine
+            engine = _store_engine(backend, store)
             reasons = cache_incompatibilities(opset, opsets, energy_model,
                                               engine)
             if reasons:
@@ -225,7 +210,8 @@ class SearchRunner:
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.validate = validate
-        self._lint_shapes: Optional[Dict[str, int]] = None
+        #: Rank shapes for the per-candidate feasibility rules.
+        self._lint_shapes = lint_shapes(self.tensors, shapes)
         if validate != "off":
             # The base spec is linted once up front: a strict run rejects
             # a statically-broken spec before the pools even spin up.
@@ -252,21 +238,6 @@ class SearchRunner:
             self._workload_stats = WorkloadStats.from_tensors(self.tensors)
         return self._workload_stats
 
-    def _shape_hints(self) -> Dict[str, int]:
-        """Rank shapes for the feasibility rules: workload tensor shapes
-        under any explicit ``shapes=`` overrides."""
-        if self._lint_shapes is None:
-            merged: Dict[str, int] = {}
-            for t in self.tensors.values():
-                for rank, span in zip(getattr(t, "rank_ids", ()) or (),
-                                      getattr(t, "shape", ()) or ()):
-                    if isinstance(span, int) and span > 0:
-                        merged.setdefault(str(rank), span)
-            if self.shapes:
-                merged.update(self.shapes)
-            self._lint_shapes = merged
-        return self._lint_shapes
-
     def _statically_infeasible(self, candidate: Candidate) -> bool:
         """Does the cheap error-severity feasibility subset reject this
         candidate's spec?  Only *error* rules vote (warn findings never
@@ -276,7 +247,7 @@ class SearchRunner:
 
         cand_spec = apply_candidate(self.spec, self.einsum, candidate)
         return bool(feasibility_findings(cand_spec,
-                                         shapes=self._shape_hints()))
+                                         shapes=self._lint_shapes))
 
     def _evaluate_one(self, candidate: Candidate, metrics: str,
                       key: Optional[str] = None) -> EvaluationResult:
@@ -495,7 +466,7 @@ class SearchRunner:
                 candidates = [(c, r) for c, r in scored if c in keep]
                 if phase1_metrics == "analytical":
                     # Only the approximate surrogate needs re-pricing;
-                    # every exact mode already priced the survivors.
+                    # an exact mode already priced the survivors.
                     candidates = self._evaluate_batch(
                         [c for c, _ in candidates], self.metrics, phase=2)
                     n_repriced = len(candidates)
@@ -598,12 +569,13 @@ def search(
     candidate lists and rankings.
 
     ``prune_to=k`` keeps only the best ``k`` candidates as scored by
-    ``prune_metrics``: an exact mode (``"auto"``, the vector kernels —
-    bit-identical to the trace, so the best provably survives and
-    nothing is re-priced) or ``"analytical"``, which prices candidates
-    from sparsity statistics alone, needs ``k`` large enough to absorb
-    its documented error bounds, and re-prices the ``k`` survivors with
-    ``metrics``; see the module docstring for the contract.  Unknown
+    ``prune_metrics``: an exact mode (``"auto"``, the priced arena
+    kernels, or ``"trace"`` — bit-identical to each other, so the best
+    provably survives and nothing is re-priced) or ``"analytical"``,
+    which prices candidates from sparsity statistics alone, needs ``k``
+    large enough to absorb its documented error bounds, and re-prices
+    the ``k`` survivors with ``metrics``; see the module docstring for
+    the contract.  Unknown
     ``metrics``/``prune_metrics`` modes raise ``ValueError``.
     ``metric`` picks the ranking scalar: ``"exec_seconds"``,
     ``"cycles"``, ``"traffic"``, or ``"energy"``.

@@ -22,9 +22,9 @@ The execution paths held together here:
   :func:`repro.model.evaluate.evaluate` metrics (traffic, cycles,
   energy, action counts, per-component times, outputs) must be
   *bit-identical* between the traced interpreter and the
-  ``metrics="vector"`` and ``metrics="auto"`` paths (which pick the
-  counted or vector kernel per Einsum from the binding), for every
-  spec — buffered accelerators included.
+  ``metrics="auto"`` path (which picks the counted or vector kernel per
+  Einsum from the binding), for every spec — buffered accelerators
+  included.
 
 Inputs are hypothesis-generated, with a fixed profile (see
 ``tests/conftest.py``) so CI failures replay exactly.
@@ -171,20 +171,19 @@ def metrics_fingerprint(result):
 
 
 def assert_metrics_paths_agree(spec, tensors):
-    """Traced-interpreter, vector, and auto metrics must be
-    bit-identical (the kernel conformance check: the interpreter against
-    the per-Einsum counted/vector selection)."""
+    """Traced-interpreter and auto metrics must be bit-identical (the
+    kernel conformance check: the interpreter against the per-Einsum
+    counted/vector selection)."""
     backend = CompiledBackend(cache=_CACHE)
     reference = metrics_fingerprint(evaluate(
         spec, {k: t.copy() for k, t in tensors.items()},
         backend=InterpreterBackend(), metrics="trace",
     ))
-    for metrics in ("vector", "auto"):
-        got = metrics_fingerprint(evaluate(
-            spec, {k: t.copy() for k, t in tensors.items()},
-            backend=backend, metrics=metrics,
-        ))
-        assert got == reference, f"metrics={metrics} diverges"
+    got = metrics_fingerprint(evaluate(
+        spec, {k: t.copy() for k, t in tensors.items()},
+        backend=backend, metrics="auto",
+    ))
+    assert got == reference, "metrics=auto diverges"
 
 
 def assert_backends_agree(spec, tensors):

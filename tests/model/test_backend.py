@@ -217,8 +217,9 @@ class TestBackendSelection:
 
     def test_rejected_flat_kernels_run_on_interpreter(self, monkeypatch):
         """When the arena generator rejects an Einsum, the default backend
-        prices every metrics mode on the interpreter (outputs and metrics
-        equal its own), while the strict backend refuses an untraced run."""
+        prices every exact metrics mode on the interpreter (outputs and
+        metrics equal its own), while the strict backend refuses an
+        untraced run and a priced one, and still runs the trace."""
         import repro.ir.codegen_flat as flat_mod
         import repro.model.backend as backend_mod
 
@@ -236,20 +237,25 @@ class TestBackendSelection:
         ref = evaluate(spec, {k: t.copy() for k, t in ts.items()},
                        backend="interpreter")
         assert ref.env["Z"].nnz > 0
-        for metrics in ("auto", "vector", "trace"):
+        strict = CompiledBackend(cache=CompileCache())
+        runs = [(None, "auto"), (None, "trace"), (strict, "trace")]
+        for backend, metrics in runs:
             got = evaluate(spec, {k: t.copy() for k, t in ts.items()},
-                           metrics=metrics)
-            assert got.env["Z"].points() == ref.env["Z"].points(), metrics
-            assert got.traffic_bytes() == ref.traffic_bytes(), metrics
-            assert got.exec_seconds == ref.exec_seconds, metrics
-            assert got.energy_pj == ref.energy_pj, metrics
-            assert got.action_counts() == ref.action_counts(), metrics
+                           backend=backend, metrics=metrics)
+            case = (backend, metrics)
+            assert got.env["Z"].points() == ref.env["Z"].points(), case
+            assert got.traffic_bytes() == ref.traffic_bytes(), case
+            assert got.exec_seconds == ref.exec_seconds, case
+            assert got.energy_pj == ref.energy_pj, case
+            assert got.action_counts() == ref.action_counts(), case
         env = resolve_backend(None).run_cascade(
             spec, {k: t.copy() for k, t in ts.items()})
         assert env["Z"].points() == ref.env["Z"].points()
-        strict = CompiledBackend(cache=CompileCache())
         with pytest.raises(CodegenError):
             strict.run_cascade(spec, {k: t.copy() for k, t in ts.items()})
+        with pytest.raises(CodegenError):
+            evaluate(spec, {k: t.copy() for k, t in ts.items()},
+                     backend=strict, metrics="auto")
 
     def test_traced_run_delegates_to_interpreter(self, monkeypatch):
         """A compiled run with a sink is the interpreter's run: the same
@@ -296,16 +302,37 @@ class TestEvaluateMany:
         assert cache.misses == 1
         assert cache.hits >= 5
 
-    def test_unknown_metrics_mode_is_rejected_up_front(self):
+    def test_unknown_metrics_mode_is_rejected_up_front(self, tmp_path):
+        """An unknown mode — including the retired ``"vector"``, once a
+        second name for ``"auto"`` — fails at every front door before
+        anything is lowered or written."""
+        from repro.search import search
+        from repro.search.jobs import submit
+
         cache = CompileCache()
         backend = CompiledBackend(cache=cache)
         spec = load_spec(MATMUL)
-        with pytest.raises(ValueError, match="unknown metrics mode"):
-            evaluate_many(spec, [], metrics="bogus")
-        with pytest.raises(ValueError, match="unknown metrics mode"):
-            evaluate_many(spec, [tensors()], backend=backend,
-                          metrics="bogus")
+        def unknown(what="metrics mode"):
+            return pytest.raises(ValueError, match=f"unknown {what}")
+
+        for mode in ("bogus", "vector"):
+            with unknown():
+                evaluate_many(spec, [], metrics=mode)
+            with unknown():
+                evaluate_many(spec, [tensors()], backend=backend,
+                              metrics=mode)
+            with unknown():
+                evaluate(spec, tensors(), backend=backend, metrics=mode)
+            with unknown():
+                search(spec, tensors(), backend=backend, metrics=mode)
+            with unknown("prune_metrics mode"):
+                search(spec, tensors(), backend=backend, prune_to=1,
+                       prune_metrics=mode)
+            with unknown():
+                submit(str(tmp_path / "job"), spec, tensors(),
+                       metrics=mode)
         assert cache.misses == 0 and len(cache) == 0  # nothing lowered
+        assert not (tmp_path / "job").exists()  # nothing written
 
     def test_analytical_sweep_skips_the_compile_warmup(self):
         """The analytical tier never runs a kernel, so a spec the strict

@@ -1,4 +1,5 @@
-"""Model-fused metrics (``evaluate(metrics="vector")``): the fast path for
+"""Model-fused metrics (``evaluate(metrics="auto")`` on a buffered spec):
+the fast path for
 buffered/cached specs.
 
 The vector kernels inline :class:`~repro.model.components.BuffetModel` /
@@ -121,7 +122,7 @@ def assert_fused_exact(spec, work):
     traced = evaluate(spec, {k: t.copy() for k, t in work.items()},
                       backend=backend, metrics="trace")
     fused = evaluate(spec, {k: t.copy() for k, t in work.items()},
-                     backend=backend, metrics="vector")
+                     backend=backend, metrics="auto")
     assert fingerprint(fused) == fingerprint(traced)
     return traced, fused
 
@@ -153,9 +154,9 @@ def test_fused_falls_back_on_interpreter_backend():
     work = tensors(seed=3)
     compiled = evaluate(spec, dict(work),
                         backend=CompiledBackend(cache=_CACHE),
-                        metrics="vector")
+                        metrics="auto")
     interp = evaluate(spec, dict(work), backend=InterpreterBackend(),
-                      metrics="vector")
+                      metrics="auto")
     assert fingerprint(interp) == fingerprint(compiled)
 
 
@@ -166,7 +167,7 @@ def test_fused_evaluate_many_threads():
     sequential = evaluate_many(spec, [dict(w) for w in workloads],
                                backend=backend, workers=1, metrics="trace")
     threaded = evaluate_many(spec, [dict(w) for w in workloads],
-                             backend=backend, workers=4, metrics="vector")
+                             backend=backend, workers=4, metrics="auto")
     for a, b in zip(sequential, threaded):
         assert fingerprint(a) == fingerprint(b)
 
@@ -584,7 +585,7 @@ def test_fused_golden_metrics(name):
     spec = accelerator(name)
     backend = CompiledBackend(cache=_CACHE)
     result = evaluate(spec, golden_workload(), backend=backend,
-                      metrics="vector")
+                      metrics="auto")
     golden = GOLDEN[name]
     assert result.traffic_bytes() == golden["traffic_bytes"]
     assert result.exec_cycles == golden["exec_cycles"]

@@ -147,12 +147,11 @@ def assert_vector_matches_reference(spec, tensors):
         spec, {k: t.copy() for k, t in tensors.items()},
         backend=InterpreterBackend(), metrics="trace",
     ))
-    for metrics in ("vector", "auto"):
-        got = fingerprint(evaluate(
-            spec, {k: t.copy() for k, t in tensors.items()},
-            backend=backend, metrics=metrics,
-        ))
-        assert got == reference, f"metrics={metrics} diverges"
+    got = fingerprint(evaluate(
+        spec, {k: t.copy() for k, t in tensors.items()},
+        backend=backend, metrics="auto",
+    ))
+    assert got == reference, "metrics=auto diverges"
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +257,7 @@ def test_float_accumulation_is_bitwise_sequential():
     ref = evaluate(spec, {k_: t.copy() for k_, t in tensors.items()},
                    backend=InterpreterBackend(), metrics="trace")
     got = evaluate(spec, {k_: t.copy() for k_, t in tensors.items()},
-                   backend=backend, metrics="vector")
+                   backend=backend, metrics="auto")
     assert got.env["Z"].points() == ref.env["Z"].points()
 
 
@@ -288,7 +287,7 @@ def test_batched_path_actually_runs(monkeypatch):
         "B": tensor_from_dense("B", ["N", "K"], matrix(rng, 4, 30, 0.5)),
     }
     evaluate(load_spec(SPMSPM, name="vec-engage"), tensors,
-             backend=CompiledBackend(cache=_CACHE), metrics="vector")
+             backend=CompiledBackend(cache=_CACHE), metrics="auto")
     assert calls["n"] > 0
 
 
@@ -303,7 +302,7 @@ def test_span_threshold_keeps_small_leaves_scalar(monkeypatch):
     spec = load_spec(SPMSPM, name="vec-threshold")
     backend = CompiledBackend(cache=_CACHE)
     got = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
-                   backend=backend, metrics="vector")
+                   backend=backend, metrics="auto")
     assert calls["n"] == 0  # every leaf took the scalar fallback
     ref = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
                    backend=InterpreterBackend(), metrics="trace")
@@ -427,14 +426,14 @@ def test_shared_prefix_mixes_scalar_and_vector_spans(monkeypatch, k_stamp):
                                         for k, t in tensors.items()},
                                  backend=CompiledBackend(cache=_CACHE),
                                  metrics=metrics)
-               for metrics in ("trace", "vector")}
+               for metrics in ("trace", "auto")}
     assert calls["n"] == 9  # the long-row spans took the batched branch
     steps = {metrics: res.einsums["Z"].computes["mul"].serial_steps()
              for metrics, res in results.items()}
-    assert steps["vector"] == steps["trace"] > 0
-    assert metrics_fingerprint(results["vector"]) == \
+    assert steps["auto"] == steps["trace"] > 0
+    assert metrics_fingerprint(results["auto"]) == \
         metrics_fingerprint(results["trace"])
-    assert fingerprint(results["vector"]) == fingerprint(results["trace"])
+    assert fingerprint(results["auto"]) == fingerprint(results["trace"])
 
 
 def test_non_elementwise_opsets_stay_scalar_and_exact():
@@ -453,7 +452,7 @@ def test_non_elementwise_opsets_stay_scalar_and_exact():
                    backend=InterpreterBackend(), metrics="trace",
                    opset=MIN_PLUS)
     got = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
-                   backend=backend, metrics="vector", opset=MIN_PLUS)
+                   backend=backend, metrics="auto", opset=MIN_PLUS)
     assert fingerprint(got) == fingerprint(ref)
 
 
