@@ -37,7 +37,9 @@ facts — is the kernel priced, and does it carry machine ports:
   record their time stamps as one span entry — the fixed part plus a
   numpy column of the innermost slot (see :mod:`repro.model.stamps`);
   per-span runtime guards fall back to the inline scalar loop, so
-  results never depend on which path ran.
+  results never depend on which path ran.  A merge leaf whose one
+  input is fixed across the enclosing loop intersects it with all of
+  that loop's sibling spans at once (:meth:`_FlatGenerator._sibling_plan`).
 * **vector** ``kernel(arenas, opset, shapes, kc, fm)`` — the same priced
   kernel plus machine ports: the buffet/cache component state machines
   inlined into the loops.  The kernel tracks coordinate paths (``h``
@@ -125,6 +127,9 @@ class _FlatGenerator:
         # Loop-invariant halves of the vector-leaf guards, evaluated
         # once at kernel entry: (var, condition).
         self.vec_guards: List[Tuple[str, str]] = []
+        # Per sibling-batched leaf, its SiblingMap constructor (bound
+        # once at kernel entry as ``_sm<g>``).
+        self.sib_maps: List[str] = []
 
     # ------------------------------------------------------------------
     # Cursor helpers
@@ -357,6 +362,9 @@ class _FlatGenerator:
             head.emit("_vmin = rt.VLEAF_MIN")
             for var, cond in self.vec_guards:
                 head.emit(f"{var} = {cond}")
+            for g, make in enumerate(self.sib_maps):
+                head.emit(f"_sm{g} = {make}")
+                head.emit(f"vk{g} = None")
         head.emit("_acc = {}")
         if self.ported:
             head.emit("cx0 = ()")
@@ -431,7 +439,11 @@ class _FlatGenerator:
 
     # ------------------------------------------------------------------
     def _rank(self, level: int, depths: Dict[int, int],
-              wins: Dict[str, str], guarded: Set[str]) -> None:
+              wins: Dict[str, str], guarded: Set[str],
+              enc: dict = None) -> None:
+        """Emit rank ``level`` and everything below it.  ``enc`` describes
+        the enclosing loop when it has one PLAIN driver (see
+        :meth:`_sibling_plan`)."""
         ir, em = self.ir, self.em
         if level == self.n_ranks:
             self._leaf(depths)
@@ -499,7 +511,7 @@ class _FlatGenerator:
             em.emit(f"po_{rank} = -1")
 
         vec = self._vector_leaf_plan(rank, level, mode, specs, virtual,
-                                     binds, new_depths)
+                                     binds, new_depths, enc)
         if vec is not None:
             self._emit_vector_leaf(rank, level, vec)
             em.emit("else:")
@@ -579,7 +591,11 @@ class _FlatGenerator:
             # loop context holds once this rank binds ``c``.
             em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, c_{rank}),)")
         self._lookups(level, new_depths)
-        self._rank(level + 1, new_depths, wins2, guarded)
+        inner = None
+        if opened["kind"] == "single" and not virtual and \
+                specs[0][1].kind == PLAIN:
+            inner = {"spec": specs[0], "depths": dict(depths), "binds": binds}
+        self._rank(level + 1, new_depths, wins2, guarded, inner)
         self._propagate_wrote(level, rank)
         self._close_loop(rank, level, opened, specs)
         if vec is not None:
@@ -852,7 +868,8 @@ class _FlatGenerator:
         return {"varies": False, "const": const}
 
     def _vector_leaf_plan(self, rank: str, level: int, mode: str, specs,
-                          virtual, binds, new_depths: Dict[int, int]):
+                          virtual, binds, new_depths: Dict[int, int],
+                          enc: dict):
         """Static eligibility of a vectorized leaf for this rank, or
         ``None``.  The conditions mirror exactly what the batched
         primitives can reproduce bit-identically: one or two PLAIN
@@ -906,9 +923,13 @@ class _FlatGenerator:
         if value is None:
             return None
         value_code, scalars, k_mul = value
+        sibling = None
+        if len(specs) == 2 and not scalars:
+            sibling = self._sibling_plan(specs, enc, new_depths)
         return {
             "drivers": drivers,
             "merge": len(specs) == 2,
+            "sibling": sibling,
             "value": value_code,
             "scalars": list(dict.fromkeys(scalars)),
             "k_mul": k_mul,
@@ -919,6 +940,46 @@ class _FlatGenerator:
             "ts": self._stamp_desc(rank),
             "style": ir.time_styles.get(rank, "pos"),
         }
+
+    def _sibling_plan(self, specs, enc: dict, depths: Dict[int, int]):
+        """How a merge leaf batches its intersections across the sibling
+        spans of one parent fiber, or ``None`` (per-span ``visect2``).
+
+        It batches when one driver (the walker) iterates the raw child
+        fiber of the enclosing loop's sole PLAIN driver, so the siblings
+        form one contiguous block of its level, while the other (fixed)
+        driver's span and offset are invariant across that loop: its
+        cursor is set outside the loop and its projection offset reads
+        none of the loop's variables.  Only pure two-driver products get
+        here, so the batch also computes the products once per parent.
+        """
+        if enc is None:
+            return None
+        ei, _, _, ed, ea, eb, _ = enc["spec"]
+        for w in (0, 1):
+            i, _, L, d, a, _, _ = specs[w]
+            if i != ei or d != ed + 1 or a != f"n{i}_{d}a":
+                continue
+            fi, flvl, fL, fd, fa, fb, foff = specs[1 - w]
+            if enc["depths"][fi] != fd:
+                return None  # the loop or its lookups move the fixed cursor
+            if foff is not None and \
+                    set(flvl.exprs[0].vars) & set(enc["binds"]):
+                return None  # the fixed span shifts with the loop
+            g = len(self.sib_maps)
+            self.sib_maps.append(
+                f"rt.SiblingMap(t{fi}_cn{fL}, t{i}_cn{L}, _a{i}.segs[{L}])")
+            value = self._vec_value_plan(depths, {
+                specs[j][0]: f"t{specs[j][0]}_vn[vq{g}_{j}]" for j in (0, 1)})
+            return {
+                "g": g, "fixed": 1 - w, "walk": w,
+                "key": f"({fa}, {fb}, {ea}, {eb}"
+                       + (f", {foff})" if foff else ")"),
+                "args": f"{fa}, {fb}, {foff or 0}, {ea}, {eb}, 0",
+                "index": f"p{i}_{ed} - {ea}",
+                "value": value[0],
+            }
+        return None
 
     def _emit_vector_leaf(self, rank: str, level: int, vec: dict) -> None:
         """The batched branch: ``if <runtime guards>:`` plus its body.
@@ -942,22 +1003,17 @@ class _FlatGenerator:
         conds.append(f"{' + '.join(sizes)} >= _vmin")
         em.emit(f"if {' and '.join(conds)}:")
         em.indent += 1
+        d0 = drivers[0]
         if merge:
-            d0, d1 = drivers
-            em.emit(
-                f"vc_q0, vc_q1, vc_n0, vc_n1 = rt.visect2("
-                f"t{d0['i']}_cn{d0['L']}, {d0['a']}, {d0['b']}, "
-                f"{d0['off']}, "
-                f"t{d1['i']}_cn{d1['L']}, {d1['a']}, {d1['b']}, "
-                f"{d1['off']})"
-            )
-            em.emit("vc_m = len(vc_q0)")
+            if vec["sibling"] is None:
+                self._emit_visect2(drivers)
+            else:
+                self._emit_sibling_batch(vec)
             if rank not in self.isect_ranks:
                 self.isect_ranks.append(rank)
             em.emit(f"iv_{rank} += vc_n0 + vc_n1")
             em.emit(f"im_{rank} += vc_m")
         else:
-            d0 = drivers[0]
             em.emit(f"vc_m = {d0['b']} - {d0['a']}")
         # The loop coordinates of the span's effectual elements (the
         # shifted matched coordinates — identical through either merge
@@ -971,6 +1027,65 @@ class _FlatGenerator:
             self._emit_vector_reads(level, drv, merge, d0)
         self._emit_vector_effectual(rank, level, vec)
         em.indent -= 1
+
+    def _emit_visect2(self, drivers) -> None:
+        """Bind the span's matches ``vc_q*``, visits ``vc_n*`` and match
+        count ``vc_m`` with one :func:`~repro.ir.codegen_runtime.visect2`."""
+        d0, d1 = drivers
+        self.em.emit(
+            f"vc_q0, vc_q1, vc_n0, vc_n1 = rt.visect2("
+            f"t{d0['i']}_cn{d0['L']}, {d0['a']}, {d0['b']}, {d0['off']}, "
+            f"t{d1['i']}_cn{d1['L']}, {d1['a']}, {d1['b']}, {d1['off']})"
+        )
+        self.em.emit("vc_m = len(vc_q0)")
+
+    def _emit_sibling_batch(self, vec: dict) -> None:
+        """Bind what :meth:`_emit_visect2` binds, plus the span's products
+        ``vc_val``, from this parent's sibling batch.  The batch is built
+        at the parent's first numpy-branch span, and memoized on its
+        inputs (``vk<g>``); when the position map does not fit, every
+        span calls ``visect2`` instead."""
+        em = self.em
+        sib = vec["sibling"]
+        g, f, w = sib["g"], sib["fixed"], sib["walk"]
+        em.emit(f"vc_k = {sib['key']}")
+        em.emit(f"if vc_k != vk{g}:")
+        em.indent += 1
+        em.emit(f"vk{g} = vc_k")
+        em.emit(f"vb{g} = _sm{g}.intersect({sib['args']})")
+        em.emit(f"if vb{g} is not None:")
+        em.indent += 1
+        em.emit(f"vq{g}_{f}, vq{g}_{w}, vo{g}, vm{g}, vn{g}_{f}, vn{g}_{w} "
+                f"= vb{g}")
+        em.emit(f"vv{g} = {sib['value']}")
+        em.indent -= 2
+        em.emit(f"if vb{g} is not None:")
+        em.indent += 1
+        em.emit(f"vc_s = {sib['index']}")
+        em.emit(f"vc_o = vo{g}[vc_s]")
+        em.emit(f"vc_m = vm{g}[vc_s]")
+        em.emit("vc_e = vc_o + vc_m")
+        for j in (0, 1):
+            em.emit(f"vc_q{j} = vq{g}_{j}[vc_o:vc_e]")
+            em.emit(f"vc_n{j} = vn{g}_{j}[vc_s]")
+        em.emit(f"vc_val = vv{g}[vc_o:vc_e]")
+        em.indent -= 1
+        em.emit("else:")
+        em.indent += 1
+        self._emit_visect2(vec["drivers"])
+        self._emit_vc_value(vec)
+        em.indent -= 1
+
+    def _emit_vc_value(self, vec: dict) -> None:
+        """Bind the span's products ``vc_val`` from its matches."""
+        for drv in vec["drivers"]:
+            if vec["merge"]:
+                self.em.emit(
+                    f"vc_w{drv['j']} = t{drv['i']}_vn[vc_q{drv['j']}]")
+            else:
+                self.em.emit(f"vc_w{drv['j']} = "
+                             f"t{drv['i']}_vn[{drv['a']}:{drv['b']}]")
+        self.em.emit(f"vc_val = {vec['value']}")
 
     def _emit_vc_array(self, d0: dict, merge: bool) -> None:
         """Lazily bind ``vc_a`` (see :meth:`_emit_vector_leaf`)."""
@@ -1063,13 +1178,8 @@ class _FlatGenerator:
             em.emit(f"if not ({cond}):")
             em.indent += 1
             guard = 1
-        for drv in drivers:
-            if merge:
-                em.emit(f"vc_w{drv['j']} = t{drv['i']}_vn[vc_q{drv['j']}]")
-            else:
-                em.emit(f"vc_w{drv['j']} = "
-                        f"t{drv['i']}_vn[{drv['a']}:{drv['b']}]")
-        em.emit(f"vc_val = {vec['value']}")
+        if vec["sibling"] is None:
+            self._emit_vc_value(vec)
         ts = vec["ts"]
         if ts["varies"]:
             if vec["style"] == "coord":

@@ -200,6 +200,14 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
 # including float accumulation order (``np.add.accumulate`` is a
 # sequential left fold, unlike ``np.sum``'s pairwise reduction) and the
 # galloping co-iterator's partial visit counts.
+#
+# A two-way merge span intersects through ``visect2``, unless its leaf
+# batches across siblings: when one input's span is fixed across the
+# enclosing loop and the other walks that loop's child fibers, a
+# ``SiblingMap`` intersects the fixed span with every sibling at once,
+# at the parent's first numpy-branch span, and each span then reads
+# its own slices of the result.  Which spans take the numpy branch
+# (``VLEAF_MIN``) is decided per span either way.
 
 #: Minimum combined span size before a leaf takes the numpy path; below
 #: it the generated kernel falls through to its inline scalar loop
@@ -257,6 +265,101 @@ def visect2(c0, a0: int, b0: int, off0: int,
     v1 = int(s1.size) if last1 <= last0 else \
         int(np.searchsorted(h1, last0, side="right"))
     return q0 + a0, q1 + a1, v0, v1
+
+
+class SiblingMap:
+    """Sibling-batched two-way intersection through a position map.
+
+    Serves a merge leaf whose first input span is fixed across the
+    enclosing loop while its second input walks that loop's child
+    fibers: the siblings ``n_a .. n_b - 1`` of the second level form one
+    contiguous block, so :meth:`intersect` matches the fixed span against
+    the whole block at once, a locate-style lookup.  The fixed span's
+    positions are scattered into ``pos``, an ``intp`` map over both
+    levels' coordinate domain (``-1`` marks an absent coordinate); every
+    block coordinate looks itself up; the written entries are reset.
+
+    One instance per leaf per kernel call.  The map is allocated on the
+    first batch, and only when it takes no more memory than the two leaf
+    levels it indexes: one 8-byte slot per domain coordinate against an
+    ``int64`` coordinate and a ``float64`` value per level element.  On a
+    sparser domain :meth:`intersect` returns ``None`` and the leaf calls
+    :func:`visect2` per span.
+    """
+
+    __slots__ = ("fixed", "walk", "segs", "base", "pos")
+
+    def __init__(self, fixed, walk, segs):
+        self.fixed = fixed  # the fixed input's level coordinates
+        self.walk = walk  # the walking input's level coordinates
+        self.segs = segs  # the walking level's segment pointers
+        self.base = 0
+        self.pos = None
+
+    def _allocate(self):
+        fixed, walk = self.fixed, self.walk
+        self.base = min(int(fixed.min(initial=0)), int(walk.min(initial=0)))
+        length = max(int(fixed.max(initial=0)),
+                     int(walk.max(initial=0))) - self.base + 1
+        if length > 2 * (fixed.size + walk.size):
+            self.pos = False
+        else:
+            # One more, always-absent slot: where clipped lookups land.
+            self.pos = np.full(length + 1, -1, dtype=np.intp)
+        return self.pos
+
+    def intersect(self, a0: int, b0: int, off0: int,
+                  n_a: int, n_b: int, off1: int):
+        """Intersect the fixed span ``[a0, b0)`` with every sibling span.
+
+        Returns ``None`` when the map does not fit, else ``(q0, q1,
+        starts, counts, v0, v1)``: the matched absolute positions in each
+        buffer for the whole block, sibling after sibling, and per
+        sibling (Python ``int`` lists) the offset of its matches into
+        ``q0``/``q1``, their count, and each input's visit count.  For
+        sibling ``s`` these equal what :func:`visect2` returns for its
+        span, early stop included.
+        """
+        pos = self.pos
+        if pos is None:
+            pos = self._allocate()
+        if pos is False:
+            return None
+        segs = self.segs[n_a:n_b + 1]
+        lo = int(segs[0])
+        rel = segs - lo  # sibling boundaries within the block
+        s0 = self.fixed[a0:b0]
+        if not (s0.size and rel[-1]):
+            zeros = [0] * (n_b - n_a)
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty, zeros, zeros, zeros, zeros
+        # The block's coordinates as map slots: with equal offsets and a
+        # zero base, the block itself (every coordinate has a slot);
+        # otherwise shifted, and clipped into the map, where a slot past
+        # either end compares like the coordinate it stands for.
+        key = self.walk[lo:int(segs[-1])]
+        if self.base or off0 != off1:
+            key = key - (self.base + off0 - off1)
+            np.clip(key, -1, pos.size - 1, out=key)
+        slots = s0 - self.base
+        # Visits: the merge stops when either input exhausts, so each
+        # side visits its coordinates up to the other side's last one.
+        # A sibling's coordinates past the fixed span's last form its
+        # sorted tail; counting them per sibling is a search of their
+        # block positions.
+        past = np.flatnonzero(key > int(slots[-1]))
+        v1 = np.diff(rel) - np.diff(np.searchsorted(past, rel))
+        ends = rel[1:]
+        v0 = np.searchsorted(slots, key[ends - 1], side="right")
+        v0[ends == rel[:-1]] = 0  # an empty sibling visits nothing
+        # Matches: scatter, look up, reset.
+        pos[slots] = np.arange(a0, b0)
+        got = pos.take(key)
+        pos[slots] = -1
+        q1 = np.flatnonzero(got >= 0)
+        starts = np.searchsorted(q1, rel)
+        return (got[q1], q1 + lo, starts[:-1].tolist(),
+                np.diff(starts).tolist(), v0.tolist(), v1.tolist())
 
 
 def vtake(coords, positions, off: int) -> np.ndarray:

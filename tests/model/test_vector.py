@@ -264,23 +264,50 @@ def test_float_accumulation_is_bitwise_sequential():
 # ----------------------------------------------------------------------
 # Engagement and gating
 # ----------------------------------------------------------------------
-def count_visect2(monkeypatch):
-    """Count batched-intersection calls: one per span that took the
-    batched branch."""
-    calls = {"n": 0}
-    real = rt.visect2
+class _CountingList(list):
+    """A list that counts its item reads into ``calls["n"]``."""
 
-    def counting(*args):
+    def __init__(self, items, calls):
+        super().__init__(items)
+        self.calls = calls
+
+    def __getitem__(self, s):
+        self.calls["n"] += 1
+        return super().__getitem__(s)
+
+
+def count_numpy_spans(monkeypatch):
+    """Count the merge spans that took the numpy branch (``calls["n"]``).
+
+    A span either calls ``rt.visect2`` (``calls["visect2"]``) or reads
+    its match count from its parent's sibling batch, exactly once; the
+    batch hands the counts over as a :class:`_CountingList`.
+    ``calls["batches"]`` counts the sibling batches built."""
+    calls = {"n": 0, "visect2": 0, "batches": 0}
+    real_visect2 = rt.visect2
+    real_intersect = rt.SiblingMap.intersect
+
+    def visect2(*args):
         calls["n"] += 1
-        return real(*args)
+        calls["visect2"] += 1
+        return real_visect2(*args)
 
-    monkeypatch.setattr(rt, "visect2", counting)
+    def intersect(self, *args):
+        got = real_intersect(self, *args)
+        if got is None:
+            return None
+        calls["batches"] += 1
+        q0, q1, starts, counts, v0, v1 = got
+        return q0, q1, starts, _CountingList(counts, calls), v0, v1
+
+    monkeypatch.setattr(rt, "visect2", visect2)
+    monkeypatch.setattr(rt.SiblingMap, "intersect", intersect)
     return calls
 
 
 def test_batched_path_actually_runs(monkeypatch):
     """Guard against a silently always-scalar vector flavor."""
-    calls = count_visect2(monkeypatch)
+    calls = count_numpy_spans(monkeypatch)
     rng = np.random.default_rng(1)
     tensors = {
         "A": tensor_from_dense("A", ["M", "K"], matrix(rng, 4, 30, 0.5)),
@@ -293,7 +320,7 @@ def test_batched_path_actually_runs(monkeypatch):
 
 def test_span_threshold_keeps_small_leaves_scalar(monkeypatch):
     monkeypatch.setattr(rt, "VLEAF_MIN", 10**9)
-    calls = count_visect2(monkeypatch)
+    calls = count_numpy_spans(monkeypatch)
     rng = np.random.default_rng(2)
     tensors = {
         "A": tensor_from_dense("A", ["M", "K"], matrix(rng, 4, 30, 0.5)),
@@ -304,6 +331,7 @@ def test_span_threshold_keeps_small_leaves_scalar(monkeypatch):
     got = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
                    backend=backend, metrics="auto")
     assert calls["n"] == 0  # every leaf took the scalar fallback
+    assert calls["batches"] == 0  # and no sibling batch was built
     ref = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
                    backend=InterpreterBackend(), metrics="trace")
     assert fingerprint(got) == fingerprint(ref)
@@ -362,7 +390,7 @@ def test_long_span_counters_match_vector(monkeypatch, nnz):
     work = _nnz_workload(nnz)
     prints = {}
     for ported in (False, True):
-        calls = count_visect2(monkeypatch)
+        calls = count_numpy_spans(monkeypatch)
         prints[ported] = fingerprint(_priced_result(spec, work, ported))
         assert calls["n"] > 0  # the batched spans ran
     assert prints[False] == prints[True], (
@@ -377,7 +405,7 @@ def test_long_span_auto_matches_interpreter(monkeypatch):
     the interpreter."""
     monkeypatch.undo()  # the real threshold: these spans clear it
     assert rt.VLEAF_MIN > 0
-    calls = count_visect2(monkeypatch)
+    calls = count_numpy_spans(monkeypatch)
     spec = load_spec(SPMSPM, name="vec-long-span")
     work = {
         "A": uniform_random("A", ["M", "K"], (8, 4096), 0.05, seed=11),
@@ -385,7 +413,9 @@ def test_long_span_auto_matches_interpreter(monkeypatch):
     }
     got = evaluate(spec, dict(work), backend=CompiledBackend(cache=_CACHE),
                    metrics="auto")
-    assert calls["n"] == 8 * 8  # every (m, n) span ran batched
+    assert calls["n"] == 8 * 8  # every (m, n) span took the numpy branch
+    assert calls["batches"] == 8  # one sibling batch per m served them
+    assert calls["visect2"] == 0
     ref = evaluate(spec, dict(work), backend=InterpreterBackend(),
                    metrics="trace")
     assert fingerprint(got) == fingerprint(ref)
@@ -421,7 +451,7 @@ def test_shared_prefix_mixes_scalar_and_vector_spans(monkeypatch, k_stamp):
                "B": tensor_from_dense("B", ["N", "K"], rows(b_len))}
     spec = load_spec(SPMSPM_SPATIAL_N.format(k=k_stamp),
                      name=f"vec-spatial-{k_stamp}")
-    calls = count_visect2(monkeypatch)
+    calls = count_numpy_spans(monkeypatch)
     results = {metrics: evaluate(spec, {k: t.copy()
                                         for k, t in tensors.items()},
                                  backend=CompiledBackend(cache=_CACHE),
@@ -434,6 +464,86 @@ def test_shared_prefix_mixes_scalar_and_vector_spans(monkeypatch, k_stamp):
     assert metrics_fingerprint(results["auto"]) == \
         metrics_fingerprint(results["trace"])
     assert fingerprint(results["auto"]) == fingerprint(results["trace"])
+
+
+#: SpMSpM with only its mapping left open.
+SPMSPM_MAPPED = SPMSPM.split("mapping:")[0] + "mapping:\n{}"
+
+#: ``Z[m] = A[m, k] * B[k + <shift>]``: A's K fibers walk the M loop's
+#: children, B's one fiber is fixed and projected by the shift.
+PROJECTED_BY = PROJECTED.replace("B[k + 1]", "B[k + {}]")
+
+#: Row dot products: the M loop intersects A and B, so both K drivers
+#: walk child fibers.
+ROW_DOTS = """
+einsum:
+  declaration:
+    A: [M, K]
+    B: [M, K]
+    Z: [M]
+  expressions:
+    - Z[m] = A[m, k] * B[m, k]
+mapping:
+  loop-order:
+    Z: [M, K]
+"""
+
+#: The sibling-batch eligibility edges: (spec, tensors, numpy-branch
+#: merge spans, sibling batches) at the production ``VLEAF_MIN``.
+_DEEP_A = ("A", ["M", "K"], (6, 2048), 0.08, 11)
+_DEEP_B = ("B", ["N", "K"], (6, 2048), 0.08, 13)
+SIBLING_EDGES = {
+    # The fixed driver is the second one: one batch per n.
+    "fixed-second": (SPMSPM_MAPPED.format(
+        "  loop-order:\n    Z: [N, M, K]\n"), (_DEEP_A, _DEEP_B), 36, 6),
+    # A partitioned enclosing rank whose lower half (N0) is a plain
+    # loop: one batch per (m, n1) chunk.
+    "split-enclosing": (SPMSPM_MAPPED.format(
+        "  partitioning:\n    Z:\n      N: [uniform_shape(2)]\n"
+        "  loop-order:\n    Z: [M, N1, N0, K]\n"), (_DEEP_A, _DEEP_B),
+        36, 18),
+    # The enclosing loop is an upper (partition) rank: per span.
+    "upper-enclosing": (SPMSPM_MAPPED.format(
+        "  partitioning:\n    Z:\n      K: [uniform_occupancy(A.64)]\n"
+        "  loop-order:\n    Z: [M, N, K1, K0]\n"), (_DEEP_A, _DEEP_B),
+        72, 0),
+    # The enclosing loop intersects A and B: both leaf drivers walk.
+    "intersect-enclosing": (ROW_DOTS, (
+        _DEEP_A, ("B", ["M", "K"], (6, 2048), 0.08, 13)), 6, 0),
+    # A constant offset is invariant: one batch for the whole M loop.
+    "constant-offset": (PROJECTED_BY.format("1"), (_DEEP_A, "B"), 6, 1),
+    # An offset that reads the enclosing loop's variable: per span.
+    "varying-offset": (PROJECTED_BY.format("m"), (_DEEP_A, "B"), 6, 0),
+    # The ported kernel reads the batch's slices too.
+    "buffered": (SPMSPM_BUFFERED, (_DEEP_A, _DEEP_B), 36, 6),
+}
+
+
+def _edge_tensor(arg):
+    if arg == "B":  # a dense-ish vector for the projected specs
+        dense = (np.random.default_rng(3).random(2048) < 0.3) * 2.0
+        return tensor_from_dense("B", ["K"], dense)
+    name, ranks, shape, density, seed = arg
+    return uniform_random(name, ranks, shape, density, seed=seed)
+
+
+@pytest.mark.parametrize("edge", sorted(SIBLING_EDGES))
+def test_sibling_batch_edges_match_interpreter(monkeypatch, edge):
+    """At the production ``VLEAF_MIN``, each eligibility edge takes the
+    expected mix of sibling batches and per-span ``visect2`` calls, and
+    prices bit-identically to the interpreter."""
+    monkeypatch.undo()  # the real threshold
+    text, args, spans, batches = SIBLING_EDGES[edge]
+    tensors = {t.name: t for t in map(_edge_tensor, args)}
+    spec = load_spec(text, name=f"vec-edge-{edge}")
+    calls = count_numpy_spans(monkeypatch)
+    got = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
+                   backend=CompiledBackend(cache=_CACHE), metrics="auto")
+    assert (calls["n"], calls["batches"]) == (spans, batches)
+    assert calls["visect2"] == (0 if batches else spans)
+    ref = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
+                   backend=InterpreterBackend(), metrics="trace")
+    assert fingerprint(got) == fingerprint(ref)
 
 
 def test_non_elementwise_opsets_stay_scalar_and_exact():
