@@ -108,8 +108,8 @@ def spec_fingerprint(spec: AcceleratorSpec) -> str:
     deliberately ignores the pricing-only layers), this covers *every*
     layer that can change an evaluation result — einsum, mapping,
     format, architecture, binding, and params — because it identifies
-    sweep artifacts (journal manifests), where "same fingerprint" must
-    mean "bit-identical metrics".  ``spec.name`` stays excluded: it is
+    durable sweep artifacts (result-store keys, job manifests), where
+    "same fingerprint" must mean "bit-identical metrics".  ``spec.name`` stays excluded: it is
     cosmetic, and candidate application rewrites it.
     """
     key = canonical_key((spec.einsum, spec.mapping, spec.format,

@@ -1046,19 +1046,16 @@ def _process_one(payload) -> EvaluationResult:
     The child's compile cache is cold on the first workload and warm for
     the rest of that worker's share; specs, tensors, and results cross
     the process boundary by pickle.  The payload is ``(spec, tensors,
-    opset name, shapes, metrics, cache_dir, kernels)``.  A
-    ``cache_dir`` names a persistent store: the worker then
-    consults/publishes the shared store directly — result hits skip
-    evaluation — and with ``kernels`` its compile cache is store-backed
-    too, so kernel hits skip lowering, which is what makes cold worker
-    pools cheap.
+    opset name, shapes, metrics, cache_dir)``.  A ``cache_dir`` names a
+    persistent store: the worker then consults/publishes the shared
+    store directly — result hits skip evaluation — and its compile cache
+    is store-backed too, so kernel hits skip lowering, which is what
+    makes cold worker pools cheap.
     """
-    spec, tensors, opset_name, shapes, metrics, cache_dir, kernels = payload
+    spec, tensors, opset_name, shapes, metrics, cache_dir = payload
     store = engine = None
     if cache_dir is not None:
         store, engine = _worker_store(cache_dir)
-        if not kernels:
-            engine = None
     return evaluate(spec, tensors, opset=NAMED_OPSETS[opset_name],
                     shapes=shapes, metrics=metrics, backend=engine,
                     cache=store)
@@ -1192,7 +1189,7 @@ def evaluate_many(
             lambda i: one(workloads[i]),
             payload=lambda i: (
                 spec, workloads[i], token, shapes, metrics,
-                None if store is None else store.path, True,
+                None if store is None else store.path,
             ),
             process_worker=_process_one,
         )

@@ -13,22 +13,21 @@ It splits the problem into three orthogonal pieces:
   processes, shared compile + prep caches), top-k pruning (with an
   exact re-pricing phase after the analytical surrogate), and the entry points :func:`search`, :func:`explore`, and
   :func:`explore_cascade`;
-* :mod:`repro.search.supervisor` / :mod:`repro.search.journal` — the
-  fault-tolerance layer: per-candidate timeouts, bounded retry with
-  failure classification, broken-pool recovery, and the manifest +
-  status files behind ``search(..., journal=...)`` and bit-identical
-  resumption behind ``search(..., resume=...)``;
+* :mod:`repro.search.supervisor` — the fault-tolerance layer:
+  per-candidate timeouts, bounded retry with failure classification,
+  and broken-pool recovery;
 * :mod:`repro.search.jobs` — the same sweep as an on-disk batch job:
   :func:`submit` shards the space into a job directory, any number of
   independent worker processes :func:`claim` leased shards (abandoned
   leases expire and are re-claimed), and :func:`gather` assembles a
   result bit-identical to an in-process ``search()``.
 
-Every per-candidate outcome — of a cached or journaled sweep and of a
-job — is written to one place, the cross-process persistent store
+Every per-candidate outcome — of a cached sweep and of a job — is
+written to one place, the cross-process persistent store
 (:mod:`repro.store`, exposed as ``search(..., cache=dir)``): results
-and deterministic failures under content keys, which is what resume
-and gather read back.
+and deterministic failures under content keys.  A killed or
+interrupted sweep re-run with the same ``cache=`` adopts them and
+evaluates only what is missing; ``gather`` reads them back.
 
 ``repro.explore`` remains as a thin compatibility shim over this package.
 """
@@ -43,11 +42,6 @@ from .jobs import (
     poll,
     run_worker,
     submit,
-)
-from .journal import (
-    JournalError,
-    ResumeMismatchError,
-    candidate_key,
 )
 from .results import (
     CascadeSearchResult,
@@ -74,6 +68,7 @@ from .space import (
     Candidate,
     MappingSpace,
     apply_candidate,
+    candidate_key,
     enumerate_candidates,
 )
 from .strategies import (
@@ -94,11 +89,9 @@ __all__ = [
     "FailureRecord",
     "JobError",
     "JobStatus",
-    "JournalError",
     "MappingSpace",
     "PayloadVersionError",
     "RandomSearch",
-    "ResumeMismatchError",
     "SearchResult",
     "SearchRunner",
     "SearchStrategy",

@@ -44,6 +44,7 @@ pending again for the next claimant.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import socket
@@ -59,6 +60,7 @@ from ..model.evaluate import (
     check_metrics_mode,
     evaluate,
 )
+from ..model.executor import fault_point
 from ..spec.loader import AcceleratorSpec
 from ..store.persistent import (
     MISS,
@@ -67,20 +69,18 @@ from ..store.persistent import (
     _FileLock,
     entry_meta,
     read_entry,
+    tensor_digest,
     write_entry,
-)
-from .journal import (
-    JournalError,
-    atomic_json,
-    candidate_from_json,
-    candidate_key,
-    candidate_to_json,
-    read_json,
-    workloads_fingerprint,
 )
 from .results import SearchResult, check_metric, metric_value
 from .runner import _einsum_ranks, _resolve_einsum
-from .space import Candidate, MappingSpace, apply_candidate
+from .space import (
+    Candidate,
+    MappingSpace,
+    apply_candidate,
+    candidate_key,
+    candidate_to_json,
+)
 from .supervisor import DETERMINISTIC, FailureRecord, classify_failure
 
 MANIFEST_NAME = "manifest.json"
@@ -101,8 +101,60 @@ PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 DEFAULT_LEASE_TTL = 30.0
 
 
-class JobError(JournalError):
+class JobError(ValueError):
     """A job directory is missing, malformed, or used inconsistently."""
+
+
+# ----------------------------------------------------------------------
+# Serialization and atomic JSON files
+# ----------------------------------------------------------------------
+def candidate_from_json(data: Dict[str, Any]) -> Candidate:
+    """Inverse of :func:`~repro.search.space.candidate_to_json`."""
+    return Candidate(
+        tuple(data["loop_order"]),
+        tuple((rank, int(size)) for rank, size in data["tiles"]),
+    )
+
+
+def tensor_fingerprint(tensor) -> Dict[str, Any]:
+    """The identity of one workload tensor: its content digest
+    (:func:`~repro.store.persistent.tensor_digest`, the key the result
+    store uses), plus rank ids, shape, and nonzero count for the audit
+    trail."""
+    return {
+        "rank_ids": list(tensor.rank_ids),
+        "shape": [None if s is None else int(s) for s in tensor.shape],
+        "nnz": int(tensor.nnz),
+        "digest": tensor_digest(tensor),
+    }
+
+
+def workloads_fingerprint(tensors: Dict[str, Any]) -> Dict[str, Any]:
+    return {name: tensor_fingerprint(t) for name, t in sorted(tensors.items())}
+
+
+def atomic_json(path: str, obj: Any, fsync: bool = True) -> None:
+    """Commit a JSON file atomically (write-temp + fsync + replace)."""
+    tmp = path + f".tmp-{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+        fh.flush()
+        if fsync:
+            os.fsync(fh.fileno())
+    fault_point(f"json-commit:{os.path.basename(path)}")
+    os.replace(tmp, path)
+
+
+def read_json(path: str) -> Optional[Any]:
+    """A committed JSON file, or None when it is absent or unparsable
+    (atomically committed files are never half-written, so an
+    unparsable one is treated as absent rather than crashing)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, json.JSONDecodeError):
+        return None
 
 
 def default_worker_id() -> str:

@@ -48,7 +48,7 @@ def metrics_fingerprint(res: EvaluationResult) -> str:
     DRAM traffic, and energy, plus the sorted action counts — the
     quantities the bit-identical contracts of this codebase are stated
     over.  Two results fingerprint equal iff an assertion-by-assertion
-    comparison of those metrics would pass, which is what resumed-sweep
+    comparison of those metrics would pass, which is what sweep re-run
     and parallel-vs-serial identity checks need in one scalar.
     """
     h = hashlib.sha256()

@@ -25,16 +25,16 @@ The runner composes three independent pieces:
   (``max_retries``/``retry_backoff``), broken process pools rebuilt
   once then downgraded to threads, and deterministic spec errors
   recorded on ``SearchResult.failures`` instead of killing the sweep.
-* **One result store** (:class:`~repro.store.PersistentStore`) is the
-  only place per-candidate outcomes are written: the ``cache=`` store,
-  or for ``journal=path`` without one, a results-only store inside the
-  journal directory.  Before dispatch, a store-backed sweep adopts every
-  stored result and stored deterministic failure (counted in
-  ``stats["n_adopted"]``); whatever it prices, it publishes.
-  ``journal=path`` adds an atomic ``manifest.json`` and ``status.json``,
-  and ``resume=path`` checks the manifest and replays the deterministic
-  strategy, so a killed sweep finishes bit-identically from where it
-  stopped (see :mod:`repro.search.journal`).
+* **One result store** (:class:`~repro.store.PersistentStore`, the
+  ``cache=`` store) is the only place per-candidate outcomes are
+  written.  Before dispatch, a store-backed sweep adopts every stored
+  result and stored deterministic failure (counted in
+  ``stats["n_adopted"]``); whatever it prices, it publishes.  The
+  store's keys are content digests and the built-in strategies are
+  seeded, so re-running a killed or interrupted sweep with the same
+  ``cache=`` evaluates only what is missing and finishes
+  bit-identically to an uninterrupted run, while a re-run over a
+  different spec or workload misses and runs cold.
 * **Two-phase pruning** (``prune_to=k``): every proposed candidate is
   scored first with the ``prune_metrics`` surrogate and only the top-k
   survive.  Two surrogates are available:
@@ -60,14 +60,13 @@ The runner composes three independent pieces:
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..einsum.operators import ARITHMETIC, OpSet
 from ..fibertree.rankid import rank_of_var
-from ..model.backend import PrepCache, resolve_backend, spec_fingerprint
+from ..model.backend import PrepCache, resolve_backend
 from ..model.evaluate import (
     EvaluationResult,
     StoreBypassWarning,
@@ -85,16 +84,13 @@ from ..model.evaluate import (
 )
 from ..spec.loader import AcceleratorSpec
 from ..store.persistent import MISS, PersistentStore, resolve_store
-from . import journal as sweep_journal
-from .journal import candidate_key, strategy_signature, workloads_fingerprint
 from .results import (
     CascadeSearchResult,
     SearchResult,
     check_metric,
     metric_value,
-    metrics_fingerprint,
 )
-from .space import Candidate, MappingSpace, apply_candidate
+from .space import Candidate, MappingSpace, apply_candidate, candidate_key
 from .strategies import SearchStrategy, resolve_strategy
 from .supervisor import DETERMINISTIC, FailureRecord, SweepSupervisor
 
@@ -143,8 +139,6 @@ class SearchRunner:
         timeout: Optional[float] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        journal: Optional[str] = None,
-        resume: Optional[str] = None,
         cache=None,
         validate: str = "off",
     ):
@@ -155,12 +149,6 @@ class SearchRunner:
         check_metrics_mode(prune_metrics, "prune_metrics mode")
         if prune_to is not None and prune_to < 1:
             raise ValueError("prune_to must be >= 1")
-        if journal is not None and resume is not None and journal != resume:
-            raise ValueError(
-                "journal= and resume= point at different paths; resume "
-                "continues journaling in the same directory, so pass only "
-                "resume= (or the same path for both)"
-            )
         self.spec = spec
         self.tensors = dict(tensors)
         self.einsum = _resolve_einsum(spec, einsum)
@@ -169,21 +157,10 @@ class SearchRunner:
         self.shapes = shapes
         self.energy_model = energy_model
         self._backend_arg = backend
-        self.journal_path = resume if resume is not None else journal
-        self.resuming = resume is not None
-        #: The store results are published to: the ``cache=`` store, or
-        #: (set by :meth:`run`) a journal's own results-only store.
+        #: The ``cache=`` store results are published to (None when
+        #: absent or bypassed).
         self.store: Optional[PersistentStore] = None
-        self._cache_store: Optional[PersistentStore] = None
         self.engine = resolve_backend(backend)
-        if self.journal_path is not None:
-            reasons = cache_incompatibilities(opset, opsets, energy_model,
-                                              self.engine)
-            if reasons:
-                raise ValueError(
-                    "journal=/resume= needs arguments the result store "
-                    "can key durably, but: " + "; ".join(reasons)
-                )
         if cache is not None:
             store = resolve_store(cache)
             engine = _store_engine(backend, store)
@@ -197,7 +174,7 @@ class SearchRunner:
                     StoreBypassWarning, stacklevel=2,
                 )
             else:
-                self.store = self._cache_store = store
+                self.store = store
                 self.engine = engine
         self.metrics = metrics
         self.metric = metric
@@ -333,16 +310,13 @@ class SearchRunner:
             )
         else:
             token = _opset_token(self.opset)
-            store = self.store
-            # Process workers publish straight into the store; only the
-            # cache= store backs their compile caches too.
-            shipped = ((None, False) if store is None else
-                       (store.path, store is self._cache_store))
+            # Process workers publish straight into the store.
+            cache_dir = None if self.store is None else self.store.path
             completed = supervisor.run_batch(
                 to_run, lambda c: self._evaluate_one(c, metrics, keys[c]),
                 payload=lambda c: (
                     apply_candidate(self.spec, self.einsum, c),
-                    self.tensors, token, self.shapes, metrics) + shipped,
+                    self.tensors, token, self.shapes, metrics, cache_dir),
                 process_worker=_process_one,
                 phase=phase, on_failure=on_failure,
             )
@@ -353,43 +327,6 @@ class SearchRunner:
         return [(c, done[c]) for c in candidates if c in done]
 
     # ---- the search loop ----------------------------------------------
-    def _open_journal(self, strategy: SearchStrategy, mode: str,
-                      pruning: bool) -> PersistentStore:
-        """Check (on resume) and commit the journal's manifest; returns
-        the store the sweep's results go to: the ``cache=`` store, else
-        the one the resumed manifest names, else the journal's own."""
-        path = self.journal_path
-        manifest = self._manifest(strategy, mode, pruning)
-        on_disk = (sweep_journal.check_manifest(path, manifest)
-                   if self.resuming else {})
-        store = self._cache_store or PersistentStore(os.path.join(
-            path, on_disk.get("store", sweep_journal.STORE_NAME)))
-        manifest["store"] = os.path.relpath(store.path, path)
-        sweep_journal.start_run(path, manifest)
-        return store
-
-    def _manifest(self, strategy: SearchStrategy, mode: str,
-                  pruning: bool) -> Dict:
-        """The sweep's identity (plus audit fields) for the journal."""
-        from .. import __version__
-
-        return {
-            "spec_fingerprint": spec_fingerprint(self.spec),
-            "workloads": workloads_fingerprint(self.tensors),
-            "einsum": self.einsum,
-            "metric": self.metric,
-            "metrics": self.metrics,
-            "prune_metrics": self.prune_metrics if pruning else None,
-            "prune_to": self.prune_to,
-            "strategy": strategy_signature(strategy),
-            # Audit-only fields (a resume may legitimately differ here).
-            "library_version": __version__,
-            "workers": self.workers,
-            "executor": mode,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-        }
-
     def run(self, strategy: SearchStrategy,
             space: MappingSpace) -> SearchResult:
         """Drive one strategy over one space to a ranked result."""
@@ -409,8 +346,6 @@ class SearchRunner:
             key=candidate_key,
         )
         self._n_adopted = 0
-        if self.journal_path is not None:
-            self.store = self._open_journal(strategy, mode, pruning)
 
         scored: List[Tuple[Candidate, EvaluationResult]] = []
         scores: List[Tuple[Candidate, float]] = []
@@ -472,29 +407,6 @@ class SearchRunner:
                     n_repriced = len(candidates)
             else:
                 candidates = scored
-
-            if self.journal_path is not None:
-                if candidates:
-                    best_cand, best_res = min(
-                        enumerate(candidates),
-                        key=lambda ic: (metric_value(ic[1][1], self.metric),
-                                        ic[0]),
-                    )[1]
-                    sweep_journal.finish_run(
-                        self.journal_path, "complete",
-                        best_key=candidate_key(best_cand),
-                        fingerprint=metrics_fingerprint(best_res),
-                    )
-                else:
-                    sweep_journal.finish_run(self.journal_path, "complete")
-        except KeyboardInterrupt:
-            # The supervisor already drained in-flight futures (their
-            # results are in the store); mark the run interrupted so the
-            # journal is self-describing, then let the interrupt
-            # propagate.
-            if self.journal_path is not None:
-                sweep_journal.finish_run(self.journal_path, "interrupted")
-            raise
         finally:
             supervisor = self._supervisor
             supervisor.close()
@@ -550,8 +462,6 @@ def search(
     timeout: Optional[float] = None,
     max_retries: int = 2,
     retry_backoff: float = 0.05,
-    journal: Optional[str] = None,
-    resume: Optional[str] = None,
     cache=None,
     validate: str = "off",
 ) -> SearchResult:
@@ -600,17 +510,13 @@ def search(
     Arguments without a durable key bypass the store with a
     :class:`~repro.model.evaluate.StoreBypassWarning`.
 
-    ``journal=path`` makes the sweep resumable: it commits
-    ``manifest.json`` (the sweep's identity, and which store holds its
-    results) and, when the run ends, ``status.json``; results go to the
-    ``cache=`` store, or without one to a results-only store inside
-    ``path``.  ``resume=path`` checks the manifest against this call and
-    re-runs the sweep, adopting everything already stored and
-    evaluating only what is missing, bit-identically to an
-    uninterrupted run.  Both raise ``ValueError`` up front for
-    arguments the store cannot key.  See :mod:`repro.search.journal`
-    for the layout and the resume-identity contract
-    (:class:`~repro.search.journal.ResumeMismatchError`).
+    That makes a cached sweep resumable: each result is committed as
+    its candidate is priced, and an interrupted sweep (``Ctrl-C`` drains
+    in-flight candidates into the store before the
+    ``KeyboardInterrupt`` propagates) finishes when re-run with the
+    same ``cache=``, evaluating only what is missing, bit-identically to
+    an uninterrupted run.  A re-run over a different spec or workload
+    misses and runs cold.
 
     ``validate`` engages static verification (see
     :func:`~repro.model.evaluate.lint_gate` and
@@ -630,8 +536,7 @@ def search(
         executor=executor, prune_to=prune_to,
         prune_metrics=prune_metrics, prep_cache=prep_cache,
         timeout=timeout, max_retries=max_retries,
-        retry_backoff=retry_backoff, journal=journal, resume=resume,
-        cache=cache, validate=validate,
+        retry_backoff=retry_backoff, cache=cache, validate=validate,
     )
     space = MappingSpace.of(_einsum_ranks(spec, runner.einsum),
                             tile_sizes, max_loop_orders)

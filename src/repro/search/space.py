@@ -16,10 +16,11 @@ tile sizes or degenerate spaces can never evaluate one mapping twice.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..spec.loader import AcceleratorSpec
 
@@ -34,6 +35,20 @@ class Candidate:
     def describe(self) -> str:
         tiles = ", ".join(f"{r}:{s}" for r, s in self.tiles) or "none"
         return f"loop=[{', '.join(self.loop_order)}] tiles={tiles}"
+
+
+def candidate_to_json(cand: Candidate) -> Dict[str, Any]:
+    """A JSON-friendly form of a candidate (round-trips exactly)."""
+    return {
+        "loop_order": list(cand.loop_order),
+        "tiles": [[rank, size] for rank, size in cand.tiles],
+    }
+
+
+def candidate_key(cand: Candidate) -> str:
+    """The canonical string key naming a candidate in failure records."""
+    return json.dumps(candidate_to_json(cand), sort_keys=True,
+                      separators=(",", ":"))
 
 
 def _derive_loop_order(order: Sequence[str],

@@ -42,7 +42,7 @@ work arrives as callables per batch, and completion/failure hooks let
 the caller record progress as it happens.  The search runner
 (:mod:`repro.search.runner`) wires it to candidates, publishing every
 result and deterministic failure to the sweep's result store (which is
-also what a journaled sweep resumes from);
+also what a re-run with the same ``cache=`` resumes from);
 :func:`~repro.model.evaluate.evaluate_many` wires it to workload
 indices.
 """

@@ -8,10 +8,10 @@ entries, and concurrent writers (see :mod:`repro.store.persistent` for
 the durability contract).  Opt in per call with ``cache=dir`` on
 :func:`repro.model.evaluate.evaluate`,
 :func:`repro.model.evaluate.evaluate_many`, and
-:func:`repro.search.search`.  The store is also the one place sweep
-journals (``search(..., journal=dir)``) and the leased batch job runner
-(:mod:`repro.search.jobs`) checkpoint per-candidate results and
-deterministic failures, which is what resume and ``gather`` read back.
+:func:`repro.search.search`.  The store is also the one place cached
+sweeps and the leased batch job runner (:mod:`repro.search.jobs`)
+checkpoint per-candidate results and deterministic failures, which is
+what a re-run with the same ``cache=`` and ``gather`` read back.
 """
 
 from .persistent import (

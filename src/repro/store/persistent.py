@@ -51,7 +51,7 @@ skips lowering, the dominant cost of a cold compile), **results**
 ``(spec, workload contents, metrics mode, opset, shapes)``), and
 **failures** (the deterministic failure of a candidate that cannot be
 priced, under the same key).  Results and failures are the one place
-sweep journals and batch jobs (:mod:`repro.search.journal`,
+cached sweeps and batch jobs (:func:`repro.search.search`,
 :mod:`repro.search.jobs`) checkpoint per-candidate outcomes.  The
 result key hashes tensor *contents*, not just shapes, so a hit is
 guaranteed to reproduce the exact result a cold run would compute —
@@ -86,8 +86,8 @@ FINGERPRINT_PICKLE_PROTOCOL = 4
 def tensor_digest(tensor) -> str:
     """The content digest of one workload tensor: SHA-256 of its pickle
     at :data:`FINGERPRINT_PICKLE_PROTOCOL`.  The one tensor identity
-    every durable artifact keys on — result-store entries, sweep-journal
-    and job manifests — so equal digests mean equal contents."""
+    every durable artifact keys on — result-store entries and job
+    manifests — so equal digests mean equal contents."""
     return hashlib.sha256(
         pickle.dumps(tensor, protocol=FINGERPRINT_PICKLE_PROTOCOL)
     ).hexdigest()
@@ -115,7 +115,7 @@ class PayloadVersionError(StoreError):
     """A stored payload cannot be decoded by this interpreter/library.
 
     Raised (naming the stamped and supported versions) when an entry or
-    journal was written with a pickle protocol newer than this
+    job payload was written with a pickle protocol newer than this
     interpreter supports — the one mismatch that cannot be handled as a
     clean miss-and-recompute, because the bytes are unreadable rather
     than merely stale.
@@ -143,7 +143,7 @@ def entry_meta(payload: bytes, *, protocol: int,
 
 
 def write_entry(tmp_path: str, final_path: str, payload: bytes,
-                meta: Dict[str, Any], fsync: bool = True) -> None:
+                meta: Dict[str, Any]) -> None:
     """Commit one entry: temp write + fsync + :func:`os.replace`.
 
     The caller owns ``tmp_path`` (it must be unique to this writer, on
@@ -158,8 +158,7 @@ def write_entry(tmp_path: str, final_path: str, payload: bytes,
         fh.write(header)
         fh.write(payload)
         fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
+        os.fsync(fh.fileno())
     fault_point(f"store-commit:{os.path.basename(final_path)}")
     os.replace(tmp_path, final_path)
 
@@ -257,13 +256,10 @@ class PersistentStore:
 
     Handles are cheap and independent; every durability property holds
     across handles, threads, and processes (see the module docstring).
-    ``fsync=False`` trades the power-failure guarantee for speed —
-    process-crash safety is unaffected (the kernel still has the bytes).
     """
 
-    def __init__(self, path: str, fsync: bool = True):
+    def __init__(self, path: str):
         self.path = str(path)
-        self.fsync = fsync
         self.stats = StoreStats()
         self._lock = threading.Lock()
         self._seq = 0
@@ -420,8 +416,7 @@ class PersistentStore:
             meta = entry_meta(payload,
                               protocol=pickle.HIGHEST_PROTOCOL,
                               extra={"namespace": namespace, "key": key})
-            write_entry(self._temp_path(), path, payload, meta,
-                        fsync=self.fsync)
+            write_entry(self._temp_path(), path, payload, meta)
             with self._lock:
                 self.stats.puts += 1
             return value

@@ -25,8 +25,8 @@ with a ``.name``, so the substring matching below applies unchanged):
     here and the store must be left fully readable (temp garbage only),
     the entry absent, and a retry able to commit.
 ``json-commit:<json-basename>``
-    Before any atomic JSON commit (sweep manifests and status files,
-    job manifests, lease stamps, done markers) replaces into place.
+    Before any atomic JSON commit of a job directory (manifest, shard
+    files, lease stamps, done markers) replaces into place.
 
 Actions:
 
@@ -49,7 +49,7 @@ Actions:
 ``interrupt``
     Raise ``KeyboardInterrupt`` — drives the Ctrl-C drain path.
 ``count``
-    No fault; just count invocations (used to assert that resumed
+    No fault; just count invocations (used to assert that re-run
     sweeps do *not* re-evaluate adopted candidates).
 
 Every rule counts its firings in an append-only file under the plan's

@@ -5,8 +5,9 @@ gathered job against an in-process ``search()``, lease expiry and
 takeover with an injected clock (past a corrupt store entry too), a
 worker process killed mid-shard, transient errors left to a takeover
 rather than recorded, up-front mode checks, tolerance of garbage and
-duplicate store writes, and the named version error on a
-foreign-protocol manifest.
+duplicate store writes, the named version error on a
+foreign-protocol manifest, and the exact JSON round-trip of the
+candidates a shard file lists.
 """
 
 import json
@@ -28,6 +29,8 @@ from repro.search import (
     search,
     submit,
 )
+from repro.search.jobs import candidate_from_json
+from repro.search.space import Candidate, candidate_key, candidate_to_json
 from repro.spec import load_spec
 from repro.store import PersistentStore
 from repro.workloads import uniform_random
@@ -47,6 +50,9 @@ einsum:
 #: One candidate of BASE's 6-candidate untiled space (see
 #: test_supervisor.py for the naming convention the fault hook matches).
 TARGET = "loop=[K, N, M]"
+
+CAND = Candidate(("K", "M", "N"), (("K", 8),))
+OTHER = Candidate(("M", "N", "K"), ())
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +85,21 @@ def _entries(path, namespace="results"):
     root = os.path.join(path, "store", "objects", namespace)
     return sorted(os.path.join(d, f) for d, _, files in os.walk(root)
                   for f in files)
+
+
+class TestCandidateSerialization:
+    def test_round_trip_is_exact(self):
+        assert candidate_from_json(candidate_to_json(CAND)) == CAND
+        assert candidate_from_json(candidate_to_json(OTHER)) == OTHER
+
+    def test_round_trip_through_json_text(self):
+        blob = json.dumps(candidate_to_json(CAND))
+        assert candidate_from_json(json.loads(blob)) == CAND
+
+    def test_key_is_canonical_and_distinct(self):
+        assert candidate_key(CAND) == candidate_key(
+            candidate_from_json(candidate_to_json(CAND)))
+        assert candidate_key(CAND) != candidate_key(OTHER)
 
 
 class TestSubmit:

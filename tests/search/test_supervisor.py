@@ -6,13 +6,12 @@ is driven deterministically through the env-gated hook in
 candidates recorded without retry, transient crashes retried to
 bit-identical success, hangs timed out and written off, broken process
 pools rebuilt once then degraded to threads, ``KeyboardInterrupt``
-drained into an ``interrupted`` journal status, and killed sweeps
-resumed bit-identically from the results their store kept.  No test
+drained into the ``cache=`` store, and killed sweeps finished
+bit-identically by a re-run over the results their store kept.  No test
 sleeps to synchronize: hangs block on an event the harness releases at
 teardown, and counters are exact across pool worker processes.
 """
 
-import json
 import multiprocessing
 import os
 import warnings
@@ -21,18 +20,16 @@ import pytest
 
 from faults import FaultPlan, WorkerCrash
 from repro.model import evaluate_many
-from repro.model import EnergyModel
 from repro.search import (
     CandidateTimeoutError,
-    ResumeMismatchError,
     SweepDegradationWarning,
     classify_failure,
     metrics_fingerprint,
     search,
 )
-from repro.search.journal import read_status
 from repro.fibertree import Tensor
 from repro.spec import load_spec
+from repro.store import PersistentStore
 from repro.workloads import uniform_random
 
 BASE = """
@@ -105,17 +102,26 @@ def _fingerprints(result):
             for cand, res in result.candidates]
 
 
+def _assert_matches_uncached(result, spec, tensors, **kw):
+    """``result`` has the candidates, fingerprints and best of an
+    uncached run on the same arguments."""
+    ref = search(spec, tensors, workers=1, **kw)
+    assert _fingerprints(result) == _fingerprints(ref)
+    assert result.best()[0] == ref.best()[0]
+    assert metrics_fingerprint(result.best()[1]) \
+        == metrics_fingerprint(ref.best()[1])
+
+
 def _entries(path, namespace="results"):
-    """The committed entry files of a journal's own store."""
-    root = os.path.join(path, "store", "objects", namespace)
+    """The committed entry files of the store at ``path``."""
+    root = os.path.join(path, "objects", namespace)
     return sorted(os.path.join(d, f) for d, _, files in os.walk(root)
                   for f in files)
 
 
-def _journaled_sweep(path, tensors):
-    """Child: a serial journaled sweep, killed by the armed fault rule."""
-    search(load_spec(BASE), tensors, workers=1, max_retries=0,
-           journal=path)
+def _cached_sweep(path, tensors):
+    """Child: a serial cached sweep, killed by the armed fault rule."""
+    search(load_spec(BASE), tensors, workers=1, max_retries=0, cache=path)
 
 
 class TestSeam:
@@ -154,6 +160,27 @@ class TestPoison:
         assert len(result.candidates) == 5
         assert result.failures[0].classification == "deterministic"
         assert plan.fired(rule) == 1
+
+    def test_rerun_adopts_the_stored_failure(self, plan, tensors,
+                                             tmp_path):
+        spec = load_spec(BASE)
+        path = str(tmp_path / "cache")
+        plan.add(TARGET, "poison", times=1)
+        first = search(spec, tensors, workers=1, cache=path)
+        assert len(first.failures) == 1
+        assert len(_entries(path)) == 5
+        assert len(_entries(path, "failures")) == 1
+        # The poison rule is spent, so a cold run would price the
+        # candidate; the re-run re-surfaces the stored failure instead.
+        count = plan.add("accelerator", "count")
+        rerun = search(spec, tensors, workers=1, cache=path)
+        assert plan.fired(count) == 0
+        assert rerun.stats["n_adopted"] == 6
+        assert [f.key for f in rerun.failures] \
+            == [f.key for f in first.failures]
+        assert "poison" in rerun.failures[0].error
+        assert rerun.failures[0].classification == "deterministic"
+        assert _fingerprints(rerun) == _fingerprints(first)
 
 
 class TestCrash:
@@ -255,38 +282,65 @@ class TestInterrupt:
                                                     tmp_path):
         spec = load_spec(BASE)
         baseline = search(spec, tensors, workers=1)
-        path = str(tmp_path / "sweep")
+        path = str(tmp_path / "cache")
         plan.add(TARGET, "interrupt", times=1)
         with pytest.raises(KeyboardInterrupt):
             search(spec, tensors, workers=2, executor="thread",
-                   journal=path, retry_backoff=0)
-        # The run was marked interrupted, with every drained in-flight
-        # result committed to the store before the interrupt propagated.
-        assert read_status(path) == {"status": "interrupted"}
+                   cache=path, retry_backoff=0)
+        # Every drained in-flight result was committed to the store
+        # before the interrupt propagated.
         drained = len(_entries(path))
         assert drained >= 1
-        # Resume completes the sweep bit-identically (the interrupt rule
-        # is spent, so the re-evaluated candidate now prices cleanly).
-        resumed = search(spec, tensors, workers=1, resume=path)
+        # The re-run completes the sweep bit-identically (the interrupt
+        # rule is spent, so the re-evaluated candidate prices cleanly).
+        count = plan.add("accelerator", "count")
+        resumed = search(spec, tensors, workers=1, cache=path)
         assert resumed.stats["n_adopted"] == drained
+        assert plan.fired(count) == 6 - drained  # only the rest
         assert _fingerprints(resumed) == _fingerprints(baseline)
         assert resumed.best()[0] == baseline.best()[0]
-        assert read_status(path)["status"] == "complete"
 
     def test_serial_interrupt_finalizes_journal(self, plan, tensors,
                                                 tmp_path):
+        # A serial run stopped mid-sweep leaves the store consistent: a
+        # re-run adopts exactly the committed candidates, prices only
+        # the rest, and matches an uninterrupted sweep.
         spec = load_spec(BASE)
-        path = str(tmp_path / "sweep")
+        baseline = search(spec, tensors, workers=1)
+        path = str(tmp_path / "cache")
         plan.add(TARGET, "interrupt", times=1)
         with pytest.raises(KeyboardInterrupt):
-            search(spec, tensors, workers=1, journal=path)
-        assert read_status(path)["status"] == "interrupted"
+            search(spec, tensors, workers=1, cache=path)
+        committed = len(_entries(path))
+        assert 1 <= committed < 6
+        count = plan.add("accelerator", "count")
+        resumed = search(spec, tensors, workers=1, cache=path)
+        assert resumed.stats["n_adopted"] == committed
+        assert plan.fired(count) == 6 - committed
+        assert _fingerprints(resumed) == _fingerprints(baseline)
+
+    def test_serial_interrupt_commits_finished(self, plan, tensors,
+                                               tmp_path):
+        # Every result is committed as its candidate is priced: a run
+        # stopped mid-sweep leaves each finished candidate readable by
+        # any other handle (or process).
+        spec = load_spec(BASE)
+        path = str(tmp_path / "cache")
+        plan.add(TARGET, "interrupt", times=1)
+        with pytest.raises(KeyboardInterrupt):
+            search(spec, tensors, workers=1, cache=path)
+        committed = _entries(path)
+        assert 1 <= len(committed) < 6
+        store = PersistentStore(path)
+        for entry in committed:
+            key = os.path.basename(entry)[:-len(".bin")]
+            assert store.get_result(key).exec_seconds > 0
 
 
 class TestKillAndResume:
     def _drop_entries(self, path, keep):
         """Replay a mid-run kill by hand: delete every committed result
-        entry of the journal's store but ``keep``."""
+        entry of the store but ``keep``."""
         entries = _entries(path)
         assert len(entries) > keep
         for entry in entries[keep:]:
@@ -296,13 +350,13 @@ class TestKillAndResume:
                                                        tmp_path):
         spec = load_spec(BASE)
         baseline = search(spec, tensors, workers=1)
-        path = str(tmp_path / "sweep")
-        full = search(spec, tensors, workers=1, journal=path)
+        path = str(tmp_path / "cache")
+        full = search(spec, tensors, workers=1, cache=path)
         assert len(full.candidates) == 6
         self._drop_entries(path, keep=3)
 
         rule = plan.add("accelerator", "count")  # counts every evaluation
-        resumed = search(spec, tensors, workers=1, resume=path)
+        resumed = search(spec, tensors, workers=1, cache=path)
         # Only the candidates whose entries were lost were re-evaluated.
         assert resumed.stats["n_adopted"] == 3
         assert plan.fired(rule) == 3
@@ -310,36 +364,30 @@ class TestKillAndResume:
         assert resumed.best()[0] == baseline.best()[0]
         assert metrics_fingerprint(resumed.best()[1]) \
             == metrics_fingerprint(baseline.best()[1])
-        # And the resumed run is finalized with the same best.
-        status = read_status(path)
-        assert status["status"] == "complete"
-        assert status["fingerprint"] \
-            == metrics_fingerprint(baseline.best()[1])
 
     @pytest.mark.skipif(not FORK, reason="needs fork start method")
     def test_killed_sweep_resumes_bit_identically(self, plan, tensors,
                                                   tmp_path):
         spec = load_spec(BASE)
         baseline = search(spec, tensors, workers=1)
-        path = str(tmp_path / "sweep")
+        path = str(tmp_path / "cache")
         # The sweep process dies (os._exit) entering its fourth result
         # put: three candidates are committed, the fourth never is.
         kill = plan.add("store-put:results", "exit", after=3)
-        proc = multiprocessing.Process(target=_journaled_sweep,
+        proc = multiprocessing.Process(target=_cached_sweep,
                                        args=(path, tensors))
         proc.start()
         proc.join(120)
         assert proc.exitcode == 13
         assert plan.fired(kill) == 4
-        assert read_status(path) is None  # the run never finished
         assert len(_entries(path)) == 3
 
         rule = plan.add("accelerator", "count")
-        resumed = search(spec, tensors, workers=1, resume=path)
+        resumed = search(spec, tensors, workers=1, cache=path)
         assert resumed.stats["n_adopted"] == 3
         assert plan.fired(rule) == 3  # exactly the missing candidates
         assert _fingerprints(resumed) == _fingerprints(baseline)
-        assert read_status(path)["fingerprint"] \
+        assert metrics_fingerprint(resumed.best()[1]) \
             == metrics_fingerprint(baseline.best()[1])
 
     def test_pruned_sweep_resumes_phase2_bit_identically(self, plan,
@@ -347,15 +395,15 @@ class TestKillAndResume:
         spec = load_spec(BUFFERED)
         pruned = dict(workers=1, prune_to=2, prune_metrics="analytical")
         baseline = search(spec, tensors, **pruned)
-        path = str(tmp_path / "sweep")
-        full = search(spec, tensors, journal=path, **pruned)
+        path = str(tmp_path / "cache")
+        full = search(spec, tensors, cache=path, **pruned)
         assert len(full.candidates) == 2
         # The store holds only the two exact phase-2 results (analytical
         # scores are never stored); lose one of them.
         self._drop_entries(path, keep=1)
 
         rule = plan.add("accelerator", "count")
-        resumed = search(spec, tensors, resume=path, **pruned)
+        resumed = search(spec, tensors, cache=path, **pruned)
         # Phase 1 is re-priced analytically (it executes nothing), one
         # survivor is adopted, and only the lost one is re-evaluated.
         assert resumed.stats["n_adopted"] == 1
@@ -363,36 +411,45 @@ class TestKillAndResume:
         assert resumed.scores == baseline.scores
         assert _fingerprints(resumed) == _fingerprints(baseline)
 
-    def test_resume_under_different_sweep_raises(self, tensors, tmp_path):
+    def test_rerun_under_different_sweep_matches_uncached(self, tensors,
+                                                          tmp_path):
+        """Result keys are content digests, so a re-run on the same
+        store under different arguments can never adopt a wrong result:
+        a different metric re-ranks the same stored results, and a
+        different workload misses and runs cold."""
         spec = load_spec(BASE)
-        path = str(tmp_path / "sweep")
-        search(spec, tensors, workers=1, journal=path)
-        with pytest.raises(ResumeMismatchError, match="metric"):
-            search(spec, tensors, workers=1, metric="energy", resume=path)
+        path = str(tmp_path / "cache")
+        search(spec, tensors, workers=1, cache=path)
+        energy = search(spec, tensors, workers=1, metric="energy",
+                        cache=path)
+        _assert_matches_uncached(energy, spec, tensors, metric="energy")
+        assert energy.stats["n_adopted"] == 6
         other = {
             "A": uniform_random("A", ["K", "M"], (12, 10), 0.5, seed=7),
             "B": uniform_random("B", ["K", "N"], (12, 8), 0.5, seed=8),
         }
-        with pytest.raises(ResumeMismatchError, match="workloads"):
-            search(spec, other, workers=1, resume=path)
+        rerun = search(spec, other, workers=1, cache=path)
+        _assert_matches_uncached(rerun, spec, other)
+        assert rerun.stats["n_adopted"] == 0
 
-    def test_resume_against_same_shape_different_values_raises(
+    def test_rerun_against_same_shape_different_values_misses(
             self, tensors, tmp_path):
         """Same rank ids, shape, and nnz but different values is a
-        different workload: the content digest must refuse the resume
-        rather than adopt the old results."""
+        different workload: the content digest must miss rather than
+        adopt the old results."""
         spec = load_spec(BASE)
-        path = str(tmp_path / "sweep")
-        search(spec, tensors, workers=1, journal=path)
+        path = str(tmp_path / "cache")
+        search(spec, tensors, workers=1, cache=path)
         orig = tensors["A"]
         a = Tensor.from_coo("A", orig.rank_ids,
                             [(p, v + 1.0) for p, v in orig.points().items()],
                             shape=orig.shape)
         assert a.nnz == tensors["A"].nnz and a.shape == tensors["A"].shape
         assert a.points() != tensors["A"].points()
-        with pytest.raises(ResumeMismatchError, match="workloads"):
-            search(spec, {"A": a, "B": tensors["B"]}, workers=1,
-                   resume=path)
+        other = {"A": a, "B": tensors["B"]}
+        rerun = search(spec, other, workers=1, cache=path)
+        _assert_matches_uncached(rerun, spec, other)
+        assert rerun.stats["n_adopted"] == 0
 
 
 class TestEvaluateManySupervision:
@@ -431,54 +488,7 @@ class TestEvaluateManySupervision:
                           timeout=TIMEOUT, max_retries=0, retry_backoff=0)
 
 
-class TestJournalArtifacts:
-    def test_manifest_identifies_the_sweep(self, tensors, tmp_path):
-        spec = load_spec(BASE)
-        path = str(tmp_path / "sweep")
-        search(spec, tensors, workers=1, journal=path, seed=3,
-               strategy="random", samples=4)
-        manifest = json.load(open(os.path.join(path, "manifest.json")))
-        assert manifest["einsum"] == "Z"
-        assert manifest["strategy"]["name"] == "random"
-        assert manifest["strategy"]["seed"] == 3
-        assert manifest["strategy"]["samples"] == 4
-        assert len(manifest["spec_fingerprint"]) == 64
-        assert manifest["workloads"]["A"]["rank_ids"] == ["K", "M"]
-        assert manifest["store"] == "store"  # the journal's own store
-
-    def test_journal_and_resume_paths_must_agree(self, tensors, tmp_path):
-        spec = load_spec(BASE)
-        with pytest.raises(ValueError, match="different paths"):
-            search(spec, tensors, journal=str(tmp_path / "a"),
-                   resume=str(tmp_path / "b"))
-
-    @pytest.mark.parametrize("pool", [
-        dict(workers=1), dict(workers=2, executor="process")])
-    def test_journal_store_holds_results_only(self, tensors, tmp_path,
-                                              pool):
-        # No store-backed compile cache: in-process or in pool workers,
-        # the journal's own store never receives kernels.
-        spec = load_spec(BASE)
-        path = str(tmp_path / "sweep")
-        result = search(spec, tensors, journal=path, **pool)
-        assert result.stats["executor"] == pool.get("executor", "thread")
-        assert os.listdir(os.path.join(path, "store", "objects")) \
-            == ["results"]
-        assert len(_entries(path)) == 6
-
-    @pytest.mark.parametrize("kind", ["journal", "resume"])
-    def test_unkeyable_arguments_raise_up_front(self, plan, tensors,
-                                                tmp_path, kind):
-        """With a journal, a bypassed store would checkpoint nothing, so
-        arguments the store cannot key raise instead of warning."""
-        rule = plan.add("accelerator", "count")
-        with pytest.raises(ValueError, match="energy_model"):
-            search(load_spec(BASE), tensors, workers=1,
-                   energy_model=EnergyModel(),
-                   **{kind: str(tmp_path / "sweep")})
-        assert plan.fired(rule) == 0
-        assert not os.path.exists(tmp_path / "sweep")
-
+class TestArgumentChecks:
     def test_unknown_metric_raises_before_evaluating(self, plan, tensors):
         rule = plan.add("accelerator", "count")
         with pytest.raises(ValueError, match="unknown metric 'bogus'"):

@@ -9,8 +9,9 @@ change its answer:
   traced sweep's best with bit-identical metrics;
 * **analytical** — so does the pruned search whose phase 0 is the
   statistics tier (``prune_metrics="analytical"``);
-* **supervised** — a journaled sweep that loses its three newest
-  result entries resumes to the same best and fingerprint;
+* **supervised** — a cached sweep that loses its three newest result
+  entries, re-run with the same ``cache=``, re-evaluates only those
+  three and reaches the same best and fingerprint;
 * **store** — a warm sweep is served from the persistent store
   without recomputing and stays bit-identical;
 * **lint** — ``validate="strict"`` drops the degenerate-tile
@@ -21,8 +22,8 @@ import os
 
 import pytest
 
+from faults import FaultPlan
 from repro.search import MappingSpace, metrics_fingerprint, search
-from repro.search.journal import read_status
 from repro.spec import load_spec
 from repro.store import PersistentStore
 from repro.workloads import uniform_random
@@ -137,29 +138,36 @@ def test_analytical_pruned_search_finds_exhaustive_best(spec, tensors,
     assert pruned.n_scored == exhaustive.n_scored
 
 
-def test_resumed_sweep_is_bit_identical(spec, tensors, pruned, tmp_path):
-    path = str(tmp_path / "sweep")
-    journaled = search(spec, tensors, tile_sizes=TILE_SIZES,
-                       prune_to=PRUNE_TO, journal=path)
-    assert journaled.best()[0] == pruned.best()[0]
+def test_resumed_sweep_is_bit_identical(spec, tensors, pruned, tmp_path,
+                                        monkeypatch):
+    path = str(tmp_path / "cache")
+    first = search(spec, tensors, tile_sizes=TILE_SIZES,
+                   prune_to=PRUNE_TO, cache=path)
+    assert first.best()[0] == pruned.best()[0]
 
     # Lose the last committed results the way a kill would: delete the
-    # three most recently written entries of the journal's store.
-    results = os.path.join(path, "store", "objects", "results")
+    # three most recently written result entries of the store.
+    results = os.path.join(path, "objects", "results")
     entries = sorted((os.path.join(d, f)
                       for d, _, files in os.walk(results)
                       for f in files), key=os.path.getmtime)
     for entry in entries[-3:]:
         os.remove(entry)
 
-    resumed = search(spec, tensors, tile_sizes=TILE_SIZES,
-                     prune_to=PRUNE_TO, resume=path)
+    monkeypatch.setenv("REPRO_FAULT_INJECTION", "1")
+    plan = FaultPlan(str(tmp_path / "faults"))
+    os.makedirs(plan.root, exist_ok=True)
+    plan.install()
+    try:
+        count = plan.add("search-sweep", "count")  # every evaluation
+        resumed = search(spec, tensors, tile_sizes=TILE_SIZES,
+                         prune_to=PRUNE_TO, cache=path)
+        assert plan.fired(count) == 3  # exactly the lost entries
+    finally:
+        plan.uninstall()
     assert resumed.stats["n_adopted"] == len(entries) - 3 == 15
     res_p, res_r = assert_same_best(pruned, resumed)
     assert metrics_fingerprint(res_r) == metrics_fingerprint(res_p)
-    status = read_status(path)
-    assert status["status"] == "complete"
-    assert status["fingerprint"] == metrics_fingerprint(res_p)
 
 
 def test_warm_store_sweep_hits_and_is_bit_identical(spec, tensors,

@@ -3,10 +3,12 @@
 The contract under test: a cache *hit* is bit-identical to a cold run
 (same fingerprint, same action counts), incompatible arguments bypass
 the store loudly instead of mis-keying, the analytical tier never
-touches disk, and a journaled sweep with ``cache=`` checkpoints into
-that store — resume reads it back, with or without ``cache=``.
+touches disk, and a sweep re-run with the same ``cache=`` adopts what
+the store kept — a torn entry is quarantined and re-evaluated, and
+every re-evaluated candidate is published for the next re-run.
 """
 
+import json
 import os
 import warnings
 
@@ -17,8 +19,9 @@ from repro.model.backend import CompileCache, CompiledCascade
 from repro.model.evaluate import StoreBypassWarning, evaluate, evaluate_many
 from repro.search import search
 from repro.search.results import metrics_fingerprint
+from repro.search.space import apply_candidate
 from repro.spec import load_spec
-from repro.store import PersistentStore
+from repro.store import PayloadVersionError, PersistentStore
 from repro.workloads import uniform_random
 
 BASE = """
@@ -76,6 +79,16 @@ def _object_count(path):
     for _, _, files in os.walk(os.path.join(path, "objects")):
         n += len(files)
     return n
+
+
+def _entries(path, namespace="results"):
+    root = os.path.join(path, "objects", namespace)
+    return sorted(os.path.join(d, f) for d, _, files in os.walk(root)
+                  for f in files)
+
+
+def _fingerprints(result):
+    return [(c, metrics_fingerprint(res)) for c, res in result.candidates]
 
 
 class TestEvaluateThroughCache:
@@ -209,31 +222,88 @@ class TestSearchThroughCache:
         assert _object_count(cache_dir) == 0
 
 
-class TestJournalComposesWithCache:
-    def test_resume_adopts_then_hits(self, tensors, tmp_path, cache_dir):
-        import json
-
+class TestRerunThroughCache:
+    def test_resume_adopts_then_hits(self, tensors, cache_dir):
         spec = load_spec(BASE)
         baseline = search(spec, tensors, workers=1)
-        path = str(tmp_path / "sweep")
-        search(spec, tensors, workers=1, journal=path, cache=cache_dir)
-        # The journal keeps no store of its own: its manifest names the
-        # cache= store, which holds every result.
-        assert not os.path.exists(os.path.join(path, "store"))
-        manifest = json.load(open(os.path.join(path, "manifest.json")))
-        assert os.path.normpath(os.path.join(path, manifest["store"])) \
-            == os.path.normpath(cache_dir)
-
-        fp = lambda r: [(c, metrics_fingerprint(res))
-                        for c, res in r.candidates]
+        search(spec, tensors, workers=1, cache=cache_dir)
         store = PersistentStore(cache_dir)
-        resumed = search(spec, tensors, workers=1, resume=path,
-                         cache=store)
-        assert fp(resumed) == fp(baseline)
+        resumed = search(spec, tensors, workers=1, cache=store)
+        assert _fingerprints(resumed) == _fingerprints(baseline)
         assert resumed.stats["n_adopted"] == 6
         assert store.stats.hits == 6
         assert store.stats.puts == 0
-        # Without cache=, resume reads the store the manifest names.
-        again = search(spec, tensors, workers=1, resume=path)
-        assert fp(again) == fp(baseline)
+
+    def test_torn_entry_is_quarantined_and_healed(self, tensors,
+                                                  cache_dir):
+        spec = load_spec(BASE)
+        baseline = search(spec, tensors, workers=1)
+        search(spec, tensors, workers=1, cache=cache_dir)
+        entry = _entries(cache_dir)[0]
+        blob = open(entry, "rb").read()
+        open(entry, "wb").write(blob[: len(blob) - 17])
+        rerun = search(spec, tensors, workers=1, cache=cache_dir)
+        assert rerun.stats["n_adopted"] == 5
+        assert _fingerprints(rerun) == _fingerprints(baseline)
+        quarantine = os.listdir(os.path.join(cache_dir, "quarantine"))
+        assert len(quarantine) == 2  # the torn bytes plus a .reason
+        assert len(_entries(cache_dir)) == 6  # healed by the re-run
+
+    def test_reevaluated_candidates_are_published(self, tensors,
+                                                  cache_dir):
+        spec = load_spec(BASE)
+        search(spec, tensors, workers=1, cache=cache_dir)
+        for entry in _entries(cache_dir)[:2]:
+            os.remove(entry)
+        rerun = search(spec, tensors, workers=1, cache=cache_dir)
+        assert rerun.stats["n_adopted"] == 4
+        # The re-evaluated candidates were published to the same store,
+        # so the next re-run adopts everything.
+        assert len(_entries(cache_dir)) == 6
+        again = search(spec, tensors, workers=1, cache=cache_dir)
         assert again.stats["n_adopted"] == 6
+
+    def test_results_round_trip_through_a_fresh_handle(self, tensors,
+                                                       cache_dir):
+        spec = load_spec(BASE)
+        result = search(spec, tensors, workers=1, cache=cache_dir)
+        store = PersistentStore(cache_dir)
+        for cand, res in result.candidates:
+            key = store.result_key(apply_candidate(spec, "Z", cand),
+                                   tensors, "auto", "arithmetic", None)
+            stored = store.get_result(key)
+            assert metrics_fingerprint(stored) == metrics_fingerprint(res)
+
+    def test_rerun_names_a_foreign_protocol(self, tensors, cache_dir):
+        # Each store entry stamps its own pickle protocol; a payload
+        # this interpreter cannot unpickle raises the named error.
+        from repro.store.persistent import ENTRY_MAGIC
+
+        spec = load_spec(BASE)
+        search(spec, tensors, workers=1, cache=cache_dir)
+        entry = _entries(cache_dir)[0]
+        blob = open(entry, "rb").read()
+        start = len(ENTRY_MAGIC) + 8
+        size = int.from_bytes(blob[len(ENTRY_MAGIC):start], "big")
+        meta = json.loads(blob[start:start + size])
+        meta["pickle_protocol"] = 99
+        header = json.dumps(meta).encode()
+        open(entry, "wb").write(ENTRY_MAGIC + len(header).to_bytes(8, "big")
+                                + header + blob[start + size:])
+        with pytest.raises(PayloadVersionError, match="protocol 99"):
+            search(spec, tensors, workers=1, cache=cache_dir)
+
+
+class TestDurabilityPolicy:
+    def test_default_syncs_every_append(self, tensors, cache_dir,
+                                        monkeypatch):
+        import repro.store.persistent as persistent
+
+        syncs = []
+        real_fsync = persistent.os.fsync
+        monkeypatch.setattr(persistent.os, "fsync",
+                            lambda fd: syncs.append(real_fsync(fd)))
+        search(load_spec(BASE), tensors, workers=1, cache=cache_dir)
+        # One per committed entry, in every namespace (results and the
+        # store-backed compile cache's kernels alike).
+        assert len(syncs) == _object_count(cache_dir) >= 6 + 1
