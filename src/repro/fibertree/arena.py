@@ -33,11 +33,20 @@ those loops.
 :class:`FlatFiberView` offers a cheap, read-only fiber-shaped view over an
 arena span for inspection and interop.
 
+An arena is also the primary storage of a
+:class:`~repro.fibertree.tensor.Tensor` built from points
+(:meth:`~repro.fibertree.tensor.Tensor.from_points`):
+:func:`levels_from_sorted` derives its levels from the run boundaries of
+sorted coordinate columns, :meth:`FlatArena.from_tensor` returns that
+stored arena without a tree walk, and :meth:`to_fiber` builds the boxed
+tree only when something asks for ``tensor.root``.
+
 The kernels receive their operands already prepared:
-:func:`repro.fibertree.prepare.prepare_arena` flattens a source tensor
-once and applies the rank-order swizzle and every prep step (swizzle,
+:func:`repro.fibertree.prepare.prepare_arena` starts from a tensor's
+arena and applies the rank-order swizzle and every prep step (swizzle,
 splits, flatten) as column operations on these buffers, so no prepared
-fibertree is ever built on the arena path.
+fibertree is ever built on the arena path.  Arenas are never mutated
+after construction, so tensors, copies and caches share them freely.
 """
 
 from __future__ import annotations
@@ -45,12 +54,15 @@ from __future__ import annotations
 import bisect
 from array import array
 from itertools import repeat
-from typing import Any, Iterator, List, Optional, Tuple
+from operator import ne
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .fiber import Fiber
-from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .tensor import Tensor
 
 #: dtype of integer coordinate and segment buffers.
 COORD_DTYPE = np.int64
@@ -93,6 +105,70 @@ def _as_list(buf) -> list:
     if isinstance(buf, np.ndarray):
         return buf.tolist()
     return list(buf)
+
+
+def _gather(buf, idx: np.ndarray):
+    """``buf`` gathered at positions ``idx`` (ndarray or list, kept)."""
+    if isinstance(buf, np.ndarray):
+        return buf[idx]
+    return list(map(buf.__getitem__, idx.tolist()))
+
+
+def _changes(col) -> np.ndarray:
+    """Bool mask: position ``i`` differs from position ``i - 1`` (the
+    first position always counts as a change)."""
+    out = np.ones(len(col), dtype=bool)
+    if len(col) > 1:
+        if isinstance(col, np.ndarray):
+            np.not_equal(col[1:], col[:-1], out=out[1:])
+        else:
+            out[1:] = list(map(ne, col[1:], col[:-1]))
+    return out
+
+
+def _seg_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=COORD_DTYPE)
+
+
+def levels_from_sorted(cols: list) -> Tuple[list, list, list]:
+    """``(coords, segs, ranges)`` of the tree whose leaves are the rows
+    of ``cols``: leaf-aligned coordinate columns (ndarrays or lists),
+    one per level, sorted and unique as rows.  An element of level
+    ``d`` starts wherever any of columns ``0..d`` changes; the fibers
+    carry no windows."""
+    coords: list = []
+    segs: list = []
+    ranges: list = []
+    starts = changed = None
+    for col in cols:
+        change = _changes(col)
+        changed = change if changed is None else changed | change
+        below = np.flatnonzero(changed)
+        if starts is None:
+            seg = _seg_array([0, len(below)])
+        else:
+            seg = _seg_array(np.searchsorted(below, np.append(
+                starts, len(col))))
+        ranges.append([None] * (len(seg) - 1))
+        coords.append(_gather(col, below))
+        segs.append(seg)
+        starts = below
+    return coords, segs, ranges
+
+
+def level_columns(coords: list, segs: list, top: int, bottom: int) -> list:
+    """Coordinate columns of levels ``top..bottom`` aligned with the
+    elements of ``bottom`` (a sorted COO of that slice of the tree)."""
+    cols = [coords[bottom]]
+    anc = None
+    for level in range(bottom, top, -1):
+        # Per element of ``level``, the position of its parent element.
+        owners = np.repeat(np.arange(len(coords[level - 1])),
+                           np.diff(segs[level]))
+        anc = owners if anc is None else owners[anc]
+        cols.append(_gather(coords[level - 1], anc))
+    cols.reverse()
+    return cols
 
 
 class FlatArena:
@@ -168,6 +244,10 @@ class FlatArena:
 
     @classmethod
     def from_tensor(cls, tensor: Tensor) -> "FlatArena":
+        """The tensor's stored arena, or its boxed tree flattened."""
+        arena = tensor.stored_arena
+        if arena is not None:
+            return arena
         return cls.from_fiber(tensor.root, tensor.num_ranks)
 
     # ------------------------------------------------------------------
@@ -179,6 +259,10 @@ class FlatArena:
 
     def num_fibers(self, level: int) -> int:
         return len(self.segs[level]) - 1
+
+    def columns(self) -> list:
+        """Leaf-aligned coordinate columns, one per level, in tree order."""
+        return level_columns(self.coords, self.segs, 0, self.depth - 1)
 
     def span(self, level: int, fiber: int) -> Tuple[int, int]:
         """The [lo, hi) positions fiber ``fiber`` owns within level ``level``."""
@@ -284,23 +368,29 @@ class FlatArena:
     # Conversion back to boxed fibers
     # ------------------------------------------------------------------
     def to_fiber(self) -> Fiber:
-        """Rebuild the boxed :class:`Fiber` tree (inverse of ``from_fiber``)."""
+        """Rebuild the boxed :class:`Fiber` tree (inverse of ``from_fiber``).
+
+        Builds bottom-up, one level at a time.  :meth:`validate` has
+        already checked every span sorted and unique, so the fibers skip
+        the constructor's ordering check."""
         self.validate()
-        coords_l, segs_l, vals_l = self.scalar_buffers()
-
-        def build(level: int, fiber: int) -> Fiber:
+        coords_l, segs_l, payloads = self.scalar_buffers()
+        for level in range(self.depth - 1, -1, -1):
             seg = segs_l[level]
-            lo, hi = seg[fiber], seg[fiber + 1]
-            cs = coords_l[level][lo:hi]
-            if level == self.depth - 1:
-                ps: List[Any] = vals_l[lo:hi]
-            else:
-                ps = [build(level + 1, p) for p in range(lo, hi)]
-            return Fiber(cs, ps, coord_range=self.ranges[level][fiber])
-
-        return build(0, 0)
+            cs = coords_l[level]
+            fibers = []
+            for lo, hi, window in zip(seg, seg[1:], self.ranges[level]):
+                fiber = Fiber.__new__(Fiber)
+                fiber.coords = cs[lo:hi]
+                fiber.payloads = payloads[lo:hi]
+                fiber.coord_range = window
+                fibers.append(fiber)
+            payloads = fibers
+        return payloads[0]
 
     def to_tensor(self, name: str, rank_ids, shape=None) -> Tensor:
+        from .tensor import Tensor
+
         return Tensor(name, list(rank_ids), self.to_fiber(), shape)
 
     def root_view(self) -> "FlatFiberView":

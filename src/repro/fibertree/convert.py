@@ -2,6 +2,8 @@
 
 These are the bridges used by tests (to validate kernel outputs against dense
 references) and by workload loaders (to ingest scipy sparse matrices).
+``scipy.sparse`` is imported by the converters that need it, not at module
+import: most of the library never touches it.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .arena import COORD_DTYPE, VALUE_DTYPE, FlatArena
 from .tensor import Tensor
@@ -67,6 +68,8 @@ def tensor_from_scipy(name: str, rank_ids: Sequence[str], matrix) -> Tensor:
     directly into flat arena levels (no per-point sorting), and the boxed
     fibertree is rebuilt from the arena.
     """
+    import scipy.sparse as sp
+
     if len(rank_ids) != 2:
         raise ValueError("scipy sparse matrices are 2-dimensional")
     csr = sp.csr_matrix(matrix)
@@ -83,6 +86,8 @@ def arena_from_scipy(matrix) -> FlatArena:
     rows, splits explicit zeros out, and repacks the CSR buffers as
     arena levels.
     """
+    import scipy.sparse as sp
+
     csr = sp.csr_matrix(matrix)
     csr.sum_duplicates()
     csr.eliminate_zeros()
@@ -106,6 +111,8 @@ def arena_from_scipy(matrix) -> FlatArena:
 
 def arena_to_scipy(arena: FlatArena, shape: Optional[Sequence[int]] = None):
     """Materialize a 2-level arena as a scipy CSR matrix."""
+    import scipy.sparse as sp
+
     if arena.depth != 2:
         raise ValueError("only 2-level arenas convert to scipy matrices")
     row_coords = np.asarray(arena.coords[0], dtype=COORD_DTYPE)
@@ -121,8 +128,10 @@ def arena_to_scipy(arena: FlatArena, shape: Optional[Sequence[int]] = None):
     return sp.csr_matrix((vals, (rows, cols)), shape=tuple(shape))
 
 
-def tensor_to_scipy(tensor: Tensor) -> sp.csr_matrix:
+def tensor_to_scipy(tensor: Tensor):
     """Materialize a 2-rank fibertree as a scipy CSR matrix."""
+    import scipy.sparse as sp
+
     if tensor.num_ranks != 2:
         raise ValueError("only 2-rank tensors convert to scipy matrices")
     rows, cols, data = [], [], []

@@ -1,8 +1,8 @@
 """Columnar tensor preparation: prep steps applied straight to arena levels.
 
 :func:`prepare_arena` produces the :class:`~repro.fibertree.arena.FlatArena`
-of a prepared tensor without building the prepared fibertree.  It flattens
-the source tree once into per-level buffers and applies TeAAL's
+of a prepared tensor without building the prepared fibertree.  It starts
+from the source tensor's per-level buffers and applies TeAAL's
 content-preserving transformations (paper section 3.2) as column
 operations on them:
 
@@ -15,6 +15,14 @@ operations on them:
 * a **flatten** zips the coordinates of adjacent levels into tuples and
   composes their segment pointers.
 
+A tensor built from points already stores those buffers
+(:meth:`~repro.fibertree.tensor.Tensor.from_points`), so nothing walks a
+tree; with no swizzle and no prep step the stored arena itself comes
+back, and its memoized
+:meth:`~repro.fibertree.arena.FlatArena.scalar_buffers` views survive
+from one evaluation to the next.  A tensor whose boxed tree is
+authoritative is flattened once first.
+
 The result is field-for-field the arena of the boxed route,
 ``arena_from_tensor(prepare_tensor(tensor, rank_order, prep))`` —
 coordinate and value buffer types, segments, and the per-fiber
@@ -26,13 +34,12 @@ as the boxed transforms do).  The differential suite
 from __future__ import annotations
 
 from itertools import chain
-from operator import ne
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from .arena import COORD_DTYPE, FlatArena, _as_list, _coord_buffer, \
-    _value_buffer
+from .arena import FlatArena, _as_list, _changes, _coord_buffer, _gather, \
+    _seg_array, _value_buffer, level_columns, levels_from_sorted
 from .rankid import flatten_name, split_names
 from .tensor import Tensor
 
@@ -43,7 +50,10 @@ def prepare_arena(tensor: Tensor, rank_order: Sequence[str],
     ``rank_order`` and the IR's ``prep_steps`` (objects with ``kind``,
     ``rank``, ``ranks`` and ``sizes``, as :class:`repro.ir.nodes.PrepStep`).
     """
-    levels = _Levels(tensor)
+    arena = FlatArena.from_tensor(tensor)
+    if list(rank_order) == tensor.rank_ids and not prep_steps:
+        return arena
+    levels = _Levels(tensor, arena)
     if list(rank_order) != levels.rank_ids:
         levels.swizzle(rank_order)
     for step in prep_steps:
@@ -60,36 +70,12 @@ def prepare_arena(tensor: Tensor, rank_order: Sequence[str],
     return levels.arena()
 
 
-def _gather(buf, idx: np.ndarray):
-    """``buf`` gathered at positions ``idx`` (ndarray or list, kept)."""
-    if isinstance(buf, np.ndarray):
-        return buf[idx]
-    return list(map(buf.__getitem__, idx.tolist()))
-
-
-def _changes(col) -> np.ndarray:
-    """Bool mask: position ``i`` differs from position ``i - 1`` (the
-    first position always counts as a change)."""
-    out = np.ones(len(col), dtype=bool)
-    if len(col) > 1:
-        if isinstance(col, np.ndarray):
-            np.not_equal(col[1:], col[:-1], out=out[1:])
-        else:
-            out[1:] = list(map(ne, col[1:], col[:-1]))
-    return out
-
-
-def _seg_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=COORD_DTYPE)
-
-
 class _Levels:
     """A tensor's arena buffers under transformation, plus its rank ids
     and shape (the bookkeeping :class:`Tensor` does for the boxed
     transforms)."""
 
-    def __init__(self, tensor: Tensor):
-        arena = FlatArena.from_tensor(tensor)
+    def __init__(self, tensor: Tensor, arena: FlatArena):
         self.rank_ids: List[str] = list(tensor.rank_ids)
         self.shape: List[Optional[int]] = list(tensor.shape)
         self.coords: List[Any] = list(arena.coords)
@@ -105,25 +91,6 @@ class _Levels:
         return FlatArena(len(coords), coords, self.segs, vals, self.ranges)
 
     # ------------------------------------------------------------------
-    def _owners(self, level: int) -> np.ndarray:
-        """Per element of ``level``, the position of its parent element
-        in ``level - 1``."""
-        parents = len(self.coords[level - 1])
-        return np.repeat(np.arange(parents), np.diff(self.segs[level]))
-
-    def _columns(self, top: int, bottom: int) -> list:
-        """Coordinate columns of levels ``top..bottom`` aligned with the
-        elements of ``bottom`` (a sorted COO of that slice of the tree)."""
-        cols = [self.coords[bottom]]
-        anc = None
-        for level in range(bottom, top, -1):
-            owners = self._owners(level)
-            anc = owners if anc is None else owners[anc]
-            cols.append(_gather(self.coords[level - 1], anc))
-        cols.reverse()
-        return cols
-
-    # ------------------------------------------------------------------
     def swizzle(self, new_rank_ids: Sequence[str]) -> None:
         new = list(new_rank_ids)
         if sorted(new) != sorted(self.rank_ids):
@@ -134,7 +101,7 @@ class _Levels:
         if new == self.rank_ids:
             return  # the boxed swizzle copies: content and windows kept
         perm = [self.rank_ids.index(r) for r in new]
-        cols = self._columns(0, len(self.coords) - 1)
+        cols = level_columns(self.coords, self.segs, 0, len(self.coords) - 1)
         keys = [cols[i] for i in perm]
         if all(isinstance(k, np.ndarray) for k in keys):
             order = np.lexsort(keys[::-1])
@@ -142,31 +109,11 @@ class _Levels:
             rows = list(zip(*map(_as_list, keys)))
             order = np.array(sorted(range(len(rows)), key=rows.__getitem__),
                              dtype=np.intp)
-        self._from_sorted([_gather(k, order) for k in keys],
-                          _gather(self.vals, order))
+        self.coords, self.segs, self.ranges = levels_from_sorted(
+            [_gather(k, order) for k in keys])
+        self.vals = _gather(self.vals, order)
         self.rank_ids = new
         self.shape = [self.shape[i] for i in perm]
-
-    def _from_sorted(self, cols: list, vals) -> None:
-        """Rebuild every level from sorted, unique leaf-aligned columns:
-        an element of level ``d`` starts wherever any of columns
-        ``0..d`` changes.  Swizzled trees carry no windows."""
-        self.coords, self.segs, self.ranges = [], [], []
-        starts = changed = None
-        for col in cols:
-            change = _changes(col)
-            changed = change if changed is None else changed | change
-            below = np.flatnonzero(changed)
-            if starts is None:
-                seg = _seg_array([0, len(below)])
-            else:
-                seg = _seg_array(np.searchsorted(below, np.append(
-                    starts, len(col))))
-            self.ranges.append([None] * (len(seg) - 1))
-            self.coords.append(_gather(col, below))
-            self.segs.append(seg)
-            starts = below
-        self.vals = vals
 
     # ------------------------------------------------------------------
     def split(self, rank: str, sizes: Sequence[int], split_level) -> None:
@@ -252,7 +199,7 @@ class _Levels:
                 f"ranks {ranks} are not adjacent (in order) in "
                 f"{self.rank_ids}"
             )
-        cols = self._columns(top, bottom)
+        cols = level_columns(self.coords, self.segs, top, bottom)
         # Only list-stored levels can hold tuples (earlier flattens).
         nested = any(isinstance(c, tuple) for col in cols
                      if not isinstance(col, np.ndarray) for c in col)

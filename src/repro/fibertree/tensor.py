@@ -1,19 +1,49 @@
 """Tensors represented as named fibertrees (paper section 2.1).
 
-A :class:`Tensor` couples a root :class:`~repro.fibertree.fiber.Fiber` with a
-rank order (list of rank names, top to bottom of the tree) and a per-rank
-shape.  All of TeAAL's content-preserving transformations — rank swizzling,
-partitioning, and flattening — are methods here; each returns a new tensor and
-leaves the receiver unchanged.
+A :class:`Tensor` couples a fibertree with a rank order (list of rank
+names, top to bottom of the tree) and a per-rank shape.  All of TeAAL's
+content-preserving transformations — rank swizzling, partitioning, and
+flattening — are methods here; each returns a new tensor and leaves the
+receiver unchanged.
+
+The fibertree is an abstraction; its storage is one of two layouts:
+
+* **Columns.**  :meth:`Tensor.from_points` (and so :meth:`Tensor.from_coo`,
+  every workload generator and every arena-kernel output) stores a
+  :class:`~repro.fibertree.arena.FlatArena` built with one numpy
+  ``lexsort`` over the coordinate columns, whenever every coordinate is a
+  plain ``int`` that fits int64 and every value a plain ``float``.
+  ``nnz``, :meth:`~Tensor.leaves`, :meth:`~Tensor.points` and
+  :meth:`~Tensor.copy` read the columns (a copy shares the arena), and
+  :meth:`FlatArena.from_tensor <repro.fibertree.arena.FlatArena.from_tensor>`
+  hands the arena to the kernels with no tree walk.
+* **A boxed tree.**  Any other points (tuple coordinates; int, bool or
+  ``np.float64`` values; none at all), and every tensor constructed from
+  a root :class:`~repro.fibertree.fiber.Fiber`, store the tree itself.
+
+:attr:`Tensor.root` is the boxed view either way.  On a column-backed
+tensor the first access builds the tree
+(:meth:`~repro.fibertree.arena.FlatArena.to_fiber`) and drops the
+columns, so from then on the tree is authoritative and a caller who
+mutates it is never shadowed by stale columns.  The build is
+thread-safe: search workers share input tensors.
 """
 
 from __future__ import annotations
 
+import threading
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .arena import COORD_DTYPE, VALUE_DTYPE, FlatArena, levels_from_sorted
 from .fiber import Fiber
 from .rankid import flatten_name, split_names
+
+#: Serializes the one-time tree builds of column-backed tensors.
+_ROOT_LOCK = threading.Lock()
 
 
 class Tensor:
@@ -35,7 +65,8 @@ class Tensor:
             raise ValueError(f"duplicate rank ids in {list(rank_ids)}")
         self.name = name
         self.rank_ids = list(rank_ids)
-        self.root = root if root is not None else Fiber()
+        self._root: Optional[Fiber] = root if root is not None else Fiber()
+        self._arena: Optional[FlatArena] = None
         if shape is None:
             self.shape: List[Optional[int]] = [None] * len(self.rank_ids)
         else:
@@ -45,6 +76,48 @@ class Tensor:
                 f"shape length {len(self.shape)} does not match "
                 f"rank count {len(self.rank_ids)}"
             )
+
+    @classmethod
+    def _columnar(cls, name, rank_ids, arena: FlatArena, shape) -> "Tensor":
+        """A tensor stored as ``arena`` (never mutated: copies share it)."""
+        tensor = cls(name, rank_ids, None, shape)
+        tensor._root = None
+        tensor._arena = arena
+        return tensor
+
+    def __setstate__(self, state: dict) -> None:
+        if "root" in state:  # pickled before tensors stored columns
+            state["_root"] = state.pop("root")
+            state["_arena"] = None
+        self.__dict__.update(state)
+
+    # ------------------------------------------------------------------
+    # Storage
+    # ------------------------------------------------------------------
+    @property
+    def root(self) -> Fiber:
+        """The boxed fibertree, built on first access from the columns."""
+        root = self._root
+        if root is None:
+            with _ROOT_LOCK:
+                root = self._root
+                if root is None:
+                    root = self._arena.to_fiber()
+                    self._root = root  # published before the columns go
+                    self._arena = None
+        return root
+
+    @root.setter
+    def root(self, root: Fiber) -> None:
+        with _ROOT_LOCK:
+            self._root = root
+            self._arena = None
+
+    @property
+    def stored_arena(self) -> Optional[FlatArena]:
+        """The arena the tensor is stored as, or ``None`` once (or
+        whenever) its boxed tree is authoritative."""
+        return self._arena
 
     # ------------------------------------------------------------------
     # Construction
@@ -82,8 +155,13 @@ class Tensor:
         """Build a tensor from a ``{point: value}`` mapping in one pass.
 
         The points are sorted once and zero values dropped; each point
-        must have one coordinate per rank.
+        must have one coordinate per rank.  Plain-int coordinates and
+        plain-float values are stored as columns, anything else as a
+        boxed tree (see the module docs).
         """
+        arena = _arena_from_points(points, len(rank_ids))
+        if arena is not None:
+            return cls._columnar(name, rank_ids, arena, shape)
         if 0 in points.values():  # rare: filter only when a zero is present
             points = {p: v for p, v in points.items() if v != 0}
         root = _build_from_sorted(sorted(points.items()), len(rank_ids))
@@ -118,13 +196,20 @@ class Tensor:
     @property
     def nnz(self) -> int:
         """Number of stored scalar values."""
+        arena = self._arena
+        if arena is not None:
+            return arena.nnz
         return self.root.count_leaves()
 
     def leaves(self) -> Iterator[Tuple[tuple, Any]]:
         """Yield (point, value) for every stored scalar."""
         if self.num_ranks == 0:
             return iter(())
-        return self.root.leaves()
+        arena = self._arena
+        if arena is None:
+            return self.root.leaves()
+        cols = [c.tolist() for c in arena.columns()]
+        return zip(zip(*cols), arena.vals.tolist())
 
     def points(self) -> Dict[tuple, Any]:
         """All stored scalars as a {point: value} dict (flattened coords kept)."""
@@ -149,15 +234,25 @@ class Tensor:
                 return default
         return node
 
+    def _tree(self) -> Fiber:
+        """The boxed tree, built without changing the storage."""
+        arena = self._arena
+        return self.root if arena is None else arena.to_fiber()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.rank_ids == other.rank_ids and self.root == other.root
+        return self.rank_ids == other.rank_ids and \
+            self._tree() == other._tree()
 
     def __repr__(self) -> str:
         return f"Tensor({self.name!r}, rank_ids={self.rank_ids}, nnz={self.nnz})"
 
     def copy(self, name: Optional[str] = None) -> "Tensor":
+        arena = self._arena
+        if arena is not None:
+            return Tensor._columnar(name or self.name, list(self.rank_ids),
+                                    arena, list(self.shape))
         return Tensor(
             name or self.name, list(self.rank_ids), self.root.copy(), list(self.shape)
         )
@@ -296,6 +391,37 @@ class Tensor:
 # ----------------------------------------------------------------------
 # Internal helpers
 # ----------------------------------------------------------------------
+def _arena_from_points(points: Dict[tuple, Any],
+                       num_ranks: int) -> Optional[FlatArena]:
+    """The arena of ``from_points``'s tree, or ``None`` unless every
+    point has ``num_ranks`` plain-int coordinates that fit int64 and
+    every value is a plain float (the types the arena's columns hold
+    without changing what ``leaves()`` yields)."""
+    if not points or num_ranks == 0:
+        return None
+    if set(map(type, points.values())) != {float}:
+        return None
+    keys = list(points)
+    if set(map(type, keys)) != {tuple} or \
+            set(map(len, keys)) != {num_ranks} or \
+            set(map(type, chain.from_iterable(keys))) != {int}:
+        return None
+    try:
+        flat = np.fromiter(chain.from_iterable(keys), dtype=COORD_DTYPE,
+                           count=len(keys) * num_ranks)
+    except OverflowError:
+        return None
+    vals = np.fromiter(points.values(), dtype=VALUE_DTYPE, count=len(keys))
+    rows = flat.reshape(len(keys), num_ranks)
+    keep = vals != 0  # drops 0.0 and -0.0, as the boxed route does
+    if not keep.all():
+        rows, vals = rows[keep], vals[keep]
+    cols = [rows[:, d] for d in range(num_ranks)]
+    order = np.lexsort(cols[::-1])
+    coords, segs, ranges = levels_from_sorted([c[order] for c in cols])
+    return FlatArena(num_ranks, coords, segs, vals[order], ranges)
+
+
 def _build_from_sorted(items: List[Tuple[tuple, Any]], num_ranks: int) -> Fiber:
     """Build a fibertree from sorted, de-duplicated (point, value) pairs.
 

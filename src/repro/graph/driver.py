@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from ..fibertree import Fiber, Tensor
+from ..fibertree import Tensor
 from ..model import PrepCache, resolve_backend
 # ``execute_cascade`` is unused here but stays importable from this
 # module: profiling tools wrap the interpreter's entry point by name.
@@ -70,9 +70,8 @@ class ConvergenceError(RuntimeError):
 
 def _vector_named(name: str, rank: str, values: Dict[int, float],
                   shape: int) -> Tensor:
-    coords = sorted(values)
-    return Tensor(name, [rank], Fiber(coords, [values[c] for c in coords]),
-                  [shape])
+    return Tensor.from_points(name, [rank],
+                              {(c,): v for c, v in values.items()}, [shape])
 
 
 # Properties are stored with a +1 offset so a zero *distance* (the source)

@@ -65,6 +65,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..einsum.ast import Access, Add, Expr, Mul, Take
+from ..fibertree.arena import FlatArena
 from ..fibertree.rankid import flatten_name, rank_of_var, split_names
 from ..fibertree.tensor import Tensor
 from ..ir.builder import build_cascade_ir
@@ -159,9 +160,12 @@ class TensorStats:
     def from_tensor(cls, tensor: Tensor) -> "TensorStats":
         """Measured statistics: exact subset-distinct counts."""
         shape = []
-        points = list(tensor.points())
-        arr = (np.asarray(points, dtype=np.int64)
-               if points else np.zeros((0, tensor.num_ranks), dtype=np.int64))
+        arr = np.zeros((0, tensor.num_ranks), dtype=np.int64)
+        if tensor.num_ranks:
+            cols = FlatArena.from_tensor(tensor).columns()
+            if len(cols[0]):
+                arr = np.column_stack(
+                    [np.asarray(col, dtype=np.int64) for col in cols])
         for d, extent in enumerate(tensor.shape):
             if extent is None:
                 extent = int(arr[:, d].max()) + 1 if len(arr) else 1

@@ -26,8 +26,19 @@ class RankStats:
 
 
 def tensor_rank_stats(tensor: Tensor) -> Dict[str, RankStats]:
-    """Count elements and fibers per rank of a stored tensor."""
+    """Count elements and fibers per rank of a stored tensor (from the
+    level sizes of a column-backed tensor's arena, with no tree)."""
     stats = {rank: RankStats() for rank in tensor.rank_ids}
+    arena = tensor.stored_arena
+    if arena is not None:
+        for depth, (rank, shape) in enumerate(zip(tensor.rank_ids,
+                                                  tensor.shape)):
+            s = stats[rank]
+            s.fibers = arena.num_fibers(depth)
+            s.elements = len(arena.coords[depth])
+            s.shape_slots = s.elements if shape is None else \
+                s.fibers * shape
+        return stats
 
     def walk(fiber: Fiber, depth: int) -> None:
         rank = tensor.rank_ids[depth]

@@ -69,7 +69,6 @@ from ..store.persistent import (
     _FileLock,
     entry_meta,
     read_entry,
-    tensor_digest,
     write_entry,
 )
 from .results import SearchResult, check_metric, metric_value
@@ -114,23 +113,6 @@ def candidate_from_json(data: Dict[str, Any]) -> Candidate:
         tuple(data["loop_order"]),
         tuple((rank, int(size)) for rank, size in data["tiles"]),
     )
-
-
-def tensor_fingerprint(tensor) -> Dict[str, Any]:
-    """The identity of one workload tensor: its content digest
-    (:func:`~repro.store.persistent.tensor_digest`, the key the result
-    store uses), plus rank ids, shape, and nonzero count for the audit
-    trail."""
-    return {
-        "rank_ids": list(tensor.rank_ids),
-        "shape": [None if s is None else int(s) for s in tensor.shape],
-        "nnz": int(tensor.nnz),
-        "digest": tensor_digest(tensor),
-    }
-
-
-def workloads_fingerprint(tensors: Dict[str, Any]) -> Dict[str, Any]:
-    return {name: tensor_fingerprint(t) for name, t in sorted(tensors.items())}
 
 
 def atomic_json(path: str, obj: Any, fsync: bool = True) -> None:
@@ -255,7 +237,6 @@ def submit(
         "format_version": FORMAT_VERSION,
         "pickle_protocol": PICKLE_PROTOCOL,
         "spec_fingerprint": spec_fingerprint(spec),
-        "workloads": workloads_fingerprint(dict(tensors)),
         "einsum": name,
         "metric": metric,
         "metrics": metrics,

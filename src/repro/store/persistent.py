@@ -69,6 +69,9 @@ import struct
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from ..fibertree.arena import FlatArena
 from ..model.executor import fault_point
 
 #: Store layout version; bump on incompatible entry/layout changes.
@@ -77,20 +80,28 @@ STORE_FORMAT_VERSION = 1
 #: Fixed magic prefix of every entry file.
 ENTRY_MAGIC = b"RPSTORE1"
 
-#: The pickle protocol used to *fingerprint* tensors (fixed, so keys
-#: stay stable across interpreter versions; payloads themselves use
-#: ``pickle.HIGHEST_PROTOCOL`` and stamp it in their header).
-FINGERPRINT_PICKLE_PROTOCOL = 4
-
 
 def tensor_digest(tensor) -> str:
-    """The content digest of one workload tensor: SHA-256 of its pickle
-    at :data:`FINGERPRINT_PICKLE_PROTOCOL`.  The one tensor identity
-    every durable artifact keys on — result-store entries and job
-    manifests — so equal digests mean equal contents."""
-    return hashlib.sha256(
-        pickle.dumps(tensor, protocol=FINGERPRINT_PICKLE_PROTOCOL)
-    ).hexdigest()
+    """The content digest of one workload tensor: SHA-256 over its name,
+    rank ids and shape and the buffers of its
+    :class:`~repro.fibertree.arena.FlatArena` — dtype and bytes of each
+    numpy buffer, the ``repr`` of each list buffer, then the per-fiber
+    windows.  Result-store entries key on it, so equal digests mean
+    equal contents whichever way the tensor is stored (columns or a
+    boxed tree), and reading ``tensor.root`` never changes it."""
+    h = hashlib.sha256()
+    h.update(repr((tensor.name, list(tensor.rank_ids),
+                   list(tensor.shape))).encode())
+    if tensor.num_ranks:
+        arena = FlatArena.from_tensor(tensor)
+        for buf in (*arena.coords, *arena.segs, arena.vals):
+            if isinstance(buf, np.ndarray):
+                h.update(f"|{buf.dtype.str}:{len(buf)}|".encode())
+                h.update(np.ascontiguousarray(buf).tobytes())
+            else:
+                h.update(f"|list:{len(buf)}|{buf!r}".encode())
+        h.update(repr(arena.ranges).encode())
+    return h.hexdigest()
 
 
 #: Sentinel distinguishing "no entry" from a stored ``None``.

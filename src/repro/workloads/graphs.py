@@ -3,18 +3,21 @@
 Graphs are adjacency matrices ``G[d, s]`` (destination, source) on the
 fibertree substrate, generated from the Table 4 graph stand-ins or from
 networkx generators.  Edge weights are positive integers so SSSP has
-non-trivial shortest paths.
+non-trivial shortest paths.  ``networkx`` is imported only by the generator
+that calls it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..fibertree import Tensor
 from .datasets import TABLE4
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def adjacency_from_dataset(key: str, seed: int = 0,
@@ -50,6 +53,8 @@ def adjacency_from_networkx(graph: "nx.Graph", weighted: bool = True,
 def random_graph(n: int = 200, avg_degree: float = 8.0, seed: int = 0,
                  weighted: bool = True) -> Tensor:
     """A scale-free-ish random digraph as an adjacency tensor."""
+    import networkx as nx
+
     m = max(1, int(avg_degree / 2))
     g = nx.barabasi_albert_graph(n, m, seed=seed)
     return adjacency_from_networkx(g, weighted=weighted, seed=seed)

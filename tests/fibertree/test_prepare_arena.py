@@ -57,8 +57,20 @@ def assert_same_arena(got, want):
 
 
 def check(tensor, rank_order, prep):
+    # Columns first: the boxed route's transforms read ``tensor.root``,
+    # which switches a column-backed tensor to its tree.
+    got = prepare_arena(tensor, rank_order, prep)
     want = arena_from_tensor(prepare_tensor(tensor, rank_order, prep))
-    assert_same_arena(prepare_arena(tensor, rank_order, prep), want)
+    assert_same_arena(got, want)
+
+
+def both_storages(tensor):
+    """``tensor`` (column-backed, as ``from_coo`` builds it) and a twin
+    whose boxed tree is authoritative."""
+    boxed = tensor.copy()
+    boxed.root  # noqa: B018 -- the first access switches the storage
+    assert tensor.stored_arena is not None and boxed.stored_arena is None
+    return tensor, boxed
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +115,9 @@ def test_registered_plans(spec, plan):
     ranks = spec.einsum.ranks_of(plan.tensor)
     order = spec.mapping.rank_order_of(plan.tensor, ranks)
     for seed in range(2):
-        t = _random_tensor(plan.tensor, ranks, seed)
-        check(t, order, plan.prep)
-        check(t, order, [_shrunk(s) for s in plan.prep])
+        for prep in (plan.prep, [_shrunk(s) for s in plan.prep]):
+            for t in both_storages(_random_tensor(plan.tensor, ranks, seed)):
+                check(t, order, prep)
 
 
 # ----------------------------------------------------------------------

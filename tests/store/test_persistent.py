@@ -292,6 +292,24 @@ einsum:
         assert k1 == k2
         assert k1 != k3
 
+    def test_digest_is_the_same_for_columns_and_tree(self):
+        from repro.fibertree import Tensor
+        from repro.store.persistent import tensor_digest
+        from repro.workloads import uniform_random
+
+        a = uniform_random("A", ["K", "M"], (12, 9), 0.4, seed=3)
+        boxed = a.copy()
+        boxed.root  # noqa: B018 -- the first access switches the storage
+        assert a.stored_arena is not None and boxed.stored_arena is None
+        digest = tensor_digest(a)
+        assert tensor_digest(boxed) == digest
+        # Reading ``.root`` switches ``a`` to its tree, not its digest.
+        a.root  # noqa: B018
+        assert a.stored_arena is None and tensor_digest(a) == digest
+        # A hand-built tree with the same contents shares the digest.
+        hand = Tensor("A", a.rank_ids, a.root.copy(), a.shape)
+        assert tensor_digest(hand) == digest
+
     def test_key_covers_metrics_mode_and_shapes(self, store, spec):
         from repro.workloads import uniform_random
 
