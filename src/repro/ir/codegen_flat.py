@@ -34,8 +34,9 @@ facts — is the kernel priced, and does it carry machine ports:
   short-circuits) keep their partial visit counts but drop the final
   ``isect`` event, and ineffectual leaves price nothing.  Eligible
   innermost-rank spans are priced through batched numpy primitives and
-  record their time stamps as one span entry — the fixed part plus a
-  numpy column of the innermost slot (see :mod:`repro.model.stamps`);
+  record their time stamps as one span entry — the fixed part plus the
+  innermost slot's values, a ``range`` of loop positions or a numpy
+  column of coordinates (see :mod:`repro.model.stamps`);
   per-span runtime guards fall back to the inline scalar loop, so
   results never depend on which path ran.  A merge leaf whose one
   input is fixed across the enclosing loop intersects it with all of
@@ -1163,9 +1164,9 @@ class _FlatGenerator:
         times (the first element of a freshly absent output point is the
         copy/no-add element, exactly as :meth:`_emit_reduce` prices
         it).  A varying stamp is recorded as one span entry: the fixed
-        part ``vc_fx`` and a column of the varying slot (loop positions
-        ``vc_sc`` or coordinates ``vc_a``), with the first/rest
-        selections as slices of that column."""
+        part ``vc_fx`` and the varying slot's values — the loop positions
+        as a ``range`` (``vc_sc``) or the coordinates as a column
+        (``vc_a``) — with the first/rest selections as slices of them."""
         em = self.em
         drivers = vec["drivers"]
         merge = vec["merge"]
@@ -1186,7 +1187,7 @@ class _FlatGenerator:
                 self._emit_vc_array(d0, merge)
                 col = "vc_a"
             else:
-                em.emit("vc_sc = rt.vpositions(vc_m)")
+                em.emit("vc_sc = range(vc_m)")
                 col = "vc_sc"
             em.emit(f"vc_fx = {ts['fixed']}")
         else:

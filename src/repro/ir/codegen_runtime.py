@@ -378,12 +378,6 @@ def vslice(coords, lo: int, hi: int, off: int) -> np.ndarray:
     return sel
 
 
-def vpositions(m: int) -> np.ndarray:
-    """Loop positions ``0 .. m-1`` of a span, as an ``int64`` column: a
-    span's ``pos``-style stamp slot (see :mod:`repro.model.stamps`)."""
-    return np.arange(m, dtype=np.int64)
-
-
 def vreduce(existing, values) -> float:
     """Left-fold reduction of a value vector into an existing payload.
 

@@ -21,15 +21,6 @@ from .backend import (
     spec_cache_key,
     spec_fingerprint,
 )
-from .analytical import (
-    AnalyticalResult,
-    EinsumEstimate,
-    TensorStats,
-    UnresolvedRankShapeError,
-    WorkloadStats,
-    derive_output_stats,
-    evaluate_analytical,
-)
 from .energy import DEFAULT_ENERGY_PJ, EnergyModel
 from .evaluate import (
     EinsumModel,
@@ -60,6 +51,26 @@ from .footprint import (
     tensor_rank_stats,
 )
 from .traces import CountingSink, KernelCounters, TraceSink
+
+#: Exported from :mod:`repro.model.analytical`, which is imported on first
+#: access to one of them: the exact path never uses that tier.
+_ANALYTICAL = frozenset((
+    "AnalyticalResult",
+    "EinsumEstimate",
+    "TensorStats",
+    "UnresolvedRankShapeError",
+    "WorkloadStats",
+    "derive_output_stats",
+    "evaluate_analytical",
+))
+
+
+def __getattr__(name):
+    if name in _ANALYTICAL:
+        from . import analytical
+        return getattr(analytical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalyticalResult",

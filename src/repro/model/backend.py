@@ -68,26 +68,73 @@ def canonical_key(obj: Any):
     order (lists of directives are applied in order — that *is*
     semantic).  Values are tagged with their type name so e.g. ``1`` and
     ``True`` cannot collide.
+
+    Each object is encoded by its exact type's encoder, chosen once per
+    type (:func:`_encoder`): spec layers are mutable dataclasses, so the
+    keys themselves are never memoized, but the ``isinstance`` chain and
+    a dataclass's field names are.
     """
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return (
-            obj.__class__.__name__,
-            tuple((f.name, canonical_key(getattr(obj, f.name)))
-                  for f in fields(obj)),
-        )
-    if isinstance(obj, dict):
-        items = [(canonical_key(k), canonical_key(v))
-                 for k, v in obj.items()]
-        items.sort(key=lambda kv: repr(kv[0]))
-        return ("dict", tuple(items))
-    if isinstance(obj, (list, tuple)):
-        return ("seq", tuple(canonical_key(x) for x in obj))
-    if isinstance(obj, (set, frozenset)):
-        return ("set", tuple(sorted((canonical_key(x) for x in obj),
-                                    key=repr)))
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return (type(obj).__name__, obj)
+    cls = type(obj)
+    if cls in _SCALARS:
+        return (cls.__name__, obj)
+    encode = _ENCODERS.get(cls)
+    if encode is None:
+        encode = _ENCODERS[cls] = _encoder(cls)
+    return encode(obj)
+
+
+#: The exact scalar types, encoded inline.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _scalar_key(obj):
+    return (type(obj).__name__, obj)
+
+
+def _dict_key(obj):
+    items = [(canonical_key(k), canonical_key(v)) for k, v in obj.items()]
+    items.sort(key=lambda kv: repr(kv[0]))
+    return ("dict", tuple(items))
+
+
+def _seq_key(obj):
+    return ("seq", tuple(map(canonical_key, obj)))
+
+
+def _set_key(obj):
+    return ("set", tuple(sorted(map(canonical_key, obj), key=repr)))
+
+
+def _repr_key(obj):
     return ("repr", repr(obj))
+
+
+def _encoder(cls: type) -> Callable[[Any], Any]:
+    """The encoder :func:`canonical_key` uses for instances of ``cls``.
+
+    The same checks, in the same order, as an ``isinstance`` chain over
+    the instance, so every key is what a per-object walk would build."""
+    if is_dataclass(cls) and not issubclass(cls, type):
+        name = cls.__name__
+        names = tuple(f.name for f in fields(cls))
+
+        def dataclass_key(obj):
+            return (name, tuple([(n, canonical_key(getattr(obj, n)))
+                                 for n in names]))
+        return dataclass_key
+    if issubclass(cls, dict):
+        return _dict_key
+    if issubclass(cls, (list, tuple)):
+        return _seq_key
+    if issubclass(cls, (set, frozenset)):
+        return _set_key
+    if issubclass(cls, (str, int, float, bool, type(None))):
+        return _scalar_key
+    return _repr_key
+
+
+#: Type -> encoder, filled by :func:`canonical_key` on first sight.
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {}
 
 
 def spec_cache_key(spec: AcceleratorSpec):

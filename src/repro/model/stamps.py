@@ -5,36 +5,53 @@ its compute events carried (:class:`~repro.model.components.ComputeModel`).
 Scalar events contribute one stamp tuple each.  A vector kernel span
 contributes a whole run of stamps that agree everywhere but in one slot —
 the innermost loop rank's — so it records them as one *span entry*
-``((pre, post), column)``: the fixed part around the varying slot, and an
-``int64`` column of the slot's values (loop positions or coordinates).
+``((pre, post), inner)``: the fixed part around the varying slot, and the
+slot's values — a unit-step ``range`` of loop positions (``pos``-style
+stamps) or an ``int64`` column of coordinates (``coord``-style stamps);
+a ``range``'s ``start`` and ``stop`` fit ``int64`` too.
 The span entry stands for the tuples ``pre + (c,) + post`` for ``c`` in
-``column``; they are never built on the counting path.
+``inner``; they are never built on the counting path, and a ``range`` is
+never expanded at all.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter
+from typing import List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-#: One span entry: ``((pre, post), column)``.
-Span = Tuple[Tuple[tuple, tuple], np.ndarray]
+#: One span entry: ``((pre, post), inner)``.
+Span = Tuple[Tuple[tuple, tuple], Union[range, np.ndarray]]
 
 
 class StampSet:
     """A set of stamp tuples held as scalar tuples plus span entries.
 
     ``len()`` is the exact number of distinct tuples, as
-    ``len(self.tuples())`` would give, computed with one sort:
+    ``len(self.tuples())`` would give, counted as a union of integer
+    intervals of the varying slot under each fixed part:
 
     1. each distinct fixed part ``(pre, post)`` is interned to a dense id
        (once per span, not per element);
-    2. each scalar tuple is split at the spans' varying slot, so a scalar
-       ``pre + (c,) + post`` lands on the same ``(id, c)`` pair as a span
-       element — scalars whose fixed part no span shares cannot collide
-       with anything and are counted directly;
-    3. the distinct ``(id, c)`` pairs are counted with one ``np.lexsort``
-       over two ``int64`` columns.
+    2. a ``range`` entry is one interval; each element of a column entry
+       is a unit interval (a *point*), and so is each scalar tuple whose
+       fixed part a span shares, split at the spans' varying slot — a
+       scalar whose fixed part no span shares cannot collide with
+       anything and is counted directly;
+    3. one stable sort orders the intervals' start points, the points
+       and the end points by ``(id, value)``, starts before points before
+       ends at a tie.  A running sum of +1 per start and -1 per end is
+       the number of intervals covering each event, so merged intervals
+       are the runs it spends above zero, and a point adds one when no
+       interval covers it and it is not the point just before it.  The
+       running sum returns to zero at the end of every fixed part's
+       events, so nothing carries over from one fixed part to the next.
+
+    Position spans so cost O(spans), not O(elements).  Endpoints are
+    only compared, never packed or offset, so any ``int64`` value is
+    exact, and the merged intervals' widths are summed as Python ints.
 
     The count is memoized on the sizes of both stores: both only grow, so
     unchanged sizes mean unchanged contents.
@@ -69,8 +86,10 @@ class StampSet:
         """Every stamp as a tuple (spans expanded) — for checks, not for
         counting."""
         out = set(self.scalars)
-        for (pre, post), column in self.spans:
-            out.update(pre + (c,) + post for c in column.tolist())
+        for (pre, post), inner in self.spans:
+            if not isinstance(inner, range):
+                inner = inner.tolist()
+            out.update(pre + (c,) + post for c in inner)
         return out
 
     def _count(self) -> int:
@@ -97,18 +116,47 @@ class StampSet:
             else:
                 shared_ids.append(i)
                 shared_inner.append(stamp[k])
-        columns = [column for _, column in self.spans]
+        inners = list(map(itemgetter(1), self.spans))
+        is_range = np.fromiter(map(isinstance, inners, repeat(range)), bool,
+                               len(inners))
+        ranges = list(compress(inners, is_range.tolist()))
+        columns = list(compress(inners, (~is_range).tolist()))
+        start, stop, stride = (
+            np.fromiter(map(attrgetter(a), ranges), np.int64, len(ranges))
+            for a in ("start", "stop", "step"))
+        if (stride != 1).any():
+            raise ValueError("a stamp span's range must have step 1")
+        nonempty = start < stop
+        starts = start[nonempty]
+        ends = stop[nonempty] - 1
+        span_ids = np.array(span_ids, dtype=np.int64)
+        range_ids = span_ids[is_range][nonempty]
         lengths = np.fromiter(map(len, columns), np.int64, len(columns))
+        # Events in the order the stable sort keeps at a tie: interval
+        # starts, points, interval ends.
         id_col = np.concatenate((
-            np.repeat(np.asarray(span_ids, dtype=np.int64), lengths),
-            np.asarray(shared_ids, dtype=np.int64)))
-        inner = np.concatenate(
-            columns + [np.asarray(shared_inner, dtype=np.int64)]
+            range_ids, np.repeat(span_ids[~is_range], lengths),
+            np.asarray(shared_ids, dtype=np.int64), range_ids))
+        value = np.concatenate(
+            [starts] + columns
+            + [np.asarray(shared_inner, dtype=np.int64), ends]
         ).astype(np.int64, copy=False)
-        if not inner.size:
+        if not value.size:
             return lone
-        order = np.lexsort((inner, id_col))
+        n = len(starts)
+        step = np.zeros(value.size, np.int64)
+        step[:n] = 1
+        step[value.size - n:] = -1
+        order = np.lexsort((value, id_col))
         id_col = id_col[order]
-        inner = inner[order]
-        changed = (id_col[1:] != id_col[:-1]) | (inner[1:] != inner[:-1])
-        return lone + 1 + int(np.count_nonzero(changed))
+        value = value[order]
+        step = step[order]
+        depth = np.cumsum(step)  # intervals covering each event, after it
+        opens = value[(depth == 1) & (step == 1)]
+        closes = value[(depth == 0) & (step == -1)]
+        points = (depth == 0) & (step == 0)
+        points[1:] &= (id_col[1:] != id_col[:-1]) | (value[1:] != value[:-1])
+        # Each merged interval adds ``close - open + 1``; summed as Python
+        # ints, so no width or total can overflow.
+        return (lone + int(np.count_nonzero(points)) + len(opens)
+                + sum(closes.tolist()) - sum(opens.tolist()))

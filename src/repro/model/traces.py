@@ -129,7 +129,8 @@ class KernelCounters:
     * ``isects`` — ``rank -> [visited, matched]``;
     * ``computes`` — ``op -> [n, time stamps]``, the stamps a
       :class:`~repro.model.stamps.StampSet`: the scalar leaves' stamp
-      tuples plus one ``((pre, post), column)`` entry per vector span;
+      tuples plus one ``((pre, post), inner)`` entry per vector span,
+      ``inner`` a ``range`` of loop positions or a coordinate column;
     * ``actions`` — per-component action tallies from the *vector* kernel
       flavor: ``[(component, tensor, {action: count}), ...]``, one entry
       per buffet/cache state machine that received events.  Recorded by

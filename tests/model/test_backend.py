@@ -5,9 +5,18 @@ compiled kernels (regardless of YAML dict ordering or cosmetic naming),
 and semantically distinct specs never collide.
 """
 
+import collections
+import dataclasses
+import enum
+import hashlib
+from typing import Any, ClassVar
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
+from repro.accelerators import FACTORIES
 from repro.ir.codegen import CodegenError
 from repro.fibertree import tensor_from_dense
 from repro.model import (
@@ -18,8 +27,9 @@ from repro.model import (
     evaluate_many,
     resolve_backend,
     spec_cache_key,
+    spec_fingerprint,
 )
-from repro.model.backend import DEFAULT_BACKEND
+from repro.model.backend import DEFAULT_BACKEND, canonical_key
 from repro.spec import load_spec
 
 MATMUL = """
@@ -165,6 +175,104 @@ params: {K1: %d}
 """
         assert spec_cache_key(load_spec(sized % 4)) != \
             spec_cache_key(load_spec(sized % 8))
+
+
+def reference_key(obj):
+    """The per-object recursive walk :func:`canonical_key` must equal:
+    ``isinstance`` checks and ``dataclasses.fields`` on every object."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return (obj.__class__.__name__,
+                tuple((f.name, reference_key(getattr(obj, f.name)))
+                      for f in dataclasses.fields(obj)))
+    if isinstance(obj, dict):
+        items = [(reference_key(k), reference_key(v))
+                 for k, v in obj.items()]
+        items.sort(key=lambda kv: repr(kv[0]))
+        return ("dict", tuple(items))
+    if isinstance(obj, (list, tuple)):
+        return ("seq", tuple(reference_key(x) for x in obj))
+    if isinstance(obj, (set, frozenset)):
+        return ("set", tuple(sorted((reference_key(x) for x in obj),
+                                    key=repr)))
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return (type(obj).__name__, obj)
+    return ("repr", repr(obj))
+
+
+@dataclasses.dataclass
+class _Node:
+    label: str
+    children: list
+    extra: Any = None
+    kind: ClassVar[str] = "node"  # not a field: never part of the key
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    value: Any
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+
+#: Hashable leaves: exact scalars, scalar subclasses (bool, IntEnum,
+#: numpy float64) and a numpy integer, which is keyed by its repr.
+_HASHABLE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(allow_nan=False), st.sampled_from(list(_Level)),
+    st.integers(-9, 9).map(np.int64), st.floats(-9, 9).map(np.float64),
+    st.integers(0, 3).map(_Leaf),
+)
+
+_NESTED = st.recursive(
+    _HASHABLE,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_HASHABLE, children, max_size=3),
+        st.dictionaries(st.text(max_size=2), children, max_size=3)
+        .map(collections.OrderedDict),
+        st.sets(_HASHABLE, max_size=3),
+        st.frozensets(_HASHABLE, max_size=3),
+        st.tuples(children, children).map(lambda p: _Pair(*p)),
+        st.builds(_Node, st.text(max_size=3), st.lists(children, max_size=2),
+                  children),
+    ),
+    max_leaves=12,
+)
+
+
+class TestCanonicalKey:
+    """:func:`canonical_key` picks its encoder once per type; every key
+    must still be what the per-object walk builds, so compile-cache keys,
+    ``spec_fingerprint`` and persistent-store keys are unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_registered_specs_match_the_reference(self, name):
+        spec = FACTORIES[name]()
+        layers = (spec.einsum, spec.mapping, spec.format, spec.architecture,
+                  spec.binding, spec.params)
+        want = reference_key(layers)
+        assert canonical_key(layers) == want
+        assert spec_fingerprint(spec) == hashlib.sha256(
+            repr(want).encode("utf-8")).hexdigest()
+        assert spec_cache_key(spec) == reference_key(
+            (spec.einsum, spec.mapping, spec.params))
+
+    @given(_NESTED)
+    def test_nested_data_matches_the_reference(self, obj):
+        got = canonical_key(obj)
+        assert got == reference_key(obj)
+        assert repr(got) == repr(reference_key(obj))
+
+    def test_classes_are_keyed_by_repr(self):
+        # A dataclass *class* is not a dataclass instance.
+        assert canonical_key(_Leaf) == reference_key(_Leaf) == \
+            ("repr", repr(_Leaf))
 
 
 class TestBackendSelection:

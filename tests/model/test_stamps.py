@@ -1,7 +1,8 @@
 """Property tests for :class:`repro.model.stamps.StampSet`.
 
 A stamp set holds scalar stamp tuples plus vector span entries
-``((pre, post), column)``; its length must equal the number of distinct
+``((pre, post), inner)``, ``inner`` a ``range`` of loop positions or a
+column of coordinates; its length must equal the number of distinct
 tuples once every span is expanded, whatever mix of scalars and spans
 produced them, and :meth:`~repro.model.stamps.StampSet.tuples` must
 round-trip that expansion.
@@ -21,40 +22,59 @@ from repro.spec.architecture import Component
 _COORD = st.one_of(st.integers(0, 3), st.tuples(st.integers(0, 1),
                                                st.integers(0, 1)))
 _INNER = st.integers(-2, 12)
+#: Where an op's varying-slot values sit: near zero, near +-2**62, and
+#: near both ends of ``int64`` (a range's ``stop`` still fits).
+_BASE = st.sampled_from([0, 2**62, -2**62, 2**63 - 24, -2**63 + 2])
 
 
 @st.composite
-def _span(draw, k):
+def _fixed(draw, k):
     pre = tuple(draw(st.lists(_COORD, min_size=k, max_size=k)))
     post = tuple(draw(st.lists(_COORD, max_size=2)))
-    if draw(st.booleans()):  # pos style: loop positions of the span
-        column = np.arange(draw(st.integers(0, 8)), dtype=np.int64)
-    else:  # coord style: the matched coordinates (any int64 column)
-        column = np.asarray(draw(st.lists(_INNER, max_size=8)),
-                            dtype=np.int64)
-    sel = draw(st.sampled_from(["all", "first", "rest"]))
-    column = {"all": column, "first": column[:1], "rest": column[1:]}[sel]
-    return (pre, post), column
+    return pre, post
 
 
 @st.composite
-def _scalar(draw, k):
+def _span(draw, fixed, base):
+    """A span entry under one of the op's fixed parts, its inner values
+    offset by the op's base."""
+    if draw(st.booleans()):  # pos style: a range of loop positions
+        lo = base + draw(_INNER)
+        inner = range(lo, lo + draw(st.integers(0, 8)))
+    else:  # coord style: the matched coordinates (any int64 column)
+        inner = np.asarray([base + v for v in
+                            draw(st.lists(_INNER, max_size=8))],
+                           dtype=np.int64)
+    sel = draw(st.sampled_from(["all", "first", "rest"]))
+    inner = {"all": inner, "first": inner[:1], "rest": inner[1:]}[sel]
+    return draw(st.sampled_from(fixed)), inner
+
+
+@st.composite
+def _scalar(draw, k, fixed, base):
+    if draw(st.booleans()):  # shares a fixed part with the spans
+        pre, post = draw(st.sampled_from(fixed))
+        return pre + (base + draw(_INNER),) + post
     length = draw(st.integers(0, k + 3))
     return tuple(draw(st.one_of(_COORD, _INNER)) for _ in range(length))
 
 
 @st.composite
 def _op_stamps(draw, k):
-    """One op's stamps, as a kernel hands them to ``add_compute``."""
-    scalars = set(draw(st.lists(_scalar(k), max_size=12)))
-    spans = draw(st.lists(_span(k), max_size=6))
+    """One op's stamps, as a kernel hands them to ``add_compute``: spans
+    under a few shared fixed parts (so ranges overlap, repeat and meet
+    columns and scalars under one fixed part) plus scalar tuples."""
+    fixed = draw(st.lists(_fixed(k), min_size=1, max_size=3))
+    base = draw(_BASE)
+    scalars = set(draw(st.lists(_scalar(k, fixed, base), max_size=12)))
+    spans = draw(st.lists(_span(fixed, base), max_size=6))
     return scalars, spans
 
 
 def _expand(scalars, spans):
     out = set(scalars)
-    for (pre, post), column in spans:
-        out.update(pre + (int(c),) + post for c in column)
+    for (pre, post), inner in spans:
+        out.update(pre + (int(c),) + post for c in inner)
     return out
 
 
@@ -97,12 +117,42 @@ def test_scalar_events_after_spans_update_the_count(k, data):
 
 def test_shared_prefix_mixes_scalar_and_span_stamps():
     """A spatial rank absent from the stamp: several spans and scalar
-    leaves under one prefix count each time step once."""
-    col = np.arange(5, dtype=np.int64)
-    stamps = StampSet({(7, 0), (7, 4), (7, 5), (8, 0)},
-                      [(((7,), ()), col), (((7,), ()), col[1:]),
-                       (((7,), ()), col[:1])])
-    assert len(stamps) == 7  # (7, 0..5) and (8, 0)
+    leaves under one prefix count each time step once, whether the spans
+    hold positions (a range) or coordinates (a column)."""
+    for inner in (range(5), np.arange(5, dtype=np.int64)):
+        stamps = StampSet({(7, 0), (7, 4), (7, 5), (8, 0)},
+                          [(((7,), ()), inner), (((7,), ()), inner[1:]),
+                           (((7,), ()), inner[:1])])
+        assert len(stamps) == 7  # (7, 0..5) and (8, 0)
+
+
+def test_ranges_meet_columns_and_scalars_under_one_fixed_part():
+    fx = ((3,), (1,))
+    stamps = StampSet({(3, 9, 1), (3, 20, 1), (3, 2, 0)},
+                      [(fx, range(0, 4)), (fx, range(2, 6)),  # overlap
+                       (fx, range(6, 8)),  # adjacent: [0, 8) so far
+                       (fx, range(0, 4)),  # duplicate
+                       (fx, np.array([5, 8, 8, 12], dtype=np.int64))])
+    # 0..7, 8 and 12 from the spans; 9 and 20 shared scalars; (3, 2, 0)
+    # is under another fixed part.
+    assert len(stamps) == len(stamps.tuples()) == 13
+
+
+def test_intervals_spanning_int64_count_exactly():
+    """Widths past ``2**63`` and endpoints at the ``int64`` limits: the
+    count is an exact Python int (too large for ``len()``)."""
+    lo, hi = -2**63, 2**63 - 1
+    stamps = StampSet({(1, hi)}, [(((0,), ()), range(lo, hi)),
+                                  (((1,), ()), range(lo, 0)),
+                                  (((1,), ()), range(-5, hi)),
+                                  (((1,), ()), np.array([lo, hi]))])
+    assert stamps._count() == 2 * 2**64 - 1
+
+
+def test_ranges_must_have_unit_step():
+    stamps = StampSet(set(), [(((0,), ()), range(0, 6, 2))])
+    with pytest.raises(ValueError, match="step 1"):
+        len(stamps)
 
 
 def test_count_is_memoized(monkeypatch):

@@ -27,6 +27,7 @@ from repro.model import (
     CompiledBackend,
     EnergyModel,
     InterpreterBackend,
+    KernelCounters,
     evaluate,
     evaluate_many,
 )
@@ -418,6 +419,37 @@ def test_long_span_auto_matches_interpreter(monkeypatch):
     assert calls["visect2"] == 0
     ref = evaluate(spec, dict(work), backend=InterpreterBackend(),
                    metrics="trace")
+    assert fingerprint(got) == fingerprint(ref)
+
+
+def test_position_stamp_spans_are_ranges(monkeypatch):
+    """Every numpy-branch span of the long-span spec (``SPMSPM``, with
+    ``pos``-style stamps) records its varying stamp slot as a ``range``
+    of loop positions, never a column, and the serial steps counted from
+    those ranges equal the interpreter's."""
+    entries = []
+    real = KernelCounters.add_compute
+
+    def add_compute(self, op, n, scalars, spans):
+        entries.extend(spans)
+        return real(self, op, n, scalars, spans)
+
+    monkeypatch.setattr(KernelCounters, "add_compute", add_compute)
+    spec = load_spec(SPMSPM, name="vec-long-span")
+    work = {
+        "A": uniform_random("A", ["M", "K"], (6, 256), 0.1, seed=11),
+        "B": uniform_random("B", ["N", "K"], (6, 256), 0.1, seed=13),
+    }
+    got = evaluate(spec, dict(work), backend=CompiledBackend(cache=_CACHE),
+                   metrics="auto")
+    assert entries
+    assert all(type(inner) is range and inner.step == 1
+               for _, inner in entries)
+    ref = evaluate(spec, dict(work), backend=InterpreterBackend(),
+                   metrics="trace")
+    steps = {name: res.einsums["Z"].computes["mul"].serial_steps()
+             for name, res in (("auto", got), ("trace", ref))}
+    assert steps["auto"] == steps["trace"] > 0
     assert fingerprint(got) == fingerprint(ref)
 
 
