@@ -6,8 +6,8 @@ Two verifiers live here:
   layers (einsum, mapping, format, architecture, binding).  Returns
   :class:`Finding`s; never raises on a malformed spec.
 * :func:`verify_ir` — a structural invariant checker for
-  :class:`~repro.ir.nodes.LoopNestIR`, run between lowering stages and
-  on store-loaded kernels.  Raises :class:`IRVerificationError`.
+  :class:`~repro.ir.nodes.LoopNestIR`, run between lowering and
+  codegen.  Raises :class:`IRVerificationError`.
 
 ``python -m repro.analysis <spec>...`` lints registered accelerator
 specs or YAML files from the command line.

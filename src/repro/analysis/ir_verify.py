@@ -3,15 +3,13 @@
 The IR builder establishes invariants the code generators silently rely
 on (stamp variables exist for every space/time rank, every index
 variable is bound by exactly one loop rank, levels are concordant with
-the loop order, ...).  ``verify_ir`` re-checks them, so it can run
+the loop order, ...).  ``verify_ir`` re-checks them between
+``ir/builder.py`` and ``codegen_flat.py`` as a lowering gate on every
+:class:`~repro.model.backend.CompiledCascade` (cheap — pure structural
+walks, no tensor data), so a malformed IR fails loudly instead of
+driving codegen into nonsense.
 
-* between ``ir/builder.py`` and ``codegen_flat.py`` as a lowering
-  gate (cheap — pure structural walks, no tensor data), and
-* on kernels loaded from the persistent store, where a
-  corrupted-but-checksum-valid pickle must fail verification loudly
-  instead of driving codegen into nonsense.
-
-Every check is type-tolerant: a corrupt pickle may hold the wrong type
+Every check is type-tolerant: a malformed IR may hold the wrong type
 at any field, and the verifier must report that as a violation rather
 than raise ``AttributeError`` mid-check.
 """

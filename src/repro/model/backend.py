@@ -253,42 +253,17 @@ class CompiledCascade:
         verify_cascade_irs(irs)
         self.units: List[CompiledEinsum] = [CompiledEinsum(ir) for ir in irs]
 
-    @classmethod
-    def from_irs(cls, irs: List[LoopNestIR]) -> "CompiledCascade":
-        """Rebuild a cascade from already-lowered IR (a persistent
-        kernel-store hit): compilation re-runs — it is cheap and its
-        output is process-local code objects — but lowering, the
-        dominant cost of a cold compile, is skipped entirely.  The IR
-        is structurally verified first, so a corrupted-but-checksummed
-        store entry fails loudly here instead of driving codegen into
-        nonsense."""
-        from ..analysis.ir_verify import verify_cascade_irs
-
-        verify_cascade_irs(irs)
-        cascade = cls.__new__(cls)
-        cascade.units = [CompiledEinsum(ir) for ir in irs]
-        return cascade
-
 
 class CompileCache:
-    """Memoizes lowering + compilation per canonical spec key.
+    """Memoizes lowering + compilation per canonical spec key, for the
+    life of one process."""
 
-    ``persistent`` (duck-typed: ``get_kernels(spec)`` returning lowered
-    IR units or None, and ``put_kernels(spec, irs)`` — see
-    :class:`repro.store.PersistentStore`) adds a cross-process layer
-    under the in-memory memo: a memory miss consults the store before
-    lowering, and a fresh compile publishes its IR so every other
-    process (and every future one) skips lowering for that spec.
-    """
-
-    def __init__(self, persistent=None):
+    def __init__(self):
         self._cache: Dict[Any, CompiledCascade] = {}
         self._failed: Dict[Any, CodegenError] = {}
         self._lock = threading.Lock()
-        self.persistent = persistent
         self.hits = 0
         self.misses = 0
-        self.persistent_hits = 0
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -308,27 +283,6 @@ class CompileCache:
                 self.hits += 1
                 raise failed
         # Lowering/compilation run outside the lock: both can be slow.
-        if self.persistent is not None:
-            irs = self.persistent.get_kernels(spec)
-            if irs is not None:
-                from ..analysis.ir_verify import IRVerificationError
-
-                try:
-                    compiled = CompiledCascade.from_irs(irs)
-                except IRVerificationError as err:
-                    # A checksum-valid entry with malformed IR: evict it
-                    # so future readers recompile, then fall through to
-                    # a fresh lower+compile ourselves.
-                    invalidate = getattr(self.persistent,
-                                         "invalidate_kernels", None)
-                    if invalidate is not None:
-                        invalidate(spec, f"kernel IR failed verification: "
-                                         f"{err}")
-                else:
-                    with self._lock:
-                        winner = self._cache.setdefault(key, compiled)
-                        self.persistent_hits += 1
-                    return winner
         try:
             compiled = CompiledCascade(spec)
         except CodegenError as err:
@@ -336,9 +290,6 @@ class CompileCache:
                 self._failed.setdefault(key, err)
                 self.misses += 1
             raise
-        if self.persistent is not None:
-            self.persistent.put_kernels(spec,
-                                        [unit.ir for unit in compiled.units])
         with self._lock:
             winner = self._cache.setdefault(key, compiled)
             self.misses += 1
@@ -350,7 +301,6 @@ class CompileCache:
             self._failed.clear()
             self.hits = 0
             self.misses = 0
-            self.persistent_hits = 0
 
 
 #: Process-wide cache shared by the default backends.
@@ -397,7 +347,7 @@ class PrepCache:
     """Memoizes input preparation across evaluations that share input
     tensor objects.
 
-    A mapping sweep (:func:`repro.explore.explore`) evaluates many
+    A mapping sweep (:func:`repro.search.search`) evaluates many
     candidate specs over the *same* input tensors; without a shared
     cache every candidate re-swizzles, re-partitions, and re-flattens
     each input from scratch.  One ``PrepCache`` per sweep memoizes each

@@ -13,7 +13,7 @@ import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..einsum.operators import ARITHMETIC, NAMED_OPSETS, OpSet
 from ..fibertree.tensor import Tensor
@@ -22,7 +22,6 @@ from ..spec.loader import AcceleratorSpec
 from ..ir.codegen import CodegenError
 from ..ir.codegen_runtime import WHOLE_CTX, FusedBuffet, FusedCache
 from .backend import (
-    CompileCache,
     CompiledBackend,
     InterpreterBackend,
     resolve_backend,
@@ -749,27 +748,16 @@ def evaluate(
                                    shapes=shapes,
                                    energy_model=energy_model)
     engine = resolve_backend(backend)
-    store = None
-    store_key = None
-    if cache is not None:
-        from ..store import MISS, resolve_store
+    store = _durable_store(cache, opset, opsets, energy_model, engine,
+                           "evaluation")
+    if store is not None:
+        from ..store import MISS
 
-        store = resolve_store(cache)
-        reasons = cache_incompatibilities(opset, opsets, energy_model,
-                                          engine)
-        if reasons:
-            warnings.warn(
-                "cache= was bypassed for this evaluation because the "
-                "arguments cannot be keyed durably: " + "; ".join(reasons),
-                StoreBypassWarning, stacklevel=2,
-            )
-            store = None
-        else:
-            store_key = store.result_key(spec, tensors, metrics,
-                                         _opset_token(opset), shapes)
-            hit = store.get_result(store_key)
-            if hit is not MISS:
-                return hit
+        store_key = store.result_key(spec, tensors, metrics,
+                                     _opset_token(opset), shapes)
+        hit = store.get_result(store_key)
+        if hit is not MISS:
+            return hit
     result = _evaluate_exact(spec, tensors, opset, opsets, shapes,
                              energy_model, engine, metrics, prep_cache)
     if store is not None:
@@ -892,14 +880,24 @@ def default_executor() -> str:
 
     ``"thread"`` (the default) or ``"process"``, overridden by the
     ``REPRO_EVALUATE_EXECUTOR`` environment variable.  Threads share the
-    compile cache but serialize kernel execution on the GIL — the pool
-    only overlaps the numpy portions of vector kernels and any blocking
-    I/O.  Processes sidestep the GIL entirely (arenas and specs pickle
-    compactly now that buffers are numpy arrays) at the cost of one
-    spec compile per worker plus per-workload pickling; measurements on
-    the benchmark sweep (see ``benchmarks/BENCH_backend.json``, the
-    ``executor`` field) show threads winning below roughly a second of
-    per-workload work, which is why ``"thread"`` stays the default.
+    warm compile cache and start instantly, but kernel execution holds
+    the GIL, so the pool only overlaps the numpy portions of the priced
+    kernels.  Processes sidestep the GIL at the cost of pool start-up,
+    one spec compile per worker, and per-workload pickling.  Measured on
+    a 2-vCPU Intel Xeon (python 3.11.7, numpy 2.4.6; serial / 2 threads
+    / 2 processes, medians of 5 interleaved rounds, two runs):
+
+    * long-span 3-pair batch: 0.057-0.066 / 0.053-0.054 / 0.131-0.132 s;
+    * mapping-search pruned sweep: 0.24-0.30 / 0.28-0.33 / 0.20-0.25 s;
+    * 24-workload K=8192 sweep: 0.18-0.22 / 0.23-0.24 / 0.24-0.25 s;
+    * gamma over 6 seeded wi stand-ins: 4.7-5.5 / 5.0-5.3 / 2.6 s;
+    * extensor over the same inputs: 3.6-4.1 / 4.2-4.6 / 2.4-2.5 s.
+
+    Two threads were never clearly faster than one.  Processes won by
+    1.5-2x where each workload takes about half a second or more, and
+    lost on short batches, where pool start-up dominates.  ``"thread"``
+    stays the default: it never pays start-up, and on short sweeps it is
+    no slower than serial.
     """
     env = os.environ.get("REPRO_EVALUATE_EXECUTOR")
     if env is None or env == "":
@@ -979,15 +977,26 @@ def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
     return reasons
 
 
-def _store_engine(backend, store):
-    """The engine a store-backed run uses.  The default backend becomes
-    a fallback engine over a *fresh* compile cache layered on ``store``
-    (the caller's object, kept as is), so a warm run skips lowering, not
-    just pricing; any other backend resolves as usual."""
-    if backend in (None, "auto"):
-        return CompiledBackend(cache=CompileCache(persistent=store),
-                               fallback=True)
-    return resolve_backend(backend)
+def _durable_store(cache, opset, opsets, energy_model, engine, what):
+    """The store a ``cache=`` argument names, or None when it is absent
+    or these arguments cannot be keyed durably (see
+    :func:`cache_incompatibilities`); a bypass warns with a
+    :class:`StoreBypassWarning` naming each offender, attributed to the
+    caller of the ``evaluate``/``evaluate_many``/search entry point."""
+    if cache is None:
+        return None
+    from ..store import resolve_store
+
+    store = resolve_store(cache)
+    reasons = cache_incompatibilities(opset, opsets, energy_model, engine)
+    if reasons:
+        warnings.warn(
+            f"cache= was bypassed for this {what} because the arguments "
+            "cannot be keyed durably: " + "; ".join(reasons),
+            StoreBypassWarning, stacklevel=3,
+        )
+        return None
+    return store
 
 
 def resolve_pool_mode(executor, opset, opsets=None, energy_model=None,
@@ -1023,42 +1032,34 @@ def resolve_pool_mode(executor, opset, opsets=None, energy_model=None,
     return "thread"
 
 
-#: Per-process memo of (store, kernel-persistent engine) pairs, keyed by
-#: cache directory: pool workers re-open the same store once, not per
-#: payload, and share one persistent-backed compile cache.
-_WORKER_STORES: Dict[str, tuple] = {}
+#: Per-process memo of stores, keyed by cache directory: pool workers
+#: and job workers open each store once, not per payload.
+_WORKER_STORES: Dict[str, Any] = {}
 
 
-def _worker_store(cache_dir: str) -> tuple:
-    entry = _WORKER_STORES.get(cache_dir)
-    if entry is None:
+def _worker_store(cache_dir: str):
+    store = _WORKER_STORES.get(cache_dir)
+    if store is None:
         from ..store import PersistentStore
 
-        store = PersistentStore(cache_dir)
-        entry = (store, _store_engine(None, store))
-        _WORKER_STORES[cache_dir] = entry
-    return entry
+        store = _WORKER_STORES[cache_dir] = PersistentStore(cache_dir)
+    return store
 
 
 def _process_one(payload) -> EvaluationResult:
-    """Process-pool worker: rebuild the engine in-process and evaluate.
+    """Process-pool worker: evaluate on the worker's default engine.
 
     The child's compile cache is cold on the first workload and warm for
     the rest of that worker's share; specs, tensors, and results cross
     the process boundary by pickle.  The payload is ``(spec, tensors,
     opset name, shapes, metrics, cache_dir)``.  A ``cache_dir`` names a
     persistent store: the worker then consults/publishes the shared
-    store directly — result hits skip evaluation — and its compile cache
-    is store-backed too, so kernel hits skip lowering, which is what
-    makes cold worker pools cheap.
+    store directly, so result hits skip evaluation.
     """
     spec, tensors, opset_name, shapes, metrics, cache_dir = payload
-    store = engine = None
-    if cache_dir is not None:
-        store, engine = _worker_store(cache_dir)
+    store = None if cache_dir is None else _worker_store(cache_dir)
     return evaluate(spec, tensors, opset=NAMED_OPSETS[opset_name],
-                    shapes=shapes, metrics=metrics, backend=engine,
-                    cache=store)
+                    shapes=shapes, metrics=metrics, cache=store)
 
 
 def evaluate_many(
@@ -1118,12 +1119,10 @@ def evaluate_many(
 
     ``cache`` (a directory path or a
     :class:`~repro.store.PersistentStore`) consults and feeds the
-    disk-backed cross-process store, exactly as in :func:`evaluate`;
-    with the default backend the compile cache is store-backed too, so
-    a warm pool skips lowering as well as pricing.  Process-pool
-    workers open the same store directory themselves (one handle per
-    worker process).  Incompatible arguments bypass the store for the
-    whole sweep with a single :class:`StoreBypassWarning`.
+    disk-backed cross-process store, exactly as in :func:`evaluate`.
+    Process-pool workers open the same store directory themselves (one
+    handle per worker process).  Incompatible arguments bypass the
+    store for the whole sweep with a single :class:`StoreBypassWarning`.
 
     ``validate`` runs the static spec linter once for the whole sweep
     (see :func:`lint_gate`): ``"warn"`` surfaces findings, ``"strict"``
@@ -1142,24 +1141,9 @@ def evaluate_many(
     # this module at its own import time.
     from ..search.supervisor import SweepSupervisor
 
-    store = None
     engine = resolve_backend(backend)
-    if cache is not None and metrics != "analytical":
-        from ..store import resolve_store
-
-        store = resolve_store(cache)
-        cached = _store_engine(backend, store)
-        reasons = cache_incompatibilities(opset, opsets, energy_model,
-                                          cached)
-        if reasons:
-            warnings.warn(
-                "cache= was bypassed for this sweep because the "
-                "arguments cannot be keyed durably: " + "; ".join(reasons),
-                StoreBypassWarning, stacklevel=2,
-            )
-            store = None
-        else:
-            engine = cached
+    store = None if metrics == "analytical" else _durable_store(
+        cache, opset, opsets, energy_model, engine, "sweep")
     if isinstance(engine, CompiledBackend) and metrics != "analytical":
         try:
             engine.compile(spec)  # lower once, up front

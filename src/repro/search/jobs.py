@@ -287,13 +287,10 @@ class _Job:
         _meta, blob = read_entry(os.path.join(path, PAYLOAD_NAME))
         payload = pickle.loads(blob)
         self.spec, self.tensors = payload["spec"], payload["tensors"]
-        self.engine = None
         cache = self.manifest["cache"]
-        if cache is not None:
-            self.store, self.engine = _worker_store(cache)
-        else:
-            # The job's own store holds results only: no kernels.
-            self.store = PersistentStore(os.path.join(path, STORE_NAME))
+        # Without ``cache=``, results live in the job's own store.
+        self.store = (_worker_store(cache) if cache is not None
+                      else PersistentStore(os.path.join(path, STORE_NAME)))
 
     def shard(self, sid: int) -> List[Candidate]:
         shard = read_json(_shard_file(self.path, "shards", sid, ".json"))
@@ -480,8 +477,7 @@ def run_worker(path: str, worker: Optional[str] = None,
             try:
                 evaluate(apply_candidate(job.spec, m["einsum"], cand),
                          dict(job.tensors), opset=opset, shapes=m["shapes"],
-                         metrics=m["metrics"], backend=job.engine,
-                         cache=job.store)
+                         metrics=m["metrics"], cache=job.store)
             except Exception as exc:
                 if classify_failure(exc) != DETERMINISTIC:
                     raise

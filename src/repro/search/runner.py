@@ -61,7 +61,6 @@ The runner composes three independent pieces:
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..einsum.operators import ARITHMETIC, OpSet
@@ -69,11 +68,9 @@ from ..fibertree.rankid import rank_of_var
 from ..model.backend import PrepCache, resolve_backend
 from ..model.evaluate import (
     EvaluationResult,
-    StoreBypassWarning,
+    _durable_store,
     _opset_token,
     _process_one,
-    _store_engine,
-    cache_incompatibilities,
     check_executor,
     check_metrics_mode,
     check_validate_mode,
@@ -83,7 +80,7 @@ from ..model.evaluate import (
     resolve_pool_mode,
 )
 from ..spec.loader import AcceleratorSpec
-from ..store.persistent import MISS, PersistentStore, resolve_store
+from ..store.persistent import MISS, PersistentStore
 from .results import (
     CascadeSearchResult,
     SearchResult,
@@ -157,25 +154,11 @@ class SearchRunner:
         self.shapes = shapes
         self.energy_model = energy_model
         self._backend_arg = backend
+        self.engine = resolve_backend(backend)
         #: The ``cache=`` store results are published to (None when
         #: absent or bypassed).
-        self.store: Optional[PersistentStore] = None
-        self.engine = resolve_backend(backend)
-        if cache is not None:
-            store = resolve_store(cache)
-            engine = _store_engine(backend, store)
-            reasons = cache_incompatibilities(opset, opsets, energy_model,
-                                              engine)
-            if reasons:
-                warnings.warn(
-                    "cache= was bypassed for this search because the "
-                    "arguments cannot be keyed durably: "
-                    + "; ".join(reasons),
-                    StoreBypassWarning, stacklevel=2,
-                )
-            else:
-                self.store = store
-                self.engine = engine
+        self.store: Optional[PersistentStore] = _durable_store(
+            cache, opset, opsets, energy_model, self.engine, "search")
         self.metrics = metrics
         self.metric = metric
         self.workers = workers if workers is not None else default_workers()
@@ -505,9 +488,8 @@ def search(
     every deterministic failure.  Before dispatch, a re-run of the same
     sweep — in this process or any other — adopts the stored results
     and failures bit-identically instead of re-evaluating, counting them
-    in ``result.stats["n_adopted"]``.  With the default backend the
-    compile cache is store-backed too, so warm sweeps skip lowering.
-    Arguments without a durable key bypass the store with a
+    in ``result.stats["n_adopted"]``.  Arguments without a durable key
+    bypass the store with a
     :class:`~repro.model.evaluate.StoreBypassWarning`.
 
     That makes a cached sweep resumable: each result is committed as

@@ -2,8 +2,8 @@
 evaluation-as-a-service.
 
 :class:`PersistentStore` is a disk-backed cache directory shared by any
-number of worker processes: compiled-kernel IR and fully priced
-evaluation results survive process exit, kills mid-write, corrupt
+number of worker processes: fully priced evaluation results and
+deterministic failures survive process exit, kills mid-write, corrupt
 entries, and concurrent writers (see :mod:`repro.store.persistent` for
 the durability contract).  Opt in per call with ``cache=dir`` on
 :func:`repro.model.evaluate.evaluate`,

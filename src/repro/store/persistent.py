@@ -1,10 +1,10 @@
-"""A crash-safe, cross-process persistent store for compiled kernels
-and priced evaluation results.
+"""A crash-safe, cross-process persistent store for priced evaluation
+results.
 
 Every cache this library had before this module — the compile cache,
 the prep cache, the priceability memo — lives and dies with one
 process.  A service answering sweep traffic from many worker processes
-needs the expensive artifacts (lowered IR, fully priced
+needs its expensive artifacts (fully priced
 :class:`~repro.model.evaluate.EvaluationResult` objects) to outlive any
 one of them, survive kills at any instruction, and stay correct when
 several writers race on one key.  :class:`PersistentStore` is that
@@ -44,18 +44,20 @@ layer, with the durability discipline stated up front:
   protocol this interpreter cannot read raises the named
   :class:`PayloadVersionError` instead of an opaque unpickle crash.
 
-The concrete uses are **kernels** (lowered
-:class:`~repro.ir.nodes.LoopNestIR` per canonical spec key — a hit
-skips lowering, the dominant cost of a cold compile), **results**
-(pickled evaluation results keyed on the full semantic fingerprint of
-``(spec, workload contents, metrics mode, opset, shapes)``), and
-**failures** (the deterministic failure of a candidate that cannot be
-priced, under the same key).  Results and failures are the one place
-cached sweeps and batch jobs (:func:`repro.search.search`,
-:mod:`repro.search.jobs`) checkpoint per-candidate outcomes.  The
-result key hashes tensor *contents*, not just shapes, so a hit is
-guaranteed to reproduce the exact result a cold run would compute —
-the bit-identity-on-hit contract the differential suite enforces.
+The store holds two namespaces: **results** (pickled evaluation
+results keyed on the full semantic fingerprint of ``(spec, workload
+contents, metrics mode, opset, shapes)``) and **failures** (the
+deterministic failure of a candidate that cannot be priced, under the
+same key).  Compiled kernels are not stored: lowering a spec is no
+slower than loading its IR back from disk, so each process keeps them
+in its own :class:`~repro.model.backend.CompileCache`.
+
+Results and failures are the one place cached sweeps and batch jobs
+(:func:`repro.search.search`, :mod:`repro.search.jobs`) checkpoint
+per-candidate outcomes.  The result key hashes tensor *contents*, not
+just shapes, so a hit is guaranteed to reproduce the exact result a
+cold run would compute — the bit-identity-on-hit contract the
+differential suite enforces.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import os
 import pickle
 import struct
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -431,41 +433,6 @@ class PersistentStore:
             with self._lock:
                 self.stats.puts += 1
             return value
-
-    def get_or_put(self, namespace: str, key: str, compute) -> Any:
-        value = self.get(namespace, key)
-        if value is not MISS:
-            return value
-        return self.put(namespace, key, compute())
-
-    # ---- kernel store (CompileCache persistent layer) ----------------
-    def kernel_key(self, spec) -> str:
-        from ..model.backend import spec_cache_key
-
-        return hashlib.sha256(
-            repr(spec_cache_key(spec)).encode("utf-8")
-        ).hexdigest()
-
-    def get_kernels(self, spec) -> Optional[List]:
-        """Lowered IR units for a spec, or None.  Duck-typed for
-        :class:`~repro.model.backend.CompileCache`, which re-compiles
-        kernels from the IR (compilation is cheap; lowering is not)."""
-        value = self.get("kernels", self.kernel_key(spec))
-        return None if value is MISS else value
-
-    def put_kernels(self, spec, irs: List) -> None:
-        self.put("kernels", self.kernel_key(spec), list(irs))
-
-    def invalidate_kernels(self, spec, reason: str) -> None:
-        """Quarantine a spec's stored kernels (e.g. a checksum-valid
-        entry whose IR failed structural verification).  Without this,
-        ``put``'s setdefault semantics would re-adopt the bad entry
-        forever."""
-        key = self.kernel_key(spec)
-        path = self._entry_path("kernels", key)
-        with self._stripe_lock("kernels", key):
-            if os.path.exists(path):
-                self._quarantine("kernels", key, path, reason)
 
     # ---- result store -------------------------------------------------
     def tensor_fingerprint(self, tensor) -> str:

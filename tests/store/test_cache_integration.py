@@ -15,7 +15,7 @@ import warnings
 import pytest
 
 from repro.model import EnergyModel
-from repro.model.backend import CompileCache, CompiledCascade
+from repro.model.backend import GLOBAL_COMPILE_CACHE
 from repro.model.evaluate import StoreBypassWarning, evaluate, evaluate_many
 from repro.search import search
 from repro.search.results import metrics_fingerprint
@@ -129,19 +129,26 @@ class TestEvaluateThroughCache:
         assert _object_count(cache_dir) == 0
 
 
-class TestKernelPersistence:
-    def test_second_compile_cache_hits_persistently(self, cache_dir):
+class TestCompileCacheSharing:
+    def test_cached_runs_reuse_the_process_compile_cache(self, tensors,
+                                                          cache_dir):
+        # The store holds results only: a cache= run compiles through
+        # the process-wide compile cache, so a spec an uncached run has
+        # already compiled costs no lowering, and no kernel entry is
+        # written.
         spec = load_spec(BUFFERED)
-        store = PersistentStore(cache_dir)
-        first = CompileCache(persistent=store)
-        first.get(spec)
-        assert first.persistent_hits == 0
-        # A *fresh* in-memory cache — a new process, effectively — finds
-        # the lowered IR on disk instead of re-lowering.
-        second = CompileCache(persistent=store)
-        compiled = second.get(spec)
-        assert second.persistent_hits == 1
-        assert compiled.units
+        sweep = {"tile_sizes": {"K": [8, 24]}, "workers": 1}
+        evaluate(spec, tensors)
+        search(spec, tensors, **sweep)
+        hits, misses = GLOBAL_COMPILE_CACHE.hits, GLOBAL_COMPILE_CACHE.misses
+        evaluate(spec, tensors, cache=cache_dir)
+        evaluate_many(spec, [tensors], workers=1, cache=cache_dir)
+        search(spec, tensors, cache=cache_dir, **sweep)
+        assert GLOBAL_COMPILE_CACHE.misses == misses
+        assert GLOBAL_COMPILE_CACHE.hits > hits
+        assert not os.path.exists(os.path.join(cache_dir, "objects",
+                                               "kernels"))
+        assert _entries(cache_dir)
 
 
 class TestEvaluateManyThroughCache:
@@ -165,12 +172,11 @@ class TestEvaluateManyThroughCache:
         assert store.stats.hits >= len(workloads)
         assert store.stats.puts == 0  # nothing was recomputed
 
-    def test_populates_both_namespaces(self, tensors, cache_dir):
+    def test_populates_results_only(self, tensors, cache_dir):
         spec = load_spec(BUFFERED)
         evaluate_many(spec, [tensors], workers=1, cache=cache_dir)
-        store = PersistentStore(cache_dir)
-        assert store.get_kernels(spec) is not None
-        assert _object_count(cache_dir) >= 2  # kernels + result
+        assert os.listdir(os.path.join(cache_dir, "objects")) == ["results"]
+        assert len(_entries(cache_dir)) == _object_count(cache_dir) == 1
 
 
 class TestSearchThroughCache:
@@ -304,6 +310,5 @@ class TestDurabilityPolicy:
         monkeypatch.setattr(persistent.os, "fsync",
                             lambda fd: syncs.append(real_fsync(fd)))
         search(load_spec(BASE), tensors, workers=1, cache=cache_dir)
-        # One per committed entry, in every namespace (results and the
-        # store-backed compile cache's kernels alike).
-        assert len(syncs) == _object_count(cache_dir) >= 6 + 1
+        # One per committed entry: the six candidates' results.
+        assert len(syncs) == _object_count(cache_dir) == 6
