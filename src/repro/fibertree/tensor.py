@@ -26,7 +26,7 @@ tensor the first access builds the tree
 (:meth:`~repro.fibertree.arena.FlatArena.to_fiber`) and drops the
 columns, so from then on the tree is authoritative and a caller who
 mutates it is never shadowed by stale columns.  The build is
-thread-safe: search workers share input tensors.
+thread-safe: a caller's own threads may share input tensors.
 """
 
 from __future__ import annotations

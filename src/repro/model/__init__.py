@@ -31,7 +31,6 @@ from .evaluate import (
     METRICS_MODES,
     ModelSink,
     ProcessExecutorError,
-    default_executor,
     default_workers,
     evaluate,
     evaluate_many,
@@ -109,7 +108,6 @@ __all__ = [
     "WorkloadStats",
     "algorithmic_minimum_bits",
     "derive_output_stats",
-    "default_executor",
     "default_workers",
     "evaluate",
     "evaluate_analytical",

@@ -359,12 +359,15 @@ class PrepCache:
     is pinned.
 
     Entries pin their source objects so ``id()`` keys can never be
-    recycled.  The cache is thread-safe: a parallel mapping search
-    (:mod:`repro.search`) shares one instance across every worker thread
-    of a sweep, so lookups and inserts synchronize on an internal lock.
-    Builds run *outside* the lock (preparation can be slow); when two
-    threads race to prepare the same arena, one build is discarded and
-    both threads share the first-inserted arena.
+    recycled.  :func:`repro.search.search` builds one per sweep (or
+    takes the caller's ``prep_cache=``) and prices every in-process
+    candidate through it; process-pool workers prepare their own.  The
+    cache is thread-safe, because a caller may share one instance
+    across its own threads (concurrent sweeps over the same inputs), so
+    lookups and inserts synchronize on an internal lock.  Builds run
+    *outside* the lock (preparation can be slow); when two threads race
+    to prepare the same arena, one build is discarded and both threads
+    share the first-inserted arena.
     """
 
     __slots__ = ("_prepared", "_lock", "hits", "misses")

@@ -56,25 +56,25 @@ class EnvVarError(ValueError):
 
 
 class ProcessExecutorError(ValueError):
-    """An explicit ``executor="process"`` request cannot be honored.
+    """An explicit ``workers > 1`` request cannot be honored.
 
     The process pool ships work by pickle, so it only supports named
     opsets with no per-Einsum overrides, the default energy model, and
-    the default backend.  When the *caller* asked for processes by
+    the default backend.  When the *caller* asked for a pool by
     argument, hitting an unsupported combination raises this error
-    (naming every offending argument) rather than silently running on
-    threads; the env-var/default path downgrades to threads with an
-    :class:`ExecutorDowngradeWarning` instead.
+    (naming every offending argument) rather than silently running
+    serially; a worker count from ``REPRO_EVALUATE_WORKERS`` falls back
+    to serial with an :class:`ExecutorDowngradeWarning` instead.
     """
 
 
 class ExecutorDowngradeWarning(RuntimeWarning):
-    """A process-pool request from ``REPRO_EVALUATE_EXECUTOR`` (or a
-    future process default) was downgraded to threads because the
-    arguments cannot cross a process boundary.  The warning names each
-    offending argument (via :func:`process_incompatibilities`); results
-    are unaffected — thread and process fan-out are bit-identical — but
-    kernel execution serializes on the GIL."""
+    """A process pool requested through ``REPRO_EVALUATE_WORKERS`` ran
+    serially because the arguments cannot cross a process boundary.
+    The warning names each offending argument (via
+    :func:`process_incompatibilities`); results are unaffected — serial
+    and process fan-out are bit-identical — but nothing runs in
+    parallel."""
 
 
 class StoreBypassWarning(RuntimeWarning):
@@ -589,15 +589,6 @@ def check_validate_mode(validate: str) -> None:
         )
 
 
-def check_executor(executor: Optional[str]) -> None:
-    """Raise ``ValueError`` unless ``executor`` is None, ``"thread"`` or
-    ``"process"``."""
-    if executor is not None and executor not in ("thread", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r}; known: 'thread', 'process'"
-        )
-
-
 def lint_shapes(tensors, shapes) -> Dict[str, int]:
     """Rank shapes for the lint rules: the workload tensors' shapes
     under any explicit ``shapes`` overrides."""
@@ -839,76 +830,33 @@ def _evaluate_exact(spec, tensors, opset, opsets, shapes, energy_model,
     )
 
 
-#: Cap on the auto-detected worker count of :func:`evaluate_many`.
-MAX_DEFAULT_WORKERS = 8
-
-
 def default_workers() -> int:
-    """The worker count :func:`evaluate_many` uses when none is given.
-
-    ``os.cpu_count()`` capped at :data:`MAX_DEFAULT_WORKERS`; override
-    with the ``REPRO_EVALUATE_WORKERS`` environment variable (set it to
-    ``1`` to force sequential evaluation).
+    """The worker count :func:`evaluate_many` and the search entry points
+    use when none is given: ``REPRO_EVALUATE_WORKERS``, or 1 (serial)
+    when it is unset.  A count above 1 fans out over a process pool.
     """
     env = os.environ.get("REPRO_EVALUATE_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise EnvVarError(
-                f"REPRO_EVALUATE_WORKERS={env!r} is not a valid worker "
-                "count; set it to a positive integer (1 forces sequential "
-                "evaluation) or unset it for the cpu-count default"
-            ) from None
-        if workers < 1:
-            # 0 and negatives used to clamp to 1 silently — the caller
-            # asked for "no workers" and got a serial sweep without a
-            # word.  A nonsensical count is a config error, same as a
-            # non-numeric value.
-            raise EnvVarError(
-                f"REPRO_EVALUATE_WORKERS={env!r} is not a valid worker "
-                "count; worker counts start at 1 (1 forces sequential "
-                "evaluation) — unset the variable for the cpu-count "
-                "default"
-            )
-        return workers
-    return max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
-
-
-def default_executor() -> str:
-    """The pool type :func:`evaluate_many` fans out with.
-
-    ``"thread"`` (the default) or ``"process"``, overridden by the
-    ``REPRO_EVALUATE_EXECUTOR`` environment variable.  Threads share the
-    warm compile cache and start instantly, but kernel execution holds
-    the GIL, so the pool only overlaps the numpy portions of the priced
-    kernels.  Processes sidestep the GIL at the cost of pool start-up,
-    one spec compile per worker, and per-workload pickling.  Measured on
-    a 2-vCPU Intel Xeon (python 3.11.7, numpy 2.4.6; serial / 2 threads
-    / 2 processes, medians of 5 interleaved rounds, two runs):
-
-    * long-span 3-pair batch: 0.057-0.066 / 0.053-0.054 / 0.131-0.132 s;
-    * mapping-search pruned sweep: 0.24-0.30 / 0.28-0.33 / 0.20-0.25 s;
-    * 24-workload K=8192 sweep: 0.18-0.22 / 0.23-0.24 / 0.24-0.25 s;
-    * gamma over 6 seeded wi stand-ins: 4.7-5.5 / 5.0-5.3 / 2.6 s;
-    * extensor over the same inputs: 3.6-4.1 / 4.2-4.6 / 2.4-2.5 s.
-
-    Two threads were never clearly faster than one.  Processes won by
-    1.5-2x where each workload takes about half a second or more, and
-    lost on short batches, where pool start-up dominates.  ``"thread"``
-    stays the default: it never pays start-up, and on short sweeps it is
-    no slower than serial.
-    """
-    env = os.environ.get("REPRO_EVALUATE_EXECUTOR")
-    if env is None or env == "":
-        return "thread"
-    if env in ("thread", "process"):
-        return env
-    raise EnvVarError(
-        f"REPRO_EVALUATE_EXECUTOR={env!r} is not a valid pool type; "
-        "set it to 'thread' or 'process', or unset it for the thread "
-        "default"
-    )
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise EnvVarError(
+            f"REPRO_EVALUATE_WORKERS={env!r} is not a valid worker "
+            "count; set it to a positive integer (1 is serial, more is a "
+            "process pool) or unset it for serial evaluation"
+        ) from None
+    if workers < 1:
+        # 0 and negatives used to clamp to 1 silently — the caller
+        # asked for "no workers" and got a serial sweep without a
+        # word.  A nonsensical count is a config error, same as a
+        # non-numeric value.
+        raise EnvVarError(
+            f"REPRO_EVALUATE_WORKERS={env!r} is not a valid worker "
+            "count; worker counts start at 1 (serial) — unset the "
+            "variable for serial evaluation"
+        )
+    return workers
 
 
 def _opset_token(ops: OpSet):
@@ -985,51 +933,90 @@ def _durable_store(cache, opset, opsets, energy_model, engine, what):
     caller of the ``evaluate``/``evaluate_many``/search entry point."""
     if cache is None:
         return None
-    from ..store import resolve_store
-
-    store = resolve_store(cache)
     reasons = cache_incompatibilities(opset, opsets, energy_model, engine)
     if reasons:
+        # Checked before the store is opened: a bypassed directory is
+        # never created, let alone reaped.
         warnings.warn(
             f"cache= was bypassed for this {what} because the arguments "
             "cannot be keyed durably: " + "; ".join(reasons),
             StoreBypassWarning, stacklevel=3,
         )
         return None
-    return store
+    from ..store import resolve_store
+
+    return resolve_store(cache)
 
 
-def resolve_pool_mode(executor, opset, opsets=None, energy_model=None,
-                      backend=None) -> str:
-    """The pool type a fan-out should actually use: ``"thread"`` or
-    ``"process"``.
+def resolve_workers(workers, executor, timeout, opset, opsets=None,
+                    energy_model=None, backend=None) -> int:
+    """The worker count a fan-out actually uses: 1 runs serially
+    in-process, more runs a process pool of that size.
 
-    Encodes the one executor-downgrade policy shared by
-    :func:`evaluate_many` and the search runner: an *explicit*
-    ``executor="process"`` argument with process-incompatible arguments
-    raises :class:`ProcessExecutorError` naming each offender, while the
-    ``REPRO_EVALUATE_EXECUTOR`` path downgrades to threads with an
-    :class:`ExecutorDowngradeWarning` naming the same offenders.
+    Encodes the one fan-out policy shared by :func:`evaluate_many` and
+    the search runner:
+
+    * ``workers=None`` reads :func:`default_workers`.  An explicit
+      ``workers > 1`` with arguments that cannot cross a process pool
+      raises :class:`ProcessExecutorError` naming each offender; one
+      from ``REPRO_EVALUATE_WORKERS`` runs serially with an
+      :class:`ExecutorDowngradeWarning` naming the same offenders.
+    * ``executor`` is a retired spelling: ``"thread"`` runs serially
+      and ``"process"`` changes nothing, both with a
+      :class:`DeprecationWarning`.  A set ``REPRO_EVALUATE_EXECUTOR``
+      raises :class:`EnvVarError`.
+    * ``timeout`` needs a pool: a serial call cannot be preempted, so a
+      timeout on a serial fan-out raises ``ValueError``.
     """
-    mode = executor if executor is not None else default_executor()
-    if mode != "process":
-        return "thread"
-    reasons = process_incompatibilities(opset, opsets, energy_model,
-                                        backend)
-    if not reasons:
-        return "process"
-    if executor == "process":
-        raise ProcessExecutorError(
-            "executor='process' was requested explicitly but the "
-            "arguments cannot cross a process pool: " + "; ".join(reasons)
+    if os.environ.get("REPRO_EVALUATE_EXECUTOR"):
+        raise EnvVarError(
+            "REPRO_EVALUATE_EXECUTOR is retired: the thread executor is "
+            "gone, and the fan-out is serial or a process pool by worker "
+            "count alone; unset it and set REPRO_EVALUATE_WORKERS "
+            "(1 is serial, more is a process pool) instead"
         )
-    warnings.warn(
-        "REPRO_EVALUATE_EXECUTOR=process was downgraded to the thread "
-        "pool because the arguments cannot cross a process pool: "
-        + "; ".join(reasons),
-        ExecutorDowngradeWarning, stacklevel=3,
-    )
-    return "thread"
+    if executor is not None:
+        if executor not in ("thread", "process"):
+            raise ValueError(
+                f"unknown executor {executor!r}; known: 'thread', "
+                "'process' (both retired: pass workers= instead)"
+            )
+        warnings.warn(
+            f"executor={executor!r} is retired: workers= alone picks "
+            "serial (1) or a process pool (more); "
+            + ('this call runs serially' if executor == "thread"
+               else 'this argument changes nothing'),
+            DeprecationWarning, stacklevel=3,
+        )
+    explicit = workers is not None
+    if not explicit:
+        workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if executor == "thread":
+        workers = 1
+    if workers > 1:
+        reasons = process_incompatibilities(opset, opsets, energy_model,
+                                            backend)
+        if reasons and explicit:
+            raise ProcessExecutorError(
+                f"workers={workers} asks for a process pool, but the "
+                "arguments cannot cross one: " + "; ".join(reasons)
+            )
+        if reasons:
+            warnings.warn(
+                f"REPRO_EVALUATE_WORKERS={workers} ran serially because "
+                "the arguments cannot cross a process pool: "
+                + "; ".join(reasons),
+                ExecutorDowngradeWarning, stacklevel=3,
+            )
+            workers = 1
+    if timeout is not None and workers == 1:
+        raise ValueError(
+            "timeout= needs a process pool (workers > 1): a serial call "
+            "cannot be preempted, so the timeout could never fire"
+        )
+    return workers
 
 
 #: Per-process memo of stores, keyed by cache directory: pool workers
@@ -1084,34 +1071,28 @@ def evaluate_many(
     The spec is lowered a single time (warming the backend's compile
     cache; each kernel flavor compiles once, on first use), then every
     workload — a ``{tensor: Tensor}`` dict —
-    is evaluated against the cached kernels.  ``workers`` fans the
-    evaluations out over a pool (kernels and component models are
-    independent per workload); it defaults to :func:`default_workers`
-    (``os.cpu_count()`` capped at :data:`MAX_DEFAULT_WORKERS`, overridden
-    by the ``REPRO_EVALUATE_WORKERS`` environment variable — set it to
-    ``1`` to force sequential evaluation).  ``metrics`` is forwarded to
-    :func:`evaluate` per workload.
+    is evaluated against the cached kernels.  ``metrics`` is forwarded
+    to :func:`evaluate` per workload.
 
-    ``executor`` picks the pool type: ``"thread"`` (default — see
-    :func:`default_executor` for the GIL trade-off and the measurement
-    behind the default) or ``"process"`` (opt in per call or via
-    ``REPRO_EVALUATE_EXECUTOR=process``).  The process pool requires
-    picklable arguments, so it only engages for named opsets with no
-    per-Einsum overrides, no custom energy model, and the default
-    backend.  An *explicit* ``executor="process"`` argument with
-    incompatible arguments raises :class:`ProcessExecutorError` naming
-    each offender; the ``REPRO_EVALUATE_EXECUTOR`` path downgrades to
-    threads with an :class:`ExecutorDowngradeWarning`.
+    ``workers`` is the one fan-out knob: 1 (the default, see
+    :func:`default_workers`) evaluates serially in-process, more fans
+    the workloads out over a process pool of that many workers, and
+    ``executor`` is a retired spelling; :func:`resolve_workers` has the
+    policy.  Serial and process runs are bit-identical.  Kernel
+    execution holds the GIL, so only a process pool runs workloads in
+    parallel; it pays off when each workload takes about half a second
+    or more, and loses on short batches, where pool start-up dominates
+    (the README's *Batching* note has the measurements).
 
     The fan-out is *supervised* (see
     :class:`~repro.search.supervisor.SweepSupervisor`): transient
     worker failures — a died worker process, a broken pool — retry up
     to ``max_retries`` times with exponential backoff
     (``retry_backoff`` seconds doubling per attempt), a broken process
-    pool is rebuilt once and then the batch downgrades to threads with
-    a :class:`~repro.search.supervisor.SweepDegradationWarning`, and
-    ``timeout`` bounds each workload's wall-clock evaluation (pooled
-    runs only).  Because this function's contract is one result per
+    pool is rebuilt once and then the batch finishes serially with a
+    :class:`~repro.search.supervisor.SweepDegradationWarning`, and
+    ``timeout`` bounds each workload's wall-clock evaluation (it needs
+    ``workers > 1``).  Because this function's contract is one result per
     workload, a failure that survives the retry budget — including a
     deterministic spec error, which is never retried — re-raises the
     original exception (for a timeout, a
@@ -1131,7 +1112,8 @@ def evaluate_many(
     Returns one :class:`EvaluationResult` per workload, in order.
     """
     check_metrics_mode(metrics)
-    check_executor(executor)
+    workers = resolve_workers(workers, executor, timeout, opset, opsets,
+                              energy_model, backend)
     workloads = list(workloads)
     # One lint pass covers the whole sweep: the spec does not change
     # per workload (tile-shape rules see the first workload's shapes).
@@ -1156,13 +1138,8 @@ def evaluate_many(
                         shapes=shapes, energy_model=energy_model,
                         backend=engine, metrics=metrics, cache=store)
 
-    if workers is None:
-        workers = default_workers()
-    pooled = workers > 1 and len(workloads) > 1
-    mode = resolve_pool_mode(executor, opset, opsets, energy_model,
-                             backend) if pooled else "thread"
     supervisor = SweepSupervisor(
-        workers=workers if pooled else 1, mode=mode, timeout=timeout,
+        workers=workers, timeout=timeout,
         max_retries=max_retries, backoff=retry_backoff,
         key=lambda i: f"workload[{i}]",
     )

@@ -9,9 +9,10 @@ It splits the problem into three orthogonal pieces:
   and :func:`apply_candidate`;
 * :mod:`repro.search.strategies` — pluggable candidate generators behind
   :class:`SearchStrategy`: exhaustive, seeded random, greedy beam;
-* :mod:`repro.search.runner` — parallel candidate evaluation (threads or
-  processes, shared compile + prep caches), top-k pruning (with an
-  exact re-pricing phase after the analytical surrogate), and the entry points :func:`search`, :func:`explore`, and
+* :mod:`repro.search.runner` — candidate evaluation (serial in-process,
+  sharing the compile + prep caches, or a process pool), top-k pruning
+  (with an exact re-pricing phase after the analytical surrogate), and
+  the entry points :func:`search`, :func:`explore`, and
   :func:`explore_cascade`;
 * :mod:`repro.search.supervisor` — the fault-tolerance layer:
   per-candidate timeouts, bounded retry with failure classification,
@@ -28,8 +29,6 @@ written to one place, the cross-process persistent store
 and deterministic failures under content keys.  A killed or
 interrupted sweep re-run with the same ``cache=`` adopts them and
 evaluates only what is missing; ``gather`` reads them back.
-
-``repro.explore`` remains as a thin compatibility shim over this package.
 """
 
 from ..store import PayloadVersionError

@@ -1,6 +1,6 @@
 """Result containers for mapping-space search.
 
-:class:`ExplorationResult` keeps its historical (`repro.explore`) shape —
+:class:`ExplorationResult` keeps the historical exhaustive sweep's shape —
 a list of ``(Candidate, EvaluationResult)`` pairs with ranking helpers —
 and :class:`SearchResult` extends it with what a strategy-driven,
 possibly pruned run adds: the phase-1 surrogate scores, the strategy

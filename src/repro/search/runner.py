@@ -1,7 +1,7 @@
 """Parallel, pruned mapping-space search over real tensors.
 
 This is the evaluation engine behind :func:`search`, :func:`explore`
-(the historical serial sweep, now a thin wrapper), and
+(the historical serial sweep, a thin wrapper), and
 :func:`explore_cascade` (the paper's named future-work rung: searching a
 whole cascade's mappings Einsum by Einsum).
 
@@ -10,21 +10,22 @@ The runner composes three independent pieces:
 * **A strategy** (:mod:`repro.search.strategies`) proposes candidate
   batches and sees only float scores back.
 * **Parallel evaluation** fans each batch out over the
-  ``evaluate_many`` machinery: a thread pool sharing the process-wide
-  compile cache and one thread-safe
-  :class:`~repro.model.backend.PrepCache` per sweep, or a process pool
-  shipping picklable ``(spec, tensors, opset, shapes, metrics)``
-  payloads.  An explicit ``executor="process"`` request with
-  process-incompatible arguments raises
-  :class:`~repro.model.evaluate.ProcessExecutorError`; the
-  env-var/default path downgrades to threads with an
+  ``evaluate_many`` machinery, by worker count alone: ``workers=1``
+  (the default) evaluates in-process, sharing the process-wide compile
+  cache and one :class:`~repro.model.backend.PrepCache` per sweep;
+  ``workers > 1`` runs a process pool shipping picklable
+  ``(spec, tensors, opset, shapes, metrics)`` payloads.  An explicit
+  ``workers > 1`` with process-incompatible arguments raises
+  :class:`~repro.model.evaluate.ProcessExecutorError`; a count from
+  ``REPRO_EVALUATE_WORKERS`` runs serially with an
   :class:`~repro.model.evaluate.ExecutorDowngradeWarning` naming each
   offender.  Every fan-out runs under a
   :class:`~repro.search.supervisor.SweepSupervisor`: per-candidate
-  wall-clock ``timeout``, bounded retry of transient worker failures
-  (``max_retries``/``retry_backoff``), broken process pools rebuilt
-  once then downgraded to threads, and deterministic spec errors
-  recorded on ``SearchResult.failures`` instead of killing the sweep.
+  wall-clock ``timeout`` (process pools only), bounded retry of
+  transient worker failures (``max_retries``/``retry_backoff``), broken
+  process pools rebuilt once then finished serially, and deterministic
+  spec errors recorded on ``SearchResult.failures`` instead of killing
+  the sweep.
 * **One result store** (:class:`~repro.store.PersistentStore`, the
   ``cache=`` store) is the only place per-candidate outcomes are
   written.  Before dispatch, a store-backed sweep adopts every stored
@@ -71,13 +72,11 @@ from ..model.evaluate import (
     _durable_store,
     _opset_token,
     _process_one,
-    check_executor,
     check_metrics_mode,
     check_validate_mode,
-    default_workers,
     evaluate,
     lint_shapes,
-    resolve_pool_mode,
+    resolve_workers,
 )
 from ..spec.loader import AcceleratorSpec
 from ..store.persistent import MISS, PersistentStore
@@ -139,7 +138,6 @@ class SearchRunner:
         cache=None,
         validate: str = "off",
     ):
-        check_executor(executor)
         check_validate_mode(validate)
         check_metric(metric)
         check_metrics_mode(metrics)
@@ -153,7 +151,9 @@ class SearchRunner:
         self.opsets = opsets
         self.shapes = shapes
         self.energy_model = energy_model
-        self._backend_arg = backend
+        #: 1 (serial, in-process) or the size of the process pool.
+        self.workers = resolve_workers(workers, executor, timeout, opset,
+                                       opsets, energy_model, backend)
         self.engine = resolve_backend(backend)
         #: The ``cache=`` store results are published to (None when
         #: absent or bypassed).
@@ -161,8 +161,6 @@ class SearchRunner:
             cache, opset, opsets, energy_model, self.engine, "search")
         self.metrics = metrics
         self.metric = metric
-        self.workers = workers if workers is not None else default_workers()
-        self.executor = executor
         self.prune_to = prune_to
         self.prune_metrics = prune_metrics
         self.prep_cache = prep_cache if prep_cache is not None else PrepCache()
@@ -317,14 +315,8 @@ class SearchRunner:
         strategy.reset(space)
         pruning = self.prune_to is not None
         phase1_metrics = self.prune_metrics if pruning else self.metrics
-        # Resolve the pool policy once per run (raising early when an
-        # explicit process request cannot be honored).
-        mode = resolve_pool_mode(
-            self.executor, self.opset, self.opsets, self.energy_model,
-            self._backend_arg,
-        ) if self.workers > 1 else "thread"
         self._supervisor = SweepSupervisor(
-            workers=self.workers, mode=mode, timeout=self.timeout,
+            workers=self.workers, timeout=self.timeout,
             max_retries=self.max_retries, backoff=self.retry_backoff,
             key=candidate_key,
         )
@@ -455,11 +447,13 @@ def search(
     (greedy refinement from ``beam_width`` survivors per round), or any
     :class:`~repro.search.strategies.SearchStrategy` instance.
 
-    ``workers``/``executor`` control the parallel candidate evaluation
-    (defaults follow :func:`~repro.model.evaluate.default_workers` and
-    :func:`~repro.model.evaluate.default_executor`); ``workers=1`` forces
-    the serial sweep.  Parallel and serial runs produce bit-identical
-    candidate lists and rankings.
+    ``workers`` picks the candidate fan-out (see
+    :func:`~repro.model.evaluate.resolve_workers`): 1 evaluates
+    serially in-process, more runs a process pool of that size; it
+    defaults to :func:`~repro.model.evaluate.default_workers`
+    (``REPRO_EVALUATE_WORKERS``, or 1).  ``executor`` is a retired
+    spelling that warns.  Parallel and serial runs produce
+    bit-identical candidate lists and rankings.
 
     ``prune_to=k`` keeps only the best ``k`` candidates as scored by
     ``prune_metrics``: an exact mode (``"auto"``, the priced arena
@@ -474,8 +468,9 @@ def search(
     ``"cycles"``, ``"traffic"``, or ``"energy"``.
 
     Every run is *supervised*: ``timeout`` bounds each candidate's
-    wall-clock evaluation (pooled runs only — the serial path cannot
-    preempt itself), transient worker failures retry up to
+    wall-clock evaluation (it needs ``workers > 1``: a serial sweep
+    cannot preempt itself, so ``timeout`` with one worker raises
+    ``ValueError``), transient worker failures retry up to
     ``max_retries`` times with ``retry_backoff``-seconded exponential
     backoff, and deterministic spec errors are recorded on
     ``result.failures`` (never retried) instead of killing the sweep.

@@ -8,8 +8,8 @@ how to enumerate it exhaustively, sample it, and step between neighboring
 candidates — the three primitives the strategies in
 :mod:`repro.search.strategies` are built from.
 
-``enumerate_candidates`` and ``apply_candidate`` keep their historical
-(`repro.explore`) signatures; enumeration now deduplicates, so repeated
+``enumerate_candidates`` and ``apply_candidate`` keep the historical
+exhaustive sweep's signatures; enumeration deduplicates, so repeated
 tile sizes or degenerate spaces can never evaluate one mapping twice.
 """
 

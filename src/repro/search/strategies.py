@@ -5,8 +5,8 @@ A strategy is a stateful proposer: the runner repeatedly calls
 better) and evaluates whatever comes back, until the strategy returns an
 empty batch.  Three built-ins cover the paper-relevant regimes:
 
-* :class:`ExhaustiveSearch` — every candidate, one batch (the historical
-  ``repro.explore.explore`` behavior);
+* :class:`ExhaustiveSearch` — every candidate, one batch (what
+  :func:`repro.search.explore` runs);
 * :class:`RandomSearch` — a seeded uniform sample without replacement,
   for spaces too large to enumerate;
 * :class:`BeamSearch` — greedy beam refinement: seed with a few

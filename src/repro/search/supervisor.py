@@ -1,19 +1,20 @@
 """Fault-tolerant fan-out: timeouts, retries, pool recovery, clean drains.
 
 The search runner and ``evaluate_many`` fan thousands of independent
-evaluations across thread or process pools; before this module existed a
-single hung kernel or dead worker process lost the whole sweep.  A
-:class:`SweepSupervisor` wraps one sweep's fan-out with the durability
-discipline a day-long DSE run needs:
+evaluations out serially or across a process pool; before this module
+existed a single hung kernel or dead worker process lost the whole
+sweep.  A :class:`SweepSupervisor` wraps one sweep's fan-out with the
+durability discipline a day-long DSE run needs:
 
 * **Per-task wall-clock timeouts.**  Each submitted task carries a
   deadline; a task that blows past it is abandoned and classified as a
   transient failure.  A hung worker cannot be preempted from the
   outside, so its whole pool is retired — live tasks on it finish,
   nothing new lands on it, a fresh pool takes over — which keeps hung
-  workers from ever starving the sweep.  Timeouts require a pool: the
-  serial path cannot preempt its own call stack, so ``timeout`` is
-  ignored there.
+  workers from ever starving the sweep; the retired pool's hung
+  processes are killed at :meth:`SweepSupervisor.close`.  Timeouts
+  require a pool: the serial path cannot preempt its own call stack, so
+  the entry points reject ``timeout`` without one.
 
 * **Bounded retry with exponential backoff, by failure class.**
   :func:`classify_failure` splits failures into *transient* (worker
@@ -27,9 +28,9 @@ discipline a day-long DSE run needs:
 
 * **Graceful pool degradation.**  A broken process pool (a worker died
   mid-task) is torn down and rebuilt once; if the rebuilt pool breaks
-  again the sweep downgrades to a thread pool — with an explicit
+  again the batch finishes serially in-process — with an explicit
   :class:`SweepDegradationWarning` each time — instead of dying.  Every
-  task in flight at the breakage is retried under the surviving pool.
+  task in flight at the breakage is retried under what survives.
 
 * **Interrupt drains.**  ``KeyboardInterrupt`` (a real Ctrl-C, or one
   propagated out of a worker) cancels everything not yet running, drains
@@ -56,7 +57,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
@@ -88,10 +88,14 @@ DETERMINISTIC_ERRORS = (
 #: explicit ``timeout`` bounds them already.
 DRAIN_GRACE_SECONDS = 5.0
 
+#: What :meth:`SweepSupervisor._call` returns for an item that failed
+#: terminally (results themselves may be any object).
+_FAILED = object()
+
 
 class SweepDegradationWarning(RuntimeWarning):
     """A sweep lost capability but kept running: a broken process pool
-    was rebuilt, or the sweep downgraded from processes to threads."""
+    was rebuilt, or the sweep fell back from processes to serial."""
 
 
 class CandidateTimeoutError(RuntimeError):
@@ -147,17 +151,17 @@ class _Task:
 class SweepSupervisor:
     """Supervises one sweep's fan-out (see the module docstring).
 
-    ``mode`` is ``"thread"`` or ``"process"`` (what
-    :func:`~repro.model.evaluate.resolve_pool_mode` decided); the
-    supervisor owns the pools, builds them lazily, and reuses them
-    across batches so multi-round strategies pay pool spin-up once.
-    ``sleep`` and ``clock`` are injectable for deterministic tests.
+    ``workers > 1`` fans batches out over a process pool of that many
+    workers; ``workers=1`` runs them serially in-process.  The
+    supervisor builds the pool lazily and reuses it across batches, so
+    multi-round strategies pay pool spin-up once.  :attr:`mode` reads
+    ``"process"`` or ``"serial"`` (also after a degradation).  ``sleep``
+    and ``clock`` are injectable for deterministic tests.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        mode: str = "thread",
         timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff: float = 0.05,
@@ -167,15 +171,14 @@ class SweepSupervisor:
         rng: Optional[random.Random] = None,
         backoff_cap: Optional[float] = None,
     ):
-        if mode not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', "
-                             f"got {mode!r}")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.workers = workers
-        self.mode = mode
+        #: ``"process"`` while batches fan out over the pool, ``"serial"``
+        #: for a one-worker sweep or after the rebuilt pool broke again.
+        self.mode = "process" if workers > 1 else "serial"
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
@@ -189,15 +192,13 @@ class SweepSupervisor:
         self._clock = clock
         self._rng = rng if rng is not None else random.Random()
         self._last_backoff = 0.0
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._rebuilt_process_pool = False
-        #: Workers written off to hung tasks (stats + close policy).
-        self._lost_slots = 0
-        #: Pools retired because one of their workers hung: shut down
-        #: without waiting, replaced by a fresh pool so hung workers can
-        #: never starve the live ones, reaped at :meth:`close`.
-        self._abandoned: List = []
+        self._rebuilt_pool = False
+        #: Worker processes of the pools retired because one of their
+        #: workers hung: each pool was shut down without waiting and
+        #: replaced by a fresh one, so hung workers can never starve the
+        #: live ones; :meth:`close` kills them.
+        self._abandoned: List[Any] = []
         #: Terminal failures across every batch of the sweep.
         self.failures: List[FailureRecord] = []
         #: Human-readable recovery events ("process-pool-rebuilt", ...).
@@ -205,41 +206,28 @@ class SweepSupervisor:
         #: Transient re-submissions performed across the sweep.
         self.retries = 0
 
-    # ---- pools --------------------------------------------------------
-    def _pool(self):
-        if self.mode == "process":
-            if self._process_pool is None:
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.workers)
-            return self._process_pool
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._thread_pool
+    # ---- the pool -----------------------------------------------------
+    def _pool(self) -> ProcessPoolExecutor:
+        if self._process_pool is None:
+            self._process_pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self._process_pool
 
-    def _teardown_process_pool(self) -> None:
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=False)
-            self._process_pool = None
-
-    def _retire_current_pool(self) -> None:
+    def _retire_pool(self) -> None:
         """A worker of the current pool is hung past its deadline: the
         worker cannot be preempted, so the whole pool is retired (its
         live tasks finish; nothing new lands on it) and the next submit
         builds a fresh pool at full capacity."""
-        pool = (self._process_pool if self.mode == "process"
-                else self._thread_pool)
-        if pool is None:
+        if self._process_pool is None:
             return
-        self._abandoned.append(pool)
-        pool.shutdown(wait=False)
-        if self.mode == "process":
-            self._process_pool = None
-        else:
-            self._thread_pool = None
+        # Read before shutdown, which drops the pool's process table.
+        procs = getattr(self._process_pool, "_processes", None) or {}
+        self._abandoned.extend(procs.values())
+        self._process_pool.shutdown(wait=False)
+        self._process_pool = None
 
-    def _on_pool_broken(self, pool=None) -> None:
-        """Recover from a broken process pool: rebuild once, then
-        downgrade to threads — warning explicitly each time.
+    def _on_pool_broken(self, pool) -> None:
+        """Recover from a broken process pool: rebuild once, then finish
+        serially — warning explicitly each time.
 
         ``pool`` is the executor the failing task was submitted to.  A
         single worker death breaks *every* in-flight future of that
@@ -247,13 +235,12 @@ class SweepSupervisor:
         broken future: stale futures of an already-replaced pool only
         requeue their tasks.
         """
-        if self.mode != "process":
-            return
-        if pool is not None and pool is not self._process_pool:
+        if pool is not self._process_pool:
             return  # this breakage was already recovered from
-        self._teardown_process_pool()
-        if not self._rebuilt_process_pool:
-            self._rebuilt_process_pool = True
+        self._process_pool.shutdown(wait=False)
+        self._process_pool = None
+        if not self._rebuilt_pool:
+            self._rebuilt_pool = True
             self.events.append("process-pool-rebuilt")
             warnings.warn(
                 "a sweep worker process died and broke the process pool; "
@@ -262,34 +249,26 @@ class SweepSupervisor:
                 SweepDegradationWarning, stacklevel=3,
             )
         else:
-            self.mode = "thread"
-            self.events.append("degraded-to-threads")
+            self.mode = "serial"
+            self.events.append("degraded-to-serial")
             warnings.warn(
-                "the rebuilt process pool broke again; downgrading this "
-                "sweep to a thread pool (results are unaffected — thread "
-                "and process sweeps are bit-identical — but the GIL now "
-                "serializes kernel execution)",
+                "the rebuilt process pool broke again; this sweep "
+                "finishes serially in-process (results are unaffected — "
+                "serial and process sweeps are bit-identical — but "
+                "nothing runs in parallel and timeouts no longer apply)",
                 SweepDegradationWarning, stacklevel=3,
             )
 
     def close(self) -> None:
-        """Shut the pools down.  Pools retired over hung workers were
+        """Shut the pool down.  Pools retired over hung workers were
         already shut down without waiting (joining them would hang
-        forever); their surviving child *processes* are killed here so
-        interpreter exit never blocks on an abandoned worker.  Hung
-        *threads* cannot be killed — callers that inject hangs (the
-        fault harness) must release them before interpreter shutdown.
-        """
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
+        forever); their surviving child processes are killed here so
+        interpreter exit never blocks on an abandoned worker."""
         if self._process_pool is not None:
             self._process_pool.shutdown(wait=True)
             self._process_pool = None
-        for pool in self._abandoned:
-            procs = getattr(pool, "_processes", None)
-            for proc in list((procs or {}).values()):
-                proc.kill()
+        for proc in self._abandoned:
+            proc.kill()
         self._abandoned = []
 
     # ---- failure bookkeeping ------------------------------------------
@@ -338,6 +317,29 @@ class SweepSupervisor:
         return value
 
     # ---- serial supervision -------------------------------------------
+    def _call(self, item, call, attempts: int, phase: int, on_result,
+              on_failure):
+        """Run ``item`` in-process until it succeeds or fails terminally
+        (``attempts`` already spent on it elsewhere count against the
+        retry budget).  Returns the result, or :data:`_FAILED`."""
+        while True:
+            attempts += 1
+            try:
+                result = call(item)
+            except KeyboardInterrupt:
+                raise
+            except Exception as exc:
+                task = _Task(item, attempts, 0.0)
+                if self._should_retry(task, exc):
+                    self.retries += 1
+                    self._sleep(self._backoff_for(attempts))
+                    continue
+                self._fail(task, exc, "error", phase, on_failure)
+                return _FAILED
+            if on_result is not None:
+                on_result(item, result, attempts)
+            return result
+
     def run_serial(self, items, call, phase: int = 1, on_result=None,
                    on_failure=None) -> List[Tuple[Any, Any]]:
         """Supervised sequential evaluation: same retry/classification
@@ -345,25 +347,9 @@ class SweepSupervisor:
         preempted), results in item order."""
         completed: List[Tuple[Any, Any]] = []
         for item in items:
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    result = call(item)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    task = _Task(item, attempts, 0.0)
-                    if self._should_retry(task, exc):
-                        self.retries += 1
-                        self._sleep(self._backoff_for(attempts))
-                        continue
-                    self._fail(task, exc, "error", phase, on_failure)
-                    break
+            result = self._call(item, call, 0, phase, on_result, on_failure)
+            if result is not _FAILED:
                 completed.append((item, result))
-                if on_result is not None:
-                    on_result(item, result, attempts)
-                break
         return completed
 
     # ---- pooled supervision -------------------------------------------
@@ -372,17 +358,19 @@ class SweepSupervisor:
                   ) -> List[Tuple[Any, Any]]:
         """Evaluate one batch under supervision.
 
-        ``call(item)`` is the in-process form (thread pools, retries
-        after degradation); ``payload(item)`` + ``process_worker``
-        (a picklable top-level function) is the process-pool form.
-        Results come back as ``(item, result)`` pairs *in the order of
-        ``items``* — completions only; terminal failures land in
-        :attr:`failures` (and ``on_failure``).  ``on_result`` fires as
-        each item completes, including during an interrupt drain.
+        ``payload(item)`` + ``process_worker`` (a picklable top-level
+        function) is the process-pool form; ``call(item)`` is the
+        in-process form, run for a serial sweep, for a one-item batch
+        with no timeout (pool dispatch would only add start-up), and for
+        what is left of a batch after the pool degraded.  Results come
+        back as ``(item, result)`` pairs *in the order of ``items``* —
+        completions only; terminal failures land in :attr:`failures`
+        (and ``on_failure``).  ``on_result`` fires as each item
+        completes, including during an interrupt drain.
         """
         items = list(items)
-        if self.workers <= 1 or len(items) <= 1 or (
-                self.mode == "process" and payload is None):
+        if self.mode == "serial" or (len(items) <= 1
+                                     and self.timeout is None):
             return self.run_serial(items, call, phase=phase,
                                    on_result=on_result,
                                    on_failure=on_failure)
@@ -394,21 +382,23 @@ class SweepSupervisor:
 
         def submit(item, attempts) -> None:
             task = _Task(item, attempts + 1, self._clock())
-            while True:
+            while self.mode == "process":
                 pool = self._pool()
                 try:
-                    if self.mode == "process":
-                        fut = pool.submit(process_worker, payload(item))
-                    else:
-                        fut = pool.submit(call, item)
+                    fut = pool.submit(process_worker, payload(item))
                 except BrokenExecutor:
                     # The pool died between batches or between submits;
-                    # recover and resubmit under the surviving pool.
+                    # recover and resubmit under what survives.
                     self._on_pool_broken(pool)
                     continue
                 task.pool = pool
                 pending[fut] = task
                 return
+            # Degraded: the rest of the batch runs in-process.
+            result = self._call(item, call, attempts, phase, on_result,
+                                on_failure)
+            if result is not _FAILED:
+                results[item] = result
 
         def settle(fut, task) -> None:
             """Deliver one finished future: success, retry, or failure."""
@@ -437,8 +427,7 @@ class SweepSupervisor:
 
         try:
             while queue or pending:
-                window = self.workers
-                while queue and len(pending) < window:
+                while queue and len(pending) < self.workers:
                     item, attempts = queue.pop()
                     submit(item, attempts)
                 if not pending:
@@ -464,13 +453,13 @@ class SweepSupervisor:
                     ]
                     for fut in expired:
                         task = pending.pop(fut)
-                        if not fut.cancel():
+                        if (not fut.cancel()
+                                and task.pool is self._process_pool):
                             # Already running: the worker cannot be
-                            # preempted, so it is written off and its
-                            # pool retired (a fresh pool replaces it —
-                            # hung workers never starve live tasks).
-                            self._lost_slots += 1
-                            self._retire_current_pool()
+                            # preempted, so its pool is retired (a fresh
+                            # pool replaces it — hung workers never
+                            # starve live tasks).
+                            self._retire_pool()
                         exc = CandidateTimeoutError(
                             f"task {self.key(task.item)} exceeded the "
                             f"{self.timeout}s wall-clock timeout "
@@ -483,12 +472,12 @@ class SweepSupervisor:
                             self._fail(task, exc, "timeout", phase,
                                        on_failure)
         except KeyboardInterrupt:
-            self._drain(pending, results, phase, on_result)
+            self._drain(pending, results, on_result)
             raise
         order = {id(item): i for i, item in enumerate(items)}
         return sorted(results.items(), key=lambda kv: order[id(kv[0])])
 
-    def _drain(self, pending, results, phase, on_result) -> None:
+    def _drain(self, pending, results, on_result) -> None:
         """Interrupt drain: cancel what never started, give in-flight
         tasks a bounded grace period, and deliver what finished."""
         for fut in list(pending):
@@ -498,7 +487,7 @@ class SweepSupervisor:
             return
         grace = self.timeout if self.timeout is not None \
             else DRAIN_GRACE_SECONDS
-        done, not_done = wait(list(pending), timeout=grace)
+        done, _ = wait(list(pending), timeout=grace)
         for fut in done:
             task = pending.pop(fut)
             try:
@@ -508,4 +497,3 @@ class SweepSupervisor:
             results[task.item] = result
             if on_result is not None:
                 on_result(task.item, result, task.attempts)
-        self._lost_slots += len(not_done)

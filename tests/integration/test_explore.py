@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.explore import Candidate, apply_candidate, enumerate_candidates, \
+from repro.search import Candidate, apply_candidate, enumerate_candidates, \
     explore
 from repro.fibertree import tensor_to_dense
 from repro.spec import load_spec

@@ -9,6 +9,7 @@ import collections
 import dataclasses
 import enum
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, ClassVar
 
 import hypothesis.strategies as st
@@ -480,11 +481,14 @@ class TestEvaluateMany:
         assert cache.misses == 1 and cache.hits == 1
 
     def test_thread_pool_workers(self):
+        # Callers' own thread-pool workers share the process compile
+        # cache: concurrent evaluate_many calls match a serial one.
         spec = load_spec(MATMUL)
         workloads = [tensors(seed=s) for s in range(6)]
         serial = evaluate_many(spec, [dict(w) for w in workloads])
-        threaded = evaluate_many(spec, [dict(w) for w in workloads],
-                                 workers=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = list(pool.map(
+                lambda w: evaluate_many(spec, [dict(w)])[0], workloads))
         for a, b in zip(serial, threaded):
             assert a.env["Z"].points() == b.env["Z"].points()
             assert a.traffic_bytes() == b.traffic_bytes()

@@ -22,7 +22,6 @@ from repro.model import (
     evaluate,
     evaluate_many,
 )
-from repro.model.evaluate import MAX_DEFAULT_WORKERS
 from repro.search import metrics_fingerprint, search, submit
 from repro.spec import load_spec
 
@@ -290,20 +289,20 @@ def test_evaluate_many_counters_and_workers():
     workloads = [tensors(seed=i) for i in range(5)]
     sequential = evaluate_many(spec, [dict(w) for w in workloads],
                                backend=backend, workers=1, metrics="trace")
-    threaded = evaluate_many(spec, [dict(w) for w in workloads],
-                             backend=backend, workers=4)
-    for a, b in zip(sequential, threaded):
+    # A process pool rebuilds the default engine in each worker.
+    pooled = evaluate_many(spec, [dict(w) for w in workloads], workers=2)
+    for a, b in zip(sequential, pooled):
         assert_results_equal(a, b)
 
 
 def test_default_workers_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_EVALUATE_WORKERS", "3")
     assert default_workers() == 3
+    # Unset (or empty), the fan-out is serial whatever the cpu count.
     monkeypatch.delenv("REPRO_EVALUATE_WORKERS")
-    import os
-
-    expected = max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
-    assert default_workers() == expected
+    assert default_workers() == 1
+    monkeypatch.setenv("REPRO_EVALUATE_WORKERS", "")
+    assert default_workers() == 1
 
 
 def test_default_workers_rejects_non_numeric_env(monkeypatch):

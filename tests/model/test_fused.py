@@ -12,6 +12,8 @@ caches, dirty-eviction writebacks, empty-fiber window rolls, multi-Einsum
 drains) plus golden numbers for two real buffered accelerators.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,13 +163,17 @@ def test_fused_falls_back_on_interpreter_backend():
 
 
 def test_fused_evaluate_many_threads():
+    # evaluate_many calls on the caller's own threads share one backend
+    # and its compile cache, and price exactly what a serial run does.
     spec = load_spec(buffered_matmul(B_CACHED, Z_BUFFERED), name="fused-many")
     backend = CompiledBackend(cache=_CACHE)
     workloads = [tensors(seed=i) for i in range(4)]
     sequential = evaluate_many(spec, [dict(w) for w in workloads],
                                backend=backend, workers=1, metrics="trace")
-    threaded = evaluate_many(spec, [dict(w) for w in workloads],
-                             backend=backend, workers=4, metrics="auto")
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(
+            lambda w: evaluate_many(spec, [dict(w)], backend=backend,
+                                    metrics="auto")[0], workloads))
     for a, b in zip(sequential, threaded):
         assert fingerprint(a) == fingerprint(b)
 

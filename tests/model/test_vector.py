@@ -599,7 +599,7 @@ def test_non_elementwise_opsets_stay_scalar_and_exact():
 
 
 # ----------------------------------------------------------------------
-# evaluate_many executors
+# evaluate_many fan-out: serial or a process pool
 # ----------------------------------------------------------------------
 def _sweep_workloads(n=3):
     out = []
@@ -612,14 +612,12 @@ def _sweep_workloads(n=3):
     return out
 
 
-def test_evaluate_many_process_executor_matches_threads():
+def test_evaluate_many_process_pool_matches_serial():
     spec = load_spec(SPMSPM, name="vec-pool")
     workloads = _sweep_workloads()
-    threads = evaluate_many(spec, [dict(w) for w in workloads],
-                            workers=2, executor="thread")
-    procs = evaluate_many(spec, [dict(w) for w in workloads],
-                          workers=2, executor="process")
-    for a, b in zip(threads, procs):
+    serial = evaluate_many(spec, [dict(w) for w in workloads], workers=1)
+    procs = evaluate_many(spec, [dict(w) for w in workloads], workers=2)
+    for a, b in zip(serial, procs):
         assert a.env["Z"].points() == b.env["Z"].points()
         assert a.traffic_bytes() == b.traffic_bytes()
         assert a.exec_seconds == b.exec_seconds
@@ -627,19 +625,33 @@ def test_evaluate_many_process_executor_matches_threads():
 
 
 def test_evaluate_many_executor_env_override(monkeypatch):
-    from repro.model.evaluate import EnvVarError, default_executor
+    """REPRO_EVALUATE_EXECUTOR is retired: any value raises a named
+    error that points at REPRO_EVALUATE_WORKERS, the one knob left."""
+    from repro.model.evaluate import EnvVarError
 
-    monkeypatch.delenv("REPRO_EVALUATE_EXECUTOR", raising=False)
-    assert default_executor() == "thread"
-    monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "process")
-    assert default_executor() == "process"
-    monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "")
-    assert default_executor() == "thread"
-    # An unknown value used to fall back to threads silently; it now
-    # raises a named error that points at the variable.
-    monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "bogus")
-    with pytest.raises(EnvVarError, match="REPRO_EVALUATE_EXECUTOR"):
-        default_executor()
+    spec = load_spec(SPMSPM, name="vec-pool-env-executor")
+    for value in ("process", "thread", "bogus"):
+        monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", value)
+        with pytest.raises(EnvVarError, match="REPRO_EVALUATE_WORKERS"):
+            evaluate_many(spec, _sweep_workloads(2))
+
+
+def test_thread_executor_warns_and_runs_serially():
+    """The retired executor="thread" spelling warns, runs serially and
+    gives the serial fingerprints; "process" only warns."""
+    spec = load_spec(SPMSPM, name="vec-pool-retired")
+    workloads = _sweep_workloads(2)
+    serial = evaluate_many(spec, [dict(w) for w in workloads])
+    with pytest.warns(DeprecationWarning, match="runs serially"):
+        threaded = evaluate_many(spec, [dict(w) for w in workloads],
+                                 workers=2, executor="thread")
+    assert [metrics_fingerprint(r) for r in threaded] \
+        == [metrics_fingerprint(r) for r in serial]
+    with pytest.warns(DeprecationWarning, match="changes nothing"):
+        procs = evaluate_many(spec, [dict(w) for w in workloads],
+                              workers=1, executor="process")
+    assert [metrics_fingerprint(r) for r in procs] \
+        == [metrics_fingerprint(r) for r in serial]
 
 
 def test_evaluate_many_rejects_unknown_executor():
@@ -649,24 +661,24 @@ def test_evaluate_many_rejects_unknown_executor():
 
 
 def test_explicit_process_executor_raises_on_unpicklable_args():
-    """executor='process' by argument must refuse (not silently thread)
-    when the arguments cannot cross the pool."""
+    """workers=2 by argument must refuse (not silently run serially)
+    when the arguments cannot cross the process pool."""
     from repro.model import EnergyModel, ProcessExecutorError
 
     spec = load_spec(SPMSPM, name="vec-pool-strict")
     with pytest.raises(ProcessExecutorError, match="energy_model"):
         evaluate_many(spec, _sweep_workloads(2), workers=2,
-                      executor="process", energy_model=EnergyModel())
+                      energy_model=EnergyModel())
 
 
 def test_env_process_executor_downgrades_with_warning(monkeypatch):
-    """The env-var path keeps the thread fallback, but now names the
-    argument that blocked the process pool instead of staying silent."""
+    """A process pool requested by REPRO_EVALUATE_WORKERS falls back to
+    serial, naming the argument that blocked the pool."""
     from repro.model import EnergyModel, ExecutorDowngradeWarning
 
-    monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "process")
+    monkeypatch.setenv("REPRO_EVALUATE_WORKERS", "2")
     spec = load_spec(SPMSPM, name="vec-pool-env")
     with pytest.warns(ExecutorDowngradeWarning, match="energy_model"):
-        results = evaluate_many(spec, _sweep_workloads(2), workers=2,
+        results = evaluate_many(spec, _sweep_workloads(2),
                                 energy_model=EnergyModel())
     assert len(results) == 2

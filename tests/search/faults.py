@@ -38,14 +38,17 @@ Actions:
     *transient* failure: the supervisor must retry it.
 ``exit``
     Kill the worker *process* with ``os._exit`` (breaking the process
-    pool).  In the main process — thread pools — it degrades to a
-    :class:`WorkerCrash` so a mis-targeted rule cannot take pytest down.
+    pool).  In the main process (a serial sweep, or a batch that
+    degraded to serial) it raises :class:`WorkerCrash` instead, so a
+    mis-targeted rule cannot take pytest down.
 ``hang``
-    Block on an event until :meth:`FaultPlan.release` — deterministic
-    blocking, no sleeps.  The supervisor's wall-clock timeout is what
-    un-wedges the sweep; teardown releases the worker so interpreter
-    shutdown never joins a stuck thread.  Thread pools only: a forked
-    worker's copy of the event is unreachable from the parent.
+    Block a forked pool worker forever — deterministic blocking, no
+    sleeps.  The supervisor's wall-clock timeout is what un-wedges the
+    sweep: it retires the hung worker's pool, and
+    :meth:`~repro.search.supervisor.SweepSupervisor.close` kills the
+    retired pool's processes.  In the main process it raises
+    :class:`WorkerCrash`, as ``exit`` does: nothing could ever release
+    a hung pytest.
 ``interrupt``
     Raise ``KeyboardInterrupt`` — drives the Ctrl-C drain path.
 ``count``
@@ -55,8 +58,8 @@ Actions:
 Every rule counts its firings in an append-only file under the plan's
 scratch directory, bumped under an ``flock`` — so the count is exact
 across pool worker *processes* (which inherit the armed hook through
-fork) as well as threads, and ``times``-bounded rules fire exactly
-``times`` times no matter which worker reaches them first.
+fork), and ``times``-bounded rules fire exactly ``times`` times no
+matter which worker reaches them first.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ class FaultPlan:
     def __init__(self, root: str):
         self.root = str(root)
         self.rules = []
-        self._release = threading.Event()
 
     # ---- rule management ----------------------------------------------
     def add(self, match: str, action: str, times: int = 1,
@@ -106,11 +108,6 @@ class FaultPlan:
 
     def uninstall(self) -> None:
         install_fault_hook(None)
-        self.release()
-
-    def release(self) -> None:
-        """Wake every hung worker (call at teardown, always)."""
-        self._release.set()
 
     # ---- counters ------------------------------------------------------
     def _counter_path(self, rule: FaultRule) -> str:
@@ -148,16 +145,15 @@ class FaultPlan:
                 raise WorkerCrash(
                     f"injected crash for {rule.match!r} (firing {n})"
                 )
-            if rule.action == "exit":
-                if multiprocessing.parent_process() is not None:
+            if rule.action in ("exit", "hang"):
+                if multiprocessing.parent_process() is None:
+                    raise WorkerCrash(
+                        f"injected {rule.action} for {rule.match!r} fired "
+                        f"in the main process (firing {n})"
+                    )
+                if rule.action == "exit":
                     os._exit(13)
-                raise WorkerCrash(
-                    f"injected exit for {rule.match!r} fired in the main "
-                    f"process (firing {n})"
-                )
-            if rule.action == "hang":
-                self._release.wait()
-                continue  # released: proceed normally
+                threading.Event().wait()  # until the pool is killed
             if rule.action == "interrupt":
                 raise KeyboardInterrupt(
                     f"injected interrupt for {rule.match!r} (firing {n})"

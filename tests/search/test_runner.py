@@ -1,5 +1,8 @@
 """Search-runner behavior: parallel/serial equivalence, two-phase
-pruning, executor strictness, cascade sweeps, and the explore shim."""
+pruning, fan-out strictness, cascade sweeps, and the serial explore
+wrapper."""
+
+import threading
 
 import pytest
 
@@ -85,32 +88,36 @@ def _fingerprints(result):
 
 
 class TestParallelSerialEquivalence:
-    def test_thread_pool_matches_serial_bit_identically(self, tensors):
-        spec = load_spec(BASE)
-        serial = search(spec, tensors, tile_sizes={"K": [8]}, workers=1)
-        threaded = search(spec, tensors, tile_sizes={"K": [8]}, workers=4,
-                          executor="thread")
-        assert _fingerprints(serial) == _fingerprints(threaded)
-        assert [c for c, _ in serial.ranked()] \
-            == [c for c, _ in threaded.ranked()]
-
     def test_process_pool_matches_serial_bit_identically(self, tensors):
         spec = load_spec(BASE)
-        serial = search(spec, tensors, max_loop_orders=4, workers=1)
-        procs = search(spec, tensors, max_loop_orders=4, workers=2,
-                       executor="process")
+        serial = search(spec, tensors, tile_sizes={"K": [8]}, workers=1)
+        procs = search(spec, tensors, tile_sizes={"K": [8]}, workers=2)
+        assert serial.stats["executor"] == "serial"
+        assert procs.stats["executor"] == "process"
         assert _fingerprints(serial) == _fingerprints(procs)
+        assert [c for c, _ in serial.ranked()] \
+            == [c for c, _ in procs.ranked()]
 
     def test_parallel_sweep_shares_prep_cache(self, tensors):
+        # Two sweeps on the caller's own threads share one PrepCache
+        # (its lock is what makes that safe) and match a serial sweep.
         spec = load_spec(BASE)
+        serial = search(spec, tensors, workers=1)
         cache = PrepCache()
-        search(spec, tensors, workers=4, executor="thread",
-               prep_cache=cache)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(
+            search(spec, tensors, prep_cache=cache))) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         # 6 loop orders over 2 inputs: at most 2 storage orders each,
         # each missing once for the prepared tensor and once for its
-        # arena — every other access across the sweep must hit.
+        # arena — every other access across both sweeps must hit.
         assert cache.misses <= 8
         assert cache.hits > 0
+        assert [_fingerprints(r) for r in results] \
+            == [_fingerprints(serial)] * 2
 
 
 class TestTwoPhasePruning:
@@ -207,21 +214,22 @@ class TestExecutorStrictness:
 
         with pytest.raises(ProcessExecutorError) as err:
             search(load_spec(BASE), tensors, workers=2,
-                   executor="process", energy_model=EnergyModel())
+                   energy_model=EnergyModel())
         assert "energy_model" in str(err.value)
 
     def test_default_path_downgrade_warns_naming_offender(
             self, tensors, monkeypatch):
         """An env-requested process pool that cannot be honored still
-        runs the sweep on threads, but now says so — naming the
-        argument that blocked the process pool."""
+        runs the sweep, serially, but says so — naming the argument
+        that blocked the process pool."""
         from repro.model import EnergyModel, ExecutorDowngradeWarning
 
-        monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "process")
+        monkeypatch.setenv("REPRO_EVALUATE_WORKERS", "2")
         with pytest.warns(ExecutorDowngradeWarning, match="energy_model"):
             result = search(load_spec(BASE), tensors, max_loop_orders=3,
-                            workers=2, energy_model=EnergyModel())
+                            energy_model=EnergyModel())
         assert len(result.candidates) == 3
+        assert result.stats["executor"] == "serial"
 
     def test_unknown_executor_rejected(self, tensors):
         with pytest.raises(ValueError):
@@ -334,11 +342,6 @@ class TestExploreCascade:
 
 
 class TestExploreShim:
-    def test_explore_importable_from_both_homes(self):
-        from repro.explore import explore as legacy
-        from repro.search import explore as canonical
-        assert legacy is canonical
-
     def test_explore_is_serial_exhaustive(self, tensors):
         result = explore(load_spec(BASE), tensors, max_loop_orders=3)
         assert result.strategy == "exhaustive"

@@ -4,12 +4,13 @@ Every recovery path of :class:`repro.search.supervisor.SweepSupervisor`
 is driven deterministically through the env-gated hook in
 ``repro.model.executor`` (armed by :class:`faults.FaultPlan`): poison
 candidates recorded without retry, transient crashes retried to
-bit-identical success, hangs timed out and written off, broken process
-pools rebuilt once then degraded to threads, ``KeyboardInterrupt``
+bit-identical success, hangs timed out and their pools retired, broken
+process pools rebuilt once then finished serially, ``KeyboardInterrupt``
 drained into the ``cache=`` store, and killed sweeps finished
-bit-identically by a re-run over the results their store kept.  No test
-sleeps to synchronize: hangs block on an event the harness releases at
-teardown, and counters are exact across pool worker processes.
+bit-identically by a re-run over the results their store kept.  Every
+pooled test runs a real two-worker process pool.  No test sleeps to
+synchronize: a hung worker blocks until the supervisor kills its
+retired pool, and counters are exact across pool worker processes.
 """
 
 import multiprocessing
@@ -74,9 +75,15 @@ TARGET = "loop=[K, N, M]"
 
 FORK = multiprocessing.get_start_method() == "fork"
 
+#: Pool faults need forked workers: they inherit the armed hook and the
+#: counter paths.
+needs_fork = pytest.mark.skipif(
+    not FORK, reason="pool faults rely on fork inheriting the armed hook "
+    "and counter paths")
+
 #: Wall-clock budget per candidate in the hang tests.  Two orders of
 #: magnitude above a real evaluation (~ms), so only the injected hang —
-#: which blocks *forever* until released — can ever hit it.
+#: which blocks *forever* — can ever hit it.
 TIMEOUT = 1.0
 
 
@@ -152,11 +159,11 @@ class TestPoison:
         assert result.stats["n_retried"] == 0
         assert plan.fired(rule) == 1  # evaluated once, never retried
 
-    def test_poison_in_thread_pool_same_outcome(self, plan, tensors):
+    @needs_fork
+    def test_poison_in_process_pool_same_outcome(self, plan, tensors):
         spec = load_spec(BASE)
         rule = plan.add(TARGET, "poison", times=99)
-        result = search(spec, tensors, workers=2, executor="thread",
-                        retry_backoff=0)
+        result = search(spec, tensors, workers=2, retry_backoff=0)
         assert len(result.candidates) == 5
         assert result.failures[0].classification == "deterministic"
         assert plan.fired(rule) == 1
@@ -183,14 +190,14 @@ class TestPoison:
         assert _fingerprints(rerun) == _fingerprints(first)
 
 
+@needs_fork
 class TestCrash:
     def test_transient_crash_retried_to_bitidentical_success(self, plan,
                                                              tensors):
         spec = load_spec(BASE)
         baseline = search(spec, tensors, workers=1)  # no rules armed yet
         rule = plan.add(TARGET, "crash", times=1)
-        result = search(spec, tensors, workers=2, executor="thread",
-                        retry_backoff=0)
+        result = search(spec, tensors, workers=2, retry_backoff=0)
         assert len(result.candidates) == 6
         assert not result.failures
         assert result.stats["n_retried"] == 1
@@ -200,8 +207,8 @@ class TestCrash:
     def test_crash_exhausts_retry_budget(self, plan, tensors):
         spec = load_spec(BASE)
         rule = plan.add(TARGET, "crash", times=99)
-        result = search(spec, tensors, workers=2, executor="thread",
-                        max_retries=1, retry_backoff=0)
+        result = search(spec, tensors, workers=2, max_retries=1,
+                        retry_backoff=0)
         assert len(result.candidates) == 5
         [failure] = result.failures
         assert failure.classification == "transient"
@@ -210,13 +217,14 @@ class TestCrash:
         assert plan.fired(rule) == 2
 
 
+@needs_fork
 class TestHang:
     def test_hang_times_out_then_retry_succeeds(self, plan, tensors):
         spec = load_spec(BASE)
         baseline = search(spec, tensors, workers=1)
         rule = plan.add(TARGET, "hang", times=1)
-        result = search(spec, tensors, workers=2, executor="thread",
-                        timeout=TIMEOUT, retry_backoff=0)
+        result = search(spec, tensors, workers=2, timeout=TIMEOUT,
+                        retry_backoff=0)
         assert len(result.candidates) == 6
         assert not result.failures
         assert result.stats["n_retried"] >= 1
@@ -226,17 +234,22 @@ class TestHang:
     def test_hang_exhausts_retries_records_timeout(self, plan, tensors):
         spec = load_spec(BASE)
         plan.add(TARGET, "hang", times=99)
-        result = search(spec, tensors, workers=2, executor="thread",
-                        timeout=TIMEOUT, max_retries=0, retry_backoff=0)
+        before = set(multiprocessing.active_children())
+        result = search(spec, tensors, workers=2, timeout=TIMEOUT,
+                        max_retries=0, retry_backoff=0)
         assert len(result.candidates) == 5
         [failure] = result.failures
         assert failure.kind == "timeout"
         assert failure.classification == "transient"
         assert "wall-clock timeout" in failure.error
+        # The sweep's close() killed the hung worker with its retired
+        # pool: every worker process the sweep started has exited.
+        for proc in set(multiprocessing.active_children()) - before:
+            proc.join(5)
+            assert proc.exitcode is not None, proc
 
 
-@pytest.mark.skipif(not FORK, reason="worker-kill faults rely on fork "
-                    "inheriting the armed hook and counter paths")
+@needs_fork
 class TestBrokenPool:
     def test_broken_pool_rebuilt_once_sweep_completes(self, plan, tensors):
         spec = load_spec(BASE)
@@ -244,12 +257,11 @@ class TestBrokenPool:
         rule = plan.add(TARGET, "exit", times=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = search(spec, tensors, workers=2, executor="process",
-                            retry_backoff=0)
+            result = search(spec, tensors, workers=2, retry_backoff=0)
         assert len(result.candidates) == 6
         assert not result.failures
         assert "process-pool-rebuilt" in result.stats["events"]
-        assert "degraded-to-threads" not in result.stats["events"]
+        assert "degraded-to-serial" not in result.stats["events"]
         degradations = [c for c in caught
                         if issubclass(c.category, SweepDegradationWarning)]
         assert len(degradations) == 1
@@ -257,20 +269,19 @@ class TestBrokenPool:
         assert plan.fired(rule) >= 2  # the kill, then a clean retry
         assert _fingerprints(result) == _fingerprints(baseline)
 
-    def test_second_breakage_degrades_to_threads(self, plan, tensors):
+    def test_second_breakage_degrades_to_serial(self, plan, tensors):
         spec = load_spec(BASE)
         baseline = search(spec, tensors, workers=1)
         plan.add(TARGET, "exit", times=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = search(spec, tensors, workers=2, executor="process",
-                            retry_backoff=0)
+            result = search(spec, tensors, workers=2, retry_backoff=0)
         assert len(result.candidates) == 6
         assert not result.failures
         events = result.stats["events"]
         assert events.count("process-pool-rebuilt") == 1
-        assert events.count("degraded-to-threads") == 1
-        assert result.stats["executor"] == "thread"  # finished degraded
+        assert events.count("degraded-to-serial") == 1
+        assert result.stats["executor"] == "serial"  # finished degraded
         degradations = [c for c in caught
                         if issubclass(c.category, SweepDegradationWarning)]
         assert len(degradations) == 2
@@ -278,6 +289,7 @@ class TestBrokenPool:
 
 
 class TestInterrupt:
+    @needs_fork
     def test_interrupt_drains_finalizes_and_resumes(self, plan, tensors,
                                                     tmp_path):
         spec = load_spec(BASE)
@@ -285,8 +297,7 @@ class TestInterrupt:
         path = str(tmp_path / "cache")
         plan.add(TARGET, "interrupt", times=1)
         with pytest.raises(KeyboardInterrupt):
-            search(spec, tensors, workers=2, executor="thread",
-                   cache=path, retry_backoff=0)
+            search(spec, tensors, workers=2, cache=path, retry_backoff=0)
         # Every drained in-flight result was committed to the store
         # before the interrupt propagated.
         drained = len(_entries(path))
@@ -452,6 +463,7 @@ class TestKillAndResume:
         assert rerun.stats["n_adopted"] == 0
 
 
+@needs_fork
 class TestEvaluateManySupervision:
     def _workloads(self, n=4):
         return [
@@ -486,6 +498,28 @@ class TestEvaluateManySupervision:
         with pytest.raises(CandidateTimeoutError):
             evaluate_many(spec, self._workloads(2), workers=2,
                           timeout=TIMEOUT, max_retries=0, retry_backoff=0)
+
+    def test_one_workload_batch_still_times_out(self, plan):
+        # A one-item batch with a timeout runs on the pool, where the
+        # hang can be preempted, not in-process, where it could not.
+        spec = load_spec(BASE)
+        plan.add("accelerator", "hang", times=1)
+        with pytest.raises(CandidateTimeoutError):
+            evaluate_many(spec, self._workloads(1), workers=2,
+                          timeout=TIMEOUT, max_retries=0, retry_backoff=0)
+
+
+class TestTimeoutNeedsAPool:
+    def test_serial_timeout_is_rejected_up_front(self, plan, tensors):
+        """A serial call cannot be preempted, so a timeout there is
+        refused before anything runs instead of being ignored."""
+        spec = load_spec(BASE)
+        rule = plan.add("accelerator", "count")
+        with pytest.raises(ValueError, match="cannot be preempted"):
+            evaluate_many(spec, [tensors], workers=1, timeout=TIMEOUT)
+        with pytest.raises(ValueError, match="cannot be preempted"):
+            search(spec, tensors, timeout=TIMEOUT)
+        assert plan.fired(rule) == 0
 
 
 class TestArgumentChecks:
