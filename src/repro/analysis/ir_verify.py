@@ -319,7 +319,7 @@ def verify_ir(ir) -> None:
 
 
 def verify_cascade_irs(irs) -> None:
-    """Verify a whole cascade's IRs (e.g. a store-loaded kernel list)."""
+    """Verify a whole cascade's IRs (what ``build_cascade_ir`` returns)."""
     if not isinstance(irs, (list, tuple)):
         raise IRVerificationError(
             [f"cascade IRs must be a list, got {type(irs).__name__}"])

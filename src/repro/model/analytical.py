@@ -68,10 +68,10 @@ from ..einsum.ast import Access, Add, Expr, Mul, Take
 from ..fibertree.arena import FlatArena
 from ..fibertree.rankid import flatten_name, rank_of_var, split_names
 from ..fibertree.tensor import Tensor
-from ..ir.builder import build_cascade_ir
+from ..ir.codegen import _existential_ranks
 from ..ir.nodes import FLAT, FLAT_UPPER, PLAIN, UPPER, VIRTUAL, LoopNestIR
 from ..spec.loader import AcceleratorSpec
-from .backend import spec_cache_key
+from .backend import GLOBAL_COMPILE_CACHE
 from .components import CacheModel
 from .energy import EnergyModel
 from .evaluate import EvaluationResult, ModelSink, fuse_blocks
@@ -440,22 +440,6 @@ class AnalyticalResult(EvaluationResult):
 
 
 # ----------------------------------------------------------------------
-# IR cache: lowering depends only on (einsum, mapping, params)
-# ----------------------------------------------------------------------
-_IR_CACHE: Dict[object, List[LoopNestIR]] = {}
-
-
-def _cascade_ir(spec: AcceleratorSpec) -> List[LoopNestIR]:
-    key = spec_cache_key(spec)
-    irs = _IR_CACHE.get(key)
-    if irs is None:
-        if len(_IR_CACHE) >= 1024:
-            _IR_CACHE.clear()
-        irs = _IR_CACHE[key] = build_cascade_ir(spec)
-    return irs
-
-
-# ----------------------------------------------------------------------
 # Split/chunk geometry from the mapping
 # ----------------------------------------------------------------------
 def _chunk_geometry(spec: AcceleratorSpec, ir: LoopNestIR,
@@ -513,19 +497,6 @@ def _chunk_geometry(spec: AcceleratorSpec, ir: LoopNestIR,
         if splits[-1].kind == "uniform_shape":
             spans[names[-1]] = float(splits[-1].resolve_size(spec.params))
     return chunk_meta, spans, flat_shapes, flat_components
-
-
-def _existential_ranks(ir: LoopNestIR) -> set:
-    """Ranks a take() Einsum iterates only until the first match."""
-    out = set()
-    if ir.einsum.is_take:
-        out_vars = set(ir.einsum.output.index_vars)
-        kept = set(ir.einsum.expr.args[ir.einsum.expr.which].index_vars)
-        for rank in ir.loop_ranks:
-            binds = set(ir.binds.get(rank, ()))
-            if binds and not (binds & (out_vars | kept)):
-                out.add(rank)
-    return out
 
 
 def _stat_ranks(lvl, origin: Dict[str, str]) -> List[str]:
@@ -1524,7 +1495,9 @@ def evaluate_analytical(
 
     approx: Counter = Counter()
     estimates: Dict[str, EinsumEstimate] = {}
-    for ir in _cascade_ir(spec):
+    # The compile cache's verified lowering: an exact re-pricing of the
+    # same candidate (search's phase 2) reuses it.
+    for ir in [u.ir for u in GLOBAL_COMPILE_CACHE.get(spec).units]:
         est = _price_einsum(ir, spec, stats_env, all_shapes, sink)
         estimates[ir.name] = est
         if ir.output.tensor not in stats_env:

@@ -260,7 +260,6 @@ class CompileCache:
 
     def __init__(self):
         self._cache: Dict[Any, CompiledCascade] = {}
-        self._failed: Dict[Any, CodegenError] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -275,21 +274,8 @@ class CompileCache:
             if cached is not None:
                 self.hits += 1
                 return cached
-            failed = self._failed.get(key)
-            if failed is not None:
-                # Negative hit: an unsupported spec stays unsupported, so
-                # repeated evaluations (e.g. a fallback backend sweeping
-                # workloads) must not pay the full lowering cost again.
-                self.hits += 1
-                raise failed
-        # Lowering/compilation run outside the lock: both can be slow.
-        try:
-            compiled = CompiledCascade(spec)
-        except CodegenError as err:
-            with self._lock:
-                self._failed.setdefault(key, err)
-                self.misses += 1
-            raise
+        # Lowering runs outside the lock: it can be slow.
+        compiled = CompiledCascade(spec)
         with self._lock:
             winner = self._cache.setdefault(key, compiled)
             self.misses += 1
@@ -298,7 +284,6 @@ class CompileCache:
     def clear(self) -> None:
         with self._lock:
             self._cache.clear()
-            self._failed.clear()
             self.hits = 0
             self.misses = 0
 
@@ -320,7 +305,6 @@ class Backend:
         spec: AcceleratorSpec,
         tensors: Dict[str, Tensor],
         opset: OpSet = ARITHMETIC,
-        opsets: Optional[Dict[str, OpSet]] = None,
         sink: Optional[TraceSink] = None,
         shapes: Optional[Dict[str, int]] = None,
         env: Optional[Dict[str, Tensor]] = None,
@@ -337,10 +321,10 @@ class InterpreterBackend(Backend):
 
     name = "interpreter"
 
-    def run_cascade(self, spec, tensors, opset=ARITHMETIC, opsets=None,
-                    sink=None, shapes=None, env=None, prep_cache=None):
-        return execute_cascade(spec, tensors, opset=opset, opsets=opsets,
-                               sink=sink, shapes=shapes, env=env)
+    def run_cascade(self, spec, tensors, opset=ARITHMETIC, sink=None,
+                    shapes=None, env=None, prep_cache=None):
+        return execute_cascade(spec, tensors, opset=opset, sink=sink,
+                               shapes=shapes, env=env)
 
 
 class PrepCache:
@@ -413,10 +397,9 @@ class CompiledBackend(Backend):
     buffers (:func:`~repro.fibertree.prepare.prepare_arena`, no
     prepared fibertree in between) and the generated loops stream over
     raw index spans.  A traced run (a ``sink``) delegates to the
-    interpreter, the one engine that emits per-event streams.  When the
-    spec does not lower or some Einsum's flat kernel is rejected,
-    ``fallback=True`` runs the interpreter instead of raising
-    :class:`CodegenError`; a priced
+    interpreter, the one engine that emits per-event streams.  When
+    some Einsum's flat kernel is rejected, ``fallback=True`` runs the
+    interpreter instead of raising :class:`CodegenError`; a priced
     :func:`~repro.model.evaluate.evaluate` follows the same rule.
     """
 
@@ -429,15 +412,18 @@ class CompiledBackend(Backend):
         self._interpreter = InterpreterBackend()
 
     def compile(self, spec: AcceleratorSpec) -> CompiledCascade:
-        """Lower a spec into the cache (raises CodegenError if it does not
-        lower); its kernels compile on first use."""
+        """Lower and verify a spec into the cache (raises
+        :class:`~repro.ir.builder.BuildError` or
+        :class:`~repro.analysis.IRVerificationError` if it does not
+        lower); its kernels compile on first use, raising
+        :class:`CodegenError` then if the generator rejects them."""
         return self.cache.get(spec)
 
-    def _walk_cascade(self, spec, compiled, tensors, opset, opsets, sink,
-                      shapes, env, run_unit, after=None, prep_cache=None):
+    def _walk_cascade(self, spec, compiled, tensors, opset, sink, shapes,
+                      env, run_unit, after=None, prep_cache=None):
         """The per-Einsum cascade walk every kernel path shares.
 
-        ``run_unit(unit, prepare, ops, shapes)`` executes one Einsum's
+        ``run_unit(unit, prepare, opset, shapes)`` executes one Einsum's
         kernel on ``prepare()`` — its inputs as arenas — and returns
         ``(out, written, extra)``: the output tensor with zero leaves
         pruned, the number of points the kernel wrote (zeros included;
@@ -450,7 +436,6 @@ class CompiledBackend(Backend):
                                                        shapes, env)
         for unit in compiled.units:
             ir = unit.ir
-            ops = (opsets or {}).get(ir.name, opset)
             if sink:
                 sink.einsum_begin(ir.name, ir)
 
@@ -458,7 +443,7 @@ class CompiledBackend(Backend):
                 return self._prepare(ir, env, rank_orders, sink,
                                      prep_cache)
 
-            out, written, extra = run_unit(unit, prepare, ops, all_shapes)
+            out, written, extra = run_unit(unit, prepare, opset, all_shapes)
             if sink and ir.output.needs_producer_swizzle:
                 sink.swizzle(out.name, written, side="producer")
             if after:
@@ -468,8 +453,8 @@ class CompiledBackend(Backend):
                 sink.einsum_end(ir.name)
         return env
 
-    def run_cascade(self, spec, tensors, opset=ARITHMETIC, opsets=None,
-                    sink=None, shapes=None, env=None, prep_cache=None):
+    def run_cascade(self, spec, tensors, opset=ARITHMETIC, sink=None,
+                    shapes=None, env=None, prep_cache=None):
         try:
             compiled = self.cache.get(spec)
             if not sink:
@@ -481,19 +466,19 @@ class CompiledBackend(Backend):
             compiled = None
         if sink or compiled is None:
             return self._interpreter.run_cascade(
-                spec, tensors, opset=opset, opsets=opsets, sink=sink,
-                shapes=shapes, env=env,
+                spec, tensors, opset=opset, sink=sink, shapes=shapes,
+                env=env,
             )
 
         def run_unit(unit, prepare, ops, all_shapes):
             return unit.flat(prepare(), ops, all_shapes), 0, None
 
-        return self._walk_cascade(spec, compiled, tensors, opset, opsets,
-                                  sink, shapes, env, run_unit,
+        return self._walk_cascade(spec, compiled, tensors, opset, sink,
+                                  shapes, env, run_unit,
                                   prep_cache=prep_cache)
 
     def run_cascade_fused(self, spec, tensors, opset=ARITHMETIC,
-                          opsets=None, sink=None, shapes=None, env=None,
+                          sink=None, shapes=None, env=None,
                           make_machines=None, on_fused=None,
                           prep_cache=None):
         """Run the cascade through the priced arena kernels.
@@ -531,8 +516,8 @@ class CompiledBackend(Backend):
             if on_fused:
                 on_fused(name, *extra)
 
-        return self._walk_cascade(spec, compiled, tensors, opset, opsets,
-                                  sink, shapes, env, run_unit, after,
+        return self._walk_cascade(spec, compiled, tensors, opset, sink,
+                                  shapes, env, run_unit, after,
                                   prep_cache=prep_cache)
 
     #: The benchmark's traced run wraps this name through the class

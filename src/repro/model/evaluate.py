@@ -58,13 +58,13 @@ class EnvVarError(ValueError):
 class ProcessExecutorError(ValueError):
     """An explicit ``workers > 1`` request cannot be honored.
 
-    The process pool ships work by pickle, so it only supports named
-    opsets with no per-Einsum overrides, the default energy model, and
-    the default backend.  When the *caller* asked for a pool by
-    argument, hitting an unsupported combination raises this error
-    (naming every offending argument) rather than silently running
-    serially; a worker count from ``REPRO_EVALUATE_WORKERS`` falls back
-    to serial with an :class:`ExecutorDowngradeWarning` instead.
+    The process pool ships work by pickle, so it only supports a named
+    opset, the default energy model, and the default backend.  When the
+    *caller* asked for a pool by argument, hitting an unsupported
+    combination raises this error (naming every offending argument)
+    rather than silently running serially; a worker count from
+    ``REPRO_EVALUATE_WORKERS`` falls back to serial with an
+    :class:`ExecutorDowngradeWarning` instead.
     """
 
 
@@ -644,7 +644,6 @@ def evaluate(
     spec: AcceleratorSpec,
     tensors: Dict[str, Tensor],
     opset: OpSet = ARITHMETIC,
-    opsets: Optional[Dict[str, OpSet]] = None,
     shapes: Optional[Dict[str, int]] = None,
     energy_model: Optional[EnergyModel] = None,
     backend=None,
@@ -705,10 +704,9 @@ def evaluate(
     input tensor's *content* digest, the metrics mode, the opset, and
     shape overrides), so warm and cold runs are bit-identical by
     construction.  Arguments that cannot be keyed durably — an unnamed
-    opset, per-Einsum overrides, a custom energy model or backend —
-    bypass the store with a :class:`StoreBypassWarning` naming each
-    offender.  The analytical tier never caches: statistics pricing is
-    cheaper than a disk read.
+    opset, a custom energy model or backend — bypass the store with a
+    :class:`StoreBypassWarning` naming each offender.  The analytical
+    tier never caches: statistics pricing is cheaper than a disk read.
 
     ``validate`` runs the static spec linter first (see
     :func:`lint_gate`): ``"off"`` (default) skips it, ``"warn"``
@@ -739,8 +737,7 @@ def evaluate(
                                    shapes=shapes,
                                    energy_model=energy_model)
     engine = resolve_backend(backend)
-    store = _durable_store(cache, opset, opsets, energy_model, engine,
-                           "evaluation")
+    store = _durable_store(cache, opset, energy_model, engine, "evaluation")
     if store is not None:
         from ..store import MISS
 
@@ -749,8 +746,8 @@ def evaluate(
         hit = store.get_result(store_key)
         if hit is not MISS:
             return hit
-    result = _evaluate_exact(spec, tensors, opset, opsets, shapes,
-                             energy_model, engine, metrics, prep_cache)
+    result = _evaluate_exact(spec, tensors, opset, shapes, energy_model,
+                             engine, metrics, prep_cache)
     if store is not None:
         # Adopt the committed winner: racing writers computed
         # bit-identical results, and converging on the stored object
@@ -773,8 +770,8 @@ def check_metrics_mode(metrics: str, what: str = "metrics mode") -> None:
         )
 
 
-def _evaluate_exact(spec, tensors, opset, opsets, shapes, energy_model,
-                    engine, metrics, prep_cache) -> EvaluationResult:
+def _evaluate_exact(spec, tensors, opset, shapes, energy_model, engine,
+                    metrics, prep_cache) -> EvaluationResult:
     """The exact modes of :func:`evaluate`, after the analytical branch
     and the persistent-store consult: one sink, one result.
 
@@ -807,8 +804,8 @@ def _evaluate_exact(spec, tensors, opset, opsets, shapes, energy_model,
 
         try:
             engine.run_cascade_fused(
-                spec, tensors, opset=opset, opsets=opsets, sink=sink,
-                shapes=shapes, env=env, make_machines=make_machines,
+                spec, tensors, opset=opset, sink=sink, shapes=shapes,
+                env=env, make_machines=make_machines,
                 on_fused=on_fused, prep_cache=prep_cache,
             )
         except CodegenError:
@@ -818,8 +815,8 @@ def _evaluate_exact(spec, tensors, opset, opsets, shapes, energy_model,
             env = {}
             sink = ModelSink(spec, env)
     if not priced:
-        engine.run_cascade(spec, tensors, opset=opset, opsets=opsets,
-                           sink=sink, shapes=shapes, env=env)
+        engine.run_cascade(spec, tensors, opset=opset, sink=sink,
+                           shapes=shapes, env=env)
     return EvaluationResult(
         spec=spec,
         einsums=sink.einsums,
@@ -867,25 +864,22 @@ def _opset_token(ops: OpSet):
     return None
 
 
-def _unnamed_arguments(opset, opsets, energy_model) -> List[str]:
-    """A reason per argument that has no durable name: an ad-hoc opset,
-    per-Einsum opset overrides, a custom energy model.  Neither a
-    process pool (which ships work by name) nor the result store (which
-    keys it by name) can carry them."""
+def _unnamed_arguments(opset, energy_model) -> List[str]:
+    """A reason per argument that has no durable name: an ad-hoc opset
+    or a custom energy model.  Neither a process pool (which ships work
+    by name) nor the result store (which keys it by name) can carry
+    them."""
     reasons = []
     if _opset_token(opset) is None:
         reasons.append("opset is not one of the named opsets (repro."
                        "einsum.operators.NAMED_OPSETS), so it has no name")
-    if opsets:
-        reasons.append("per-Einsum opset overrides (opsets=...) have no "
-                       "name")
     if energy_model is not None:
         reasons.append("a custom energy_model changes the result but has "
                        "no name")
     return reasons
 
 
-def process_incompatibilities(opset, opsets, energy_model, backend) -> List[str]:
+def process_incompatibilities(opset, energy_model, backend) -> List[str]:
     """Why these ``evaluate_many`` arguments cannot cross a process pool.
 
     Returns a human-readable reason per offending argument (empty when
@@ -895,14 +889,14 @@ def process_incompatibilities(opset, opsets, energy_model, backend) -> List[str]
     argument (see :func:`_unnamed_arguments`) or a caller-supplied
     backend has no picklable representation.
     """
-    reasons = _unnamed_arguments(opset, opsets, energy_model)
+    reasons = _unnamed_arguments(opset, energy_model)
     if backend not in (None, "auto"):
         reasons.append("a non-default backend cannot be rebuilt in the "
                        "worker processes")
     return reasons
 
 
-def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
+def cache_incompatibilities(opset, energy_model, engine) -> List[str]:
     """Why these ``evaluate`` arguments cannot be keyed in the
     persistent result store.
 
@@ -915,7 +909,7 @@ def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
     other by the differential contract, so they share entries) has no
     sound key.
     """
-    reasons = _unnamed_arguments(opset, opsets, energy_model)
+    reasons = _unnamed_arguments(opset, energy_model)
     if not isinstance(engine, (CompiledBackend, InterpreterBackend)):
         reasons.append(
             f"backend {type(engine).__name__} is not one of the built-in "
@@ -925,7 +919,7 @@ def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
     return reasons
 
 
-def _durable_store(cache, opset, opsets, energy_model, engine, what):
+def _durable_store(cache, opset, energy_model, engine, what):
     """The store a ``cache=`` argument names, or None when it is absent
     or these arguments cannot be keyed durably (see
     :func:`cache_incompatibilities`); a bypass warns with a
@@ -933,7 +927,7 @@ def _durable_store(cache, opset, opsets, energy_model, engine, what):
     caller of the ``evaluate``/``evaluate_many``/search entry point."""
     if cache is None:
         return None
-    reasons = cache_incompatibilities(opset, opsets, energy_model, engine)
+    reasons = cache_incompatibilities(opset, energy_model, engine)
     if reasons:
         # Checked before the store is opened: a bypassed directory is
         # never created, let alone reaped.
@@ -948,8 +942,8 @@ def _durable_store(cache, opset, opsets, energy_model, engine, what):
     return resolve_store(cache)
 
 
-def resolve_workers(workers, executor, timeout, opset, opsets=None,
-                    energy_model=None, backend=None) -> int:
+def resolve_workers(workers, executor, timeout, opset, energy_model=None,
+                    backend=None) -> int:
     """The worker count a fan-out actually uses: 1 runs serially
     in-process, more runs a process pool of that size.
 
@@ -996,8 +990,7 @@ def resolve_workers(workers, executor, timeout, opset, opsets=None,
     if executor == "thread":
         workers = 1
     if workers > 1:
-        reasons = process_incompatibilities(opset, opsets, energy_model,
-                                            backend)
+        reasons = process_incompatibilities(opset, energy_model, backend)
         if reasons and explicit:
             raise ProcessExecutorError(
                 f"workers={workers} asks for a process pool, but the "
@@ -1053,7 +1046,6 @@ def evaluate_many(
     spec: AcceleratorSpec,
     workloads: Sequence[Dict[str, Tensor]],
     opset: OpSet = ARITHMETIC,
-    opsets: Optional[Dict[str, OpSet]] = None,
     shapes: Optional[Dict[str, int]] = None,
     energy_model: Optional[EnergyModel] = None,
     backend=None,
@@ -1112,7 +1104,7 @@ def evaluate_many(
     Returns one :class:`EvaluationResult` per workload, in order.
     """
     check_metrics_mode(metrics)
-    workers = resolve_workers(workers, executor, timeout, opset, opsets,
+    workers = resolve_workers(workers, executor, timeout, opset,
                               energy_model, backend)
     workloads = list(workloads)
     # One lint pass covers the whole sweep: the spec does not change
@@ -1125,7 +1117,7 @@ def evaluate_many(
 
     engine = resolve_backend(backend)
     store = None if metrics == "analytical" else _durable_store(
-        cache, opset, opsets, energy_model, engine, "sweep")
+        cache, opset, energy_model, engine, "sweep")
     if isinstance(engine, CompiledBackend) and metrics != "analytical":
         try:
             engine.compile(spec)  # lower once, up front
@@ -1134,9 +1126,9 @@ def evaluate_many(
                 raise
 
     def one(tensors: Dict[str, Tensor]) -> EvaluationResult:
-        return evaluate(spec, tensors, opset=opset, opsets=opsets,
-                        shapes=shapes, energy_model=energy_model,
-                        backend=engine, metrics=metrics, cache=store)
+        return evaluate(spec, tensors, opset=opset, shapes=shapes,
+                        energy_model=energy_model, backend=engine,
+                        metrics=metrics, cache=store)
 
     supervisor = SweepSupervisor(
         workers=workers, timeout=timeout,

@@ -653,7 +653,6 @@ def execute_cascade(
     spec: AcceleratorSpec,
     tensors: Dict[str, Tensor],
     opset: OpSet = ARITHMETIC,
-    opsets: Optional[Dict[str, OpSet]] = None,
     sink: Optional[TraceSink] = None,
     shapes: Optional[Dict[str, int]] = None,
     env: Optional[Dict[str, Tensor]] = None,
@@ -661,16 +660,15 @@ def execute_cascade(
     """Execute every Einsum of a spec's cascade on real input tensors.
 
     ``tensors`` maps input names to fibertree tensors in *declared* rank
-    order.  ``opsets`` optionally overrides the operator set per Einsum.
-    ``env``, when given, is mutated in place (so a sink holding the same
-    dict sees intermediates as they are produced).  Returns the environment
-    with all intermediates and outputs added.
+    order; every Einsum runs under ``opset``.  ``env``, when given, is
+    mutated in place (so a sink holding the same dict sees intermediates
+    as they are produced).  Returns the environment with all
+    intermediates and outputs added.
     """
     env, all_shapes, rank_orders = cascade_context(spec, tensors, shapes,
                                                    env)
     for ir in build_cascade_ir(spec):
-        ops = (opsets or {}).get(ir.name, opset)
-        env[ir.name] = execute_einsum(ir, env, rank_orders, ops, sink,
+        env[ir.name] = execute_einsum(ir, env, rank_orders, opset, sink,
                                       all_shapes)
     return env
 

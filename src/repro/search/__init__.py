@@ -12,8 +12,7 @@ It splits the problem into three orthogonal pieces:
 * :mod:`repro.search.runner` — candidate evaluation (serial in-process,
   sharing the compile + prep caches, or a process pool), top-k pruning
   (with an exact re-pricing phase after the analytical surrogate), and
-  the entry points :func:`search`, :func:`explore`, and
-  :func:`explore_cascade`;
+  the entry points :func:`search` and :func:`explore_cascade`;
 * :mod:`repro.search.supervisor` — the fault-tolerance layer:
   per-candidate timeouts, bounded retry with failure classification,
   and broken-pool recovery;
@@ -52,7 +51,6 @@ from .results import (
 )
 from .runner import (
     SearchRunner,
-    explore,
     explore_cascade,
     search,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "claim",
     "classify_failure",
     "enumerate_candidates",
-    "explore",
     "explore_cascade",
     "gather",
     "metric_value",

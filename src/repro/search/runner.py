@@ -1,9 +1,10 @@
 """Parallel, pruned mapping-space search over real tensors.
 
-This is the evaluation engine behind :func:`search`, :func:`explore`
-(the historical serial sweep, a thin wrapper), and
+This is the evaluation engine behind :func:`search` and
 :func:`explore_cascade` (the paper's named future-work rung: searching a
-whole cascade's mappings Einsum by Einsum).
+whole cascade's mappings Einsum by Einsum).  The historical serial
+exhaustive sweep is ``search(spec, tensors, strategy="exhaustive",
+workers=1)``.
 
 The runner composes three independent pieces:
 
@@ -121,14 +122,12 @@ class SearchRunner:
         tensors,
         einsum: Optional[str] = None,
         opset: OpSet = ARITHMETIC,
-        opsets=None,
         shapes: Optional[Dict[str, int]] = None,
         energy_model=None,
         backend=None,
         metrics: str = "auto",
         metric: str = "exec_seconds",
         workers: Optional[int] = None,
-        executor: Optional[str] = None,
         prune_to: Optional[int] = None,
         prune_metrics: str = "auto",
         prep_cache: Optional[PrepCache] = None,
@@ -148,17 +147,16 @@ class SearchRunner:
         self.tensors = dict(tensors)
         self.einsum = _resolve_einsum(spec, einsum)
         self.opset = opset
-        self.opsets = opsets
         self.shapes = shapes
         self.energy_model = energy_model
         #: 1 (serial, in-process) or the size of the process pool.
-        self.workers = resolve_workers(workers, executor, timeout, opset,
-                                       opsets, energy_model, backend)
+        self.workers = resolve_workers(workers, None, timeout, opset,
+                                       energy_model, backend)
         self.engine = resolve_backend(backend)
         #: The ``cache=`` store results are published to (None when
         #: absent or bypassed).
         self.store: Optional[PersistentStore] = _durable_store(
-            cache, opset, opsets, energy_model, self.engine, "search")
+            cache, opset, energy_model, self.engine, "search")
         self.metrics = metrics
         self.metric = metric
         self.prune_to = prune_to
@@ -215,8 +213,7 @@ class SearchRunner:
                             energy_model=self.energy_model,
                             metrics="analytical", stats=self._stats())
         result = evaluate(cand_spec, dict(self.tensors), opset=self.opset,
-                          opsets=self.opsets, shapes=self.shapes,
-                          energy_model=self.energy_model,
+                          shapes=self.shapes, energy_model=self.energy_model,
                           backend=self.engine, metrics=metrics,
                           prep_cache=self.prep_cache)
         if key is not None:
@@ -423,12 +420,10 @@ def search(
     prune_to: Optional[int] = None,
     prune_metrics: str = "auto",
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     seed: int = 0,
     samples: int = 32,
     beam_width: int = 4,
     opset: OpSet = ARITHMETIC,
-    opsets=None,
     shapes: Optional[Dict[str, int]] = None,
     energy_model=None,
     backend=None,
@@ -451,9 +446,8 @@ def search(
     :func:`~repro.model.evaluate.resolve_workers`): 1 evaluates
     serially in-process, more runs a process pool of that size; it
     defaults to :func:`~repro.model.evaluate.default_workers`
-    (``REPRO_EVALUATE_WORKERS``, or 1).  ``executor`` is a retired
-    spelling that warns.  Parallel and serial runs produce
-    bit-identical candidate lists and rankings.
+    (``REPRO_EVALUATE_WORKERS``, or 1).  Parallel and serial runs
+    produce bit-identical candidate lists and rankings.
 
     ``prune_to=k`` keeps only the best ``k`` candidates as scored by
     ``prune_metrics``: an exact mode (``"auto"``, the priced arena
@@ -507,10 +501,9 @@ def search(
     candidate) is bit-identical to an unpruned run.
     """
     runner = SearchRunner(
-        spec, tensors, einsum=einsum, opset=opset, opsets=opsets,
-        shapes=shapes, energy_model=energy_model, backend=backend,
-        metrics=metrics, metric=metric, workers=workers,
-        executor=executor, prune_to=prune_to,
+        spec, tensors, einsum=einsum, opset=opset, shapes=shapes,
+        energy_model=energy_model, backend=backend, metrics=metrics,
+        metric=metric, workers=workers, prune_to=prune_to,
         prune_metrics=prune_metrics, prep_cache=prep_cache,
         timeout=timeout, max_retries=max_retries,
         retry_backoff=retry_backoff, cache=cache, validate=validate,
@@ -520,35 +513,6 @@ def search(
     strat = resolve_strategy(strategy, seed=seed, samples=samples,
                              beam_width=beam_width)
     return runner.run(strat, space)
-
-
-def explore(
-    spec: AcceleratorSpec,
-    tensors,
-    einsum: Optional[str] = None,
-    tile_sizes: Optional[Dict[str, Sequence[int]]] = None,
-    max_loop_orders: Optional[int] = None,
-    opset: OpSet = ARITHMETIC,
-    backend=None,
-    metrics: str = "auto",
-) -> SearchResult:
-    """Sweep mappings of one Einsum serially and evaluate each on real
-    tensors — the historical exhaustive sweep, kept as the simple entry
-    point (and for any caller that needs strictly sequential
-    evaluation).  :func:`search` is the parallel, pruned superset.
-
-    Each candidate runs through the selected execution ``backend``
-    (compiled generated-Python kernels by default) with the given
-    ``metrics`` mode (``"auto"`` by default); candidates share the
-    process-wide compile cache and one sweep-wide
-    :class:`~repro.model.backend.PrepCache`, so re-exploring after a
-    workload change pays no lowering cost and candidates agreeing on a
-    tensor's storage order reuse one prepared tensor and one arena.
-    """
-    return search(spec, tensors, einsum=einsum, strategy="exhaustive",
-                  tile_sizes=tile_sizes, max_loop_orders=max_loop_orders,
-                  opset=opset, backend=backend, metrics=metrics,
-                  workers=1)
 
 
 def explore_cascade(
@@ -561,12 +525,10 @@ def explore_cascade(
     prune_to: Optional[int] = None,
     prune_metrics: str = "auto",
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     seed: int = 0,
     samples: int = 32,
     beam_width: int = 4,
     opset: OpSet = ARITHMETIC,
-    opsets=None,
     shapes: Optional[Dict[str, int]] = None,
     energy_model=None,
     backend=None,
@@ -600,10 +562,10 @@ def explore_cascade(
             current, tensors, einsum=e.name, strategy=strategy,
             tile_sizes=ts, max_loop_orders=max_loop_orders, metric=metric,
             prune_to=prune_to, prune_metrics=prune_metrics,
-            workers=workers, executor=executor,
-            seed=seed, samples=samples, beam_width=beam_width, opset=opset,
-            opsets=opsets, shapes=shapes, energy_model=energy_model,
-            backend=backend, metrics=metrics, prep_cache=prep_cache,
+            workers=workers, seed=seed, samples=samples,
+            beam_width=beam_width, opset=opset, shapes=shapes,
+            energy_model=energy_model, backend=backend, metrics=metrics,
+            prep_cache=prep_cache,
             timeout=timeout, max_retries=max_retries,
             retry_backoff=retry_backoff, validate=validate,
         )

@@ -5,8 +5,8 @@ A strategy is a stateful proposer: the runner repeatedly calls
 better) and evaluates whatever comes back, until the strategy returns an
 empty batch.  Three built-ins cover the paper-relevant regimes:
 
-* :class:`ExhaustiveSearch` — every candidate, one batch (what
-  :func:`repro.search.explore` runs);
+* :class:`ExhaustiveSearch` — every candidate, one batch (the default
+  :func:`repro.search.search` strategy);
 * :class:`RandomSearch` — a seeded uniform sample without replacement,
   for spaces too large to enumerate;
 * :class:`BeamSearch` — greedy beam refinement: seed with a few
@@ -15,7 +15,7 @@ empty batch.  Three built-ins cover the paper-relevant regimes:
   swaps, tile-size ladder steps) until a round stops improving.
 
 Strategies only see candidates and float scores — never metrics modes or
-executors — so every strategy composes with the runner's parallel
+worker counts — so every strategy composes with the runner's parallel
 evaluation and two-phase pruning unchanged.
 """
 

@@ -151,10 +151,12 @@ class _Task:
 class SweepSupervisor:
     """Supervises one sweep's fan-out (see the module docstring).
 
-    ``workers > 1`` fans batches out over a process pool of that many
-    workers; ``workers=1`` runs them serially in-process.  The
-    supervisor builds the pool lazily and reuses it across batches, so
-    multi-round strategies pay pool spin-up once.  :attr:`mode` reads
+    ``workers > 1`` fans batches out over a process pool of up to that
+    many workers; ``workers=1`` runs them serially in-process.  The
+    supervisor builds the pool lazily, with no more workers than the
+    batch has items, and reuses it across batches, so multi-round
+    strategies pay pool spin-up once; an idle pool too small for a later,
+    larger batch is rebuilt at that batch's size.  :attr:`mode` reads
     ``"process"`` or ``"serial"`` (also after a degradation).  ``sleep``
     and ``clock`` are injectable for deterministic tests.
     """
@@ -193,6 +195,7 @@ class SweepSupervisor:
         self._rng = rng if rng is not None else random.Random()
         self._last_backoff = 0.0
         self._process_pool: Optional[ProcessPoolExecutor] = None
+        self._pool_size = 0
         self._rebuilt_pool = False
         #: Worker processes of the pools retired because one of their
         #: workers hung: each pool was shut down without waiting and
@@ -207,16 +210,18 @@ class SweepSupervisor:
         self.retries = 0
 
     # ---- the pool -----------------------------------------------------
-    def _pool(self) -> ProcessPoolExecutor:
+    def _pool(self, size: int) -> ProcessPoolExecutor:
+        """The live pool, built with ``size`` workers when there is none."""
         if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._process_pool = ProcessPoolExecutor(max_workers=size)
+            self._pool_size = size
         return self._process_pool
 
     def _retire_pool(self) -> None:
         """A worker of the current pool is hung past its deadline: the
         worker cannot be preempted, so the whole pool is retired (its
         live tasks finish; nothing new lands on it) and the next submit
-        builds a fresh pool at full capacity."""
+        builds a fresh one."""
         if self._process_pool is None:
             return
         # Read before shutdown, which drops the pool's process table.
@@ -379,11 +384,18 @@ class SweepSupervisor:
         pending: Dict[Any, _Task] = {}   # future -> task
         queue: List[Tuple[Any, int]] = [(item, 0) for item in items]
         queue.reverse()  # pop() from the end, preserving item order
+        # At most one task per item is ever in flight, so a pool wider
+        # than the batch would only fork idle workers.  Between batches
+        # the pool is idle, so a too-small one is rebuilt at this size.
+        size = min(self.workers, len(items))
+        if self._process_pool is not None and self._pool_size < size:
+            self._process_pool.shutdown(wait=True)
+            self._process_pool = None
 
         def submit(item, attempts) -> None:
             task = _Task(item, attempts + 1, self._clock())
             while self.mode == "process":
-                pool = self._pool()
+                pool = self._pool(size)
                 try:
                     fut = pool.submit(process_worker, payload(item))
                 except BrokenExecutor:

@@ -1,9 +1,11 @@
-"""Tests for the mapping-space exploration module."""
+"""Tests for mapping-space exploration: candidate enumeration and the
+serial exhaustive sweep (``search(..., strategy="exhaustive",
+workers=1)``)."""
 
 import pytest
 
 from repro.search import Candidate, apply_candidate, enumerate_candidates, \
-    explore
+    search
 from repro.fibertree import tensor_to_dense
 from repro.spec import load_spec
 from repro.workloads import uniform_random
@@ -19,6 +21,11 @@ einsum:
   expressions:
     - Z[m, n] = A[k, m] * B[k, n]
 """
+
+
+def serial_sweep(spec, tensors, **kwargs):
+    """The serial exhaustive sweep."""
+    return search(spec, tensors, strategy="exhaustive", workers=1, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +76,7 @@ class TestApplyCandidate:
 
 class TestExplore:
     def test_all_candidates_functionally_correct(self, tensors):
-        result = explore(
+        result = serial_sweep(
             load_spec(BASE), tensors,
             tile_sizes={"K": [8]}, max_loop_orders=3,
         )
@@ -86,7 +93,7 @@ class TestExplore:
             )
 
     def test_ranking_metrics(self, tensors):
-        result = explore(load_spec(BASE), tensors, max_loop_orders=3)
+        result = serial_sweep(load_spec(BASE), tensors, max_loop_orders=3)
         by_time = result.ranked("exec_seconds")
         assert by_time[0][1].exec_seconds <= by_time[-1][1].exec_seconds
         by_traffic = result.ranked("traffic")
@@ -96,7 +103,7 @@ class TestExplore:
             result.ranked("beauty")
 
     def test_best(self, tensors):
-        result = explore(load_spec(BASE), tensors, max_loop_orders=2)
+        result = serial_sweep(load_spec(BASE), tensors, max_loop_orders=2)
         cand, res = result.best()
         assert res.exec_seconds == min(
             r.exec_seconds for _, r in result.candidates
@@ -114,7 +121,7 @@ einsum:
     - Z[m] = T[k, m]
 """)
         with pytest.raises(ValueError):
-            explore(spec, tensors)
+            serial_sweep(spec, tensors)
 
 
 class TestSweepPreparationReuse:
@@ -139,7 +146,7 @@ class TestSweepPreparationReuse:
         for entry in ("prepare_tensor", "prepare_arena"):
             monkeypatch.setattr(backend_mod, entry,
                                 counting(getattr(backend_mod, entry)))
-        result = explore(load_spec(BASE), tensors)
+        result = serial_sweep(load_spec(BASE), tensors)
         n_candidates = len(result.candidates)
         assert n_candidates == 6
         # Every preparation that ran was for a distinct form ...
@@ -161,7 +168,7 @@ class TestSweepPreparationReuse:
             return real(t, rank_order, prep_steps)
 
         monkeypatch.setattr(backend_mod, "prepare_arena", counting)
-        explore(load_spec(BASE), tensors)
+        serial_sweep(load_spec(BASE), tensors)
         # One arena per distinct prepared input form (<= 2 per input),
         # plus nothing per-candidate beyond that.
         input_builds = [n for n in builds if n in ("A", "B")]
@@ -170,7 +177,7 @@ class TestSweepPreparationReuse:
 
 class TestToTable:
     def test_to_table_ranks_and_formats(self, tensors):
-        result = explore(load_spec(BASE), tensors, max_loop_orders=3)
+        result = serial_sweep(load_spec(BASE), tensors, max_loop_orders=3)
         table = result.to_table()
         lines = table.splitlines()
         assert len(lines) == 2 + len(result.candidates)
@@ -179,7 +186,7 @@ class TestToTable:
         assert best_cand.describe() in lines[2]
 
     def test_to_table_top_truncates(self, tensors):
-        result = explore(load_spec(BASE), tensors, max_loop_orders=3)
+        result = serial_sweep(load_spec(BASE), tensors, max_loop_orders=3)
         table = result.to_table(metric="traffic", top=2)
         assert len(table.splitlines()) == 4
 
@@ -189,7 +196,7 @@ class TestExploreMetricsModes:
         """auto and trace sweeps rank identically with identical
         numbers."""
         base = load_spec(BASE)
-        ref, got = (explore(base, tensors, max_loop_orders=2, metrics=m)
+        ref, got = (serial_sweep(base, tensors, max_loop_orders=2, metrics=m)
                     for m in ("trace", "auto"))
         for (c1, r1), (c2, r2) in zip(ref.candidates, got.candidates):
             assert c1 == c2

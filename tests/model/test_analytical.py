@@ -477,3 +477,24 @@ class TestNoTensorPricing:
         spec = load_spec(SPEC_PLAIN, name="anl-missing")
         with pytest.raises(ValueError, match="stats"):
             evaluate(spec, None, metrics="analytical")
+
+
+def test_analytical_prices_the_compile_cache_lowering():
+    """The analytical tier prices the compile cache's verified lowering:
+    its first call on a spec is one cache miss, and an exact evaluation
+    of the same spec after it reuses that lowering."""
+    from repro.model.backend import GLOBAL_COMPILE_CACHE
+
+    # A tile size no other test uses keeps the spec fresh in the cache.
+    spec = load_spec(SPEC_PLAIN.replace("A.16", "A.13"))
+    tensors = {
+        "A": uniform_random("A", ["K", "M"], (40, 30), 0.2, seed=1),
+        "B": uniform_random("B", ["K", "N"], (40, 20), 0.2, seed=2),
+    }
+    misses, hits = GLOBAL_COMPILE_CACHE.misses, GLOBAL_COMPILE_CACHE.hits
+    evaluate(spec, tensors, metrics="analytical")
+    assert GLOBAL_COMPILE_CACHE.misses == misses + 1
+    assert GLOBAL_COMPILE_CACHE.hits == hits
+    evaluate(spec, tensors, metrics="auto")
+    assert GLOBAL_COMPILE_CACHE.misses == misses + 1
+    assert GLOBAL_COMPILE_CACHE.hits == hits + 1

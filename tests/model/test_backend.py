@@ -461,25 +461,6 @@ class TestEvaluateMany:
         assert many.exec_seconds == one.exec_seconds
         assert many.energy_pj == one.energy_pj
 
-    def test_failed_compiles_are_negative_cached(self, monkeypatch):
-        import repro.model.backend as backend_mod
-
-        calls = []
-
-        def refuse(spec):
-            calls.append(spec)
-            raise CodegenError("forced for the test")
-
-        monkeypatch.setattr(backend_mod, "build_cascade_ir", refuse)
-        cache = CompileCache()
-        spec = load_spec(MATMUL)
-        with pytest.raises(CodegenError):
-            cache.get(spec)
-        with pytest.raises(CodegenError):
-            cache.get(spec)
-        assert len(calls) == 1  # second failure came from the cache
-        assert cache.misses == 1 and cache.hits == 1
-
     def test_thread_pool_workers(self):
         # Callers' own thread-pool workers share the process compile
         # cache: concurrent evaluate_many calls match a serial one.

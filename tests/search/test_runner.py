@@ -1,6 +1,6 @@
 """Search-runner behavior: parallel/serial equivalence, two-phase
-pruning, fan-out strictness, cascade sweeps, and the serial explore
-wrapper."""
+pruning, fan-out strictness, cascade sweeps, and the serial exhaustive
+sweep."""
 
 import threading
 
@@ -10,7 +10,6 @@ from repro.model import PrepCache, ProcessExecutorError
 from repro.search import (
     BeamSearch,
     SearchResult,
-    explore,
     explore_cascade,
     metrics_fingerprint,
     search,
@@ -231,10 +230,6 @@ class TestExecutorStrictness:
         assert len(result.candidates) == 3
         assert result.stats["executor"] == "serial"
 
-    def test_unknown_executor_rejected(self, tensors):
-        with pytest.raises(ValueError):
-            search(load_spec(BASE), tensors, executor="fibers")
-
 
 class TestProposalContract:
     def test_reproposing_seen_candidates_does_not_end_the_search(
@@ -343,7 +338,8 @@ class TestExploreCascade:
 
 class TestExploreShim:
     def test_explore_is_serial_exhaustive(self, tensors):
-        result = explore(load_spec(BASE), tensors, max_loop_orders=3)
+        result = search(load_spec(BASE), tensors, strategy="exhaustive",
+                        workers=1, max_loop_orders=3)
         assert result.strategy == "exhaustive"
         assert result.stats["workers"] == 1
         assert len(result.candidates) == 3

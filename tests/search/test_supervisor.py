@@ -499,6 +499,15 @@ class TestEvaluateManySupervision:
             evaluate_many(spec, self._workloads(2), workers=2,
                           timeout=TIMEOUT, max_retries=0, retry_backoff=0)
 
+    def test_pool_wider_than_the_batch_matches_serial(self):
+        # The pool is sized to the two workloads, not to workers=6.
+        spec = load_spec(BASE)
+        workloads = self._workloads(2)
+        serial = evaluate_many(spec, workloads, workers=1)
+        pooled = evaluate_many(spec, workloads, workers=6)
+        assert [metrics_fingerprint(r) for r in pooled] \
+            == [metrics_fingerprint(r) for r in serial]
+
     def test_one_workload_batch_still_times_out(self, plan):
         # A one-item batch with a timeout runs on the pool, where the
         # hang can be preempted, not in-process, where it could not.
@@ -507,6 +516,30 @@ class TestEvaluateManySupervision:
         with pytest.raises(CandidateTimeoutError):
             evaluate_many(spec, self._workloads(1), workers=2,
                           timeout=TIMEOUT, max_retries=0, retry_backoff=0)
+
+
+def _square(x):
+    return x * x
+
+
+@needs_fork
+class TestPoolSizing:
+    def test_pool_forks_no_more_workers_than_the_batch_has_items(self):
+        from repro.search.supervisor import SweepSupervisor
+
+        sup = SweepSupervisor(workers=6)
+        try:
+            got = sup.run_batch([2, 3], _square, payload=lambda x: x,
+                                process_worker=_square)
+            assert got == [(2, 4), (3, 9)]
+            assert len(sup._process_pool._processes) == 2
+            # A later, larger batch rebuilds the idle pool at its size.
+            got = sup.run_batch(range(4), _square, payload=lambda x: x,
+                                process_worker=_square)
+            assert got == [(i, i * i) for i in range(4)]
+            assert len(sup._process_pool._processes) == 4
+        finally:
+            sup.close()
 
 
 class TestTimeoutNeedsAPool:
