@@ -57,6 +57,20 @@ facts — is the kernel priced, and does it carry machine ports:
   :class:`~repro.model.evaluate.ModelSink` would deliver.  Only this
   flavor pays for the port checks, path and context tuples.
 
+  An innermost loop of this flavor has up to three branches.  The
+  numpy branch prices a long enough reduction span as the counted
+  flavor does, feeding each machine one span call.  The batched leaf
+  (:meth:`_FlatGenerator._batch_leaf_plan`) runs the counted flavor's
+  port-free loop, with a count of the output writes (or, when the output
+  point varies with the loop, the written points), and then makes one
+  span call per port: ``read_span``/``pair_extra`` for each driver and
+  ``write_run``/``write_keys`` for the output.  It runs when a guard bound
+  once at kernel entry (:func:`~repro.ir.codegen_runtime.batch_ok`) says
+  each machine sees one access and the output window is fixed across
+  the loop, so that every machine still receives its own exact event
+  sequence.  Otherwise the per-event loop runs, one machine call per
+  touch.
+
 The walk order, the guard structure, and every membership decision
 follow the interpreter's, so the differential suite can hold every
 kernel (flat, counted and vector) to the interpreter's outputs and
@@ -131,6 +145,12 @@ class _FlatGenerator:
         # Per sibling-batched leaf, its SiblingMap constructor (bound
         # once at kernel entry as ``_sm<g>``).
         self.sib_maps: List[str] = []
+        # Per batched leaf (vector flavor), its machine guard, bound once
+        # at kernel entry after the ports: (var, condition).
+        self.batch_guards: List[Tuple[str, str]] = []
+        # The plan of the batched leaf whose loop is being emitted: its
+        # driver reads are accounted after the loop, not per element.
+        self.batching = None
 
     # ------------------------------------------------------------------
     # Cursor helpers
@@ -281,7 +301,7 @@ class _FlatGenerator:
                    dispatch=None) -> None:
         """Tally ``amount`` DRAM-routed read events of access ``i``; see
         :meth:`_routed` for ``dispatch``."""
-        if self.priced:
+        if self.priced and self.batching is None:
             key = (self.ir.accesses[i].tensor, of, kind)
             self._routed(key, f"{self._rctr(*key)} += {amount}", dispatch)
 
@@ -380,6 +400,8 @@ class _FlatGenerator:
                     f"{var} = {pc}.read2 if ({pc} is not None and "
                     f"{pc} is {pp}) else None"
                 )
+            for var, cond in self.batch_guards:
+                head.emit(f"{var} = {cond}")
         if self.priced:
             for var in self.read_ctrs.values():
                 head.emit(f"{var} = 0")
@@ -515,15 +537,35 @@ class _FlatGenerator:
                                      binds, new_depths, enc)
         if vec is not None:
             self._emit_vector_leaf(rank, level, vec)
+        batch = self._batch_leaf_plan(level, mode, specs, virtual, binds,
+                                      new_depths)
+        if batch is not None:
+            self._emit_batch_leaf(rank, level, mode, specs, binds, depths,
+                                  new_depths, wins, guarded, batch,
+                                  "elif" if vec is not None else "if")
+        if vec is not None or batch is not None:
             em.emit("else:")
             em.indent += 1
+        self._emit_loop(rank, level, mode, specs, virtual, binds, depths,
+                        dict(new_depths), wins, guarded)
+        if vec is not None or batch is not None:
+            em.indent -= 1
+        em.indent -= close
 
+    def _emit_loop(self, rank: str, level: int, mode: str, specs, virtual,
+                   binds, depths: Dict[int, int], new_depths: Dict[int, int],
+                   wins: Dict[str, str], guarded: Set[str]) -> None:
+        """One rank's loop: the opener, the shared loop body, everything
+        below it, and the close.  ``new_depths`` is the cursor depths
+        inside the loop (the in-loop lookups advance it in place)."""
+        ir, em = self.ir, self.em
+        stamped = rank in self.stamp_ranks
         if len(specs) == 1:
             opened = self._open_single(rank, level, specs[0])
         elif (
             len(specs) == 2
             and mode != "union"
-            and all(ir.accesses[i].conjunctive for i, _ in drivers)
+            and all(ir.accesses[s[0]].conjunctive for s in specs)
         ):
             opened = self._open_merge2(rank, level, specs)
         else:
@@ -599,9 +641,6 @@ class _FlatGenerator:
         self._rank(level + 1, new_depths, wins2, guarded, inner)
         self._propagate_wrote(level, rank)
         self._close_loop(rank, level, opened, specs)
-        if vec is not None:
-            em.indent -= 1
-        em.indent -= close
 
     # ------------------------------------------------------------------
     # Loop openers: each returns a dict describing how to close the loop.
@@ -910,16 +949,8 @@ class _FlatGenerator:
         out_idx = ir.output.indices
         if v is not None and any(v in e.vars for e in out_idx):
             return None  # scatter-into-output leaves stay scalar
-        drivers = []
-        driver_map: Dict[int, str] = {}
-        for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
-            plan = ir.accesses[i]
-            drivers.append({
-                "j": j, "i": i, "L": L, "d": d, "a": a, "b": b,
-                "off": off or "0", "of": lvl.of or lvl.rank,
-                "tensor": plan.tensor, "conj": plan.conjunctive,
-            })
-            driver_map[i] = f"vc_w{j}"
+        drivers = self._span_drivers(specs)
+        driver_map = {drv["i"]: f"vc_w{drv['j']}" for drv in drivers}
         value = self._vec_value_plan(new_depths, driver_map)
         if value is None:
             return None
@@ -941,6 +972,20 @@ class _FlatGenerator:
             "ts": self._stamp_desc(rank),
             "style": ir.time_styles.get(rank, "pos"),
         }
+
+    def _span_drivers(self, specs) -> List[dict]:
+        """What a span-level branch needs of each loop driver: its
+        cursor (access, arena level, depth, span bounds, offset), the
+        rank its events name, and its tensor."""
+        drivers = []
+        for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
+            plan = self.ir.accesses[i]
+            drivers.append({
+                "j": j, "i": i, "L": L, "d": d, "a": a, "b": b,
+                "off": off or "0", "of": lvl.of or lvl.rank,
+                "tensor": plan.tensor, "conj": plan.conjunctive,
+            })
+        return drivers
 
     def _sibling_plan(self, specs, enc: dict, depths: Dict[int, int]):
         """How a merge leaf batches its intersections across the sibling
@@ -1121,6 +1166,11 @@ class _FlatGenerator:
         visited prefix plus a :meth:`~repro.ir.codegen_runtime.FusedBuffet.pair_extra`
         bump for the matched subset, and split ports batch each side
         independently.  DRAM-routed sides are pure counter adds.
+
+        ``d0`` is ``None`` on a batched leaf, which binds no matched
+        coordinates: there :func:`~repro.ir.codegen_runtime.batch_ok`
+        keeps a merge whose payload port is a machine of its own off the
+        batched branch, so that side is a counter add only.
         """
         em = self.em
         i, j, L, d = drv["i"], drv["j"], drv["L"], drv["d"]
@@ -1153,6 +1203,8 @@ class _FlatGenerator:
             em.emit("else:")
             em.indent += 1
         self._bump_read(i, of, "coord", vis, dispatch=span)
+        if merge and d0 is None:
+            payload_span = None
         self._bump_read(i, of, "payload", "vc_m", dispatch=payload_span)
         if self.ported:
             em.indent -= 1
@@ -1232,6 +1284,99 @@ class _FlatGenerator:
 
         self._routed(key, f"{self._wctr(*key)} += vc_m", write_seq)
         em.indent -= guard
+        em.indent -= 1
+
+    # ------------------------------------------------------------------
+    # Batched leaves (vector flavor): an innermost loop whose machine
+    # events can move out of the loop runs the port-free counted body and
+    # then makes one span call per port.  Eligibility is static per loop;
+    # whether the bound machines allow it (see
+    # :func:`~repro.ir.codegen_runtime.batch_ok`) is decided once at
+    # kernel entry, and the per-event loop stays as the fallback.
+    # ------------------------------------------------------------------
+    def _batch_leaf_plan(self, level: int, mode: str, specs, virtual, binds,
+                         new_depths: Dict[int, int]):
+        """Static eligibility of a batched leaf for this rank, or ``None``.
+
+        The loop must fire no machine events but its drivers' coord and
+        payload reads (one- or two-way intersect openers, drivers that
+        descend straight to leaf scalars, no per-element lookups) and the
+        leaf's output write, and must run to completion (no ``take()``
+        short-circuit); the output must not also be read.  The plan
+        says whether the output point varies with the loop (``map``:
+        one write per distinct point) or not (a reduction: a run of
+        writes to one point)."""
+        if not self.ported or level != self.n_ranks - 1:
+            return None
+        ir = self.ir
+        if self.existential or virtual or len(binds) > 1:
+            return None
+        if len(specs) > 2 or len(specs) == 2 and mode == "union":
+            return None
+        for i, lvl, L, d, a, b, off in specs:
+            if lvl.kind != PLAIN or not ir.accesses[i].conjunctive:
+                return None
+            if self._al(i, d) + 1 != self.n_phys[i]:
+                return None
+        if any(p.tensor == ir.output.tensor for p in ir.accesses):
+            return None
+        if self._leaf_lookups_advance(level, dict(new_depths)):
+            return None
+        out_idx = ir.output.indices
+        return {"map": bool(binds) and any(binds[0] in e.vars
+                                           for e in out_idx)}
+
+    def _emit_batch_leaf(self, rank: str, level: int, mode: str, specs,
+                         binds, depths: Dict[int, int],
+                         new_depths: Dict[int, int], wins: Dict[str, str],
+                         guarded: Set[str], batch: dict,
+                         keyword: str) -> None:
+        """The batched branch: ``<keyword> _sb<g>:`` plus its body — the
+        loop as the port-free kernel emits it, collecting the leaf's
+        output writes (a count, or the written points of a map leaf),
+        then one span call per port.  The caller emits the matching
+        ``else:`` with the per-event loop."""
+        ir, em = self.ir, self.em
+        merge = len(specs) == 2
+        drivers = self._span_drivers(specs)
+        out_r = (ir.output.storage_ranks[-1]
+                 if ir.output.storage_ranks else "root")
+        out_key = (ir.output.tensor, out_r, "elem")
+        guard = f"_sb{len(self.batch_guards)}"
+        ports = "".join(
+            f"({self._port(drv['tensor'], drv['of'], 'coord')}, "
+            f"{self._port(drv['tensor'], drv['of'], 'payload')}), "
+            for drv in drivers)
+        self.batch_guards.append((guard, (
+            f"rt.batch_ok({level}, ({ports}), {self._port(*out_key)}, "
+            f"{merge})")))
+        em.emit(f"{keyword} {guard}:")
+        em.indent += 1
+        em.emit("sb_k = []" if batch["map"] else "sb_n = 0")
+        self.ported, self.batching = False, batch
+        self._emit_loop(rank, level, mode, specs, (), binds, depths,
+                        dict(new_depths), wins, guarded)
+        self.ported, self.batching = True, None
+        if merge:
+            # Each driver visited a prefix of its span: the loop left its
+            # position just past the last visited element.
+            for drv in drivers:
+                em.emit(f"vc_n{drv['j']} = p{drv['i']}_{drv['d']} - "
+                        f"{drv['a']}")
+            em.emit(f"vc_m = _im_{rank}")
+        else:
+            em.emit(f"vc_m = {drivers[0]['b']} - {drivers[0]['a']}")
+        for drv in drivers:
+            self._emit_vector_reads(level, drv, merge, None)
+        if batch["map"]:
+            count = "len(sb_k)"
+            call = f"write_keys({out_r!r}, sb_k, cx{level})"
+        else:
+            count = "sb_n"
+            call = (f"write_run({out_r!r}, {_point_code(ir.output.indices)}, "
+                    f"sb_n, cx{level})")
+        self._routed(out_key, f"{self._wctr(*out_key)} += {count}",
+                     lambda port: em.emit(f"{port}.{call}"))
         em.indent -= 1
 
     # ------------------------------------------------------------------
@@ -1436,10 +1581,17 @@ class _FlatGenerator:
                         if ir.output.storage_ranks else "root")
             key = (ir.output.tensor, out_rank, "elem")
             point = _point_code(ir.output.indices)
-            self._routed(key, f"{self._wctr(*key)} += 1",
-                         lambda port: em.emit(
-                             f"{port}w({out_rank!r}, {point}, "
-                             f"cx{self.n_ranks})"))
+            if self.batching is None:
+                self._routed(key, f"{self._wctr(*key)} += 1",
+                             lambda port: em.emit(
+                                 f"{port}w({out_rank!r}, {point}, "
+                                 f"cx{self.n_ranks})"))
+            elif self.batching["map"]:
+                # The reduction bound the point as ``_k``; take() did not.
+                key = point if ir.einsum.is_take else "_k"
+                em.emit(f"sb_k.append({key})")
+            else:
+                em.emit("sb_n += 1")
         if self.existential:
             em.emit(f"wr_{self.n_ranks} = True")
         em.indent -= 1

@@ -402,7 +402,9 @@ def vreduce(existing, values) -> float:
 # These inline the buffet/cache models of repro.model.components into the
 # generated arena loops: instead of routing one TraceSink event per touched
 # element through ModelSink._route, the kernel calls these machines
-# directly at the (statically known) touch sites.  Each machine replays
+# directly at the (statically known) touch sites, or once per span for a
+# whole span's events (``read_span``, ``write_run``, ``write_keys``, each
+# equal to its per-event expansion).  Each machine replays
 # the *exact* decision procedure of its model class — same keys, same
 # evict windows, same float-accumulation sequence for cache occupancy —
 # and accumulates pure integer tallies that
@@ -552,12 +554,50 @@ class FusedBuffet:
                 self.fill_reads += 1
         self.dirty.add(key)
 
+    def write_run(self, of: str, path: tuple, n: int, cx: tuple) -> None:
+        """``n`` consecutive :meth:`write` calls of one path under one
+        evict window (``cx`` is any context of that window): the first
+        write decides the fill, the rest find the key present and dirty.
+        An empty run is a strict no-op (no events, no window roll)."""
+        if n:
+            self.write(of, path, cx)
+            self.writes += n - 1
+
+    def write_keys(self, of: str, paths, cx: tuple) -> None:
+        """One :meth:`write` per path, in order, under one evict window,
+        as set algebra: a key fills once if it was not present, and that
+        fill is a partial-output fill if the key was ever drained.  An
+        empty list is a strict no-op."""
+        if not paths:
+            return
+        if cx is not self._cx:
+            self._roll(cx)
+            self._cx = cx
+        kd = self.key_depth
+        if kd is not None:
+            keys = {p[:kd] for p in paths}
+        else:
+            keys = {(of, p) for p in paths}
+        self.writes += len(paths)
+        new = keys - self.present
+        if new:
+            self.present |= new
+            self.fills += len(new)
+            back = len(new & self.ever_drained)
+            self.partial_output_fills += back
+            self.fill_reads += back
+        self.dirty |= keys
+
     def write_seq(self, of: str, path: tuple, rank: str, coords,
                   cx: tuple) -> None:
         """One :meth:`write` per coordinate, with the full leaf loop
         context reconstructed per element (``cx + ((rank, c),)``) —
         the exact sequence the scalar leaf emits for a reduction span.
-        """
+        When the window ends within ``cx`` every element shares it, and
+        the sequence is one :meth:`write_run`."""
+        if self.cut <= len(cx):
+            self.write_run(of, path, len(coords), cx)
+            return
         write = self.write
         for c in coords:
             write(of, path, cx + ((rank, c),))
@@ -590,6 +630,10 @@ class FusedCache:
     __slots__ = ("key_depth", "capacity_bits", "fill_bits", "lru",
                  "occupied", "hits", "misses", "writebacks",
                  "writes", "fill_reads")
+
+    #: The cache ignores the loop context: its window never rolls (the
+    #: evict-window cut of :class:`FusedBuffet`, for :func:`batch_ok`).
+    cut = 0
 
     def __init__(self, key_depth: Optional[int], capacity_bits: float,
                  fill_bits: float):
@@ -655,8 +699,15 @@ class FusedCache:
                   off: int, cx: tuple) -> None:
         """Coord reads for every position in ``[lo, hi)`` of a span —
         equivalent to per-coordinate :meth:`read` calls, with the LRU
-        state held in locals across the loop."""
+        state held in locals across the loop.  When every coordinate
+        truncates to one key (``key_depth <= len(base)``), the span is
+        one touch plus hits."""
         kd = self.key_depth
+        if kd is not None and kd <= len(base):
+            if lo < hi:
+                self.read(of, base, cx)
+                self.hits += hi - lo - 1
+            return
         lru = self.lru
         fill = self.fill_bits
         cap = self.capacity_bits
@@ -711,14 +762,37 @@ class FusedCache:
         lru[key] = True
         self.occupied += self.fill_bits
 
+    def write_run(self, of: str, path: tuple, n: int, cx: tuple) -> None:
+        """``n`` consecutive :meth:`write` calls of one path: one touch,
+        then ``n - 1`` hits on the key it left dirty at MRU."""
+        if n:
+            self.write(of, path, cx)
+            self.writes += n - 1
+            self.hits += n - 1
+
+    def write_keys(self, of: str, paths, cx: tuple) -> None:
+        """One :meth:`write` per path, in order (LRU order is per event),
+        a repeat of the previous key counting as a hit on the MRU key."""
+        write = self.write
+        kd = self.key_depth
+        last = None
+        repeats = 0
+        for path in paths:
+            key = path[:kd] if kd is not None else path
+            if key == last:
+                repeats += 1
+                continue
+            write(of, path, cx)
+            last = key
+        self.writes += repeats
+        self.hits += repeats
+
     def write_seq(self, of: str, path: tuple, rank: str, coords,
                   cx: tuple) -> None:
         """One :meth:`write` per coordinate (the cache ignores loop
         context, so only the count and ordering matter — both identical
-        to the scalar leaf's per-element writes)."""
-        write = self.write
-        for c in coords:
-            write(of, path, cx)
+        to the scalar leaf's per-element writes): one :meth:`write_run`."""
+        self.write_run(of, path, len(coords), cx)
 
     def finish(self) -> None:
         for dirty in self.lru.values():
@@ -737,6 +811,30 @@ class FusedCache:
             "writebacks": self.writebacks,
             "fill_reads": self.fill_reads,
         }
+
+
+def batch_ok(depth: int, drivers, out, merge: bool) -> bool:
+    """Can a batched leaf at loop-context depth ``depth`` move its
+    machine events out of the loop?
+
+    ``drivers`` holds each driver's (coord, payload) ports and ``out``
+    the output write port (``None`` routes to DRAM).  Each machine must
+    be reached by one access only (one driver's coord and payload ports
+    may share it), so that a span call per port replays each machine's
+    own event order.  The output buffet's evict window must end within
+    the loop's context, so that every write of the span shares it (the
+    drivers read under that context already).  A merge's split payload
+    machine needs the matched coordinates, which the batched leaf does
+    not collect.
+    """
+    owner = {}
+    for j, (coord, payload) in enumerate(drivers):
+        if merge and payload is not None and payload is not coord:
+            return False
+        for machine in (coord, payload):
+            if machine is not None and owner.setdefault(id(machine), j) != j:
+                return False
+    return out is None or (id(out) not in owner and out.cut <= depth)
 
 
 def make_touch(read, of: str, base: tuple, cx: tuple):

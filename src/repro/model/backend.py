@@ -239,7 +239,14 @@ class CompiledEinsum:
         ports (raises CodegenError if the flat generator cannot express
         this Einsum).  Binding-independent: the machine routing arrives
         at call time via the ``fm`` argument, so one compiled kernel
-        serves every binding."""
+        serves every binding.
+
+        An innermost loop takes one of three branches: the numpy span
+        branch (a long enough reduction span); the batched leaf, which
+        runs the port-free loop and then makes one span call per
+        machine port, when each machine sees one access and the output
+        window is fixed across the loop; or the per-event loop, one
+        machine call per touch.  All three give the same metrics."""
         return self._get("vector")
 
 

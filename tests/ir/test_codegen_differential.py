@@ -30,6 +30,8 @@ Inputs are hypothesis-generated, with a fixed profile (see
 ``tests/conftest.py``) so CI failures replay exactly.
 """
 
+import contextlib
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -50,6 +52,10 @@ from repro.spec import load_spec
 # One cache for the whole module: repeated hypothesis examples of the same
 # spec compile exactly once.
 _CACHE = CompileCache()
+
+#: The production span threshold, read before the autouse fixture below
+#: pins it to 0 for every test.
+PRODUCTION_VLEAF_MIN = rt.VLEAF_MIN
 
 
 @pytest.fixture(autouse=True)
@@ -453,3 +459,139 @@ def test_single_nonzero_differential():
     }
     for name in ("gamma", "sparch"):
         assert_backends_agree(accelerator(name), tensors)
+
+
+# ----------------------------------------------------------------------
+# Batched leaves at the production span threshold
+# ----------------------------------------------------------------------
+# With VLEAF_MIN pinned to 0 every eligible reduction leaf takes the
+# numpy branch, so the short spans that the ported kernels price
+# through the batched leaf (the port-free loop plus one span call per
+# machine port) are only reached at the production threshold.
+@contextlib.contextmanager
+def production_spans():
+    """Restore the production VLEAF_MIN and record the outcome of every
+    batched-leaf guard (``rt.batch_ok``, bound once per kernel call)."""
+    outcomes = []
+    real = rt.batch_ok
+
+    def spy(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rt, "VLEAF_MIN", PRODUCTION_VLEAF_MIN)
+        mp.setattr(rt, "batch_ok", spy)
+        yield outcomes
+
+
+@pytest.mark.parametrize("name", SPMSPM)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_registry_production_vleaf_min_differential(name, data):
+    """Every buffered SpMSpM accelerator prices bit-identically to the
+    interpreter with its short spans on the batched leaf."""
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    k = data.draw(st.integers(4, 24), label="K")
+    m = data.draw(st.integers(4, 20), label="M")
+    n = data.draw(st.integers(4, 20), label="N")
+    density = data.draw(st.sampled_from([0.1, 0.3, 0.6]), label="density")
+    rng = np.random.default_rng(seed)
+    tensors = {
+        "A": tensor_from_dense("A", ["K", "M"],
+                               sparse_matrix(rng, k, m, density)),
+        "B": tensor_from_dense("B", ["K", "N"],
+                               sparse_matrix(rng, k, n, density)),
+    }
+    with production_spans() as outcomes:
+        assert_metrics_paths_agree(accelerator(name), tensors)
+    assert True in outcomes, f"{name}: no batched leaf engaged"
+
+
+#: (declaration, expression, loop order, Z's bound rank, A's binding)
+#: of the buffered leaf specs: a matmul, and A squared, whose merge
+#: drivers both read A through one small LRU cache.
+LEAF_EINSUMS = {
+    "matmul": ("{A: [K, M], B: [K, N], Z: [M, N]}",
+               "Z[m, n] = A[k, m] * B[k, n]", "[K1, M, N, K0]", "N",
+               "ABuf: [{tensor: A, rank: K, type: elem, style: lazy, "
+               "evict-on: M}]\n      BCache: [{tensor: B, rank: K, "
+               "type: elem, style: lazy}]"),
+    "square": ("{A: [K, M], Z: [M]}", "Z[m] = A[k, m] * A[k, m]",
+               "[K1, M, K0]", "M",
+               "BCache: [{tensor: A, rank: K, type: elem, style: lazy}]"),
+}
+
+
+def buffered_leaf_spec(einsum: str, z_evict_on: str) -> str:
+    """A buffered Einsum whose innermost rank K0 reduces into Z, with
+    Z's output buffet evicting on ``z_evict_on``."""
+    decl, expr, order, z_rank, a_binding = LEAF_EINSUMS[einsum]
+    return f"""
+einsum:
+  declaration: {decl}
+  expressions: ["{expr}"]
+mapping:
+  partitioning:
+    Z:
+      K: [uniform_shape(4)]
+  loop-order:
+    Z: {order}
+architecture:
+  Main:
+    clock: 1.0e9
+    subtree:
+      - name: System
+        local:
+          - name: DRAM
+            class: DRAM
+            attributes: {{bandwidth: 64}}
+          - name: ABuf
+            class: Buffer
+            attributes: {{type: buffet, width: 64, depth: 64}}
+          - name: BCache
+            class: Buffer
+            attributes: {{type: cache, width: 64, depth: 2}}
+          - name: ZBuf
+            class: Buffer
+            attributes: {{type: buffet, width: 64, depth: 64}}
+binding:
+  Z:
+    config: Main
+    components:
+      {a_binding}
+      ZBuf:
+        - {{tensor: Z, rank: {z_rank}, type: elem, style: lazy,
+            evict-on: {z_evict_on}}}
+"""
+
+
+@pytest.mark.parametrize("einsum, z_evict_on, engaged", [
+    # The output window ends outside the leaf: batched.
+    ("matmul", "N", True),
+    # Z evicts on the leaf's own rank: every write rolls its window.
+    ("matmul", "K0", False),
+    # Both merge drivers read A through one cache.
+    ("square", "M", False),
+], ids=["batched", "evict-on-leaf-rank", "shared-machine"])
+@settings(max_examples=6)
+@given(data=st.data())
+def test_batched_leaf_guard_differential(einsum, z_evict_on, engaged, data):
+    """The guard picks the batched leaf only when each machine sees one
+    access and the output window is fixed across the leaf; either way
+    the metrics equal the interpreter's."""
+    spec = load_spec(buffered_leaf_spec(einsum, z_evict_on),
+                     name=f"leaf-{einsum}-{z_evict_on}")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    density = data.draw(st.sampled_from([0.3, 0.6]), label="density")
+    rng = np.random.default_rng(seed)
+    shape = {r: data.draw(st.integers(2, 12), label=r) for r in "KMN"}
+    tensors = {
+        t: tensor_from_dense(t, ranks, sparse_matrix(
+            rng, shape[ranks[0]], shape[ranks[1]], density))
+        for t, ranks in (("A", ["K", "M"]), ("B", ["K", "N"]))
+        if t in spec.einsum.cascade.inputs
+    }
+    with production_spans() as outcomes:
+        assert_metrics_paths_agree(spec, tensors)
+    assert outcomes == [engaged]
