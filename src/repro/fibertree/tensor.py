@@ -11,8 +11,9 @@ The fibertree is an abstraction; its storage is one of two layouts:
 * **Columns.**  :meth:`Tensor.from_points` (and so :meth:`Tensor.from_coo`,
   every workload generator and every arena-kernel output) stores a
   :class:`~repro.fibertree.arena.FlatArena` built with one numpy
-  ``lexsort`` over the coordinate columns, whenever every coordinate is a
-  plain ``int`` that fits int64 and every value a plain ``float``.
+  ``lexsort`` over the coordinate columns (one column is sorted only
+  when it arrives out of order), whenever every coordinate is a plain
+  ``int`` that fits int64 and every value a plain ``float``.
   ``nnz``, :meth:`~Tensor.leaves`, :meth:`~Tensor.points` and
   :meth:`~Tensor.copy` read the columns (a copy shares the arena), and
   :meth:`FlatArena.from_tensor <repro.fibertree.arena.FlatArena.from_tensor>`
@@ -26,7 +27,10 @@ tensor the first access builds the tree
 (:meth:`~repro.fibertree.arena.FlatArena.to_fiber`) and drops the
 columns, so from then on the tree is authoritative and a caller who
 mutates it is never shadowed by stale columns.  The build is
-thread-safe: a caller's own threads may share input tensors.
+thread-safe: a caller's own threads may share input tensors.  Readers
+that only need a tree to walk or transform — the content-preserving
+transformations below and the interpreter — build a private one from
+the columns instead, so the tensor keeps its columns.
 """
 
 from __future__ import annotations
@@ -239,6 +243,12 @@ class Tensor:
         arena = self._arena
         return self.root if arena is None else arena.to_fiber()
 
+    def _fresh_tree(self) -> Fiber:
+        """A private copy of the boxed tree, built without changing the
+        storage (the columns' tree is fresh already)."""
+        arena = self._arena
+        return self.root.copy() if arena is None else arena.to_fiber()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -296,7 +306,7 @@ class Tensor:
         names = split_names(rank, len(steps))
         depth = self.rank_index(rank)
         shape = self.shape_of(rank)
-        root = self.root.copy()
+        root = self._fresh_tree()
         for level, step in enumerate(steps):
             root = _split_at_depth(
                 root, depth + level, lambda f, s=step: f.split_uniform_shape(s, shape)
@@ -317,7 +327,7 @@ class Tensor:
         """
         names = split_names(rank, len(sizes))
         depth = self.rank_index(rank)
-        root = self.root.copy()
+        root = self._fresh_tree()
         for level, size in enumerate(sizes):
             root = _split_at_depth(
                 root, depth + level, lambda f, s=size: f.split_equal(s)
@@ -337,7 +347,7 @@ class Tensor:
             raise ValueError("boundary partitioning adds exactly one level")
         depth = self.rank_index(rank)
         root = _split_at_depth(
-            self.root.copy(),
+            self._fresh_tree(),
             depth,
             lambda f: f.split_by_boundaries(boundaries),
         )
@@ -356,7 +366,7 @@ class Tensor:
             )
         new_name = flatten_name(ranks)
         root = _split_at_depth(
-            self.root.copy(), start, lambda f: f.flatten(len(ranks) - 1)
+            self._fresh_tree(), start, lambda f: f.flatten(len(ranks) - 1)
         )
         new_ranks = (
             self.rank_ids[:start] + [new_name] + self.rank_ids[start + len(ranks) :]
@@ -377,15 +387,15 @@ class Tensor:
                     out.set_payload(c, p)
             return out
 
-        root = _split_at_depth(self.root.copy(), depth, merge)
+        root = _split_at_depth(self._fresh_tree(), depth, merge)
         new_ranks = self.rank_ids[:depth] + [merged] + self.rank_ids[depth + 2 :]
         new_shape = self.shape[:depth] + [self.shape[depth]] + self.shape[depth + 2 :]
         return Tensor(self.name, new_ranks, root, new_shape)
 
     def prune_empty(self) -> "Tensor":
         """Copy with zero leaves and empty fibers removed."""
-        return Tensor(self.name, list(self.rank_ids), self.root.prune_empty(),
-                      list(self.shape))
+        return Tensor(self.name, list(self.rank_ids),
+                      self._tree().prune_empty(), list(self.shape))
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +411,45 @@ def _arena_from_points(points: Dict[tuple, Any],
         return None
     if set(map(type, points.values())) != {float}:
         return None
+    if num_ranks == 1:
+        return _arena_from_points1(points)
+    return _arena_from_rows(points, num_ranks)
+
+
+def _arena_from_points1(points: Dict[tuple, Any]) -> Optional[FlatArena]:
+    """:func:`_arena_from_points` for one rank, whose values are known to
+    be plain floats: a key type check, one unpack and one type pass over
+    the coordinates, and a sort only when they arrive out of order."""
+    keys = list(points)
+    # Hashable non-tuples that unpack to one item (bytes, ranges, tuple
+    # subclasses) must still take the boxed route.
+    if set(map(type, keys)) != {tuple}:
+        return None
+    try:
+        coords = [k for (k,) in keys]
+    except ValueError:  # a key of another length
+        return None
+    if set(map(type, coords)) != {int}:
+        return None
+    try:
+        col = np.array(coords, dtype=COORD_DTYPE)
+    except OverflowError:
+        return None
+    vals = np.fromiter(points.values(), dtype=VALUE_DTYPE, count=len(keys))
+    keep = vals != 0  # drops 0.0 and -0.0, as the boxed route does
+    if not keep.all():
+        col, vals = col[keep], vals[keep]
+    if len(col) > 1 and (col[1:] < col[:-1]).any():
+        order = np.argsort(col, kind="stable")
+        col, vals = col[order], vals[order]
+    return FlatArena(1, [col], [np.array([0, len(col)], dtype=COORD_DTYPE)],
+                     vals, [[None]])
+
+
+def _arena_from_rows(points: Dict[tuple, Any],
+                     num_ranks: int) -> Optional[FlatArena]:
+    """:func:`_arena_from_points` for any rank count, whose values are
+    known to be plain floats."""
     keys = list(points)
     if set(map(type, keys)) != {tuple} or \
             set(map(len, keys)) != {num_ranks} or \

@@ -19,7 +19,20 @@ The priced flavors record the point count, zeros included, as
 One generator emits three flavors, specialized at generation time on two
 facts — is the kernel priced, and does it carry machine ports:
 
-* **flat** ``kernel(arenas, opset, shapes)`` — the untraced fast path;
+* **flat** ``kernel(arenas, opset, shapes)`` — the untraced fast path.
+  With no visit counts to keep, it has two loop forms of its own.  An
+  innermost two-way intersection whose one driver is fixed across the
+  enclosing loop has a position-map branch
+  (:meth:`_FlatGenerator._pmap_plan`): a ``{coordinate: position}`` map
+  of the fixed span, built once per distinct span, is probed by each
+  element of the moving span, in place of a gallop through the fixed
+  span on every iteration of the enclosing loop.  A per-span guard takes
+  it when the moving span is at most ``PMAP_RATIO`` times as long as the
+  fixed one, and keeps the merge otherwise.  A two-way union merges
+  inline (:meth:`_FlatGenerator._open_union2`) rather than through the
+  :func:`~repro.ir.codegen_runtime.flat_union` generator, which stays
+  for three or more inputs and for the priced flavors.  Both yield the
+  merge's matches in the merge's order, so outputs are unchanged;
 * **counted** ``kernel(arenas, opset, shapes, kc)`` — the priced kernel
   without machine ports, for an Einsum whose binding routes nothing to a
   buffer or cache.  Instead of one
@@ -151,6 +164,9 @@ class _FlatGenerator:
         # The plan of the batched leaf whose loop is being emitted: its
         # driver reads are accounted after the loop, not per element.
         self.batching = None
+        # Position-map leaves (flat flavor): how many, each memoizing its
+        # map on the fixed span as ``pk<g>``/``pm<g>``.
+        self.pmaps = 0
 
     # ------------------------------------------------------------------
     # Cursor helpers
@@ -378,6 +394,10 @@ class _FlatGenerator:
             head.emit(f"n{i}_0b = len(t{i}_c0)")
             if self.ported:
                 head.emit(f"h{i}_0 = ()")
+        if self.pmaps:
+            head.emit("_pmr = rt.PMAP_RATIO")
+            for g in range(self.pmaps):
+                head.emit(f"pk{g} = None")
         if self.vec_guards:
             head.emit("_vk = rt.vec_ok(opset)")
             head.emit("_vmin = rt.VLEAF_MIN")
@@ -465,8 +485,9 @@ class _FlatGenerator:
               wins: Dict[str, str], guarded: Set[str],
               enc: dict = None) -> None:
         """Emit rank ``level`` and everything below it.  ``enc`` describes
-        the enclosing loop when it has one PLAIN driver (see
-        :meth:`_sibling_plan`)."""
+        the enclosing loop, if any: the cursor depths and variables
+        before it, and its ``spec`` when it has one PLAIN driver (see
+        :meth:`_fixed_across` and :meth:`_sibling_plan`)."""
         ir, em = self.ir, self.em
         if level == self.n_ranks:
             self._leaf(depths)
@@ -543,30 +564,36 @@ class _FlatGenerator:
             self._emit_batch_leaf(rank, level, mode, specs, binds, depths,
                                   new_depths, wins, guarded, batch,
                                   "elif" if vec is not None else "if")
-        if vec is not None or batch is not None:
+        pmap = self._pmap_plan(level, mode, specs, enc)
+        if pmap is not None:
+            self._emit_pmap_leaf(rank, level, mode, specs, virtual, binds,
+                                 depths, new_depths, wins, guarded, pmap)
+        branched = vec is not None or batch is not None or pmap is not None
+        if branched:
             em.emit("else:")
             em.indent += 1
         self._emit_loop(rank, level, mode, specs, virtual, binds, depths,
                         dict(new_depths), wins, guarded)
-        if vec is not None or batch is not None:
+        if branched:
             em.indent -= 1
         em.indent -= close
 
     def _emit_loop(self, rank: str, level: int, mode: str, specs, virtual,
                    binds, depths: Dict[int, int], new_depths: Dict[int, int],
-                   wins: Dict[str, str], guarded: Set[str]) -> None:
+                   wins: Dict[str, str], guarded: Set[str],
+                   pmap: dict = None) -> None:
         """One rank's loop: the opener, the shared loop body, everything
         below it, and the close.  ``new_depths`` is the cursor depths
-        inside the loop (the in-loop lookups advance it in place)."""
+        inside the loop (the in-loop lookups advance it in place).
+        ``pmap`` swaps the merge opener for a position-map walk (see
+        :meth:`_emit_pmap_leaf`)."""
         ir, em = self.ir, self.em
         stamped = rank in self.stamp_ranks
-        if len(specs) == 1:
+        if pmap is not None:
+            opened = self._open_pmap(rank, specs, pmap)
+        elif len(specs) == 1:
             opened = self._open_single(rank, level, specs[0])
-        elif (
-            len(specs) == 2
-            and mode != "union"
-            and all(ir.accesses[s[0]].conjunctive for s in specs)
-        ):
+        elif self._merges2(mode, specs):
             opened = self._open_merge2(rank, level, specs)
         else:
             opened = self._open_kway(rank, level, mode, specs)
@@ -592,7 +619,8 @@ class _FlatGenerator:
                 # it must be defined.
                 em.emit(f"h{i}_{d + 1} = h{i}_{d} + (c_{rank},)")
             if opened["kway"]:
-                em.emit(f"{pos} = ps_{rank}[{j}]")
+                if opened["kind"] == "kway":
+                    em.emit(f"{pos} = ps_{rank}[{j}]")
                 em.emit(f"if {pos} >= 0:")
                 em.indent += 1
             if not opened["kway"] and self._deferrable(i):
@@ -634,10 +662,10 @@ class _FlatGenerator:
             # loop context holds once this rank binds ``c``.
             em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, c_{rank}),)")
         self._lookups(level, new_depths)
-        inner = None
+        inner = {"depths": dict(depths), "binds": binds}
         if opened["kind"] == "single" and not virtual and \
                 specs[0][1].kind == PLAIN:
-            inner = {"spec": specs[0], "depths": dict(depths), "binds": binds}
+            inner["spec"] = specs[0]
         self._rank(level + 1, new_depths, wins2, guarded, inner)
         self._propagate_wrote(level, rank)
         self._close_loop(rank, level, opened, specs)
@@ -669,6 +697,78 @@ class _FlatGenerator:
             self._emit_read(i, (lvl.of or lvl.rank), "coord",
                             key=f"h{i}_{d} + (c_{rank},)", cx=f"cx{level}")
         return {"kind": "single", "kway": False, "guard": guard}
+
+    def _merges2(self, mode: str, specs) -> bool:
+        """Does a loop over ``specs`` open as an inline two-way
+        intersection (:meth:`_open_merge2`)?"""
+        return len(specs) == 2 and mode != "union" and all(
+            self.ir.accesses[s[0]].conjunctive for s in specs)
+
+    def _pmap_plan(self, level: int, mode: str, specs, enc: dict):
+        """A position-map leaf for this rank (flat flavor), or ``None``.
+
+        It applies to an innermost two-way intersection whose one driver
+        is fixed across the enclosing loop (:meth:`_fixed_across`) while
+        the other moves: a map of the fixed span's coordinates to their
+        positions, built once per distinct fixed span, lets the moving
+        driver's span find its matches by lookup instead of galloping
+        through the fixed span on every iteration of the enclosing loop.
+        The matches, and so the outputs and their order, are the merge's:
+        flat kernels carry no visit counts that could tell them apart.
+        """
+        if self.priced or enc is None or level != self.n_ranks - 1 or \
+                not self._merges2(mode, specs):
+            return None
+        fixed = [self._fixed_across(spec, enc) for spec in specs]
+        if fixed[0] == fixed[1]:
+            return None
+        g = self.pmaps
+        self.pmaps += 1
+        f = fixed.index(True)
+        return {"g": g, "fixed": f, "walk": 1 - f}
+
+    def _emit_pmap_leaf(self, rank: str, level: int, mode: str, specs,
+                        virtual, binds, depths: Dict[int, int],
+                        new_depths: Dict[int, int], wins: Dict[str, str],
+                        guarded: Set[str], pmap: dict) -> None:
+        """The position-map branch: ``if <guard>:`` plus the loop walking
+        the moving span.  The guard takes it when that span is at most
+        ``PMAP_RATIO`` times as long as the fixed one; a much longer
+        walk would visit elements the merge gallops over.  The caller
+        emits the matching ``else:`` with the merge loop."""
+        em = self.em
+        w, f = specs[pmap["walk"]], specs[pmap["fixed"]]
+        em.emit(f"if {w[5]} - {w[4]} <= _pmr * ({f[5]} - {f[4]}):")
+        em.indent += 1
+        self._emit_loop(rank, level, mode, specs, virtual, binds, depths,
+                        dict(new_depths), wins, guarded, pmap)
+        em.indent -= 1
+
+    def _open_pmap(self, rank: str, specs, pmap: dict) -> dict:
+        em = self.em
+        g = pmap["g"]
+        fi, _, fL, fd, fa, fb, foff = specs[pmap["fixed"]]
+        wi, _, wL, wd, wa, wb, woff = specs[pmap["walk"]]
+        key = f"({fa}, {fb}" + (f", {foff})" if foff else ")")
+        em.emit(f"if {key} != pk{g}:")
+        em.indent += 1
+        em.emit(f"pk{g} = {key}")
+        span = f"t{fi}_c{fL}[{fa}:{fb}]"
+        if foff:
+            em.emit(f"pm{g} = {{c + {foff}: p for p, c in "
+                    f"enumerate({span}, {fa})}}")
+        else:
+            em.emit(f"pm{g} = dict(zip({span}, range({fa}, {fb})))")
+        em.indent -= 1
+        pw, pf = f"p{wi}_{wd}", f"p{fi}_{fd}"
+        em.emit(f"for {pw} in range({wa}, {wb}):")
+        em.indent += 1
+        coord = f"t{wi}_c{wL}[{pw}]" + (f" + {woff}" if woff else "")
+        em.emit(f"c_{rank} = {coord}")
+        em.emit(f"{pf} = pm{g}.get(c_{rank})")
+        em.emit(f"if {pf} is None:")
+        em.emit("    continue")
+        return {"kind": "pmap", "kway": False, "guard": 0}
 
     def _open_merge2(self, rank: str, level: int, specs) -> dict:
         em = self.em
@@ -707,10 +807,12 @@ class _FlatGenerator:
     def _open_kway(self, rank: str, level: int, mode: str, specs) -> dict:
         em = self.em
         k = len(specs)
+        union = mode == "union"
+        if union and k == 2 and not self.priced:
+            return self._open_union2(rank, specs)
         parts = []
         for i, lvl, L, d, a, b, off in specs:
             parts.append(f"(t{i}_c{L}, {a}, {b}, {off or 0})")
-        union = mode == "union"
         helper = "flat_union" if union else "flat_isect"
         size = k if union else k + 2
         em.emit(f"sx_{rank} = [0] * {size}")
@@ -739,6 +841,55 @@ class _FlatGenerator:
             self.isect_ranks.append(rank)
         return {"kind": "kway", "kway": True, "union": union, "guard": 0}
 
+    def _open_union2(self, rank: str, specs) -> dict:
+        """The flat flavor's two-way union, inline: the merge of
+        :func:`~repro.ir.codegen_runtime.flat_union` for two inputs, an
+        absent cursor (never a root one) counting as an empty span.  Each
+        pass binds the union coordinate and each driver's position (-1
+        when the driver lacks the coordinate) and advances past it."""
+        em = self.em
+        heads = []
+        for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
+            u, e = f"u{j}_{rank}", f"e{j}_{rank}"
+            em.emit(f"{u} = {a}")
+            em.emit(f"{e} = {b}")
+            if d > 0 and not self.ir.accesses[i].conjunctive:
+                em.emit(f"if {u} is None:")
+                em.emit(f"    {u} = {e} = 0")
+            head = f"t{i}_c{L}[{u}]" + (f" + {off}" if off else "")
+            heads.append((u, e, head, f"p{i}_{d}"))
+        (u0, e0, h0, p0), (u1, e1, h1, p1) = heads
+        c, h = f"c_{rank}", f"h1_{rank}"
+        take0 = [f"{p0} = {u0}", f"{p1} = -1", f"{u0} += 1"]
+        take1 = [f"{p0} = -1", f"{p1} = {u1}", f"{u1} += 1"]
+        for line in (
+            "while True:",
+            f"    if {u0} < {e0}:",
+            f"        {c} = {h0}",
+            f"        if {u1} < {e1}:",
+            f"            {h} = {h1}",
+            f"            if {h} < {c}:",
+            f"                {c} = {h}",
+            *("                " + t for t in take1),
+            f"            elif {h} == {c}:",
+            f"                {p0} = {u0}",
+            f"                {p1} = {u1}",
+            f"                {u0} += 1",
+            f"                {u1} += 1",
+            "            else:",
+            *("                " + t for t in take0),
+            "        else:",
+            *("            " + t for t in take0),
+            f"    elif {u1} < {e1}:",
+            f"        {c} = {h1}",
+            *("        " + t for t in take1),
+            "    else:",
+            "        break",
+        ):
+            em.emit(line)
+        em.indent += 1
+        return {"kind": "union2", "kway": True, "union": True, "guard": 0}
+
     def _skip_reads(self, rank: str, level: int, i: int, lvl, L: int,
                     d: int, off, p: str) -> None:
         """Tally the coordinates a merge2 skip jumped over.
@@ -757,8 +908,8 @@ class _FlatGenerator:
     def _close_loop(self, rank: str, level: int, opened: dict,
                     specs) -> None:
         em = self.em
-        if opened["kind"] == "single":
-            em.indent -= 1  # for
+        if opened["kind"] in ("single", "pmap", "union2"):
+            em.indent -= 1  # the loop
             em.indent -= opened["guard"]
         elif opened["kind"] == "merge2":
             (i0, lvl0, L0, d0, a0, b0, off0), \
@@ -987,6 +1138,17 @@ class _FlatGenerator:
             })
         return drivers
 
+    @staticmethod
+    def _fixed_across(spec, enc: dict) -> bool:
+        """Are a driver's span and offset invariant across the enclosing
+        loop ``enc``?  Its cursor must be set outside that loop (neither
+        the loop nor its lookups move it), and its projection offset
+        must read none of the loop's variables."""
+        i, lvl, L, d, a, b, off = spec
+        if enc["depths"][i] != d:
+            return False
+        return off is None or not set(lvl.exprs[0].vars) & set(enc["binds"])
+
     def _sibling_plan(self, specs, enc: dict, depths: Dict[int, int]):
         """How a merge leaf batches its intersections across the sibling
         spans of one parent fiber, or ``None`` (per-span ``visect2``).
@@ -999,19 +1161,16 @@ class _FlatGenerator:
         none of the loop's variables.  Only pure two-driver products get
         here, so the batch also computes the products once per parent.
         """
-        if enc is None:
+        if enc is None or "spec" not in enc:
             return None
         ei, _, _, ed, ea, eb, _ = enc["spec"]
         for w in (0, 1):
             i, _, L, d, a, _, _ = specs[w]
             if i != ei or d != ed + 1 or a != f"n{i}_{d}a":
                 continue
+            if not self._fixed_across(specs[1 - w], enc):
+                return None
             fi, flvl, fL, fd, fa, fb, foff = specs[1 - w]
-            if enc["depths"][fi] != fd:
-                return None  # the loop or its lookups move the fixed cursor
-            if foff is not None and \
-                    set(flvl.exprs[0].vars) & set(enc["binds"]):
-                return None  # the fixed span shifts with the loop
             g = len(self.sib_maps)
             self.sib_maps.append(
                 f"rt.SiblingMap(t{fi}_cn{fL}, t{i}_cn{L}, _a{i}.segs[{L}])")
@@ -1407,8 +1566,9 @@ class _FlatGenerator:
             em.emit(f"st_{rank} = v_{var}")
         if self.ported:
             em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, v_{var}),)")
+        enc = {"depths": dict(depths), "binds": binds}
         self._lookups(level, depths)
-        self._rank(level + 1, depths, wins, guarded)
+        self._rank(level + 1, depths, wins, guarded, enc)
         self._propagate_wrote(level, rank)
         em.indent -= 1
 

@@ -216,6 +216,14 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
 #: 0 to force the vector path onto small inputs.
 VLEAF_MIN = 96
 
+#: Position-map leaves of flat kernels (see ``codegen_flat``): a moving
+#: span at most this many times as long as the fixed span it intersects
+#: is walked with map lookups; a longer one keeps the galloping merge,
+#: which skips most of it.  On a 2-vCPU host the map broke even at 3-4x
+#: for fixed spans of 16+ coordinates; against 1-2 coordinates the merge
+#: stops early and the map lost at any ratio, which this guard keeps.
+PMAP_RATIO = 3
+
 
 def vec_ok(opset) -> bool:
     """Is this opset safe for elementwise numpy evaluation?

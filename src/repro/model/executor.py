@@ -157,7 +157,7 @@ class _EinsumRun:
 
     # ------------------------------------------------------------------
     def run(self) -> Tensor:
-        cursors = [_Cursor(t.root, 0, ()) for t in self.prepared]
+        cursors = [_Cursor(t._tree(), 0, ()) for t in self.prepared]
         bindings: Dict[str, int] = {}
         cursors = self._advance_all(cursors, bindings, [])
         self._recurse(0, bindings, cursors, {}, {}, [])

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given
 
 from repro.fibertree import Fiber, FlatArena, Tensor, prepare_arena
+from repro.fibertree.tensor import _arena_from_points, _arena_from_rows
 from repro.graph import PROPOSAL, run_vertex_centric
 from repro.ir.nodes import PrepStep
 from repro.model import CompiledBackend, WorkloadStats, evaluate
@@ -155,6 +156,54 @@ def test_fallback_points_take_the_tree_route(ranks, points):
     assert _typed_leaves(t) == _typed_leaves(want)
 
 
+# ----------------------------------------------------------------------
+# The one-rank build equals the general one
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("points", [
+    pytest.param({(9,): 1.5, (2,): -2.0, (5,): 3.0, (-4,): 0.5},
+                 id="unsorted"),
+    pytest.param({(1,): 1.0, (2,): 2.0, (30,): 3.0}, id="sorted"),
+    pytest.param({(3,): 0.0, (1,): 2.0, (7,): -0.0, (0,): 4.0},
+                 id="signed-zeros"),
+    pytest.param({(3,): 0.0, (1,): -0.0}, id="empty-result"),
+    pytest.param({(2 ** 63 - 1,): 1.0, (-2 ** 63,): 2.0}, id="int64-edges"),
+])
+def test_one_rank_arena_equals_the_general_path(points):
+    got = _arena_from_points(points, 1)
+    assert got is not None
+    assert_same_arena(got, _arena_from_rows(points, 1))
+    got.validate()
+
+
+@given(points=st.dictionaries(
+    st.tuples(st.integers(-50, 50)),
+    st.one_of(st.floats(-9, 9, allow_nan=False),
+              st.sampled_from([0.0, -0.0])),
+    min_size=1, max_size=40))
+def test_one_rank_arena_equals_the_general_path_on_any_points(points):
+    assert_same_arena(_arena_from_points(points, 1),
+                      _arena_from_rows(points, 1))
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param({(True,): 1.5, (3,): 2.5}, id="bool-coord"),
+    pytest.param({(np.int64(2),): 1.5}, id="np-int64-coord"),
+    pytest.param({(2 ** 63,): 1.5, (1,): 2.5}, id="int64-overflow"),
+    pytest.param({(-2 ** 63 - 1,): 1.5}, id="int64-underflow"),
+    pytest.param({(1,): np.float64(1.5)}, id="np-float64-value"),
+    pytest.param({(1,): 2, (2,): 1.5}, id="int-value"),
+    pytest.param({3: 1.5}, id="int-key"),
+    pytest.param({b"\x03": 1.5}, id="bytes-key"),
+    pytest.param({range(3, 4): 1.5}, id="range-key"),
+    pytest.param({(1, 2): 1.5}, id="two-coordinate-key"),
+    pytest.param({(1,): 1.5, (): 2.5}, id="empty-key"),
+])
+def test_one_rank_path_declines_what_the_general_path_declines(points):
+    assert _arena_from_points(points, 1) is None
+    if set(map(type, points.values())) == {float}:
+        assert _arena_from_rows(points, 1) is None
+
+
 def test_tensor_pickled_with_a_root_attribute_still_loads():
     """Tensors pickled while ``root`` was a plain attribute (a job
     payload written before column storage) load tree-backed."""
@@ -258,3 +307,45 @@ def test_column_backed_inputs_stay_column_backed(monkeypatch):
     assert calls == []
     for t in (a, b, graph, res.env["Z"]):
         assert t.stored_arena is not None
+
+
+def test_interpreter_runs_and_transforms_keep_the_columns(monkeypatch):
+    """Readers that only walk or transform a tree build their own: the
+    caller's column-backed tensor keeps its columns, and the results
+    equal those of its boxed twin."""
+    # K-major, so the interpreter walks the caller's tensors unswizzled.
+    spec = load_spec(SPMSPM + """
+mapping:
+  loop-order:
+    Z: [K, M, N]
+""")
+    a = uniform_random("A", ["K", "M"], (12, 8), 0.5, seed=8)
+    b = uniform_random("B", ["K", "N"], (12, 6), 0.5, seed=9)
+    boxed = {"A": _boxed(a.rank_ids, a.points(), a.shape),
+             "B": _boxed(b.rank_ids, b.points(), b.shape)}
+    for kwargs in ({"metrics": "trace"}, {"backend": "interpreter"}):
+        res = evaluate(spec, {"A": a, "B": b}, **kwargs)
+        want = evaluate(spec, boxed, **kwargs)
+        assert res.env["Z"].points() == want.env["Z"].points()
+        assert a.stored_arena is not None and b.stored_arena is not None
+
+    tile = Tensor.from_points("T", ["K1", "K0", "M"],
+                              {(4 * (k // 4), k, m): v
+                               for (k, m), v in a.points().items()},
+                              [12, 12, 8])
+    cases = [
+        (a, lambda t: t.partition_uniform_shape("K", [4])),
+        (a, lambda t: t.partition_uniform_occupancy("K", [3])),
+        (a, lambda t: t.partition_by_boundaries("K", ["K1", "K0"],
+                                                [0, 5, 9])),
+        (a, lambda t: t.flatten_ranks(["K", "M"])),
+        (a, lambda t: t.prune_empty()),
+        (tile, lambda t: t.unpartition("K1", "K0", "K")),
+    ]
+    for t, transform in cases:
+        twin = _boxed(t.rank_ids, t.points(), t.shape)
+        got = transform(t)
+        assert t.stored_arena is not None
+        want = transform(twin)
+        assert got.rank_ids == want.rank_ids and got.shape == want.shape
+        assert got.root == want.root

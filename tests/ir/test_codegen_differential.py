@@ -13,6 +13,9 @@ The execution paths held together here:
 * **flat-compiled (arena-native, untraced)** — outputs must equal the
   interpreter's untraced and traced runs, and the specs under test must
   *actually* flat-compile (no silent fallback to the interpreter).
+* **flat loop forms of their own** — position-map leaves and inline
+  two-way unions must give the interpreter's outputs in its order, on
+  both outcomes of the position-map guard.
 * **counted (the port-free priced kernel)** — the per-Einsum aggregate
   tallies must equal the aggregates of the interpreter's ordered event
   stream, read for read, intersection for intersection, stamp set for
@@ -39,7 +42,9 @@ from hypothesis import given, settings
 
 import repro.ir.codegen_runtime as rt
 from repro.accelerators import FACTORIES, accelerator
-from repro.fibertree import tensor_from_dense
+from repro.einsum.operators import MIN_PLUS
+from repro.fibertree import FlatArena, tensor_from_dense
+from repro.graph import graphdyns_cascade
 from repro.model import (
     CompileCache,
     CompiledBackend,
@@ -595,3 +600,254 @@ def test_batched_leaf_guard_differential(einsum, z_evict_on, engaged, data):
     with production_spans() as outcomes:
         assert_metrics_paths_agree(spec, tensors)
     assert outcomes == [engaged]
+
+
+# ----------------------------------------------------------------------
+# Flat-flavor loop forms: position-map leaves and inline two-way unions
+# ----------------------------------------------------------------------
+def assert_flat_matches_interpreter(spec, tensors):
+    """Every flat output equals the untraced interpreter's, point for
+    point, value for value and in the same order; the priced kernels,
+    whose loops keep the merge and ``rt.flat_union``, return the same."""
+    def leaves(env):
+        return {name: list(env[name].leaves())
+                for name in spec.einsum.cascade.produced}
+
+    want = leaves(InterpreterBackend().run_cascade(
+        spec, {k: t.copy() for k, t in tensors.items()}))
+    backend = CompiledBackend(cache=_CACHE)
+    for unit in _CACHE.get(spec).units:
+        assert unit.flat is not None  # raises CodegenError if rejected
+    assert leaves(backend.run_cascade(
+        spec, {k: t.copy() for k, t in tensors.items()})) == want
+    assert leaves(backend.run_cascade_fused(
+        spec, {k: t.copy() for k, t in tensors.items()})) == want
+
+
+class GuardSpy:
+    """Stands in for ``rt.PMAP_RATIO`` and records each position-map
+    guard's outcome: the kernel computes ``walk <= _pmr * fixed``, which
+    Python evaluates as ``(_pmr * fixed).__ge__(walk)``."""
+
+    def __init__(self, ratio):
+        self.ratio = ratio
+        self.outcomes = []
+
+    def __mul__(self, fixed):
+        return _GuardBound(self, fixed)
+
+
+class _GuardBound:
+    def __init__(self, spy, fixed):
+        self.spy, self.fixed = spy, fixed
+
+    def __ge__(self, walk):
+        took = walk <= self.spy.ratio * self.fixed
+        self.spy.outcomes.append(took)
+        return took
+
+
+#: Specs whose innermost two-way intersection has one driver fixed
+#: across the enclosing loop (A, F, or G's row under U), so their flat
+#: kernels carry a position-map leaf.
+PMAP_SPECS = {
+    "reduce": """
+einsum:
+  declaration: {G: [V, S], A: [S], Z: [V]}
+  expressions: ["Z[v] = G[v, s] * A[s]"]
+mapping:
+  loop-order: {Z: [V, S]}
+""",
+    "take": """
+einsum:
+  declaration: {G: [V, S], A: [S], Z: [V, S]}
+  expressions: ["Z[v, s] = take(G[v, s], A[s], 0)"]
+mapping:
+  rank-order: {G: [V, S], Z: [V, S]}
+""",
+    "fixed-first": """
+einsum:
+  declaration: {G: [V, S], A: [S], Z: [V]}
+  expressions: ["Z[v] = A[s] * G[v, s]"]
+mapping:
+  loop-order: {Z: [V, S]}
+""",
+    "fixed-offset": """
+einsum:
+  declaration: {G: [V, S], A: [S], Z: [V]}
+  expressions: ["Z[v] = G[v, s] * A[s + 2]"]
+  shapes: {S: 16}
+mapping:
+  loop-order: {Z: [V, S]}
+""",
+    "walking-offset": """
+einsum:
+  declaration: {I: [W], F: [S], O: [Q]}
+  expressions: ["O[q] = I[q + s] * F[s]"]
+  shapes: {Q: 12}
+mapping:
+  loop-order: {O: [Q, S]}
+""",
+    "flattened": """
+einsum:
+  declaration: {G: [V, K, M], A: [K, M], Z: [V]}
+  expressions: ["Z[v] = G[v, k, m] * A[k, m]"]
+mapping:
+  partitioning:
+    Z:
+      (K, M): [flatten()]
+  loop-order: {Z: [V, KM]}
+""",
+    "absent-third": """
+einsum:
+  declaration: {G: [V, S], A: [S], B: [V], Z: [V]}
+  expressions: ["Z[v] = G[v, s] * A[s] * B[v]"]
+mapping:
+  loop-order: {Z: [V, S]}
+""",
+    "fixed-row": """
+einsum:
+  declaration: {G: [V, S], A: [U, S], Z: [U, V]}
+  expressions: ["Z[u, v] = G[v, s] * A[u, s]"]
+mapping:
+  loop-order: {Z: [V, U, S]}
+""",
+}
+
+
+def random_tensors(spec, data, densities=(0.0, 0.2, 0.5, 0.9)):
+    """Hypothesis-drawn inputs of ``spec`` (one shared extent per rank;
+    a zero density gives an empty tensor)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16),
+                                          label="seed"))
+    extent = {}
+    tensors = {}
+    for t in spec.einsum.cascade.inputs:
+        ranks = spec.einsum.ranks_of(t)
+        shape = tuple(extent.setdefault(
+            r, data.draw(st.integers(1, 16), label=f"shape {r}"))
+            for r in ranks)
+        density = data.draw(st.sampled_from(densities), label=f"{t} density")
+        arr = (rng.random(shape) < density) * rng.integers(
+            1, 9, shape).astype(float)
+        tensors[t] = tensor_from_dense(t, ranks, arr)
+    return tensors
+
+
+@pytest.mark.parametrize("name", sorted(PMAP_SPECS))
+@pytest.mark.parametrize("ratio", ["never", "production", "always"])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_position_map_leaf_differential(name, ratio, data):
+    """Whichever way each span's guard goes, the flat outputs equal the
+    interpreter's, in order."""
+    spec = load_spec(PMAP_SPECS[name], name=f"pmap-{name}")
+    assert "pm0 = " in _CACHE.get(spec).units[0].source_for("flat")
+    tensors = random_tensors(spec, data)
+    # -inf fails every guard (an empty fixed span gives nan); 10**9
+    # passes every guard with a non-empty fixed span.
+    spy = GuardSpy({"never": float("-inf"), "production": rt.PMAP_RATIO,
+                    "always": 10**9}[ratio])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rt, "PMAP_RATIO", spy)
+        assert_flat_matches_interpreter(spec, tensors)
+    if ratio == "never":
+        assert True not in spy.outcomes
+
+
+def test_position_map_guard_takes_both_branches_in_one_kernel():
+    """A fixed span of 2 coordinates: a 2-long row takes the map, a
+    15-long row keeps the merge, and each row's matches are exact."""
+    spec = load_spec(PMAP_SPECS["reduce"], name="pmap-reduce")
+    g = np.zeros((2, 16))
+    g[0, [3, 9]] = [2.0, 5.0]
+    g[1, 1:16] = np.arange(1.0, 16.0)
+    a = np.zeros(16)
+    a[[3, 8]] = [3.0, 7.0]
+    tensors = {"G": tensor_from_dense("G", ["V", "S"], g),
+               "A": tensor_from_dense("A", ["S"], a)}
+    spy = GuardSpy(rt.PMAP_RATIO)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rt, "PMAP_RATIO", spy)
+        assert_flat_matches_interpreter(spec, tensors)
+    assert spy.outcomes == [True, False]
+
+
+def test_position_map_runs_in_graph_vcp_kernels():
+    """Graph-vcp's SO and R take the map on a frontier as long as the
+    rows, and their outputs equal the interpreter's."""
+    spec = graphdyns_cascade()
+    units = {u.ir.output.tensor: u for u in _CACHE.get(spec).units}
+    rng = np.random.default_rng(3)
+    g = (rng.random((12, 12)) < 0.3) * rng.integers(1, 9, (12, 12))
+    a = (rng.random(12) < 0.6) * rng.integers(1, 9, 12)
+    tensors = {"G": tensor_from_dense("G", ["V", "S"], g.astype(float)),
+               "A0": tensor_from_dense("A0", ["S"], a.astype(float)),
+               "P0": tensor_from_dense("P0", ["V"], np.ones(12))}
+    env = InterpreterBackend().run_cascade(
+        spec, {k: t.copy() for k, t in tensors.items()}, opset=MIN_PLUS)
+    for name, inputs in (("SO", ("G", "A0")), ("R", ("SO", "A0"))):
+        arenas = {t: FlatArena.from_tensor(env[t] if t == "SO"
+                                           else tensors[t]) for t in inputs}
+        spy = GuardSpy(rt.PMAP_RATIO)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rt, "PMAP_RATIO", spy)
+            out = units[name].flat(arenas, MIN_PLUS, {"V": 12, "S": 12})
+        assert True in spy.outcomes, name
+        assert list(out.leaves()) == list(env[name].leaves()), name
+
+
+#: Two-way unions, each span pair of which the flat kernel merges
+#: inline: A's and B's V-rows may be absent (an m in one input only),
+#: disjoint, identical or empty.
+UNION_SPEC = """
+einsum:
+  declaration: {A: [M, V], B: [M, V], Z: [M, V]}
+  expressions: ["Z[m, v] = A[m, v] + B[m, v]"]
+mapping:
+  loop-order: {Z: [M, V]}
+"""
+
+
+@pytest.mark.parametrize("case", ["absent", "disjoint", "identical",
+                                  "empty"])
+def test_inline_union_span_cases(case):
+    spec = load_spec(UNION_SPEC, name="union2")
+    src = _CACHE.get(spec).units[0].source_for("flat")
+    assert "flat_union" not in src
+    assert "rt.flat_union" in _CACHE.get(spec).units[0].source_for(
+        "counted")
+    a = np.zeros((3, 8))
+    b = np.zeros((3, 8))
+    if case == "absent":  # row 0 in A only, row 2 in B only
+        a[0, [1, 4]] = [1.0, 2.0]
+        a[1, [2, 5]] = [3.0, 4.0]
+        b[1, [5, 6]] = [50.0, 60.0]
+        b[2, [0, 7]] = [70.0, 80.0]
+    elif case == "disjoint":
+        a[:, [0, 2, 4]] = 1.0
+        b[:, [1, 3, 7]] = 10.0
+    elif case == "identical":
+        a[:, [1, 5, 6]] = 2.0
+        b[:, [1, 5, 6]] = 20.0
+    else:
+        a[1, [3]] = 4.0
+    tensors = {"A": tensor_from_dense("A", ["M", "V"], a),
+               "B": tensor_from_dense("B", ["M", "V"], b)}
+    assert_flat_matches_interpreter(spec, tensors)
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_inline_union_differential(data):
+    spec = load_spec(UNION_SPEC, name="union2")
+    assert_flat_matches_interpreter(spec, random_tensors(spec, data))
+
+
+def test_three_way_union_keeps_the_runtime_helper():
+    spec = load_spec("""
+einsum:
+  declaration: {A: [V], B: [V], C: [V], Z: [V]}
+  expressions: ["Z[v] = A[v] + B[v] + C[v]"]
+""", name="union3")
+    assert "rt.flat_union(" in _CACHE.get(spec).units[0].source_for("flat")
