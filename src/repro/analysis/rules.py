@@ -10,10 +10,15 @@ statically-infeasible candidates before pricing anything.
 
 Rules never mutate the spec and never raise on malformed input: a layer
 too broken for a rule to inspect either yields findings or is skipped
-(another rule owns that breakage).  The linter deliberately re-checks
-conditions ``AcceleratorSpec.validate()`` already enforces at load
-time, because search candidates built by ``apply_candidate`` (and any
-directly constructed spec) bypass the loader entirely.
+(another rule owns that breakage).  Four rules (unknown rank-order
+tensors, non-permutation rank orders, mapping and binding blocks for
+unknown Einsums) are the loader's ``LOAD_CHECKS``, which
+``AcceleratorSpec.validate()`` raises on, registered here unchanged:
+search candidates built by ``apply_candidate`` (and any directly
+constructed spec) bypass the loader.  Rank names derived by
+partitioning come from one replay,
+:meth:`~repro.spec.mapping.EinsumMapping.replay` — the one the IR
+builder lowers with.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..einsum.ast import accesses
-from ..fibertree.rankid import flatten_name, rank_of_var, split_names
+from ..fibertree.rankid import rank_of_var
 from ..spec.errors import SpecError
-from ..spec.loader import AcceleratorSpec
-from ..spec.mapping import EinsumMapping
+from ..spec.loader import LOAD_CHECKS, AcceleratorSpec
+from ..spec.mapping import EinsumMapping, PartitionReplay
 from .findings import ERROR, INFO, WARN, Finding, sort_findings
 
 __all__ = ["LintContext", "Rule", "RULES", "rule", "verify_spec",
@@ -44,6 +49,9 @@ class LintContext:
     spec: AcceleratorSpec
     shapes: Dict[str, int] = field(default_factory=dict)
     stats: Optional[object] = None  # WorkloadStats, duck-typed
+    _replays: Dict[Tuple[str, Optional[Tuple[str, ...]]],
+                   PartitionReplay] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         merged = dict(self.spec.einsum.shapes)
@@ -62,121 +70,22 @@ class LintContext:
     def mapping_for(self, einsum: str) -> EinsumMapping:
         return self.spec.mapping.for_einsum(einsum)
 
-    # ---- partitioning simulation -------------------------------------
-    def partition_report(self, einsum: str) -> "PartitionReport":
-        return simulate_partitioning(self.mapping_for(einsum),
-                                     self.base_ranks(einsum),
-                                     self.spec.params)
+    # ---- partitioning ------------------------------------------------
+    def replay(self, einsum: str,
+               ranks: Optional[Sequence[str]] = None) -> PartitionReplay:
+        """The Einsum's partitioning replayed over ``ranks`` (default: its
+        iteration ranks), memoized for the lint pass."""
+        key = (einsum, None if ranks is None else tuple(ranks))
+        if key not in self._replays:
+            self._replays[key] = self.mapping_for(einsum).replay(
+                self.base_ranks(einsum) if ranks is None else ranks)
+        return self._replays[key]
 
     def rank_span(self, rank: str) -> Optional[int]:
         """The coordinate span of a (possibly flattened) rank name."""
         if rank in self.shapes:
             return self.shapes[rank]
         return None
-
-
-@dataclass
-class PartitionReport:
-    """Outcome of replaying an Einsum's partitioning directives."""
-
-    ranks: List[str]  # the final iteration-space ranks (best effort)
-    problems: List[Tuple[str, str]]  # (key string, message)
-    # Per successfully-split target: (components of the target if it was
-    # a flatten, else the target itself) and the top-down shape sizes.
-    splits: List[Tuple[str, Tuple[str, ...], List[object]]]
-    derived: List[str]  # every rank name that existed at any point
-
-
-def simulate_partitioning(mapping: EinsumMapping, base: Sequence[str],
-                          params: Dict[str, int]) -> PartitionReport:
-    """Replay partitioning directives over the evolving rank set,
-    recording what goes wrong instead of raising (the tolerant twin of
-    ``ir.builder._derive_iteration_space``)."""
-    ranks = list(base)
-    derived = list(base)
-    problems: List[Tuple[str, str]] = []
-    splits: List[Tuple[str, Tuple[str, ...], List[object]]] = []
-    for key, directives in mapping.partitioning:
-        key_str = key[0] if len(key) == 1 else "(" + ", ".join(key) + ")"
-        flattens = [d for d in directives if d.kind == "flatten"]
-        split_dirs = [d for d in directives if d.kind != "flatten"]
-        target = key[0]
-        ok = True
-        if flattens:
-            if len(key) < 2:
-                problems.append((key_str,
-                                 f"flatten() needs at least two ranks, "
-                                 f"got {key_str}"))
-                ok = False
-            else:
-                missing = [k for k in key if k not in ranks]
-                if missing:
-                    problems.append((
-                        key_str,
-                        f"flatten of {key_str} names rank(s) "
-                        f"{missing} not in the current iteration ranks "
-                        f"{ranks} (undeclared, or already consumed by an "
-                        f"earlier directive)",
-                    ))
-                    ok = False
-                else:
-                    target = flatten_name(key)
-                    pos = min(ranks.index(k) for k in key)
-                    for k in key:
-                        ranks.remove(k)
-                    ranks.insert(pos, target)
-                    derived.append(target)
-        if split_dirs:
-            if flattens and ok:
-                target = flatten_name(key)
-            if target not in ranks:
-                problems.append((
-                    key_str,
-                    f"split target {target!r} is not in the current "
-                    f"iteration ranks {ranks} (undeclared, or already "
-                    f"consumed by an earlier directive)",
-                ))
-                continue
-            names = split_names(target, len(split_dirs))
-            pos = ranks.index(target)
-            ranks[pos:pos + 1] = names
-            derived.extend(names)
-            if all(d.kind == "uniform_shape" for d in split_dirs):
-                sizes = [
-                    d.size if isinstance(d.size, int)
-                    else params.get(d.size, d.size)
-                    for d in split_dirs
-                ]
-                components = key if flattens else (target,)
-                splits.append((target, tuple(components), sizes))
-    return PartitionReport(ranks, problems, splits, derived)
-
-
-def tensor_rank_names(decl: Sequence[str],
-                      mapping: EinsumMapping) -> List[str]:
-    """Every rank name a tensor's fibertree can carry under a mapping:
-    the declared ranks plus everything partitioning derives from them
-    (split names, flattened names) — the valid vocabulary for binding
-    ``rank:`` and format rank keys."""
-    names = list(decl)
-    current = list(decl)
-    for key, directives in mapping.partitioning:
-        flattens = [d for d in directives if d.kind == "flatten"]
-        split_dirs = [d for d in directives if d.kind != "flatten"]
-        target = key[0]
-        if flattens and len(key) >= 2 and all(k in current for k in key):
-            target = flatten_name(key)
-            pos = min(current.index(k) for k in key)
-            for k in key:
-                current.remove(k)
-            current.insert(pos, target)
-            names.append(target)
-        if split_dirs and target in current:
-            new = split_names(target, len(split_dirs))
-            pos = current.index(target)
-            current[pos:pos + 1] = new
-            names.extend(new)
-    return names
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +124,17 @@ def rule(rule_id: str, severity: str, *, feasibility: bool = False,
 def rule_catalog() -> List[Rule]:
     """Every registered rule, sorted by id (the README table source)."""
     return [RULES[k] for k in sorted(RULES)]
+
+
+def _load_check_rule(rule_id: str, doc: str, check) -> None:
+    @rule(rule_id, ERROR, doc=doc)
+    def _rule(ctx: LintContext):
+        for path, message in check(ctx.spec):
+            yield Finding(rule_id, ERROR, message, path=path)
+
+
+for _rule_id, (_doc, _check) in LOAD_CHECKS.items():
+    _load_check_rule(_rule_id, _doc, _check)
 
 
 def verify_spec(spec: AcceleratorSpec, *,
@@ -312,46 +232,6 @@ def _dead_einsum(ctx: LintContext):
 # ----------------------------------------------------------------------
 # mapping layer
 # ----------------------------------------------------------------------
-@rule("mapping/unknown-einsum", ERROR,
-      doc="A mapping block names an Einsum the cascade never produces.")
-def _mapping_unknown_einsum(ctx: LintContext):
-    produced = set(ctx.einsum_names)
-    for name in ctx.spec.mapping.einsums:
-        if name not in produced:
-            yield Finding(
-                "mapping/unknown-einsum", ERROR,
-                f"mapping given for unknown Einsum {name!r}; cascade "
-                f"produces {sorted(produced)}",
-                path=("mapping", "loop-order", name))
-
-
-@rule("mapping/rank-order-unknown-tensor", ERROR,
-      doc="rank-order is given for a tensor the declaration lacks.")
-def _rank_order_unknown_tensor(ctx: LintContext):
-    declared = set(ctx.spec.einsum.declaration)
-    for tensor in ctx.spec.mapping.rank_order:
-        if tensor not in declared:
-            yield Finding(
-                "mapping/rank-order-unknown-tensor", ERROR,
-                f"rank-order given for undeclared tensor {tensor!r}",
-                path=("mapping", "rank-order", tensor))
-
-
-@rule("mapping/rank-order-not-permutation", ERROR,
-      doc="A tensor's rank-order is not a permutation of its declared "
-          "ranks.")
-def _rank_order_not_permutation(ctx: LintContext):
-    declaration = ctx.spec.einsum.declaration
-    for tensor, order in ctx.spec.mapping.rank_order.items():
-        decl = declaration.get(tensor)
-        if decl is not None and sorted(order) != sorted(decl):
-            yield Finding(
-                "mapping/rank-order-not-permutation", ERROR,
-                f"rank-order {order} of {tensor} is not a permutation "
-                f"of declared ranks {decl}",
-                path=("mapping", "rank-order", tensor))
-
-
 @rule("mapping/loop-order-coverage", ERROR, feasibility=True,
       doc="loop-order does not cover exactly the partitioned iteration "
           "ranks (a rank is unbound, undeclared, or stale after "
@@ -361,10 +241,10 @@ def _loop_order_coverage(ctx: LintContext):
         mapping = ctx.mapping_for(name)
         if not mapping.loop_order:
             continue
-        report = ctx.partition_report(name)
-        if report.problems:
+        replay = ctx.replay(name)
+        if replay.problems:
             continue  # partition rules own this breakage
-        expected, got = set(report.ranks), set(mapping.loop_order)
+        expected, got = set(replay.ranks), set(mapping.loop_order)
         if expected == got and len(mapping.loop_order) == len(got):
             continue
         missing = sorted(expected - got)
@@ -390,13 +270,12 @@ def _loop_order_coverage(ctx: LintContext):
           "earlier flatten/split.")
 def _partition_unknown_rank(ctx: LintContext):
     for name in ctx.einsum_names:
-        report = ctx.partition_report(name)
-        for key_str, message in report.problems:
-            if "flatten() needs" in message:
+        for step in ctx.replay(name).problems:
+            if step.flatten and len(step.key) < 2:
                 continue  # mapping/flatten-single-rank owns this
             yield Finding(
-                "mapping/partition-unknown-rank", ERROR, message,
-                path=("mapping", "partitioning", name, key_str),
+                "mapping/partition-unknown-rank", ERROR, step.problem,
+                path=("mapping", "partitioning", name, step.key_str),
                 einsum=name)
 
 
@@ -478,20 +357,26 @@ def _unbound_symbolic_size(ctx: LintContext):
 
 
 def _shape_splits(ctx: LintContext, name: str):
-    """(target, top-down numeric sizes, span) per resolvable shape split."""
-    report = ctx.partition_report(name)
-    for target, components, sizes in report.splits:
+    """(target, top-down numeric sizes, span) per resolvable shape split
+    the builder makes."""
+    params = ctx.spec.params
+    for step in ctx.replay(name).steps:
+        if not step.applied or not step.splits or any(
+                d.kind != "uniform_shape" for d in step.splits):
+            continue
+        sizes = [d.size if isinstance(d.size, int)
+                 else params.get(d.size, d.size) for d in step.splits]
         numeric = [s for s in sizes if isinstance(s, int)]
         if len(numeric) != len(sizes):
             continue  # unbound symbolic size; its own rule fires
         span: Optional[int] = 1
-        for comp in components:
+        for comp in step.key if step.flatten else (step.target,):
             s = ctx.rank_span(comp)
             if s is None:
                 span = None
                 break
             span *= s
-        yield target, numeric, span
+        yield step.target, numeric, span
 
 
 @rule("mapping/tile-nonpositive", ERROR, feasibility=True,
@@ -566,11 +451,11 @@ def _spacetime_coverage(ctx: LintContext):
         mapping = ctx.mapping_for(name)
         if not mapping.space and not mapping.time:
             continue
-        report = ctx.partition_report(name)
-        if report.problems:
+        replay = ctx.replay(name)
+        if replay.problems:
             continue
         expected = set(mapping.loop_order) if mapping.loop_order \
-            else set(report.ranks)
+            else set(replay.ranks)
         space, time = set(mapping.space_ranks), set(mapping.time_ranks)
         overlap = sorted(space & time)
         if overlap:
@@ -621,7 +506,7 @@ def _format_unknown_rank(ctx: LintContext):
             continue  # format/unknown-tensor owns this
         valid = set(decl)
         for name in ctx.einsum_names:
-            valid.update(tensor_rank_names(decl, ctx.mapping_for(name)))
+            valid.update(ctx.replay(name, decl).bases)
         for config, ranks in tf.configs.items():
             for rank in ranks:
                 if rank not in valid:
@@ -642,26 +527,15 @@ def _discordant_compressed_rank(ctx: LintContext):
     spec = ctx.spec
     for name in ctx.einsum_names:
         mapping = ctx.mapping_for(name)
-        report = ctx.partition_report(name)
-        if report.problems:
+        replay = ctx.replay(name)
+        if replay.problems:
             continue
-        loop = mapping.loop_order or report.ranks
+        loop = mapping.loop_order or replay.ranks
         pos = {r: i for i, r in enumerate(loop)}
         # The loop rank where a base rank's coordinates are enumerated:
         # itself, the lowest split below it, or its flattened group.
-        rank_site: Dict[str, str] = {}
-        for base in set(ctx.base_ranks(name)):
-            site = base
-            for derived in report.derived:
-                if derived == base:
-                    continue
-                if derived.startswith(base) and derived[len(base):].isdigit():
-                    if derived.endswith("0") and derived in pos:
-                        site = derived
-                if base in _flatten_components(derived, report.derived) \
-                        and derived in pos:
-                    site = derived
-            rank_site[base] = site
+        rank_site = {base: rank for rank in loop
+                     for base in replay.binds.get(rank, ())}
         einsum = spec.einsum.cascade[name]
         for acc in [einsum.output, *accesses(einsum.expr)]:
             decl = spec.einsum.declaration.get(acc.tensor)
@@ -704,23 +578,6 @@ def _discordant_compressed_rank(ctx: LintContext):
                         f"of compressed fibers",
                         path=("format", acc.tensor, config, r),
                         einsum=name)
-
-
-def _flatten_components(name: str, derived: Sequence[str]) -> Tuple[str, ...]:
-    """Best-effort inverse of ``flatten_name``: which derived base ranks
-    a flattened name like ``MK0`` was built from."""
-    parts = []
-    rest = name
-    candidates = sorted(set(derived), key=len, reverse=True)
-    while rest:
-        for c in candidates:
-            if c != name and rest.startswith(c):
-                parts.append(c)
-                rest = rest[len(c):]
-                break
-        else:
-            return ()
-    return tuple(parts) if len(parts) >= 2 else ()
 
 
 # ----------------------------------------------------------------------
@@ -791,19 +648,6 @@ def _dead_component(ctx: LintContext):
 # ----------------------------------------------------------------------
 # binding layer
 # ----------------------------------------------------------------------
-@rule("binding/unknown-einsum", ERROR,
-      doc="A binding block names an Einsum the cascade never produces.")
-def _binding_unknown_einsum(ctx: LintContext):
-    produced = set(ctx.einsum_names)
-    for name in ctx.spec.binding.einsums:
-        if name not in produced:
-            yield Finding(
-                "binding/unknown-einsum", ERROR,
-                f"binding given for unknown Einsum {name!r}; cascade "
-                f"produces {sorted(produced)}",
-                path=("binding", name))
-
-
 @rule("binding/unknown-component", ERROR,
       doc="A binding routes data or ops to a component absent from the "
           "named topology.")
@@ -875,13 +719,12 @@ def _binding_unknown_rank(ctx: LintContext):
             continue
         einsum = spec.einsum.cascade[name]
         participants = set(einsum.input_tensors) | {einsum.output.tensor}
-        mapping = ctx.mapping_for(name)
         for comp, entries in binding.data.items():
             for b in entries:
                 decl = spec.einsum.declaration.get(b.tensor)
                 if decl is None or b.tensor not in participants:
                     continue  # other binding rules own these
-                valid = {"root"} | set(tensor_rank_names(decl, mapping))
+                valid = {"root"} | set(ctx.replay(name, decl).bases)
                 if b.rank not in valid:
                     yield Finding(
                         "binding/unknown-rank", ERROR,
@@ -902,8 +745,7 @@ def _evict_on_unknown_rank(ctx: LintContext):
     for name, binding in ctx.spec.binding.einsums.items():
         if name not in produced:
             continue
-        report = ctx.partition_report(name)
-        known = set(report.derived) | set(report.ranks)
+        known = set(ctx.replay(name).bases)
         for comp, entries in binding.data.items():
             for b in entries:
                 if b.evict_on is not None and b.evict_on not in known:

@@ -3,8 +3,10 @@
 The builder combines one Einsum of the cascade with its mapping to produce a
 :class:`~repro.ir.nodes.LoopNestIR`:
 
-* it applies partitioning directives to the iteration space to derive the
-  loop ranks and which index variables each rank binds;
+* it replays the partitioning directives
+  (:meth:`~repro.spec.mapping.EinsumMapping.replay`, the replay the
+  linter checks) over the iteration space to derive the loop ranks and
+  which index variables each rank binds, and over each tensor's ranks;
 * per tensor access, it derives the preprocessing steps — flattening (with
   adjacency swizzles), shape splits (eager for every tensor holding the
   rank), occupancy splits (eager for the leader, runtime window-following
@@ -23,9 +25,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..einsum.ast import Access, Add, Einsum, Expr, IndexExpr, Mul, Take, accesses
-from ..fibertree.rankid import flatten_name, rank_of_var, split_names
+from ..fibertree.rankid import rank_of_var, split_names
 from ..spec.errors import SpecError
 from ..spec.loader import AcceleratorSpec
+from ..spec.mapping import EinsumMapping, PartitionStep
 from .nodes import (
     FLAT,
     FLAT_UPPER,
@@ -56,41 +59,21 @@ class _SpaceInfo:
     var_rank: Dict[str, str]  # index var -> loop rank binding it
 
 
-def _derive_iteration_space(einsum, mapping, params) -> _SpaceInfo:
+def _derive_iteration_space(einsum: Einsum,
+                            mapping: EinsumMapping) -> _SpaceInfo:
     base = [rank_of_var(v) for v in einsum.all_vars]
-    ranks = list(base)
-    binds: Dict[str, Tuple[str, ...]] = {r: (r.lower(),) for r in base}
+    replay = mapping.replay(base)
     origin: Dict[str, Optional[str]] = {r: r for r in base}
-
-    for key, directives in mapping.partitioning:
-        flattens = [d for d in directives if d.kind == "flatten"]
-        splits = [d for d in directives if d.kind != "flatten"]
-        target = key[0]
-        if flattens:
-            if any(k not in ranks for k in key):
-                raise BuildError(
-                    f"flatten key {key} not in iteration ranks {ranks}"
-                )
-            target = flatten_name(key)
-            pos = min(ranks.index(k) for k in key)
-            combined = tuple(v for k in key for v in binds[k])
-            for k in key:
-                ranks.remove(k)
-            ranks.insert(pos, target)
-            binds[target] = combined
-            origin[target] = target
-        if splits:
-            if target not in ranks:
-                raise BuildError(f"split target {target} not in ranks {ranks}")
-            names = split_names(target, len(splits))
-            pos = ranks.index(target)
-            ranks[pos : pos + 1] = names
-            lower = names[-1]
-            binds[lower] = binds[target]
-            origin[lower] = origin.get(target, target)
-            for upper in names[:-1]:
-                binds[upper] = ()
-                origin[upper] = origin.get(target, target)
+    for step in replay.steps:
+        if step.problem:
+            raise BuildError(step.problem)
+        if step.flatten:
+            origin[step.target] = step.target
+        for name in step.names:
+            origin[name] = origin[step.target]
+    binds = {r: tuple(b.lower() for b in bs)
+             for r, bs in replay.binds.items()}
+    ranks = replay.ranks
 
     loop_ranks = list(mapping.loop_order) if mapping.loop_order else ranks
     if sorted(loop_ranks) != sorted(ranks):
@@ -197,7 +180,7 @@ def _level_rank(exprs: Tuple[IndexExpr, ...], space: _SpaceInfo,
 def _plan_access(
     access: Access,
     spec: AcceleratorSpec,
-    mapping,
+    mapping: EinsumMapping,
     space: _SpaceInfo,
     conjunctive: bool,
     intermediates: set,
@@ -214,7 +197,7 @@ def _plan_access(
                 "affine indices must use distinct variables"
             )
     expr_of = dict(zip(decl, exprs))
-    order = mapping.rank_order_of(access.tensor, decl)
+    order = spec.mapping.rank_order_of(access.tensor, decl)
 
     levels = [
         _LevelBuild(name=r, tname=r, kind=PLAIN, exprs=(expr_of[r],), of=r)
@@ -222,19 +205,14 @@ def _plan_access(
     ]
     prep: List[PrepStep] = []
 
-    def names() -> List[str]:
-        return [l.name for l in levels]
-
-    for key, directives in mapping.partitioning:
-        flattens = [d for d in directives if d.kind == "flatten"]
-        splits = [d for d in directives if d.kind != "flatten"]
-        target = key[0]
-        if flattens:
-            target = flatten_name(key)
-            if all(k in names() for k in key):
-                _apply_flatten(levels, prep, key)
-        if not splits or target not in names():
+    for step in mapping.replay(order).steps:
+        if not step.applied:
+            continue  # names ranks this tensor does not carry
+        if step.flatten:
+            _apply_flatten(levels, prep, step)
+        if not step.splits:
             continue
+        target, splits = step.target, step.splits
         sizes = tuple(d.resolve_size(spec.params) for d in splits)
         occupancy = splits[0].kind == "uniform_occupancy"
         leader = splits[0].leader if occupancy else None
@@ -245,9 +223,9 @@ def _plan_access(
                 f"mixed split directives on {target}: {list(map(str, splits))}"
             )
         if occupancy and access.tensor != leader:
-            _apply_follower_split(levels, target, len(splits))
+            _apply_follower_split(levels, step)
         else:
-            _apply_eager_split(levels, prep, target, sizes, occupancy)
+            _apply_eager_split(levels, prep, step, sizes, occupancy)
 
     # Levels untouched by partitioning take the loop rank at which they can
     # participate (the rank binding their latest-bound variable): a level
@@ -308,7 +286,8 @@ def _plan_access(
 
 
 def _apply_flatten(levels: List[_LevelBuild], prep: List[PrepStep],
-                   key: Tuple[str, ...]) -> None:
+                   step: PartitionStep) -> None:
+    key = step.key
     key_levels = {l.name: l for l in levels if l.name in key}
     if any(l.kind not in (PLAIN, FLAT) for l in key_levels.values()):
         raise BuildError(f"cannot flatten split ranks {key}")
@@ -334,19 +313,19 @@ def _apply_flatten(levels: List[_LevelBuild], prep: List[PrepStep],
     merged_exprs = tuple(
         e for k in key for e in key_levels[k].exprs
     )
-    name = flatten_name(key)
+    name = step.target
     flat = _LevelBuild(name=name, tname=name, kind=FLAT, exprs=merged_exprs,
                        of=name)
     prep.append(PrepStep("flatten", ranks=tuple(key_levels[k].tname for k in key)))
     levels[first : first + len(key)] = [flat]
 
 
-def _apply_eager_split(levels, prep, target, sizes, occupancy) -> None:
-    idx = next(i for i, l in enumerate(levels) if l.name == target)
+def _apply_eager_split(levels, prep, step, sizes, occupancy) -> None:
+    idx = next(i for i, l in enumerate(levels) if l.name == step.target)
     base = levels[idx]
     kind = "partition_occupancy" if occupancy else "partition_shape"
     prep.append(PrepStep(kind, rank=base.tname, sizes=sizes))
-    new_names = split_names(target, len(sizes))
+    new_names = step.names
     tensor_names = split_names(base.tname, len(sizes))
     upper_kind = FLAT_UPPER if base.kind == FLAT else UPPER
     uppers = [
@@ -363,15 +342,15 @@ def _apply_eager_split(levels, prep, target, sizes, occupancy) -> None:
     levels[idx : idx + 1] = uppers + [lower]
 
 
-def _apply_follower_split(levels, target, num_splits) -> None:
-    idx = next(i for i, l in enumerate(levels) if l.name == target)
+def _apply_follower_split(levels, step) -> None:
+    idx = next(i for i, l in enumerate(levels) if l.name == step.target)
     base = levels[idx]
     if base.kind != PLAIN or len(base.exprs) != 1 or not base.exprs[0].is_var:
         raise BuildError(
-            f"follower split of {target} requires a plain single-variable "
-            "level"
+            f"follower split of {step.target} requires a plain "
+            "single-variable level"
         )
-    new_names = split_names(target, num_splits)
+    new_names = step.names
     uppers = [
         _LevelBuild(name=n, tname=base.tname, kind=VIRTUAL, of=base.of)
         for n in new_names[:-1]
@@ -393,13 +372,12 @@ def build_ir(spec: AcceleratorSpec, einsum_name: str) -> LoopNestIR:
     """Lower one mapped Einsum of a spec into loop-nest IR."""
     einsum = spec.einsum.cascade[einsum_name]
     mapping = spec.mapping.for_einsum(einsum_name)
-    space = _derive_iteration_space(einsum, mapping, spec.params)
+    space = _derive_iteration_space(einsum, mapping)
 
     flags = _conjunctive_flags(einsum.expr)
     intermediates = set(spec.einsum.cascade.intermediates)
     plans = [
-        _plan_access(acc, spec, mapping_proxy(spec, mapping), space, conj,
-                     intermediates)
+        _plan_access(acc, spec, mapping, space, conj, intermediates)
         for acc, conj in zip(accesses(einsum.expr), flags)
     ]
 
@@ -455,17 +433,6 @@ def build_ir(spec: AcceleratorSpec, einsum_name: str) -> LoopNestIR:
         rank_shapes=rank_shapes,
         origin={r: (space.origin.get(r) or r) for r in space.loop_ranks},
     )
-
-
-class mapping_proxy:
-    """Adapter giving _plan_access the partitioning plus rank-order lookup."""
-
-    def __init__(self, spec: AcceleratorSpec, einsum_mapping):
-        self._spec = spec
-        self.partitioning = einsum_mapping.partitioning
-
-    def rank_order_of(self, tensor: str, declared) -> List[str]:
-        return self._spec.mapping.rank_order_of(tensor, declared)
 
 
 def build_cascade_ir(spec: AcceleratorSpec) -> List[LoopNestIR]:

@@ -66,7 +66,7 @@ import numpy as np
 
 from ..einsum.ast import Access, Add, Expr, Mul, Take
 from ..fibertree.arena import FlatArena
-from ..fibertree.rankid import flatten_name, rank_of_var, split_names
+from ..fibertree.rankid import rank_of_var
 from ..fibertree.tensor import Tensor
 from ..ir.codegen import _existential_ranks
 from ..ir.nodes import FLAT, FLAT_UPPER, PLAIN, UPPER, VIRTUAL, LoopNestIR
@@ -446,8 +446,8 @@ def _chunk_geometry(spec: AcceleratorSpec, ir: LoopNestIR,
                     shapes: Dict[str, int]):
     """Per upper loop rank: chunk metadata; per lowest split rank: span.
 
-    Returns ``(chunk_meta, spans, flat_shapes)`` where ``chunk_meta[rank]``
-    is ``("shape", span_above, span_here)`` or
+    Returns ``(chunk_meta, spans, flat_shapes, flat_components)`` where
+    ``chunk_meta[rank]`` is ``("shape", span_above, span_here)`` or
     ``("occupancy", leader, size)``, ``spans[rank]`` is the coordinate
     span of the innermost split level (the window width a fixed chunk
     path selects), ``flat_shapes[rank]`` is the composed coordinate
@@ -459,33 +459,24 @@ def _chunk_geometry(spec: AcceleratorSpec, ir: LoopNestIR,
     ranks, so occupancy queries on flattened fibers resolve against the
     source tensors' statistics.
     """
-    mapping = spec.mapping.for_einsum(ir.name)
+    replay = spec.mapping.for_einsum(ir.name).replay(
+        [rank_of_var(v) for v in ir.einsum.all_vars])
     base_shape = dict(shapes)
     chunk_meta: Dict[str, tuple] = {}
     spans: Dict[str, float] = {}
     flat_shapes: Dict[str, float] = {}
     flat_components: Dict[str, List[str]] = {}
-    for key, directives in mapping.partitioning:
-        flattens = [d for d in directives if d.kind == "flatten"]
-        splits = [d for d in directives if d.kind != "flatten"]
-        target = key[0]
-        if flattens:
-            target = flatten_name(key)
+    for step in replay.steps:  # all applied: the IR was built from them
+        target, splits, names = step.target, step.splits, step.names
+        if step.flatten:
             prod = 1.0
-            comps: List[str] = []
-            for k in key:
+            for k in step.key:
                 prod *= base_shape.get(k) or spans.get(k) or 1
-                # Split components (K0) resolve to their base rank.
-                base = k
-                while base and base not in shapes and base[-1].isdigit():
-                    base = base[:-1]
-                comps.append(base if base in shapes else k)
             base_shape[target] = prod
             flat_shapes[target] = prod
-            flat_components[target] = comps
+            flat_components[target] = list(replay.bases[target])
         if not splits:
             continue
-        names = split_names(target, len(splits))
         span_prev = float(base_shape.get(target) or 1)
         for nm, d in zip(names[:-1], splits):
             size = float(d.resolve_size(spec.params))

@@ -12,9 +12,9 @@ durability discipline a day-long DSE run needs:
   outside, so its whole pool is retired — live tasks on it finish,
   nothing new lands on it, a fresh pool takes over — which keeps hung
   workers from ever starving the sweep; the retired pool's hung
-  processes are killed at :meth:`SweepSupervisor.close`.  Timeouts
-  require a pool: the serial path cannot preempt its own call stack, so
-  the entry points reject ``timeout`` without one.
+  processes are killed and reaped at :meth:`SweepSupervisor.close`.
+  Timeouts require a pool: the serial path cannot preempt its own call
+  stack, so the entry points reject ``timeout`` without one.
 
 * **Bounded retry with exponential backoff, by failure class.**
   :func:`classify_failure` splits failures into *transient* (worker
@@ -197,11 +197,12 @@ class SweepSupervisor:
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._pool_size = 0
         self._rebuilt_pool = False
-        #: Worker processes of the pools retired because one of their
-        #: workers hung: each pool was shut down without waiting and
-        #: replaced by a fresh one, so hung workers can never starve the
-        #: live ones; :meth:`close` kills them.
-        self._abandoned: List[Any] = []
+        #: ``(worker processes, manager thread)`` of each pool retired
+        #: because one of its workers hung: each pool was shut down
+        #: without waiting and replaced by a fresh one, so hung workers
+        #: can never starve the live ones; :meth:`close` kills and reaps
+        #: them.
+        self._abandoned: List[Tuple[List[Any], Any]] = []
         #: Terminal failures across every batch of the sweep.
         self.failures: List[FailureRecord] = []
         #: Human-readable recovery events ("process-pool-rebuilt", ...).
@@ -222,12 +223,15 @@ class SweepSupervisor:
         worker cannot be preempted, so the whole pool is retired (its
         live tasks finish; nothing new lands on it) and the next submit
         builds a fresh one."""
-        if self._process_pool is None:
+        pool = self._process_pool
+        if pool is None:
             return
-        # Read before shutdown, which drops the pool's process table.
-        procs = getattr(self._process_pool, "_processes", None) or {}
-        self._abandoned.extend(procs.values())
-        self._process_pool.shutdown(wait=False)
+        # Read before shutdown, which drops the pool's process table and
+        # its manager thread.
+        procs = list((getattr(pool, "_processes", None) or {}).values())
+        self._abandoned.append(
+            (procs, getattr(pool, "_executor_manager_thread", None)))
+        pool.shutdown(wait=False)
         self._process_pool = None
 
     def _on_pool_broken(self, pool) -> None:
@@ -265,15 +269,26 @@ class SweepSupervisor:
             )
 
     def close(self) -> None:
-        """Shut the pool down.  Pools retired over hung workers were
-        already shut down without waiting (joining them would hang
-        forever); their surviving child processes are killed here so
-        interpreter exit never blocks on an abandoned worker."""
+        """Shut the pool down and reap every process the sweep started.
+
+        Pools retired over hung workers were shut down without waiting
+        (joining them would hang forever); their workers are killed
+        here.  A killed worker breaks its pool, whose manager thread
+        then reaps every worker of that pool.  Two threads reaping one
+        child race, and the loser reads no exit code, so ``close``
+        waits for that thread before joining the workers itself: on
+        return, every worker has exited and carries its exit code.
+        """
         if self._process_pool is not None:
             self._process_pool.shutdown(wait=True)
             self._process_pool = None
-        for proc in self._abandoned:
-            proc.kill()
+        for procs, manager in self._abandoned:
+            for proc in procs:
+                proc.kill()
+            if manager is not None:
+                manager.join(DRAIN_GRACE_SECONDS)
+            for proc in procs:
+                proc.join()
         self._abandoned = []
 
     # ---- failure bookkeeping ------------------------------------------

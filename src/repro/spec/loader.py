@@ -17,7 +17,7 @@ from dicts.  ``params`` binds symbolic partition sizes (ExTensor's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import yaml
 
@@ -85,6 +85,60 @@ def _with_location(err: SpecError, location: str) -> SpecError:
     return new
 
 
+#: ``(key path, message)`` of one problem a load check finds.
+Problem = Tuple[Tuple[str, ...], str]
+
+
+def _rank_order_unknown_tensor(spec: "AcceleratorSpec") -> Iterator[Problem]:
+    declared = spec.einsum.declaration
+    for tensor in spec.mapping.rank_order:
+        if tensor not in declared:
+            yield (("mapping", "rank-order", tensor),
+                   f"rank-order given for undeclared tensor {tensor!r}")
+
+
+def _rank_order_not_permutation(spec: "AcceleratorSpec") -> Iterator[Problem]:
+    declaration = spec.einsum.declaration
+    for tensor, order in spec.mapping.rank_order.items():
+        decl = declaration.get(tensor)
+        if decl is not None and sorted(order) != sorted(decl):
+            yield (("mapping", "rank-order", tensor),
+                   f"rank-order {order} of {tensor} is not a permutation "
+                   f"of declared ranks {decl}")
+
+
+def _unknown_einsum(layer: str, path_key: Tuple[str, ...]):
+    def check(spec: "AcceleratorSpec") -> Iterator[Problem]:
+        produced = set(spec.einsum.cascade.produced)
+        for name in getattr(spec, layer).einsums:
+            if name not in produced:
+                yield ((layer, *path_key, name),
+                       f"{layer} given for unknown Einsum {name!r}; "
+                       f"cascade produces {sorted(produced)}")
+    return check
+
+
+#: The checks a spec must pass to load, in the order checked: lint-rule
+#: id -> (rule doc, check).  ``repro.analysis.rules`` registers each as
+#: an error-severity lint rule, since search candidates and directly
+#: constructed specs bypass the loader.
+LOAD_CHECKS: Dict[str, Tuple[str, Callable[["AcceleratorSpec"],
+                                           Iterator[Problem]]]] = {
+    "mapping/rank-order-unknown-tensor": (
+        "rank-order is given for a tensor the declaration lacks.",
+        _rank_order_unknown_tensor),
+    "mapping/rank-order-not-permutation": (
+        "A tensor's rank-order is not a permutation of its declared ranks.",
+        _rank_order_not_permutation),
+    "mapping/unknown-einsum": (
+        "A mapping block names an Einsum the cascade never produces.",
+        _unknown_einsum("mapping", ("loop-order",))),
+    "binding/unknown-einsum": (
+        "A binding block names an Einsum the cascade never produces.",
+        _unknown_einsum("binding", ())),
+}
+
+
 @dataclass
 class AcceleratorSpec:
     """A complete, validated accelerator description."""
@@ -138,37 +192,12 @@ class AcceleratorSpec:
         return spec
 
     def validate(self) -> None:
-        declared = set(self.einsum.declaration)
-        for tensor in self.mapping.rank_order:
-            if tensor not in declared:
-                raise SpecError(
-                    "mapping",
-                    f"rank-order given for undeclared tensor {tensor!r}",
-                    path=("mapping", "rank-order", tensor),
-                )
-        for tensor, order in self.mapping.rank_order.items():
-            if sorted(order) != sorted(self.einsum.declaration[tensor]):
-                raise SpecError(
-                    "mapping",
-                    f"rank-order {order} of {tensor} is not a permutation of "
-                    f"declared ranks {self.einsum.declaration[tensor]}",
-                    path=("mapping", "rank-order", tensor),
-                )
-        produced = set(self.einsum.cascade.produced)
-        for name in self.mapping.einsums:
-            if name not in produced:
-                raise SpecError(
-                    "mapping",
-                    f"mapping given for unknown Einsum {name!r}",
-                    path=("mapping", "loop-order", name),
-                )
-        for name, binding in self.binding.einsums.items():
-            if name not in produced:
-                raise SpecError(
-                    "binding",
-                    f"binding given for unknown Einsum {name!r}",
-                    path=("binding", name),
-                )
+        """Raise the first problem the ``LOAD_CHECKS`` find, then resolve
+        every binding's named topology."""
+        for _doc, check in LOAD_CHECKS.values():
+            for path, message in check(self):
+                raise SpecError(path[0], message, path=path)
+        for binding in self.binding.einsums.values():
             if binding.config is not None:
                 self.architecture.topology(binding.config)
 

@@ -136,46 +136,103 @@ class EinsumMapping:
     def time_ranks(self) -> List[str]:
         return [t.rank for t in self.time]
 
-    def partitioned_loop_ranks(self, base_ranks: Sequence[str]) -> List[str]:
-        """Ranks of the iteration space after applying partitioning.
+    def replay(self, ranks: Sequence[str]) -> "PartitionReplay":
+        """Replay ``partitioning`` over ``ranks`` (an Einsum's iteration
+        ranks, or one tensor's declared ranks).
 
-        Starting from the Einsum's base ranks, flatten directives merge rank
-        groups and split directives replace a rank with its split names.
+        An entry applies when the ranks it acts on (a flatten's whole
+        key, a split's target) are present at that point; one that does
+        not is recorded with the reason and changes nothing.  The
+        builder rejects an iteration space with any such entry and skips
+        them per tensor; the linter reports them.
         """
-        ranks = list(base_ranks)
+        current = list(ranks)
+        bases: Dict[str, Tuple[str, ...]] = {r: (r,) for r in current}
+        binds = dict(bases)
+        steps: List[PartitionStep] = []
         for key, directives in self.partitioning:
-            flattens = [d for d in directives if d.kind == "flatten"]
-            splits = [d for d in directives if d.kind != "flatten"]
-            if flattens:
-                if len(key) < 2:
-                    raise SpecError(
-                        "mapping", f"flatten() on single rank {key[0]!r}"
-                    )
-                pos = ranks.index(key[0])
-                for r in key:
-                    ranks.remove(r)
-                ranks.insert(pos, flatten_name(key))
+            flatten = any(d.kind == "flatten" for d in directives)
+            splits = tuple(d for d in directives if d.kind != "flatten")
+            target = flatten_name(key) if flatten and len(key) > 1 else key[0]
+            names = tuple(split_names(target, len(splits))) if splits else ()
+            step = PartitionStep(key, flatten, target, splits, names)
+            missing = [k for k in key if k not in current]
+            if flatten and len(key) < 2:
+                step.problem = (f"flatten() needs at least two ranks, got "
+                                f"{step.key_str}")
+            elif flatten and len(set(key)) < len(key):
+                step.problem = f"flatten of {step.key_str} repeats a rank"
+            elif flatten and missing:
+                step.problem = (
+                    f"flatten of {step.key_str} names rank(s) {missing} "
+                    f"not in the ranks {current} (undeclared, or already "
+                    f"consumed by an earlier directive)")
+            elif not flatten and target not in current:
+                step.problem = (
+                    f"split target {target!r} is not in the ranks "
+                    f"{current} (undeclared, or already consumed by an "
+                    f"earlier directive)")
+            steps.append(step)
+            if step.problem:
+                continue
+            if flatten:
+                pos = min(current.index(k) for k in key)
+                for k in key:
+                    current.remove(k)
+                current.insert(pos, target)
+                bases[target] = tuple(dict.fromkeys(
+                    b for k in key for b in bases[k]))
+                binds[target] = tuple(b for k in key for b in binds[k])
             if splits:
-                target = flatten_name(key) if flattens else key[0]
-                pos = ranks.index(target)
-                ranks[pos : pos + 1] = split_names(target, len(splits))
-        return ranks
+                pos = current.index(target)
+                current[pos:pos + 1] = names
+                for name in names:
+                    bases[name] = bases[target]
+                    binds[name] = ()
+                binds[names[-1]] = binds[target]
+        return PartitionReplay(current, steps, bases, binds)
 
-    def validate_against(self, base_ranks: Sequence[str]) -> None:
-        expected = set(self.partitioned_loop_ranks(base_ranks))
-        if self.loop_order and set(self.loop_order) != expected:
-            raise SpecError(
-                "mapping",
-                f"loop-order for {self.name} is {self.loop_order} but the "
-                f"partitioned iteration space has ranks {sorted(expected)}",
-            )
-        st = set(self.space_ranks) | set(self.time_ranks)
-        if (self.space or self.time) and st != set(self.loop_order):
-            raise SpecError(
-                "mapping",
-                f"spacetime of {self.name} covers {sorted(st)}, expected "
-                f"exactly the loop-order ranks {self.loop_order}",
-            )
+
+@dataclass
+class PartitionStep:
+    """One ``partitioning`` entry as replayed over a rank list."""
+
+    key: Tuple[str, ...]
+    flatten: bool  # the entry flattens ``key`` into ``target``
+    target: str  # the rank the splits act on
+    splits: Tuple[PartitionDirective, ...]
+    names: Tuple[str, ...]  # split names of ``target``, top-down
+    problem: str = ""  # why the entry did not apply ("" if it did)
+
+    @property
+    def applied(self) -> bool:
+        return not self.problem
+
+    @property
+    def key_str(self) -> str:
+        """The key as the mapping spells it: ``K`` or ``(M, K0)``."""
+        if len(self.key) == 1:
+            return self.key[0]
+        return "(" + ", ".join(self.key) + ")"
+
+
+@dataclass
+class PartitionReplay:
+    """What an Einsum's partitioning derives from a rank list."""
+
+    ranks: List[str]  # after every applied entry
+    steps: List[PartitionStep]  # one per entry, in mapping order
+    #: Every rank name that existed at some point -> the given ranks it
+    #: derives from (``MK0`` -> ``(M, K)``, ``K1`` -> ``(K,)``).
+    bases: Dict[str, Tuple[str, ...]]
+    #: The same names -> the given ranks whose coordinates a loop over
+    #: the rank binds: the lowest split name binds its target's, an
+    #: upper split name (``K1``) none, since it walks chunks.
+    binds: Dict[str, Tuple[str, ...]]
+
+    @property
+    def problems(self) -> List[PartitionStep]:
+        return [s for s in self.steps if s.problem]
 
 
 @dataclass

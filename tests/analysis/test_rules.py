@@ -459,3 +459,47 @@ class TestRobustness:
         assert findings  # plenty wrong, all reported as findings
         assert all(f.rule in RULES or f.rule.startswith("cli/")
                    for f in findings)
+
+
+class TestBuilderAgreement:
+    """The linter derives rank names with the replay the IR builder
+    lowers with, so it accepts exactly the ranks and splits the builder
+    makes."""
+
+    def test_unknown_rank_flags_a_split_the_tensor_never_gets(self):
+        # Z[M, N] lacks K, so the (M, K) flatten never applies to Z and
+        # the split that follows acts on MK, not on Z's M: Z never
+        # carries M1.
+        d = base_dict()
+        d["mapping"]["partitioning"]["Z"] = {
+            "(M, K)": ["flatten()", "uniform_shape(4)"]}
+        d["mapping"]["loop-order"]["Z"] = ["MK1", "MK0", "N"]
+        d["binding"]["Z"]["components"]["ZBuf"][0]["rank"] = "M1"
+        d["format"]["Z"] = {"Out": {"M1": {"format": "U"}}}
+        [binding] = fired(d, "binding/unknown-rank")
+        assert "'M1'" in binding.message
+        [fmt] = fired(d, "format/unknown-rank")
+        assert fmt.path == ("format", "Z", "Out", "M1")
+        # MK1 is a rank A carries (A[K, M] flattens, then splits).
+        d["binding"]["Z"]["components"]["ABuf"][0]["rank"] = "MK1"
+        assert "'MK1'" not in " ".join(
+            f.message for f in lint(d) if f.rule == "binding/unknown-rank")
+
+    @pytest.mark.parametrize("size, rule", [
+        (0, "mapping/tile-nonpositive"),
+        (10, "mapping/tile-divides"),
+        (96, "mapping/tile-over-partition"),
+    ])
+    def test_no_tile_rule_sees_a_split_after_a_failed_flatten(self, size,
+                                                              rule):
+        # The flatten of (M, Q) fails (Z has no Q), so the builder never
+        # splits anything for this entry; a tile rule must not judge a
+        # split over M x Q's span (48 x 2) that does not exist.
+        d = base_dict()
+        d["mapping"]["partitioning"]["Z"] = {
+            "(M, Q)": ["flatten()", f"uniform_shape({size})"]}
+        d["mapping"]["loop-order"]["Z"] = ["M", "K", "N"]
+        [problem] = fired(d, "mapping/partition-unknown-rank",
+                          shapes={"Q": 2})
+        assert "['Q']" in problem.message
+        silent(d, rule, shapes={"Q": 2})

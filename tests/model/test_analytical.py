@@ -18,15 +18,19 @@ the bench search space, and pricing needs no tensors (parametric
 statistics suffice).
 """
 
+import numpy as np
 import pytest
 
 from repro.accelerators import accelerator
+from repro.fibertree.convert import tensor_from_dense
+from repro.ir.builder import build_cascade_ir
 from repro.model import (
     TensorStats,
     UnresolvedRankShapeError,
     WorkloadStats,
     evaluate,
 )
+from repro.model.analytical import _chunk_geometry
 from repro.spec import load_spec
 from repro.workloads import (
     cross_validation_workload,
@@ -51,6 +55,22 @@ mapping:
       K: [uniform_occupancy(A.16)]
   loop-order:
     Z: [K1, M, N, K0]
+"""
+
+SPEC_NESTED_FLATTEN = """
+einsum:
+  declaration:
+    A: [M, K, N]
+    Z: [M, K, N]
+  expressions:
+    - Z[m, k, n] = A[m, k, n]
+mapping:
+  partitioning:
+    Z:
+      (M, K): [flatten()]
+      (MK, N): [flatten(), uniform_occupancy(A.4)]
+  loop-order:
+    Z: [MKN1, MKN0]
 """
 
 SPEC_BUFFERED = SPEC_PLAIN + """
@@ -185,6 +205,29 @@ class TestSingleEinsumAccuracy:
             pytest.approx(1.0, abs=0.20)
         assert _ratio(exact, anl, lambda r: r.exec_seconds) == \
             pytest.approx(1.0, abs=0.35)
+
+
+    def test_nested_flatten_prices_against_declared_ranks(self):
+        """A flatten of an earlier flatten (``(MK, N)``) composes the
+        declared ranks ``M, K, N``: occupancy queries on ``MKN`` resolve
+        against A's statistics rather than an unknown rank ``MK``, which
+        priced traffic ~10% low."""
+        spec = load_spec(SPEC_NESTED_FLATTEN, name="anl-nested-flatten")
+        ir = build_cascade_ir(spec)[0]
+        *_, components = _chunk_geometry(spec, ir, dict(M=16, K=12, N=10))
+        assert components == {"MK": ["M", "K"], "MKN": ["M", "K", "N"]}
+
+        rng = np.random.default_rng(0)
+        dense = ((rng.random((16, 12, 10)) < 0.1)
+                 * rng.integers(1, 9, (16, 12, 10))).astype(float)
+        tensors = {"A": tensor_from_dense("A", ["M", "K", "N"], dense)}
+        exact = evaluate(spec, tensors)
+        anl = evaluate(spec, None, metrics="analytical",
+                       stats=workload_stats(tensors))
+        assert _ratio(exact, anl, lambda r: r.traffic_bytes()) == \
+            pytest.approx(1.0, abs=0.05)
+        assert _ratio(exact, anl, lambda r: r.total_ops()) == \
+            pytest.approx(1.0, abs=0.05)
 
 
 # ----------------------------------------------------------------------

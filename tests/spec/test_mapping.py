@@ -100,25 +100,21 @@ class TestMappingSpec:
         assert key == ("K", "M")
         assert directives[0].kind == "flatten"
 
-    def test_partitioned_loop_ranks_outerspace_t(self):
+    def test_replay_outerspace_t(self):
         m = MappingSpec.from_dict(OUTERSPACE_MAPPING)
-        ranks = m.for_einsum("T").partitioned_loop_ranks(["K", "M", "N"])
-        assert ranks == ["KM2", "KM1", "KM0", "N"]
+        replay = m.for_einsum("T").replay(["K", "M", "N"])
+        assert replay.ranks == ["KM2", "KM1", "KM0", "N"]
+        assert not replay.problems
+        assert replay.bases["KM1"] == ("K", "M")
+        assert replay.binds["KM0"] == ("K", "M")
+        assert replay.binds["KM1"] == ()
 
-    def test_partitioned_loop_ranks_outerspace_z(self):
+    def test_replay_outerspace_z(self):
         m = MappingSpec.from_dict(OUTERSPACE_MAPPING)
-        ranks = m.for_einsum("Z").partitioned_loop_ranks(["M", "N", "K"])
-        assert ranks == ["M2", "M1", "M0", "N", "K"]
-
-    def test_validate_against_catches_mismatch(self):
-        m = MappingSpec.from_dict(OUTERSPACE_MAPPING)
-        with pytest.raises(SpecError):
-            m.for_einsum("T").validate_against(["K", "M"])  # no N
-
-    def test_validate_against_ok(self):
-        m = MappingSpec.from_dict(OUTERSPACE_MAPPING)
-        m.for_einsum("T").validate_against(["K", "M", "N"])
-        m.for_einsum("Z").validate_against(["M", "N", "K"])
+        replay = m.for_einsum("Z").replay(["M", "N", "K"])
+        assert replay.ranks == ["M2", "M1", "M0", "N", "K"]
+        [step] = replay.steps
+        assert step.names == ("M2", "M1", "M0") and step.applied
 
     def test_sigma_flatten_after_split(self):
         # SIGMA (Figure 8c): shape split K, then flatten (M, K0), then
@@ -135,8 +131,34 @@ class TestMappingSpec:
                 "loop-order": {"Z": ["K1", "MK01", "MK00", "N"]},
             }
         )
-        ranks = m.for_einsum("Z").partitioned_loop_ranks(["M", "N", "K"])
-        assert set(ranks) == {"K1", "MK01", "MK00", "N"}
+        replay = m.for_einsum("Z").replay(["M", "N", "K"])
+        assert set(replay.ranks) == {"K1", "MK01", "MK00", "N"}
+        assert replay.bases["MK00"] == ("M", "K")
+
+    def test_replay_records_entries_that_do_not_apply(self):
+        # The first entry names a rank Z lacks; the split that follows
+        # still applies.  Over a tensor's ranks (A[K, M]) the flatten
+        # of (M, N) does not apply either, and nothing splits A.
+        m = MappingSpec.from_dict({"partitioning": {"Z": {
+            "Q": ["uniform_shape(4)"],
+            "(M, N)": ["flatten()", "uniform_shape(8)"],
+        }}})
+        replay = m.for_einsum("Z").replay(["M", "N", "K"])
+        bad, good = replay.steps
+        assert "'Q'" in bad.problem and not bad.applied
+        assert good.applied and good.names == ("MN1", "MN0")
+        assert replay.ranks == ["MN1", "MN0", "K"]
+        assert replay.problems == [bad]
+        tensor = m.for_einsum("Z").replay(["K", "M"])
+        assert tensor.ranks == ["K", "M"]
+        assert set(tensor.bases) == {"K", "M"}
+
+    def test_replay_flags_single_rank_and_repeated_flattens(self):
+        m = MappingSpec.from_dict({"partitioning": {"Z": {
+            "K": ["flatten()"], "(M, M)": ["flatten()"]}}})
+        single, repeated = m.for_einsum("Z").replay(["M", "K"]).steps
+        assert "at least two ranks" in single.problem
+        assert "repeats" in repeated.problem
 
     def test_default_einsum_mapping_empty(self):
         m = MappingSpec.from_dict({})
