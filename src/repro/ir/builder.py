@@ -28,7 +28,7 @@ from ..einsum.ast import Access, Add, Einsum, Expr, IndexExpr, Mul, Take, access
 from ..fibertree.rankid import rank_of_var, split_names
 from ..spec.errors import SpecError
 from ..spec.loader import AcceleratorSpec
-from ..spec.mapping import EinsumMapping, PartitionStep
+from ..spec.mapping import EinsumMapping, PartitionReplay, PartitionStep
 from .nodes import (
     FLAT,
     FLAT_UPPER,
@@ -57,20 +57,30 @@ class _SpaceInfo:
     binds: Dict[str, Tuple[str, ...]]
     origin: Dict[str, Optional[str]]
     var_rank: Dict[str, str]  # index var -> loop rank binding it
+    replay: PartitionReplay
+
+
+def _origins(replay: PartitionReplay, base: Sequence[str]
+             ) -> Dict[str, str]:
+    """Every rank name of a replay over ``base`` -> the declared (or
+    flattened) rank whose coordinates it walks."""
+    origin = {r: r for r in base}
+    for step in replay.steps:
+        if step.flatten:
+            origin[step.target] = step.target
+        for name in step.names:
+            origin[name] = origin[step.target]
+    return origin
 
 
 def _derive_iteration_space(einsum: Einsum,
                             mapping: EinsumMapping) -> _SpaceInfo:
     base = [rank_of_var(v) for v in einsum.all_vars]
     replay = mapping.replay(base)
-    origin: Dict[str, Optional[str]] = {r: r for r in base}
     for step in replay.steps:
         if step.problem:
             raise BuildError(step.problem)
-        if step.flatten:
-            origin[step.target] = step.target
-        for name in step.names:
-            origin[name] = origin[step.target]
+    origin = _origins(replay, base)
     binds = {r: tuple(b.lower() for b in bs)
              for r, bs in replay.binds.items()}
     ranks = replay.ranks
@@ -86,7 +96,7 @@ def _derive_iteration_space(einsum: Einsum,
         for v in binds.get(rank, ()):
             var_rank[v] = rank
     return _SpaceInfo(loop_ranks, {r: binds.get(r, ()) for r in loop_ranks},
-                      origin, var_rank)
+                      origin, var_rank, replay)
 
 
 # ----------------------------------------------------------------------
@@ -432,6 +442,7 @@ def build_ir(spec: AcceleratorSpec, einsum_name: str) -> LoopNestIR:
         time_styles=time_styles,
         rank_shapes=rank_shapes,
         origin={r: (space.origin.get(r) or r) for r in space.loop_ranks},
+        replay=space.replay,
     )
 
 

@@ -130,8 +130,9 @@ import repro.ir.codegen_runtime as rt
 #: FlatArena spans: "flat" computes outputs only; "counted" is the priced
 #: kernel (fused event counters plus batched numpy spans) without machine
 #: ports, for an Einsum whose binding routes nothing to a buffer or
-#: cache; "vector" is the same priced kernel with the buffet/cache
-#: component state machines inlined behind per-touch ports.
+#: cache; "vector" is the same priced kernel behind per-touch ports,
+#: whose buffet/cache touches are appended to the machines' int logs
+#: and priced once the kernel returns.
 KERNEL_FLAVORS = ("flat", "counted", "vector")
 
 

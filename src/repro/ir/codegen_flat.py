@@ -55,34 +55,30 @@ facts — is the kernel priced, and does it carry machine ports:
   input is fixed across the enclosing loop intersects it with all of
   that loop's sibling spans at once (:meth:`_FlatGenerator._sibling_plan`).
 * **vector** ``kernel(arenas, opset, shapes, kc, fm)`` — the same priced
-  kernel plus machine ports: the buffet/cache component state machines
-  inlined into the loops.  The kernel tracks coordinate paths (``h``
-  vars) and loop-context prefixes (``cx`` vars) exactly as the
-  interpreter does, and at every touch site consults a *port* bound once
-  at entry from ``fm`` (a :class:`repro.model.evaluate.FusedMachines`
-  routing plan built from the binding spec at run time — the generated
-  code itself stays binding-independent, so vector kernels share the
-  same compile-cache entry across binding variations).  A ``None`` port
-  means the touch falls through to DRAM and bumps the counter; a live
-  port is a :class:`~repro.ir.codegen_runtime.FusedBuffet` /
-  :class:`~repro.ir.codegen_runtime.FusedCache` state machine receiving
-  the same (key, evict-window) sequence the interpreter's
-  :class:`~repro.model.evaluate.ModelSink` would deliver.  Only this
-  flavor pays for the port checks, path and context tuples.
+  kernel plus machine ports.  At every touch site it consults a *port*
+  bound once at entry from ``fm`` (a
+  :class:`repro.model.evaluate.FusedMachines` routing plan built from
+  the binding spec at run time — the generated code itself stays
+  binding-independent, so vector kernels share the same compile-cache
+  entry across binding variations).  A ``None`` port means the touch
+  falls through to DRAM and bumps the counter; a live port is a
+  :class:`~repro.ir.codegen_runtime.FusedBuffet` /
+  :class:`~repro.ir.codegen_runtime.FusedCache` whose ``log`` the site
+  appends two ints to: the event's key — its tensor level and arena
+  position, or the output point — and its loop-context id, a counter
+  per loop depth.  No path or context tuple is built, except the paths
+  of a tensor with a projected level, whose keys are interned.  The
+  machines settle once the kernel returns, with the exact (key,
+  evict-window) decisions the interpreter's
+  :class:`~repro.model.evaluate.ModelSink` would feed the models.
 
-  An innermost loop of this flavor has up to three branches.  The
-  numpy branch prices a long enough reduction span as the counted
-  flavor does, feeding each machine one span call.  The batched leaf
-  (:meth:`_FlatGenerator._batch_leaf_plan`) runs the counted flavor's
-  port-free loop, with a count of the output writes (or, when the output
-  point varies with the loop, the written points), and then makes one
-  span call per port: ``read_span``/``pair_extra`` for each driver and
-  ``write_run``/``write_keys`` for the output.  It runs when a guard bound
-  once at kernel entry (:func:`~repro.ir.codegen_runtime.batch_ok`) says
-  each machine sees one access and the output window is fixed across
-  the loop, so that every machine still receives its own exact event
-  sequence.  Otherwise the per-event loop runs, one machine call per
-  touch.
+  So the ported loop is the counted loop plus appends.  Some events go
+  in once per span rather than per element: a merge skip, the spans of
+  the numpy branch, and the reads of an innermost loop's driver whose
+  tensor no other site reads (:meth:`_FlatGenerator._leaf_logs`), as
+  one span record; and the writes of an innermost loop into a fixed
+  output point, as one run record.  A machine serves one tensor, so
+  each machine still logs its own events in their exact order.
 
 The walk order, the guard structure, and every membership decision
 follow the interpreter's, so the differential suite can hold every
@@ -104,6 +100,7 @@ from .codegen import (
     _coord_code,
     _drivable,
     _Emitter,
+    _expr_code,
     _existential_ranks,
     _physical_below,
     _point_code,
@@ -144,7 +141,7 @@ class _FlatGenerator:
         # Component-machine ports (ported kernels): one per touched
         # (tensor, rank, kind) triple, bound from ``fm`` at kernel entry.
         self.ports: Dict[Tuple[str, str, str], str] = {}
-        # Pair dispatchers: the bound ``read2`` of a machine that claims
+        # Pair dispatchers: the log append of a machine that claims
         # both the coord and the payload port of one (tensor, rank) —
         # the back-to-back event pair every present element emits.
         self.pairs: Dict[Tuple[str, str], str] = {}
@@ -158,12 +155,29 @@ class _FlatGenerator:
         # Per sibling-batched leaf, its SiblingMap constructor (bound
         # once at kernel entry as ``_sm<g>``).
         self.sib_maps: List[str] = []
-        # Per batched leaf (vector flavor), its machine guard, bound once
-        # at kernel entry after the ports: (var, condition).
-        self.batch_guards: List[Tuple[str, str]] = []
-        # The plan of the batched leaf whose loop is being emitted: its
-        # driver reads are accounted after the loop, not per element.
-        self.batching = None
+        # Machine logs (ported kernels): the key code of each touched
+        # (tensor, arena level, rank), with the access whose arena it
+        # indexes, and whether an output write is logged.
+        self.codes: Dict[Tuple[str, int, str], int] = {}
+        self.code_at: List[Tuple[int, int]] = []
+        self.logs_writes = False
+        self.leaf_reads = False  # any read at the innermost loop depth?
+        # The innermost loop being emitted: drivers whose reads, and the
+        # counter of writes, it logs once (see ``_leaf_logs``).
+        self.spanned: Set[int] = set()
+        self.reduced = None
+        self.write_prefix = None
+        # Tensors with a projected level: their key paths carry loop
+        # coordinates, so they log interned ``h`` path tuples instead.
+        self.path_keyed: Set[str] = set()
+        if ports:
+            for plan in ir.accesses:
+                if any(lvl.kind == PLAIN and not lvl.exprs[0].is_var
+                       for lvl in plan.levels):
+                    self.path_keyed.add(plan.tensor)
+        # Per (access, depth): the variable holding the position of the
+        # cursor's parent element (a lookup miss keys on it).
+        self.parent_pos: Dict[Tuple[int, int], str] = {}
         # Position-map leaves (flat flavor): how many, each memoizing its
         # map on the fixed span as ``pk<g>``/``pm<g>``.
         self.pmaps = 0
@@ -190,7 +204,7 @@ class _FlatGenerator:
         else:
             self.em.emit(f"n{i}_{d}a = None")
             self.em.emit(f"n{i}_{d}b = None")
-        if self.ported:
+        if self._paths(i):
             # Keep the path var defined along absent branches; no event
             # below an absent cursor ever reads it, so the value is moot.
             self.em.emit(f"h{i}_{d} = ()")
@@ -198,6 +212,7 @@ class _FlatGenerator:
     def _descend(self, i: int, d: int, pos: str) -> None:
         """Descend access ``i`` from depth ``d`` via element position ``pos``."""
         child = self._al(i, d) + 1
+        self.parent_pos[(i, d + 1)] = pos
         if child == self.n_phys[i]:
             self.em.emit(f"n{i}_{d + 1} = t{i}_v[{pos}]")
         else:
@@ -211,7 +226,8 @@ class _FlatGenerator:
         else:
             self.em.emit(f"n{i}_{d + 1}a = n{i}_{d}a")
             self.em.emit(f"n{i}_{d + 1}b = n{i}_{d}b")
-        if self.ported:
+        self.parent_pos[(i, d + 1)] = self.parent_pos.get((i, d), "-1")
+        if self._paths(i):
             self.em.emit(f"h{i}_{d + 1} = h{i}_{d}")
 
     # ------------------------------------------------------------------
@@ -263,11 +279,60 @@ class _FlatGenerator:
         tensor = self.ir.accesses[i].tensor
         return sum(1 for p in self.ir.accesses if p.tensor == tensor) == 1
 
-    def _emit_pair_read(self, i: int, of: str, key: str, cx: str) -> None:
+    def _paths(self, i: int) -> bool:
+        """Does access ``i`` log interned ``h`` paths, not positions?"""
+        return self.ir.accesses[i].tensor in self.path_keyed
+
+    def _code(self, i: int, L: int, of: str) -> int:
+        """The key code of access ``i``'s arena level ``L`` (events name
+        rank ``of``)."""
+        key = (self.ir.accesses[i].tensor, L, of)
+        code = self.codes.get(key)
+        if code is None:
+            code = self.codes[key] = len(self.codes)
+            self.code_at.append((i, L))
+        return code
+
+    def _log(self, port: str, i: int, L: int, of: str, pos: str,
+             path: str, depth: int, pair: bool = False,
+             append: str = None) -> None:
+        """Append one read record to ``port``'s log: access ``i``'s
+        element at position ``pos`` of level ``L`` (its key path is
+        ``path``), under the depth-``depth`` context.  ``pair`` logs the
+        coord+payload pair of one element as one record."""
+        ap = append or f"{port}a"
+        if self._paths(i):
+            flag = " | rt.PAIR" if pair else ""
+            key = f"{port}.intern((0, {of!r}, {path})){flag}"
+        else:
+            key = f"{'kq' if pair else 'kb'}{self._code(i, L, of)} + {pos}"
+        self.em.emit(f"{ap}({key})")
+        self.em.emit(f"{ap}({self._x(depth)})")
+
+    def _log_span(self, port: str, i: int, d: int, of: str, lo: str,
+                  hi: str, off: str, depth: int, repeats: str = "0") -> None:
+        """Append the reads of positions ``[lo, hi)`` of access ``i``'s
+        cursor at depth ``d`` (coordinates shifted by ``off``), of which
+        ``repeats`` are coord+payload pairs, to ``port``'s log."""
+        em = self.em
+        L = self._al(i, d)
+        if self._paths(i):
+            em.emit(f"rt.log_paths({port}, {of!r}, h{i}_{d}, t{i}_c{L}, "
+                    f"range({lo}, {hi}), {off or 0}, {self._x(depth)}, "
+                    f"{repeats})")
+            return
+        ap = f"{port}a"
+        em.emit(f"{ap}(ks{self._code(i, L, of)} + {lo})")
+        em.emit(f"{ap}({self._x(depth)})")
+        em.emit(f"{ap}({hi})")
+        em.emit(f"{ap}({repeats})")
+
+    def _emit_pair_read(self, i: int, of: str, L: int, pos: str, path: str,
+                        depth: int) -> None:
         """The coord+payload event pair of one present element.
 
-        One ``read2`` call when a single machine claims both ports, the
-        exact two-dispatch sequence otherwise.  The coord *counter* case
+        One ``PAIR`` record when a single machine claims both ports, the
+        exact two-record sequence otherwise.  The coord *counter* case
         is handled at the original coord site (counters are
         order-insensitive), so here a ``None`` coord port means no-op.
         The port-free kernel bumps the payload counter alone.
@@ -281,16 +346,29 @@ class _FlatGenerator:
         pair = self._pair(tensor, of)
         em.emit(f"if {pair} is not None:")
         em.indent += 1
-        em.emit(f"{pair}({of!r}, {key}, {cx})")
+        self._log(pc, i, L, of, pos, path, depth, pair=True, append=pair)
         em.indent -= 1
         em.emit("else:")
         em.indent += 1
-        em.emit(f"if {pc}r is not None:")
+        em.emit(f"if {pc} is not None:")
         em.indent += 1
-        em.emit(f"{pc}r({of!r}, {key}, {cx})")
+        self._log(pc, i, L, of, pos, path, depth)
         em.indent -= 1
-        self._emit_read(i, of, "payload", key, cx)
+        self._emit_read(i, of, "payload", L, pos, path, depth)
         em.indent -= 1
+
+    def _split_payload(self, i: int, of: str, L: int, pos: str,
+                       depth: int) -> None:
+        """A spanned merge driver's payload read of one match, logged
+        when the payload port is a machine of its own (see
+        :meth:`_span_reads`)."""
+        tensor = self.ir.accesses[i].tensor
+        pc = self._port(tensor, of, "coord")
+        pp = self._port(tensor, of, "payload")
+        self.em.emit(f"if {pp} is not None and {pp} is not {pc}:")
+        self.em.indent += 1
+        self._log(pp, i, L, of, pos, None, depth)
+        self.em.indent -= 1
 
     def _routed(self, key: Tuple[str, str, str], bump: str,
                 dispatch=None) -> None:
@@ -317,20 +395,18 @@ class _FlatGenerator:
                    dispatch=None) -> None:
         """Tally ``amount`` DRAM-routed read events of access ``i``; see
         :meth:`_routed` for ``dispatch``."""
-        if self.priced and self.batching is None:
+        if self.priced:
             key = (self.ir.accesses[i].tensor, of, kind)
             self._routed(key, f"{self._rctr(*key)} += {amount}", dispatch)
 
-    def _emit_read(self, i: int, of: str, kind: str, key: str = None,
-                   cx: str = None) -> None:
-        """One read event: counter bump, or machine dispatch when ported.
-
-        ``key`` is the Python expression of the event's coordinate path
-        (the interpreter's cursor path + coord), ``cx`` the loop-context
-        prefix var; both are only evaluated on the machine branch.
+    def _emit_read(self, i: int, of: str, kind: str, L: int = None,
+                   pos: str = None, path: str = None,
+                   depth: int = None) -> None:
+        """One read event: counter bump, or a log record when ported
+        (see :meth:`_log`; its arguments are only used on that branch).
         """
-        self._bump_read(i, of, kind, dispatch=lambda port: self.em.emit(
-            f"{port}r({of!r}, {key}, {cx})"))
+        self._bump_read(i, of, kind, dispatch=lambda port: self._log(
+            port, i, L, of, pos, path, depth))
 
     # ------------------------------------------------------------------
     def generate(self) -> str:
@@ -392,7 +468,7 @@ class _FlatGenerator:
                 head.emit(f"t{i}_vn = _a{i}.np_vals()")
             head.emit(f"n{i}_0a = 0")
             head.emit(f"n{i}_0b = len(t{i}_c0)")
-            if self.ported:
+            if self._paths(i):
                 head.emit(f"h{i}_0 = ()")
         if self.pmaps:
             head.emit("_pmr = rt.PMAP_RATIO")
@@ -408,20 +484,13 @@ class _FlatGenerator:
                 head.emit(f"vk{g} = None")
         head.emit("_acc = {}")
         if self.ported:
-            head.emit("cx0 = ()")
-            for (tensor, of, kind), var in self.ports.items():
-                head.emit(f"{var} = fm.port({tensor!r}, {of!r}, {kind!r})")
-                head.emit(f"{var}r = None if {var} is None else {var}.read")
-                head.emit(f"{var}w = None if {var} is None else {var}.write")
-            for (tensor, of), var in self.pairs.items():
-                pc = self.ports[(tensor, of, "coord")]
-                pp = self.ports[(tensor, of, "payload")]
-                head.emit(
-                    f"{var} = {pc}.read2 if ({pc} is not None and "
-                    f"{pc} is {pp}) else None"
-                )
-            for var, cond in self.batch_guards:
-                head.emit(f"{var} = {cond}")
+            self._bind_logs(head)
+            if not self.leaf_reads:
+                # No read at the innermost depth: its nodes go unnumbered.
+                n = self.n_ranks
+                unused = {f"x{n} += 1", f"xf{n}(x{n})"}
+                body.lines = [line for line in body.lines
+                              if line.strip() not in unused]
         if self.priced:
             for var in self.read_ctrs.values():
                 head.emit(f"{var} = 0")
@@ -457,12 +526,103 @@ class _FlatGenerator:
                     f"kc.add_compute({op!r}, cn_{op}, cs_{op}, cv_{op})"
                 )
             tail.emit("kc.out_points = len(_acc)")
-        tail.emit(
-            "return Tensor.from_points("
-            f"{ir.output.tensor!r}, {ir.output.storage_ranks!r}, _acc, "
-            f"[shapes.get(r) for r in {ir.output.storage_ranks!r}])"
-        )
+        out = ("Tensor.from_points("
+               f"{ir.output.tensor!r}, {ir.output.storage_ranks!r}, _acc, "
+               f"[shapes.get(r) for r in {ir.output.storage_ranks!r}])")
+        if self.logs_writes:
+            tail.emit(f"_out = {out}")
+            tail.emit("fm.check_points(_out, _acc)")
+            tail.emit("return _out")
+        else:
+            tail.emit(f"return {out}")
         return "\n".join(head.lines + body.lines + tail.lines) + "\n"
+
+    def _bind_logs(self, head: _Emitter) -> None:
+        """The ported kernel's entry: every port's machine and log
+        append, the pair dispatchers, the key codes (bound to their
+        arena levels in ``fm``), the loop-context counters and frames,
+        and the output point radix."""
+        ir = self.ir
+        for (tensor, of, kind), var in self.ports.items():
+            head.emit(f"{var} = fm.port({tensor!r}, {of!r}, {kind!r})")
+            head.emit(f"{var}a = None if {var} is None else {var}.log.append")
+        for (tensor, of), var in self.pairs.items():
+            pc = self.ports[(tensor, of, "coord")]
+            pp = self.ports[(tensor, of, "payload")]
+            head.emit(f"{var} = {pc}a if ({pc} is not None and "
+                      f"{pc} is {pp}) else None")
+        if self.code_at:
+            table = "".join(f"(_a{i}, {L}), " for i, L in self.code_at)
+            head.emit(f"fm.levels(({table}))")
+            for c in range(len(self.code_at)):
+                head.emit(f"kb{c} = {c} << rt.CODE")
+                head.emit(f"kq{c} = kb{c} | rt.PAIR")
+                head.emit(f"ks{c} = kb{c} | rt.SPAN")
+        n = self.n_ranks
+        head.emit("x0 = 0")
+        for d in range(1, n + 1):
+            head.emit(f"x{d} = {d} << rt.DEPTH")
+        if n > 1:
+            head.emit(f"_xf = fm.frames({n})")
+            for d in range(2, n + 1):
+                head.emit(f"xf{d} = _xf[{d}].append")
+        if n:
+            head.emit("_lf = rt.LEAF")
+            head.emit(f"xl = x{n - 1} | _lf")
+        if self.logs_writes:
+            ranks = ir.output.storage_ranks
+            names = "".join(f"_wr{r}, " for r in range(len(ranks)))
+            out_rank = ranks[-1] if ranks else "root"
+            if names:
+                head.emit(f"{names}= fm.radix({ir.output.tensor!r}, "
+                          f"{out_rank!r}, [shapes.get(r) for r in {ranks!r}])")
+            head.emit("_wk = rt.WRITE")
+            head.emit("_wn = _wk | rt.RUN")
+
+    def _write_key(self, flags: str = "_wk", skip=()) -> str:
+        """The logged key of the leaf's output write: its point in the
+        mixed radix :meth:`repro.model.evaluate.FusedMachines.radix`
+        binds, plus ``flags`` (``WRITE``, or ``WRITE | RUN``), less the
+        coordinates ``skip``.  In a loop that hoisted the other
+        coordinates (``write_prefix``), the prefix plus its own."""
+        self.logs_writes = True
+        indices = self.ir.output.indices
+        parts = [flags]
+        if self.write_prefix is not None and flags == "_wk":
+            parts, skip = ["_wq"], [r for r in range(len(indices))
+                                     if r not in self.write_prefix]
+        last = len(indices) - 1
+        for r, e in enumerate(indices):
+            if r in skip:
+                continue
+            code = _expr_code(e) if e.is_var else f"({_expr_code(e)})"
+            parts.append(code if r == last else f"{code} * _wr{r}")
+        return " + ".join(parts)
+
+    def _ctx(self, level: int) -> None:
+        """Enter a depth ``level + 1`` loop-context node (ported kernels):
+        number it, and record the deeper counter for its children.  A
+        leaf write hangs a fresh node from the depth ``n - 1`` node
+        (``xl``), so the innermost loop numbers its own nodes only for
+        the reads of the lookups that follow it (see :meth:`generate`)."""
+        if not self.ported:
+            return
+        n = self.n_ranks
+        self.em.emit(f"x{level + 1} += 1")
+        if level + 2 <= n:
+            self.em.emit(f"xf{level + 2}(x{level + 2})")
+        if level + 1 == n - 1:
+            self.em.emit(f"xl = x{level + 1} | _lf")
+
+    def _x(self, depth: int) -> str:
+        """The context id of a read at loop depth ``depth``."""
+        if depth == self.n_ranks:
+            self.leaf_reads = True
+        return f"x{depth}"
+
+    def _leaf_ctx(self) -> str:
+        """The context id of a leaf write (see :meth:`_ctx`)."""
+        return "xl" if self.n_ranks else "x0"
 
     # ------------------------------------------------------------------
     def _dead_guard(self, depths: Dict[int, int], guarded: Set[str]) -> int:
@@ -558,25 +718,115 @@ class _FlatGenerator:
                                      binds, new_depths, enc)
         if vec is not None:
             self._emit_vector_leaf(rank, level, vec)
-        batch = self._batch_leaf_plan(level, mode, specs, virtual, binds,
-                                      new_depths)
-        if batch is not None:
-            self._emit_batch_leaf(rank, level, mode, specs, binds, depths,
-                                  new_depths, wins, guarded, batch,
-                                  "elif" if vec is not None else "if")
         pmap = self._pmap_plan(level, mode, specs, enc)
         if pmap is not None:
             self._emit_pmap_leaf(rank, level, mode, specs, virtual, binds,
                                  depths, new_depths, wins, guarded, pmap)
-        branched = vec is not None or batch is not None or pmap is not None
+        branched = vec is not None or pmap is not None
         if branched:
             em.emit("else:")
             em.indent += 1
+        self._leaf_logs(level, mode, specs, binds)
+        if self.reduced:
+            em.emit(f"{self.reduced} = 0")
         self._emit_loop(rank, level, mode, specs, virtual, binds, depths,
                         dict(new_depths), wins, guarded)
+        if self.reduced:
+            self._flush_writes(self.reduced)
+        self.spanned, self.reduced, self.write_prefix = set(), None, None
         if branched:
             em.indent -= 1
         em.indent -= close
+
+    def _leaf_logs(self, level: int, mode: str, specs, binds) -> None:
+        """Which events of an innermost loop a ported kernel logs once
+        per loop instead of per element.
+
+        A machine serves one tensor, so a driver whose tensor no other
+        access reads, and whose elements are leaf scalars (nothing is
+        read below them), is the only source of its machines' events in
+        the loop: its reads are one span over the positions the loop
+        visits (``spanned``), logged when the loop opens (one driver) or
+        closes (a merge; the matches' payload reads on a split payload
+        machine stay per element).  Likewise the output's writes, when
+        the output point is fixed across the loop, are counted and
+        logged when it closes (``reduced``).  The loop must run to
+        completion: no ``take()`` short-circuit.
+        """
+        self.spanned, self.reduced, self.write_prefix = set(), None, None
+        if not self.ported or level != self.n_ranks - 1 or \
+                self.existential:
+            return
+        if len(specs) == 1 or self._merges2(mode, specs):
+            for i, lvl, L, d, a, b, off in specs:
+                if self._deferrable(i) and not self._paths(i) and \
+                        L + 1 == self.n_phys[i]:
+                    self.spanned.add(i)
+        indices = self.ir.output.indices
+        inner = [r for r, e in enumerate(indices)
+                 if set(binds) & set(e.vars)]
+        if not inner:
+            self.reduced = f"sw{level}"
+        elif len(inner) < len(indices):
+            # The written point's outer coordinates, encoded once.
+            prefix = self._write_key(skip=inner)
+            self.em.emit(f"_wq = {prefix}")
+            self.write_prefix = inner
+
+    def _span_reads(self, i: int, of: str, d: int, level: int, lo: str,
+                    hi: str, visits: str, matched: str, payload=None,
+                    off: str = None) -> None:
+        """The reads of a whole span of access ``i``'s cursor at depth
+        ``d``: a coord read per visited position ``[lo, hi)`` (``visits``
+        of them), a payload read per ``matched`` one.  A machine owning
+        both ports logs one span record whose matched elements are pairs
+        (each second read a hit that changes nothing); split ports log
+        the coord reads as a span, and the payload reads as the same
+        span when every visited element matched (``payload`` None), else
+        through ``payload(port)`` — ``False`` leaves them to the loop.
+        DRAM-routed sides are counter adds."""
+        em = self.em
+
+        def span(port):
+            self._log_span(port, i, d, of, lo, hi, off, level)
+
+        if self.ported:
+            tensor = self.ir.accesses[i].tensor
+            pc = self._port(tensor, of, "coord")
+            pp = self._port(tensor, of, "payload")
+            em.emit(f"if {pc} is not None and {pc} is {pp}:")
+            em.indent += 1
+            self._log_span(pc, i, d, of, lo, hi, off, level, matched)
+            em.indent -= 1
+            em.emit("else:")
+            em.indent += 1
+        self._bump_read(i, of, "coord", visits, dispatch=span)
+        self._bump_read(i, of, "payload", matched,
+                        dispatch=span if payload is None else payload or None)
+        if self.ported:
+            em.indent -= 1
+
+    def _flush_writes(self, count: str) -> None:
+        """Log the ``count`` writes a reduced loop made to its fixed
+        output point, each in a fresh leaf context."""
+        ir = self.ir
+        out_rank = (ir.output.storage_ranks[-1]
+                    if ir.output.storage_ranks else "root")
+        key = (ir.output.tensor, out_rank, "elem")
+        self._routed(key, f"{self._wctr(*key)} += {count}",
+                     lambda port: self._log_run(port, count))
+
+    def _log_run(self, port: str, count: str) -> None:
+        """``count`` writes of the leaf's (loop-invariant) output point,
+        one ``RUN`` record, each write in a fresh leaf context."""
+        em = self.em
+        em.emit(f"if {count}:")
+        em.indent += 1
+        em.emit(f"{port}a({self._write_key('_wn')})")
+        em.emit(f"{port}a({self._leaf_ctx()})")
+        em.emit(f"{port}a({count})")
+        em.emit(f"{port}a(0)")
+        em.indent -= 1
 
     def _emit_loop(self, rank: str, level: int, mode: str, specs, virtual,
                    binds, depths: Dict[int, int], new_depths: Dict[int, int],
@@ -612,7 +862,7 @@ class _FlatGenerator:
         for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
             of = lvl.of or lvl.rank
             pos = f"p{i}_{d}"
-            if self.ported:
+            if self._paths(i):
                 # The path extends unconditionally (the absent k-way
                 # branch included); only present cursors ever read it,
                 # so the value below absent cursors is irrelevant — but
@@ -623,14 +873,16 @@ class _FlatGenerator:
                     em.emit(f"{pos} = ps_{rank}[{j}]")
                 em.emit(f"if {pos} >= 0:")
                 em.indent += 1
-            if not opened["kway"] and self._deferrable(i):
+            if i in self.spanned:
+                if opened["kind"] == "merge2":
+                    self._split_payload(i, of, L, pos, level)
+            elif not opened["kway"] and self._deferrable(i):
                 # The opener deferred this driver's machine coord read
                 # to here; fire the coord+payload pair together.
-                self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
-                                     cx=f"cx{level}")
+                self._emit_pair_read(i, of, L, pos, f"h{i}_{d + 1}", level)
             else:
-                self._emit_read(i, of, "payload", key=f"h{i}_{d + 1}",
-                                cx=f"cx{level}")
+                self._emit_read(i, of, "payload", L, pos, f"h{i}_{d + 1}",
+                                level)
             self._descend(i, d, pos)
             if lvl.kind in (UPPER, FLAT_UPPER):
                 prev = wins2.get(lvl.of, "None")
@@ -657,10 +909,9 @@ class _FlatGenerator:
             style = ir.time_styles.get(rank, "pos")
             src = f"c_{rank}" if style == "coord" else f"po_{rank}"
             em.emit(f"st_{rank} = {src}")
-        if self.ported:
-            # The loop-context prefix: what the interpreter's live
-            # loop context holds once this rank binds ``c``.
-            em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, c_{rank}),)")
+        # The loop-context node of this iteration: where the
+        # interpreter's live loop context gains ``(rank, c)``.
+        self._ctx(level)
         self._lookups(level, new_depths)
         inner = {"depths": dict(depths), "binds": binds}
         if opened["kind"] == "single" and not virtual and \
@@ -685,17 +936,22 @@ class _FlatGenerator:
             em.emit(f"if {a} is not None:")
             em.indent += 1
             guard = 1
+        if i in self.spanned:
+            self._span_reads(i, lvl.of or lvl.rank, d, level, a, b,
+                             f"{b} - {a}", f"{b} - {a}")
         em.emit(f"for {pos} in range({a}, {b}):")
         em.indent += 1
         coord = f"t{i}_c{L}[{pos}]"
         if off:
             coord = f"{coord} + {off}"
         em.emit(f"c_{rank} = {coord}")
-        if self._deferrable(i):
+        if i in self.spanned:
+            pass
+        elif self._deferrable(i):
             self._bump_read(i, (lvl.of or lvl.rank), "coord")
         else:
-            self._emit_read(i, (lvl.of or lvl.rank), "coord",
-                            key=f"h{i}_{d} + (c_{rank},)", cx=f"cx{level}")
+            self._emit_read(i, (lvl.of or lvl.rank), "coord", L, pos,
+                            f"h{i}_{d} + (c_{rank},)", level)
         return {"kind": "single", "kway": False, "guard": guard}
 
     def _merges2(self, mode: str, specs) -> bool:
@@ -794,14 +1050,16 @@ class _FlatGenerator:
         if self.priced:
             em.emit(f"_iv_{rank} += 2")
             em.emit(f"_im_{rank} += 1")
-            for i_, lvl_, d_ in ((i0, lvl0, d0), (i1, lvl1, d1)):
+            for i_, lvl_, L_, d_, p_ in ((i0, lvl0, L0, d0, p0),
+                                         (i1, lvl1, L1, d1, p1)):
                 of_ = lvl_.of or lvl_.rank
+                if i_ in self.spanned:
+                    continue
                 if self._deferrable(i_):
                     self._bump_read(i_, of_, "coord")
                 else:
-                    self._emit_read(i_, of_, "coord",
-                                    key=f"h{i_}_{d_} + (c_{rank},)",
-                                    cx=f"cx{level}")
+                    self._emit_read(i_, of_, "coord", L_, p_,
+                                    f"h{i_}_{d_} + (c_{rank},)", level)
         return {"kind": "merge2", "kway": False, "guard": 0}
 
     def _open_kway(self, rank: str, level: int, mode: str, specs) -> dict:
@@ -818,18 +1076,22 @@ class _FlatGenerator:
         em.emit(f"sx_{rank} = [0] * {size}")
         touches = ""
         if self.ported:
-            # Per-input touch callbacks: coord read events for inputs
-            # routed to a component machine fire from inside the helper,
+            # Per-input touch logs: coord read events for inputs routed
+            # to a component machine are logged from inside the helper,
             # in the interpreter's exact event order.
             names = []
             for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
                 of = lvl.of or lvl.rank
+                if self._paths(i):
+                    raise CodegenError(
+                        f"ported k-way co-iteration over {rank} reads a "
+                        "tensor with a projected level; use the interpreter")
                 port = self._port(self.ir.accesses[i].tensor, of, "coord")
                 name = f"tk{j}_{rank}"
-                em.emit(
-                    f"{name} = None if {port}r is None else rt.make_touch("
-                    f"{port}r, {of!r}, h{i}_{d}, cx{level})"
-                )
+                parent = self.parent_pos.get((i, d), "-1")
+                em.emit(f"{name} = None if {port} is None else ({port}, "
+                        f"kb{self._code(i, L, of)}, {self._x(level)}, "
+                        f"{parent})")
                 names.append(name)
             touches = f", ({', '.join(names)},)"
         em.emit(
@@ -890,20 +1152,17 @@ class _FlatGenerator:
         em.indent += 1
         return {"kind": "union2", "kway": True, "union": True, "guard": 0}
 
-    def _skip_reads(self, rank: str, level: int, i: int, lvl, L: int,
-                    d: int, off, p: str) -> None:
-        """Tally the coordinates a merge2 skip jumped over.
-
-        DRAM-routed: one bulk counter bump.  With a live port the
-        machine needs per-element keys, so the galloped-over positions
-        replay through its ``read_span``.
-        """
+    def _skip_reads(self, rank: str, level: int, i: int, lvl, d: int,
+                    off, p: str) -> None:
+        """Tally the coordinates a merge2 skip jumped over: one bulk
+        counter bump, or one span record in the machine's log."""
+        if i in self.spanned:
+            return
         of = lvl.of or lvl.rank
         self._bump_read(
             i, of, "coord", f"nx_{rank} - {p}",
-            dispatch=lambda port: self.em.emit(
-                f"{port}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, {p}, "
-                f"nx_{rank}, {off or 0}, cx{level})"))
+            dispatch=lambda port: self._log_span(
+                port, i, d, of, p, f"nx_{rank}", off, level))
 
     def _close_loop(self, rank: str, level: int, opened: dict,
                     specs) -> None:
@@ -924,7 +1183,7 @@ class _FlatGenerator:
             em.emit(f"nx_{rank} = _bl(t{i0}_c{L0}, {t0}, {p0}, {b0})")
             if self.priced:
                 em.emit(f"_iv_{rank} += nx_{rank} - {p0}")
-                self._skip_reads(rank, level, i0, lvl0, L0, d0, off0, p0)
+                self._skip_reads(rank, level, i0, lvl0, d0, off0, p0)
             em.emit(f"{p0} = nx_{rank}")
             em.indent -= 1
             em.emit("else:")
@@ -933,7 +1192,7 @@ class _FlatGenerator:
             em.emit(f"nx_{rank} = _bl(t{i1}_c{L1}, {t1}, {p1}, {b1})")
             if self.priced:
                 em.emit(f"_iv_{rank} += nx_{rank} - {p1}")
-                self._skip_reads(rank, level, i1, lvl1, L1, d1, off1, p1)
+                self._skip_reads(rank, level, i1, lvl1, d1, off1, p1)
             em.emit(f"{p1} = nx_{rank}")
             em.indent -= 1
             em.indent -= 1  # close the while body
@@ -945,6 +1204,16 @@ class _FlatGenerator:
                 em.emit(f"iv_{rank} += _iv_{rank}")
                 em.emit(f"im_{rank} += _im_{rank}")
                 em.indent -= 1
+            for i, lvl, L, d, a, b, off in specs:
+                if i in self.spanned:
+                    # The loop left each position just past its last
+                    # visited element.
+                    em.emit(f"if p{i}_{d} > {a}:")
+                    em.indent += 1
+                    self._span_reads(i, lvl.of or lvl.rank, d, level, a,
+                                     f"p{i}_{d}", f"p{i}_{d} - {a}",
+                                     f"_im_{rank}", payload=False)
+                    em.indent -= 1
         else:  # kway
             em.indent -= 1  # close the for body
             if self.priced and not opened["union"]:
@@ -956,7 +1225,7 @@ class _FlatGenerator:
                 em.indent -= 1
             # Visit tallies are eager in the helper, so they stay
             # correct even when the loop breaks early.  Machine-routed
-            # inputs already fired their per-element touches inside the
+            # inputs already logged their per-element reads inside the
             # helper.
             for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
                 self._bump_read(i, lvl.of or lvl.rank, "coord",
@@ -1222,14 +1491,11 @@ class _FlatGenerator:
             em.emit(f"vc_m = {d0['b']} - {d0['a']}")
         # The loop coordinates of the span's effectual elements (the
         # shifted matched coordinates — identical through either merge
-        # driver), materialized at most once per span on first need:
-        # ``vc_a`` as a numpy column (``coord``-style stamps), ``vc_c``
-        # as Python ints (payload-port reads and output writes).
+        # driver) as a numpy column, materialized at most once per span
+        # on first need (``coord``-style stamps).
         em.emit("vc_a = None")
-        if self.ported:
-            em.emit("vc_c = None")
         for drv in drivers:
-            self._emit_vector_reads(level, drv, merge, d0)
+            self._emit_vector_reads(level, drv, merge)
         self._emit_vector_effectual(rank, level, vec)
         em.indent -= 1
 
@@ -1305,68 +1571,29 @@ class _FlatGenerator:
                     f"{d0['b']}, {d0['off']})")
         em.indent -= 1
 
-    def _emit_vc_coords(self, d0: dict, merge: bool) -> None:
-        """Lazily bind ``vc_c`` (see :meth:`_emit_vector_leaf`)."""
-        em = self.em
-        em.emit("if vc_c is None:")
-        em.indent += 1
-        self._emit_vc_array(d0, merge)
-        em.emit("vc_c = vc_a.tolist()")
-        em.indent -= 1
-
     def _emit_vector_reads(self, level: int, drv: dict,
-                           merge: bool, d0: dict) -> None:
-        """One driver's coord+payload event accounting for a whole span.
-
-        Per machine, the event order within the span is: one coord read
-        per *visited* coordinate ascending (matched and galloped-over
-        alike), plus one payload read per *matched* coordinate — so a
-        machine owning both ports batches as ``read_span`` over the
-        visited prefix plus a :meth:`~repro.ir.codegen_runtime.FusedBuffet.pair_extra`
-        bump for the matched subset, and split ports batch each side
-        independently.  DRAM-routed sides are pure counter adds.
-
-        ``d0`` is ``None`` on a batched leaf, which binds no matched
-        coordinates: there :func:`~repro.ir.codegen_runtime.batch_ok`
-        keeps a merge whose payload port is a machine of its own off the
-        batched branch, so that side is a counter add only.
-        """
+                           merge: bool) -> None:
+        """One driver's coord+payload event accounting for a numpy-branch
+        span (see :meth:`_span_reads`); a merge's payload reads are its
+        matched positions."""
         em = self.em
-        i, j, L, d = drv["i"], drv["j"], drv["L"], drv["d"]
-        of, off = drv["of"], drv["off"]
-        a, b = drv["a"], drv["b"]
-        vis = f"vc_n{j}" if merge else "vc_m"
-        hi = f"{a} + vc_n{j}" if merge else b
+        i, j, d, L = drv["i"], drv["j"], drv["d"], drv["L"]
+        of, off, a = drv["of"], drv["off"], drv["a"]
 
-        def span(port):
-            em.emit(f"{port}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, {a}, "
-                    f"{hi}, {off}, cx{level})")
-
-        def payload_span(port):
-            if merge:
-                self._emit_vc_coords(d0, merge)
-                em.emit(f"{port}.read_span({of!r}, h{i}_{d}, vc_c, 0, vc_m, "
-                        f"0, cx{level})")
+        def matched(port):
+            if self._paths(i):
+                em.emit(f"rt.log_paths({port}, {of!r}, h{i}_{d}, "
+                        f"t{i}_c{L}, vc_q{j}.tolist(), {off}, x{level})")
             else:
-                em.emit(f"{port}.read_span({of!r}, h{i}_{d}, t{i}_c{L}, "
-                        f"{a}, {b}, {off}, cx{level})")
+                em.emit(f"rt.log_rows({port}.log, kb{self._code(i, L, of)}, "
+                        f"vc_q{j}, x{level})")
 
-        if self.ported:
-            pc = self._port(drv["tensor"], of, "coord")
-            pp = self._port(drv["tensor"], of, "payload")
-            em.emit(f"if {pc} is not None and {pc} is {pp}:")
-            em.indent += 1
-            span(pc)
-            em.emit(f"{pc}.pair_extra(vc_m)")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-        self._bump_read(i, of, "coord", vis, dispatch=span)
-        if merge and d0 is None:
-            payload_span = None
-        self._bump_read(i, of, "payload", "vc_m", dispatch=payload_span)
-        if self.ported:
-            em.indent -= 1
+        if merge:
+            self._span_reads(i, of, d, level, a, f"{a} + vc_n{j}",
+                             f"vc_n{j}", "vc_m", matched, off)
+        else:
+            self._span_reads(i, of, d, level, a, drv["b"], "vc_m", "vc_m",
+                             None, off)
 
     def _emit_vector_effectual(self, rank: str, level: int,
                                vec: dict) -> None:
@@ -1433,109 +1660,11 @@ class _FlatGenerator:
         em.emit("cn_add += vc_m")
         em.emit(ts_code("add", "all"))
         em.indent -= 1
-        out_r = vec["out_rank"]
-        key = (vec["out_tensor"], out_r, "elem")
+        key = (vec["out_tensor"], vec["out_rank"], "elem")
 
-        def write_seq(port):
-            self._emit_vc_coords(d0, merge)
-            em.emit(f"{port}.write_seq({out_r!r}, {vec['point']}, {rank!r}, "
-                    f"vc_c, cx{level})")
-
-        self._routed(key, f"{self._wctr(*key)} += vc_m", write_seq)
+        self._routed(key, f"{self._wctr(*key)} += vc_m",
+                     lambda port: self._log_run(port, "vc_m"))
         em.indent -= guard
-        em.indent -= 1
-
-    # ------------------------------------------------------------------
-    # Batched leaves (vector flavor): an innermost loop whose machine
-    # events can move out of the loop runs the port-free counted body and
-    # then makes one span call per port.  Eligibility is static per loop;
-    # whether the bound machines allow it (see
-    # :func:`~repro.ir.codegen_runtime.batch_ok`) is decided once at
-    # kernel entry, and the per-event loop stays as the fallback.
-    # ------------------------------------------------------------------
-    def _batch_leaf_plan(self, level: int, mode: str, specs, virtual, binds,
-                         new_depths: Dict[int, int]):
-        """Static eligibility of a batched leaf for this rank, or ``None``.
-
-        The loop must fire no machine events but its drivers' coord and
-        payload reads (one- or two-way intersect openers, drivers that
-        descend straight to leaf scalars, no per-element lookups) and the
-        leaf's output write, and must run to completion (no ``take()``
-        short-circuit); the output must not also be read.  The plan
-        says whether the output point varies with the loop (``map``:
-        one write per distinct point) or not (a reduction: a run of
-        writes to one point)."""
-        if not self.ported or level != self.n_ranks - 1:
-            return None
-        ir = self.ir
-        if self.existential or virtual or len(binds) > 1:
-            return None
-        if len(specs) > 2 or len(specs) == 2 and mode == "union":
-            return None
-        for i, lvl, L, d, a, b, off in specs:
-            if lvl.kind != PLAIN or not ir.accesses[i].conjunctive:
-                return None
-            if self._al(i, d) + 1 != self.n_phys[i]:
-                return None
-        if any(p.tensor == ir.output.tensor for p in ir.accesses):
-            return None
-        if self._leaf_lookups_advance(level, dict(new_depths)):
-            return None
-        out_idx = ir.output.indices
-        return {"map": bool(binds) and any(binds[0] in e.vars
-                                           for e in out_idx)}
-
-    def _emit_batch_leaf(self, rank: str, level: int, mode: str, specs,
-                         binds, depths: Dict[int, int],
-                         new_depths: Dict[int, int], wins: Dict[str, str],
-                         guarded: Set[str], batch: dict,
-                         keyword: str) -> None:
-        """The batched branch: ``<keyword> _sb<g>:`` plus its body — the
-        loop as the port-free kernel emits it, collecting the leaf's
-        output writes (a count, or the written points of a map leaf),
-        then one span call per port.  The caller emits the matching
-        ``else:`` with the per-event loop."""
-        ir, em = self.ir, self.em
-        merge = len(specs) == 2
-        drivers = self._span_drivers(specs)
-        out_r = (ir.output.storage_ranks[-1]
-                 if ir.output.storage_ranks else "root")
-        out_key = (ir.output.tensor, out_r, "elem")
-        guard = f"_sb{len(self.batch_guards)}"
-        ports = "".join(
-            f"({self._port(drv['tensor'], drv['of'], 'coord')}, "
-            f"{self._port(drv['tensor'], drv['of'], 'payload')}), "
-            for drv in drivers)
-        self.batch_guards.append((guard, (
-            f"rt.batch_ok({level}, ({ports}), {self._port(*out_key)}, "
-            f"{merge})")))
-        em.emit(f"{keyword} {guard}:")
-        em.indent += 1
-        em.emit("sb_k = []" if batch["map"] else "sb_n = 0")
-        self.ported, self.batching = False, batch
-        self._emit_loop(rank, level, mode, specs, (), binds, depths,
-                        dict(new_depths), wins, guarded)
-        self.ported, self.batching = True, None
-        if merge:
-            # Each driver visited a prefix of its span: the loop left its
-            # position just past the last visited element.
-            for drv in drivers:
-                em.emit(f"vc_n{drv['j']} = p{drv['i']}_{drv['d']} - "
-                        f"{drv['a']}")
-            em.emit(f"vc_m = _im_{rank}")
-        else:
-            em.emit(f"vc_m = {drivers[0]['b']} - {drivers[0]['a']}")
-        for drv in drivers:
-            self._emit_vector_reads(level, drv, merge, None)
-        if batch["map"]:
-            count = "len(sb_k)"
-            call = f"write_keys({out_r!r}, sb_k, cx{level})"
-        else:
-            count = "sb_n"
-            call = (f"write_run({out_r!r}, {_point_code(ir.output.indices)}, "
-                    f"sb_n, cx{level})")
-        self._routed(out_key, f"{self._wctr(*out_key)} += {count}",
-                     lambda port: em.emit(f"{port}.{call}"))
         em.indent -= 1
 
     # ------------------------------------------------------------------
@@ -1564,8 +1693,7 @@ class _FlatGenerator:
             em.emit(f"wr_{level + 1} = False")
         if rank in self.stamp_ranks:
             em.emit(f"st_{rank} = v_{var}")
-        if self.ported:
-            em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, v_{var}),)")
+        self._ctx(level)
         enc = {"depths": dict(depths), "binds": binds}
         self._lookups(level, depths)
         self._rank(level + 1, depths, wins, guarded, enc)
@@ -1618,12 +1746,12 @@ class _FlatGenerator:
                     em.indent -= 1
                     em.emit("else:")
                     em.indent += 1
-                    if self.ported:
+                    if self._paths(i):
                         em.emit(
                             f"h{i}_{d + 1} = h{i}_{d} + (t{i}_c{L}[{pos}],)"
                         )
-                    self._emit_read(i, of, "coord", key=f"h{i}_{d + 1}",
-                                    cx=f"cx{level + 1}")
+                    self._emit_read(i, of, "coord", L, pos, f"h{i}_{d + 1}",
+                                    level + 1)
                     self._descend(i, d, pos)
                     em.indent -= 2
                     d += 1
@@ -1644,7 +1772,7 @@ class _FlatGenerator:
                 # always defer past span_find, pairing with the payload
                 # read on hits (the counter half bumps now — counters are
                 # order-insensitive).
-                if self.ported:
+                if self._paths(i):
                     em.emit(
                         f"h{i}_{d + 1} = h{i}_{d} + ({_coord_code(lvl)},)"
                     )
@@ -1656,21 +1784,35 @@ class _FlatGenerator:
                 em.emit(f"if {pos} < 0:")
                 em.indent += 1
                 if self.ported:
-                    pc = self._port(self.ir.accesses[i].tensor, of, "coord")
-                    em.emit(f"if {pc}r is not None:")
-                    em.indent += 1
-                    em.emit(f"{pc}r({of!r}, h{i}_{d + 1}, cx{level + 1})")
-                    em.indent -= 1
+                    self._log_miss(i, d, L, of, _coord_code(lvl), level + 1)
                 self._absent(i, d + 1)
                 em.indent -= 1
                 em.emit("else:")
                 em.indent += 1
-                self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
-                                     cx=f"cx{level + 1}")
+                self._emit_pair_read(i, of, L, pos, f"h{i}_{d + 1}",
+                                     level + 1)
                 self._descend(i, d, pos)
                 em.indent -= 2
                 d += 1
                 depths[i] = d
+
+    def _log_miss(self, i: int, d: int, L: int, of: str, coord: str,
+                  depth: int) -> None:
+        """The coord read of a lookup that missed: its key path is no
+        element of the arena, so the machine interns it — as the parent
+        element plus the coordinate, or as the path itself."""
+        em = self.em
+        pc = self._port(self.ir.accesses[i].tensor, of, "coord")
+        if self._paths(i):
+            key = f"(0, {of!r}, h{i}_{d + 1})"
+        else:
+            parent = self.parent_pos.get((i, d), "-1")
+            key = f"(1, {self._code(i, L, of)}, {parent}, {coord})"
+        em.emit(f"if {pc} is not None:")
+        em.indent += 1
+        em.emit(f"{pc}a({pc}.intern({key}))")
+        em.emit(f"{pc}a({self._x(depth)})")
+        em.indent -= 1
 
     # ------------------------------------------------------------------
     # Leaves
@@ -1740,18 +1882,15 @@ class _FlatGenerator:
             out_rank = (ir.output.storage_ranks[-1]
                         if ir.output.storage_ranks else "root")
             key = (ir.output.tensor, out_rank, "elem")
-            point = _point_code(ir.output.indices)
-            if self.batching is None:
-                self._routed(key, f"{self._wctr(*key)} += 1",
-                             lambda port: em.emit(
-                                 f"{port}w({out_rank!r}, {point}, "
-                                 f"cx{self.n_ranks})"))
-            elif self.batching["map"]:
-                # The reduction bound the point as ``_k``; take() did not.
-                key = point if ir.einsum.is_take else "_k"
-                em.emit(f"sb_k.append({key})")
+
+            def write(port):
+                em.emit(f"{port}a({self._write_key()})")
+                em.emit(f"{port}a({self._leaf_ctx()})")
+
+            if self.reduced:
+                em.emit(f"{self.reduced} += 1")
             else:
-                em.emit("sb_n += 1")
+                self._routed(key, f"{self._wctr(*key)} += 1", write)
         if self.existential:
             em.emit(f"wr_{self.n_ranks} = True")
         em.indent -= 1
@@ -1838,8 +1977,8 @@ def generate_flat_source(ir: LoopNestIR, func_name: str = "kernel",
     """Generate arena-native Python source for one lowered Einsum.
 
     ``priced`` adds fused counters and the batched numpy span branches
-    (the counted flavor); ``ports`` additionally inlines the buffet/cache
-    component state machines behind per-touch ports (the vector flavor;
-    implies ``priced``).
+    (the counted flavor); ``ports`` additionally logs every buffet/cache
+    touch behind per-touch ports (the vector flavor; implies
+    ``priced``).
     """
     return _FlatGenerator(ir, func_name, priced, ports).generate()

@@ -5,8 +5,8 @@ whose only dependencies are the fibertree API and these helpers: span
 lookups, chunk search, affine projection and occupancy-follower windows
 over :class:`~repro.fibertree.arena.FlatArena` coordinate buffers; k-way
 intersection and union over flat spans; the batched numpy primitives of
-the vector flavor; and the buffet/cache state machines that flavor
-inlines into its loops.
+the priced flavors; and the buffet/cache machine logs the vector flavor
+appends to, with their settle-time pricing.
 
 Every helper keeps the interpreting executor's membership decisions and
 visit counts, so kernel outputs and tallies equal the aggregates of its
@@ -17,6 +17,7 @@ trace-event stream.  The differential test suite
 from __future__ import annotations
 
 import bisect
+from array import array
 from collections import OrderedDict
 from typing import Any, Iterator, List, Optional, Tuple
 
@@ -85,17 +86,21 @@ def flat_isect(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
     matches and skips, never on completion, so they line up with the
     interpreter's ``isect`` accounting.
 
-    ``touches`` (vector kernels) is a per-input tuple of callables or
-    ``None``: ``touches[j](c)`` fires once per coordinate input ``j``
-    visits, in exactly the order the interpreter emits its coord read
-    events, so buffer/cache state machines see the same stream.
+    ``touches`` (vector kernels) is a per-input tuple of ``None`` or
+    ``(machine, key base, context id, parent position)``: every
+    coordinate input ``j`` visits is appended to its machine's log, in
+    exactly the order the interpreter emits its coord read events.
     """
     n = len(specs)
     live = [j for j in range(n) if specs[j][1] is not None]
     if not live:
         return
-    if touches is not None and not any(touches):
-        touches = None
+    if touches is not None:
+        # Per input: (log append, key base, context id), or None.
+        touches = [None if t is None else (t[0].log.append, t[1], t[2])
+                   for t in touches]
+        if not any(touches):
+            touches = None
     if len(live) == 1:
         j = live[0]
         coords, lo, hi, off = specs[j]
@@ -108,7 +113,8 @@ def flat_isect(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
             if off:
                 c = c + off
             if tj is not None:
-                tj(c)
+                tj[0](tj[1] + p)
+                tj[0](tj[2])
             yield c, row
         return
     ptrs = [specs[j][1] for j in live]
@@ -126,7 +132,9 @@ def flat_isect(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
                 stats[j] += 1
                 row[j] = ptrs[k]
                 if touches is not None and touches[j] is not None:
-                    touches[j](top)
+                    tj = touches[j]
+                    tj[0](tj[1] + ptrs[k])
+                    tj[0](tj[2])
             stats[n] += len(live)
             stats[n + 1] += 1
             yield top, row
@@ -142,7 +150,8 @@ def flat_isect(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
                     if touches is not None and touches[j] is not None:
                         tj = touches[j]
                         for q in range(ptrs[k], nxt):
-                            tj(coords[q] + off if off else coords[q])
+                            tj[0](tj[1] + q)
+                            tj[0](tj[2])
                     ptrs[k] = nxt
 
 
@@ -152,8 +161,10 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
     Every participating input counts one visited coordinate per union
     coordinate (present or not), matching the interpreter's union read
     stream.  ``stats[j]`` tallies input ``j``'s visits eagerly.
-    ``touches[j]`` (vector kernels) fires per visited coordinate, in the
-    interpreter's event order.
+    ``touches[j]`` (vector kernels, see :func:`flat_isect`) logs one
+    read per visited coordinate, in the interpreter's event order: the
+    element's position key when input ``j`` holds the coordinate, else
+    the interned miss of its parent fiber.
     """
     n = len(specs)
     live = [j for j in range(n) if specs[j][1] is not None]
@@ -177,16 +188,21 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
         row = [-1] * n
         for j in live:
             stats[j] += 1
-            if touches is not None and touches[j] is not None:
-                touches[j](c)
             coords, _, hi, off = specs[j]
+            hit = False
             if ptrs[j] < hi:
                 h = coords[ptrs[j]]
                 if off:
                     h = h + off
-                if h == c:
-                    row[j] = ptrs[j]
-                    ptrs[j] += 1
+                hit = h == c
+            if touches is not None and touches[j] is not None:
+                machine, base, x, parent = touches[j]
+                machine.log.append(base + ptrs[j] if hit else machine.intern(
+                    (1, base >> CODE, parent, c)))
+                machine.log.append(x)
+            if hit:
+                row[j] = ptrs[j]
+                ptrs[j] += 1
         yield c, row
 
 
@@ -404,22 +420,68 @@ def vreduce(existing, values) -> float:
     return float(np.add.accumulate(buf)[-1])
 
 
+
+
 # ----------------------------------------------------------------------
-# Fused component state machines (inlined by the "vector" kernel flavor)
+# Component machine logs (kept by the "vector" kernel flavor)
 # ----------------------------------------------------------------------
-# These inline the buffet/cache models of repro.model.components into the
-# generated arena loops: instead of routing one TraceSink event per touched
-# element through ModelSink._route, the kernel calls these machines
-# directly at the (statically known) touch sites, or once per span for a
-# whole span's events (``read_span``, ``write_run``, ``write_keys``, each
-# equal to its per-event expansion).  Each machine replays
-# the *exact* decision procedure of its model class — same keys, same
-# evict windows, same float-accumulation sequence for cache occupancy —
-# and accumulates pure integer tallies that
-# ``BuffetModel.price_actions`` / ``CacheModel.price_actions`` absorb in
-# one pass per Einsum.  The differential conformance suite
-# (``tests/model/test_fused.py``) holds the resulting metrics bit-equal
-# to the interpreter's per-event trace.
+# The buffet/cache models of repro.model.components decide per event;
+# the ported kernels only record the events.  A touch site appends two
+# ints to its machine's ``log`` (an ``array('q')``): the event's key and
+# its loop-context id.  :meth:`FusedBuffet.settle` and
+# :meth:`FusedCache.settle` replay a whole log once the kernel returns,
+# with exactly the decisions the per-event model takes (same keys, same
+# evict windows, same float-accumulation sequence for cache occupancy),
+# into the integer tallies that ``BuffetModel.price_actions`` /
+# ``CacheModel.price_actions`` absorb.  The differential conformance
+# suite (``tests/model/test_fused.py``) holds the resulting metrics
+# bit-equal to the interpreter's per-event trace, and
+# ``tests/model/test_span_machines.py`` holds settle to the per-event
+# models on arbitrary histories.
+#
+# Keys.  Within one arena a coordinate path is one (level, position)
+# pair, so a read logs ``code << CODE | position``, ``code`` naming the
+# (tensor, arena level, rank) of the site (:meth:`FusedMachines.levels`
+# binds each code to its arena).  Key-depth truncation is resolved at
+# settle by walking the arena's segment arrays up.  A key that is no
+# arena position — a lookup miss, or any path of a tensor with a
+# projected (``off != 0``) level, whose paths carry loop coordinates —
+# is interned per machine (:meth:`FusedBuffet.intern`) and logged as
+# ``RICH | id``.  An output write logs its point as one mixed-radix int
+# over the output shapes (:meth:`FusedMachines.radix`), flagged
+# ``WRITE``.
+#
+# Contexts.  Every loop iteration of a ported kernel is one node of the
+# loop-context tree, numbered per depth in visit order:
+# ``depth << DEPTH | ordinal``.  Each node records, at its creation, how
+# many nodes one level deeper exist so far (``FusedMachines.frames``),
+# so settle can walk any node up to its depth-``cut`` ancestor — the
+# buffet's evict window, compared by identity exactly where the model
+# compares the ``ctx[:cut]`` tuples by value (coordinates are unique
+# within a loop, so distinct nodes at one depth never hold equal paths).
+
+#: Flag bits of a logged key.  A ``SPAN`` record reads positions
+#: ``[lo, hi)`` of one level; the next record holds ``hi`` and how many
+#: of those elements are read twice in a row (coord+payload pairs).  A
+#: ``RUN`` record is ``n`` events of one key (the next record holds
+#: ``n``).  ``PAIR`` is a coord+payload pair: two reads of one key.
+SPAN = 1 << 62
+PAIR = 1 << 61
+RICH = 1 << 60
+WRITE = 1 << 59
+RUN = 1 << 58
+_FLAGS = SPAN | PAIR | RICH | WRITE | RUN
+#: A logged key without its flags.
+_KEY = RUN - 1
+#: Bit offsets: a position key's level code, a context id's depth.
+CODE = 32
+DEPTH = 40
+_LOW = (1 << CODE) - 1
+_ORDINAL = (1 << DEPTH) - 1
+#: Flag of a logged context id: the event's context is a fresh child
+#: of that node (a leaf write: one iteration of the innermost loop,
+#: whose own node no other event shares).
+LEAF = 1 << 62
 
 #: Sentinel evict-window cut for "the whole loop context" (the
 #: ``BuffetModel._window_of`` scan falls off the end of ``ctx`` without
@@ -427,429 +489,326 @@ def vreduce(existing, values) -> float:
 WHOLE_CTX = 1 << 30
 
 
-class FusedBuffet:
-    """Explicitly-managed buffer state machine over precomputed keys.
+def log_rows(log, base: int, positions, x: int) -> None:
+    """One read record per position of ``positions`` (an int array),
+    keyed ``base + position``, under context ``x``."""
+    rows = np.empty((len(positions), 2), dtype=np.int64)
+    rows[:, 0] = positions
+    rows[:, 0] += base
+    rows[:, 1] = x
+    log.frombytes(rows.tobytes())
 
-    Mirrors :class:`repro.model.components.BuffetModel` exactly:
+
+def log_paths(machine, of: str, base: tuple, coords, positions, off: int,
+              x: int, repeats: int = 0) -> None:
+    """One read record per position of a path-keyed tensor (one with a
+    projected level): the key is the interned path ``base + (c,)``;
+    ``repeats`` of them are read twice in a row."""
+    ap = machine.log.append
+    for q in positions:
+        c = coords[q]
+        if off:
+            c = c + off
+        ap(machine.intern((0, of, base + (c,))))
+        ap(x)
+    if repeats:
+        ap(SPAN)  # an empty span carrying the repeats
+        ap(x)
+        ap(0)
+        ap(repeats)
+
+
+def _decode(log):
+    """A log as events in order: ``(keys, writes, x, repeats)`` — per
+    event its key (``RICH`` kept), write flag and context id, spans and
+    runs expanded — and the count of reads that repeat the key just
+    touched (the second read of each pair)."""
+    rec = np.frombuffer(log, dtype=np.int64).reshape(-1, 2)
+    k, x = rec[:, 0], rec[:, 1]
+    flags = k & _FLAGS
+    repeats = int(np.count_nonzero(flags & PAIR))
+    multi = np.flatnonzero(flags & (SPAN | RUN))
+    if not multi.size:
+        return k & (_KEY | RICH), (flags & WRITE) != 0, x, repeats
+    span = (flags[multi] & SPAN) != 0
+    repeats += int(x[multi[span] + 1].sum())
+    rep = np.ones(len(k), dtype=np.int64)
+    rep[multi] = np.maximum(
+        k[multi + 1] - np.where(span, k[multi] & _LOW, 0), 0)
+    rep[multi + 1] = 0
+    at = np.repeat(np.arange(len(k)), rep)
+    keys = (k & (_KEY | RICH))[at]
+    if span.any():
+        # A span's i-th element reads key ``base + lo + i``.
+        step = np.zeros(len(k), dtype=np.int64)
+        step[multi[span]] = 1
+        keys += (np.arange(at.size)
+                 - np.repeat(np.cumsum(rep) - rep, rep)) * step[at]
+    return keys, (flags[at] & WRITE) != 0, x[at], repeats
+
+
+def _ancestor(segs, level: int, pos, to: int):
+    """Positions at level ``to`` of the ancestors of ``pos`` (at
+    ``level``), walking the arena's segment arrays up."""
+    for lvl in range(level, to, -1):
+        seg = segs[lvl]
+        if np.ndim(pos) and 4 * pos.size > seg.size:
+            # Many lookups: gathering from the level's parent map beats
+            # a binary search each.
+            pos = np.repeat(np.arange(seg.size - 1), np.diff(seg))[pos]
+        else:
+            pos = np.searchsorted(seg, pos, side="right") - 1
+    return pos
+
+
+def _canonical(keys, key_depth, levels, rich):
+    """Keys as the model compares them: ``(rank, path)`` when
+    ``key_depth`` is None, else ``path[:key_depth]``.  ``levels`` maps a
+    level code to its ``(segs, level)``; ``rich`` is the machine's
+    intern table."""
+    if key_depth == 0:
+        return np.zeros_like(keys)  # every path truncates to ()
+    out = keys.copy()
+    is_rich = (keys & RICH) != 0
+    if key_depth is not None:
+        plain = ~is_rich
+        codes = keys >> CODE
+        for code in np.unique(codes[plain]).tolist():
+            sel = plain & (codes == code)
+            segs, level = levels[code]
+            pos = keys[sel] & _LOW
+            at = min(level, key_depth - 1)
+            out[sel] = (at << CODE) | _ancestor(segs, level, pos, at)
+    if rich:
+        table = np.empty(len(rich), dtype=np.int64)
+        forms: dict = {}
+        for key, i in rich.items():
+            form = _rich_form(key, key_depth, levels)
+            if isinstance(form, int):
+                table[i] = form
+            else:
+                table[i] = RICH | forms.setdefault(form, len(forms))
+        out[is_rich] = table[keys[is_rich] & _KEY]
+    return out
+
+
+def _rich_form(key, key_depth, levels):
+    """The canonical form of an interned key: a path tuple (a tensor
+    keyed by paths), a miss tuple, or the position key of the real node
+    a truncated miss lands on."""
+    if key[0] == 0:  # (0, rank, path)
+        _, of, path = key
+        return (of, path) if key_depth is None else (path[:key_depth],)
+    _, code, parent, coord = key  # (1, code, parent position, coord)
+    if key_depth is None:
+        return ("miss", code, parent, coord)
+    segs, level = levels[code]
+    if key_depth > level:
+        return ("miss", level, parent, coord)
+    at = key_depth - 1
+    return (at << CODE) | int(_ancestor(segs, level - 1, parent, at))
+
+
+def _run_starts(x, cut: int, frames):
+    """Positions of the events that open a run: whose evict window — the
+    depth-``cut`` ancestor of the event's context node, or the node
+    itself when shallower — differs from the previous event's.
+
+    A ``LEAF`` context whose fresh node lies within the first ``cut``
+    levels is a window of its own (the next event opens a run too); any
+    other resolves as the node it hangs from.
+    """
+    leaf = (x & LEAF) != 0
+    if not leaf.any():
+        return _window_changes(x, cut, frames)
+    x = x & ~LEAF
+    fresh = leaf & ((x >> DEPTH) < cut)
+    rest = np.flatnonzero(~fresh)
+    opens = fresh.copy()
+    opens[rest[_window_changes(x[rest], cut, frames)]] = True
+    opens[1:] |= fresh[:-1]  # the event after a fresh window
+    return np.flatnonzero(opens)
+
+
+def _window_changes(x, cut: int, frames):
+    """:func:`_run_starts` over plain context ids.  Only where the
+    context changes can the window change, and equal neighbours stay
+    equal as they walk up, so each step up a level works on the
+    contexts left distinct from their predecessor."""
+    pos = np.flatnonzero(np.concatenate(([x.size > 0], x[1:] != x[:-1])))
+    v = x[pos]
+    depth = v >> DEPTH
+    ordinal = v & _ORDINAL
+    for d in range(int(depth.max(initial=0)), cut, -1):
+        sel = depth == d
+        if sel.any():
+            ordinal[sel] = 0 if d == 1 else \
+                np.searchsorted(frames[d], ordinal[sel], side="left")
+            depth[sel] = d - 1
+            keep = np.ones(pos.size, dtype=bool)
+            np.logical_or(depth[1:] != depth[:-1],
+                          ordinal[1:] != ordinal[:-1], out=keep[1:])
+            pos, depth, ordinal = pos[keep], depth[keep], ordinal[keep]
+    return pos
+
+
+class FusedBuffet:
+    """Explicitly-managed buffer: the event log of one
+    :class:`repro.model.components.BuffetModel`, priced at settle.
+
     ``key_depth`` truncates coordinate paths for subtree/eager coverage,
     ``cut`` is the static evict-window prefix length of the loop context
     (``0`` when the binding has no ``evict-on`` rank, :data:`WHOLE_CTX`
     when the rank never appears in this Einsum's loop order).
     """
 
-    __slots__ = ("key_depth", "cut", "window", "present", "dirty",
-                 "ever_drained", "reads", "writes", "fills", "drains",
-                 "partial_output_fills", "fill_reads", "_cx")
+    __slots__ = ("key_depth", "cut", "log", "rich")
 
     def __init__(self, key_depth: Optional[int], cut: int):
         self.key_depth = key_depth
         self.cut = cut
-        self.window: Optional[tuple] = None
-        self.present: set = set()
-        self.dirty: set = set()
-        self.ever_drained: set = set()
-        self.reads = 0
-        self.writes = 0
-        self.fills = 0
-        self.drains = 0
-        self.partial_output_fills = 0
-        self.fill_reads = 0  # fills that read DRAM (read-miss + partial)
-        # Identity memo of the last loop-context tuple rolled against:
-        # the same ``cx`` object implies the same window, so consecutive
-        # events inside one loop body skip the slice + compare entirely.
-        self._cx: Optional[tuple] = None
+        self.log = array("q")
+        self.rich: dict = {}
 
-    def _roll(self, cx: tuple) -> None:
-        win = cx[:self.cut]
-        if win != self.window:
-            self._drain()
-            self.window = win
+    def intern(self, key) -> int:
+        """The ``RICH`` key of a key that is no arena position."""
+        i = self.rich.get(key)
+        if i is None:
+            i = self.rich[key] = len(self.rich)
+        return RICH | i
 
-    def _drain(self) -> None:
-        if self.dirty:
-            self.drains += len(self.dirty)
-            self.ever_drained.update(self.dirty)
-        self.present.clear()
-        self.dirty.clear()
+    def settle(self, levels, frames) -> dict:
+        """Price the log as ``BuffetModel`` would, event by event.
 
-    def read(self, of: str, path: tuple, cx: tuple) -> None:
-        if cx is not self._cx:
-            self._roll(cx)
-            self._cx = cx
-        kd = self.key_depth
-        key = path[:kd] if kd is not None else (of, path)
-        self.reads += 1
-        if key in self.present:
-            return
-        self.present.add(key)
-        self.fills += 1
-        self.fill_reads += 1
-
-    def read2(self, of: str, path: tuple, cx: tuple) -> None:
-        """Two consecutive reads of one key in one call.
-
-        State- and tally-identical to ``read(); read()`` — a miss fills
-        on the first read and hits on the second — fired by the fused
-        kernels for the coord+payload event pair every present element
-        emits back to back.
+        Consecutive events under one window form a run (the model drains
+        at every window change and at the end).  Each (run, key) group is
+        one fill; a group holding a write is one drain; a group whose
+        first event is a write is a partial-output fill when its key was
+        written in an earlier run.  Fills that read DRAM are the
+        read-first groups plus the partial ones.
         """
-        if cx is not self._cx:
-            self._roll(cx)
-            self._cx = cx
-        kd = self.key_depth
-        key = path[:kd] if kd is not None else (of, path)
-        self.reads += 2
-        if key in self.present:
-            return
-        self.present.add(key)
-        self.fills += 1
-        self.fill_reads += 1
+        keys, writes, x, repeats = _decode(self.log)
+        n_writes = int(np.count_nonzero(writes))
+        out = {"reads": keys.size - n_writes + repeats, "writes": n_writes,
+               "fills": 0, "drains": 0, "partial_output_fills": 0,
+               "fill_reads": 0}
+        if not keys.size:
+            return out
+        keys = _canonical(keys, self.key_depth, levels, self.rich)
+        first = np.zeros(keys.size, dtype=bool)
+        first[_run_starts(x, self.cut, frames)] = True
+        run = np.cumsum(first)
+        # An event repeating the previous one's key in the same run adds
+        # nothing to its group, unless it is a write after a read.
+        same = ~first
+        same[1:] &= (keys[1:] == keys[:-1]) & (~writes[1:] | writes[:-1])
+        keys, run, writes = keys[~same], run[~same], writes[~same]
+        n_groups = _distinct(keys, run)
+        out["fills"] = n_groups
+        if not n_writes:
+            out["fill_reads"] = n_groups
+            return out
+        if writes.all():
+            # Every group is written: each drains, and each but a key's
+            # first refills a drained partial output.
+            partial = n_groups - _distinct(keys)
+            out.update(drains=n_groups, partial_output_fills=partial,
+                       fill_reads=partial)
+            return out
+        # By key, then run; a stable sort keeps each group's events in
+        # sequence order.
+        order = np.lexsort((run, keys))
+        keys, run, writes = keys[order], run[order], writes[order]
+        starts = np.ones(keys.size, dtype=bool)
+        starts[1:] = (keys[1:] != keys[:-1]) | (run[1:] != run[:-1])
+        group = np.flatnonzero(starts)
+        wrote = np.logical_or.reduceat(writes, group)
+        write_first = writes[group]
+        # Writes in the key's earlier groups (groups of a key are in run
+        # order): a running count, less its value at the key's first group.
+        new_key = np.ones(group.size, dtype=bool)
+        new_key[1:] = keys[group[1:]] != keys[group[:-1]]
+        before = np.cumsum(wrote) - wrote
+        before -= np.maximum.accumulate(np.where(new_key, before, 0))
+        partial = int(np.count_nonzero(write_first & (before > 0)))
+        out["drains"] = int(np.count_nonzero(wrote))
+        out["partial_output_fills"] = partial
+        out["fill_reads"] = int(group.size - np.count_nonzero(write_first)) \
+            + partial
+        return out
 
-    def read_span(self, of: str, base: tuple, coords, lo: int, hi: int,
-                  off: int, cx: tuple) -> None:
-        """Coord reads for every position in ``[lo, hi)`` of a span.
 
-        Equivalent to calling :meth:`read` per coordinate (the event
-        stream of a galloped-over intersection skip), with the window
-        roll hoisted — ``cx`` is constant across the span — and the
-        per-element state inlined.  An empty span is a strict no-op: no
-        events means no window roll.
-        """
-        if lo >= hi:
-            return
-        if cx is not self._cx:
-            self._roll(cx)
-            self._cx = cx
-        kd = self.key_depth
-        present = self.present
-        self.reads += hi - lo
-        fills = 0
-        for q in range(lo, hi):
-            c = coords[q]
-            if off:
-                c = c + off
-            path = base + (c,)
-            key = path[:kd] if kd is not None else (of, path)
-            if key not in present:
-                present.add(key)
-                fills += 1
-        self.fills += fills
-        self.fill_reads += fills
-
-    def pair_extra(self, n: int) -> None:
-        """Upgrade ``n`` span reads to coord+payload pairs.
-
-        A matched element fires :meth:`read2` where a galloped-over one
-        fires :meth:`read`; the two differ only in the read tally (state
-        transitions are identical), so a whole visited span batches as
-        one :meth:`read_span` plus this bump for the matched subset.
-        """
-        self.reads += n
-
-    def write(self, of: str, path: tuple, cx: tuple) -> None:
-        if cx is not self._cx:
-            self._roll(cx)
-            self._cx = cx
-        kd = self.key_depth
-        key = path[:kd] if kd is not None else (of, path)
-        self.writes += 1
-        if key not in self.present:
-            self.present.add(key)
-            self.fills += 1
-            if key in self.ever_drained:
-                # Partial-output element returning for more reduction.
-                self.partial_output_fills += 1
-                self.fill_reads += 1
-        self.dirty.add(key)
-
-    def write_run(self, of: str, path: tuple, n: int, cx: tuple) -> None:
-        """``n`` consecutive :meth:`write` calls of one path under one
-        evict window (``cx`` is any context of that window): the first
-        write decides the fill, the rest find the key present and dirty.
-        An empty run is a strict no-op (no events, no window roll)."""
-        if n:
-            self.write(of, path, cx)
-            self.writes += n - 1
-
-    def write_keys(self, of: str, paths, cx: tuple) -> None:
-        """One :meth:`write` per path, in order, under one evict window,
-        as set algebra: a key fills once if it was not present, and that
-        fill is a partial-output fill if the key was ever drained.  An
-        empty list is a strict no-op."""
-        if not paths:
-            return
-        if cx is not self._cx:
-            self._roll(cx)
-            self._cx = cx
-        kd = self.key_depth
-        if kd is not None:
-            keys = {p[:kd] for p in paths}
-        else:
-            keys = {(of, p) for p in paths}
-        self.writes += len(paths)
-        new = keys - self.present
-        if new:
-            self.present |= new
-            self.fills += len(new)
-            back = len(new & self.ever_drained)
-            self.partial_output_fills += back
-            self.fill_reads += back
-        self.dirty |= keys
-
-    def write_seq(self, of: str, path: tuple, rank: str, coords,
-                  cx: tuple) -> None:
-        """One :meth:`write` per coordinate, with the full leaf loop
-        context reconstructed per element (``cx + ((rank, c),)``) —
-        the exact sequence the scalar leaf emits for a reduction span.
-        When the window ends within ``cx`` every element shares it, and
-        the sequence is one :meth:`write_run`."""
-        if self.cut <= len(cx):
-            self.write_run(of, path, len(coords), cx)
-            return
-        write = self.write
-        for c in coords:
-            write(of, path, cx + ((rank, c),))
-
-    def finish(self) -> None:
-        self._drain()
-        self.window = None
-        self._cx = None
-
-    def tallies(self) -> dict:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "fills": self.fills,
-            "drains": self.drains,
-            "partial_output_fills": self.partial_output_fills,
-            "fill_reads": self.fill_reads,
-        }
+def _distinct(keys, run=None) -> int:
+    """The number of distinct keys, or of distinct (run, key) pairs
+    (``run`` is nondecreasing)."""
+    if run is not None:
+        span = int(run[-1]) + 1
+        if int(keys.max()) >= (1 << 62) // span:
+            keys = np.unique(keys, return_inverse=True)[1]
+        keys = keys * span + run
+    keys = np.sort(keys)
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 class FusedCache:
-    """Fully-associative LRU cache state machine over precomputed keys.
-
-    Mirrors :class:`repro.model.components.CacheModel` exactly, including
-    the float-accumulated ``occupied`` bits (repeated ``+=``/``-=`` in the
-    same sequence, so capacity-edge eviction decisions are bit-identical
-    to the per-event model).
+    """Fully-associative LRU cache: the event log of one
+    :class:`repro.model.components.CacheModel`, replayed at settle with
+    the model's exact decisions, including the float-accumulated
+    ``occupied`` bits (repeated ``+=``/``-=`` in the same sequence, so
+    capacity-edge eviction decisions are bit-identical).
     """
 
-    __slots__ = ("key_depth", "capacity_bits", "fill_bits", "lru",
-                 "occupied", "hits", "misses", "writebacks",
-                 "writes", "fill_reads")
-
-    #: The cache ignores the loop context: its window never rolls (the
-    #: evict-window cut of :class:`FusedBuffet`, for :func:`batch_ok`).
-    cut = 0
+    __slots__ = ("key_depth", "capacity_bits", "fill_bits", "log", "rich")
 
     def __init__(self, key_depth: Optional[int], capacity_bits: float,
                  fill_bits: float):
         self.key_depth = key_depth
         self.capacity_bits = capacity_bits
         self.fill_bits = fill_bits
-        self.lru: "OrderedDict" = OrderedDict()
-        self.occupied = 0.0
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
-        self.writes = 0
-        self.fill_reads = 0  # clean misses that read DRAM
+        self.log = array("q")
+        self.rich: dict = {}
 
-    # read/write inline the LRU touch (the hot path of cached tensors):
-    # same decisions, in the same order, as CacheModel._touch.  The read
-    # tally is derived (every touch hits or misses), keeping the hot
-    # path down to the LRU bookkeeping itself.
-    def read(self, of: str, path: tuple, cx: tuple) -> None:
-        kd = self.key_depth
-        key = path[:kd] if kd is not None else (of, path)
-        lru = self.lru
-        if key in lru:
-            self.hits += 1
-            lru.move_to_end(key)
-            return
-        self.misses += 1
-        self.fill_reads += 1
-        while self.occupied + self.fill_bits > self.capacity_bits and lru:
-            _, old_dirty = lru.popitem(last=False)
-            self.occupied -= self.fill_bits
-            if old_dirty:
-                self.writebacks += 1
-        lru[key] = False
-        self.occupied += self.fill_bits
+    intern = FusedBuffet.intern
 
-    def read2(self, of: str, path: tuple, cx: tuple) -> None:
-        """Two consecutive reads of one key in one call.
-
-        Tally-identical to ``read(); read()``: a miss inserts at MRU and
-        the immediate re-read hits it, so the second ``move_to_end`` is
-        a no-op either way.
-        """
-        kd = self.key_depth
-        key = path[:kd] if kd is not None else (of, path)
-        lru = self.lru
-        if key in lru:
-            self.hits += 2
-            lru.move_to_end(key)
-            return
-        self.misses += 1
-        self.hits += 1
-        self.fill_reads += 1
-        while self.occupied + self.fill_bits > self.capacity_bits and lru:
-            _, old_dirty = lru.popitem(last=False)
-            self.occupied -= self.fill_bits
-            if old_dirty:
-                self.writebacks += 1
-        lru[key] = False
-        self.occupied += self.fill_bits
-
-    def read_span(self, of: str, base: tuple, coords, lo: int, hi: int,
-                  off: int, cx: tuple) -> None:
-        """Coord reads for every position in ``[lo, hi)`` of a span —
-        equivalent to per-coordinate :meth:`read` calls, with the LRU
-        state held in locals across the loop.  When every coordinate
-        truncates to one key (``key_depth <= len(base)``), the span is
-        one touch plus hits."""
-        kd = self.key_depth
-        if kd is not None and kd <= len(base):
-            if lo < hi:
-                self.read(of, base, cx)
-                self.hits += hi - lo - 1
-            return
-        lru = self.lru
-        fill = self.fill_bits
-        cap = self.capacity_bits
-        hits = misses = 0
-        for q in range(lo, hi):
-            c = coords[q]
-            if off:
-                c = c + off
-            path = base + (c,)
-            key = path[:kd] if kd is not None else (of, path)
+    def settle(self, levels, frames) -> dict:
+        """Replay the log through the LRU in one loop.  A touch of the
+        key touched just before hits at MRU and changes nothing unless
+        it dirties a clean line, so such repeats (the second read of a
+        pair included) are counted in bulk."""
+        keys, writes, _, repeats = _decode(self.log)
+        keys = _canonical(keys, self.key_depth, levels, self.rich)
+        repeat = np.zeros(keys.size, dtype=bool)
+        repeat[1:] = (keys[1:] == keys[:-1]) & (~writes[1:] | writes[:-1])
+        hits = repeats + int(np.count_nonzero(repeat))
+        misses = writebacks = fill_reads = 0
+        lru: "OrderedDict" = OrderedDict()
+        touch, evict = lru.move_to_end, lru.popitem
+        occupied, fill, cap = 0.0, self.fill_bits, self.capacity_bits
+        for key, dirty in zip(keys[~repeat].tolist(),
+                              writes[~repeat].tolist()):
             if key in lru:
                 hits += 1
-                lru.move_to_end(key)
+                touch(key)
+                if dirty:
+                    lru[key] = True
                 continue
             misses += 1
-            while self.occupied + fill > cap and lru:
-                _, old_dirty = lru.popitem(last=False)
-                self.occupied -= fill
-                if old_dirty:
-                    self.writebacks += 1
-            lru[key] = False
-            self.occupied += fill
-        self.hits += hits
-        self.misses += misses
-        self.fill_reads += misses
-
-    def pair_extra(self, n: int) -> None:
-        """Upgrade ``n`` span reads to coord+payload pairs.
-
-        :meth:`read2`'s second read always hits the just-touched MRU key
-        and its ``move_to_end`` is a no-op, so relative to per-element
-        :meth:`read` calls a matched element adds exactly one hit.
-        """
-        self.hits += n
-
-    def write(self, of: str, path: tuple, cx: tuple) -> None:
-        self.writes += 1
-        kd = self.key_depth
-        key = path[:kd] if kd is not None else (of, path)
-        lru = self.lru
-        if key in lru:
-            self.hits += 1
-            lru.move_to_end(key)
-            lru[key] = True
-            return
-        self.misses += 1
-        while self.occupied + self.fill_bits > self.capacity_bits and lru:
-            _, old_dirty = lru.popitem(last=False)
-            self.occupied -= self.fill_bits
-            if old_dirty:
-                self.writebacks += 1
-        lru[key] = True
-        self.occupied += self.fill_bits
-
-    def write_run(self, of: str, path: tuple, n: int, cx: tuple) -> None:
-        """``n`` consecutive :meth:`write` calls of one path: one touch,
-        then ``n - 1`` hits on the key it left dirty at MRU."""
-        if n:
-            self.write(of, path, cx)
-            self.writes += n - 1
-            self.hits += n - 1
-
-    def write_keys(self, of: str, paths, cx: tuple) -> None:
-        """One :meth:`write` per path, in order (LRU order is per event),
-        a repeat of the previous key counting as a hit on the MRU key."""
-        write = self.write
-        kd = self.key_depth
-        last = None
-        repeats = 0
-        for path in paths:
-            key = path[:kd] if kd is not None else path
-            if key == last:
-                repeats += 1
-                continue
-            write(of, path, cx)
-            last = key
-        self.writes += repeats
-        self.hits += repeats
-
-    def write_seq(self, of: str, path: tuple, rank: str, coords,
-                  cx: tuple) -> None:
-        """One :meth:`write` per coordinate (the cache ignores loop
-        context, so only the count and ordering matter — both identical
-        to the scalar leaf's per-element writes): one :meth:`write_run`."""
-        self.write_run(of, path, len(coords), cx)
-
-    def finish(self) -> None:
-        for dirty in self.lru.values():
-            if dirty:
-                self.writebacks += 1
-        self.lru.clear()
-        self.occupied = 0.0
-
-    def tallies(self) -> dict:
+            if not dirty:
+                fill_reads += 1
+            while occupied + fill > cap and lru:
+                if evict(last=False)[1]:
+                    writebacks += 1
+                occupied -= fill
+            lru[key] = dirty
+            occupied += fill
+        writebacks += sum(lru.values())
+        n_writes = int(np.count_nonzero(writes))
         return {
             # Every touch either hits or misses, so reads fall out.
-            "reads": self.hits + self.misses - self.writes,
-            "writes": self.writes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "writebacks": self.writebacks,
-            "fill_reads": self.fill_reads,
+            "reads": hits + misses - n_writes,
+            "writes": n_writes,
+            "hits": hits,
+            "misses": misses,
+            "writebacks": writebacks,
+            "fill_reads": fill_reads,
         }
-
-
-def batch_ok(depth: int, drivers, out, merge: bool) -> bool:
-    """Can a batched leaf at loop-context depth ``depth`` move its
-    machine events out of the loop?
-
-    ``drivers`` holds each driver's (coord, payload) ports and ``out``
-    the output write port (``None`` routes to DRAM).  Each machine must
-    be reached by one access only (one driver's coord and payload ports
-    may share it), so that a span call per port replays each machine's
-    own event order.  The output buffet's evict window must end within
-    the loop's context, so that every write of the span shares it (the
-    drivers read under that context already).  A merge's split payload
-    machine needs the matched coordinates, which the batched leaf does
-    not collect.
-    """
-    owner = {}
-    for j, (coord, payload) in enumerate(drivers):
-        if merge and payload is not None and payload is not coord:
-            return False
-        for machine in (coord, payload):
-            if machine is not None and owner.setdefault(id(machine), j) != j:
-                return False
-    return out is None or (id(out) not in owner and out.cut <= depth)
-
-
-def make_touch(read, of: str, base: tuple, cx: tuple):
-    """Per-coordinate touch callback for the fused k-way co-iterators.
-
-    ``read`` is a bound ``FusedBuffet.read`` / ``FusedCache.read``.
-    """
-    def touch(c, _read=read, _of=of, _base=base, _cx=cx):
-        _read(_of, _base + (c,), _cx)
-    return touch

@@ -16,9 +16,12 @@ One :class:`LoopNestIR` describes how a single Einsum executes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..einsum.ast import Access, Einsum, IndexExpr
+
+if TYPE_CHECKING:
+    from ..spec.mapping import PartitionReplay
 
 # Level kinds
 PLAIN = "plain"  # a physical level carrying an index expression
@@ -105,8 +108,11 @@ class LoopNestIR:
     time_styles: Dict[str, str] = field(default_factory=dict)  # rank -> pos|coord
     rank_shapes: Dict[str, Optional[int]] = field(default_factory=dict)
     # Map loop rank -> original (declared) rank it derives from, used for
-    # follower windows and shape lookups.
+    # follower windows and shape lookups (derived from ``replay``).
     origin: Dict[str, str] = field(default_factory=dict)
+    # The mapping's partitioning replayed over the Einsum's iteration
+    # ranks: what the loop ranks derive from, kept for the pricing tiers.
+    replay: Optional[PartitionReplay] = None
 
     @property
     def name(self) -> str:

@@ -459,8 +459,7 @@ def _chunk_geometry(spec: AcceleratorSpec, ir: LoopNestIR,
     ranks, so occupancy queries on flattened fibers resolve against the
     source tensors' statistics.
     """
-    replay = spec.mapping.for_einsum(ir.name).replay(
-        [rank_of_var(v) for v in ir.einsum.all_vars])
+    replay = ir.replay
     base_shape = dict(shapes)
     chunk_meta: Dict[str, tuple] = {}
     spans: Dict[str, float] = {}

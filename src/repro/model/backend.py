@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import logging
 import threading
 from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional
@@ -55,6 +56,9 @@ from .executor import (
     prepare_tensor,
 )
 from .traces import KernelCounters, TraceSink
+
+#: Degradations of this package, e.g. a fallback to the interpreter.
+logger = logging.getLogger("repro.model")
 
 
 # ----------------------------------------------------------------------
@@ -235,18 +239,18 @@ class CompiledEinsum:
     @property
     def vector(self) -> Callable:
         """The priced arena kernel with machine ports: :attr:`counted`
-        plus the buffet/cache state machines inlined behind per-touch
-        ports (raises CodegenError if the flat generator cannot express
-        this Einsum).  Binding-independent: the machine routing arrives
-        at call time via the ``fm`` argument, so one compiled kernel
-        serves every binding.
+        plus a log append at every buffet/cache touch (raises
+        CodegenError if the flat generator cannot express this Einsum).
+        Binding-independent: the machine routing arrives at call time
+        via the ``fm`` argument, so one compiled kernel serves every
+        binding.
 
-        An innermost loop takes one of three branches: the numpy span
-        branch (a long enough reduction span); the batched leaf, which
-        runs the port-free loop and then makes one span call per
-        machine port, when each machine sees one access and the output
-        window is fixed across the loop; or the per-event loop, one
-        machine call per touch.  All three give the same metrics."""
+        A touch appends its key and loop-context id to its machine's
+        log; a span of touches (a galloped-over run, a numpy-branch
+        span, or a leaf loop whose tensor no other site reads) appends
+        one record.  :meth:`repro.model.evaluate.FusedMachines.settle`
+        prices every log after the kernel returns, with the per-event
+        models' exact decisions."""
         return self._get("vector")
 
 
@@ -467,9 +471,11 @@ class CompiledBackend(Backend):
             if not sink:
                 for unit in compiled.units:
                     unit.flat  # force-compile everything up front
-        except CodegenError:
+        except CodegenError as exc:
             if not self.fallback:
                 raise
+            logger.info("spec %r: the flat kernels were rejected, running "
+                        "the interpreter instead: %s", spec.name, exc)
             compiled = None
         if sink or compiled is None:
             return self._interpreter.run_cascade(

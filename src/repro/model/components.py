@@ -217,10 +217,10 @@ class BuffetModel:
         self.window = None
 
     def price_actions(self, tallies) -> None:
-        """Absorb a fused state machine's action tallies in one pass.
+        """Absorb a settled machine log's action tallies in one pass.
 
         ``tallies`` is the mapping a
-        :class:`repro.ir.codegen_runtime.FusedBuffet` produces: pure
+        :class:`repro.ir.codegen_runtime.FusedBuffet` settles to: pure
         integer counts of the very same decisions :meth:`access_read` /
         :meth:`access_write` / :meth:`drain` would have taken per event,
         so pricing them in bulk is exact.  The event-driven API stays
@@ -326,7 +326,7 @@ class CacheModel:
         self.occupied = 0.0
 
     def price_actions(self, tallies) -> None:
-        """Absorb a fused state machine's action tallies in one pass.
+        """Absorb a settled machine log's action tallies in one pass.
 
         ``tallies`` comes from a
         :class:`repro.ir.codegen_runtime.FusedCache`, which replays this

@@ -9,18 +9,28 @@ bottleneck analysis, and reduces action counts to energy.
 
 from __future__ import annotations
 
+import logging
 import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..einsum.operators import ARITHMETIC, NAMED_OPSETS, OpSet
 from ..fibertree.tensor import Tensor
 from ..spec.architecture import Component, Topology
 from ..spec.loader import AcceleratorSpec
 from ..ir.codegen import CodegenError
-from ..ir.codegen_runtime import WHOLE_CTX, FusedBuffet, FusedCache
+from ..ir.codegen_runtime import (
+    CODE,
+    DEPTH,
+    RUN,
+    WHOLE_CTX,
+    FusedBuffet,
+    FusedCache,
+)
 from .backend import (
     CompiledBackend,
     InterpreterBackend,
@@ -39,6 +49,8 @@ from .components import (
 from .energy import EnergyModel
 from .footprint import FootprintOracle, algorithmic_minimum_bits
 from .traces import KernelCounters, TraceSink
+
+logger = logging.getLogger("repro.model")
 
 _DEFAULT_DRAM = Component(name="DRAM", klass="DRAM",
                           attributes={"bandwidth": 128})
@@ -521,28 +533,35 @@ def _price_counters(sink: ModelSink, counters: KernelCounters) -> None:
 
 
 class FusedMachines:
-    """Routing plan + component state machines for one ported Einsum run.
+    """Routing plan + component machine logs for one ported Einsum run.
 
     The vector kernels are compiled *binding-independent* (they share the
     lowering cache key with the other flavors); the binding arrives here
     instead.  At kernel entry each touched ``(tensor, rank, kind)``
     triple asks :meth:`port` for its destination: ``None`` routes to
     DRAM (the kernel bumps its fused counter), a machine routes to the
-    inlined buffet/cache model.  Routing reuses
-    :meth:`ModelSink._route` verbatim, so the vector path can never
-    disagree with the traced path about where an event lands.
+    buffet/cache model, whose events the kernel appends to the machine's
+    log.  Routing reuses :meth:`ModelSink._route` verbatim, so the
+    vector path can never disagree with the traced path about where an
+    event lands.
 
     One machine is built per :class:`~repro.model.components.BuffetModel`
     / :class:`~repro.model.components.CacheModel` instance (several
     triples may share it, exactly as several event shapes feed one model
-    in the traced path).  :meth:`settle` finalizes the machines and
-    prices their tallies into the models in one pass.
+    in the traced path).  The kernel also binds what settle needs to
+    read its logs: the arena level behind each key code (:meth:`levels`),
+    the loop-context frames (:meth:`frames`) and the output point radix
+    (:meth:`radix`).  :meth:`settle` prices every log into its model in
+    one pass and frees it.
     """
 
     def __init__(self, sink: ModelSink, ir):
         self._sink = sink
         self._loop_ranks = list(ir.loop_ranks) if ir is not None else []
         self._machines: Dict[int, tuple] = {}  # id(model) -> (model, machine)
+        self._levels: list = []
+        self._frames: list = []
+        self._shape: Optional[list] = None
 
     def port(self, tensor: str, rank: str, kind: str):
         model = self._sink._route(tensor, rank, kind)
@@ -568,15 +587,71 @@ class FusedMachines:
             cut = WHOLE_CTX  # scan falls off the end of ctx
         return FusedBuffet(model.key_depth, cut)
 
+    def levels(self, table) -> None:
+        """Bind key code ``c`` to ``table[c] = (arena, level)``: a read
+        key ``c << CODE | position`` names that arena level's element."""
+        for arena, level in table:
+            if len(arena.coords[level]) >> CODE:
+                raise CodegenError(
+                    "an arena level too long for logged position keys")
+        self._levels = [(arena.segs, level) for arena, level in table]
+
+    def frames(self, depth: int) -> list:
+        """The loop-context frames of a kernel ``depth`` loops deep:
+        ``frames[d]`` collects, per depth ``d - 1`` node in visit order,
+        the depth-``d`` counter at that node's creation."""
+        self._frames = [[] for _ in range(depth + 1)]
+        return self._frames
+
+    def radix(self, tensor: str, rank: str, shape) -> tuple:
+        """Multipliers encoding an output point as one int key, or zeros
+        when the output routes to DRAM.  Raises :class:`CodegenError`
+        when a shape is unknown or the keys would not fit."""
+        if self.port(tensor, rank, "elem") is None:
+            return (0,) * len(shape)
+        if not all(isinstance(s, int) and s > 0 for s in shape):
+            raise CodegenError(f"output {tensor} has an unknown shape")
+        mult, size = [], 1
+        for s in reversed(shape):
+            mult.append(size)
+            size *= s
+        if size >= RUN:
+            raise CodegenError(f"output {tensor} is too large to key")
+        self._shape = list(shape)
+        return tuple(reversed(mult))
+
+    def check_points(self, out: Tensor, points) -> None:
+        """Raise :class:`CodegenError` unless every written point lies in
+        the box :meth:`radix` encodes (the mixed radix is injective only
+        there).  Reads the output's columns when it dropped no point."""
+        shape = self._shape
+        if shape is None:
+            return
+        arena = out.stored_arena
+        cols = None
+        if arena is not None and arena.nnz == len(points):
+            cols = [arena.np_coords(level) for level in range(len(shape))]
+        if cols is not None and all(c is not None for c in cols):
+            inside = all(not c.size or (c.min() >= 0 and c.max() < s)
+                         for c, s in zip(cols, shape))
+        else:
+            inside = all(type(c) is int and 0 <= c < s
+                         for p in points for c, s in zip(p, shape))
+        if not inside:
+            raise CodegenError("an output point lies outside its shape")
+
     def settle(self, counters: Optional[KernelCounters] = None) -> None:
-        """Finalize every machine and price its tallies into its model."""
+        """Price every machine's log into its model, then free the log."""
+        frames = [np.asarray(f, dtype=np.int64) - (d << DEPTH)
+                  for d, f in enumerate(self._frames)]
         for model, machine in self._machines.values():
-            machine.finish()
-            tallies = machine.tallies()
+            tallies = machine.settle(self._levels, frames)
+            machine.log = None
             model.price_actions(tallies)
             if counters is not None:
                 counters.add_actions(model.component.name,
                                      model.binding.tensor, tallies)
+        self._frames = []
 
 
 def check_validate_mode(validate: str) -> None:
@@ -675,8 +750,8 @@ def evaluate(
       bit-identical by construction.  The binding picks the kernel per
       Einsum: one that binds no buffer or cache runs the port-free
       ``counted`` kernel; one that does runs the ported ``vector``
-      kernel, with the buffet/cache state machines inlined into the
-      loops (:class:`FusedMachines`).  When the generator rejects the
+      kernel, which logs every buffet/cache touch for the machines to
+      price after the kernel returns (:class:`FusedMachines`).  When the generator rejects the
       mapping, the default backend reruns the cascade as ``"trace"``
       and a strict ``"compiled"`` backend raises ``CodegenError``.  On
       an interpreter backend ``"auto"`` runs as ``"trace"``.
@@ -808,9 +883,12 @@ def _evaluate_exact(spec, tensors, opset, shapes, energy_model, engine,
                 env=env, make_machines=make_machines,
                 on_fused=on_fused, prep_cache=prep_cache,
             )
-        except CodegenError:
+        except CodegenError as exc:
             if not engine.fallback:
                 raise
+            logger.info("spec %r: the priced kernels were rejected, "
+                        "rerunning the cascade on the interpreter: %s",
+                        spec.name, exc)
             priced = False
             env = {}
             sink = ModelSink(spec, env)

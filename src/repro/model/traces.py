@@ -133,7 +133,7 @@ class KernelCounters:
       ``inner`` a ``range`` of loop positions or a coordinate column;
     * ``actions`` — per-component action tallies from the *vector* kernel
       flavor: ``[(component, tensor, {action: count}), ...]``, one entry
-      per buffet/cache state machine that received events.  Recorded by
+      per buffet/cache machine that logged events.  Recorded by
       :meth:`repro.model.evaluate.FusedMachines.settle` after the models
       were priced, so tests and studies can inspect exactly which
       fills/drains/hits/evictions the fused path accounted;

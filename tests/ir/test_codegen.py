@@ -11,7 +11,12 @@ from repro.ir import build_cascade_ir, build_ir
 from repro.fibertree.arena import arena_from_tensor
 from repro.ir.codegen import compile_ir
 from repro.ir.codegen_flat import generate_flat_source
-from repro.model import CompileCache, CompiledBackend, execute_cascade
+from repro.model import (
+    CompileCache,
+    CompiledBackend,
+    FusedMachines,
+    execute_cascade,
+)
 from repro.model.executor import prepare_tensor
 from repro.model.traces import TraceSink
 from repro.spec import load_spec
@@ -303,9 +308,12 @@ einsum:
         assert gen.points() == interp.points()
 
 
-class AllDram:
+class AllDram(FusedMachines):
     """A routing plan with no machines: a vector kernel run with it
     routes every touch to DRAM, like the counted kernel."""
+
+    def __init__(self):
+        super().__init__(None, None)
 
     @staticmethod
     def port(tensor, rank, kind):

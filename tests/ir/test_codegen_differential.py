@@ -467,27 +467,18 @@ def test_single_nonzero_differential():
 
 
 # ----------------------------------------------------------------------
-# Batched leaves at the production span threshold
+# Short spans at the production span threshold
 # ----------------------------------------------------------------------
 # With VLEAF_MIN pinned to 0 every eligible reduction leaf takes the
-# numpy branch, so the short spans that the ported kernels price
-# through the batched leaf (the port-free loop plus one span call per
-# machine port) are only reached at the production threshold.
+# numpy branch, so the short spans that the ported kernels log element
+# by element from the scalar loop are only reached at the production
+# threshold.
 @contextlib.contextmanager
 def production_spans():
-    """Restore the production VLEAF_MIN and record the outcome of every
-    batched-leaf guard (``rt.batch_ok``, bound once per kernel call)."""
-    outcomes = []
-    real = rt.batch_ok
-
-    def spy(*args):
-        outcomes.append(real(*args))
-        return outcomes[-1]
-
+    """Restore the production VLEAF_MIN."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rt, "VLEAF_MIN", PRODUCTION_VLEAF_MIN)
-        mp.setattr(rt, "batch_ok", spy)
-        yield outcomes
+        yield
 
 
 @pytest.mark.parametrize("name", SPMSPM)
@@ -495,7 +486,7 @@ def production_spans():
 @given(data=st.data())
 def test_registry_production_vleaf_min_differential(name, data):
     """Every buffered SpMSpM accelerator prices bit-identically to the
-    interpreter with its short spans on the batched leaf."""
+    interpreter with its short spans on the scalar loop."""
     seed = data.draw(st.integers(0, 2**16), label="seed")
     k = data.draw(st.integers(4, 24), label="K")
     m = data.draw(st.integers(4, 20), label="M")
@@ -508,9 +499,8 @@ def test_registry_production_vleaf_min_differential(name, data):
         "B": tensor_from_dense("B", ["K", "N"],
                                sparse_matrix(rng, k, n, density)),
     }
-    with production_spans() as outcomes:
+    with production_spans():
         assert_metrics_paths_agree(accelerator(name), tensors)
-    assert True in outcomes, f"{name}: no batched leaf engaged"
 
 
 #: (declaration, expression, loop order, Z's bound rank, A's binding)
@@ -571,20 +561,21 @@ binding:
 """
 
 
-@pytest.mark.parametrize("einsum, z_evict_on, engaged", [
-    # The output window ends outside the leaf: batched.
-    ("matmul", "N", True),
+@pytest.mark.parametrize("einsum, z_evict_on", [
+    # The output window ends outside the leaf.
+    ("matmul", "N"),
     # Z evicts on the leaf's own rank: every write rolls its window.
-    ("matmul", "K0", False),
+    ("matmul", "K0"),
     # Both merge drivers read A through one cache.
-    ("square", "M", False),
+    ("square", "M"),
 ], ids=["batched", "evict-on-leaf-rank", "shared-machine"])
 @settings(max_examples=6)
 @given(data=st.data())
-def test_batched_leaf_guard_differential(einsum, z_evict_on, engaged, data):
-    """The guard picks the batched leaf only when each machine sees one
-    access and the output window is fixed across the leaf; either way
-    the metrics equal the interpreter's."""
+def test_batched_leaf_guard_differential(einsum, z_evict_on, data):
+    """Buffered reduction leaves at the production span threshold price
+    exactly as the interpreter does, whether the output window is fixed
+    across the leaf or rolls per write, and when both merge drivers
+    read one machine."""
     spec = load_spec(buffered_leaf_spec(einsum, z_evict_on),
                      name=f"leaf-{einsum}-{z_evict_on}")
     seed = data.draw(st.integers(0, 2**16), label="seed")
@@ -597,9 +588,8 @@ def test_batched_leaf_guard_differential(einsum, z_evict_on, engaged, data):
         for t, ranks in (("A", ["K", "M"]), ("B", ["K", "N"]))
         if t in spec.einsum.cascade.inputs
     }
-    with production_spans() as outcomes:
+    with production_spans():
         assert_metrics_paths_agree(spec, tensors)
-    assert outcomes == [engaged]
 
 
 # ----------------------------------------------------------------------

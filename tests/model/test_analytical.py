@@ -541,3 +541,28 @@ def test_analytical_prices_the_compile_cache_lowering():
     evaluate(spec, tensors, metrics="auto")
     assert GLOBAL_COMPILE_CACHE.misses == misses + 1
     assert GLOBAL_COMPILE_CACHE.hits == hits + 1
+
+
+def test_pricing_a_lowered_ir_replays_no_partitioning(monkeypatch):
+    """The IR carries the partitioning replay its lowering computed, so
+    pricing an already-lowered spec replays no mapping."""
+    from repro.spec.mapping import EinsumMapping
+
+    spec = load_spec(SPEC_PLAIN.replace("A.16", "A.11"))
+    tensors = {
+        "A": uniform_random("A", ["K", "M"], (40, 30), 0.2, seed=1),
+        "B": uniform_random("B", ["K", "N"], (40, 20), 0.2, seed=2),
+    }
+    first = evaluate(spec, tensors, metrics="analytical")  # lowers it
+    calls = []
+    replay = EinsumMapping.replay
+
+    def spy(self, ranks):
+        calls.append(list(ranks))
+        return replay(self, ranks)
+
+    monkeypatch.setattr(EinsumMapping, "replay", spy)
+    again = evaluate(spec, tensors, metrics="analytical")
+    assert calls == []
+    assert again.traffic_bytes() == first.traffic_bytes()
+    assert again.exec_seconds == first.exec_seconds

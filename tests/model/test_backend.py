@@ -9,6 +9,7 @@ import collections
 import dataclasses
 import enum
 import hashlib
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, ClassVar
 
@@ -365,6 +366,46 @@ class TestBackendSelection:
         with pytest.raises(CodegenError):
             evaluate(spec, {k: t.copy() for k, t in ts.items()},
                      backend=strict, metrics="auto")
+
+    @staticmethod
+    def _refusing(monkeypatch):
+        """A fresh fallback engine whose arena generator refuses every
+        Einsum."""
+        import repro.ir.codegen_flat as flat_mod
+
+        def refuse(*args, **kwargs):
+            raise CodegenError("forced for the test")
+
+        monkeypatch.setattr(flat_mod, "generate_flat_source", refuse)
+        return CompiledBackend(cache=CompileCache(), fallback=True)
+
+    def test_priced_fallback_is_logged(self, monkeypatch, caplog):
+        """evaluate's priced-kernel fallback leaves one INFO record on
+        the ``repro.model`` logger naming the spec and the error."""
+        engine = self._refusing(monkeypatch)
+        spec = load_spec(MATMUL, name="logged-priced")
+        with caplog.at_level(logging.INFO, logger="repro.model"):
+            evaluate(spec, tensors(), backend=engine, metrics="auto")
+        records = [r for r in caplog.records if r.name == "repro.model"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.INFO
+        assert "logged-priced" in records[0].getMessage()
+        assert "priced kernels" in records[0].getMessage()
+        assert "forced for the test" in records[0].getMessage()
+
+    def test_untraced_fallback_is_logged(self, monkeypatch, caplog):
+        """An untraced run_cascade that falls back to the interpreter
+        leaves one INFO record naming the spec and the error."""
+        engine = self._refusing(monkeypatch)
+        spec = load_spec(MATMUL, name="logged-flat")
+        with caplog.at_level(logging.INFO, logger="repro.model"):
+            engine.run_cascade(spec, tensors())
+        records = [r for r in caplog.records if r.name == "repro.model"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.INFO
+        assert "logged-flat" in records[0].getMessage()
+        assert "flat kernels" in records[0].getMessage()
+        assert "forced for the test" in records[0].getMessage()
 
     def test_traced_run_delegates_to_interpreter(self, monkeypatch):
         """A compiled run with a sink is the interpreter's run: the same

@@ -2,10 +2,10 @@
 the fast path for
 buffered/cached specs.
 
-The vector kernels inline :class:`~repro.model.components.BuffetModel` /
-:class:`~repro.model.components.CacheModel` state machines into the
-generated arena loops, so — unlike counter fusion — they price specs that
-bind buffers exactly.  Every assertion here is strict equality against
+The vector kernels log every buffet/cache touch and settle each log
+with the decisions of :class:`~repro.model.components.BuffetModel` /
+:class:`~repro.model.components.CacheModel`, so — unlike counter fusion
+— they price specs that bind buffers exactly.  Every assertion here is strict equality against
 the traced evaluation: the fused path is exact by construction, and these
 tests pin that down on the edge cases (capacity-1 and zero-capacity
 caches, dirty-eviction writebacks, empty-fiber window rolls, multi-Einsum
@@ -21,7 +21,7 @@ import hypothesis.strategies as st
 
 from repro.accelerators import accelerator
 from repro.fibertree import tensor_from_dense
-from repro.ir.codegen_runtime import WHOLE_CTX, FusedBuffet, FusedCache
+from repro.ir.codegen_runtime import FusedBuffet, FusedCache
 from repro.model import (
     CompileCache,
     CompiledBackend,
@@ -29,10 +29,20 @@ from repro.model import (
     evaluate,
     evaluate_many,
 )
-from repro.model.components import BuffetModel, CacheModel, DramModel
 from repro.spec import load_spec
-from repro.spec.architecture import Component
-from repro.spec.binding import DataBinding
+
+from machine_logs import (
+    History,
+    buffet_counts,
+    buffet_model,
+    buffet_pair,
+    cache_counts,
+    cache_model,
+    cache_pair,
+    element,
+    priced,
+    walk,
+)
 
 # One cache for the whole module.
 _CACHE = CompileCache()
@@ -382,155 +392,63 @@ def test_fused_machines_port_routing():
 
 
 # ----------------------------------------------------------------------
-# State-machine conformance: machines vs. event-driven models
+# Machine-log conformance: settled logs vs. event-driven models
 # ----------------------------------------------------------------------
-def _buffet_pair(key_depth, evict_on, loop_ranks):
-    component = Component(name="Buf", klass="Buffer",
-                          attributes={"type": "buffet", "width": 64,
-                                      "depth": 8})
-    binding = DataBinding(tensor="X", rank="K", evict_on=evict_on)
-    model = BuffetModel(component, binding, DramModel(
-        Component(name="DRAM", klass="DRAM", attributes={})), 96.0, 96.0,
-        key_depth)
-    if evict_on is None:
-        cut = 0
-    elif evict_on in loop_ranks:
-        cut = loop_ranks.index(evict_on) + 1
-    else:
-        cut = WHOLE_CTX
-    return model, FusedBuffet(key_depth, cut)
-
-
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fused_buffet_machine_matches_model(data):
-    """Any event sequence: FusedBuffet's tallies equal BuffetModel's."""
-    loop_ranks = ["P", "Q"]
-    evict_on = data.draw(st.sampled_from([None, "P", "Q", "R"]), label="evict")
+    """Any read/write history: the settled buffet log prices into
+    BuffetModel's exact tallies and DRAM traffic."""
     key_depth = data.draw(st.sampled_from([None, 0, 1]), label="kd")
-    model, machine = _buffet_pair(key_depth, evict_on, loop_ranks)
-    n_events = data.draw(st.integers(1, 40), label="n")
-    for _ in range(n_events):
-        is_write = data.draw(st.booleans(), label="w")
-        rank = data.draw(st.sampled_from(["K", "M"]), label="rank")
-        path = tuple(data.draw(
-            st.lists(st.integers(0, 3), min_size=1, max_size=3),
-            label="path"))
-        depth = data.draw(st.integers(0, 2), label="depth")
-        ctx = [(loop_ranks[i], data.draw(st.integers(0, 2), label="c"))
-               for i in range(depth)]
-        if is_write:
-            model.access_write((rank, path), ctx)
-            machine.write(rank, path, tuple(ctx))
-        else:
-            model.access_read((rank, path), ctx)
-            machine.read(rank, path, tuple(ctx))
-    model_finish_drains = model.drains
-    machine.finish()
-    tallies = machine.tallies()
-    model2, _ = _buffet_pair(key_depth, evict_on, loop_ranks)
-    model2.price_actions(tallies)
-    model.finish()
-    assert model2.reads == model.reads
-    assert model2.writes == model.writes
-    assert model2.fills == model.fills
-    assert model2.drains == model.drains
-    assert model2.partial_output_fills == model.partial_output_fills
-    assert dict(model2.dram.traffic.read_counts) == \
-        dict(model.dram.traffic.read_counts)
-    assert dict(model2.dram.traffic.write_counts) == \
-        dict(model.dram.traffic.write_counts)
+    cut = data.draw(st.sampled_from([0, 1, 2, 4]), label="cut")
+    h = History(*buffet_pair(key_depth, cut))
+    walk(data, h)
+    tallies = h.settle()
+    h.model.finish()
+    assert buffet_counts(priced(lambda: buffet_model(key_depth, cut),
+                                tallies)) == buffet_counts(h.model)
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fused_cache_machine_matches_model(data):
-    """Any event sequence (incl. read2/read_span forms): FusedCache's
-    tallies equal CacheModel's."""
+    """Any history (pair, span and repeat records included): the
+    replayed cache log prices into CacheModel's exact tallies."""
     key_depth = data.draw(st.sampled_from([None, 0, 1]), label="kd")
     depth = data.draw(st.sampled_from([0, 1, 2, 8]), label="depth")
-    component = Component(name="C", klass="Buffer",
-                          attributes={"type": "cache", "width": 96,
-                                      "depth": depth})
-    binding = DataBinding(tensor="X", rank="K")
-    model = CacheModel(component, binding, DramModel(
-        Component(name="DRAM", klass="DRAM", attributes={})), 96.0, 96.0,
-        key_depth)
-    machine = FusedCache(key_depth, model.capacity_bits, model.fill_bits)
-    for _ in range(data.draw(st.integers(1, 40), label="n")):
-        kind = data.draw(st.sampled_from(["r", "w", "r2", "span"]),
-                         label="kind")
-        rank = data.draw(st.sampled_from(["K", "M"]), label="rank")
-        path = tuple(data.draw(
-            st.lists(st.integers(0, 3), min_size=1, max_size=2),
-            label="path"))
-        if kind == "r":
-            model.access_read((rank, path), [])
-            machine.read(rank, path, ())
-        elif kind == "w":
-            model.access_write((rank, path), [])
-            machine.write(rank, path, ())
-        elif kind == "r2":
-            model.access_read((rank, path), [])
-            model.access_read((rank, path), [])
-            machine.read2(rank, path, ())
-        else:
-            coords = data.draw(
-                st.lists(st.integers(0, 5), min_size=0, max_size=4,
-                         unique=True), label="coords")
-            coords = sorted(coords)
-            off = data.draw(st.sampled_from([0, 2]), label="off")
-            for c in coords:
-                model.access_read((rank, path + (c + off,)), [])
-            machine.read_span(rank, path, coords, 0, len(coords), off, ())
-    model_pre_finish = (model.reads, model.writes, model.hits, model.misses)
-    machine.finish()
-    tallies = machine.tallies()
-    model2 = CacheModel(component, binding, DramModel(
-        Component(name="DRAM", klass="DRAM", attributes={})), 96.0, 96.0,
-        key_depth)
-    model2.price_actions(tallies)
-    model.finish()
-    assert model2.reads == model.reads
-    assert model2.writes == model.writes
-    assert model2.hits == model.hits
-    assert model2.misses == model.misses
-    assert model2.writebacks == model.writebacks
-    assert dict(model2.dram.traffic.read_counts) == \
-        dict(model.dram.traffic.read_counts)
-    assert dict(model2.dram.traffic.write_counts) == \
-        dict(model.dram.traffic.write_counts)
+    h = History(*cache_pair(key_depth, depth))
+    walk(data, h)
+    tallies = h.settle()
+    h.model.finish()
+    assert cache_counts(priced(lambda: cache_model(key_depth, depth),
+                               tallies)) == cache_counts(h.model)
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_fused_buffet_read2_and_span_match_singles(data):
-    """read2/read_span are exactly their per-event expansions."""
-    loop_ranks = ["P"]
-    evict_on = data.draw(st.sampled_from([None, "P"]), label="evict")
+    """PAIR and SPAN records settle exactly as their per-event
+    expansions into single read records."""
+    cut = data.draw(st.sampled_from([0, 1]), label="cut")
     kd = data.draw(st.sampled_from([None, 1]), label="kd")
-    _, single = _buffet_pair(kd, evict_on, loop_ranks)
-    _, batched = _buffet_pair(kd, evict_on, loop_ranks)
-    for _ in range(data.draw(st.integers(1, 15), label="n")):
-        cx = ((("P", data.draw(st.integers(0, 1), label="pc")),)
-              if data.draw(st.booleans(), label="hasctx") else ())
-        base = tuple(data.draw(st.lists(st.integers(0, 2), min_size=0,
-                                        max_size=2), label="base"))
+    single = History(*buffet_pair(kd, cut))
+    batched = History(*buffet_pair(kd, cut))
+    for c in range(data.draw(st.integers(1, 15), label="n")):
+        if data.draw(st.booleans(), label="enter"):
+            single.enter(0, c)
+            batched.enter(0, c)
+        depth = min(len(single.ctx), 1)
+        level, lo = element(data, single, "at")
         if data.draw(st.booleans(), label="pair"):
-            c = data.draw(st.integers(0, 4), label="c")
-            single.read("K", base + (c,), cx)
-            single.read("K", base + (c,), cx)
-            batched.read2("K", base + (c,), cx)
+            single.read(level, lo, depth)
+            single.read(level, lo, depth)
+            batched.read(level, lo, depth, pair=True)
         else:
-            coords = sorted(data.draw(
-                st.lists(st.integers(0, 6), min_size=0, max_size=4,
-                         unique=True), label="coords"))
-            for c in coords:
-                single.read("K", base + (c,), cx)
-            batched.read_span("K", base, coords, 0, len(coords), 0, cx)
-    single.finish()
-    batched.finish()
-    assert single.tallies() == batched.tallies()
+            hi = data.draw(st.integers(lo, single.size(level)), label="hi")
+            for pos in range(lo, hi):
+                single.read(level, pos, depth)
+            batched.span(level, lo, hi, depth)
+    assert single.settle() == batched.settle()
 
 
 # ----------------------------------------------------------------------

@@ -1,250 +1,233 @@
-"""Span entry points of the fused buffet/cache machines.
+"""Component machine logs settle exactly as the per-event models decide.
 
-The batched leaves of the ported kernels hand a machine a whole span's
-events in one call: :meth:`FusedBuffet.write_run` / ``write_keys`` for
-the output writes of a reduction or map leaf, and, on a cache whose
-every span coordinate truncates to one key, the run-of-one-key form of
-:meth:`FusedCache.read_span`.  Each call must leave the machine exactly
-as its per-event expansion does — the buffet's ``present``, ``dirty``,
-``ever_drained`` and evict window; the cache's LRU order, dirty flags
-and float ``occupied`` value; and every tally — on any prior history,
-at capacity 0 and 1, on empty spans (which must not roll the window),
-on keys already drained, and under truncating key depths.
+A ported kernel appends each buffet/cache touch to its machine's log —
+one record per event, a ``PAIR`` record per coord+payload pair, one
+``SPAN`` record per run of positions (with its count of pairs), one
+``RUN`` record per run of writes to one key, leaf writes each under a
+fresh context — and :meth:`FusedBuffet.settle` / :meth:`FusedCache.settle` price the
+whole log once the kernel returns.  Every history here is also streamed
+event by event into :class:`~repro.model.components.BuffetModel` /
+:class:`~repro.model.components.CacheModel`, and the settled tallies
+must price into exactly the model's counts and DRAM traffic (and, for a
+buffet, the model's drained-key set) — across window rolls and repeated
+windows, key depths ``None``/0/1/2, reads then writes of one key,
+refills after a drain, empty spans (which must not roll the window), and
+capacity 0 and 1 at the float ``occupied`` edge.
 """
+
+import functools
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.ir.codegen_runtime import FusedBuffet, FusedCache, batch_ok
+from machine_logs import (
+    History,
+    buffet_counts,
+    buffet_model,
+    buffet_pair,
+    cache_counts,
+    cache_model,
+    cache_pair,
+    element,
+    priced,
+    walk,
+)
 
-LOOP_RANKS = ("P", "Q", "R")
-FILL = 96.0
-
-
-def contexts(min_size=0, max_size=3):
-    """Loop contexts: a prefix of LOOP_RANKS with small coordinates."""
-    return st.integers(min_size, max_size).flatmap(
-        lambda n: st.tuples(*[st.tuples(st.just(LOOP_RANKS[i]),
-                                        st.integers(0, 1))
-                              for i in range(n)]))
-
-
-paths = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
-ranks = st.sampled_from(["K", "M"])
-
-
-def history(data, machine_pair):
-    """Apply one random event history to both machines."""
-    for _ in range(data.draw(st.integers(0, 12), label="history")):
-        kind = data.draw(st.sampled_from(["read", "write"]), label="kind")
-        of = data.draw(ranks, label="of")
-        path = data.draw(paths, label="path")
-        cx = data.draw(contexts(), label="cx")
-        for m in machine_pair:
-            getattr(m, kind)(of, path, cx)
+KEY_DEPTHS = [None, 0, 1, 2]
+#: Evict-window cuts: none, each loop depth, and a rank never met.
+CUTS = [0, 1, 2, 3, 4]
 
 
-def buffet_state(b):
-    return (set(b.present), set(b.dirty), set(b.ever_drained), b.window,
-            b.tallies())
+def assert_buffet_settles(h, key_depth, cut):
+    tallies = h.settle()
+    h.model.finish()
+    assert buffet_counts(priced(functools.partial(
+        buffet_model, key_depth, cut), tallies)) == buffet_counts(h.model)
+    assert h.written_keys() == h.model.ever_drained
 
 
-def cache_state(c):
-    return list(c.lru.items()), c.occupied, c.tallies()
+def assert_cache_settles(h, factory):
+    tallies = h.settle()
+    h.model.finish()
+    assert cache_counts(priced(factory, tallies)) == cache_counts(h.model)
 
 
-def buffets(data):
-    kd = data.draw(st.sampled_from([None, 0, 1, 2]), label="key_depth")
-    cut = data.draw(st.integers(0, 2), label="cut")
-    return FusedBuffet(kd, cut), FusedBuffet(kd, cut)
+def buffet_history(data):
+    kd = data.draw(st.sampled_from(KEY_DEPTHS), label="key_depth")
+    cut = data.draw(st.sampled_from(CUTS), label="cut")
+    return History(*buffet_pair(kd, cut)), kd, cut
 
 
-def caches(data):
-    kd = data.draw(st.sampled_from([None, 0, 1, 2]), label="key_depth")
-    # Capacity 0 and 1 element, a capacity between multiples, and room.
-    cap = data.draw(st.sampled_from([0.0, FILL, 1.5 * FILL, 4 * FILL]),
-                    label="capacity")
-    return FusedCache(kd, cap, FILL), FusedCache(kd, cap, FILL)
-
-
-def window_contexts(data, cut):
-    """A context whose window is fixed (``cut <= len(cx)``), and the
-    per-element leaf contexts ``cx + ((rank, c),)`` of a span under it."""
-    cx = data.draw(contexts(min_size=cut, max_size=2), label="span cx")
-    return cx, lambda c: cx + ((LOOP_RANKS[len(cx)], c),)
-
-
-def finish_both(a, b, state):
-    a.finish()
-    b.finish()
-    assert state(a) == state(b)
+def cache_history(data):
+    kd = data.draw(st.sampled_from(KEY_DEPTHS), label="key_depth")
+    # Capacity 0 and 1 element, and room; 0.1-bit lines make the float
+    # ``occupied`` sum drift across the capacity edge.
+    depth = data.draw(st.sampled_from([0, 1, 3, 64]), label="lines")
+    bits = data.draw(st.sampled_from([96.0, 0.1]), label="bits")
+    return History(*cache_pair(kd, depth, bits)), \
+        functools.partial(cache_model, kd, depth, bits)
 
 
 # ----------------------------------------------------------------------
-# FusedBuffet
+# Whole histories
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_buffet_history_settles_like_the_model(data):
+    h, kd, cut = buffet_history(data)
+    walk(data, h)
+    assert_buffet_settles(h, kd, cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cache_history_settles_like_the_model(data):
+    h, factory = cache_history(data)
+    walk(data, h)
+    assert_cache_settles(h, factory)
+
+
+# ----------------------------------------------------------------------
+# Buffet record forms
+# ----------------------------------------------------------------------
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_buffet_write_run_matches_writes(data):
-    single, batched = buffets(data)
-    history(data, (single, batched))
-    cx, leaf = window_contexts(data, single.cut)
-    of = data.draw(ranks, label="of")
-    path = data.draw(paths, label="path")
-    n = data.draw(st.integers(0, 4), label="n")
-    for c in range(n):
-        single.write(of, path, leaf(c))
-    batched.write_run(of, path, n, cx)
-    assert buffet_state(single) == buffet_state(batched)
-    finish_both(single, batched, buffet_state)
+    """Consecutive writes of one key under one window, after any
+    history: one fill, one drain, refilled as a partial output when the
+    key was drained before."""
+    h, kd, cut = buffet_history(data)
+    walk(data, h)
+    h.enter(0, 9)
+    level, pos = element(data, h, "run")
+    for _ in range(data.draw(st.integers(0, 4), label="n")):
+        h.write(level, pos, 1)
+    assert_buffet_settles(h, kd, cut)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_buffet_write_keys_matches_writes(data):
-    single, batched = buffets(data)
-    history(data, (single, batched))
-    cx, leaf = window_contexts(data, single.cut)
-    of = data.draw(ranks, label="of")
-    points = data.draw(st.lists(paths, max_size=6), label="points")
-    for c, point in enumerate(points):
-        single.write(of, point, leaf(c))
-    batched.write_keys(of, points, cx)
-    assert buffet_state(single) == buffet_state(batched)
-    finish_both(single, batched, buffet_state)
+    """Writes of several keys under one window, repeats included."""
+    h, kd, cut = buffet_history(data)
+    walk(data, h)
+    h.enter(0, 9)
+    for _ in range(data.draw(st.integers(0, 6), label="n")):
+        h.write(*element(data, h, "key"), 1)
+    assert_buffet_settles(h, kd, cut)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_buffet_write_seq_matches_writes(data):
-    """Fixed windows take write_run, rolling ones stay per coordinate."""
-    single, batched = buffets(data)
-    history(data, (single, batched))
-    cx = data.draw(contexts(max_size=2), label="span cx")
-    of = data.draw(ranks, label="of")
-    path = data.draw(paths, label="path")
-    coords = data.draw(st.lists(st.integers(0, 1), max_size=4),
-                       label="coords")
-    for c in coords:
-        single.write(of, path, cx + (("R", c),))
-    batched.write_seq(of, path, "R", coords, cx)
-    assert buffet_state(single) == buffet_state(batched)
-    finish_both(single, batched, buffet_state)
+    """A reduction span's writes, each in its own leaf context: one run
+    when the window ends above the leaf, one run per write otherwise."""
+    h, kd, cut = buffet_history(data)
+    walk(data, h)
+    h.enter(0, 9)
+    h.enter(1, 9)
+    h.leaf_writes(*element(data, h, "leaf"), 2,
+                  data.draw(st.integers(0, 4), label="n"))
+    assert_buffet_settles(h, kd, cut)
 
 
 def test_buffet_empty_spans_do_not_roll():
-    buffet = FusedBuffet(None, 1)
-    buffet.write("K", (1,), (("P", 0),))
-    before = buffet_state(buffet)
-    other = (("P", 1),)
-    buffet.write_run("K", (2,), 0, other)
-    buffet.write_keys("K", [], other)
-    buffet.read_span("K", (), [3, 4], 1, 1, 0, other)
-    assert buffet_state(buffet) == before
-    assert buffet.window == (("P", 0),)
+    """An empty span record is no event: it neither rolls the window nor
+    drains the written key."""
+    h = History(*buffet_pair(None, 1))
+    h.enter(0, 0)
+    h.write(2, 1, 1)
+    h.enter(0, 1)
+    h.span(2, 3, 3, 1)
+    h.enter(0, 2)
+    h.span(1, 0, 0, 1)
+    h.write(2, 1, 0)  # depth 0: a window of its own
+    tallies = h.settle()
+    h.model.finish()
+    assert tallies["drains"] == 2 and tallies["fills"] == 2
+    assert buffet_counts(priced(functools.partial(buffet_model, None, 1),
+                                tallies)) == buffet_counts(h.model)
 
 
 def test_buffet_write_run_refills_a_drained_key():
-    """A key drained by a roll returns as a partial-output fill."""
-    buffet = FusedBuffet(None, 1)
-    buffet.write("K", (1,), (("P", 0),))
-    buffet.write_run("K", (1,), 3, (("P", 1),))
-    assert buffet.tallies() == {"reads": 0, "writes": 4, "fills": 2,
-                                "drains": 1, "partial_output_fills": 1,
-                                "fill_reads": 1}
+    h = History(*buffet_pair(None, 1))
+    h.enter(0, 0)
+    h.write(1, 0, 1)
+    h.enter(0, 1)
+    for _ in range(3):
+        h.write(1, 0, 1)
+    h.read(1, 0, 1)  # present and dirty: a hit
+    tallies = h.settle()
+    assert (tallies["fills"], tallies["drains"],
+            tallies["partial_output_fills"], tallies["fill_reads"],
+            tallies["writes"], tallies["reads"]) == (2, 2, 1, 1, 4, 1)
+
+
+def test_buffet_read_then_write_of_one_key():
+    """A key read first fills from DRAM; the write after it in the same
+    run dirties it without a second fill, and drains once."""
+    h = History(*buffet_pair(None, 2))
+    h.enter(0, 0)
+    h.enter(1, 0)
+    h.read(2, 0, 2, pair=True)
+    h.write(2, 0, 2)
+    h.enter(1, 1)
+    h.write(2, 0, 2)  # written and drained before: a partial output
+    tallies = h.settle()
+    h.model.finish()
+    assert (tallies["fills"], tallies["drains"], tallies["fill_reads"],
+            tallies["partial_output_fills"]) == (2, 2, 2, 1)
+    assert buffet_counts(priced(functools.partial(buffet_model, None, 2),
+                                tallies)) == buffet_counts(h.model)
 
 
 # ----------------------------------------------------------------------
-# FusedCache
+# Cache record forms
 # ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_cache_write_run_matches_writes(data):
-    single, batched = caches(data)
-    history(data, (single, batched))
-    of = data.draw(ranks, label="of")
-    path = data.draw(paths, label="path")
-    n = data.draw(st.integers(0, 4), label="n")
-    for _ in range(n):
-        single.write(of, path, ())
-    batched.write_run(of, path, n, ())
-    assert cache_state(single) == cache_state(batched)
-    finish_both(single, batched, cache_state)
+    """Consecutive writes of one key: one touch, then hits on the dirty
+    MRU line."""
+    h, factory = cache_history(data)
+    walk(data, h)
+    level, pos = element(data, h, "run")
+    for _ in range(data.draw(st.integers(0, 4), label="n")):
+        h.write(level, pos, 0)
+    assert_cache_settles(h, factory)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_cache_write_keys_matches_writes(data):
-    single, batched = caches(data)
-    history(data, (single, batched))
-    of = data.draw(ranks, label="of")
-    points = data.draw(st.lists(paths, max_size=6), label="points")
-    for point in points:
-        single.write(of, point, ())
-    batched.write_keys(of, points, ())
-    assert cache_state(single) == cache_state(batched)
-    finish_both(single, batched, cache_state)
+    h, factory = cache_history(data)
+    walk(data, h)
+    for _ in range(data.draw(st.integers(0, 6), label="n")):
+        h.write(*element(data, h, "key"), 0)
+    assert_cache_settles(h, factory)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_cache_write_seq_matches_writes(data):
-    single, batched = caches(data)
-    history(data, (single, batched))
-    of = data.draw(ranks, label="of")
-    path = data.draw(paths, label="path")
-    coords = data.draw(st.lists(st.integers(0, 3), max_size=4),
-                       label="coords")
-    for _ in coords:
-        single.write(of, path, ())
-    batched.write_seq(of, path, "R", coords, ())
-    assert cache_state(single) == cache_state(batched)
-    finish_both(single, batched, cache_state)
+    """The cache ignores contexts: per-element leaf writes are a run."""
+    h, factory = cache_history(data)
+    walk(data, h)
+    h.enter(0, 9)
+    h.leaf_writes(*element(data, h, "leaf"), 1,
+                  data.draw(st.integers(0, 4), label="n"))
+    assert_cache_settles(h, factory)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_cache_read_span_matches_reads(data):
-    """Every key depth: a truncating one (``key_depth <= len(base)``)
-    takes the run-of-one-key form."""
-    single, batched = caches(data)
-    history(data, (single, batched))
-    of = data.draw(ranks, label="of")
-    base = data.draw(st.lists(st.integers(0, 3), max_size=2).map(tuple),
-                     label="base")
-    coords = sorted(data.draw(st.lists(st.integers(0, 5), unique=True,
-                                       max_size=4), label="coords"))
-    lo = data.draw(st.integers(0, len(coords)), label="lo")
-    off = data.draw(st.sampled_from([0, 2]), label="off")
-    for c in coords[lo:]:
-        single.read(of, base + (c + off,), ())
-    batched.read_span(of, base, coords, lo, len(coords), off, ())
-    assert cache_state(single) == cache_state(batched)
-    finish_both(single, batched, cache_state)
-
-
-# ----------------------------------------------------------------------
-# The batched-leaf guard
-# ----------------------------------------------------------------------
-def test_batch_ok_requires_one_access_per_machine():
-    shared = FusedBuffet(None, 0)
-    other = FusedBuffet(None, 0)
-    # One driver's coord+payload pair may share a machine.
-    assert batch_ok(1, ((shared, shared),), other, False)
-    assert batch_ok(1, ((shared, shared), (None, None)), None, True)
-    # Two drivers, or a driver and the output, may not.
-    assert not batch_ok(1, ((shared, None), (shared, None)), None, True)
-    assert not batch_ok(1, ((None, shared),), shared, False)
-
-
-def test_batch_ok_requires_a_fixed_output_window():
-    assert batch_ok(2, ((None, None),), FusedBuffet(None, 2), False)
-    assert not batch_ok(2, ((None, None),), FusedBuffet(None, 3), False)
-    assert batch_ok(0, ((None, None),), FusedCache(None, 0.0, FILL), False)
-
-
-def test_batch_ok_refuses_a_split_payload_machine_on_a_merge():
-    coord, payload = FusedBuffet(None, 0), FusedBuffet(None, 0)
-    assert batch_ok(1, ((coord, payload),), None, False)
-    assert not batch_ok(1, ((coord, payload), (None, None)), None, True)
-    assert batch_ok(1, ((coord, None), (None, None)), None, True)
+    """A span record is its per-position reads, in order, including the
+    span whose every position truncates to one key."""
+    h, factory = cache_history(data)
+    walk(data, h, writes=False)
+    level, lo = element(data, h, "span")
+    hi = h.size(level)
+    h.span(level, lo, hi, 0, data.draw(st.integers(0, hi - lo),
+                                       label="pairs"))
+    assert_cache_settles(h, factory)

@@ -51,8 +51,8 @@ mapping:
     Z: [M, N, K]
 """
 
-#: The same Einsum with buffers bound, so the batched span paths drive
-#: the fused buffet/cache machines (read_span + pair_extra + write_seq).
+#: The same Einsum with buffers bound, so the batched span paths log
+#: span, repeat-read and per-element leaf-write records.
 SPMSPM_BUFFERED = SPMSPM + """
 architecture:
   Buffered:
@@ -178,8 +178,8 @@ def test_spmspm_vector_exact(data):
 @settings(max_examples=15)
 @given(data=st.data())
 def test_buffered_vector_exact(data):
-    """Batched machine paths (read_span/pair_extra/write_seq) must leave
-    buffets and caches in tally-identical states."""
+    """Batched span records (spans, repeat reads, leaf writes) must
+    settle buffets and caches to tally-identical states."""
     seed = data.draw(st.integers(0, 2**16), label="seed")
     k = data.draw(st.integers(1, 48), label="K")
     density = data.draw(st.sampled_from([0.1, 0.4]), label="density")
