@@ -161,7 +161,8 @@ class _FlatGenerator:
         self.codes: Dict[Tuple[str, int, str], int] = {}
         self.code_at: List[Tuple[int, int]] = []
         self.logs_writes = False
-        self.leaf_reads = False  # any read at the innermost loop depth?
+        # Does the innermost loop read (see ``_innermost_lookups``)?
+        self.leaf_reads = False
         # The innermost loop being emitted: drivers whose reads, and the
         # counter of writes, it logs once (see ``_leaf_logs``).
         self.spanned: Set[int] = set()
@@ -429,6 +430,8 @@ class _FlatGenerator:
         body = _Emitter()
         body.indent = 1
         self.em = body
+        if self.ported:
+            self.leaf_reads = self._innermost_lookups()
         depths = {i: 0 for i in range(len(ir.accesses))}
         self._lookups(level=-1, depths=depths)
         self._rank(0, depths, wins={}, guarded=set())
@@ -485,12 +488,6 @@ class _FlatGenerator:
         head.emit("_acc = {}")
         if self.ported:
             self._bind_logs(head)
-            if not self.leaf_reads:
-                # No read at the innermost depth: its nodes go unnumbered.
-                n = self.n_ranks
-                unused = {f"x{n} += 1", f"xf{n}(x{n})"}
-                body.lines = [line for line in body.lines
-                              if line.strip() not in unused]
         if self.priced:
             for var in self.read_ctrs.values():
                 head.emit(f"{var} = 0")
@@ -603,22 +600,61 @@ class _FlatGenerator:
         """Enter a depth ``level + 1`` loop-context node (ported kernels):
         number it, and record the deeper counter for its children.  A
         leaf write hangs a fresh node from the depth ``n - 1`` node
-        (``xl``), so the innermost loop numbers its own nodes only for
-        the reads of the lookups that follow it (see :meth:`generate`)."""
+        (``xl``), so the innermost loop numbers its own nodes only when
+        it looks up cursors (:meth:`_innermost_lookups`)."""
         if not self.ported:
             return
         n = self.n_ranks
-        self.em.emit(f"x{level + 1} += 1")
-        if level + 2 <= n:
+        deepest = n if self.leaf_reads else n - 1
+        if level + 1 <= deepest:
+            self.em.emit(f"x{level + 1} += 1")
+        if level + 2 <= deepest:
             self.em.emit(f"xf{level + 2}(x{level + 2})")
         if level + 1 == n - 1:
             self.em.emit(f"xl = x{level + 1} | _lf")
 
     def _x(self, depth: int) -> str:
         """The context id of a read at loop depth ``depth``."""
-        if depth == self.n_ranks:
-            self.leaf_reads = True
+        if depth and depth == self.n_ranks and not self.leaf_reads:
+            raise CodegenError(
+                "a read at the innermost depth no lookup replay predicted")
         return f"x{depth}"
+
+    def _innermost_lookups(self) -> bool:
+        """Does the innermost loop look up cursors — the only reads a
+        ported kernel logs at the innermost depth?  Replays the cursor
+        depths as :meth:`generate` and :meth:`_rank` advance them: the
+        lookups before the first loop, then per rank one level for each
+        of its drivers and virtual levels, then the rank's lookups."""
+        depths = {i: 0 for i in range(len(self.ir.accesses))}
+        for level in range(-1, self.n_ranks):
+            if level >= 0:
+                drivers, virtual = self._drivers(level, depths)
+                for i in [i for i, _ in drivers] + virtual:
+                    depths[i] += 1
+            steps = list(self._lookup_steps(level, depths))
+            if level == self.n_ranks - 1:
+                return bool(steps)
+            for i, d, _ in steps:
+                depths[i] = d + 1
+        return False
+
+    def _drivers(self, level: int, depths: Dict[int, int]):
+        """Rank ``level``'s drivers ``(i, lvl)``, and the accesses whose
+        virtual level it advances."""
+        rank = self.ir.loop_ranks[level]
+        binds = self.ir.binds.get(rank, ())
+        drivers: List[Tuple[int, object]] = []
+        virtual: List[int] = []
+        for i, plan in enumerate(self.ir.accesses):
+            d = depths[i]
+            if d < len(plan.levels) and plan.levels[d].rank == rank:
+                lvl = plan.levels[d]
+                if lvl.kind == VIRTUAL:
+                    virtual.append(i)
+                elif _drivable(lvl, binds):
+                    drivers.append((i, lvl))
+        return drivers, virtual
 
     def _leaf_ctx(self) -> str:
         """The context id of a leaf write (see :meth:`_ctx`)."""
@@ -658,16 +694,7 @@ class _FlatGenerator:
         guarded = set(guarded)
         close = self._dead_guard(depths, guarded)
 
-        drivers: List[Tuple[int, object]] = []
-        virtual: List[int] = []
-        for i, plan in enumerate(ir.accesses):
-            d = depths[i]
-            if d < len(plan.levels) and plan.levels[d].rank == rank:
-                lvl = plan.levels[d]
-                if lvl.kind == VIRTUAL:
-                    virtual.append(i)
-                elif _drivable(lvl, binds):
-                    drivers.append((i, lvl))
+        drivers, virtual = self._drivers(level, depths)
 
         new_depths = dict(depths)
         if not drivers:
@@ -1239,40 +1266,6 @@ class _FlatGenerator:
     # through to the inline scalar loop otherwise, so outputs and tallies
     # never depend on which path ran.
     # ------------------------------------------------------------------
-    def _leaf_lookups_advance(self, level: int,
-                              depths: Dict[int, int]) -> bool:
-        """Would the in-loop :meth:`_lookups` pass advance any cursor at
-        the innermost rank?  (A dry-run of its break conditions: a leaf
-        that performs per-element lookups emits per-element events and
-        must stay scalar.)"""
-        ir = self.ir
-        bound_vars = set()
-        for r in ir.loop_ranks[: level + 1]:
-            bound_vars.update(ir.binds.get(r, ()))
-        for i, plan in enumerate(ir.accesses):
-            d = depths[i]
-            if d >= len(plan.levels):
-                continue
-            lvl = plan.levels[d]
-            if lvl.kind == VIRTUAL:
-                continue
-            later_rank = lvl.rank in ir.loop_ranks[level + 1:]
-            if lvl.kind in (UPPER, FLAT_UPPER):
-                below = _physical_below(plan, d, lvl.of)
-                if below is None or any(
-                    set(e.vars) - bound_vars for e in below.exprs
-                ) or later_rank and _drivable(
-                    lvl, ir.binds.get(lvl.rank, ())
-                ):
-                    continue
-                return True
-            if any(set(e.vars) - bound_vars for e in lvl.exprs):
-                continue
-            if later_rank and _drivable(lvl, ir.binds.get(lvl.rank, ())):
-                continue
-            return True
-        return False
-
     def _vec_value_plan(self, depths: Dict[int, int],
                         driver_map: Dict[int, str]):
         """(value code, scalar refs, mul count) of a batched leaf value.
@@ -1363,7 +1356,8 @@ class _FlatGenerator:
                 return None
         if any(p.tensor == ir.output.tensor for p in ir.accesses):
             return None
-        if self._leaf_lookups_advance(level, dict(new_depths)):
+        if any(self._lookup_steps(level, new_depths)):
+            # Per-element lookups emit per-element events: stay scalar.
             return None
         v = binds[0] if binds else None
         out_idx = ir.output.indices
@@ -1701,13 +1695,15 @@ class _FlatGenerator:
         em.indent -= 1
 
     # ------------------------------------------------------------------
-    def _lookups(self, level: int, depths: Dict[int, int]) -> None:
-        """Advance cursors through levels fully bound after this rank.
+    def _lookup_steps(self, level: int, depths: Dict[int, int]):
+        """The cursor advances :meth:`_lookups` makes after rank
+        ``level``, in order: ``(i, d, lvl)`` per level ``d`` of access
+        ``i`` fully bound by then.
 
         The break conditions are copied verbatim from the object
         generator so both kernels advance at exactly the same points.
         """
-        ir, em = self.ir, self.em
+        ir = self.ir
         bound_vars = set()
         for r in ir.loop_ranks[: level + 1]:
             bound_vars.update(ir.binds.get(r, ()))
@@ -1718,9 +1714,6 @@ class _FlatGenerator:
                 if lvl.kind == VIRTUAL:
                     break  # virtual levels advance only at their loop rank
                 later_rank = lvl.rank in ir.loop_ranks[level + 1:]
-                of = lvl.of or lvl.rank
-                L = self._al(i, d)
-                pos = f"p{i}_{d}"
                 if lvl.kind in (UPPER, FLAT_UPPER):
                     below = _physical_below(plan, d, lvl.of)
                     if below is None or any(
@@ -1729,39 +1722,52 @@ class _FlatGenerator:
                         lvl, ir.binds.get(lvl.rank, ())
                     ):
                         break
-                    target = _coord_code(below)
-                    em.emit(f"if n{i}_{d}a is None:")
-                    em.indent += 1
-                    self._absent(i, d + 1)
-                    em.indent -= 1
-                    em.emit("else:")
-                    em.indent += 1
+                else:
+                    if any(set(e.vars) - bound_vars for e in lvl.exprs):
+                        break
+                    if later_rank and _drivable(lvl,
+                                                ir.binds.get(lvl.rank, ())):
+                        break  # it will drive its own loop
+                yield i, d, lvl
+                d += 1
+
+    def _lookups(self, level: int, depths: Dict[int, int]) -> None:
+        """Advance cursors through levels fully bound after this rank
+        (see :meth:`_lookup_steps`)."""
+        ir, em = self.ir, self.em
+        for i, d, lvl in self._lookup_steps(level, depths):
+            plan = ir.accesses[i]
+            of = lvl.of or lvl.rank
+            L = self._al(i, d)
+            pos = f"p{i}_{d}"
+            if lvl.kind in (UPPER, FLAT_UPPER):
+                below = _physical_below(plan, d, lvl.of)
+                target = _coord_code(below)
+                em.emit(f"if n{i}_{d}a is None:")
+                em.indent += 1
+                self._absent(i, d + 1)
+                em.indent -= 1
+                em.emit("else:")
+                em.indent += 1
+                em.emit(
+                    f"{pos} = rt.span_chunk(t{i}_c{L}, n{i}_{d}a, "
+                    f"n{i}_{d}b, {target})"
+                )
+                em.emit(f"if {pos} < 0:")
+                em.indent += 1
+                self._absent(i, d + 1)
+                em.indent -= 1
+                em.emit("else:")
+                em.indent += 1
+                if self._paths(i):
                     em.emit(
-                        f"{pos} = rt.span_chunk(t{i}_c{L}, n{i}_{d}a, "
-                        f"n{i}_{d}b, {target})"
+                        f"h{i}_{d + 1} = h{i}_{d} + (t{i}_c{L}[{pos}],)"
                     )
-                    em.emit(f"if {pos} < 0:")
-                    em.indent += 1
-                    self._absent(i, d + 1)
-                    em.indent -= 1
-                    em.emit("else:")
-                    em.indent += 1
-                    if self._paths(i):
-                        em.emit(
-                            f"h{i}_{d + 1} = h{i}_{d} + (t{i}_c{L}[{pos}],)"
-                        )
-                    self._emit_read(i, of, "coord", L, pos, f"h{i}_{d + 1}",
-                                    level + 1)
-                    self._descend(i, d, pos)
-                    em.indent -= 2
-                    d += 1
-                    depths[i] = d
-                    continue
-                unbound = any(set(e.vars) - bound_vars for e in lvl.exprs)
-                if unbound:
-                    break
-                if later_rank and _drivable(lvl, ir.binds.get(lvl.rank, ())):
-                    break  # it will drive its own loop
+                self._emit_read(i, of, "coord", L, pos, f"h{i}_{d + 1}",
+                                level + 1)
+                self._descend(i, d, pos)
+                em.indent -= 2
+            else:
                 em.emit(f"if n{i}_{d}a is None:")
                 em.indent += 1
                 self._absent(i, d + 1)
@@ -1793,8 +1799,7 @@ class _FlatGenerator:
                                      level + 1)
                 self._descend(i, d, pos)
                 em.indent -= 2
-                d += 1
-                depths[i] = d
+            depths[i] = d + 1
 
     def _log_miss(self, i: int, d: int, L: int, of: str, coord: str,
                   depth: int) -> None:

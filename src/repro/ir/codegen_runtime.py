@@ -449,7 +449,7 @@ def vreduce(existing, values) -> float:
 # is interned per machine (:meth:`FusedBuffet.intern`) and logged as
 # ``RICH | id``.  An output write logs its point as one mixed-radix int
 # over the output shapes (:meth:`FusedMachines.radix`), flagged
-# ``WRITE``.
+# ``WRITE``; its key-depth prefix is a quotient by one multiplier.
 #
 # Contexts.  Every loop iteration of a ported kernel is one node of the
 # loop-context tree, numbered per depth in visit order:
@@ -551,27 +551,27 @@ def _ancestor(segs, level: int, pos, to: int):
     """Positions at level ``to`` of the ancestors of ``pos`` (at
     ``level``), walking the arena's segment arrays up."""
     for lvl in range(level, to, -1):
-        seg = segs[lvl]
-        if np.ndim(pos) and 4 * pos.size > seg.size:
-            # Many lookups: gathering from the level's parent map beats
-            # a binary search each.
-            pos = np.repeat(np.arange(seg.size - 1), np.diff(seg))[pos]
-        else:
-            pos = np.searchsorted(seg, pos, side="right") - 1
+        pos = np.searchsorted(segs[lvl], pos, side="right") - 1
     return pos
 
 
-def _canonical(keys, key_depth, levels, rich):
+def _canonical(keys, writes, key_depth, levels, rich, radix):
     """Keys as the model compares them: ``(rank, path)`` when
     ``key_depth`` is None, else ``path[:key_depth]``.  ``levels`` maps a
     level code to its ``(segs, level)``; ``rich`` is the machine's
-    intern table."""
+    intern table.  A write's key is its output point in the mixed radix
+    ``radix`` (:meth:`~repro.model.evaluate.FusedMachines.radix`), so its
+    prefix of ``key_depth`` coordinates is the quotient by the
+    multiplier of coordinate ``key_depth - 1``.  Write keys are flagged
+    ``WRITE``, a key space of their own: an Einsum never reads its own
+    output, so no read names a written point."""
     if key_depth == 0:
         return np.zeros_like(keys)  # every path truncates to ()
     out = keys.copy()
-    is_rich = (keys & RICH) != 0
+    reads = ~writes
+    is_rich = reads & ((keys & RICH) != 0)
     if key_depth is not None:
-        plain = ~is_rich
+        plain = reads & ~is_rich
         codes = keys >> CODE
         for code in np.unique(codes[plain]).tolist():
             sel = plain & (codes == code)
@@ -579,6 +579,9 @@ def _canonical(keys, key_depth, levels, rich):
             pos = keys[sel] & _LOW
             at = min(level, key_depth - 1)
             out[sel] = (at << CODE) | _ancestor(segs, level, pos, at)
+        if key_depth < len(radix):
+            out[writes] //= radix[key_depth - 1]
+    out[writes] |= WRITE
     if rich:
         table = np.empty(len(rich), dtype=np.int64)
         forms: dict = {}
@@ -662,13 +665,14 @@ class FusedBuffet:
     when the rank never appears in this Einsum's loop order).
     """
 
-    __slots__ = ("key_depth", "cut", "log", "rich")
+    __slots__ = ("key_depth", "cut", "log", "rich", "radix")
 
     def __init__(self, key_depth: Optional[int], cut: int):
         self.key_depth = key_depth
         self.cut = cut
         self.log = array("q")
         self.rich: dict = {}
+        self.radix: tuple = ()  # the output point multipliers, if written
 
     def intern(self, key) -> int:
         """The ``RICH`` key of a key that is no arena position."""
@@ -694,27 +698,11 @@ class FusedBuffet:
                "fill_reads": 0}
         if not keys.size:
             return out
-        keys = _canonical(keys, self.key_depth, levels, self.rich)
+        keys = _canonical(keys, writes, self.key_depth, levels, self.rich,
+                          self.radix)
         first = np.zeros(keys.size, dtype=bool)
         first[_run_starts(x, self.cut, frames)] = True
         run = np.cumsum(first)
-        # An event repeating the previous one's key in the same run adds
-        # nothing to its group, unless it is a write after a read.
-        same = ~first
-        same[1:] &= (keys[1:] == keys[:-1]) & (~writes[1:] | writes[:-1])
-        keys, run, writes = keys[~same], run[~same], writes[~same]
-        n_groups = _distinct(keys, run)
-        out["fills"] = n_groups
-        if not n_writes:
-            out["fill_reads"] = n_groups
-            return out
-        if writes.all():
-            # Every group is written: each drains, and each but a key's
-            # first refills a drained partial output.
-            partial = n_groups - _distinct(keys)
-            out.update(drains=n_groups, partial_output_fills=partial,
-                       fill_reads=partial)
-            return out
         # By key, then run; a stable sort keeps each group's events in
         # sequence order.
         order = np.lexsort((run, keys))
@@ -731,23 +719,12 @@ class FusedBuffet:
         before = np.cumsum(wrote) - wrote
         before -= np.maximum.accumulate(np.where(new_key, before, 0))
         partial = int(np.count_nonzero(write_first & (before > 0)))
+        out["fills"] = int(group.size)
         out["drains"] = int(np.count_nonzero(wrote))
         out["partial_output_fills"] = partial
         out["fill_reads"] = int(group.size - np.count_nonzero(write_first)) \
             + partial
         return out
-
-
-def _distinct(keys, run=None) -> int:
-    """The number of distinct keys, or of distinct (run, key) pairs
-    (``run`` is nondecreasing)."""
-    if run is not None:
-        span = int(run[-1]) + 1
-        if int(keys.max()) >= (1 << 62) // span:
-            keys = np.unique(keys, return_inverse=True)[1]
-        keys = keys * span + run
-    keys = np.sort(keys)
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 class FusedCache:
@@ -758,7 +735,8 @@ class FusedCache:
     capacity-edge eviction decisions are bit-identical).
     """
 
-    __slots__ = ("key_depth", "capacity_bits", "fill_bits", "log", "rich")
+    __slots__ = ("key_depth", "capacity_bits", "fill_bits", "log", "rich",
+                 "radix")
 
     def __init__(self, key_depth: Optional[int], capacity_bits: float,
                  fill_bits: float):
@@ -767,6 +745,7 @@ class FusedCache:
         self.fill_bits = fill_bits
         self.log = array("q")
         self.rich: dict = {}
+        self.radix: tuple = ()
 
     intern = FusedBuffet.intern
 
@@ -776,7 +755,8 @@ class FusedCache:
         it dirties a clean line, so such repeats (the second read of a
         pair included) are counted in bulk."""
         keys, writes, _, repeats = _decode(self.log)
-        keys = _canonical(keys, self.key_depth, levels, self.rich)
+        keys = _canonical(keys, writes, self.key_depth, levels, self.rich,
+                          self.radix)
         repeat = np.zeros(keys.size, dtype=bool)
         repeat[1:] = (keys[1:] == keys[:-1]) & (~writes[1:] | writes[:-1])
         hits = repeats + int(np.count_nonzero(repeat))

@@ -605,9 +605,12 @@ class FusedMachines:
 
     def radix(self, tensor: str, rank: str, shape) -> tuple:
         """Multipliers encoding an output point as one int key, or zeros
-        when the output routes to DRAM.  Raises :class:`CodegenError`
-        when a shape is unknown or the keys would not fit."""
-        if self.port(tensor, rank, "elem") is None:
+        when the output routes to DRAM.  The output's machine keeps them
+        to truncate written points at settle.  Raises
+        :class:`CodegenError` when a shape is unknown or the keys would
+        not fit."""
+        machine = self.port(tensor, rank, "elem")
+        if machine is None:
             return (0,) * len(shape)
         if not all(isinstance(s, int) and s > 0 for s in shape):
             raise CodegenError(f"output {tensor} has an unknown shape")
@@ -618,7 +621,8 @@ class FusedMachines:
         if size >= RUN:
             raise CodegenError(f"output {tensor} is too large to key")
         self._shape = list(shape)
-        return tuple(reversed(mult))
+        machine.radix = tuple(reversed(mult))
+        return machine.radix
 
     def check_points(self, out: Tensor, points) -> None:
         """Raise :class:`CodegenError` unless every written point lies in

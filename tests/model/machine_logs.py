@@ -6,8 +6,13 @@ or :class:`~repro.ir.codegen_runtime.FusedCache` log, under loop-context
 ids and frames numbered as the generated loops number them), and as the
 interpreter streams it (one ``access_read``/``access_write`` call per
 event on the per-event :class:`~repro.model.components.BuffetModel` /
-:class:`~repro.model.components.CacheModel`).  Keys are elements of one
-small three-level arena, so key-depth truncation walks real segments.
+:class:`~repro.model.components.CacheModel`).  Read keys are elements of
+one small three-level arena, so key-depth truncation walks real
+segments; a path-keyed history reads them as a tensor with a projected
+level is read, by interned paths whose coordinates carry an offset.
+Writes are points of a separate output box, logged in its mixed radix as
+a kernel logs its output writes: an Einsum never reads its own output,
+so no write point is a read path at any key depth.
 """
 
 import hypothesis.strategies as st
@@ -24,6 +29,13 @@ LOOP_RANKS = ("P", "Q", "R")
 #: The arena's rank per level (the rank its events name).
 RANKS = ("K", "M", "N")
 BITS = 96.0
+#: The output box and the rank its writes name.  Written points have a
+#: first coordinate of 9 to 11, which no read path has (arena paths run
+#: 0..4, shifted by at most OFF, and misses read coordinate 7).
+WRITE_SHAPE = (12, 4, 3)
+OUT_RANK = "W"
+#: The coordinate offset of a path-keyed history's paths.
+OFF = 1
 
 
 def arena():
@@ -78,15 +90,19 @@ def cache_pair(key_depth, depth, bits=BITS):
 
 class History:
     """One event history, logged for ``machine`` and streamed to
-    ``model`` (see the module docs)."""
+    ``model`` (see the module docs); ``paths`` logs reads by interned
+    paths."""
 
-    def __init__(self, model, machine, depth=len(LOOP_RANKS)):
+    def __init__(self, model, machine, depth=len(LOOP_RANKS), paths=False):
         self.model = model
         self.machine = machine
+        self.paths = paths
         self.arena = arena()
         self.x = [d << rt.DEPTH for d in range(depth + 1)]
         self.frames = [[] for _ in range(depth + 1)]
         self.ctx = []  # the live loop context: (rank, coord) pairs
+        machine.radix = tuple(int(np.prod(WRITE_SHAPE[r + 1:]))
+                              for r in range(len(WRITE_SHAPE)))
 
     # ---- loop contexts ------------------------------------------------
     def enter(self, level, coord):
@@ -106,26 +122,45 @@ class History:
     def size(self, level):
         return len(self.arena.coords[level])
 
+    def parent(self, level, pos):
+        """The position of element ``pos``'s parent, one level up."""
+        return int(np.searchsorted(self.arena.segs[level], pos,
+                                   side="right")) - 1
+
+    def span_end(self, level, lo):
+        """The last ``hi`` of a span from ``lo``: the level's end, or the
+        end of ``lo``'s fiber when reads are path-keyed (one span reads
+        one fiber under one path)."""
+        if not self.paths or not level:
+            return self.size(level)
+        return int(self.arena.segs[level][self.parent(level, lo) + 1])
+
     def path(self, level, pos):
-        """The coordinate path of element ``pos`` of ``level``."""
+        """The coordinate path of element ``pos`` of ``level`` (shifted
+        by :data:`OFF` when path-keyed)."""
         path = []
         for lvl in range(level, -1, -1):
             path.append(int(self.arena.coords[lvl][pos]))
             if lvl:
-                pos = int(np.searchsorted(self.arena.segs[lvl], pos,
-                                          side="right")) - 1
-        return tuple(reversed(path))
+                pos = self.parent(lvl, pos)
+        off = OFF if self.paths else 0
+        return tuple(c + off for c in reversed(path))
 
     def key(self, level, pos):
         return RANKS[level], self.path(level, pos)
+
+    def point_key(self, point):
+        """A written point's logged key, without its flags."""
+        return sum(c * m for c, m in zip(point, self.machine.radix))
 
     # ---- events ---------------------------------------------------------
     def read(self, level, pos, depth, pair=False):
         key = self.key(level, pos)
         for _ in range(2 if pair else 1):
             self.model.access_read(key, self.ctx[:depth])
-        self._record((level << rt.CODE | pos) | (rt.PAIR if pair else 0),
-                     depth)
+        logged = self.machine.intern((0,) + key) if self.paths else \
+            level << rt.CODE | pos
+        self._record(logged | (rt.PAIR if pair else 0), depth)
 
     def span(self, level, lo, hi, depth, pairs=0):
         """Reads of positions ``[lo, hi)``, the first ``pairs`` of them
@@ -134,6 +169,13 @@ class History:
             for _ in range(2 if pos - lo < pairs else 1):
                 self.model.access_read(self.key(level, pos),
                                        self.ctx[:depth])
+        if self.paths:
+            base = self.path(level - 1, self.parent(level, lo)) \
+                if level else ()
+            coords = [int(c) for c in self.arena.coords[level]]
+            rt.log_paths(self.machine, RANKS[level], base, coords,
+                         range(lo, hi), OFF, self.x[depth], pairs)
+            return
         self._record(rt.SPAN | level << rt.CODE | lo, depth)
         self.machine.log.append(hi)
         self.machine.log.append(pairs)
@@ -142,24 +184,26 @@ class History:
         """A lookup of ``coord`` that missed in the level-``level``
         fiber under element ``parent`` of the level above."""
         base = self.path(level - 1, parent) if level else ()
-        self.model.access_read((RANKS[level], base + (coord,)),
-                               self.ctx[:depth])
-        self._record(self.machine.intern((1, level, parent, coord)), depth)
+        off = OFF if self.paths else 0
+        key = (RANKS[level], base + (coord + off,))
+        self.model.access_read(key, self.ctx[:depth])
+        self._record(self.machine.intern(
+            (0,) + key if self.paths else (1, level, parent, coord)), depth)
 
-    def write(self, level, pos, depth):
-        self.model.access_write(self.key(level, pos), self.ctx[:depth])
-        self._record(rt.WRITE | level << rt.CODE | pos, depth)
+    def write(self, point, depth):
+        self.model.access_write((OUT_RANK, point), self.ctx[:depth])
+        self._record(rt.WRITE | self.point_key(point), depth)
 
-    def leaf_writes(self, level, pos, depth, n):
-        """``n`` writes of one element, each in a fresh leaf context one
+    def leaf_writes(self, point, depth, n):
+        """``n`` writes of one point, each in a fresh leaf context one
         level below ``depth`` (a reduction span's per-element windows).
         Like a kernel's leaf, it stands in for the loop one level down,
         so ``depth`` must be the deepest live context."""
         for c in range(n):
             self.model.access_write(
-                self.key(level, pos),
+                (OUT_RANK, point),
                 self.ctx[:depth] + [(LOOP_RANKS[depth], 100 + c)])
-        self._record(rt.RUN | rt.WRITE | level << rt.CODE | pos, depth)
+        self._record(rt.RUN | rt.WRITE | self.point_key(point), depth)
         self.machine.log[-1] |= rt.LEAF
         self.machine.log.append(n)
         self.machine.log.append(0)
@@ -174,21 +218,23 @@ class History:
         return self.machine.settle(self.levels(), frames)
 
     def written_keys(self):
-        """The model keys of every logged write, truncated as the model
-        keys them — the buffet's drained-key set once it finishes."""
+        """The model keys of every logged write, decoded from their
+        settled keys — the buffet's drained-key set once it finishes."""
         keys, writes, _, _ = rt._decode(self.machine.log)
-        keys = rt._canonical(keys[writes], self.machine.key_depth,
-                             self.levels(), self.machine.rich)
         kd = self.machine.key_depth
+        radix = self.machine.radix
+        keys = rt._canonical(keys[writes], writes[writes], kd,
+                             self.levels(), self.machine.rich, radix)
+        n = len(WRITE_SHAPE) if kd is None else min(kd, len(WRITE_SHAPE))
         out = set()
         for key in keys.tolist():
-            level, pos = key >> rt.CODE, key & ((1 << rt.CODE) - 1)
-            if kd == 0:
+            if not n:
                 out.add(())
-            elif kd is None:
-                out.add(self.key(level, pos))
-            else:
-                out.add(self.path(level, pos))
+                continue
+            # A truncated key counts in units of coordinate n - 1.
+            key = (key & ~rt.WRITE) * radix[n - 1]
+            point = tuple(key // m % s for m, s in zip(radix, WRITE_SHAPE))
+            out.add((OUT_RANK, point) if kd is None else point[:n])
         return out
 
 
@@ -221,6 +267,13 @@ def element(data, h, label):
                             label=f"{label} pos")
 
 
+def point(data, label):
+    """A written point of the output box (see :data:`WRITE_SHAPE`)."""
+    return (data.draw(st.integers(9, WRITE_SHAPE[0] - 1), label=f"{label} k"),
+            data.draw(st.integers(0, WRITE_SHAPE[1] - 1), label=f"{label} m"),
+            data.draw(st.integers(0, WRITE_SHAPE[2] - 1), label=f"{label} n"))
+
+
 def event(data, h, depth, writes, leaf=False):
     """One logged event at the depth-``depth`` context; ``leaf`` allows
     leaf writes (whose fresh contexts sit one level below ``depth``, so
@@ -233,7 +286,7 @@ def event(data, h, depth, writes, leaf=False):
         h.read(*element(data, h, kind), depth, pair=kind == "pair")
     elif kind == "span":
         level, lo = element(data, h, "span")
-        hi = data.draw(st.integers(lo, min(lo + 3, h.size(level))),
+        hi = data.draw(st.integers(lo, min(lo + 3, h.span_end(level, lo))),
                        label="span hi")
         h.span(level, lo, hi, depth,
                data.draw(st.integers(0, hi - lo), label="pairs"))
@@ -244,10 +297,10 @@ def event(data, h, depth, writes, leaf=False):
         # Coordinates run 0..4; 7 is in no fiber.
         h.miss(level, parent, 7, depth)
     elif kind == "write":
-        h.write(*element(data, h, "write"), depth)
+        h.write(point(data, "write"), depth)
     else:
         n = data.draw(st.integers(0, 3), label="leaf n")
-        h.leaf_writes(*element(data, h, "leaf"), depth, n)
+        h.leaf_writes(point(data, "leaf"), depth, n)
 
 
 def walk(data, h, level=0, writes=True):

@@ -296,6 +296,74 @@ binding:
 """
 
 
+@pytest.mark.parametrize("store", ["ZStore", "BStore"])
+@pytest.mark.parametrize("bound", ["type: subtree, style: lazy",
+                                   "type: elem, style: eager"])
+def test_fused_truncates_output_writes_to_key_depth(store, bound):
+    """An output bound as a subtree (or eagerly) at its outer rank M, in
+    a buffet and in a cache: every write is keyed by its M coordinate
+    alone (key depth 1), and the ported kernel prices exactly as the
+    interpreter's trace."""
+    z_buffer = f"      {store}:\n" \
+        f"        - {{tensor: Z, rank: M, {bound}, evict-on: K1}}\n"
+    spec = load_spec(buffered_matmul(z_buffer=z_buffer),
+                     name=f"z-{store}-at-m")
+    assert_fused_exact(spec, tensors(seed=7))
+
+
+FLAT_LOOKUP = """
+einsum:
+  declaration: {A: [J, K, M], B: [K], Z: [J, M]}
+  expressions: ["Z[j, m] = A[j, k, m] * B[k]"]
+mapping:
+  partitioning:
+    Z:
+      (K, M): [flatten()]
+  loop-order:
+    Z: [J, KM]
+architecture:
+  Main:
+    clock: 1.0e9
+    subtree:
+      - name: System
+        local:
+          - name: DRAM
+            class: DRAM
+            attributes: {bandwidth: 64}
+          - name: BBuf
+            class: Buffer
+            attributes: {type: STORE, width: 64, depth: 2}
+          - name: ALU
+            class: Compute
+            attributes: {type: mul}
+binding:
+  Z:
+    config: Main
+    components:
+      BBuf:
+        - {tensor: B, rank: K, type: elem, style: lazyEVICT}
+      ALU:
+        - op: mul
+"""
+
+
+@pytest.mark.parametrize("store", ["buffet", "cache"])
+@pytest.mark.parametrize("evict", ["", ", evict-on: J", ", evict-on: KM"])
+def test_fused_innermost_lookups_number_their_contexts(store, evict):
+    """B is looked up by k inside the innermost (flattened KM) loop, so
+    its reads sit at the innermost loop depth: the ported kernel numbers
+    those iterations (each its own window when evicting on KM) and
+    prices exactly as the interpreter's trace."""
+    spec = load_spec(FLAT_LOOKUP.replace("STORE", store)
+                     .replace("EVICT", evict), name=f"lookup-{store}")
+    rng = np.random.default_rng(1)
+    a = (rng.random((4, 8, 6)) < 0.5) * rng.integers(1, 9, (4, 8, 6))
+    b = (rng.random(8) < 0.6) * rng.integers(1, 9, 8)
+    work = {"A": tensor_from_dense("A", ["J", "K", "M"], a.astype(float)),
+            "B": tensor_from_dense("B", ["K"], b.astype(float))}
+    assert_fused_exact(spec, work)
+
+
 def test_fused_multi_einsum_cascade_drains_between_einsums():
     """Each Einsum gets fresh machines; dirty windows drain at einsum
     end, and the next Einsum's buffet starts cold — exactly as the

@@ -10,7 +10,8 @@ event by event into :class:`~repro.model.components.BuffetModel` /
 :class:`~repro.model.components.CacheModel`, and the settled tallies
 must price into exactly the model's counts and DRAM traffic (and, for a
 buffet, the model's drained-key set) — across window rolls and repeated
-windows, key depths ``None``/0/1/2, reads then writes of one key,
+windows, key depths ``None``/0/1/2, position- and path-keyed reads,
+output points truncated to the key depth, reads then writes of one key,
 refills after a drain, empty spans (which must not roll the window), and
 capacity 0 and 1 at the float ``occupied`` edge.
 """
@@ -29,6 +30,7 @@ from machine_logs import (
     cache_model,
     cache_pair,
     element,
+    point,
     priced,
     walk,
 )
@@ -55,7 +57,8 @@ def assert_cache_settles(h, factory):
 def buffet_history(data):
     kd = data.draw(st.sampled_from(KEY_DEPTHS), label="key_depth")
     cut = data.draw(st.sampled_from(CUTS), label="cut")
-    return History(*buffet_pair(kd, cut)), kd, cut
+    paths = data.draw(st.booleans(), label="paths")
+    return History(*buffet_pair(kd, cut), paths=paths), kd, cut
 
 
 def cache_history(data):
@@ -64,7 +67,8 @@ def cache_history(data):
     # ``occupied`` sum drift across the capacity edge.
     depth = data.draw(st.sampled_from([0, 1, 3, 64]), label="lines")
     bits = data.draw(st.sampled_from([96.0, 0.1]), label="bits")
-    return History(*cache_pair(kd, depth, bits)), \
+    paths = data.draw(st.booleans(), label="paths")
+    return History(*cache_pair(kd, depth, bits), paths=paths), \
         functools.partial(cache_model, kd, depth, bits)
 
 
@@ -99,9 +103,9 @@ def test_buffet_write_run_matches_writes(data):
     h, kd, cut = buffet_history(data)
     walk(data, h)
     h.enter(0, 9)
-    level, pos = element(data, h, "run")
+    at = point(data, "run")
     for _ in range(data.draw(st.integers(0, 4), label="n")):
-        h.write(level, pos, 1)
+        h.write(at, 1)
     assert_buffet_settles(h, kd, cut)
 
 
@@ -113,7 +117,7 @@ def test_buffet_write_keys_matches_writes(data):
     walk(data, h)
     h.enter(0, 9)
     for _ in range(data.draw(st.integers(0, 6), label="n")):
-        h.write(*element(data, h, "key"), 1)
+        h.write(point(data, "key"), 1)
     assert_buffet_settles(h, kd, cut)
 
 
@@ -126,7 +130,7 @@ def test_buffet_write_seq_matches_writes(data):
     walk(data, h)
     h.enter(0, 9)
     h.enter(1, 9)
-    h.leaf_writes(*element(data, h, "leaf"), 2,
+    h.leaf_writes(point(data, "leaf"), 2,
                   data.draw(st.integers(0, 4), label="n"))
     assert_buffet_settles(h, kd, cut)
 
@@ -136,12 +140,12 @@ def test_buffet_empty_spans_do_not_roll():
     drains the written key."""
     h = History(*buffet_pair(None, 1))
     h.enter(0, 0)
-    h.write(2, 1, 1)
+    h.write((9, 1, 1), 1)
     h.enter(0, 1)
     h.span(2, 3, 3, 1)
     h.enter(0, 2)
     h.span(1, 0, 0, 1)
-    h.write(2, 1, 0)  # depth 0: a window of its own
+    h.write((9, 1, 1), 0)  # depth 0: a window of its own
     tallies = h.settle()
     h.model.finish()
     assert tallies["drains"] == 2 and tallies["fills"] == 2
@@ -150,12 +154,13 @@ def test_buffet_empty_spans_do_not_roll():
 
 
 def test_buffet_write_run_refills_a_drained_key():
-    h = History(*buffet_pair(None, 1))
+    """At key depth 0 every write and read names the one key ()."""
+    h = History(*buffet_pair(0, 1))
     h.enter(0, 0)
-    h.write(1, 0, 1)
+    h.write((9, 0, 1), 1)
     h.enter(0, 1)
     for _ in range(3):
-        h.write(1, 0, 1)
+        h.write((10, 2, 0), 1)
     h.read(1, 0, 1)  # present and dirty: a hit
     tallies = h.settle()
     assert (tallies["fills"], tallies["drains"],
@@ -165,19 +170,21 @@ def test_buffet_write_run_refills_a_drained_key():
 
 def test_buffet_read_then_write_of_one_key():
     """A key read first fills from DRAM; the write after it in the same
-    run dirties it without a second fill, and drains once."""
-    h = History(*buffet_pair(None, 2))
+    run dirties it without a second fill, and drains once.  Only a
+    subtree bound at the root (key depth 0) keys a read and an output
+    write alike: an Einsum never reads its own output."""
+    h = History(*buffet_pair(0, 2))
     h.enter(0, 0)
     h.enter(1, 0)
     h.read(2, 0, 2, pair=True)
-    h.write(2, 0, 2)
+    h.write((9, 0, 0), 2)
     h.enter(1, 1)
-    h.write(2, 0, 2)  # written and drained before: a partial output
+    h.write((11, 3, 2), 2)  # written and drained before: a partial output
     tallies = h.settle()
     h.model.finish()
     assert (tallies["fills"], tallies["drains"], tallies["fill_reads"],
             tallies["partial_output_fills"]) == (2, 2, 2, 1)
-    assert buffet_counts(priced(functools.partial(buffet_model, None, 2),
+    assert buffet_counts(priced(functools.partial(buffet_model, 0, 2),
                                 tallies)) == buffet_counts(h.model)
 
 
@@ -191,9 +198,9 @@ def test_cache_write_run_matches_writes(data):
     MRU line."""
     h, factory = cache_history(data)
     walk(data, h)
-    level, pos = element(data, h, "run")
+    at = point(data, "run")
     for _ in range(data.draw(st.integers(0, 4), label="n")):
-        h.write(level, pos, 0)
+        h.write(at, 0)
     assert_cache_settles(h, factory)
 
 
@@ -203,7 +210,7 @@ def test_cache_write_keys_matches_writes(data):
     h, factory = cache_history(data)
     walk(data, h)
     for _ in range(data.draw(st.integers(0, 6), label="n")):
-        h.write(*element(data, h, "key"), 0)
+        h.write(point(data, "key"), 0)
     assert_cache_settles(h, factory)
 
 
@@ -214,7 +221,7 @@ def test_cache_write_seq_matches_writes(data):
     h, factory = cache_history(data)
     walk(data, h)
     h.enter(0, 9)
-    h.leaf_writes(*element(data, h, "leaf"), 1,
+    h.leaf_writes(point(data, "leaf"), 1,
                   data.draw(st.integers(0, 4), label="n"))
     assert_cache_settles(h, factory)
 
@@ -227,7 +234,7 @@ def test_cache_read_span_matches_reads(data):
     h, factory = cache_history(data)
     walk(data, h, writes=False)
     level, lo = element(data, h, "span")
-    hi = h.size(level)
+    hi = h.span_end(level, lo)
     h.span(level, lo, hi, 0, data.draw(st.integers(0, hi - lo),
                                        label="pairs"))
     assert_cache_settles(h, factory)
